@@ -23,10 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
 
-from .errors import StructureError
+from .errors import EngineError, StructureError
 from .geometry import TensorField, compose11, directional_covariant
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
+from .scalars import canon, pdiff
 
 
 @dataclass
@@ -98,7 +99,7 @@ def classify_h_grid(
     for pt in points:
         try:
             results.append(classify_h(an, pt))
-        except Exception:
+        except EngineError:
             continue
     tags = {r.tag for r in results}
     warning = None
@@ -195,9 +196,7 @@ def _is_rational_frame(*fields: TensorField) -> bool:
 def _g_of(an: StructureAnalysis, v, w) -> sp.Expr:
     g = an.structure.g.array
     n = an.structure.dim
-    return sp.cancel(
-        sp.together(sum(g[i, j] * v[i] * w[j] for i in range(n) for j in range(n)))
-    )
+    return canon(sum(g[i, j] * v[i] * w[j] for i in range(n) for j in range(n)))
 
 
 def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
@@ -446,8 +445,8 @@ def _lie_bracket(an: StructureAnalysis, v: TensorField, w: TensorField) -> List[
         out.append(
             sp.cancel(
                 sum(
-                    v.array[j] * chart.pdiff(w.array[i], j)
-                    - w.array[j] * chart.pdiff(v.array[i], j)
+                    v.array[j] * pdiff(chart.context, w.array[i], j)
+                    - w.array[j] * pdiff(chart.context, v.array[i], j)
                     for j in range(3)
                 )
             )
@@ -460,7 +459,7 @@ def _sigma_of(an: StructureAnalysis, v: List[sp.Expr]) -> sp.Expr:
 
 
 def _deriv_along(an: StructureAnalysis, v: List[sp.Expr], f: sp.Expr) -> sp.Expr:
-    return sp.cancel(sum(v[j] * an.chart.pdiff(f, j) for j in range(3)))
+    return sp.cancel(sum(v[j] * pdiff(an.chart.context, f, j) for j in range(3)))
 
 
 def _table_item(an, name, lhs: List[sp.Expr], rhs: List[sp.Expr], pt) -> CheckItem:

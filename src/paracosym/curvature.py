@@ -8,75 +8,67 @@ commutator, constant sectional curvature, harmonicity of xi).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import sympy as sp
 
-from .errors import DegenerateMetricError
-from .geometry import TensorField, compose11, directional_covariant, trace11
+from .geometry import (
+    TensorField,
+    compose11,
+    contract,
+    covariant_derivative,
+    directional_covariant,
+    identity_tensor,
+)
 from .scalars import ScalarField
-from .structures import CheckItem, StructureAnalysis, _residual_item, _scalar_item
+from .structures import (
+    CheckItem,
+    StructureAnalysis,
+    _antisymmetrized,
+    _gradient,
+    _residual_item,
+    _scalar_item,
+)
 
 
 def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     """R(X,Y)xi through derivatives of alpha and of phi.h (any alpha)."""
     s = an.structure
     chart = an.chart
-    n_tot = s.dim
-    rng = range(n_tot)
     if not an.is_apc:
         return [CheckItem("R(X,Y)xi formulas", "skip", reason="not apc")]
 
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
+    eta = s.eta
     alpha = an.alpha.expr
-    phih = an.phih.array
-    nabphih = an.nabphih.array
-    R = an.R.array
-    dal = [an.alpha.partial(c).expr for c in rng]
-    delta = sp.eye(n_tot)
+    delta = identity_tensor(chart).array
+    rxy_xi = contract("iabk,k->iab", an.R, s.xi)  # R(d_a, d_b) xi
+    nab_phih = contract("iba->iab", an.nabphih)  # (nabla_{d_a} phi.h) d_b
     items: List[CheckItem] = []
 
-    res = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                lhs = sum(R[i, a, b, k] * xi[k] for k in rng)
-                rhs = (
-                    dal[a] * (delta[i, b] - eta[b] * xi[i])
-                    - dal[b] * (delta[i, a] - eta[a] * xi[i])
-                    + alpha * eta[a] * (alpha * delta[i, b] + phih[i, b])
-                    - alpha * eta[b] * (alpha * delta[i, a] + phih[i, a])
-                    + nabphih[i, b, a]
-                    - nabphih[i, a, b]
-                )
-                res[i, a, b] = lhs - rhs
+    # R(X,Y)xi = X(alpha) P Y - Y(alpha) P X + alpha eta(X)(alpha Y + phi.h Y)
+    #   - alpha eta(Y)(alpha X + phi.h X) + (nabla_X phi.h)Y - (nabla_Y phi.h)X
+    rhs = (
+        contract("a,ib->iab", _gradient(an.alpha), an.proj)
+        + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih.array))
+        + nab_phih
+    )
     items.append(
         _residual_item(
-            "R(X,Y)xi via d(alpha) and nabla(phi.h)", TensorField(chart, 1, 2, res)
+            "R(X,Y)xi via d(alpha) and nabla(phi.h)",
+            TensorField(chart, 1, 2, rxy_xi - _antisymmetrized(rhs)),
         )
     )
 
     if s.n >= 2 and an.alpha_extraction.f is not None:
         f = an.alpha_extraction.f.expr
-        res2 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-        for i in rng:
-            for a in rng:
-                for b in rng:
-                    lhs = sum(R[i, a, b, k] * xi[k] for k in rng)
-                    rhs = (
-                        (f + alpha**2)
-                        * (eta[a] * delta[i, b] - eta[b] * delta[i, a])
-                        + alpha * (eta[a] * phih[i, b] - eta[b] * phih[i, a])
-                        + nabphih[i, b, a]
-                        - nabphih[i, a, b]
-                    )
-                    res2[i, a, b] = lhs - rhs
+        B = (f + alpha**2) * delta + alpha * an.phih.array
+        rhs2 = contract("a,ib->iab", eta, B) + nab_phih
         items.append(
             _residual_item(
-                "R(X,Y)xi with f (higher dimension)", TensorField(chart, 1, 2, res2)
+                "R(X,Y)xi with f (higher dimension)",
+                TensorField(chart, 1, 2, rxy_xi - _antisymmetrized(rhs2)),
             )
         )
     else:
@@ -92,23 +84,14 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
 
 def divergence_phih(an: StructureAnalysis) -> TensorField:
     """div(phi.h)^k = g^{ij} (nabla_i phi.h)^k_j, a vector field."""
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    ginv = an.ginv.array
-    nabphih = an.nabphih.array
-    comps = [
-        sum(ginv[i, j] * nabphih[k, j, i] for i in rng for j in rng) for k in rng
-    ]
-    return TensorField(an.chart, 1, 0, comps)
+    return TensorField(an.chart, 1, 0, contract("ij,kji->k", an.ginv, an.nabphih))
 
 
 def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
     """Jacobi-operator and Ricci consequences (constant alpha only)."""
     s = an.structure
     chart = an.chart
-    n_tot, n = s.dim, s.n
-    rng = range(n_tot)
+    n = s.n
     names = [
         "R(xi,X)xi via h and nabla_xi(h)",
         "nabla_xi(h) via the Jacobi operator",
@@ -121,77 +104,49 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
     if not an.alpha_is_constant:
         return [CheckItem(nm, "skip", reason="alpha is not constant") for nm in names]
 
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
+    phi, xi = s.phi, s.xi
     alpha = an.alpha.expr
-    h = an.h
-    phih = an.phih
-    R = an.R.array
+    h, l = an.h, an.l  # R(xi,X)xi = -l X
     items: List[CheckItem] = []
 
-    nab_xi_h = directional_covariant(h, an.conn, s.xi)
+    nab_xi_h = directional_covariant(h, an.conn, xi)
     h2 = compose11(h, h)
-    phi2 = compose11(s.phi, s.phi)
+    phi2 = contract("ik,kj->ij", phi, phi)
 
     # R(xi,X)xi = alpha^2 phi^2 X + 2 alpha phi h X - h^2 X + phi (nabla_xi h) X
-    lhs = [
-        [sum(R[i, a, j, k] * xi[a] * xi[k] for a in rng for k in rng) for j in rng]
-        for i in rng
-    ]
-    rhs = (
-        phi2.scale(alpha**2)
-        + phih.scale(2 * alpha)
-        - h2
-        + compose11(s.phi, nab_xi_h)
+    res1 = (
+        -l.array
+        - alpha**2 * phi2
+        - 2 * alpha * an.phih.array
+        + h2.array
+        - contract("ik,kj->ij", phi, nab_xi_h)
     )
-    items.append(
-        _residual_item(names[0], TensorField(chart, 1, 1, lhs) - rhs)
-    )
+    items.append(_residual_item(names[0], TensorField(chart, 1, 1, res1)))
 
     # (nabla_xi h) X = -alpha^2 phi X - 2 alpha h X + phi h^2 X - phi R(X,xi)xi
-    phil = compose11(s.phi, an.l)
-    rhs2 = (
-        -s.phi.scale(alpha**2)
-        - h.scale(2 * alpha)
-        + compose11(s.phi, h2)
-        - phil
+    res2 = (
+        nab_xi_h.array
+        + alpha**2 * phi.array
+        + 2 * alpha * h.array
+        + contract("ik,kj->ij", phi, l.array - h2.array)
     )
-    items.append(_residual_item(names[1], nab_xi_h - rhs2))
+    items.append(_residual_item(names[1], TensorField(chart, 1, 1, res2)))
 
     # (1/2)(R(xi,X)xi + phi R(xi, phi X)xi) = alpha^2 phi^2 X - h^2 X
-    lhs3 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot)
-    for i in rng:
-        for j in rng:
-            first = sum(R[i, a, j, k] * xi[a] * xi[k] for a in rng for k in rng)
-            second = sum(
-                phi[i, m] * R[m, a, mm, k] * xi[a] * phi[mm, j] * xi[k]
-                for m in rng
-                for a in rng
-                for mm in rng
-                for k in rng
-            )
-            lhs3[i, j] = sp.Rational(1, 2) * (first + second)
-    rhs3 = phi2.scale(alpha**2) - h2
-    items.append(
-        _residual_item(names[2], TensorField(chart, 1, 1, lhs3) - rhs3)
-    )
+    average = -(l.array + contract("im,mn,nj->ij", phi, l, phi)) / 2
+    res3 = average - alpha**2 * phi2 + h2.array
+    items.append(_residual_item(names[2], TensorField(chart, 1, 1, res3)))
 
     # S(X,xi) = -2n alpha^2 eta(X) + g(div(phi.h), X)
-    div = divergence_phih(an).array
-    S = an.S.array
-    res4 = [
-        sp.cancel(
-            sum(S[j, k] * xi[k] for k in rng)
-            + 2 * n * alpha**2 * eta[j]
-            - sum(g[m, j] * div[m] for m in rng)
-        )
-        for j in rng
-    ]
+    res4 = (
+        contract("jk,k->j", an.S, xi)
+        + 2 * n * alpha**2 * s.eta.array
+        - contract("mj,m->j", s.g, divergence_phih(an))
+    )
     items.append(_residual_item(names[3], TensorField(chart, 0, 1, res4)))
 
-    szz = sum(S[a, b] * xi[a] * xi[b] for a in rng for b in rng)
-    items.append(
-        _scalar_item(names[4], szz + 2 * n * alpha**2 - trace11(h2).expr)
-    )
+    szz = contract("ab,a,b->", an.S, xi, xi)
+    items.append(_scalar_item(names[4], szz + 2 * n * alpha**2 - contract("ii->", h2)))
     return items
 
 
@@ -204,57 +159,23 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
     chart = an.chart
-    n_tot = s.dim
-    rng = range(n_tot)
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
+    g, phi, eta = s.g, s.phi, s.eta
     alpha = an.alpha.expr
-    R = an.R.array
-    nabPhi = an.nabPhi.array
-    h = an.h.array
-    phih = an.phih.array
 
-    def rxi(a, b, i):  # (R(xi, d_a) d_b)^i
-        return sum(R[i, m, a, b] * xi[m] for m in rng)
-
-    gphih = [
-        [sum(g[m, b] * phih[m, a] for m in rng) for b in rng] for a in rng
-    ]
-    res = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                lhs = (
-                    sum(g[i, c] * rxi(a, b, i) for i in rng)
-                    + sum(
-                        g[i, mm] * rxi(a, m, i) * phi[m, b] * phi[mm, c]
-                        for i in rng
-                        for m in rng
-                        for mm in rng
-                    )
-                    - sum(
-                        g[i, c] * R[i, m, mm, k] * xi[m] * phi[mm, a] * phi[k, b]
-                        for i in rng
-                        for m in rng
-                        for mm in rng
-                        for k in rng
-                    )
-                    - sum(
-                        g[i, mm] * R[i, m, k, b] * xi[m] * phi[k, a] * phi[mm, c]
-                        for i in rng
-                        for m in rng
-                        for k in rng
-                        for mm in rng
-                    )
-                )
-                rhs = (
-                    2 * sum(h[d, a] * nabPhi[b, c, d] for d in rng)
-                    + 2 * alpha**2 * eta[b] * g[a, c]
-                    - 2 * alpha**2 * eta[c] * g[a, b]
-                    - 2 * alpha * eta[c] * gphih[a][b]
-                    + 2 * alpha * eta[b] * gphih[a][c]
-                )
-                res[a, b, c] = lhs - rhs
-    return _residual_item(name, TensorField(chart, 0, 3, res))
+    # Y[n,a,b] = g(R(xi, d_a) d_b, d_n), staged R.xi first
+    Y = TensorField(chart, 0, 3, contract("imab,m,in->nab", an.R, s.xi, g))
+    lhs = (
+        contract("cab->abc", Y)
+        + contract("nam,mb,nc->abc", Y, phi, phi)
+        - contract("cnk,na,kb->abc", Y, phi, phi)
+        - contract("nkb,ka,nc->abc", Y, phi, phi)
+    )
+    # M[a,c] = alpha g(d_a, d_c) + g(phi.h d_a, d_c)
+    M = alpha * g.array + contract("mc,ma->ac", g, an.phih)
+    rhs = 2 * contract("da,bcd->abc", an.h, an.nabPhi) + 2 * alpha * (
+        contract("b,ac->abc", eta, M) - contract("c,ab->abc", eta, M)
+    )
+    return _residual_item(name, TensorField(chart, 0, 3, lhs - rhs))
 
 
 def check_q_commutator(an: StructureAnalysis) -> CheckItem:
@@ -269,36 +190,19 @@ def check_q_commutator(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="alpha is not constant")
     if not parakaehler_leaves_check(an):
         return CheckItem(name, "skip", reason="leaves are not para-Kaehler")
-    chart = an.chart
-    n_tot, n = s.dim, s.n
-    rng = range(n_tot)
-    phi, xi, eta = s.phi.array, s.xi.array, s.eta.array
+    phi, xi, eta = s.phi, s.xi, s.eta
     alpha = an.alpha.expr
     Q = an.Q
-    l = an.l
-    lhs = compose11(Q, s.phi) - compose11(s.phi, Q)
-    base = (
-        compose11(l, s.phi)
-        - compose11(s.phi, l)
-        - an.h.scale(4 * alpha * (1 - n))
+    # [Q, phi] = [l, phi] - 4 alpha (1 - n) h - eta(.) phi Q xi + eta(Q phi .) xi
+    Q_minus_l = Q.array - an.l.array
+    res = (
+        contract("ik,kj->ij", Q_minus_l, phi)
+        - contract("ik,kj->ij", phi, Q_minus_l)
+        + 4 * alpha * (1 - s.n) * an.h.array
+        + contract("mk,k,im,j->ij", Q, xi, phi, eta)
+        - contract("m,mk,kj,i->ij", eta, Q, phi, xi)
     )
-    phiQxi = [
-        sum(phi[i, m] * Q.array[m, k] * xi[k] for m in rng for k in rng)
-        for i in rng
-    ]
-    etaQphi = [
-        sum(eta[m] * Q.array[m, k] * phi[k, j] for m in rng for k in rng)
-        for j in rng
-    ]
-    corr = [
-        [
-            sp.cancel(-eta[j] * phiQxi[i] + etaQphi[j] * xi[i])
-            for j in rng
-        ]
-        for i in rng
-    ]
-    rhs = base + TensorField(chart, 1, 1, corr)
-    return _residual_item(name, lhs - rhs)
+    return _residual_item(name, TensorField(an.chart, 1, 1, res))
 
 
 @dataclass
@@ -310,19 +214,10 @@ class ConstantCurvatureResult:
 
 def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     """Test R(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y) and recover c exactly."""
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    g = s.g.array
+    g = an.structure.g
     R = an.R.array
-    delta = sp.eye(n_tot)
-
-    model = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                for k in rng:
-                    model[i, a, b, k] = g[b, k] * delta[i, a] - g[a, k] * delta[i, b]
+    delta = identity_tensor(an.chart)
+    model = contract("bk,ia->iabk", g, delta) - contract("ak,ib->iabk", g, delta)
 
     subs = an.chart.point_subs()
     c_expr = None
@@ -338,7 +233,7 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     if c_expr is None:
         c_expr = sp.Integer(0)
 
-    residual = an.R - TensorField(an.chart, 1, 3, model).scale(c_expr)
+    residual = TensorField(an.chart, 1, 3, R - c_expr * model)
     if not residual.is_zero():
         w = residual.first_nonzero()
         return ConstantCurvatureResult(
@@ -381,19 +276,9 @@ def check_space_form_constraints(an: StructureAnalysis) -> List[CheckItem]:
 
 def rough_laplacian_xi(an: StructureAnalysis) -> TensorField:
     """Trace of the second covariant derivative of xi, as a vector field."""
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    from .geometry import covariant_derivative
-
-    nxi = covariant_derivative(s.xi, an.conn)  # [k, c]
+    nxi = covariant_derivative(an.structure.xi, an.conn)  # [k, c]
     nnxi = covariant_derivative(nxi, an.conn)  # [k, c, d], d the new direction
-    ginv = an.ginv.array
-    comps = [
-        sum(ginv[c, d] * nnxi.array[k, c, d] for c in rng for d in rng)
-        for k in rng
-    ]
-    return TensorField(an.chart, 1, 0, comps)
+    return TensorField(an.chart, 1, 0, contract("cd,kcd->k", an.ginv, nnxi))
 
 
 def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
@@ -409,22 +294,14 @@ def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="not apc")
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
-    n_tot, n = s.dim, s.n
-    rng = range(n_tot)
     alpha = an.alpha.expr
-    trh2 = trace11(compose11(an.h, an.h)).expr
-    Qxi = [
-        sum(an.Q.array[i, k] * s.xi.array[k] for k in rng) for i in rng
-    ]
-    PQxi = [
-        sum(an.proj.array[i, m] * Qxi[m] for m in rng) for i in rng
-    ]
-    rhs = [
-        sp.cancel((2 * n * alpha**2 - trh2) * s.xi.array[i] - PQxi[i])
-        for i in rng
-    ]
-    lap = rough_laplacian_xi(an)
-    return _residual_item(name, (-lap) - TensorField(an.chart, 1, 0, rhs))
+    trh2 = contract("ik,ki->", an.h, an.h)
+    res = (
+        -rough_laplacian_xi(an).array
+        - (2 * s.n * alpha**2 - trh2) * s.xi.array
+        + contract("mk,k,im->i", an.Q, s.xi, an.proj)
+    )
+    return _residual_item(name, TensorField(an.chart, 1, 0, res))
 
 
 def frame_laplacian_cross_check(
@@ -507,35 +384,20 @@ def _numeric_frame(gm: sp.Matrix) -> Tuple[List[List[sp.Float]], List[int]]:
 
 def xi_is_harmonic(an: StructureAnalysis) -> Tuple[bool, Optional[str]]:
     """xi is harmonic iff Q xi = S(xi,xi) xi, equivalently sigma = 0."""
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    szz = sum(
-        an.S.array[a, b] * s.xi.array[a] * s.xi.array[b] for a in rng for b in rng
-    )
-    res = [
-        sp.cancel(
-            sum(an.Q.array[i, k] * s.xi.array[k] for k in rng) - szz * s.xi.array[i]
-        )
-        for i in rng
-    ]
-    t = TensorField(an.chart, 1, 0, res)
-    w = t.first_nonzero()
+    xi = an.structure.xi
+    szz = contract("ab,a,b->", an.S, xi, xi)
+    res = contract("ik,k->i", an.Q, xi) - szz * xi.array
+    w = TensorField(an.chart, 1, 0, res).first_nonzero()
     if w is None:
         return True, None
     return False, f"Q(xi) - S(xi,xi) xi has component {w[0]}: {sp.sstr(w[1])}"
 
 
 def check_jacobi_self_adjoint(an: StructureAnalysis) -> CheckItem:
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    g = s.g.array
-    l = an.l.array
-    gl = [[sum(g[m, j] * l[m, i] for m in rng) for j in rng] for i in rng]
-    res = [[sp.cancel(gl[i][j] - gl[j][i]) for j in rng] for i in rng]
+    gl = contract("mj,mi->ij", an.structure.g, an.l)  # g(l d_i, d_j)
     return _residual_item(
-        "Jacobi operator self-adjoint", TensorField(an.chart, 0, 2, res)
+        "Jacobi operator self-adjoint",
+        TensorField(an.chart, 0, 2, gl - contract("ij->ji", gl)),
     )
 
 
@@ -567,21 +429,10 @@ def three_dim_decomposition_residual(
     S = ricci_tensor(R)
     Q = ricci_operator(S, g).scale(sp.Integer(ricci_sign))
     r = scalar_curvature(S, g).expr * ricci_sign
-    rng = range(3)
-    ga, Qa = g.array, Q.array
-    gQ = [[sum(ga[m, j] * Qa[m, i] for m in rng) for j in rng] for i in rng]
-    delta = sp.eye(3)
-    res = sp.MutableDenseNDimArray.zeros(3, 3, 3, 3)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                for k in rng:
-                    model = (
-                        ga[b, k] * Qa[i, a]
-                        - ga[a, k] * Qa[i, b]
-                        + gQ[b][k] * delta[i, a]
-                        - gQ[a][k] * delta[i, b]
-                        - (r / 2) * (ga[b, k] * delta[i, a] - ga[a, k] * delta[i, b])
-                    )
-                    res[i, a, b, k] = R.array[i, a, b, k] - model
-    return TensorField(chart, 1, 3, res)
+    delta = identity_tensor(chart).array
+    gQ = contract("mk,mb->bk", g, Q)  # g(Q d_b, d_k)
+    # model = T - (T with a and b swapped)
+    T = contract("bk,ia->iabk", g, Q.array - (r / 2) * delta) + contract(
+        "bk,ia->iabk", gQ, delta
+    )
+    return TensorField(chart, 1, 3, R.array - T + contract("ibak->iabk", T))

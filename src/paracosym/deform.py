@@ -18,34 +18,31 @@ deformation kills alpha exactly when du = alpha*eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 import sympy as sp
 
 from .errors import DeformationParameterError
-from .geometry import Chart, TensorField, compose11
+from .geometry import Chart, TensorField, contract
 from .scalars import GeneratorDecl, ScalarContext, ScalarField
 from .structures import (
     AlmostParacontactStructure,
     CheckItem,
     StructureAnalysis,
+    _antisymmetrized,
+    _gradient,
     _residual_item,
+    d_wedge_eta,
 )
 
 
 def _check_eta_proportional(s: AlmostParacontactStructure, fld: ScalarField, what: str):
     """d(fld) ^ eta = 0, exactly."""
-    n_tot = s.dim
-    d = [fld.partial(c).expr for c in range(n_tot)]
-    eta = s.eta.array
-    for i in range(n_tot):
-        for j in range(i + 1, n_tot):
-            if sp.cancel(d[i] * eta[j] - d[j] * eta[i]) != 0:
-                raise DeformationParameterError(
-                    f"d({what}) ^ eta != 0 at component ({i},{j})"
-                )
+    bad = d_wedge_eta(s, fld)
+    if bad is not None:
+        i, j = bad[0]
+        raise DeformationParameterError(f"d({what}) ^ eta != 0 at component ({i},{j})")
 
 
 def _nonzero_at_base(s: AlmostParacontactStructure, fld: ScalarField, what: str):
@@ -73,23 +70,12 @@ def d_homothetic_deform(
     _check_eta_proportional(s, beta, "beta")
     _nonzero_at_base(s, beta, "beta")
 
-    n_tot = s.dim
-    rng = range(n_tot)
     b = beta.expr
-    xi_t = TensorField(s.chart, 1, 0, [s.xi.array[i] / b for i in rng])
-    eta_t = TensorField(s.chart, 0, 1, [b * s.eta.array[i] for i in rng])
+    eta = s.eta.array
+    xi_t = TensorField(s.chart, 1, 0, s.xi.array / b)
+    eta_t = TensorField(s.chart, 0, 1, b * eta)
     g_t = TensorField(
-        s.chart,
-        0,
-        2,
-        [
-            [
-                gamma * s.g.array[i, j]
-                + (b**2 - gamma) * s.eta.array[i] * s.eta.array[j]
-                for j in rng
-            ]
-            for i in rng
-        ],
+        s.chart, 0, 2, gamma * s.g.array + (b**2 - gamma) * contract("i,j->ij", eta, eta)
     )
     return AlmostParacontactStructure(s.chart, s.phi, xi_t, eta_t, g_t)
 
@@ -105,14 +91,12 @@ def conformal_deform(
     s = an.structure
     if not an.is_apc:
         raise DeformationParameterError("conformal deformation needs an apc input")
-    n_tot = s.dim
-    rng = range(n_tot)
-    alpha = an.alpha.expr
-    for c in rng:
-        if sp.cancel(u.partial(c).expr - alpha * s.eta.array[c]) != 0:
-            raise DeformationParameterError(
-                f"du != alpha*eta at coordinate {c}; cannot conformally flatten alpha"
-            )
+    du_res = _gradient(u) - an.alpha.expr * s.eta.array
+    bad = TensorField(s.chart, 0, 1, du_res).first_nonzero()
+    if bad is not None:
+        raise DeformationParameterError(
+            f"du != alpha*eta at coordinate {bad[0][0]}; cannot conformally flatten alpha"
+        )
     if u.is_zero():
         return AlmostParacontactStructure(s.chart, s.phi, s.xi, s.eta, s.g)
 
@@ -137,11 +121,9 @@ def conformal_deform(
     E = sp.Symbol(decl.name)  # e^{u}
 
     phi_p = TensorField(chart, 1, 1, s.phi.array)
-    xi_p = TensorField(chart, 1, 0, [E * s.xi.array[i] for i in rng])
-    eta_p = TensorField(chart, 0, 1, [s.eta.array[i] / E for i in rng])
-    g_p = TensorField(
-        chart, 0, 2, [[s.g.array[i, j] / E**2 for j in rng] for i in rng]
-    )
+    xi_p = TensorField(chart, 1, 0, E * s.xi.array)
+    eta_p = TensorField(chart, 0, 1, s.eta.array / E)
+    g_p = TensorField(chart, 0, 2, s.g.array / E**2)
     return AlmostParacontactStructure(chart, phi_p, xi_p, eta_p, g_p)
 
 
@@ -173,52 +155,36 @@ def verify_deformation_laws(
     homothetic deformation, exactly."""
     s = an.structure
     chart = an.chart
-    n_tot = s.dim
-    rng = range(n_tot)
     gamma = sp.Rational(Fraction(gamma)) if isinstance(gamma, (int, Fraction)) else sp.Rational(gamma)
     b = beta.expr
     dbeta_xi = an.xi_derivative(beta).expr
-    g, xi, eta = s.g.array, s.xi.array, s.eta.array
-    A = an.A.array
+    xi, eta = s.xi, s.eta
     items: List[CheckItem] = []
 
     # connection: Gamma~^k_ab = Gamma^k_ab
     #   - ((b^2-gamma)/b^2) g(A d_a, d_b) xi^k + (dbeta(xi)/b) eta_a eta_b xi^k
-    gA = [[sum(g[m, j] * A[m, i] for m in rng) for j in rng] for i in rng]
-    res = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for k in rng:
-        for a in rng:
-            for bb in rng:
-                expect = (
-                    an.conn[k, a, bb]
-                    - ((b**2 - gamma) / b**2) * gA[a][bb] * xi[k]
-                    + (dbeta_xi / b) * eta[a] * eta[bb] * xi[k]
-                )
-                res[k, a, bb] = an_t.conn[k, a, bb] - expect
+    shift = ((b**2 - gamma) / b**2) * contract("mb,ma->ab", s.g, an.A) - (
+        dbeta_xi / b
+    ) * contract("a,b->ab", eta, eta)
+    res = an_t.conn.gamma - an.conn.gamma + contract("ab,k->kab", shift, xi)
     items.append(
         _residual_item("deformed connection law", TensorField(chart, 1, 2, res))
     )
 
     items.append(
-        _residual_item("A~ = A/beta", an_t.A - an.A.scale(1 / b))
+        _residual_item("A~ = A/beta", TensorField(chart, 1, 1, an_t.A.array - an.A.array / b))
     )
     items.append(
-        _residual_item("h~ = h/beta", an_t.h - an.h.scale(1 / b))
+        _residual_item("h~ = h/beta", TensorField(chart, 1, 1, an_t.h.array - an.h.array / b))
     )
 
     # R~(X,Y)xi~ = (1/beta) R(X,Y)xi
     #   + (dbeta(xi)/beta^2) [eta(X) A Y - eta(Y) A X]
-    R, Rt = an.R.array, an_t.R.array
-    xi_t = an_t.structure.xi.array
-    res7 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for bb in rng:
-                lhs = sum(Rt[i, a, bb, k] * xi_t[k] for k in rng)
-                rhs = (1 / b) * sum(R[i, a, bb, k] * xi[k] for k in rng) + (
-                    dbeta_xi / b**2
-                ) * (eta[a] * A[i, bb] - eta[bb] * A[i, a])
-                res7[i, a, bb] = lhs - rhs
+    res7 = (
+        contract("iabk,k->iab", an_t.R, an_t.structure.xi)
+        - contract("iabk,k->iab", an.R, xi) / b
+        - (dbeta_xi / b**2) * _antisymmetrized(contract("a,ib->iab", eta, an.A))
+    )
     items.append(
         _residual_item("R~(X,Y)xi~ law", TensorField(chart, 1, 2, res7))
     )

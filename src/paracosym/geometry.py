@@ -13,16 +13,32 @@ Conventions used throughout the package:
 - Covariant derivative appends its direction index as a trailing covariant
   slot: (nabla T)[..., c].
 
-Components are raw sympy expressions canonicalized with cancel(); they are
-exact rational functions of the coordinates and any declared exponential
-generators (see scalars.ScalarField for the derivative rule).
+Components are raw sympy expressions in the canonical form scalars.canon
+(one reduced fraction); they are exact rational functions of the
+coordinates and any declared exponential generators (see scalars.pdiff for
+the derivative rule).
+
+Algebraic contractions go through one primitive, contract(spec,
+*operands), an exact einsum (the differential operators below keep their
+own index loops).  The spec names the slots of each operand with
+one letter per index, e.g. "imab,m->iab" for (R(xi, d_a) d_b)^i; a letter
+that is not in the output is summed.  The operands are contracted in pairs
+in the order written, so the caller stages the cheapest contraction first
+(R with xi before phi and g).  An intermediate stage that summed over an
+index is canonicalised once per entry; the final stage is returned raw.
+Callers combine such raw arrays by array arithmetic into a residual and
+canonicalise it once per output entry, by wrapping it in a TensorField:
+summing separately canonicalised tensors costs one canonicalisation per
+term instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
+from collections import defaultdict
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import sympy as sp
 from sympy.combinatorics import Permutation
@@ -32,7 +48,7 @@ from .errors import (
     SingularMetricError,
     ValenceError,
 )
-from .scalars import GeneratorDecl, ScalarContext, ScalarField
+from .scalars import ScalarContext, ScalarField, canon, pdiff
 
 
 class Chart:
@@ -58,16 +74,6 @@ class Chart:
     def __hash__(self):
         return hash((self.context, self.base_point))
 
-    def pdiff(self, expr: sp.Expr, coord_index: int) -> sp.Expr:
-        """Partial derivative with the exponential-generator chain rule."""
-        ctx = self.context
-        x = ctx.coord_symbols[coord_index]
-        d = sp.diff(expr, x)
-        for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
-            if gen.coord_index == coord_index and gsym in expr.free_symbols:
-                d = d + gen.rate * gsym * sp.diff(expr, gsym)
-        return d
-
     def point_subs(self, point: Optional[Sequence] = None) -> dict:
         pt = self.base_point if point is None else [Fraction(p) for p in point]
         subs = {
@@ -75,10 +81,6 @@ class Chart:
             for s, p in zip(self.context.coord_symbols, pt)
         }
         return subs
-
-
-def _canon(e):
-    return sp.cancel(sp.together(e))
 
 
 class TensorField:
@@ -93,7 +95,7 @@ class TensorField:
         n = chart.dim
         if r + s == 0:
             expr = array if isinstance(array, sp.Expr) else sp.sympify(array)
-            self.array = sp.ImmutableDenseNDimArray([_canon(expr)], (1,))
+            self.array = sp.ImmutableDenseNDimArray([canon(expr)], (1,))
         else:
             arr = sp.ImmutableDenseNDimArray(array)
             if arr.shape != (n,) * (r + s):
@@ -101,29 +103,7 @@ class TensorField:
                     f"component array shape {arr.shape} does not match valence "
                     f"({r},{s}) in dimension {n}"
                 )
-            self.array = arr.applyfunc(_canon)
-
-    # -- construction helpers -----------------------------------------
-
-    @staticmethod
-    def zeros(chart: Chart, r: int, s: int) -> "TensorField":
-        n = chart.dim
-        if r + s == 0:
-            return TensorField(chart, 0, 0, sp.Integer(0))
-        return TensorField(
-            chart, r, s, sp.ImmutableDenseNDimArray.zeros(*((n,) * (r + s)))
-        )
-
-    @staticmethod
-    def from_scalars(chart: Chart, r: int, s: int, fields) -> "TensorField":
-        def strip(x):
-            if isinstance(x, ScalarField):
-                return x.expr
-            if isinstance(x, (list, tuple)):
-                return [strip(y) for y in x]
-            return sp.sympify(x)
-
-        return TensorField(chart, r, s, strip(fields))
+            self.array = arr.applyfunc(canon)
 
     def __getitem__(self, idx):
         if self.r + self.s == 0:
@@ -217,8 +197,112 @@ class TensorField:
             return float(self.array[0].subs(subs))
         return self.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))
 
-    def component(self, *idx) -> ScalarField:
-        return ScalarField(self.chart.context, self[idx] if idx else self.array[0])
+
+# --------------------------------------------------------------------
+# the contraction primitive
+
+Entries = Dict[Tuple[int, ...], sp.Expr]
+
+
+def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
+    inputs, arrow, output = spec.partition("->")
+    inputs = inputs.split(",")
+    if not arrow or len(inputs) != count:
+        raise ValenceError(f"contraction spec {spec!r} does not match {count} operands")
+    seen = "".join(inputs)
+    if not all(c in string.ascii_letters for c in seen + output):
+        raise ValenceError(f"contraction spec {spec!r}: index labels must be letters")
+    if len(set(output)) != len(output) or not set(output) <= set(seen):
+        raise ValenceError(f"contraction spec {spec!r}: bad output labels {output!r}")
+    return inputs, output
+
+
+def _components(x, labels: str) -> Tuple[int, list]:
+    """(dimension, row-major component list) of one operand."""
+    if isinstance(x, TensorField):
+        n, rank = x.chart.dim, x.rank
+        flat = [x.array[0]] if rank == 0 else sp.flatten(x.array)
+    else:
+        arr = x if isinstance(x, sp.NDimArray) else sp.ImmutableDenseNDimArray(x)
+        rank, flat = arr.rank(), sp.flatten(arr)
+        if len(set(arr.shape)) > 1:
+            raise ValenceError(f"operand of shape {arr.shape} is not square")
+        n = arr.shape[0] if rank else None
+    if rank != len(labels):
+        raise ValenceError(f"operand of rank {rank} labelled {labels!r}")
+    return n, flat
+
+
+def _entries(flat: list, labels: str, n: int) -> Tuple[str, Entries]:
+    """Nonzero entries keyed by the distinct labels; a label repeated within
+    one operand takes its diagonal."""
+    distinct = "".join(dict.fromkeys(labels))
+    first = [labels.index(c) for c in labels]
+    keep = [labels.index(c) for c in distinct]
+    out: Entries = {}
+    for idx, v in zip(itertools.product(range(n), repeat=len(labels)), flat):
+        if v != 0 and all(idx[p] == idx[f] for p, f in enumerate(first)):
+            out[tuple(idx[p] for p in keep)] = v
+    return distinct, out
+
+
+def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep) -> Tuple[str, Entries, bool]:
+    """Multiply two labelled operands and sum the labels not in keep."""
+    shared = [c for c in lb if c in la]
+    extra = "".join(c for c in lb if c not in la)
+    pa = [la.index(c) for c in shared]
+    pb = [lb.index(c) for c in shared]
+    pe = [lb.index(c) for c in extra]
+    by_shared = defaultdict(list)
+    for ib, vb in eb.items():
+        by_shared[tuple(ib[p] for p in pb)].append((tuple(ib[p] for p in pe), vb))
+    joint = la + extra
+    kept = "".join(c for c in joint if c in keep)
+    pos = [joint.index(c) for c in kept]
+    terms = defaultdict(list)
+    for ia, va in ea.items():
+        for ie, vb in by_shared.get(tuple(ia[p] for p in pa), ()):
+            full = ia + ie
+            terms[tuple(full[p] for p in pos)].append(va * vb)
+    return kept, {k: sp.Add(*v) for k, v in terms.items()}, len(kept) < len(joint)
+
+
+def contract(spec: str, *operands):
+    """Exact einsum over TensorFields or component arrays.
+
+    The operands are contracted in pairs, left to right in the order given,
+    skipping zero entries; an intermediate stage that summed over an index
+    is canonicalised once per entry.  Returns the final stage raw: a sympy
+    array indexed by the output labels, or one expression when the output
+    is empty.  A malformed spec, or an operand whose rank or dimension does
+    not match its labels, raises ValenceError.
+    """
+    inputs, output = _parse_spec(spec, len(operands))
+    parts = [_components(x, labels) for x, labels in zip(operands, inputs)]
+    dims = {d for d, _ in parts if d is not None}
+    if len(dims) > 1:
+        raise ValenceError(f"operands of different dimensions {sorted(dims)}")
+    n = dims.pop() if dims else 0
+    labels, entries = "", {(): sp.Integer(1)}
+    summed = False
+    for k, (labels_k, (_, flat)) in enumerate(zip(inputs, parts)):
+        if summed:
+            entries = {i: c for i, v in entries.items() if (c := canon(v)) != 0}
+        keep = set(output).union(*inputs[k + 1 :])
+        lb, eb = _entries(flat, labels_k, n)
+        labels, entries, summed = _stage(labels, entries, lb, eb, keep)
+    if not output:
+        return entries.get((), sp.Integer(0))
+    order = [output.index(c) for c in labels]
+    flat = [
+        entries.get(tuple(idx[p] for p in order), sp.Integer(0))
+        for idx in itertools.product(range(n), repeat=len(output))
+    ]
+    return sp.ImmutableDenseNDimArray(flat, (n,) * len(output))
+
+
+def _letters(k: int, skip: str = "") -> str:
+    return "".join(c for c in string.ascii_letters if c not in skip)[:k]
 
 
 # --------------------------------------------------------------------
@@ -229,47 +313,10 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Outer product; index order (a-upper, b-upper, a-lower, b-lower)."""
     if a.chart != b.chart:
         raise ValenceError("tensors live on different charts")
-    n = a.chart.dim
-    r, s = a.r + b.r, a.s + b.s
-    if a.rank == 0:
-        return b.scale(ScalarField(a.chart.context, a.array[0]))
-    if b.rank == 0:
-        return a.scale(ScalarField(b.chart.context, b.array[0]))
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s)))
-    for ia in a.indices():
-        va = a.array[ia]
-        if va == 0:
-            continue
-        au, al = ia[: a.r], ia[a.r :]
-        for ib in b.indices():
-            vb = b.array[ib]
-            if vb == 0:
-                continue
-            bu, bl = ib[: b.r], ib[b.r :]
-            out[au + bu + al + bl] = va * vb
-    return TensorField(a.chart, r, s, out)
-
-
-def contract(t: TensorField, upper: int, lower: int) -> TensorField:
-    """Contract the upper-th contravariant with the lower-th covariant index."""
-    if not (0 <= upper < t.r and 0 <= lower < t.s):
-        raise ValenceError(f"cannot contract ({upper},{lower}) on valence ({t.r},{t.s})")
-    n = t.chart.dim
-    pos_u, pos_l = upper, t.r + lower
-    r, s = t.r - 1, t.s - 1
-    if r + s == 0:
-        total = sum(t.array[(k, k)] for k in range(n))
-        return TensorField(t.chart, 0, 0, total)
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s)))
-    for idx in itertools.product(range(n), repeat=r + s):
-        total = sp.Integer(0)
-        for k in range(n):
-            full = list(idx)
-            full.insert(pos_u, k)
-            full.insert(pos_l, k)
-            total += t.array[tuple(full)]
-        out[idx] = total
-    return TensorField(t.chart, r, s, out)
+    la = _letters(a.rank)
+    lb = _letters(b.rank, skip=la)
+    out = la[: a.r] + lb[: b.r] + la[a.r :] + lb[b.r :]
+    return TensorField(a.chart, a.r + b.r, a.s + b.s, contract(f"{la},{lb}->{out}", a, b))
 
 
 def compose11(a: TensorField, b: TensorField) -> TensorField:
@@ -277,52 +324,20 @@ def compose11(a: TensorField, b: TensorField) -> TensorField:
     for t in (a, b):
         if (t.r, t.s) != (1, 1):
             raise ValenceError("compose11 needs (1,1)-tensors")
-    n = a.chart.dim
-    ma = sp.Matrix(n, n, lambda i, j: a.array[i, j])
-    mb = sp.Matrix(n, n, lambda i, j: b.array[i, j])
-    return TensorField(a.chart, 1, 1, sp.ImmutableDenseNDimArray(ma * mb))
+    return TensorField(a.chart, 1, 1, contract("ik,kj->ij", a, b))
 
 
 def apply11(a: TensorField, v: TensorField) -> TensorField:
     """(a v)^i = a^i_k v^k."""
     if (a.r, a.s) != (1, 1) or (v.r, v.s) != (1, 0):
         raise ValenceError("apply11 needs a (1,1)-tensor and a vector")
-    n = a.chart.dim
-    out = [sum(a.array[i, k] * v.array[k] for k in range(n)) for i in range(n)]
-    return TensorField(a.chart, 1, 0, out)
-
-
-def covector_apply(w: TensorField, v: TensorField) -> ScalarField:
-    """w(v) for a (0,1) and a (1,0) field."""
-    if (w.r, w.s) != (0, 1) or (v.r, v.s) != (1, 0):
-        raise ValenceError("covector_apply needs a covector and a vector")
-    n = w.chart.dim
-    return ScalarField(
-        w.chart.context, sum(w.array[k] * v.array[k] for k in range(n))
-    )
-
-
-def metric_apply(g: TensorField, v: TensorField, w: TensorField) -> ScalarField:
-    """g(v, w) for a (0,2) field and two vectors."""
-    n = g.chart.dim
-    total = sum(
-        g.array[i, j] * v.array[i] * w.array[j] for i in range(n) for j in range(n)
-    )
-    return ScalarField(g.chart.context, total)
-
-
-def lower_index(g: TensorField, v: TensorField) -> TensorField:
-    """v^i -> g_ij v^j (vector to covector)."""
-    n = g.chart.dim
-    out = [sum(g.array[j, i] * v.array[j] for j in range(n)) for i in range(n)]
-    return TensorField(g.chart, 0, 1, out)
+    return TensorField(a.chart, 1, 0, contract("ik,k->i", a, v))
 
 
 def trace11(t: TensorField) -> ScalarField:
     if (t.r, t.s) != (1, 1):
         raise ValenceError("trace11 needs a (1,1)-tensor")
-    n = t.chart.dim
-    return ScalarField(t.chart.context, sum(t.array[i, i] for i in range(n)))
+    return ScalarField(t.chart.context, contract("ii->", t))
 
 
 def identity_tensor(chart: Chart) -> TensorField:
@@ -358,7 +373,7 @@ class ConnectionCoefficients:
 
     def __init__(self, chart: Chart, gamma):
         self.chart = chart
-        self.gamma = sp.ImmutableDenseNDimArray(gamma).applyfunc(_canon)
+        self.gamma = sp.ImmutableDenseNDimArray(gamma).applyfunc(canon)
 
     @staticmethod
     def from_metric(g: TensorField) -> "ConnectionCoefficients":
@@ -366,7 +381,7 @@ class ConnectionCoefficients:
         n = chart.dim
         ginv = metric_inverse(g)
         dg = [
-            [[chart.pdiff(g.array[i, j], k) for j in range(n)] for i in range(n)]
+            [[pdiff(chart.context, g.array[i, j], k) for j in range(n)] for i in range(n)]
             for k in range(n)
         ]
         gamma = sp.MutableDenseNDimArray.zeros(n, n, n)
@@ -392,11 +407,13 @@ def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> Tensor
     n = chart.dim
     r, s = t.r, t.s
     if r + s == 0:
-        return TensorField(chart, 0, 1, [chart.pdiff(t.array[0], c) for c in range(n)])
+        return TensorField(
+            chart, 0, 1, [pdiff(chart.context, t.array[0], c) for c in range(n)]
+        )
     out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s + 1)))
     for idx in t.indices():
         for c in range(n):
-            val = chart.pdiff(t.array[idx], c)
+            val = pdiff(chart.context, t.array[idx], c)
             for p in range(r):
                 for m in range(n):
                     swapped = idx[:p] + (m,) + idx[p + 1 :]
@@ -412,14 +429,9 @@ def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> Tensor
 
 def directional_covariant(t: TensorField, conn: ConnectionCoefficients, v: TensorField) -> TensorField:
     """nabla_v T: contract the trailing direction slot of nabla T with v."""
-    nt = covariant_derivative(t, conn)
-    n = t.chart.dim
-    if t.rank == 0:
-        return TensorField(t.chart, 0, 0, sum(nt.array[c] * v.array[c] for c in range(n)))
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * t.rank))
-    for idx in t.indices():
-        out[idx] = sum(nt.array[idx + (c,)] * v.array[c] for c in range(n))
-    return TensorField(t.chart, t.r, t.s, out)
+    idx = _letters(t.rank, skip="z")
+    nabla_v = contract(f"{idx}z,z->{idx}", covariant_derivative(t, conn), v)
+    return TensorField(t.chart, t.r, t.s, nabla_v)
 
 
 def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
@@ -431,45 +443,23 @@ def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
     r, s = t.r, t.s
     if r + s == 0:
         return TensorField(
-            chart, 0, 0, sum(v.array[c] * chart.pdiff(t.array[0], c) for c in range(n))
+            chart,
+            0,
+            0,
+            sum(v.array[c] * pdiff(chart.context, t.array[0], c) for c in range(n)),
         )
     out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s)))
     for idx in t.indices():
-        val = sum(v.array[c] * chart.pdiff(t.array[idx], c) for c in range(n))
+        val = sum(v.array[c] * pdiff(chart.context, t.array[idx], c) for c in range(n))
         for p in range(r):
             for m in range(n):
                 swapped = idx[:p] + (m,) + idx[p + 1 :]
-                val -= chart.pdiff(v.array[idx[p]], m) * t.array[swapped]
+                val -= pdiff(chart.context, v.array[idx[p]], m) * t.array[swapped]
         for q in range(s):
             pos = r + q
             for m in range(n):
                 swapped = idx[:pos] + (m,) + idx[pos + 1 :]
-                val += chart.pdiff(v.array[m], idx[pos]) * t.array[swapped]
-        out[idx] = val
-    return TensorField(chart, r, s, out)
-
-
-def lie_derivative_nabla(v: TensorField, t: TensorField, conn: ConnectionCoefficients) -> TensorField:
-    """Lie derivative via any torsion-free connection; must agree with lie_derivative."""
-    chart = t.chart
-    n = chart.dim
-    r, s = t.r, t.s
-    nt = covariant_derivative(t, conn)
-    nv = covariant_derivative(v, conn)
-    if r + s == 0:
-        return TensorField(chart, 0, 0, sum(v.array[c] * nt.array[c] for c in range(n)))
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s)))
-    for idx in t.indices():
-        val = sum(v.array[c] * nt.array[idx + (c,)] for c in range(n))
-        for p in range(r):
-            for m in range(n):
-                swapped = idx[:p] + (m,) + idx[p + 1 :]
-                val -= nv.array[idx[p], m] * t.array[swapped]
-        for q in range(s):
-            pos = r + q
-            for m in range(n):
-                swapped = idx[:pos] + (m,) + idx[pos + 1 :]
-                val += nv.array[m, idx[pos]] * t.array[swapped]
+                val += pdiff(chart.context, v.array[m], idx[pos]) * t.array[swapped]
         out[idx] = val
     return TensorField(chart, r, s, out)
 
@@ -504,13 +494,15 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     n = chart.dim
     k = omega.s
     if k == 0:
-        return TensorField(chart, 0, 1, [chart.pdiff(omega.array[0], c) for c in range(n)])
+        return TensorField(
+            chart, 0, 1, [pdiff(chart.context, omega.array[0], c) for c in range(n)]
+        )
     out = sp.MutableDenseNDimArray.zeros(*((n,) * (k + 1)))
     for idx in itertools.product(range(n), repeat=k + 1):
         val = sp.Integer(0)
         for j in range(k + 1):
             rest = idx[:j] + idx[j + 1 :]
-            val += (-1) ** j * chart.pdiff(omega.array[rest], idx[j])
+            val += (-1) ** j * pdiff(chart.context, omega.array[rest], idx[j])
         out[idx] = val
     return TensorField(chart, 0, k + 1, out)
 
@@ -555,49 +547,25 @@ def riemann(conn: ConnectionCoefficients) -> TensorField:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
-                    val = chart.pdiff(G[l, j, k], i) - chart.pdiff(G[l, i, k], j)
+                    val = pdiff(chart.context, G[l, j, k], i) - pdiff(
+                        chart.context, G[l, i, k], j
+                    )
                     val += sum(
                         G[l, i, m] * G[m, j, k] - G[l, j, m] * G[m, i, k]
                         for m in range(n)
                     )
-                    val = _canon(val)
+                    val = canon(val)
                     out[l, i, j, k] = val
                     out[l, j, i, k] = -val
     return TensorField(chart, 1, 3, out)
 
 
-def riemann_apply(R: TensorField, x: TensorField, y: TensorField, z: TensorField) -> TensorField:
-    """The vector field R(x, y) z."""
-    n = R.chart.dim
-    out = [
-        sum(
-            R.array[l, i, j, k] * x.array[i] * y.array[j] * z.array[k]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-        for l in range(n)
-    ]
-    return TensorField(R.chart, 1, 0, out)
-
-
 def ricci_tensor(R: TensorField) -> TensorField:
-    n = R.chart.dim
-    out = sp.MutableDenseNDimArray.zeros(n, n)
-    for j in range(n):
-        for k in range(n):
-            out[j, k] = sum(R.array[i, i, j, k] for i in range(n))
-    return TensorField(R.chart, 0, 2, out)
+    return TensorField(R.chart, 0, 2, contract("iijk->jk", R))
 
 
 def ricci_operator(S: TensorField, g: TensorField) -> TensorField:
-    n = g.chart.dim
-    ginv = metric_inverse(g)
-    out = sp.MutableDenseNDimArray.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = sum(ginv.array[i, k] * S.array[k, j] for k in range(n))
-    return TensorField(g.chart, 1, 1, out)
+    return TensorField(g.chart, 1, 1, contract("ik,kj->ij", metric_inverse(g), S))
 
 
 def scalar_curvature(S: TensorField, g: TensorField) -> ScalarField:

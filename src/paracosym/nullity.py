@@ -19,9 +19,17 @@ from typing import List, Optional, Tuple
 
 import sympy as sp
 
-from .geometry import TensorField, compose11, directional_covariant, identity_tensor
+from .geometry import TensorField, compose11, contract, directional_covariant, identity_tensor
 from .scalars import ScalarField
-from .structures import CheckItem, StructureAnalysis, _residual_item, _scalar_item
+from .structures import (
+    CheckItem,
+    StructureAnalysis,
+    _antisymmetrized,
+    _residual_item,
+    _scalar_item,
+    d_wedge_eta,
+    parakaehler_leaves_residual,
+)
 
 
 @dataclass
@@ -100,18 +108,8 @@ def _solve_linear_field_system(
 def _bi_residual(an: StructureAnalysis, B: TensorField) -> TensorField:
     """R(X,Y)xi - [eta(Y) B X - eta(X) B Y]."""
     s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    xi, eta = s.xi.array, s.eta.array
-    R = an.R.array
-    Ba = B.array
-    out = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                out[i, a, b] = sum(R[i, a, b, k] * xi[k] for k in rng) - (
-                    eta[b] * Ba[i, a] - eta[a] * Ba[i, b]
-                )
+    eta_B = contract("b,ia->iab", s.eta, B)
+    out = contract("iabk,k->iab", an.R, s.xi) - _antisymmetrized(eta_B)
     return TensorField(an.chart, 1, 2, out)
 
 
@@ -119,16 +117,11 @@ def _r_eta_ok(an: StructureAnalysis, fld: Optional[ScalarField]) -> Optional[str
     """d(fld) ^ eta = 0 check; returns a witness string on failure."""
     if fld is None:
         return None
-    s = an.structure
-    n_tot = s.dim
-    d = [fld.partial(c).expr for c in range(n_tot)]
-    eta = s.eta.array
-    for i in range(n_tot):
-        for j in range(i + 1, n_tot):
-            v = sp.cancel(d[i] * eta[j] - d[j] * eta[i])
-            if v != 0:
-                return f"({i},{j}): {sp.sstr(v)}"
-    return None
+    bad = d_wedge_eta(an.structure, fld)
+    if bad is None:
+        return None
+    (i, j), v = bad
+    return f"({i},{j}): {sp.sstr(v)}"
 
 
 def nullity_fit(an: StructureAnalysis) -> NullityFit:
@@ -149,7 +142,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
             return NullityFit("not_nullity", witness="l is not proportional to phi^2")
         (kv,), _ = solved
         kv = kv if kv is not None else sp.Integer(0)
-        B = P.scale(kv)
+        B = TensorField(an.chart, 1, 1, kv * P.array)
         residual = _bi_residual(an, B)
         w = residual.first_nonzero()
         if w is not None:
@@ -182,7 +175,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
     sol, unique = solved
     vals = [v if v is not None else sp.Integer(0) for v in sol]
     kv, mv, nv = vals
-    B = P.scale(kv) + h.scale(mv) + phih.scale(nv)
+    B = TensorField(an.chart, 1, 1, kv * P.array + mv * h.array + nv * phih.array)
     residual = _bi_residual(an, B)
     w = residual.first_nonzero()
     if w is not None:
@@ -231,45 +224,37 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
 
     s = an.structure
     chart = an.chart
-    n_tot, n = s.dim, s.n
-    rng = range(n_tot)
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
+    phi, xi, eta = s.phi, s.xi, s.eta
     alpha = an.alpha.expr
     kappa, mu, nu = fit.kappa.expr, fit.mu.expr, fit.nu.expr
-    h, phih, P = an.h, an.phih, an.proj
-    delta = sp.eye(n_tot)
+    h, phih, P, l = an.h.array, an.phih.array, an.proj.array, an.l
+    delta = identity_tensor(chart).array
     items: List[CheckItem] = []
 
-    items.append(
-        _residual_item(
-            names[0], an.l - (P.scale(kappa) + h.scale(mu) + phih.scale(nu))
-        )
+    def residual(name, r, s_, comps):
+        items.append(_residual_item(name, TensorField(chart, r, s_, comps)))
+
+    residual(names[0], 1, 1, l.array - (kappa * P + mu * h + nu * phih))
+
+    hphi = contract("ik,kj->ij", h, phi)
+    residual(
+        names[1],
+        1,
+        1,
+        contract("ik,kj->ij", l, phi)
+        - contract("ik,kj->ij", phi, l)
+        - 2 * mu * hphi
+        + 2 * nu * h,
     )
 
-    lphi = compose11(an.l, s.phi)
-    phil = compose11(s.phi, an.l)
-    hphi = compose11(h, s.phi)
-    items.append(
-        _residual_item(names[1], lphi - phil - hphi.scale(2 * mu) + h.scale(2 * nu))
-    )
+    h2 = compose11(an.h, an.h)
+    residual(names[2], 1, 1, h2.array - (kappa + alpha**2) * P)
 
-    h2 = compose11(h, h)
-    items.append(_residual_item(names[2], h2 - P.scale(kappa + alpha**2)))
+    nab_xi_h = directional_covariant(an.h, an.conn, xi)
+    residual(names[3], 1, 1, nab_xi_h.array + (2 * alpha + nu) * h - mu * hphi)
 
-    nab_xi_h = directional_covariant(h, an.conn, s.xi)
-    items.append(
-        _residual_item(
-            names[3], nab_xi_h + h.scale(2 * alpha + nu) - hphi.scale(mu)
-        )
-    )
-
-    nab_xi_h2 = directional_covariant(h2, an.conn, s.xi)
-    items.append(
-        _residual_item(
-            names[4],
-            nab_xi_h2 + P.scale(2 * (2 * alpha + nu) * (kappa + alpha**2)),
-        )
-    )
+    nab_xi_h2 = directional_covariant(h2, an.conn, xi)
+    residual(names[4], 1, 1, nab_xi_h2.array + 2 * (2 * alpha + nu) * (kappa + alpha**2) * P)
 
     xikappa = an.xi_derivative(fit.kappa).expr
     items.append(
@@ -278,93 +263,45 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
         )
     )
 
-    # R(xi,X)Y = kappa(g(X,Y)xi - eta(Y)X) + mu(g(X,hY)xi - eta(Y)hX)
-    #   + nu(g(X,phi.h Y)xi - eta(Y) phi.h X)
-    R = an.R.array
-    gh = [[sum(g[a, m] * h.array[m, b] for m in rng) for b in rng] for a in rng]
-    gphih = [
-        [sum(g[a, m] * phih.array[m, b] for m in rng) for b in rng] for a in rng
-    ]
-    res7 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                lhs = sum(R[i, m, a, b] * xi[m] for m in rng)
-                rhs = (
-                    kappa * (g[a, b] * xi[i] - eta[b] * delta[i, a])
-                    + mu * (gh[a][b] * xi[i] - eta[b] * h.array[i, a])
-                    + nu * (gphih[a][b] * xi[i] - eta[b] * phih.array[i, a])
-                )
-                res7[i, a, b] = lhs - rhs
-    items.append(_residual_item(names[6], TensorField(chart, 1, 2, res7)))
+    # R(xi,X)Y = g(X, BY) xi - eta(Y) B X with B = kappa Id + mu h + nu phi.h
+    B = kappa * delta + mu * h + nu * phih
+    residual(
+        names[6],
+        1,
+        2,
+        contract("imab,m->iab", an.R, xi)
+        - contract("am,mb,i->iab", s.g, B, xi)
+        + contract("b,ia->iab", eta, B),
+    )
 
-    Qxi = [
-        sp.cancel(
-            sum(an.Q.array[i, k] * xi[k] for k in rng) - 2 * n * kappa * xi[i]
-        )
-        for i in rng
-    ]
-    items.append(_residual_item(names[7], TensorField(chart, 1, 0, Qxi)))
+    residual(names[7], 1, 0, contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi.array)
 
-    # (nabla_X phi)Y = g(Y, hX + alpha phi X) xi - eta(Y)(hX + alpha phi X)
-    nabphi = an.nabphi.array
-    res9 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                w = [
-                    h.array[m, a] + alpha * phi[m, a] for m in rng
-                ]  # hX + alpha phi X
-                gyw = sum(g[b, m] * w[m] for m in rng)
-                res9[i, a, b] = nabphi[i, b, a] - (gyw * xi[i] - eta[b] * w[i])
-    items.append(_residual_item(names[8], TensorField(chart, 1, 2, res9)))
+    # (nabla_X phi)Y = g(Y, hX + alpha phi X) xi - eta(Y)(hX + alpha phi X):
+    # the para-Kaehler leaves condition
+    items.append(_residual_item(names[8], parakaehler_leaves_residual(an)))
 
     # (nabla_X phi.h)Y - (nabla_Y phi.h)X = (kappa+alpha^2)(eta(Y)X - eta(X)Y)
     #   + mu(eta(Y)hX - eta(X)hY) + (nu+alpha)(eta(Y)phi.h X - eta(X)phi.h Y)
-    nabphih = an.nabphih.array
-    res10 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                lhs = nabphih[i, b, a] - nabphih[i, a, b]
-                rhs = (
-                    (kappa + alpha**2) * (eta[b] * delta[i, a] - eta[a] * delta[i, b])
-                    + mu * (eta[b] * h.array[i, a] - eta[a] * h.array[i, b])
-                    + (nu + alpha)
-                    * (eta[b] * phih.array[i, a] - eta[a] * phih.array[i, b])
-                )
-                res10[i, a, b] = lhs - rhs
-    items.append(_residual_item(names[9], TensorField(chart, 1, 2, res10)))
+    C = (kappa + alpha**2) * delta + mu * h + (nu + alpha) * phih
+    res10 = contract("iba->iab", an.nabphih) - contract("b,ia->iab", eta, C)
+    residual(names[9], 1, 2, _antisymmetrized(res10))
 
     # (nabla_X h)Y - (nabla_Y h)X = (kappa+alpha^2)(eta(Y)phiX - eta(X)phiY
     #   + 2 g(Y, phi X) xi) + mu(eta(Y)phi.h X - eta(X)phi.h Y)
-    #   + (nu+alpha)(eta(Y)hX - eta(X)hY)
-    nabh = an.nabh.array
-    res11 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                lhs = nabh[i, b, a] - nabh[i, a, b]
-                gyphix = sum(g[b, m] * phi[m, a] for m in rng)
-                rhs = (
-                    (kappa + alpha**2)
-                    * (
-                        eta[b] * phi[i, a]
-                        - eta[a] * phi[i, b]
-                        + 2 * gyphix * xi[i]
-                    )
-                    + mu * (eta[b] * phih.array[i, a] - eta[a] * phih.array[i, b])
-                    + (nu + alpha) * (eta[b] * h.array[i, a] - eta[a] * h.array[i, b])
-                )
-                res11[i, a, b] = lhs - rhs
-    items.append(_residual_item(names[10], TensorField(chart, 1, 2, res11)))
+    #   + (nu+alpha)(eta(Y)hX - eta(X)hY), with g(Y, phi X) = Phi(X, Y)
+    D = (kappa + alpha**2) * phi.array + mu * phih + (nu + alpha) * h
+    res11 = contract("iba->iab", an.nabh) - contract("b,ia->iab", eta, D)
+    residual(
+        names[10],
+        1,
+        2,
+        _antisymmetrized(res11) - 2 * (kappa + alpha**2) * contract("ab,i->iab", an.Phi, xi),
+    )
     return items
 
 
 def check_parakaehler_consequence(an: StructureAnalysis, fit: NullityFit) -> CheckItem:
     """Every exact (kappa,mu,nu)-space has para-Kaehler leaves."""
-    from .structures import parakaehler_leaves_residual
-
     name = "nullity implies para-Kaehler leaves"
     if fit.status != "exact":
         return CheckItem(name, "skip", reason=f"fit status is {fit.status}")
@@ -378,11 +315,13 @@ def check_q_commutator_nullity(an: StructureAnalysis, fit: NullityFit) -> CheckI
         return CheckItem(name, "skip", reason=f"fit status is {fit.status}")
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
-    s = an.structure
-    n = s.n
+    phi = an.structure.phi
     alpha = an.alpha.expr
     mu, nu = fit.mu.expr, fit.nu.expr
-    lhs = compose11(an.Q, s.phi) - compose11(s.phi, an.Q)
-    hphi = compose11(an.h, s.phi)
-    rhs = hphi.scale(2 * mu) - an.h.scale(2 * (nu + 2 * alpha * (1 - n)))
-    return _residual_item(name, lhs - rhs)
+    res = (
+        contract("ik,kj->ij", an.Q, phi)
+        - contract("ik,kj->ij", phi, an.Q)
+        - 2 * mu * contract("ik,kj->ij", an.h, phi)
+        + 2 * (nu + 2 * alpha * (1 - an.structure.n)) * an.h.array
+    )
+    return _residual_item(name, TensorField(an.chart, 1, 1, res))

@@ -17,7 +17,7 @@ import sympy as sp
 from . import classify as cls
 from . import curvature as curv
 from .errors import EngineError
-from .geometry import TensorField
+from .geometry import TensorField, trace11
 from .nullity import nullity_fit
 from .nullity import check_irem_suite, check_parakaehler_consequence, check_q_commutator_nullity
 from .parser import ManifoldDefinition
@@ -213,7 +213,7 @@ def run_analyze(
         "A": _matrix_strs(an.A),
         "h": _matrix_strs(an.h),
         "h_zero": an.h.is_zero(),
-        "trace_A": sp.sstr(_trace(an.A)),
+        "trace_A": sp.sstr(trace11(an.A).expr),
         "scalar_curvature": an.r.serialize(),
     }
 
@@ -276,10 +276,6 @@ def run_analyze(
         tree["classification"] = _classification_section(an, point)
 
     return _finish(tree, structural_failure=False)
-
-
-def _trace(t: TensorField) -> sp.Expr:
-    return sp.cancel(sum(t.array[i, i] for i in range(t.chart.dim)))
 
 
 def _classification_section(

@@ -109,6 +109,21 @@ class ScalarContext:
         return ScalarField(self, self.gen_symbols[index])
 
 
+def canon(expr) -> sp.Expr:
+    """The canonical form of a rational function: one reduced fraction."""
+    return sp.cancel(sp.together(expr))
+
+
+def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
+    """Raw partial derivative by a chart coordinate, with the generator rule
+    dE/dc = rate * E for every generator E based on that coordinate."""
+    d = sp.diff(expr, context.coord_symbols[coord_index])
+    for gen, gsym in zip(context.generators, context.gen_symbols):
+        if gen.coord_index == coord_index and gsym in expr.free_symbols:
+            d = d + gen.rate * gsym * sp.diff(expr, gsym)
+    return d
+
+
 def _as_rational(v) -> sp.Rational:
     if isinstance(v, Fraction):
         return sp.Rational(v.numerator, v.denominator)
@@ -123,7 +138,7 @@ class ScalarField:
 
     def __init__(self, context: ScalarContext, expr: sp.Expr):
         self.context = context
-        self.expr = sp.cancel(sp.together(expr))
+        self.expr = canon(expr)
         self._hash = None
 
     # -- basic predicates ---------------------------------------------
@@ -215,13 +230,7 @@ class ScalarField:
 
     def partial(self, coord_index: int) -> "ScalarField":
         """Partial derivative by chart coordinate, with the generator rule."""
-        ctx = self.context
-        x = ctx.coord_symbols[coord_index]
-        d = sp.diff(self.expr, x)
-        for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
-            if gen.coord_index == coord_index and gsym in self.expr.free_symbols:
-                d = d + gen.rate * gsym * sp.diff(self.expr, gsym)
-        return ScalarField(ctx, d)
+        return ScalarField(self.context, pdiff(self.context, self.expr, coord_index))
 
     # -- evaluation ---------------------------------------------------
 

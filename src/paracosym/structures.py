@@ -10,8 +10,7 @@ manifold.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -25,23 +24,22 @@ from .geometry import (
     apply11,
     christoffel,
     compose11,
+    contract,
     covariant_derivative,
     directional_covariant,
     exterior_derivative,
     identity_tensor,
     lie_derivative,
     metric_inverse,
-    metric_matrix,
     ricci_operator,
     ricci_tensor,
     riemann,
     scalar_curvature,
     signature_at,
-    trace11,
     wedge,
 )
 from .parser import ManifoldDefinition, parse_scalar
-from .scalars import ScalarField
+from .scalars import ScalarField, pdiff
 
 
 @dataclass
@@ -64,6 +62,24 @@ def _residual_item(name: str, residual: TensorField) -> CheckItem:
         return CheckItem(name, "pass")
     idx, value = w
     return CheckItem(name, "fail", witness=f"component {idx}: {sp.sstr(value)}")
+
+
+def _gradient(fld: ScalarField) -> sp.ImmutableDenseNDimArray:
+    """Components of d(fld)."""
+    return sp.ImmutableDenseNDimArray([fld.partial(c).expr for c in range(fld.context.dim)])
+
+
+def _antisymmetrized(t) -> sp.ImmutableDenseNDimArray:
+    """T[i,a,b] - T[i,b,a] for a raw (1,2) component array."""
+    return t - contract("iba->iab", t)
+
+
+def d_wedge_eta(
+    s: "AlmostParacontactStructure", fld: ScalarField
+) -> Optional[Tuple[Tuple[int, ...], sp.Expr]]:
+    """First nonzero component (i, j), i < j, of d(fld) ^ eta, or None."""
+    w = contract("i,j->ij", _gradient(fld), s.eta)
+    return TensorField(s.chart, 0, 2, w - contract("ij->ji", w)).first_nonzero()
 
 
 def _scalar_item(name: str, value) -> CheckItem:
@@ -131,48 +147,28 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
     n_tot = s.dim
     n = s.n
     chart = s.chart
+    phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
     items: List[CheckItem] = []
 
-    eta_xi = sum(s.eta.array[k] * s.xi.array[k] for k in range(n_tot))
-    items.append(_scalar_item("eta(xi) = 1", eta_xi - 1))
+    items.append(_scalar_item("eta(xi) = 1", contract("k,k->", eta, xi) - 1))
 
-    proj = identity_tensor(chart) - TensorField(
-        chart, 1, 1, [[s.xi.array[i] * s.eta.array[j] for j in range(n_tot)] for i in range(n_tot)]
-    )
-    items.append(_residual_item("phi^2 = Id - eta(x)xi", compose11(s.phi, s.phi) - proj))
+    phi2 = contract("ik,kj->ij", phi, phi) + contract("i,j->ij", xi, eta)
+    phi2 = phi2 - identity_tensor(chart).array
+    items.append(_residual_item("phi^2 = Id - eta(x)xi", TensorField(chart, 1, 1, phi2)))
 
     # g(phi X, phi Y) = -g(X,Y) + eta(X) eta(Y)
-    comp = sp.MutableDenseNDimArray.zeros(n_tot, n_tot)
-    for i in range(n_tot):
-        for j in range(n_tot):
-            comp[i, j] = (
-                sum(
-                    s.phi.array[k, i] * s.phi.array[l, j] * s.g.array[k, l]
-                    for k in range(n_tot)
-                    for l in range(n_tot)
-                )
-                + s.g.array[i, j]
-                - s.eta.array[i] * s.eta.array[j]
-            )
+    gphiphi = contract("ki,kl,lj->ij", phi, g, phi) + g.array - contract("i,j->ij", eta, eta)
     items.append(
-        _residual_item(
-            "g(phi.,phi.) = -g + eta(x)eta", TensorField(chart, 0, 2, comp)
-        )
+        _residual_item("g(phi.,phi.) = -g + eta(x)eta", TensorField(chart, 0, 2, gphiphi))
     )
 
-    gxi = [sum(s.g.array[i, j] * s.xi.array[j] for j in range(n_tot)) for i in range(n_tot)]
-    items.append(
-        _residual_item("eta = g(xi,.)", TensorField(chart, 0, 1, gxi) - s.eta)
-    )
+    gxi = contract("ij,j->i", g, xi) - eta.array
+    items.append(_residual_item("eta = g(xi,.)", TensorField(chart, 0, 1, gxi)))
 
-    items.append(_residual_item("phi(xi) = 0", apply11(s.phi, s.xi)))
+    items.append(_residual_item("phi(xi) = 0", apply11(phi, xi)))
 
-    eta_phi = [
-        sum(s.eta.array[k] * s.phi.array[k, j] for k in range(n_tot)) for j in range(n_tot)
-    ]
-    items.append(
-        _residual_item("eta o phi = 0", TensorField(chart, 0, 1, eta_phi))
-    )
+    eta_phi = contract("k,kj->j", eta, phi)
+    items.append(_residual_item("eta o phi = 0", TensorField(chart, 0, 1, eta_phi)))
 
     try:
         sig = signature_at(s.g)
@@ -215,25 +211,12 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
 
 def fundamental_form(s: AlmostParacontactStructure) -> TensorField:
     """Phi(X,Y) = g(phi X, Y); must be antisymmetric with i_xi Phi = 0."""
-    n_tot = s.dim
-    comps = [
-        [
-            sum(s.phi.array[k, i] * s.g.array[k, j] for k in range(n_tot))
-            for j in range(n_tot)
-        ]
-        for i in range(n_tot)
-    ]
-    Phi = TensorField(s.chart, 0, 2, comps)
-    for i in range(n_tot):
-        for j in range(i, n_tot):
-            if sp.cancel(Phi.array[i, j] + Phi.array[j, i]) != 0:
-                raise StructureError(
-                    f"fundamental form has a symmetric part at ({i},{j})"
-                )
-    i_xi = [
-        sum(s.xi.array[i] * Phi.array[i, j] for i in range(n_tot)) for j in range(n_tot)
-    ]
-    if any(sp.cancel(v) != 0 for v in i_xi):
+    Phi = TensorField(s.chart, 0, 2, contract("ki,kj->ij", s.phi, s.g))
+    sym = TensorField(s.chart, 0, 2, Phi.array + contract("ij->ji", Phi)).first_nonzero()
+    if sym is not None:
+        i, j = sym[0]
+        raise StructureError(f"fundamental form has a symmetric part at ({i},{j})")
+    if not TensorField(s.chart, 0, 1, contract("i,ij->j", s.xi, Phi)).is_zero():
         raise StructureError("i_xi Phi != 0")
     return Phi
 
@@ -294,16 +277,13 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
         )
 
     # f = xi(alpha); in dim >= 5 we also demand d(alpha) = f * eta
-    dalpha = [alpha.partial(c).expr for c in range(n_tot)]
-    f = ScalarField(
-        chart.context, sum(s.xi.array[c] * dalpha[c] for c in range(n_tot))
-    )
+    dalpha = _gradient(alpha)
+    f = ScalarField(chart.context, contract("c,c->", s.xi, dalpha))
     if s.n >= 2:
-        res = [sp.cancel(dalpha[c] - f.expr * s.eta.array[c]) for c in range(n_tot)]
-        if any(v != 0 for v in res):
-            c = next(i for i, v in enumerate(res) if v != 0)
+        bad = TensorField(chart, 0, 1, dalpha - f.expr * s.eta.array).first_nonzero()
+        if bad is not None:
             return AlphaExtraction(
-                alpha, f, False, f"d(alpha) != f*eta at coordinate {c}"
+                alpha, f, False, f"d(alpha) != f*eta at coordinate {bad[0][0]}"
             )
 
     if s.declared_alpha is not None and s.declared_alpha != alpha:
@@ -413,46 +393,22 @@ class StructureAnalysis:
 
     @cached_property
     def l(self) -> TensorField:
-        """Jacobi operator lX = R(X, xi)xi."""
-        s = self.structure
-        n = s.dim
-        comps = [
-            [
-                sum(
-                    self.R.array[i, j, a, b] * s.xi.array[a] * s.xi.array[b]
-                    for a in range(n)
-                    for b in range(n)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return TensorField(self.chart, 1, 1, comps)
+        """Jacobi operator lX = R(X, xi)xi, staged through R(X, Y)xi."""
+        xi = self.structure.xi
+        return TensorField(self.chart, 1, 1, contract("ijab,b,a->ij", self.R, xi, xi))
 
     @cached_property
     def proj(self) -> TensorField:
         """Projection onto ker(eta): P = phi^2 = Id - eta(x)xi."""
         s = self.structure
-        n = s.dim
-        return identity_tensor(self.chart) - TensorField(
-            self.chart,
-            1,
-            1,
-            [[s.xi.array[i] * s.eta.array[j] for j in range(n)] for i in range(n)],
-        )
+        P = identity_tensor(self.chart).array - contract("i,j->ij", s.xi, s.eta)
+        return TensorField(self.chart, 1, 1, P)
 
     @cached_property
     def sigma(self) -> TensorField:
         """sigma = S(xi, .) restricted to ker(eta), as a covector."""
-        s = self.structure
-        n = s.dim
-        sxi = [
-            sum(self.S.array[a, j] * s.xi.array[a] for a in range(n)) for j in range(n)
-        ]
-        comps = [
-            sum(sxi[b] * self.proj.array[b, j] for b in range(n)) for j in range(n)
-        ]
-        return TensorField(self.chart, 0, 1, comps)
+        sigma = contract("a,ab,bj->j", self.structure.xi, self.S, self.proj)
+        return TensorField(self.chart, 0, 1, sigma)
 
     @cached_property
     def nabphi(self) -> TensorField:
@@ -471,11 +427,8 @@ class StructureAnalysis:
         return covariant_derivative(self.h, self.conn)
 
     def xi_derivative(self, fld: ScalarField) -> ScalarField:
-        s = self.structure
-        return ScalarField(
-            self.chart.context,
-            sum(s.xi.array[c] * fld.partial(c).expr for c in range(s.dim)),
-        )
+        xi = self.structure.xi
+        return ScalarField(self.chart.context, contract("c,c->", xi, _gradient(fld)))
 
 
 # --------------------------------------------------------------------
@@ -488,227 +441,144 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     alpha)."""
     s = an.structure
     chart = an.chart
-    n_tot = s.dim
     n = s.n
     if not an.is_apc:
         return [CheckItem("identity suite", "skip", reason="not an apc structure")]
 
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
-    A, h = an.A, an.h
+    g, phi, xi, eta = s.g, s.phi, s.xi, s.eta
+    A, h, Phi = an.A, an.h, an.Phi
+    nabphi, nabPhi = an.nabphi, an.nabPhi
     alpha = an.alpha.expr
-    Phi = an.Phi
-    nabphi, nabPhi = an.nabphi.array, an.nabPhi.array
-    rng = range(n_tot)
     items: List[CheckItem] = []
 
-    def t11(comps):
-        return TensorField(chart, 1, 1, comps)
+    def residual(name, r, s_, comps):
+        items.append(_residual_item(name, TensorField(chart, r, s_, comps)))
 
-    items.append(_residual_item("L_xi(eta) = 0", lie_derivative(s.xi, s.eta)))
+    items.append(_residual_item("L_xi(eta) = 0", lie_derivative(xi, eta)))
 
-    gA = [[sum(g[m, j] * A.array[m, i] for m in rng) for j in rng] for i in rng]
-    sym = [[sp.cancel(gA[i][j] - gA[j][i]) for j in rng] for i in rng]
-    items.append(_residual_item("A self-adjoint", TensorField(chart, 0, 2, sym)))
-
-    items.append(_residual_item("A(xi) = 0", apply11(A, s.xi)))
-
-    items.append(
-        _residual_item(
-            "L_xi(Phi) = 2*alpha*Phi",
-            lie_derivative(s.xi, Phi) - Phi.scale(2 * alpha),
-        )
-    )
-
-    twoga = [[2 * gA[i][j] for j in rng] for i in rng]
-    items.append(
-        _residual_item(
-            "L_xi(g) = -2*g(A.,.)",
-            lie_derivative(s.xi, s.g) + TensorField(chart, 0, 2, twoga),
-        )
-    )
-
-    etaA = [sum(eta[m] * A.array[m, j] for m in rng) for j in rng]
-    items.append(_residual_item("eta o A = 0", TensorField(chart, 0, 1, etaA)))
+    gA = TensorField(chart, 0, 2, contract("mj,mi->ij", g, A))  # g(A d_i, d_j)
+    residual("A self-adjoint", 0, 2, gA.array - contract("ij->ji", gA))
+    items.append(_residual_item("A(xi) = 0", apply11(A, xi)))
+    L_Phi = lie_derivative(xi, Phi).array
+    residual("L_xi(Phi) = 2*alpha*Phi", 0, 2, L_Phi - 2 * alpha * Phi.array)
+    residual("L_xi(g) = -2*g(A.,.)", 0, 2, lie_derivative(xi, g).array + 2 * gA.array)
+    residual("eta o A = 0", 0, 1, contract("m,mj->j", eta, A))
 
     if n >= 2:
-        dal = [an.alpha.partial(c).expr for c in rng]
         f = an.alpha_extraction.f.expr
-        res = [sp.cancel(dal[c] - f * eta[c]) for c in rng]
-        items.append(
-            _residual_item("d(alpha) = f*eta", TensorField(chart, 0, 1, res))
-        )
+        residual("d(alpha) = f*eta", 0, 1, _gradient(an.alpha) - f * eta.array)
     else:
         items.append(
             CheckItem("d(alpha) = f*eta", "skip", reason="stated only for dim >= 5")
         )
 
-    items.append(
-        _residual_item(
-            "A.phi + phi.A = -2*alpha*phi",
-            compose11(A, s.phi) + compose11(s.phi, A) + s.phi.scale(2 * alpha),
-        )
+    residual(
+        "A.phi + phi.A = -2*alpha*phi",
+        1,
+        1,
+        contract("ik,kj->ij", A, phi) + contract("ik,kj->ij", phi, A) + 2 * alpha * phi.array,
     )
 
-    nab_xi_phi = directional_covariant(s.phi, an.conn, s.xi)
-    items.append(_residual_item("nabla_xi(phi) = 0", nab_xi_phi))
+    items.append(_residual_item("nabla_xi(phi) = 0", directional_covariant(phi, an.conn, xi)))
 
-    gh = [[sum(g[m, j] * h.array[m, i] for m in rng) for j in rng] for i in rng]
-    hsym = [[sp.cancel(gh[i][j] - gh[j][i]) for j in rng] for i in rng]
-    items.append(_residual_item("h self-adjoint", TensorField(chart, 0, 2, hsym)))
-
-    items.append(
-        _residual_item(
-            "h.phi + phi.h = 0", compose11(h, s.phi) + compose11(s.phi, h)
-        )
+    gh = TensorField(chart, 0, 2, contract("mj,mi->ij", g, h))  # g(h d_i, d_j)
+    residual("h self-adjoint", 0, 2, gh.array - contract("ij->ji", gh))
+    hphi = contract("ik,kj->ij", h, phi)
+    residual("h.phi + phi.h = 0", 1, 1, hphi + contract("ik,kj->ij", phi, h))
+    items.append(_residual_item("h(xi) = 0", apply11(h, xi)))
+    residual(
+        "nabla(xi) = alpha*phi^2 + phi.h",
+        1,
+        1,
+        alpha * contract("ik,kj->ij", phi, phi) + an.phih.array + A.array,
     )
 
-    items.append(_residual_item("h(xi) = 0", apply11(h, s.xi)))
+    items.append(_scalar_item("tr(A.phi) = 0", contract("ik,ki->", A, phi)))
+    items.append(_scalar_item("tr(h.phi) = 0", contract("ik,ki->", h, phi)))
+    items.append(_scalar_item("tr(A) = -2*alpha*n", contract("ii->", A) + 2 * n * alpha))
+    items.append(_scalar_item("tr(h) = 0", contract("ii->", h)))
 
-    phi2 = compose11(s.phi, s.phi)
-    items.append(
-        _residual_item(
-            "nabla(xi) = alpha*phi^2 + phi.h",
-            phi2.scale(alpha) + an.phih + A,
-        )
-    )
-
-    items.append(_scalar_item("tr(A.phi) = 0", trace11(compose11(A, s.phi))))
-    items.append(_scalar_item("tr(h.phi) = 0", trace11(compose11(h, s.phi))))
-    items.append(_scalar_item("tr(A) = -2*alpha*n", trace11(A) + 2 * n * alpha))
-    items.append(_scalar_item("tr(h) = 0", trace11(h)))
-
-    # (nabla_X Phi)(Y,Z) = g((nabla_X phi)Y, Z)
-    res_i = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for c in rng:
-        for j in rng:
-            for k in rng:
-                res_i[c, j, k] = nabPhi[j, k, c] - sum(
-                    g[m, k] * nabphi[m, j, c] for m in rng
-                )
-    items.append(
-        _residual_item("nabla(Phi) via nabla(phi)", TensorField(chart, 0, 3, res_i))
+    # (nabla_X Phi)(Y,Z) = g((nabla_X phi)Y, Z), with X = d_c, Y = d_j, Z = d_k
+    residual(
+        "nabla(Phi) via nabla(phi)",
+        0,
+        3,
+        contract("jkc->cjk", nabPhi) - contract("mk,mjc->cjk", g, nabphi),
     )
 
     # (nabla_X Phi)(Z, phi Y) + (nabla_X Phi)(Y, phi Z)
     #   = -eta(Y) g(AX, Z) - eta(Z) g(AX, Y)
-    res_ii = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for c in rng:
-        for j in rng:
-            for k in rng:
-                lhs = sum(nabPhi[k, m, c] * phi[m, j] for m in rng) + sum(
-                    nabPhi[j, m, c] * phi[m, k] for m in rng
-                )
-                rhs = -eta[j] * gA[c][k] - eta[k] * gA[c][j]
-                res_ii[c, j, k] = lhs - rhs
-    items.append(
-        _residual_item("nabla(Phi) phi-shuffle (ii)", TensorField(chart, 0, 3, res_ii))
-    )
+    shuffle = contract("kmc,mj->cjk", nabPhi, phi) + contract("j,ck->cjk", eta, gA)
+    residual("nabla(Phi) phi-shuffle (ii)", 0, 3, shuffle + contract("ckj->cjk", shuffle))
 
     # (nabla_X Phi)(phi Y, phi Z) - (nabla_X Phi)(Y,Z)
     #   = eta(Y) g(AX, phi Z) - eta(Z) g(AX, phi Y)
-    # g(AX, phi Z) with X = d_c, Z = d_k
-    gAp = [
-        [
-            sum(g[m, mm] * A.array[m, c] * phi[mm, k] for m in rng for mm in rng)
-            for k in rng
-        ]
-        for c in rng
-    ]
-    res_iii = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for c in rng:
-        for j in rng:
-            for k in rng:
-                lhs = (
-                    sum(
-                        nabPhi[m, mm, c] * phi[m, j] * phi[mm, k]
-                        for m in rng
-                        for mm in rng
-                    )
-                    - nabPhi[j, k, c]
-                )
-                rhs = eta[j] * gAp[c][k] - eta[k] * gAp[c][j]
-                res_iii[c, j, k] = lhs - rhs
-    items.append(
-        _residual_item(
-            "nabla(Phi) phi-shuffle (iii)", TensorField(chart, 0, 3, res_iii)
-        )
+    gAphi = contract("cn,nk->ck", gA, phi)  # g(A d_c, phi d_k)
+    eta_gAphi = contract("j,ck->cjk", eta, gAphi)
+    residual(
+        "nabla(Phi) phi-shuffle (iii)",
+        0,
+        3,
+        contract("mnc,mj,nk->cjk", nabPhi, phi, phi)
+        - contract("jkc->cjk", nabPhi)
+        - eta_gAphi
+        + contract("ckj->cjk", eta_gAphi),
+    )
+
+    # the phi-derivative identities below are (1,2)-tensors (i; X = d_a, Y = d_b);
+    # g(X, phi Y) = Phi(Y, X) and 2 alpha (g(X,Y) xi - eta(Y) X) is shared
+    nab_phi_x = contract("ibc,ca->iab", nabphi, phi)  # (nabla_{phi X} phi) Y
+    eta_phi = contract("b,ia->iab", eta, phi)
+    metric_term = 2 * alpha * (
+        contract("ab,i->iab", g, xi) - contract("b,ia->iab", eta, identity_tensor(chart))
     )
 
     # (nabla_{phiX} phi)(phiY) - (nabla_X phi)Y - eta(Y) A phi X
     #   - 2 alpha (g(X, phi Y) xi + eta(Y) phi X) = 0
-    gphi = [[sum(g[a, m] * phi[m, b] for m in rng) for b in rng] for a in rng]
-    Aphi = compose11(A, s.phi).array
-    res_B = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                t1 = sum(
-                    phi[c, a] * phi[d, b] * nabphi[i, d, c] for c in rng for d in rng
-                )
-                t2 = nabphi[i, b, a]
-                t3 = eta[b] * Aphi[i, a]
-                t4 = 2 * alpha * (gphi[a][b] * xi[i] + eta[b] * phi[i, a])
-                res_B[i, a, b] = t1 - t2 - t3 - t4
-    items.append(
-        _residual_item("phi-derivative symmetry (B)", TensorField(chart, 1, 2, res_B))
+    residual(
+        "phi-derivative symmetry (B)",
+        1,
+        2,
+        contract("idc,ca,db->iab", nabphi, phi, phi)
+        - contract("iba->iab", nabphi)
+        - contract("ik,ka,b->iab", A, phi, eta)
+        - 2 * alpha * (contract("ba,i->iab", Phi, xi) + eta_phi),
     )
 
     # (nabla_{phiX} phi)Y - (nabla_X phi)(phiY) + eta(Y) AX
     #   - 2 alpha (g(X,Y) xi - eta(Y) X) = 0
-    res_a1 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    delta = sp.eye(n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                t1 = sum(phi[c, a] * nabphi[i, b, c] for c in rng)
-                t2 = sum(nabphi[i, m, a] * phi[m, b] for m in rng)
-                t3 = eta[b] * A.array[i, a]
-                t4 = 2 * alpha * (g[a, b] * xi[i] - eta[b] * delta[i, a])
-                res_a1[i, a, b] = t1 - t2 + t3 - t4
-    items.append(
-        _residual_item(
-            "phi-derivative symmetry (first companion)",
-            TensorField(chart, 1, 2, res_a1),
-        )
+    residual(
+        "phi-derivative symmetry (first companion)",
+        1,
+        2,
+        nab_phi_x
+        - contract("ima,mb->iab", nabphi, phi)
+        + contract("b,ia->iab", eta, A)
+        - metric_term,
     )
 
     # (nabla_{phiX} phi)Y + phi (nabla_X phi)Y - g(AX,Y) xi
     #   - 2 alpha (g(X,Y) xi - eta(Y) X) = 0
-    res_a2 = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                t1 = sum(phi[c, a] * nabphi[i, b, c] for c in rng)
-                t2 = sum(phi[i, m] * nabphi[m, b, a] for m in rng)
-                t3 = gA[a][b] * xi[i]
-                t4 = 2 * alpha * (g[a, b] * xi[i] - eta[b] * delta[i, a])
-                res_a2[i, a, b] = t1 + t2 - t3 - t4
-    items.append(
-        _residual_item(
-            "phi-derivative symmetry (second companion)",
-            TensorField(chart, 1, 2, res_a2),
-        )
+    residual(
+        "phi-derivative symmetry (second companion)",
+        1,
+        2,
+        nab_phi_x
+        + contract("im,mba->iab", phi, nabphi)
+        - contract("ab,i->iab", gA, xi)
+        - metric_term,
     )
 
     # phi (nabla_{phiX} phi)Y + (nabla_X phi)Y
     #   = -2 alpha eta(Y) phi X + g(alpha phi X + h X, Y) xi
-    res_or = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                t1 = sum(
-                    phi[i, m] * phi[c, a] * nabphi[m, b, c] for m in rng for c in rng
-                )
-                t2 = nabphi[i, b, a]
-                rhs = -2 * alpha * eta[b] * phi[i, a] + (
-                    alpha * gphi[b][a] + gh[a][b]
-                ) * xi[i]
-                res_or[i, a, b] = t1 + t2 - rhs
-    items.append(
-        _residual_item(
-            "phi-derivative contraction with h-term",
-            TensorField(chart, 1, 2, res_or),
-        )
+    residual(
+        "phi-derivative contraction with h-term",
+        1,
+        2,
+        contract("mbc,ca,im->iab", nabphi, phi, phi)
+        + contract("iba->iab", nabphi)
+        + 2 * alpha * eta_phi
+        - contract("ab,i->iab", alpha * Phi.array + gh.array, xi),
     )
     return items
 
@@ -721,21 +591,14 @@ def nijenhuis_normality(s: AlmostParacontactStructure) -> Tuple[TensorField, boo
     """N1(X,Y) = [phi,phi](X,Y) - 2 d(eta)(X,Y) xi; normal iff N1 = 0."""
     chart = s.chart
     n_tot = s.dim
-    rng = range(n_tot)
-    phi, xi = s.phi.array, s.xi.array
-    deta = exterior_derivative(s.eta).array  # deta[i,j] = 2 d(eta)(d_i, d_j)
-    out = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for k in rng:
-        for i in rng:
-            for j in rng:
-                nij = sum(
-                    phi[m, i] * chart.pdiff(phi[k, j], m)
-                    - phi[m, j] * chart.pdiff(phi[k, i], m)
-                    + phi[k, m] * chart.pdiff(phi[m, i], j)
-                    - phi[k, m] * chart.pdiff(phi[m, j], i)
-                    for m in rng
-                )
-                out[k, i, j] = nij - deta[i, j] * xi[k]
+    phi = s.phi.array
+    grid = itertools.product(range(n_tot), repeat=3)
+    dphi = sp.ImmutableDenseNDimArray(  # dphi[k, j, m] = d_m phi^k_j
+        [pdiff(chart.context, phi[k, j], m) for k, j, m in grid], (n_tot,) * 3
+    )
+    deta = exterior_derivative(s.eta)  # deta[i,j] = 2 d(eta)(d_i, d_j)
+    half = contract("mi,kjm->kij", phi, dphi) + contract("km,mij->kij", phi, dphi)
+    out = half - contract("kji->kij", half) - contract("ij,k->kij", deta, s.xi)
     N1 = TensorField(chart, 1, 2, out)
     return N1, N1.is_zero()
 
@@ -744,25 +607,12 @@ def parakaehler_leaves_residual(an: StructureAnalysis) -> TensorField:
     """Residual of (nabla_X phi)Y = alpha g(phiX,Y) xi + g(hX,Y) xi
     - alpha eta(Y) phi X - eta(Y) h X, as a (1,2)-tensor (i; X=a, Y=b)."""
     s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
-    h = an.h.array
-    alpha = an.alpha.expr
-    nabphi = an.nabphi.array
-    out = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                gphiab = sum(g[m, b] * phi[m, a] for m in rng)
-                ghab = sum(g[m, b] * h[m, a] for m in rng)
-                rhs = (
-                    alpha * gphiab * xi[i]
-                    + ghab * xi[i]
-                    - alpha * eta[b] * phi[i, a]
-                    - eta[b] * h[i, a]
-                )
-                out[i, a, b] = nabphi[i, b, a] - rhs
+    w = an.alpha.expr * s.phi.array + an.h.array  # hX + alpha phi X
+    out = (
+        contract("iba->iab", an.nabphi)
+        - contract("mb,ma,i->iab", s.g, w, s.xi)
+        + contract("b,ia->iab", s.eta, w)
+    )
     return TensorField(an.chart, 1, 2, out)
 
 
@@ -774,20 +624,11 @@ def shape_operator_residual(an: StructureAnalysis) -> TensorField:
     """Residual of the equivalent leaves condition
     (nabla_X phi)Y = g(AX, phiY) xi + eta(Y) phi A X."""
     s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    g, phi, xi, eta = s.g.array, s.phi.array, s.xi.array, s.eta.array
-    A = an.A.array
-    phiA = compose11(s.phi, an.A).array
-    nabphi = an.nabphi.array
-    out = sp.MutableDenseNDimArray.zeros(n_tot, n_tot, n_tot)
-    for i in rng:
-        for a in rng:
-            for b in rng:
-                gApb = sum(
-                    g[m, mm] * A[m, a] * phi[mm, b] for m in rng for mm in rng
-                )
-                out[i, a, b] = nabphi[i, b, a] - (gApb * xi[i] + eta[b] * phiA[i, a])
+    out = (
+        contract("iba->iab", an.nabphi)
+        - contract("ma,mn,nb,i->iab", an.A, s.g, s.phi, s.xi)
+        - contract("ik,ka,b->iab", s.phi, an.A, s.eta)
+    )
     return TensorField(an.chart, 1, 2, out)
 
 
@@ -800,23 +641,9 @@ class LeafGeometry:
 
 def leaf_second_fundamental_form(an: StructureAnalysis) -> LeafGeometry:
     """II(X,Y) = -alpha g(PX, PY) - g(PX, phi h PY), P the ker(eta) projection."""
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    g = s.g.array
-    P = an.proj.array
-    phih = an.phih.array
-    alpha = an.alpha.expr
-    out = sp.MutableDenseNDimArray.zeros(n_tot, n_tot)
-    for a in rng:
-        for b in rng:
-            px = [P[m, a] for m in rng]
-            py = [P[m, b] for m in rng]
-            gpp = sum(g[m, mm] * px[m] * py[mm] for m in rng for mm in rng)
-            phpy = [sum(phih[m, mm] * py[mm] for mm in rng) for m in rng]
-            gphp = sum(g[m, mm] * px[m] * phpy[mm] for m in rng for mm in rng)
-            out[a, b] = -alpha * gpp - gphp
-    II = TensorField(an.chart, 0, 2, out)
+    P = an.proj
+    op = an.alpha.expr * identity_tensor(an.chart).array + an.phih.array
+    II = TensorField(an.chart, 0, 2, -contract("ma,mn,nk,kb->ab", P, an.structure.g, op, P))
     h_zero = an.h.is_zero()
     alpha_zero = an.alpha.is_zero()
     return LeafGeometry(II, umbilical=h_zero and not alpha_zero, geodesic=h_zero and alpha_zero)
@@ -834,8 +661,8 @@ def para_kenmotsu_biconditional(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="not an apc structure")
     _, normal = nijenhuis_normality(s)
     lhs = normal and an.alpha == 1 and parakaehler_leaves_check(an)
-    phi2 = compose11(s.phi, s.phi)
-    rhs = (an.A + phi2).is_zero()
+    A_plus_phi2 = an.A.array + contract("ik,kj->ij", s.phi, s.phi)
+    rhs = TensorField(an.chart, 1, 1, A_plus_phi2).is_zero()
     if lhs == rhs:
         return CheckItem(name, "pass")
     return CheckItem(

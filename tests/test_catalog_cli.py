@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +10,12 @@ from paracosym.catalog import catalog, catalog_entry
 from paracosym.report import run_analyze
 
 NAMES = [e.name for e in catalog()]
+
+# sha256 of `run_analyze(entry.definition()).to_json()` for every catalog
+# entry, pinned before the check families moved onto `geometry.contract`:
+# any refactor of the engine must keep the --json output byte-identical.
+with open(os.path.join(os.path.dirname(__file__), "golden_analyze.json")) as _fh:
+    GOLDEN = json.load(_fh)
 
 
 def _run(args, cwd=None, env=None):
@@ -54,6 +62,7 @@ def _report_facts(tree):
 def test_catalog_entry_health(name):
     entry = catalog_entry(name)
     rep = run_analyze(entry.definition())
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN[name]
     summary = rep.tree["summary"]
     if entry.negative_control:
         assert rep.exit_code == 2

@@ -48,6 +48,7 @@ def test_grid_classification_stable(analyses):
         (Fraction(5), Fraction(7), Fraction(2)),
     ]
     results, warning = classify_h_grid(an, pts)
+    assert len(results) == len(pts)
     assert warning is None
     assert all(r.tag == "H1" for r in results)
 

@@ -1,15 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from paracosym.errors import ValenceError
 from paracosym.geometry import (
     Chart,
     ConnectionCoefficients,
     TensorField,
     bracket,
     christoffel,
+    contract,
     covariant_derivative,
     exterior_derivative,
     lie_derivative,
@@ -62,10 +67,15 @@ def test_christoffel_metric_compatible_and_symmetric():
                 assert sp.cancel(conn[k, i, j] - conn[k, j, i]) == 0
 
 
-def test_riemann_first_bianchi_random():
-    rng = random.Random(11)
-    g = _random_metric(rng)
-    R = riemann(christoffel(g)).array
+@pytest.fixture(scope="module")
+def seed11():
+    """The seed-11 random metric and its curvature, computed once."""
+    g = _random_metric(random.Random(11))
+    return g, riemann(christoffel(g))
+
+
+def test_riemann_first_bianchi_random(seed11):
+    R = seed11[1].array
     for i in range(3):
         for a in range(3):
             for b in range(3):
@@ -165,3 +175,115 @@ def test_finite_difference_partials():
             exact = f.partial(c).eval(tuple(pt))
             denom = max(1.0, abs(float(exact)))
             assert abs(float(fd - exact)) / denom < 1e-6
+
+
+# --------------------------------------------------------------------
+# contract against naive nested sums
+
+XI = TensorField(CHART, 1, 0, [X, sp.Integer(1), Y * Z])
+PHI = TensorField(CHART, 1, 1, [[0, 1, -Y], [1, 0, -X], [0, 0, 0]])
+RNG3 = range(3)
+
+
+def test_contract_r_xi(seed11):
+    # a single stage is not canonicalised: the raw sums agree term for term
+    R, xi = seed11[1].array, XI.array
+    want = [
+        [[sum(R[i, m, a, b] * xi[m] for m in RNG3) for b in RNG3] for a in RNG3]
+        for i in RNG3
+    ]
+    assert contract("imab,m->iab", seed11[1], XI) == sp.ImmutableDenseNDimArray(want)
+
+
+def test_contract_metric_of_phi(seed11):
+    # the phi-g stage sums k and is canonicalised before phi joins
+    g, phi = seed11[0].array, PHI.array
+    want = [
+        [
+            sum(phi[k, i] * g[k, l] * phi[l, j] for k in RNG3 for l in RNG3)
+            for j in RNG3
+        ]
+        for i in RNG3
+    ]
+    got = TensorField(CHART, 0, 2, contract("ki,kl,lj->ij", PHI, seed11[0], PHI))
+    assert got.array == TensorField(CHART, 0, 2, want).array
+
+
+def test_contract_outer_product_and_permutation(seed11):
+    g, R, xi = seed11[0].array, seed11[1].array, XI.array
+    outer = [[[xi[i] * g[a, b] for b in RNG3] for a in RNG3] for i in RNG3]
+    assert contract("i,ab->iab", XI, seed11[0]) == sp.ImmutableDenseNDimArray(outer)
+    swapped = [[[xi[i] * g[b, a] for b in RNG3] for a in RNG3] for i in RNG3]
+    assert contract("i,ba->iab", XI, seed11[0]) == sp.ImmutableDenseNDimArray(swapped)
+    perm = [
+        [[[R[k, i, b, a] for k in RNG3] for b in RNG3] for a in RNG3] for i in RNG3
+    ]
+    assert contract("kiba->iabk", seed11[1]) == sp.ImmutableDenseNDimArray(perm)
+
+
+def test_contract_full_contraction_to_scalar(seed11):
+    g, phi, xi = seed11[0].array, PHI.array, XI.array
+    want = sum(
+        xi[a] * phi[b, a] * g[b, c] * xi[c]
+        for a in RNG3
+        for b in RNG3
+        for c in RNG3
+    )
+    got = contract("a,ba,bc,c->", XI, PHI, seed11[0], XI)
+    assert sp.cancel(sp.together(got - want)) == 0
+    assert contract("ii->", PHI) == 0
+
+
+def _naive(spec, ops, n):
+    inputs, output = spec.split("->")
+    inputs = inputs.split(",")
+    labels = sorted(set("".join(inputs)))
+    acc = {}
+    for vals in itertools.product(range(n), repeat=len(labels)):
+        at = dict(zip(labels, vals))
+        term = sp.Integer(1)
+        for op, lab in zip(ops, inputs):
+            term *= op[tuple(at[c] for c in lab)]
+        key = tuple(at[c] for c in output)
+        acc[key] = acc.get(key, 0) + term
+    if not output:
+        return acc.get((), 0)
+    keys = itertools.product(range(n), repeat=len(output))
+    return sp.ImmutableDenseNDimArray([acc.get(k, 0) for k in keys], (n,) * len(output))
+
+
+@st.composite
+def _contractions(draw):
+    n = draw(st.integers(1, 3))
+    labels = [draw(st.text("abcd", min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
+    used = sorted(set("".join(labels)))
+    output = draw(st.permutations(used))[: draw(st.integers(0, len(used)))]
+    ops = []
+    for lab in labels:
+        vals = draw(st.lists(st.integers(-2, 2), min_size=n ** len(lab), max_size=n ** len(lab)))
+        ops.append(sp.ImmutableDenseNDimArray(vals, (n,) * len(lab)))
+    return ",".join(labels) + "->" + "".join(output), ops, n
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_contractions())
+def test_contract_matches_nested_sums_on_integer_arrays(case):
+    spec, ops, n = case
+    assert contract(spec, *ops) == _naive(spec, ops, n)
+
+
+@pytest.mark.parametrize(
+    "spec, ops",
+    [
+        ("ij,j", (PHI, XI)),  # no output part
+        ("ij->i", (PHI, XI)),  # fewer labels than operands
+        ("i1,1->i", (PHI, XI)),  # labels must be letters
+        ("ij,j->k", (PHI, XI)),  # output label never summed from an input
+        ("ij,j->ii", (PHI, XI)),  # repeated output label
+        ("ijk,j->i", (PHI, XI)),  # rank does not match the labels
+        ("ij,j->i", (PHI, sp.ImmutableDenseNDimArray([1, 2]))),  # dimensions differ
+    ],
+)
+def test_contract_rejects_bad_specs(spec, ops):
+    with pytest.raises(ValenceError):
+        contract(spec, *ops)
