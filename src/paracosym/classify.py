@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import sympy as sp
 
 from .errors import EngineError, StructureError
-from .geometry import TensorField, compose11, directional_covariant
+from .geometry import TensorField, compose11, contract, covariant_derivative
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
 from .scalars import canon, pdiff
@@ -210,7 +210,7 @@ def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
 def _apply_op(op: TensorField, comps: List[sp.Expr]) -> List[sp.Expr]:
     n = op.chart.dim
     return [
-        sp.cancel(sum(op.array[i, j] * comps[j] for j in range(n))) for i in range(n)
+        canon(sum(op.array[i, j] * comps[j] for j in range(n))) for i in range(n)
     ]
 
 
@@ -234,7 +234,7 @@ def build_adapted_frame(
     pt = htype.point
     phi = s.phi
     h = an.h
-    tr_h2 = sp.cancel(
+    tr_h2 = canon(
         sum(
             compose11(h, h).array[i, i]
             for i in range(3)
@@ -259,14 +259,14 @@ def build_adapted_frame(
             for w in _seed_fields(an):
                 for sgn in (1, -1):
                     v = [
-                        sp.cancel(c + sgn * lam_abs * wc)
+                        canon(c + sgn * lam_abs * wc)
                         for c, wc in zip(_apply_op(h, w), w)
                     ]
                     q = _g_of(an, v, v)
                     qv = numval(q)
                     if qv < -1e-9:
                         norm = sp.sqrt(-q)
-                        e_field = [sp.cancel(c / norm) for c in v]
+                        e_field = [canon(c / norm) for c in v]
                         break
                 if e_field is not None:
                     break
@@ -277,12 +277,12 @@ def build_adapted_frame(
                 qv = numval(q)
                 if qv < -1e-9:
                     norm = sp.sqrt(-q)
-                    e_field = [sp.cancel(c / norm) for c in w]
+                    e_field = [canon(c / norm) for c in w]
                     break
                 if qv > 1e-9:
                     pw = _apply_op(phi, w)
                     norm = sp.sqrt(q)
-                    e_field = [sp.cancel(c / norm) for c in pw]
+                    e_field = [canon(c / norm) for c in pw]
                     break
         if e_field is None:
             raise StructureError(
@@ -291,8 +291,8 @@ def build_adapted_frame(
 
         if htype.tag == "H3":
             # hyperbolic rotation killing g(h e, e)
-            a0 = sp.cancel(-_g_of(an, _apply_op(h, e_field), e_field))
-            if sp.cancel(a0) != 0:
+            a0 = canon(-_g_of(an, _apply_op(h, e_field), e_field))
+            if a0 != 0:
                 pe = _apply_op(phi, e_field)
                 b0 = _g_of(an, _apply_op(h, e_field), pe)
                 sb = 1 if numval(b0) > 0 else -1
@@ -302,14 +302,14 @@ def build_adapted_frame(
                 ch = sp.sqrt((c2 + 1) / 2)
                 sh = s2 / (2 * ch)
                 e_field = [
-                    sp.cancel(ch * a + sh * b) for a, b in zip(e_field, pe)
+                    canon(ch * a + sh * b) for a, b in zip(e_field, pe)
                 ]
 
         pe_field = _apply_op(phi, e_field)
         E1 = TensorField(chart, 1, 0, e_field)
         E2 = TensorField(chart, 1, 0, pe_field)
         if htype.tag == "H1":
-            lam_signed = sp.cancel(-_g_of(an, _apply_op(h, e_field), e_field))
+            lam_signed = canon(-_g_of(an, _apply_op(h, e_field), e_field))
         elif htype.tag == "H3":
             lam_signed = _g_of(an, _apply_op(h, e_field), pe_field)
         else:
@@ -333,10 +333,10 @@ def build_adapted_frame(
         u = _g_of(an, w, hw)
         if abs(numval(u)) < 1e-12:
             continue
-        t = sp.cancel(-_g_of(an, w, w) / (2 * u))
+        t = canon(-_g_of(an, w, w) / (2 * u))
         cfac = 1 / sp.sqrt(u)
-        e2 = [sp.cancel(cfac * c) for c in hw]
-        e1 = [sp.cancel(cfac * (a + t * b)) for a, b in zip(w, hw)]
+        e2 = [canon(cfac * c) for c in hw]
+        e1 = [canon(cfac * (a + t * b)) for a, b in zip(w, hw)]
         E1 = TensorField(chart, 1, 0, e1)
         E2 = TensorField(chart, 1, 0, e2)
         sig = _g_of(an, _apply_op(phi, e1), e2)
@@ -432,10 +432,9 @@ class FrameDerivativeTable:
         return all(it.ok for it in self.items)
 
 
-def _cov(an: StructureAnalysis, v: TensorField, w: TensorField) -> List[sp.Expr]:
-    """Components of nabla_v w."""
-    res = directional_covariant(w, an.conn, v)
-    return [res.array[i] for i in range(3)]
+def _cov(v: TensorField, nabla_w: TensorField) -> List[sp.Expr]:
+    """Components of nabla_v w, from nabla w (direction slot last)."""
+    return [canon(c) for c in contract("iz,z->i", nabla_w, v)]
 
 
 def _lie_bracket(an: StructureAnalysis, v: TensorField, w: TensorField) -> List[sp.Expr]:
@@ -443,7 +442,7 @@ def _lie_bracket(an: StructureAnalysis, v: TensorField, w: TensorField) -> List[
     out = []
     for i in range(3):
         out.append(
-            sp.cancel(
+            canon(
                 sum(
                     v.array[j] * pdiff(chart.context, w.array[i], j)
                     - w.array[j] * pdiff(chart.context, v.array[i], j)
@@ -455,11 +454,11 @@ def _lie_bracket(an: StructureAnalysis, v: TensorField, w: TensorField) -> List[
 
 
 def _sigma_of(an: StructureAnalysis, v: List[sp.Expr]) -> sp.Expr:
-    return sp.cancel(sum(an.sigma.array[j] * v[j] for j in range(3)))
+    return canon(sum(an.sigma.array[j] * v[j] for j in range(3)))
 
 
 def _deriv_along(an: StructureAnalysis, v: List[sp.Expr], f: sp.Expr) -> sp.Expr:
-    return sp.cancel(sum(v[j] * pdiff(an.chart.context, f, j) for j in range(3)))
+    return canon(sum(v[j] * pdiff(an.chart.context, f, j) for j in range(3)))
 
 
 def _table_item(an, name, lhs: List[sp.Expr], rhs: List[sp.Expr], pt) -> CheckItem:
@@ -491,19 +490,19 @@ def verify_frame_tables(
             out = [o + coef * c for o, c in zip(out, vec)]
         return out
 
-    nab = lambda v, w: _cov(an, v, w)
+    nab_e1, nab_e2, nab_xi = (covariant_derivative(f, an.conn) for f in (E1, E2, XI))
     sig_e1 = _sigma_of(an, e1)
     sig_e2 = _sigma_of(an, e2)
-    szz = sp.cancel(
+    szz = canon(
         sum(an.S.array[a, b] * s.xi.array[a] * s.xi.array[b] for a in range(3) for b in range(3))
     )
     h = an.h
     hphi = compose11(h, s.phi)
-    nab_xi_h = directional_covariant(h, an.conn, s.xi)
+    nab_xi_h = an.nab_xi_h
     phi2 = an.proj
 
     # a1 = g(nabla_xi e, phi e) for H1/H3/Zero; a2 = g(nabla_xi e1, e2) for H2
-    a_coef = sp.cancel(_g_of(an, _cov(an, XI, E1), e2))
+    a_coef = _g_of(an, _cov(XI, nab_e1), e2)
 
     table = FrameDerivativeTable(
         a=_subs_point(an, a_coef, pt),
@@ -518,16 +517,16 @@ def verify_frame_tables(
         de_lam = _deriv_along(an, e1, lam)
         dpe_lam = _deriv_along(an, e2, lam)
         dxi_lam = _deriv_along(an, xi, lam)
-        c1 = sp.cancel((sig_e1 - dpe_lam) / (2 * lam))
-        c2 = sp.cancel(-(sig_e2 + de_lam) / (2 * lam))
-        items.append(_table_item(an, "nabla_e e", nab(E1, E1), lin((c1, e2), (alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_e phie", nab(E1, E2), lin((c1, e1), (-lam, xi)), pt))
-        items.append(_table_item(an, "nabla_e xi", nab(E1, XI), lin((alpha, e1), (lam, e2)), pt))
-        items.append(_table_item(an, "nabla_phie e", nab(E2, E1), lin((c2, e2), (-lam, xi)), pt))
-        items.append(_table_item(an, "nabla_phie phie", nab(E2, E2), lin((c2, e1), (-alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_phie xi", nab(E2, XI), lin((alpha, e2), (-lam, e1)), pt))
-        items.append(_table_item(an, "nabla_xi e", nab(XI, E1), lin((a_coef, e2)), pt))
-        items.append(_table_item(an, "nabla_xi phie", nab(XI, E2), lin((a_coef, e1)), pt))
+        c1 = canon((sig_e1 - dpe_lam) / (2 * lam))
+        c2 = canon(-(sig_e2 + de_lam) / (2 * lam))
+        items.append(_table_item(an, "nabla_e e", _cov(E1, nab_e1), lin((c1, e2), (alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_e phie", _cov(E1, nab_e2), lin((c1, e1), (-lam, xi)), pt))
+        items.append(_table_item(an, "nabla_e xi", _cov(E1, nab_xi), lin((alpha, e1), (lam, e2)), pt))
+        items.append(_table_item(an, "nabla_phie e", _cov(E2, nab_e1), lin((c2, e2), (-lam, xi)), pt))
+        items.append(_table_item(an, "nabla_phie phie", _cov(E2, nab_e2), lin((c2, e1), (-alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_phie xi", _cov(E2, nab_xi), lin((alpha, e2), (-lam, e1)), pt))
+        items.append(_table_item(an, "nabla_xi e", _cov(XI, nab_e1), lin((a_coef, e2)), pt))
+        items.append(_table_item(an, "nabla_xi phie", _cov(XI, nab_e2), lin((a_coef, e1)), pt))
         items.append(_table_item(an, "[e,xi]", _lie_bracket(an, E1, XI), lin((alpha, e1), ((lam - a_coef), e2)), pt))
         items.append(_table_item(an, "[phie,xi]", _lie_bracket(an, E2, XI), lin((-(lam + a_coef), e1), ((alpha), e2)), pt))
         items.append(_table_item(an, "[e,phie]", _lie_bracket(an, E1, E2), lin((c1, e1), ((-c2), e2)), pt))
@@ -543,16 +542,16 @@ def verify_frame_tables(
 
     elif htype.tag == "H2":
         sgn = frame.sigma_sign
-        b1 = sp.cancel(_g_of(an, _cov(an, E1, E2), e1))
-        b2 = sp.cancel(_g_of(an, _cov(an, E2, E2), e1))
-        items.append(_table_item(an, "nabla_e1 e1", nab(E1, E1), lin((-b1, e1), (sp.Integer(sgn), xi)), pt))
-        items.append(_table_item(an, "nabla_e1 e2", nab(E1, E2), lin((b1, e2), (-alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_e1 xi", nab(E1, XI), lin((alpha, e1), (sp.Integer(-sgn), e2)), pt))
-        items.append(_table_item(an, "nabla_e2 e1", nab(E2, E1), lin((-b2, e1), (-alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_e2 e2", nab(E2, E2), lin((b2, e2)), pt))
-        items.append(_table_item(an, "nabla_e2 xi", nab(E2, XI), lin((alpha, e2)), pt))
-        items.append(_table_item(an, "nabla_xi e1", nab(XI, E1), lin((a_coef, e1)), pt))
-        items.append(_table_item(an, "nabla_xi e2", nab(XI, E2), lin((-a_coef, e2)), pt))
+        b1 = _g_of(an, _cov(E1, nab_e2), e1)
+        b2 = _g_of(an, _cov(E2, nab_e2), e1)
+        items.append(_table_item(an, "nabla_e1 e1", _cov(E1, nab_e1), lin((-b1, e1), (sp.Integer(sgn), xi)), pt))
+        items.append(_table_item(an, "nabla_e1 e2", _cov(E1, nab_e2), lin((b1, e2), (-alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_e1 xi", _cov(E1, nab_xi), lin((alpha, e1), (sp.Integer(-sgn), e2)), pt))
+        items.append(_table_item(an, "nabla_e2 e1", _cov(E2, nab_e1), lin((-b2, e1), (-alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_e2 e2", _cov(E2, nab_e2), lin((b2, e2)), pt))
+        items.append(_table_item(an, "nabla_e2 xi", _cov(E2, nab_xi), lin((alpha, e2)), pt))
+        items.append(_table_item(an, "nabla_xi e1", _cov(XI, nab_e1), lin((a_coef, e1)), pt))
+        items.append(_table_item(an, "nabla_xi e2", _cov(XI, nab_e2), lin((-a_coef, e2)), pt))
         items.append(_table_item(an, "[e1,xi]", _lie_bracket(an, E1, XI), lin(((alpha - a_coef), e1), (sp.Integer(-sgn), e2)), pt))
         items.append(_table_item(an, "[e2,xi]", _lie_bracket(an, E2, XI), lin(((alpha + a_coef), e2)), pt))
         items.append(_table_item(an, "[e1,e2]", _lie_bracket(an, E1, E2), lin((b2, e1), (b1, e2)), pt))
@@ -574,16 +573,16 @@ def verify_frame_tables(
         de_lam = _deriv_along(an, e1, lam)
         dpe_lam = _deriv_along(an, e2, lam)
         dxi_lam = _deriv_along(an, xi, lam)
-        b3 = sp.cancel(_g_of(an, _cov(an, E1, E1), e2))
-        b4 = sp.cancel(_g_of(an, _cov(an, E2, E1), e2))
-        items.append(_table_item(an, "nabla_e e", nab(E1, E1), lin((b3, e2), ((alpha + lam), xi)), pt))
-        items.append(_table_item(an, "nabla_e phie", nab(E1, E2), lin((b3, e1)), pt))
-        items.append(_table_item(an, "nabla_e xi", nab(E1, XI), lin(((alpha + lam), e1)), pt))
-        items.append(_table_item(an, "nabla_phie e", nab(E2, E1), lin((b4, e2)), pt))
-        items.append(_table_item(an, "nabla_phie phie", nab(E2, E2), lin((b4, e1), ((lam - alpha), xi)), pt))
-        items.append(_table_item(an, "nabla_phie xi", nab(E2, XI), lin(((alpha - lam), e2)), pt))
-        items.append(_table_item(an, "nabla_xi e", nab(XI, E1), lin((a_coef, e2)), pt))
-        items.append(_table_item(an, "nabla_xi phie", nab(XI, E2), lin((a_coef, e1)), pt))
+        b3 = _g_of(an, _cov(E1, nab_e1), e2)
+        b4 = _g_of(an, _cov(E2, nab_e1), e2)
+        items.append(_table_item(an, "nabla_e e", _cov(E1, nab_e1), lin((b3, e2), ((alpha + lam), xi)), pt))
+        items.append(_table_item(an, "nabla_e phie", _cov(E1, nab_e2), lin((b3, e1)), pt))
+        items.append(_table_item(an, "nabla_e xi", _cov(E1, nab_xi), lin(((alpha + lam), e1)), pt))
+        items.append(_table_item(an, "nabla_phie e", _cov(E2, nab_e1), lin((b4, e2)), pt))
+        items.append(_table_item(an, "nabla_phie phie", _cov(E2, nab_e2), lin((b4, e1), ((lam - alpha), xi)), pt))
+        items.append(_table_item(an, "nabla_phie xi", _cov(E2, nab_xi), lin(((alpha - lam), e2)), pt))
+        items.append(_table_item(an, "nabla_xi e", _cov(XI, nab_e1), lin((a_coef, e2)), pt))
+        items.append(_table_item(an, "nabla_xi phie", _cov(XI, nab_e2), lin((a_coef, e1)), pt))
         items.append(_table_item(an, "[e,xi]", _lie_bracket(an, E1, XI), lin(((alpha + lam), e1), ((-a_coef), e2)), pt))
         items.append(_table_item(an, "[phie,xi]", _lie_bracket(an, E2, XI), lin(((-a_coef), e1), ((alpha - lam), e2)), pt))
         items.append(_table_item(an, "[e,phie]", _lie_bracket(an, E1, E2), lin((b3, e1), ((-b4), e2)), pt))
@@ -602,8 +601,8 @@ def verify_frame_tables(
         table.b = {"b3": _subs_point(an, b3, pt), "b4": _subs_point(an, b4, pt)}
 
     else:  # Zero
-        items.append(_table_item(an, "nabla_e xi = alpha e", nab(E1, XI), lin((alpha, e1)), pt))
-        items.append(_table_item(an, "nabla_phie xi = alpha phie", nab(E2, XI), lin((alpha, e2)), pt))
+        items.append(_table_item(an, "nabla_e xi = alpha e", _cov(E1, nab_xi), lin((alpha, e1)), pt))
+        items.append(_table_item(an, "nabla_phie xi = alpha phie", _cov(E2, nab_xi), lin((alpha, e2)), pt))
         items.append(_mat_item(an, "h = 0", h, pt))
 
     table.items = items
@@ -639,14 +638,13 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
     rng = range(3)
     alpha = an.alpha.expr
     r = an.r.expr
-    T = sp.cancel(sum(compose11(an.h, an.h).array[i, i] for i in rng) / 2)
+    T = canon(sum(compose11(an.h, an.h).array[i, i] for i in rng) / 2)
     eta, xi = s.eta.array, s.xi.array
     sig = an.sigma.array
     ginv = an.ginv.array
     sig_sharp = [sum(ginv[i, j] * sig[j] for j in rng) for i in rng]
     phih = an.phih
-    nab_xi_h = directional_covariant(an.h, an.conn, s.xi)
-    phi_nab = compose11(s.phi, nab_xi_h)
+    phi_nab = compose11(s.phi, an.nab_xi_h)
     delta = sp.eye(3)
     rhs = sp.MutableDenseNDimArray.zeros(3, 3)
     for i in rng:
@@ -679,20 +677,35 @@ class HarmonicNullityReport:
         return self.equivalent and all(it.ok for it in self.case_items)
 
 
-def harmonic_nullity_equivalence(an: StructureAnalysis) -> HarmonicNullityReport:
+def harmonic_nullity_equivalence(
+    an: StructureAnalysis,
+    fit: Optional[NullityFit] = None,
+    harmonic: Optional[bool] = None,
+    htype: Optional[HType] = None,
+    frame: Optional[AdaptedFrame] = None,
+) -> HarmonicNullityReport:
+    """Harmonicity of xi <=> the nullity condition, with the per-type
+    parameter formulas checked at the base point.
+
+    A caller that already has them passes nullity_fit(an), the verdict of
+    xi_is_harmonic(an), and classify_h(an) at the base point with its
+    adapted frame; whatever is not given is computed here."""
     from .curvature import xi_is_harmonic
 
     s = an.structure
     if s.dim != 3:
         raise StructureError("the equivalence is a 3-dimensional statement")
-    harmonic, _ = xi_is_harmonic(an)
-    fit = nullity_fit(an)
+    if harmonic is None:
+        harmonic, _ = xi_is_harmonic(an)
+    if fit is None:
+        fit = nullity_fit(an)
     nullity = fit.status in ("exact", "degenerate_h_zero")
     report = HarmonicNullityReport(harmonic, nullity, harmonic == nullity, fit)
     if not (harmonic and nullity):
         return report
 
-    htype = classify_h(an)
+    if htype is None:
+        htype = classify_h(an)
     pt = htype.point
     alpha = an.alpha.expr
     items: List[CheckItem] = []
@@ -706,10 +719,12 @@ def harmonic_nullity_equivalence(an: StructureAnalysis) -> HarmonicNullityReport
         report.case_items = items
         return report
 
-    frame = build_adapted_frame(an, htype)
-    a_coef = sp.cancel(_g_of(an, _cov(an, frame.e3, frame.e1), [frame.e2.array[i] for i in range(3)]))
+    if frame is None:
+        frame = build_adapted_frame(an, htype)
+    nab_e1 = covariant_derivative(frame.e1, an.conn)
+    a_coef = _g_of(an, _cov(frame.e3, nab_e1), [frame.e2.array[i] for i in range(3)])
     kappa, mu, nu = fit.kappa.expr, fit.mu.expr, fit.nu.expr
-    T = sp.cancel(sum(compose11(an.h, an.h).array[i, i] for i in range(3)) / 2)
+    T = canon(sum(compose11(an.h, an.h).array[i, i] for i in range(3)) / 2)
     if htype.tag == "H1":
         lam2 = T
         scalar_case("kappa = lambda^2 - alpha^2", kappa - (lam2 - alpha**2))

@@ -19,10 +19,9 @@ from .geometry import (
     compose11,
     contract,
     covariant_derivative,
-    directional_covariant,
     identity_tensor,
 )
-from .scalars import ScalarField
+from .scalars import ScalarField, canon
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -109,7 +108,7 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
     h, l = an.h, an.l  # R(xi,X)xi = -l X
     items: List[CheckItem] = []
 
-    nab_xi_h = directional_covariant(h, an.conn, xi)
+    nab_xi_h = an.nab_xi_h
     h2 = compose11(h, h)
     phi2 = contract("ik,kj->ij", phi, phi)
 
@@ -225,10 +224,10 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
         m = model[idx]
         if m == 0:
             continue
-        num, den = sp.fraction(sp.cancel(m))
+        num, den = sp.fraction(canon(m))
         if den.subs(subs) == 0 or num.subs(subs) == 0:
             continue
-        c_expr = sp.cancel(R[idx] / m)
+        c_expr = canon(R[idx] / m)
         break
     if c_expr is None:
         c_expr = sp.Integer(0)

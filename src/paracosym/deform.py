@@ -25,7 +25,7 @@ import sympy as sp
 
 from .errors import DeformationParameterError
 from .geometry import Chart, TensorField, contract
-from .scalars import GeneratorDecl, ScalarContext, ScalarField
+from .scalars import GeneratorDecl, ScalarContext, ScalarField, canon
 from .structures import (
     AlmostParacontactStructure,
     CheckItem,
@@ -134,7 +134,7 @@ def _linear_coordinate_form(u: ScalarField) -> Tuple[sp.Rational, int]:
         raise DeformationParameterError(f"u = {u} is not of the form q*coordinate")
     expr = sp.expand(u.expr)
     for k, x in enumerate(ctx.coord_symbols):
-        q = sp.cancel(expr / x)
+        q = canon(expr / x)
         if q.free_symbols:
             continue
         return sp.Rational(q), k

@@ -174,7 +174,7 @@ class TensorField:
         def value(e):
             if e.free_symbols & gens:
                 raise ValueError("exact evaluation of a generator-bearing tensor")
-            num, den = sp.fraction(sp.cancel(e))
+            num, den = sp.fraction(canon(e))
             d = den.subs(subs)
             if d == 0:
                 from .errors import PoleError
@@ -357,10 +357,10 @@ def metric_matrix(g: TensorField) -> sp.Matrix:
 def metric_inverse(g: TensorField) -> TensorField:
     n = g.chart.dim
     m = metric_matrix(g)
-    det = sp.cancel(m.det())
+    det = canon(m.det())
     if det == 0:
         raise SingularMetricError(f"metric determinant is identically zero")
-    inv = m.adjugate().applyfunc(lambda e: sp.cancel(e / det))
+    inv = m.adjugate().applyfunc(lambda e: canon(e / det))
     return TensorField(g.chart, 2, 0, sp.ImmutableDenseNDimArray(inv))
 
 
@@ -427,13 +427,6 @@ def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> Tensor
     return TensorField(chart, r, s + 1, out)
 
 
-def directional_covariant(t: TensorField, conn: ConnectionCoefficients, v: TensorField) -> TensorField:
-    """nabla_v T: contract the trailing direction slot of nabla T with v."""
-    idx = _letters(t.rank, skip="z")
-    nabla_v = contract(f"{idx}z,z->{idx}", covariant_derivative(t, conn), v)
-    return TensorField(t.chart, t.r, t.s, nabla_v)
-
-
 def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
     """Connection-free Lie derivative along the vector field v."""
     if (v.r, v.s) != (1, 0):
@@ -479,7 +472,7 @@ def is_antisymmetric(t: TensorField) -> bool:
         for a in range(k - 1):
             swapped = list(idx)
             swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-            if sp.cancel(t.array[idx] + t.array[tuple(swapped)]) != 0:
+            if canon(t.array[idx] + t.array[tuple(swapped)]) != 0:
                 return False
     return True
 

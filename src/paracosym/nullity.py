@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 import sympy as sp
 
-from .geometry import TensorField, compose11, contract, directional_covariant, identity_tensor
-from .scalars import ScalarField
+from .geometry import TensorField, compose11, contract, identity_tensor
+from .scalars import ScalarField, canon
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -28,7 +28,6 @@ from .structures import (
     _residual_item,
     _scalar_item,
     d_wedge_eta,
-    parakaehler_leaves_residual,
 )
 
 
@@ -57,7 +56,7 @@ def _solve_linear_field_system(
     unknowns, or None if the system is inconsistent on the pivot rows.
     The caller must still verify the solution against all rows (a
     consistent pivot subset does not imply global consistency)."""
-    rows = [([sp.cancel(c) for c in coeffs], sp.cancel(rhs)) for coeffs, rhs in rows]
+    rows = [([canon(c) for c in coeffs], canon(rhs)) for coeffs, rhs in rows]
     rows = [r for r in rows if any(c != 0 for c in r[0]) or r[1] != 0]
     pivots: List[Optional[int]] = [None] * n_unknowns
     reduced: List[Tuple[List[sp.Expr], sp.Expr]] = []
@@ -73,16 +72,16 @@ def _solve_linear_field_system(
             continue
         coeffs, rhs = rows.pop(pick)
         inv = coeffs[col]
-        coeffs = [sp.cancel(c / inv) for c in coeffs]
-        rhs = sp.cancel(rhs / inv)
+        coeffs = [canon(c / inv) for c in coeffs]
+        rhs = canon(rhs / inv)
         reduced.append((coeffs, rhs))
         pivots[col] = len(reduced) - 1
         new_rows = []
         for rc, rr in rows:
             f = rc[col]
             if f != 0:
-                rc = [sp.cancel(a - f * b) for a, b in zip(rc, coeffs)]
-                rr = sp.cancel(rr - f * rhs)
+                rc = [canon(a - f * b) for a, b in zip(rc, coeffs)]
+                rr = canon(rr - f * rhs)
             if any(c != 0 for c in rc) or rr != 0:
                 new_rows.append((rc, rr))
         rows = new_rows
@@ -100,7 +99,7 @@ def _solve_linear_field_system(
         for c in range(col + 1, n_unknowns):
             if coeffs[c] != 0:
                 acc -= coeffs[c] * (sol[c] if sol[c] is not None else 0)
-        sol[col] = sp.cancel(acc)
+        sol[col] = canon(acc)
     unique = all(p is not None for p in pivots)
     return sol, unique
 
@@ -250,11 +249,12 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     h2 = compose11(an.h, an.h)
     residual(names[2], 1, 1, h2.array - (kappa + alpha**2) * P)
 
-    nab_xi_h = directional_covariant(an.h, an.conn, xi)
+    nab_xi_h = an.nab_xi_h
     residual(names[3], 1, 1, nab_xi_h.array + (2 * alpha + nu) * h - mu * hphi)
 
-    nab_xi_h2 = directional_covariant(h2, an.conn, xi)
-    residual(names[4], 1, 1, nab_xi_h2.array + 2 * (2 * alpha + nu) * (kappa + alpha**2) * P)
+    # nabla_xi(h^2) = (nabla_xi h) h + h (nabla_xi h), by the Leibniz rule
+    nab_xi_h2 = contract("ik,kj->ij", nab_xi_h, h) + contract("ik,kj->ij", h, nab_xi_h)
+    residual(names[4], 1, 1, nab_xi_h2 + 2 * (2 * alpha + nu) * (kappa + alpha**2) * P)
 
     xikappa = an.xi_derivative(fit.kappa).expr
     items.append(
@@ -278,7 +278,7 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
 
     # (nabla_X phi)Y = g(Y, hX + alpha phi X) xi - eta(Y)(hX + alpha phi X):
     # the para-Kaehler leaves condition
-    items.append(_residual_item(names[8], parakaehler_leaves_residual(an)))
+    items.append(_residual_item(names[8], an.parakaehler_leaves_residual))
 
     # (nabla_X phi.h)Y - (nabla_Y phi.h)X = (kappa+alpha^2)(eta(Y)X - eta(X)Y)
     #   + mu(eta(Y)hX - eta(X)hY) + (nu+alpha)(eta(Y)phi.h X - eta(X)phi.h Y)
@@ -305,7 +305,7 @@ def check_parakaehler_consequence(an: StructureAnalysis, fit: NullityFit) -> Che
     name = "nullity implies para-Kaehler leaves"
     if fit.status != "exact":
         return CheckItem(name, "skip", reason=f"fit status is {fit.status}")
-    return _residual_item(name, parakaehler_leaves_residual(an))
+    return _residual_item(name, an.parakaehler_leaves_residual)
 
 
 def check_q_commutator_nullity(an: StructureAnalysis, fit: NullityFit) -> CheckItem:

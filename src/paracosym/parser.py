@@ -20,8 +20,9 @@ brackets are open):
 
 Expression grammar: rational literals (ints, decimals, p/q via '/'),
 coordinate/generator identifiers, parentheses, unary -, binary + - * /,
-and ^ with a non-negative integer exponent.  ^ binds tightest, then
-unary -, then * /, then + -; binary operators are left associative.
+and ^ with a non-negative integer exponent of at most MAX_EXPONENT (a
+larger one is a ParseError, not a long expansion).  ^ binds tightest,
+then unary -, then * /, then + -; binary operators are left associative.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import sympy as sp
 
 from .errors import DefinitionError, ParseError, UnknownIdentifierError
 from .scalars import GeneratorDecl, ScalarContext, ScalarField
+
+MAX_EXPONENT = 8
 
 # --------------------------------------------------------------------
 # expression AST
@@ -150,7 +153,10 @@ class _Parser:
             etok = self.next()
             if etok[0] != "num" or "." in etok[1]:
                 raise ParseError("exponent must be a non-negative integer", etok[2])
-            return BinOp("^", base, Lit(sp.Integer(int(etok[1]))))
+            digits = etok[1].lstrip("0") or "0"  # no int() of a huge digit string
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the maximum {MAX_EXPONENT}", etok[2])
+            return BinOp("^", base, Lit(sp.Integer(int(digits))))
         return base
 
     def parse_atom(self) -> Node:

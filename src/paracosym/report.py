@@ -18,8 +18,13 @@ from . import classify as cls
 from . import curvature as curv
 from .errors import EngineError
 from .geometry import TensorField, trace11
-from .nullity import nullity_fit
-from .nullity import check_irem_suite, check_parakaehler_consequence, check_q_commutator_nullity
+from .nullity import (
+    NullityFit,
+    check_irem_suite,
+    check_parakaehler_consequence,
+    check_q_commutator_nullity,
+    nullity_fit,
+)
 from .parser import ManifoldDefinition
 from .scalars import ScalarField
 from .structures import (
@@ -273,13 +278,16 @@ def run_analyze(
     tree["nullity"] = nulsec
 
     if s.dim == 3:
-        tree["classification"] = _classification_section(an, point)
+        tree["classification"] = _classification_section(an, point, fit, harmonic)
 
     return _finish(tree, structural_failure=False)
 
 
 def _classification_section(
-    an: StructureAnalysis, point: Optional[Sequence[Fraction]]
+    an: StructureAnalysis,
+    point: Optional[Sequence[Fraction]],
+    fit: NullityFit,
+    harmonic: bool,
 ) -> Dict[str, object]:
     out: Dict[str, object] = {}
     try:
@@ -312,7 +320,10 @@ def _classification_section(
         "items": _items(table.items),
     }
     out["ricci_closed_form"] = _item_dict(cls.verify_ricci_formula(an))
-    rep = cls.harmonic_nullity_equivalence(an)
+    # the equivalence is stated at the base point: reuse the type and frame
+    # only when they were built there
+    at_base = (htype, frame) if point is None else ()
+    rep = cls.harmonic_nullity_equivalence(an, fit, harmonic, *at_base)
     out["harmonic_nullity"] = {
         "harmonic": rep.harmonic,
         "nullity": rep.nullity,

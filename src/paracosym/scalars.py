@@ -7,9 +7,19 @@ an independent transcendental over the polynomial ring, so gcd reduction
 and zero testing stay decidable, and the only place its analytic meaning
 enters is the derivative rule dE/dc = q*E and numeric evaluation.
 
-All coefficients are exact rationals; canonical form is sympy's cancel()
-(reduced fraction, expanded numerator/denominator).  No floats on the
-symbolic path.
+All coefficients are exact rationals.  The canonical form of an expression
+is the one sympy's cancel(together(.)) gives: one reduced fraction with
+expanded numerator and denominator, integer coefficients without a common
+factor, and a denominator whose leading coefficient (lex order on the
+generators in sympy's own order, polyutils._sort_gens) is positive.
+canon() is the only canonicaliser.  An expression built from symbols and
+rationals by +, * and integer powers is converted once into a numerator
+and denominator in a polynomial ring over QQ (sums over the lcm of the
+denominators) and reduced by one gcd, which skips sympy's Expr-level
+together/factor_terms passes; anything else (an algebraic constant such as
+sqrt(6) in classify's frame code) goes to cancel(together(.)) itself.  A
+per-process memo of CANON_MEMO_SIZE entries maps each input to its
+canonical form.  No floats on the symbolic path.
 """
 
 from __future__ import annotations
@@ -17,9 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from .errors import (
     ContextMismatchError,
@@ -109,9 +123,75 @@ class ScalarContext:
         return ScalarField(self, self.gen_symbols[index])
 
 
+CANON_MEMO_SIZE = 8192
+
+
 def canon(expr) -> sp.Expr:
-    """The canonical form of a rational function: one reduced fraction."""
-    return sp.cancel(sp.together(expr))
+    """The canonical form of a rational function: one reduced fraction,
+    equal to sp.cancel(sp.together(expr))."""
+    return _canon(expr if isinstance(expr, sp.Basic) else sp.sympify(expr))
+
+
+@lru_cache(maxsize=CANON_MEMO_SIZE)
+def _canon(expr: sp.Basic) -> sp.Expr:
+    if expr.is_Number:
+        return expr
+    symbols = set()
+    if not _collect_symbols(expr, symbols):
+        return sp.cancel(sp.together(expr))
+    ring = _ring(tuple(_sort_gens(symbols)))
+    num, den = _fraction(expr, ring, dict(zip(ring.symbols, ring.gens)))
+    p, q = num.cancel(den)
+    return p.as_expr() / q.as_expr()
+
+
+def _collect_symbols(expr: sp.Basic, acc: set) -> bool:
+    """Add the symbols of expr to acc; False unless expr is built from
+    symbols and rationals by +, * and integer powers only."""
+    if expr.is_Symbol:
+        acc.add(expr)
+        return True
+    if expr.is_Rational:
+        return True
+    if expr.is_Add or expr.is_Mul:
+        return all(_collect_symbols(a, acc) for a in expr.args)
+    if expr.is_Pow:
+        return expr.exp.is_Integer and _collect_symbols(expr.base, acc)
+    return False
+
+
+@lru_cache(maxsize=256)
+def _ring(gens: tuple) -> PolyRing:
+    return PolyRing(gens, QQ)
+
+
+def _fraction(expr: sp.Expr, ring: PolyRing, gen_of: dict):
+    """(numerator, denominator) of a rational expression in ring; sums are
+    taken over the lcm of the denominators, products and powers as they
+    stand, and the gcd is left to the caller."""
+    if expr.is_Symbol:
+        return gen_of[expr], ring.one
+    if expr.is_Rational:
+        return ring.ground_new(QQ(expr.p, expr.q)), ring.one
+    if expr.is_Add:
+        num, den = ring.zero, ring.one
+        for arg in expr.args:
+            n, d = _fraction(arg, ring, gen_of)
+            if d == den:
+                num += n
+            else:
+                _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
+                num, den = num * cd + n * cden, den * cd
+        return num, den
+    if expr.is_Mul:
+        num, den = ring.one, ring.one
+        for arg in expr.args:
+            n, d = _fraction(arg, ring, gen_of)
+            num, den = num * n, den * d
+        return num, den
+    n, d = _fraction(expr.base, ring, gen_of)
+    k = int(expr.exp)
+    return (n**k, d**k) if k >= 0 else (d ** (-k), n ** (-k))
 
 
 def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
@@ -219,7 +299,7 @@ class ScalarField:
             return NotImplemented
         if other.context != self.context:
             return False
-        return sp.cancel(self.expr - other.expr) == 0
+        return canon(self.expr - other.expr) == 0
 
     def __hash__(self):
         if self._hash is None:

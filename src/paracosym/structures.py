@@ -26,7 +26,6 @@ from .geometry import (
     compose11,
     contract,
     covariant_derivative,
-    directional_covariant,
     exterior_derivative,
     identity_tensor,
     lie_derivative,
@@ -39,7 +38,7 @@ from .geometry import (
     wedge,
 )
 from .parser import ManifoldDefinition, parse_scalar
-from .scalars import ScalarField, pdiff
+from .scalars import ScalarField, canon, pdiff
 
 
 @dataclass
@@ -83,7 +82,7 @@ def d_wedge_eta(
 
 
 def _scalar_item(name: str, value) -> CheckItem:
-    v = sp.cancel(value if isinstance(value, sp.Expr) else value.expr)
+    v = canon(value if isinstance(value, sp.Expr) else value.expr)
     if v == 0:
         return CheckItem(name, "pass")
     return CheckItem(name, "fail", witness=sp.sstr(v))
@@ -248,7 +247,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
         val = ep.array[idx]
         if val == 0:
             continue
-        num, den = sp.fraction(sp.cancel(val))
+        num, den = sp.fraction(canon(val))
         if den.subs(subs) != 0 and num.subs(subs) != 0:
             candidates.append(idx)
         if len(candidates) >= 2:
@@ -426,6 +425,25 @@ class StructureAnalysis:
     def nabh(self) -> TensorField:
         return covariant_derivative(self.h, self.conn)
 
+    @cached_property
+    def nab_xi_h(self) -> TensorField:
+        """nabla_xi h, from the cached nabla h."""
+        return TensorField(self.chart, 1, 1, contract("ijz,z->ij", self.nabh, self.structure.xi))
+
+    @cached_property
+    def parakaehler_leaves_residual(self) -> TensorField:
+        """Residual of (nabla_X phi)Y = alpha g(phiX,Y) xi + g(hX,Y) xi
+        - alpha eta(Y) phi X - eta(Y) h X, as a (1,2)-tensor (i; X=a, Y=b);
+        it vanishes iff the leaves are para-Kaehler."""
+        s = self.structure
+        w = self.alpha.expr * s.phi.array + self.h.array  # hX + alpha phi X
+        out = (
+            contract("iba->iab", self.nabphi)
+            - contract("mb,ma,i->iab", s.g, w, s.xi)
+            + contract("b,ia->iab", s.eta, w)
+        )
+        return TensorField(self.chart, 1, 2, out)
+
     def xi_derivative(self, fld: ScalarField) -> ScalarField:
         xi = self.structure.xi
         return ScalarField(self.chart.context, contract("c,c->", xi, _gradient(fld)))
@@ -479,7 +497,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
         contract("ik,kj->ij", A, phi) + contract("ik,kj->ij", phi, A) + 2 * alpha * phi.array,
     )
 
-    items.append(_residual_item("nabla_xi(phi) = 0", directional_covariant(phi, an.conn, xi)))
+    residual("nabla_xi(phi) = 0", 1, 1, contract("ijz,z->ij", nabphi, xi))
 
     gh = TensorField(chart, 0, 2, contract("mj,mi->ij", g, h))  # g(h d_i, d_j)
     residual("h self-adjoint", 0, 2, gh.array - contract("ij->ji", gh))
@@ -603,21 +621,8 @@ def nijenhuis_normality(s: AlmostParacontactStructure) -> Tuple[TensorField, boo
     return N1, N1.is_zero()
 
 
-def parakaehler_leaves_residual(an: StructureAnalysis) -> TensorField:
-    """Residual of (nabla_X phi)Y = alpha g(phiX,Y) xi + g(hX,Y) xi
-    - alpha eta(Y) phi X - eta(Y) h X, as a (1,2)-tensor (i; X=a, Y=b)."""
-    s = an.structure
-    w = an.alpha.expr * s.phi.array + an.h.array  # hX + alpha phi X
-    out = (
-        contract("iba->iab", an.nabphi)
-        - contract("mb,ma,i->iab", s.g, w, s.xi)
-        + contract("b,ia->iab", s.eta, w)
-    )
-    return TensorField(an.chart, 1, 2, out)
-
-
 def parakaehler_leaves_check(an: StructureAnalysis) -> bool:
-    return parakaehler_leaves_residual(an).is_zero()
+    return an.parakaehler_leaves_residual.is_zero()
 
 
 def shape_operator_residual(an: StructureAnalysis) -> TensorField:

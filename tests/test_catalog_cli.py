@@ -3,17 +3,21 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from paracosym.catalog import catalog, catalog_entry
+from paracosym.catalog import _lie_family, catalog, catalog_entry
+from paracosym.parser import load_definition
 from paracosym.report import run_analyze
 
 NAMES = [e.name for e in catalog()]
 
 # sha256 of `run_analyze(entry.definition()).to_json()` for every catalog
-# entry, pinned before the check families moved onto `geometry.contract`:
-# any refactor of the engine must keep the --json output byte-identical.
+# entry, pinned before the check families moved onto `geometry.contract`,
+# and for two draws of the left-invariant family (LIE_DRAWS), pinned before
+# `scalars.canon` moved onto polynomial rings: any refactor of the engine
+# must keep the --json output byte-identical.
 with open(os.path.join(os.path.dirname(__file__), "golden_analyze.json")) as _fh:
     GOLDEN = json.load(_fh)
 
@@ -75,6 +79,23 @@ def test_catalog_entry_health(name):
         assert got[key] == want, f"{key}: expected {want!r}, got {got[key]!r}"
 
 
+# name -> (a, b, c, d): p = a*x + b*y, q = c*x + d*y, declared alpha
+# (a + d)/2, as in the benchmark's lie3d pool; an H1 draw whose frame
+# construction passes through sqrt(6), and an H3 draw
+LIE_DRAWS = {
+    "lie_2_3_m2_1": ("2", "3", "-2", "1"),
+    "lie_1_1_1_0": ("1", "1", "1", "0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIE_DRAWS))
+def test_lie_family_digest(name):
+    a, b, c, d = (Fraction(v) for v in LIE_DRAWS[name])
+    text = _lie_family(f"({a})*x + ({b})*y", f"({c})*x + ({d})*y") + f"alpha = {(a + d) / 2}\n"
+    rep = run_analyze(load_definition(text))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN[name]
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_entry("no_such_entry")
@@ -113,6 +134,16 @@ def test_cli_unparseable_definition(tmp_path):
     path.write_text("[chart]\ndim = 3\ncoords = [x, y, z]\n")
     proc = _run(["analyze", str(path)])
     assert proc.returncode == 4
+
+
+def test_cli_huge_exponent_exits_4(tmp_path):
+    text = catalog_entry("flat_product").definition_text
+    assert "xi = [0, 0, 1]" in text
+    path = tmp_path / "huge.txt"
+    path.write_text(text.replace("xi = [0, 0, 1]", "xi = [0, 0, (x + y)^1000000]"))
+    proc = _run(["verify", str(path)])
+    assert proc.returncode == 4
+    assert "exponent" in proc.stderr
 
 
 def test_cli_analyze_json_deterministic(tmp_path):

@@ -3,6 +3,7 @@ import sympy as sp
 
 from paracosym.errors import DefinitionError, ParseError, UnknownIdentifierError
 from paracosym.parser import (
+    MAX_EXPONENT,
     load_definition,
     parse_expression,
     parse_scalar,
@@ -46,6 +47,13 @@ def test_parse_error_offsets():
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError):
         parse_scalar("x + w", CTX)
+
+
+def test_exponent_bounded():
+    assert parse_scalar(f"x^{MAX_EXPONENT}", CTX) == CTX.coordinate(0) ** MAX_EXPONENT
+    for text in [f"x^{MAX_EXPONENT + 1}", "(x + y)^1000000", "x^" + "9" * 5000]:
+        with pytest.raises(ParseError):
+            parse_expression(text, NAMES)
 
 
 def test_negative_exponent_rejected():

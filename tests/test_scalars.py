@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paracosym.errors import (
     ContextMismatchError,
@@ -9,7 +11,7 @@ from paracosym.errors import (
     GeneratorEvalError,
     PoleError,
 )
-from paracosym.scalars import GeneratorDecl, ScalarContext, ScalarField
+from paracosym.scalars import GeneratorDecl, ScalarContext, ScalarField, canon
 
 
 @pytest.fixture
@@ -103,3 +105,67 @@ def test_hash_consistent_with_eq(ctx):
     b = x * x + 2 * x * y + y * y
     assert a == b
     assert hash(a) == hash(b)
+
+
+# --------------------------------------------------------------------
+# canon: the polynomial-ring path against sympy's cancel(together(.))
+
+T, X, E = sp.symbols("t x E")
+
+_COEFFS = st.fractions(-3, 3, max_denominator=3).map(lambda f: sp.Rational(f.numerator, f.denominator))
+_LEAVES = st.one_of(
+    st.sampled_from([T, X, E]),
+    _COEFFS,
+    st.lists(_COEFFS, min_size=4, max_size=4).map(lambda c: c[0] * T + c[1] * X + c[2] * E + c[3]),
+)
+
+
+def _combine(sub):
+    return st.one_of(
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: sp.Add(*a)),
+        st.lists(sub, min_size=2, max_size=3).map(lambda a: sp.Mul(*a)),
+        st.tuples(sub, sub).map(lambda q: q[0] / q[1]),
+        st.tuples(sub, st.integers(-2, 3)).map(lambda p: p[0] ** p[1]),
+    )
+
+
+_RATIONAL_EXPRS = st.recursive(_LEAVES, _combine, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_RATIONAL_EXPRS)
+def test_canon_matches_cancel_together(expr):
+    assert sp.srepr(canon(expr)) == sp.srepr(sp.cancel(sp.together(expr)))
+
+
+def test_canon_orders_generators_as_sympy_does():
+    # alphabetical order (t before x) would keep 1/(t - x); sympy's order
+    # puts x first, so the denominator's leading coefficient is +1 on x
+    out = canon(1 / (T - X))
+    assert sp.srepr(out) == sp.srepr(-1 / (-T + X))
+    assert str(out) == "-1/(-t + x)"
+
+
+def test_canon_zero_denominator_gives_zoo():
+    den = sp.Add(X * (X + 1), -(X**2), -X)  # identically zero, unevaluated
+    assert den != 0
+    assert canon(1 / den) is sp.zoo
+    assert canon(T / den) is sp.zoo
+
+
+def test_canon_algebraic_constants_take_the_fallback(monkeypatch):
+    real_cancel = sp.cancel
+    calls = []
+
+    def counting_cancel(expr, *args, **kwargs):
+        calls.append(expr)
+        return real_cancel(expr, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "cancel", counting_cancel)
+    w = sp.Symbol("w_fallback")  # fresh, so the memo has not seen it
+    algebraic = sp.sqrt(6) * w / (w + sp.sqrt(6)) + 1 / (2 * sp.sqrt(6))
+    assert canon(algebraic) == real_cancel(sp.together(algebraic))
+    assert calls
+    calls.clear()
+    assert canon(w / (2 * w + 2) - 1 / (w + 1)) == (w - 2) / (2 * w + 2)
+    assert not calls
