@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import sympy as sp
 
 from .errors import EngineError, StructureError
-from .geometry import TensorField, compose11, contract, covariant_derivative
+from .geometry import Components, TensorField, compose11, contract, covariant_derivative
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
 from .scalars import canon, pdiff
@@ -646,18 +646,17 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
     phih = an.phih
     phi_nab = compose11(s.phi, an.nab_xi_h)
     delta = sp.eye(3)
-    rhs = sp.MutableDenseNDimArray.zeros(3, 3)
-    for i in rng:
-        for j in rng:
-            rhs[i, j] = (
-                (r / 2 + alpha**2 - T) * delta[i, j]
-                + (-r / 2 + 3 * (T - alpha**2)) * eta[j] * xi[i]
-                - 2 * alpha * phih.array[i, j]
-                - phi_nab.array[i, j]
-                + sig[j] * xi[i]
-                + eta[j] * sig_sharp[i]
-            )
-    return _residual_item(name, an.Q - TensorField(an.chart, 1, 1, rhs))
+    rhs = [
+        (r / 2 + alpha**2 - T) * delta[i, j]
+        + (-r / 2 + 3 * (T - alpha**2)) * eta[j] * xi[i]
+        - 2 * alpha * phih.array[i, j]
+        - phi_nab.array[i, j]
+        + sig[j] * xi[i]
+        + eta[j] * sig_sharp[i]
+        for i in rng
+        for j in rng
+    ]
+    return _residual_item(name, an.Q - TensorField(an.chart, 1, 1, Components(3, 2, rhs)))
 
 
 # --------------------------------------------------------------------

@@ -16,7 +16,11 @@ Conventions used throughout the package:
 Components are raw sympy expressions in the canonical form scalars.canon
 (one reduced fraction); they are exact rational functions of the
 coordinates and any declared exponential generators (see scalars.pdiff for
-the derivative rule).
+the derivative rule).  Every tensor, connection and contraction result
+stores them in one Components value: the dimension n, the rank and a flat
+row-major tuple of the n**rank entries, so the entry at (i_1, ..., i_k) sits
+at offset ((i_1 n + i_2) n + ...) n + i_k.  The differential operators
+below read and write those tuples by offset.
 
 Algebraic contractions go through one primitive, contract(spec,
 *operands), an exact einsum (the differential operators below keep their
@@ -26,7 +30,7 @@ that is not in the output is summed.  The operands are contracted in pairs
 in the order written, so the caller stages the cheapest contraction first
 (R with xi before phi and g).  An intermediate stage that summed over an
 index is canonicalised once per entry; the final stage is returned raw.
-Callers combine such raw arrays by array arithmetic into a residual and
+Callers combine such raw arrays by entrywise arithmetic into a residual and
 canonicalise it once per output entry, by wrapping it in a TensorField:
 summing separately canonicalised tensors costs one canonicalisation per
 term instead.
@@ -41,7 +45,6 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 import sympy as sp
-from sympy.combinatorics import Permutation
 
 from .errors import (
     DegenerateMetricError,
@@ -83,6 +86,97 @@ class Chart:
         return subs
 
 
+class Components:
+    """Components of a rank-k array over range(n)**k: a flat row-major tuple
+    of n**k sympy expressions.  Immutable; +, - and unary - act entrywise
+    on two arrays of the same n and rank, * and / by a scalar."""
+
+    __slots__ = ("n", "rank", "flat")
+
+    def __init__(self, n: int, rank: int, flat):
+        flat = tuple(flat)
+        if len(flat) != n**rank:
+            raise ValenceError(f"{len(flat)} components for rank {rank} in dimension {n}")
+        self.n = n
+        self.rank = rank
+        self.flat = flat
+
+    @staticmethod
+    def of(x) -> "Components":
+        """x as Components: a Components, a sympy array or matrix, a nested
+        list of equal-length rows, or a scalar (rank 0, no dimension)."""
+        if isinstance(x, Components):
+            return x
+        if hasattr(x, "tolist"):
+            x = x.tolist()
+        if not isinstance(x, (list, tuple)):
+            return Components(0, 0, (sp.sympify(x),))
+        rows = [Components.of(row) for row in x]
+        rank = rows[0].rank if rows else 0
+        if any(row.rank != rank or (rank and row.n != len(x)) for row in rows):
+            raise ValenceError("component array is ragged or not square")
+        return Components(len(x), rank + 1, [e for row in rows for e in row.flat])
+
+    def __getitem__(self, idx):
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        if len(idx) != self.rank:
+            raise IndexError(f"index {idx} for an array of rank {self.rank}")
+        n = self.n
+        offset = 0
+        for i in idx:
+            if not 0 <= i < n:
+                raise IndexError(f"index {idx} out of range in dimension {n}")
+            offset = offset * n + i
+        return self.flat[offset]
+
+    def __iter__(self):
+        return iter(self.flat)
+
+    def applyfunc(self, f) -> "Components":
+        return Components(self.n, self.rank, map(f, self.flat))
+
+    def _zip(self, other) -> zip:
+        if not isinstance(other, Components) or (other.n, other.rank) != (self.n, self.rank):
+            shape = (other.n, other.rank) if isinstance(other, Components) else type(other)
+            raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
+        return zip(self.flat, other.flat)
+
+    def __add__(self, other) -> "Components":
+        return Components(self.n, self.rank, [a + b for a, b in self._zip(other)])
+
+    def __sub__(self, other) -> "Components":
+        return Components(self.n, self.rank, [a - b for a, b in self._zip(other)])
+
+    def __neg__(self) -> "Components":
+        return Components(self.n, self.rank, [-a for a in self.flat])
+
+    def __mul__(self, c) -> "Components":
+        c = sp.sympify(c, strict=True)
+        return Components(self.n, self.rank, [a * c for a in self.flat])
+
+    def __rmul__(self, c) -> "Components":
+        c = sp.sympify(c, strict=True)
+        return Components(self.n, self.rank, [c * a for a in self.flat])
+
+    def __truediv__(self, c) -> "Components":
+        c = sp.sympify(c, strict=True)
+        return Components(self.n, self.rank, [a / c for a in self.flat])
+
+    def __eq__(self, other):
+        if hasattr(other, "tolist"):  # a sympy array or matrix compares by value
+            other = Components.of(other)
+        if not isinstance(other, Components):
+            return NotImplemented
+        return (self.n, self.rank, self.flat) == (other.n, other.rank, other.flat)
+
+    def __hash__(self):
+        return hash((self.n, self.rank, self.flat))
+
+    def __repr__(self):
+        return f"Components({self.n}, {self.rank}, {self.flat!r})"
+
+
 class TensorField:
     """Componentwise exact (r,s)-tensor field on a chart."""
 
@@ -93,21 +187,17 @@ class TensorField:
         self.r = r
         self.s = s
         n = chart.dim
-        if r + s == 0:
-            expr = array if isinstance(array, sp.Expr) else sp.sympify(array)
-            self.array = sp.ImmutableDenseNDimArray([canon(expr)], (1,))
-        else:
-            arr = sp.ImmutableDenseNDimArray(array)
-            if arr.shape != (n,) * (r + s):
-                raise ValenceError(
-                    f"component array shape {arr.shape} does not match valence "
-                    f"({r},{s}) in dimension {n}"
-                )
-            self.array = arr.applyfunc(canon)
+        arr = Components.of(array)
+        if arr.rank != r + s or (arr.rank and arr.n != n):
+            raise ValenceError(
+                f"component array of rank {arr.rank} in dimension {arr.n} does not "
+                f"match valence ({r},{s}) in dimension {n}"
+            )
+        self.array = Components(n, r + s, [canon(e) for e in arr.flat])
 
     def __getitem__(self, idx):
-        if self.r + self.s == 0:
-            return self.array[0]
+        if self.rank == 0:
+            return self.array.flat[0]
         return self.array[idx]
 
     @property
@@ -143,7 +233,7 @@ class TensorField:
         return TensorField(self.chart, self.r, self.s, self.array * expr)
 
     def is_zero(self) -> bool:
-        return all(self.array[i] == 0 for i in self.indices()) if self.rank else self.array[0] == 0
+        return all(e == 0 for e in self.array)
 
     def __eq__(self, other):
         if not isinstance(other, TensorField):
@@ -157,17 +247,16 @@ class TensorField:
 
     def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], sp.Expr]]:
         """Witness component for a failed identity, or None if zero."""
-        if self.rank == 0:
-            return None if self.array[0] == 0 else ((), self.array[0])
-        for idx in self.indices():
-            if self.array[idx] != 0:
-                return idx, self.array[idx]
+        for idx, e in zip(self.indices(), self.array):
+            if e != 0:
+                return idx, e
         return None
 
     # -- evaluation ----------------------------------------------------
 
     def eval_at(self, point: Optional[Sequence] = None):
-        """Exact nested value at a rational point (generator-free only)."""
+        """Exact value at a rational point (generator-free only): Components,
+        or one Rational for a scalar."""
         subs = self.chart.point_subs(point)
         gens = set(self.chart.context.gen_symbols)
 
@@ -183,18 +272,19 @@ class TensorField:
             return sp.Rational(num.subs(subs)) / sp.Rational(d)
 
         if self.rank == 0:
-            return value(self.array[0])
+            return value(self.array.flat[0])
         return self.array.applyfunc(value)
 
     def numeric_at(self, point: Optional[Sequence] = None):
-        """Float nested value; generators evaluate as exp(rate*coord)."""
+        """Float value (Components, or one float for a scalar); generators
+        evaluate as exp(rate*coord)."""
         subs = self.chart.point_subs(point)
         pt = self.chart.base_point if point is None else [Fraction(p) for p in point]
         for gen, gsym in zip(self.chart.context.generators, self.chart.context.gen_symbols):
             p = Fraction(pt[gen.coord_index])
             subs[gsym] = sp.exp(gen.rate * sp.Rational(p.numerator, p.denominator))
         if self.rank == 0:
-            return float(self.array[0].subs(subs))
+            return float(self.array.flat[0].subs(subs))
         return self.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))
 
 
@@ -217,23 +307,20 @@ def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
     return inputs, output
 
 
-def _components(x, labels: str) -> Tuple[int, list]:
-    """(dimension, row-major component list) of one operand."""
+def _components(x, labels: str) -> Tuple[Optional[int], tuple]:
+    """(dimension, row-major component tuple) of one operand; a scalar that
+    is not a TensorField has no dimension."""
     if isinstance(x, TensorField):
-        n, rank = x.chart.dim, x.rank
-        flat = [x.array[0]] if rank == 0 else sp.flatten(x.array)
+        n, arr = x.chart.dim, x.array
     else:
-        arr = x if isinstance(x, sp.NDimArray) else sp.ImmutableDenseNDimArray(x)
-        rank, flat = arr.rank(), sp.flatten(arr)
-        if len(set(arr.shape)) > 1:
-            raise ValenceError(f"operand of shape {arr.shape} is not square")
-        n = arr.shape[0] if rank else None
-    if rank != len(labels):
-        raise ValenceError(f"operand of rank {rank} labelled {labels!r}")
-    return n, flat
+        arr = Components.of(x)
+        n = arr.n if arr.rank else None
+    if arr.rank != len(labels):
+        raise ValenceError(f"operand of rank {arr.rank} labelled {labels!r}")
+    return n, arr.flat
 
 
-def _entries(flat: list, labels: str, n: int) -> Tuple[str, Entries]:
+def _entries(flat: tuple, labels: str, n: int) -> Tuple[str, Entries]:
     """Nonzero entries keyed by the distinct labels; a label repeated within
     one operand takes its diagonal."""
     distinct = "".join(dict.fromkeys(labels))
@@ -272,9 +359,9 @@ def contract(spec: str, *operands):
 
     The operands are contracted in pairs, left to right in the order given,
     skipping zero entries; an intermediate stage that summed over an index
-    is canonicalised once per entry.  Returns the final stage raw: a sympy
-    array indexed by the output labels, or one expression when the output
-    is empty.  A malformed spec, or an operand whose rank or dimension does
+    is canonicalised once per entry.  Returns the final stage raw:
+    Components indexed by the output labels, or one expression when the
+    output is empty.  A malformed spec, or an operand whose rank or dimension does
     not match its labels, raises ValenceError.
     """
     inputs, output = _parse_spec(spec, len(operands))
@@ -298,7 +385,7 @@ def contract(spec: str, *operands):
         entries.get(tuple(idx[p] for p in order), sp.Integer(0))
         for idx in itertools.product(range(n), repeat=len(output))
     ]
-    return sp.ImmutableDenseNDimArray(flat, (n,) * len(output))
+    return Components(n, len(output), flat)
 
 
 def _letters(k: int, skip: str = "") -> str:
@@ -342,7 +429,8 @@ def trace11(t: TensorField) -> ScalarField:
 
 def identity_tensor(chart: Chart) -> TensorField:
     n = chart.dim
-    return TensorField(chart, 1, 1, sp.ImmutableDenseNDimArray(sp.eye(n)))
+    flat = [sp.Integer(1 if i == j else 0) for i in range(n) for j in range(n)]
+    return TensorField(chart, 1, 1, Components(n, 2, flat))
 
 
 # --------------------------------------------------------------------
@@ -360,8 +448,8 @@ def metric_inverse(g: TensorField) -> TensorField:
     det = canon(m.det())
     if det == 0:
         raise SingularMetricError(f"metric determinant is identically zero")
-    inv = m.adjugate().applyfunc(lambda e: canon(e / det))
-    return TensorField(g.chart, 2, 0, sp.ImmutableDenseNDimArray(inv))
+    inv = [canon(e / det) for e in m.adjugate()]
+    return TensorField(g.chart, 2, 0, Components(n, 2, inv))
 
 
 def christoffel(g: TensorField) -> "ConnectionCoefficients":
@@ -369,11 +457,12 @@ def christoffel(g: TensorField) -> "ConnectionCoefficients":
 
 
 class ConnectionCoefficients:
-    """Levi-Civita connection coefficients Gamma^k_ij on a chart."""
+    """Levi-Civita connection coefficients Gamma^k_ij on a chart, stored as
+    Components with Gamma^k_ij at offset (k n + i) n + j."""
 
     def __init__(self, chart: Chart, gamma):
         self.chart = chart
-        self.gamma = sp.ImmutableDenseNDimArray(gamma).applyfunc(canon)
+        self.gamma = Components.of(gamma).applyfunc(canon)
 
     @staticmethod
     def from_metric(g: TensorField) -> "ConnectionCoefficients":
@@ -384,7 +473,7 @@ class ConnectionCoefficients:
             [[pdiff(chart.context, g.array[i, j], k) for j in range(n)] for i in range(n)]
             for k in range(n)
         ]
-        gamma = sp.MutableDenseNDimArray.zeros(n, n, n)
+        gamma = [sp.Integer(0)] * n**3
         for k in range(n):
             for i in range(n):
                 for j in range(i, n):
@@ -393,12 +482,17 @@ class ConnectionCoefficients:
                         * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
                         for l in range(n)
                     ) / 2
-                    gamma[k, i, j] = val
-                    gamma[k, j, i] = val
-        return ConnectionCoefficients(chart, gamma)
+                    gamma[(k * n + i) * n + j] = val
+                    gamma[(k * n + j) * n + i] = val
+        return ConnectionCoefficients(chart, Components(n, 3, gamma))
 
     def __getitem__(self, idx):
         return self.gamma[idx]
+
+
+def _strides(n: int, rank: int) -> list:
+    """Offset step of each slot of a row-major rank-`rank` array."""
+    return [n ** (rank - 1 - p) for p in range(rank)]
 
 
 def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> TensorField:
@@ -406,25 +500,23 @@ def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> Tensor
     chart = t.chart
     n = chart.dim
     r, s = t.r, t.s
+    T, G = t.array.flat, conn.gamma.flat
     if r + s == 0:
-        return TensorField(
-            chart, 0, 1, [pdiff(chart.context, t.array[0], c) for c in range(n)]
-        )
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s + 1)))
-    for idx in t.indices():
+        return TensorField(chart, 0, 1, [pdiff(chart.context, T[0], c) for c in range(n)])
+    strides = _strides(n, r + s)
+    out = []  # (nabla T)[idx, c] at offset off * n + c: appended in that order
+    for off, idx in enumerate(t.indices()):
         for c in range(n):
-            val = pdiff(chart.context, t.array[idx], c)
-            for p in range(r):
+            val = pdiff(chart.context, T[off], c)
+            for p, (i, step) in enumerate(zip(idx, strides)):
+                base = off - i * step
                 for m in range(n):
-                    swapped = idx[:p] + (m,) + idx[p + 1 :]
-                    val += conn.gamma[idx[p], c, m] * t.array[swapped]
-            for q in range(s):
-                pos = r + q
-                for m in range(n):
-                    swapped = idx[:pos] + (m,) + idx[pos + 1 :]
-                    val -= conn.gamma[m, c, idx[pos]] * t.array[swapped]
-            out[idx + (c,)] = val
-    return TensorField(chart, r, s + 1, out)
+                    if p < r:  # + Gamma^{i}_{c m} T[.. m ..]
+                        val += G[(i * n + c) * n + m] * T[base + m * step]
+                    else:  # - Gamma^{m}_{c i} T[.. m ..]
+                        val -= G[(m * n + c) * n + i] * T[base + m * step]
+            out.append(val)
+    return TensorField(chart, r, s + 1, Components(n, r + s + 1, out))
 
 
 def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
@@ -434,27 +526,25 @@ def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
     chart = t.chart
     n = chart.dim
     r, s = t.r, t.s
+    V, T = v.array.flat, t.array.flat
     if r + s == 0:
         return TensorField(
-            chart,
-            0,
-            0,
-            sum(v.array[c] * pdiff(chart.context, t.array[0], c) for c in range(n)),
+            chart, 0, 0, sum(V[c] * pdiff(chart.context, T[0], c) for c in range(n))
         )
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * (r + s)))
-    for idx in t.indices():
-        val = sum(v.array[c] * pdiff(chart.context, t.array[idx], c) for c in range(n))
-        for p in range(r):
+    dv = [[pdiff(chart.context, V[i], m) for m in range(n)] for i in range(n)]  # d_m v^i
+    strides = _strides(n, r + s)
+    out = []
+    for off, idx in enumerate(t.indices()):
+        val = sum(V[c] * pdiff(chart.context, T[off], c) for c in range(n))
+        for p, (i, step) in enumerate(zip(idx, strides)):
+            base = off - i * step
             for m in range(n):
-                swapped = idx[:p] + (m,) + idx[p + 1 :]
-                val -= pdiff(chart.context, v.array[idx[p]], m) * t.array[swapped]
-        for q in range(s):
-            pos = r + q
-            for m in range(n):
-                swapped = idx[:pos] + (m,) + idx[pos + 1 :]
-                val += pdiff(chart.context, v.array[m], idx[pos]) * t.array[swapped]
-        out[idx] = val
-    return TensorField(chart, r, s, out)
+                if p < r:  # - (d_m v^i) T[.. m ..]
+                    val -= dv[i][m] * T[base + m * step]
+                else:  # + (d_i v^m) T[.. m ..]
+                    val += dv[m][i] * T[base + m * step]
+        out.append(val)
+    return TensorField(chart, r, s, Components(n, r + s, out))
 
 
 def bracket(v: TensorField, w: TensorField) -> TensorField:
@@ -468,11 +558,11 @@ def is_antisymmetric(t: TensorField) -> bool:
     k = t.s
     if k <= 1:
         return True
-    for idx in t.indices():
+    for idx, e in zip(t.indices(), t.array):
         for a in range(k - 1):
             swapped = list(idx)
             swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-            if canon(t.array[idx] + t.array[tuple(swapped)]) != 0:
+            if canon(e + t.array[tuple(swapped)]) != 0:
                 return False
     return True
 
@@ -488,16 +578,22 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     k = omega.s
     if k == 0:
         return TensorField(
-            chart, 0, 1, [pdiff(chart.context, omega.array[0], c) for c in range(n)]
+            chart, 0, 1, [pdiff(chart.context, omega.array.flat[0], c) for c in range(n)]
         )
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * (k + 1)))
+    out = []
     for idx in itertools.product(range(n), repeat=k + 1):
         val = sp.Integer(0)
         for j in range(k + 1):
             rest = idx[:j] + idx[j + 1 :]
             val += (-1) ** j * pdiff(chart.context, omega.array[rest], idx[j])
-        out[idx] = val
-    return TensorField(chart, 0, k + 1, out)
+        out.append(val)
+    return TensorField(chart, 0, k + 1, Components(n, k + 1, out))
+
+
+def _permutation_sign(perm: Sequence[int]) -> int:
+    """(-1) ** (number of inversions of perm)."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
 def wedge(a: TensorField, b: TensorField) -> TensorField:
@@ -513,17 +609,18 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
         return tensor_product(a, b)
     k = k1 + k2
     norm = sp.Rational(1, sp.factorial(k1) * sp.factorial(k2))
-    out = sp.MutableDenseNDimArray.zeros(*((n,) * k))
+    signed = [(_permutation_sign(perm), perm) for perm in itertools.permutations(range(k))]
+    out = []
     for idx in itertools.product(range(n), repeat=k):
         if len(set(idx)) < k:
+            out.append(sp.Integer(0))
             continue
         val = sp.Integer(0)
-        for perm in itertools.permutations(range(k)):
-            sign = Permutation(perm).signature()
+        for sign, perm in signed:
             p = tuple(idx[perm[t]] for t in range(k))
             val += sign * a.array[p[:k1]] * b.array[p[k1:]]
-        out[idx] = val * norm
-    return TensorField(chart, 0, k, out)
+        out.append(val * norm)
+    return TensorField(chart, 0, k, Components(n, k, out))
 
 
 # --------------------------------------------------------------------
@@ -535,7 +632,7 @@ def riemann(conn: ConnectionCoefficients) -> TensorField:
     chart = conn.chart
     n = chart.dim
     G = conn.gamma
-    out = sp.MutableDenseNDimArray.zeros(n, n, n, n)
+    out = [sp.Integer(0)] * n**4
     for l in range(n):
         for i in range(n):
             for j in range(i + 1, n):
@@ -548,9 +645,9 @@ def riemann(conn: ConnectionCoefficients) -> TensorField:
                         for m in range(n)
                     )
                     val = canon(val)
-                    out[l, i, j, k] = val
-                    out[l, j, i, k] = -val
-    return TensorField(chart, 1, 3, out)
+                    out[((l * n + i) * n + j) * n + k] = val
+                    out[((l * n + j) * n + i) * n + k] = -val
+    return TensorField(chart, 1, 3, Components(n, 4, out))
 
 
 def ricci_tensor(R: TensorField) -> TensorField:

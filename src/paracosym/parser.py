@@ -21,8 +21,10 @@ brackets are open):
 Expression grammar: rational literals (ints, decimals, p/q via '/'),
 coordinate/generator identifiers, parentheses, unary -, binary + - * /,
 and ^ with a non-negative integer exponent of at most MAX_EXPONENT (a
-larger one is a ParseError, not a long expansion).  ^ binds tightest,
-then unary -, then * /, then + -; binary operators are left associative.
+larger one is a ParseError, not a long expansion).  A numeric literal has
+at most MAX_LITERAL_DIGITS digits (a longer one is a ParseError, not a
+ValueError from int()).  ^ binds tightest, then unary -, then * /, then
++ -; binary operators are left associative.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import DefinitionError, ParseError, UnknownIdentifierError
 from .scalars import GeneratorDecl, ScalarContext, ScalarField
 
 MAX_EXPONENT = 8
+MAX_LITERAL_DIGITS = 1000  # well below the interpreter's int-string limit (4300)
 
 # --------------------------------------------------------------------
 # expression AST
@@ -163,6 +166,8 @@ class _Parser:
         tok = self.next()
         kind, text, off = tok
         if kind == "num":
+            if len(text) - text.count(".") > MAX_LITERAL_DIGITS:  # before int()/Fraction()
+                raise ParseError(f"numeric literal exceeds {MAX_LITERAL_DIGITS} digits", off)
             if "." in text:
                 return Lit(sp.Rational(Fraction(text)))
             return Lit(sp.Integer(int(text)))

@@ -19,6 +19,7 @@ import sympy as sp
 from .errors import ConventionBugError, StructureError
 from .geometry import (
     Chart,
+    Components,
     ConnectionCoefficients,
     TensorField,
     apply11,
@@ -63,12 +64,13 @@ def _residual_item(name: str, residual: TensorField) -> CheckItem:
     return CheckItem(name, "fail", witness=f"component {idx}: {sp.sstr(value)}")
 
 
-def _gradient(fld: ScalarField) -> sp.ImmutableDenseNDimArray:
+def _gradient(fld: ScalarField) -> Components:
     """Components of d(fld)."""
-    return sp.ImmutableDenseNDimArray([fld.partial(c).expr for c in range(fld.context.dim)])
+    n = fld.context.dim
+    return Components(n, 1, [fld.partial(c).expr for c in range(n)])
 
 
-def _antisymmetrized(t) -> sp.ImmutableDenseNDimArray:
+def _antisymmetrized(t: Components) -> Components:
     """T[i,a,b] - T[i,b,a] for a raw (1,2) component array."""
     return t - contract("iba->iab", t)
 
@@ -611,8 +613,8 @@ def nijenhuis_normality(s: AlmostParacontactStructure) -> Tuple[TensorField, boo
     n_tot = s.dim
     phi = s.phi.array
     grid = itertools.product(range(n_tot), repeat=3)
-    dphi = sp.ImmutableDenseNDimArray(  # dphi[k, j, m] = d_m phi^k_j
-        [pdiff(chart.context, phi[k, j], m) for k, j, m in grid], (n_tot,) * 3
+    dphi = Components(  # dphi[k, j, m] = d_m phi^k_j
+        n_tot, 3, [pdiff(chart.context, phi[k, j], m) for k, j, m in grid]
     )
     deta = exterior_derivative(s.eta)  # deta[i,j] = 2 d(eta)(d_i, d_j)
     half = contract("mi,kjm->kij", phi, dphi) + contract("km,mij->kij", phi, dphi)

@@ -146,6 +146,25 @@ def test_cli_huge_exponent_exits_4(tmp_path):
     assert "exponent" in proc.stderr
 
 
+@pytest.mark.parametrize("literal", ["7" * 5001, "1." + "3" * 5000], ids=["integer", "decimal"])
+def test_cli_huge_literal_exits_4(tmp_path, literal):
+    # longer than the interpreter's int-string limit: int() would raise ValueError
+    text = catalog_entry("flat_product").definition_text
+    path = tmp_path / "huge.txt"
+    path.write_text(text.replace("xi = [0, 0, 1]", f"xi = [0, 0, {literal}]"))
+    proc = _run(["verify", str(path)])
+    assert proc.returncode == 4
+    assert "digits" in proc.stderr
+
+
+def test_cli_import_leaves_out_sympy_combinatorics():
+    # importing sympy.combinatorics costs about 25 ms in every CLI process
+    code = "import sys, paracosym.cli; print('sympy.combinatorics' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_analyze_json_deterministic(tmp_path):
     path = tmp_path / "e.txt"
     path.write_text(catalog_entry("example_e").definition_text)

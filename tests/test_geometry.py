@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from paracosym.errors import ValenceError
 from paracosym.geometry import (
     Chart,
+    Components,
     ConnectionCoefficients,
     TensorField,
     bracket,
@@ -175,6 +176,76 @@ def test_finite_difference_partials():
             exact = f.partial(c).eval(tuple(pt))
             denom = max(1.0, abs(float(exact)))
             assert abs(float(fd - exact)) / denom < 1e-6
+
+
+# --------------------------------------------------------------------
+# Components against sympy's dense arrays
+
+
+@st.composite
+def _component_pairs(draw):
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, 4))
+    entries = st.lists(st.integers(-3, 3), min_size=n**rank, max_size=n**rank)
+    return n, rank, draw(entries), draw(entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_component_pairs(), st.sampled_from([2, -3, sp.Rational(1, 2), X]))
+def test_components_match_sympy_arrays(case, c):
+    n, rank, a_vals, b_vals = case
+    shape = (n,) * rank
+    a, b = (Components(n, rank, [sp.Integer(v) for v in vals]) for vals in (a_vals, b_vals))
+    A, B = (sp.ImmutableDenseNDimArray(vals, shape) for vals in (a_vals, b_vals))
+    indices = list(itertools.product(range(n), repeat=rank))
+
+    def flat(oracle):
+        return tuple(oracle[i] for i in indices)
+
+    assert [a[i] for i in indices] == list(flat(A))
+    if rank == 1:
+        assert [a[i] for i in range(n)] == [A[i] for i in range(n)]
+    assert tuple(a) == flat(A)  # iteration is row-major
+    f = lambda e: e**2 - 1
+    # sympy's applyfunc fails on a rank-0 array
+    applied = A.applyfunc(f) if rank else sp.ImmutableDenseNDimArray([f(A[()])], ())
+    cases = [
+        (a + b, A + B),
+        (a - b, A - B),
+        (-a, -A),
+        (a * c, A * c),
+        (c * a, c * A),
+        (a / c, A / c),
+        (a.applyfunc(f), applied),
+    ]
+    for got, want in cases:
+        assert (got.n, got.rank, got.flat) == (n, rank, flat(want))
+
+
+def test_components_shape_mismatch_raises():
+    a = Components(3, 2, [sp.Integer(k) for k in range(9)])
+    others = [
+        Components(3, 1, [sp.Integer(k) for k in range(3)]),  # other rank
+        Components(2, 2, [sp.Integer(k) for k in range(4)]),  # other dimension
+        [[0] * 3] * 3,  # not Components
+    ]
+    for other in others:
+        with pytest.raises(ValenceError):
+            a + other
+        with pytest.raises(ValenceError):
+            a - other
+    with pytest.raises(ValenceError):
+        Components(3, 2, [sp.Integer(0)] * 8)
+
+
+def test_equal_components_hash_equal():
+    vals = [X, sp.Integer(0), Y * Z, sp.Rational(1, 2)]
+    a = Components(2, 2, vals)
+    b = Components.of([[X, 0], [Z * Y, sp.Rational(1, 2)]])
+    assert a == b and hash(a) == hash(b)
+    assert a != Components(4, 1, vals)
+    assert a != Components(2, 2, vals[::-1])
+    assert hash(TensorField(CHART, 1, 0, [X, Y, Z])) == hash(TensorField(CHART, 1, 0, [X, Y, Z]))
 
 
 # --------------------------------------------------------------------

@@ -4,6 +4,7 @@ import sympy as sp
 from paracosym.errors import DefinitionError, ParseError, UnknownIdentifierError
 from paracosym.parser import (
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     load_definition,
     parse_expression,
     parse_scalar,
@@ -52,6 +53,14 @@ def test_unknown_identifier():
 def test_exponent_bounded():
     assert parse_scalar(f"x^{MAX_EXPONENT}", CTX) == CTX.coordinate(0) ** MAX_EXPONENT
     for text in [f"x^{MAX_EXPONENT + 1}", "(x + y)^1000000", "x^" + "9" * 5000]:
+        with pytest.raises(ParseError):
+            parse_expression(text, NAMES)
+
+
+def test_literal_length_bounded():
+    assert parse_scalar("1" * MAX_LITERAL_DIGITS, CTX).expr == int("1" * MAX_LITERAL_DIGITS)
+    assert parse_expression("0." + "5" * (MAX_LITERAL_DIGITS - 1), NAMES)
+    for text in ["1" * (MAX_LITERAL_DIGITS + 1), "0." + "5" * MAX_LITERAL_DIGITS, "9" * 5001]:
         with pytest.raises(ParseError):
             parse_expression(text, NAMES)
 
