@@ -17,14 +17,15 @@ formulas.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
 
-from .errors import EngineError, StructureError
-from .geometry import Components, TensorField, compose11, contract, covariant_derivative
+from .errors import StructureError
+from .geometry import TensorField, compose11, contract, identity_tensor
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
 from .scalars import canon, pdiff
@@ -91,23 +92,6 @@ def _exact_sign(val: sp.Expr) -> int:
     return 1 if f > 0 else -1
 
 
-def classify_h_grid(
-    an: StructureAnalysis, points: Sequence[Sequence[Fraction]]
-) -> Tuple[List[HType], Optional[str]]:
-    """Classify at several points; a tag change is a warning, not an error."""
-    results = []
-    for pt in points:
-        try:
-            results.append(classify_h(an, pt))
-        except EngineError:
-            continue
-    tags = {r.tag for r in results}
-    warning = None
-    if len(tags) > 1:
-        warning = f"h-type changes across the sample grid: {sorted(tags)}"
-    return results, warning
-
-
 # --------------------------------------------------------------------
 # the impossible Jordan shape
 
@@ -150,47 +134,27 @@ def h4_impossibility_test() -> bool:
     return all(nrm == 0 for nrm in norms)
 
 
-def template_consistency_control(kind: str) -> bool:
-    """h1/h2 canonical templates do admit a unit xi in their kernel."""
-    g_orth = sp.Matrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g_pseudo = sp.Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    if kind == "h1":
-        h = sp.Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-        g = g_orth
-    elif kind == "h2":
-        h = sp.Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-        g = g_pseudo
-    else:
-        raise ValueError(kind)
-    ns = h.nullspace()
-    for v in ns:
-        if (v.T * g * v)[0, 0] != 0:
-            return True  # a non-null kernel vector exists; normalize to xi
-    return False
-
-
 # --------------------------------------------------------------------
 # adapted frames (as local vector fields, possibly sqrt-bearing)
 
 
 @dataclass
 class AdaptedFrame:
+    """Frame vectors as component lists of sympy expressions: they may
+    carry algebraic constants (sqrt(...)) outside the chart's field."""
+
     kind: str  # "orthonormal-phi" | "pseudo-orthonormal"
-    e1: TensorField
-    e2: TensorField
-    e3: TensorField  # always xi
+    e1: List[sp.Expr]
+    e2: List[sp.Expr]
+    e3: List[sp.Expr]  # always xi
     exact: bool  # True when all components are rational functions
     lam: Optional[sp.Expr] = None  # signed eigenfunction (H1/H3)
     sigma_sign: Optional[int] = None  # phi e1 = sigma_sign * e1 (H2)
 
 
-def _is_rational_frame(*fields: TensorField) -> bool:
-    for f in fields:
-        syms = f.chart.context.coord_symbols + f.chart.context.gen_symbols
-        for idx in f.indices():
-            if not f.array[idx].is_rational_function(*syms):
-                return False
-    return True
+def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
+    syms = an.chart.context.coord_symbols + an.chart.context.gen_symbols
+    return all(c.is_rational_function(*syms) for v in vectors for c in v)
 
 
 def _g_of(an: StructureAnalysis, v, w) -> sp.Expr:
@@ -230,7 +194,6 @@ def build_adapted_frame(
     an: StructureAnalysis, htype: HType
 ) -> AdaptedFrame:
     s = an.structure
-    chart = an.chart
     pt = htype.point
     phi = s.phi
     h = an.h
@@ -306,8 +269,8 @@ def build_adapted_frame(
                 ]
 
         pe_field = _apply_op(phi, e_field)
-        E1 = TensorField(chart, 1, 0, e_field)
-        E2 = TensorField(chart, 1, 0, pe_field)
+        e1 = [canon(c) for c in e_field]
+        e2 = [canon(c) for c in pe_field]
         if htype.tag == "H1":
             lam_signed = canon(-_g_of(an, _apply_op(h, e_field), e_field))
         elif htype.tag == "H3":
@@ -316,10 +279,10 @@ def build_adapted_frame(
             lam_signed = sp.Integer(0)
         frame = AdaptedFrame(
             "orthonormal-phi",
-            E1,
-            E2,
-            s.xi,
-            exact=_is_rational_frame(E1, E2),
+            e1,
+            e2,
+            list(s.xi.array),
+            exact=_is_rational_frame(an, e1, e2),
             lam=lam_signed,
         )
         _check_frame_pattern(an, frame, htype)
@@ -337,17 +300,16 @@ def build_adapted_frame(
         cfac = 1 / sp.sqrt(u)
         e2 = [canon(cfac * c) for c in hw]
         e1 = [canon(cfac * (a + t * b)) for a, b in zip(w, hw)]
-        E1 = TensorField(chart, 1, 0, e1)
-        E2 = TensorField(chart, 1, 0, e2)
         sig = _g_of(an, _apply_op(phi, e1), e2)
         sig_at = numval(sig)
         sigma_sign = 1 if sig_at > 0 else -1
+        e1, e2 = [canon(c) for c in e1], [canon(c) for c in e2]
         frame = AdaptedFrame(
             "pseudo-orthonormal",
-            E1,
-            E2,
-            s.xi,
-            exact=_is_rational_frame(E1, E2),
+            e1,
+            e2,
+            list(s.xi.array),
+            exact=_is_rational_frame(an, e1, e2),
             sigma_sign=sigma_sign,
         )
         _check_frame_pattern(an, frame, htype)
@@ -358,6 +320,8 @@ def build_adapted_frame(
 def _zero_at(an: StructureAnalysis, expr: sp.Expr, pt, tol: float = 1e-9):
     """(ok, witness, numeric_used) for expr = 0 at a point; exact first."""
     val = _subs_point(an, expr, pt)
+    if sp.expand(val) == 0:  # most table entries vanish already when expanded
+        return True, None, False
     simplified = sp.simplify(sp.radsimp(val))
     if simplified == 0:
         return True, None, False
@@ -370,9 +334,7 @@ def _zero_at(an: StructureAnalysis, expr: sp.Expr, pt, tol: float = 1e-9):
 def _check_frame_pattern(an: StructureAnalysis, frame: AdaptedFrame, htype: HType):
     """Metric values and h-action of the frame at the point."""
     pt = htype.point
-    e1 = [frame.e1.array[i] for i in range(3)]
-    e2 = [frame.e2.array[i] for i in range(3)]
-    xi = [frame.e3.array[i] for i in range(3)]
+    e1, e2, xi = frame.e1, frame.e2, frame.e3
     pairs = {
         "orthonormal-phi": [
             (e1, e1, -1),
@@ -432,25 +394,26 @@ class FrameDerivativeTable:
         return all(it.ok for it in self.items)
 
 
-def _cov(v: TensorField, nabla_w: TensorField) -> List[sp.Expr]:
-    """Components of nabla_v w, from nabla w (direction slot last)."""
-    return [canon(c) for c in contract("iz,z->i", nabla_w, v)]
+def _nabla(an: StructureAnalysis, w: List[sp.Expr]) -> List[List[sp.Expr]]:
+    """(nabla w)[i][c] = d_c w^i + Gamma^i_{cm} w^m, each entry canonical."""
+    ctx, G = an.chart.context, an.conn.array
+    return [
+        [canon(pdiff(ctx, w[i], c) + sum(G[i, c, m] * w[m] for m in range(3))) for c in range(3)]
+        for i in range(3)
+    ]
 
 
-def _lie_bracket(an: StructureAnalysis, v: TensorField, w: TensorField) -> List[sp.Expr]:
-    chart = an.chart
-    out = []
-    for i in range(3):
-        out.append(
-            canon(
-                sum(
-                    v.array[j] * pdiff(chart.context, w.array[i], j)
-                    - w.array[j] * pdiff(chart.context, v.array[i], j)
-                    for j in range(3)
-                )
-            )
-        )
-    return out
+def _cov(v: List[sp.Expr], nabla_w: List[List[sp.Expr]]) -> List[sp.Expr]:
+    """Components of nabla_v w, from nabla w (direction index last)."""
+    return [canon(sp.Add(*(row[z] * v[z] for z in range(3)))) for row in nabla_w]
+
+
+def _lie_bracket(an: StructureAnalysis, v: List[sp.Expr], w: List[sp.Expr]) -> List[sp.Expr]:
+    ctx = an.chart.context
+    return [
+        canon(sum(v[j] * pdiff(ctx, w[i], j) - w[j] * pdiff(ctx, v[i], j) for j in range(3)))
+        for i in range(3)
+    ]
 
 
 def _sigma_of(an: StructureAnalysis, v: List[sp.Expr]) -> sp.Expr:
@@ -477,10 +440,7 @@ def verify_frame_tables(
     s = an.structure
     pt = htype.point
     alpha = an.alpha.expr
-    E1, E2, XI = frame.e1, frame.e2, frame.e3
-    e1 = [E1.array[i] for i in range(3)]
-    e2 = [E2.array[i] for i in range(3)]
-    xi = [XI.array[i] for i in range(3)]
+    e1, e2, xi = frame.e1, frame.e2, frame.e3
     items: List[CheckItem] = []
 
     def lin(*terms):
@@ -490,19 +450,20 @@ def verify_frame_tables(
             out = [o + coef * c for o, c in zip(out, vec)]
         return out
 
-    nab_e1, nab_e2, nab_xi = (covariant_derivative(f, an.conn) for f in (E1, E2, XI))
+    nab_e1, nab_e2, nab_xi = (_nabla(an, f) for f in (e1, e2, xi))
     sig_e1 = _sigma_of(an, e1)
     sig_e2 = _sigma_of(an, e2)
-    szz = canon(
-        sum(an.S.array[a, b] * s.xi.array[a] * s.xi.array[b] for a in range(3) for b in range(3))
-    )
-    h = an.h
-    hphi = compose11(h, s.phi)
-    nab_xi_h = an.nab_xi_h
-    phi2 = an.proj
+    h = an.h.array.flat
+    hphi = compose11(an.h, s.phi).array.flat
+    nab_xi_h = an.nab_xi_h.array.flat
+    h2 = compose11(an.h, an.h)
+
+    def res13():  # h^2 - alpha^2 phi^2 - (1/2) S(xi,xi) phi^2, phi^2 = the projection
+        szz = contract("ab,a,b->", an.S, s.xi, s.xi)
+        return TensorField(an.chart, 1, 1, h2.comps - (an.alpha**2 + szz / 2) * an.proj.comps)
 
     # a1 = g(nabla_xi e, phi e) for H1/H3/Zero; a2 = g(nabla_xi e1, e2) for H2
-    a_coef = _g_of(an, _cov(XI, nab_e1), e2)
+    a_coef = _g_of(an, _cov(xi, nab_e1), e2)
 
     table = FrameDerivativeTable(
         a=_subs_point(an, a_coef, pt),
@@ -519,22 +480,21 @@ def verify_frame_tables(
         dxi_lam = _deriv_along(an, xi, lam)
         c1 = canon((sig_e1 - dpe_lam) / (2 * lam))
         c2 = canon(-(sig_e2 + de_lam) / (2 * lam))
-        items.append(_table_item(an, "nabla_e e", _cov(E1, nab_e1), lin((c1, e2), (alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_e phie", _cov(E1, nab_e2), lin((c1, e1), (-lam, xi)), pt))
-        items.append(_table_item(an, "nabla_e xi", _cov(E1, nab_xi), lin((alpha, e1), (lam, e2)), pt))
-        items.append(_table_item(an, "nabla_phie e", _cov(E2, nab_e1), lin((c2, e2), (-lam, xi)), pt))
-        items.append(_table_item(an, "nabla_phie phie", _cov(E2, nab_e2), lin((c2, e1), (-alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_phie xi", _cov(E2, nab_xi), lin((alpha, e2), (-lam, e1)), pt))
-        items.append(_table_item(an, "nabla_xi e", _cov(XI, nab_e1), lin((a_coef, e2)), pt))
-        items.append(_table_item(an, "nabla_xi phie", _cov(XI, nab_e2), lin((a_coef, e1)), pt))
-        items.append(_table_item(an, "[e,xi]", _lie_bracket(an, E1, XI), lin((alpha, e1), ((lam - a_coef), e2)), pt))
-        items.append(_table_item(an, "[phie,xi]", _lie_bracket(an, E2, XI), lin((-(lam + a_coef), e1), ((alpha), e2)), pt))
-        items.append(_table_item(an, "[e,phie]", _lie_bracket(an, E1, E2), lin((c1, e1), ((-c2), e2)), pt))
+        items.append(_table_item(an, "nabla_e e", _cov(e1, nab_e1), lin((c1, e2), (alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_e phie", _cov(e1, nab_e2), lin((c1, e1), (-lam, xi)), pt))
+        items.append(_table_item(an, "nabla_e xi", _cov(e1, nab_xi), lin((alpha, e1), (lam, e2)), pt))
+        items.append(_table_item(an, "nabla_phie e", _cov(e2, nab_e1), lin((c2, e2), (-lam, xi)), pt))
+        items.append(_table_item(an, "nabla_phie phie", _cov(e2, nab_e2), lin((c2, e1), (-alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_phie xi", _cov(e2, nab_xi), lin((alpha, e2), (-lam, e1)), pt))
+        items.append(_table_item(an, "nabla_xi e", _cov(xi, nab_e1), lin((a_coef, e2)), pt))
+        items.append(_table_item(an, "nabla_xi phie", _cov(xi, nab_e2), lin((a_coef, e1)), pt))
+        items.append(_table_item(an, "[e,xi]", _lie_bracket(an, e1, xi), lin((alpha, e1), ((lam - a_coef), e2)), pt))
+        items.append(_table_item(an, "[phie,xi]", _lie_bracket(an, e2, xi), lin((-(lam + a_coef), e1), ((alpha), e2)), pt))
+        items.append(_table_item(an, "[e,phie]", _lie_bracket(an, e1, e2), lin((c1, e1), ((-c2), e2)), pt))
         # nabla_xi h = xi(lam) h/lam - 2 a hphi
-        res12 = nab_xi_h - h.scale(dxi_lam / lam) + hphi.scale(2 * a_coef)
+        res12 = _add(_sub(nab_xi_h, _scale(h, dxi_lam / lam)), _scale(hphi, 2 * a_coef))
         items.append(_mat_item(an, "nabla_xi h relation", res12, pt))
-        res13 = compose11(h, h) - phi2.scale(alpha**2) - phi2.scale(szz / 2)
-        items.append(_mat_item(an, "h^2 - alpha^2 phi^2 = (1/2)S(xi,xi) phi^2", res13, pt))
+        items.append(_mat_item(an, "h^2 - alpha^2 phi^2 = (1/2)S(xi,xi) phi^2", res13().array.flat, pt))
         table.b = {
             "(sigma(e)-phie(lam))/(2 lam)": _subs_point(an, c1, pt),
             "-(sigma(phie)+e(lam))/(2 lam)": _subs_point(an, c2, pt),
@@ -542,22 +502,22 @@ def verify_frame_tables(
 
     elif htype.tag == "H2":
         sgn = frame.sigma_sign
-        b1 = _g_of(an, _cov(E1, nab_e2), e1)
-        b2 = _g_of(an, _cov(E2, nab_e2), e1)
-        items.append(_table_item(an, "nabla_e1 e1", _cov(E1, nab_e1), lin((-b1, e1), (sp.Integer(sgn), xi)), pt))
-        items.append(_table_item(an, "nabla_e1 e2", _cov(E1, nab_e2), lin((b1, e2), (-alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_e1 xi", _cov(E1, nab_xi), lin((alpha, e1), (sp.Integer(-sgn), e2)), pt))
-        items.append(_table_item(an, "nabla_e2 e1", _cov(E2, nab_e1), lin((-b2, e1), (-alpha, xi)), pt))
-        items.append(_table_item(an, "nabla_e2 e2", _cov(E2, nab_e2), lin((b2, e2)), pt))
-        items.append(_table_item(an, "nabla_e2 xi", _cov(E2, nab_xi), lin((alpha, e2)), pt))
-        items.append(_table_item(an, "nabla_xi e1", _cov(XI, nab_e1), lin((a_coef, e1)), pt))
-        items.append(_table_item(an, "nabla_xi e2", _cov(XI, nab_e2), lin((-a_coef, e2)), pt))
-        items.append(_table_item(an, "[e1,xi]", _lie_bracket(an, E1, XI), lin(((alpha - a_coef), e1), (sp.Integer(-sgn), e2)), pt))
-        items.append(_table_item(an, "[e2,xi]", _lie_bracket(an, E2, XI), lin(((alpha + a_coef), e2)), pt))
-        items.append(_table_item(an, "[e1,e2]", _lie_bracket(an, E1, E2), lin((b2, e1), (b1, e2)), pt))
-        res12 = nab_xi_h + hphi.scale(2 * a_coef * sgn)
+        b1 = _g_of(an, _cov(e1, nab_e2), e1)
+        b2 = _g_of(an, _cov(e2, nab_e2), e1)
+        items.append(_table_item(an, "nabla_e1 e1", _cov(e1, nab_e1), lin((-b1, e1), (sp.Integer(sgn), xi)), pt))
+        items.append(_table_item(an, "nabla_e1 e2", _cov(e1, nab_e2), lin((b1, e2), (-alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_e1 xi", _cov(e1, nab_xi), lin((alpha, e1), (sp.Integer(-sgn), e2)), pt))
+        items.append(_table_item(an, "nabla_e2 e1", _cov(e2, nab_e1), lin((-b2, e1), (-alpha, xi)), pt))
+        items.append(_table_item(an, "nabla_e2 e2", _cov(e2, nab_e2), lin((b2, e2)), pt))
+        items.append(_table_item(an, "nabla_e2 xi", _cov(e2, nab_xi), lin((alpha, e2)), pt))
+        items.append(_table_item(an, "nabla_xi e1", _cov(xi, nab_e1), lin((a_coef, e1)), pt))
+        items.append(_table_item(an, "nabla_xi e2", _cov(xi, nab_e2), lin((-a_coef, e2)), pt))
+        items.append(_table_item(an, "[e1,xi]", _lie_bracket(an, e1, xi), lin(((alpha - a_coef), e1), (sp.Integer(-sgn), e2)), pt))
+        items.append(_table_item(an, "[e2,xi]", _lie_bracket(an, e2, xi), lin(((alpha + a_coef), e2)), pt))
+        items.append(_table_item(an, "[e1,e2]", _lie_bracket(an, e1, e2), lin((b2, e1), (b1, e2)), pt))
+        res12 = _add(nab_xi_h, _scale(hphi, 2 * a_coef * sgn))
         items.append(_mat_item(an, "nabla_xi h relation", res12, pt))
-        items.append(_mat_item(an, "h^2 = 0", compose11(h, h), pt))
+        items.append(_mat_item(an, "h^2 = 0", h2.array.flat, pt))
         ok, witness, _ = _zero_at(an, b2 + sig_e1 / 2, pt)
         items.append(
             CheckItem("b2 = -(1/2) sigma(e1)", "pass" if ok else "fail", witness=witness)
@@ -573,23 +533,22 @@ def verify_frame_tables(
         de_lam = _deriv_along(an, e1, lam)
         dpe_lam = _deriv_along(an, e2, lam)
         dxi_lam = _deriv_along(an, xi, lam)
-        b3 = _g_of(an, _cov(E1, nab_e1), e2)
-        b4 = _g_of(an, _cov(E2, nab_e1), e2)
-        items.append(_table_item(an, "nabla_e e", _cov(E1, nab_e1), lin((b3, e2), ((alpha + lam), xi)), pt))
-        items.append(_table_item(an, "nabla_e phie", _cov(E1, nab_e2), lin((b3, e1)), pt))
-        items.append(_table_item(an, "nabla_e xi", _cov(E1, nab_xi), lin(((alpha + lam), e1)), pt))
-        items.append(_table_item(an, "nabla_phie e", _cov(E2, nab_e1), lin((b4, e2)), pt))
-        items.append(_table_item(an, "nabla_phie phie", _cov(E2, nab_e2), lin((b4, e1), ((lam - alpha), xi)), pt))
-        items.append(_table_item(an, "nabla_phie xi", _cov(E2, nab_xi), lin(((alpha - lam), e2)), pt))
-        items.append(_table_item(an, "nabla_xi e", _cov(XI, nab_e1), lin((a_coef, e2)), pt))
-        items.append(_table_item(an, "nabla_xi phie", _cov(XI, nab_e2), lin((a_coef, e1)), pt))
-        items.append(_table_item(an, "[e,xi]", _lie_bracket(an, E1, XI), lin(((alpha + lam), e1), ((-a_coef), e2)), pt))
-        items.append(_table_item(an, "[phie,xi]", _lie_bracket(an, E2, XI), lin(((-a_coef), e1), ((alpha - lam), e2)), pt))
-        items.append(_table_item(an, "[e,phie]", _lie_bracket(an, E1, E2), lin((b3, e1), ((-b4), e2)), pt))
-        res12 = nab_xi_h - h.scale(dxi_lam / lam) + hphi.scale(2 * a_coef)
+        b3 = _g_of(an, _cov(e1, nab_e1), e2)
+        b4 = _g_of(an, _cov(e2, nab_e1), e2)
+        items.append(_table_item(an, "nabla_e e", _cov(e1, nab_e1), lin((b3, e2), ((alpha + lam), xi)), pt))
+        items.append(_table_item(an, "nabla_e phie", _cov(e1, nab_e2), lin((b3, e1)), pt))
+        items.append(_table_item(an, "nabla_e xi", _cov(e1, nab_xi), lin(((alpha + lam), e1)), pt))
+        items.append(_table_item(an, "nabla_phie e", _cov(e2, nab_e1), lin((b4, e2)), pt))
+        items.append(_table_item(an, "nabla_phie phie", _cov(e2, nab_e2), lin((b4, e1), ((lam - alpha), xi)), pt))
+        items.append(_table_item(an, "nabla_phie xi", _cov(e2, nab_xi), lin(((alpha - lam), e2)), pt))
+        items.append(_table_item(an, "nabla_xi e", _cov(xi, nab_e1), lin((a_coef, e2)), pt))
+        items.append(_table_item(an, "nabla_xi phie", _cov(xi, nab_e2), lin((a_coef, e1)), pt))
+        items.append(_table_item(an, "[e,xi]", _lie_bracket(an, e1, xi), lin(((alpha + lam), e1), ((-a_coef), e2)), pt))
+        items.append(_table_item(an, "[phie,xi]", _lie_bracket(an, e2, xi), lin(((-a_coef), e1), ((alpha - lam), e2)), pt))
+        items.append(_table_item(an, "[e,phie]", _lie_bracket(an, e1, e2), lin((b3, e1), ((-b4), e2)), pt))
+        res12 = _add(_sub(nab_xi_h, _scale(h, dxi_lam / lam)), _scale(hphi, 2 * a_coef))
         items.append(_mat_item(an, "nabla_xi h relation", res12, pt))
-        res13 = compose11(h, h) - phi2.scale(alpha**2) - phi2.scale(szz / 2)
-        items.append(_mat_item(an, "h^2 - alpha^2 phi^2 = (1/2)S(xi,xi) phi^2", res13, pt))
+        items.append(_mat_item(an, "h^2 - alpha^2 phi^2 = (1/2)S(xi,xi) phi^2", res13().array.flat, pt))
         ok, witness, _ = _zero_at(an, b3 + (sig_e2 + dpe_lam) / (2 * lam), pt)
         items.append(
             CheckItem("b3 = -(sigma(phie)+phie(lam))/(2 lam)", "pass" if ok else "fail", witness=witness)
@@ -601,20 +560,37 @@ def verify_frame_tables(
         table.b = {"b3": _subs_point(an, b3, pt), "b4": _subs_point(an, b4, pt)}
 
     else:  # Zero
-        items.append(_table_item(an, "nabla_e xi = alpha e", _cov(E1, nab_xi), lin((alpha, e1)), pt))
-        items.append(_table_item(an, "nabla_phie xi = alpha phie", _cov(E2, nab_xi), lin((alpha, e2)), pt))
+        items.append(_table_item(an, "nabla_e xi = alpha e", _cov(e1, nab_xi), lin((alpha, e1)), pt))
+        items.append(_table_item(an, "nabla_phie xi = alpha phie", _cov(e2, nab_xi), lin((alpha, e2)), pt))
         items.append(_mat_item(an, "h = 0", h, pt))
 
     table.items = items
     return table
 
 
-def _mat_item(an: StructureAnalysis, name: str, t: TensorField, pt) -> CheckItem:
-    for idx in t.indices():
-        ok, witness, _ = _zero_at(an, t.array[idx], pt)
+def _mat_item(an: StructureAnalysis, name: str, flat: Sequence[sp.Expr], pt) -> CheckItem:
+    """Every entry of a row-major 3x3 matrix vanishes at the point."""
+    for idx, e in zip(itertools.product(range(3), repeat=2), flat):
+        ok, witness, _ = _zero_at(an, e, pt)
         if not ok:
             return CheckItem(name, "fail", witness=f"component {idx}: {witness}")
     return CheckItem(name, "pass")
+
+
+# entrywise matrix steps on sympy views, each entry canonical; the operands
+# may carry algebraic constants, so they stay out of the field
+
+
+def _scale(m: Sequence[sp.Expr], f: sp.Expr) -> List[sp.Expr]:
+    return [canon(a * f) for a in m]
+
+
+def _add(m1: Sequence[sp.Expr], m2: Sequence[sp.Expr]) -> List[sp.Expr]:
+    return [canon(a + b) for a, b in zip(m1, m2)]
+
+
+def _sub(m1: Sequence[sp.Expr], m2: Sequence[sp.Expr]) -> List[sp.Expr]:
+    return [canon(a - b) for a, b in zip(m1, m2)]
 
 
 # --------------------------------------------------------------------
@@ -635,28 +611,18 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="3-dimensional statement")
     if not an.is_apc or not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="needs constant alpha")
-    rng = range(3)
-    alpha = an.alpha.expr
-    r = an.r.expr
-    T = canon(sum(compose11(an.h, an.h).array[i, i] for i in rng) / 2)
-    eta, xi = s.eta.array, s.xi.array
-    sig = an.sigma.array
-    ginv = an.ginv.array
-    sig_sharp = [sum(ginv[i, j] * sig[j] for j in rng) for i in rng]
-    phih = an.phih
-    phi_nab = compose11(s.phi, an.nab_xi_h)
-    delta = sp.eye(3)
-    rhs = [
-        (r / 2 + alpha**2 - T) * delta[i, j]
-        + (-r / 2 + 3 * (T - alpha**2)) * eta[j] * xi[i]
-        - 2 * alpha * phih.array[i, j]
-        - phi_nab.array[i, j]
-        + sig[j] * xi[i]
-        + eta[j] * sig_sharp[i]
-        for i in rng
-        for j in rng
-    ]
-    return _residual_item(name, an.Q - TensorField(an.chart, 1, 1, Components(3, 2, rhs)))
+    alpha, r = an.alpha, an.r
+    T = contract("ik,ki->", an.h, an.h) / 2
+    sig_sharp = contract("ij,j->i", an.ginv, an.sigma)
+    rhs = (
+        (r / 2 + alpha**2 - T) * identity_tensor(an.chart).comps
+        + (-r / 2 + 3 * (T - alpha**2)) * contract("i,j->ij", s.xi, s.eta)
+        - 2 * alpha * an.phih.comps
+        - contract("ik,kj->ij", s.phi, an.nab_xi_h)
+        + contract("i,j->ij", s.xi, an.sigma)
+        + contract("i,j->ij", sig_sharp, s.eta)
+    )
+    return _residual_item(name, TensorField(an.chart, 1, 1, an.Q.comps - rhs))
 
 
 # --------------------------------------------------------------------
@@ -720,8 +686,7 @@ def harmonic_nullity_equivalence(
 
     if frame is None:
         frame = build_adapted_frame(an, htype)
-    nab_e1 = covariant_derivative(frame.e1, an.conn)
-    a_coef = _g_of(an, _cov(frame.e3, nab_e1), [frame.e2.array[i] for i in range(3)])
+    a_coef = _g_of(an, _cov(frame.e3, _nabla(an, frame.e1)), frame.e2)
     kappa, mu, nu = fit.kappa.expr, fit.mu.expr, fit.nu.expr
     T = canon(sum(compose11(an.h, an.h).array[i, i] for i in range(3)) / 2)
     if htype.tag == "H1":

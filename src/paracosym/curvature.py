@@ -9,8 +9,7 @@ commutator, constant sectional curvature, harmonicity of xi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import sympy as sp
 
@@ -21,7 +20,7 @@ from .geometry import (
     covariant_derivative,
     identity_tensor,
 )
-from .scalars import ScalarField, canon
+from .scalars import ScalarField
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -40,8 +39,8 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
         return [CheckItem("R(X,Y)xi formulas", "skip", reason="not apc")]
 
     eta = s.eta
-    alpha = an.alpha.expr
-    delta = identity_tensor(chart).array
+    alpha = an.alpha
+    delta = identity_tensor(chart).comps
     rxy_xi = contract("iabk,k->iab", an.R, s.xi)  # R(d_a, d_b) xi
     nab_phih = contract("iba->iab", an.nabphih)  # (nabla_{d_a} phi.h) d_b
     items: List[CheckItem] = []
@@ -50,7 +49,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     #   - alpha eta(Y)(alpha X + phi.h X) + (nabla_X phi.h)Y - (nabla_Y phi.h)X
     rhs = (
         contract("a,ib->iab", _gradient(an.alpha), an.proj)
-        + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih.array))
+        + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih.comps))
         + nab_phih
     )
     items.append(
@@ -61,8 +60,8 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     )
 
     if s.n >= 2 and an.alpha_extraction.f is not None:
-        f = an.alpha_extraction.f.expr
-        B = (f + alpha**2) * delta + alpha * an.phih.array
+        f = an.alpha_extraction.f
+        B = (f + alpha**2) * delta + alpha * an.phih.comps
         rhs2 = contract("a,ib->iab", eta, B) + nab_phih
         items.append(
             _residual_item(
@@ -104,7 +103,7 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
         return [CheckItem(nm, "skip", reason="alpha is not constant") for nm in names]
 
     phi, xi = s.phi, s.xi
-    alpha = an.alpha.expr
+    alpha = an.alpha
     h, l = an.h, an.l  # R(xi,X)xi = -l X
     items: List[CheckItem] = []
 
@@ -114,32 +113,32 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     # R(xi,X)xi = alpha^2 phi^2 X + 2 alpha phi h X - h^2 X + phi (nabla_xi h) X
     res1 = (
-        -l.array
+        -l.comps
         - alpha**2 * phi2
-        - 2 * alpha * an.phih.array
-        + h2.array
+        - 2 * alpha * an.phih.comps
+        + h2.comps
         - contract("ik,kj->ij", phi, nab_xi_h)
     )
     items.append(_residual_item(names[0], TensorField(chart, 1, 1, res1)))
 
     # (nabla_xi h) X = -alpha^2 phi X - 2 alpha h X + phi h^2 X - phi R(X,xi)xi
     res2 = (
-        nab_xi_h.array
-        + alpha**2 * phi.array
-        + 2 * alpha * h.array
-        + contract("ik,kj->ij", phi, l.array - h2.array)
+        nab_xi_h.comps
+        + alpha**2 * phi.comps
+        + 2 * alpha * h.comps
+        + contract("ik,kj->ij", phi, l.comps - h2.comps)
     )
     items.append(_residual_item(names[1], TensorField(chart, 1, 1, res2)))
 
     # (1/2)(R(xi,X)xi + phi R(xi, phi X)xi) = alpha^2 phi^2 X - h^2 X
-    average = -(l.array + contract("im,mn,nj->ij", phi, l, phi)) / 2
-    res3 = average - alpha**2 * phi2 + h2.array
+    average = -(l.comps + contract("im,mn,nj->ij", phi, l, phi)) / 2
+    res3 = average - alpha**2 * phi2 + h2.comps
     items.append(_residual_item(names[2], TensorField(chart, 1, 1, res3)))
 
     # S(X,xi) = -2n alpha^2 eta(X) + g(div(phi.h), X)
     res4 = (
         contract("jk,k->j", an.S, xi)
-        + 2 * n * alpha**2 * s.eta.array
+        + 2 * n * alpha**2 * s.eta.comps
         - contract("mj,m->j", s.g, divergence_phih(an))
     )
     items.append(_residual_item(names[3], TensorField(chart, 0, 1, res4)))
@@ -159,7 +158,7 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="alpha is not constant")
     chart = an.chart
     g, phi, eta = s.g, s.phi, s.eta
-    alpha = an.alpha.expr
+    alpha = an.alpha
 
     # Y[n,a,b] = g(R(xi, d_a) d_b, d_n), staged R.xi first
     Y = TensorField(chart, 0, 3, contract("imab,m,in->nab", an.R, s.xi, g))
@@ -170,7 +169,7 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
         - contract("nkb,ka,nc->abc", Y, phi, phi)
     )
     # M[a,c] = alpha g(d_a, d_c) + g(phi.h d_a, d_c)
-    M = alpha * g.array + contract("mc,ma->ac", g, an.phih)
+    M = alpha * g.comps + contract("mc,ma->ac", g, an.phih)
     rhs = 2 * contract("da,bcd->abc", an.h, an.nabPhi) + 2 * alpha * (
         contract("b,ac->abc", eta, M) - contract("c,ab->abc", eta, M)
     )
@@ -190,14 +189,14 @@ def check_q_commutator(an: StructureAnalysis) -> CheckItem:
     if not parakaehler_leaves_check(an):
         return CheckItem(name, "skip", reason="leaves are not para-Kaehler")
     phi, xi, eta = s.phi, s.xi, s.eta
-    alpha = an.alpha.expr
+    alpha = an.alpha
     Q = an.Q
     # [Q, phi] = [l, phi] - 4 alpha (1 - n) h - eta(.) phi Q xi + eta(Q phi .) xi
-    Q_minus_l = Q.array - an.l.array
+    Q_minus_l = Q.comps - an.l.comps
     res = (
         contract("ik,kj->ij", Q_minus_l, phi)
         - contract("ik,kj->ij", phi, Q_minus_l)
-        + 4 * alpha * (1 - s.n) * an.h.array
+        + 4 * alpha * (1 - s.n) * an.h.comps
         + contract("mk,k,im,j->ij", Q, xi, phi, eta)
         - contract("m,mk,kj,i->ij", eta, Q, phi, xi)
     )
@@ -214,31 +213,25 @@ class ConstantCurvatureResult:
 def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     """Test R(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y) and recover c exactly."""
     g = an.structure.g
-    R = an.R.array
+    R = an.R.comps
     delta = identity_tensor(an.chart)
     model = contract("bk,ia->iabk", g, delta) - contract("ak,ib->iabk", g, delta)
 
     subs = an.chart.point_subs()
-    c_expr = None
+    cf = an.chart.context.zero()
     for idx in an.R.indices():
         m = model[idx]
-        if m == 0:
+        if not m or m.denom.as_expr().subs(subs) == 0 or m.numer.as_expr().subs(subs) == 0:
             continue
-        num, den = sp.fraction(canon(m))
-        if den.subs(subs) == 0 or num.subs(subs) == 0:
-            continue
-        c_expr = canon(R[idx] / m)
+        cf = ScalarField(an.chart.context, R[idx] / m)
         break
-    if c_expr is None:
-        c_expr = sp.Integer(0)
 
-    residual = TensorField(an.chart, 1, 3, R - c_expr * model)
+    residual = TensorField(an.chart, 1, 3, R - cf * model)
     if not residual.is_zero():
         w = residual.first_nonzero()
         return ConstantCurvatureResult(
             False, None, witness=f"component {w[0]}: {sp.sstr(w[1])}"
         )
-    cf = ScalarField(an.chart.context, c_expr)
     if not cf.is_constant():
         return ConstantCurvatureResult(
             False, None, witness=f"c = {cf} is not constant"
@@ -259,9 +252,9 @@ def check_space_form_constraints(an: StructureAnalysis) -> List[CheckItem]:
             )
         ]
     items = []
-    alpha = an.alpha.expr
+    alpha = an.alpha
     items.append(
-        _scalar_item("space form: c = -alpha^2", probe.c + alpha**2)
+        _scalar_item("space form: c = -alpha^2", alpha**2 + probe.c)
     )
     items.append(
         _residual_item("space form: h^2 = 0", compose11(an.h, an.h))
@@ -293,99 +286,21 @@ def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="not apc")
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
-    alpha = an.alpha.expr
+    alpha = an.alpha
     trh2 = contract("ik,ki->", an.h, an.h)
     res = (
-        -rough_laplacian_xi(an).array
-        - (2 * s.n * alpha**2 - trh2) * s.xi.array
+        -rough_laplacian_xi(an).comps
+        - (2 * s.n * alpha**2 - trh2) * s.xi.comps
         + contract("mk,k,im->i", an.Q, s.xi, an.proj)
     )
     return _residual_item(name, TensorField(an.chart, 1, 0, res))
-
-
-def frame_laplacian_cross_check(
-    an: StructureAnalysis,
-    points: Sequence[Sequence[Fraction]],
-    tol: float = 1e-9,
-) -> CheckItem:
-    """Numeric cross-check of the g-trace in rough_laplacian_xi against a
-    pseudo-orthonormal frame built pointwise by congruence reduction."""
-    s = an.structure
-    n_tot = s.dim
-    rng = range(n_tot)
-    name = "rough Laplacian frame cross-check"
-    from .geometry import covariant_derivative
-
-    nxi = covariant_derivative(s.xi, an.conn)
-    nnxi = covariant_derivative(nxi, an.conn)
-    lap = rough_laplacian_xi(an)
-    worst = 0.0
-    for pt in points:
-        gm = sp.Matrix(n_tot, n_tot, lambda i, j: 0)
-        gnum = s.g.numeric_at(pt)
-        for i in rng:
-            for j in rng:
-                gm[i, j] = sp.Float(gnum[i, j], 30)
-        basis, signs = _numeric_frame(gm)
-        nn = nnxi.numeric_at(pt)
-        expect = lap.numeric_at(pt)
-        for k in rng:
-            acc = sp.Float(0, 30)
-            for e, eps in zip(basis, signs):
-                acc += eps * sum(
-                    e[c] * e[d] * nn[k, c, d] for c in rng for d in rng
-                )
-            worst = max(worst, abs(float(acc - expect[k])))
-    if worst <= tol:
-        return CheckItem(name, "pass")
-    return CheckItem(name, "fail", witness=f"max deviation {worst:.3e}")
-
-
-def _numeric_frame(gm: sp.Matrix) -> Tuple[List[List[sp.Float]], List[int]]:
-    """Vectors e_i with g(e_i, e_j) = eps_i delta_ij, by congruence
-    reduction of the Gram matrix (floating point)."""
-    n = gm.rows
-    basis = [[sp.Float(1 if i == j else 0, 30) for j in range(n)] for i in range(n)]
-
-    def inner(u, v):
-        return sum(u[a] * gm[a, b] * v[b] for a in range(n) for b in range(n))
-
-    frame, signs = [], []
-    vecs = [list(b) for b in basis]
-    for step in range(n):
-        # pick the remaining vector with the largest self-inner-product,
-        # mixing in another one if all diagonals are tiny
-        best, best_val = None, 0.0
-        for i, v in enumerate(vecs):
-            val = abs(float(inner(v, v)))
-            if val > best_val:
-                best, best_val = i, val
-        if best is None or best_val < 1e-12:
-            v0 = vecs[0]
-            for w in vecs[1:]:
-                cand = [a + b for a, b in zip(v0, w)]
-                if abs(float(inner(cand, cand))) > 1e-12:
-                    vecs[0] = cand
-                    break
-            best = 0
-        v = vecs.pop(best)
-        q = inner(v, v)
-        eps = 1 if float(q) > 0 else -1
-        scale = sp.sqrt(abs(q))
-        e = [comp / scale for comp in v]
-        frame.append(e)
-        signs.append(eps)
-        vecs = [
-            [w[a] - eps * inner(w, e) * e[a] for a in range(n)] for w in vecs
-        ]
-    return frame, signs
 
 
 def xi_is_harmonic(an: StructureAnalysis) -> Tuple[bool, Optional[str]]:
     """xi is harmonic iff Q xi = S(xi,xi) xi, equivalently sigma = 0."""
     xi = an.structure.xi
     szz = contract("ab,a,b->", an.S, xi, xi)
-    res = contract("ik,k->i", an.Q, xi) - szz * xi.array
+    res = contract("ik,k->i", an.Q, xi) - szz * xi.comps
     w = TensorField(an.chart, 1, 0, res).first_nonzero()
     if w is None:
         return True, None
@@ -426,12 +341,12 @@ def three_dim_decomposition_residual(
     conn = christoffel(g)
     R = riemann(conn)
     S = ricci_tensor(R)
-    Q = ricci_operator(S, g).scale(sp.Integer(ricci_sign))
-    r = scalar_curvature(S, g).expr * ricci_sign
-    delta = identity_tensor(chart).array
+    Q = ricci_operator(S, g).scale(ricci_sign)
+    r = scalar_curvature(S, g) * ricci_sign
+    delta = identity_tensor(chart).comps
     gQ = contract("mk,mb->bk", g, Q)  # g(Q d_b, d_k)
     # model = T - (T with a and b swapped)
-    T = contract("bk,ia->iabk", g, Q.array - (r / 2) * delta) + contract(
+    T = contract("bk,ia->iabk", g, Q.comps - (r / 2) * delta) + contract(
         "bk,ia->iabk", gQ, delta
     )
-    return TensorField(chart, 1, 3, R.array - T + contract("ibak->iabk", T))
+    return TensorField(chart, 1, 3, R.comps - T + contract("ibak->iabk", T))

@@ -25,7 +25,7 @@ import sympy as sp
 
 from .errors import DeformationParameterError
 from .geometry import Chart, TensorField, contract
-from .scalars import GeneratorDecl, ScalarContext, ScalarField, canon
+from .scalars import GeneratorDecl, ScalarContext, ScalarField
 from .structures import (
     AlmostParacontactStructure,
     CheckItem,
@@ -70,12 +70,12 @@ def d_homothetic_deform(
     _check_eta_proportional(s, beta, "beta")
     _nonzero_at_base(s, beta, "beta")
 
-    b = beta.expr
-    eta = s.eta.array
-    xi_t = TensorField(s.chart, 1, 0, s.xi.array / b)
+    b = beta
+    eta = s.eta.comps
+    xi_t = TensorField(s.chart, 1, 0, s.xi.comps / b)
     eta_t = TensorField(s.chart, 0, 1, b * eta)
     g_t = TensorField(
-        s.chart, 0, 2, gamma * s.g.array + (b**2 - gamma) * contract("i,j->ij", eta, eta)
+        s.chart, 0, 2, gamma * s.g.comps + (b**2 - gamma) * contract("i,j->ij", eta, eta)
     )
     return AlmostParacontactStructure(s.chart, s.phi, xi_t, eta_t, g_t)
 
@@ -91,7 +91,7 @@ def conformal_deform(
     s = an.structure
     if not an.is_apc:
         raise DeformationParameterError("conformal deformation needs an apc input")
-    du_res = _gradient(u) - an.alpha.expr * s.eta.array
+    du_res = _gradient(u) - an.alpha * s.eta.comps
     bad = TensorField(s.chart, 0, 1, du_res).first_nonzero()
     if bad is not None:
         raise DeformationParameterError(
@@ -118,12 +118,15 @@ def conformal_deform(
         decl = GeneratorDecl(name, coord_index, rate)
         ctx = ScalarContext(ctx.coord_names, ctx.generators + (decl,))
     chart = Chart(ctx, s.chart.base_point)
-    E = sp.Symbol(decl.name)  # e^{u}
+    E = ScalarField(ctx, ctx.variable(decl.name))  # e^{u}
 
-    phi_p = TensorField(chart, 1, 1, s.phi.array)
-    xi_p = TensorField(chart, 1, 0, E * s.xi.array)
-    eta_p = TensorField(chart, 0, 1, s.eta.array / E)
-    g_p = TensorField(chart, 0, 2, s.g.array / E**2)
+    def moved(t: TensorField):  # t's components in the field of the new context
+        return TensorField(chart, t.r, t.s, t.comps).comps
+
+    phi_p = TensorField(chart, 1, 1, moved(s.phi))
+    xi_p = TensorField(chart, 1, 0, E * moved(s.xi))
+    eta_p = TensorField(chart, 0, 1, moved(s.eta) / E)
+    g_p = TensorField(chart, 0, 2, moved(s.g) / E**2)
     return AlmostParacontactStructure(chart, phi_p, xi_p, eta_p, g_p)
 
 
@@ -132,12 +135,10 @@ def _linear_coordinate_form(u: ScalarField) -> Tuple[sp.Rational, int]:
     ctx = u.context
     if u.has_generators():
         raise DeformationParameterError(f"u = {u} is not of the form q*coordinate")
-    expr = sp.expand(u.expr)
-    for k, x in enumerate(ctx.coord_symbols):
-        q = canon(expr / x)
-        if q.free_symbols:
-            continue
-        return sp.Rational(q), k
+    for k in range(ctx.dim):
+        q = u / ctx.coordinate(k)
+        if q.is_constant():
+            return q.constant_value(), k
     raise DeformationParameterError(f"u = {u} is not of the form q*coordinate")
 
 
@@ -156,8 +157,8 @@ def verify_deformation_laws(
     s = an.structure
     chart = an.chart
     gamma = sp.Rational(Fraction(gamma)) if isinstance(gamma, (int, Fraction)) else sp.Rational(gamma)
-    b = beta.expr
-    dbeta_xi = an.xi_derivative(beta).expr
+    b = beta
+    dbeta_xi = an.xi_derivative(beta)
     xi, eta = s.xi, s.eta
     items: List[CheckItem] = []
 
@@ -172,10 +173,10 @@ def verify_deformation_laws(
     )
 
     items.append(
-        _residual_item("A~ = A/beta", TensorField(chart, 1, 1, an_t.A.array - an.A.array / b))
+        _residual_item("A~ = A/beta", TensorField(chart, 1, 1, an_t.A.comps - an.A.comps / b))
     )
     items.append(
-        _residual_item("h~ = h/beta", TensorField(chart, 1, 1, an_t.h.array - an.h.array / b))
+        _residual_item("h~ = h/beta", TensorField(chart, 1, 1, an_t.h.comps - an.h.comps / b))
     )
 
     # R~(X,Y)xi~ = (1/beta) R(X,Y)xi

@@ -30,6 +30,15 @@ class DivisionByZeroFieldError(EngineError):
     """Division by a scalar field that is identically zero."""
 
 
+class NotRationalError(EngineError):
+    """A value is not a rational function of the chart's coordinates and
+    generators, so it has no place in the chart's rational function field."""
+
+
+class UndecidedSignError(EngineError):
+    """The sign of a value at a point could not be decided."""
+
+
 class GeneratorEvalError(EngineError):
     """Exact evaluation requested for a generator-bearing field."""
 

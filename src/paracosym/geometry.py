@@ -13,27 +13,27 @@ Conventions used throughout the package:
 - Covariant derivative appends its direction index as a trailing covariant
   slot: (nabla T)[..., c].
 
-Components are raw sympy expressions in the canonical form scalars.canon
-(one reduced fraction); they are exact rational functions of the
-coordinates and any declared exponential generators (see scalars.pdiff for
-the derivative rule).  Every tensor, connection and contraction result
+Components are elements of the chart's rational function field (see
+scalars): reduced fractions in the coordinates and any declared
+exponential generators.  Every tensor, connection and contraction result
 stores them in one Components value: the dimension n, the rank and a flat
-row-major tuple of the n**rank entries, so the entry at (i_1, ..., i_k) sits
-at offset ((i_1 n + i_2) n + ...) n + i_k.  The differential operators
-below read and write those tuples by offset.
+row-major tuple of the n**rank entries, so the entry at (i_1, ..., i_k)
+sits at offset ((i_1 n + i_2) n + ...) n + i_k.  TensorField.array (and
+ConnectionCoefficients.array) is the sympy view of the same entries, built
+once on first use, for printing, evaluation at points and classify's frame
+code; the kernels here never read it.
 
 Algebraic contractions go through one primitive, contract(spec,
-*operands), an exact einsum (the differential operators below keep their
-own index loops).  The spec names the slots of each operand with
-one letter per index, e.g. "imab,m->iab" for (R(xi, d_a) d_b)^i; a letter
-that is not in the output is summed.  The operands are contracted in pairs
-in the order written, so the caller stages the cheapest contraction first
-(R with xi before phi and g).  An intermediate stage that summed over an
-index is canonicalised once per entry; the final stage is returned raw.
-Callers combine such raw arrays by entrywise arithmetic into a residual and
-canonicalise it once per output entry, by wrapping it in a TensorField:
-summing separately canonicalised tensors costs one canonicalisation per
-term instead.
+*operands), an exact einsum.  The spec names the slots of each operand
+with one letter per index, e.g. "imab,m->iab" for (R(xi, d_a) d_b)^i; a
+letter that is not in the output is summed.  The operands are contracted
+in pairs in the order written, so the caller stages the cheapest
+contraction first (R with xi before phi and g).  Each stage sums every
+output entry over the lcm of its denominators and reduces it once
+(scalars.fraction_sum); the differential operators below (the connection,
+covariant and Lie derivatives, d, wedge, Riemann) build each output entry
+the same way from numerator/denominator pairs.  Callers combine the
+results by entrywise field arithmetic into one residual per check.
 """
 
 from __future__ import annotations
@@ -42,16 +42,31 @@ import itertools
 import string
 from collections import defaultdict
 from fractions import Fraction
+from math import factorial
 from typing import Dict, Optional, Sequence, Tuple
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 from .errors import (
     DegenerateMetricError,
+    DivisionByZeroFieldError,
+    PoleError,
     SingularMetricError,
+    UndecidedSignError,
     ValenceError,
 )
-from .scalars import ScalarContext, ScalarField, canon, pdiff
+from .scalars import (
+    ScalarContext,
+    ScalarField,
+    combine,
+    element_key,
+    field_of,
+    fraction_sum,
+    product,
+    times,
+    to_element,
+)
 
 
 class Chart:
@@ -86,10 +101,20 @@ class Chart:
         return subs
 
 
+def _entry(x):
+    """A component as stored: a field element, or a sympy expression."""
+    if isinstance(x, FracElement):
+        return x
+    if isinstance(x, ScalarField):
+        return x.value
+    return sp.sympify(x)
+
+
 class Components:
     """Components of a rank-k array over range(n)**k: a flat row-major tuple
-    of n**k sympy expressions.  Immutable; +, - and unary - act entrywise
-    on two arrays of the same n and rank, * and / by a scalar."""
+    of n**k field elements (or sympy expressions).  Immutable; +, - and
+    unary - act entrywise on two arrays of the same n and rank, * and / by
+    a scalar."""
 
     __slots__ = ("n", "rank", "flat")
 
@@ -110,7 +135,7 @@ class Components:
         if hasattr(x, "tolist"):
             x = x.tolist()
         if not isinstance(x, (list, tuple)):
-            return Components(0, 0, (sp.sympify(x),))
+            return Components(0, 0, (_entry(x),))
         rows = [Components.of(row) for row in x]
         rank = rows[0].rank if rows else 0
         if any(row.rank != rank or (rank and row.n != len(x)) for row in rows):
@@ -142,45 +167,82 @@ class Components:
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
         return zip(self.flat, other.flat)
 
+    def _in_field(self) -> bool:
+        return bool(self.flat) and isinstance(self.flat[0], FracElement)
+
     def __add__(self, other) -> "Components":
-        return Components(self.n, self.rank, [a + b for a, b in self._zip(other)])
+        pairs = self._zip(other)
+        if self._in_field():
+            return Components(self.n, self.rank, [combine(a, b) for a, b in pairs])
+        return Components(self.n, self.rank, [a + b for a, b in pairs])
 
     def __sub__(self, other) -> "Components":
-        return Components(self.n, self.rank, [a - b for a, b in self._zip(other)])
+        pairs = self._zip(other)
+        if self._in_field():
+            return Components(self.n, self.rank, [combine(a, b, -1) for a, b in pairs])
+        return Components(self.n, self.rank, [a - b for a, b in pairs])
 
     def __neg__(self) -> "Components":
         return Components(self.n, self.rank, [-a for a in self.flat])
 
-    def __mul__(self, c) -> "Components":
+    def _times(self, c, invert: bool = False) -> "Components":
+        """Every entry times c, or divided by c; c is a ScalarField, a field
+        element or a number (or any sympy expression, for sympy entries)."""
+        if isinstance(c, ScalarField):
+            c = c.value
+        if self._in_field():
+            c = to_element(self.flat[0].field, c)
+            if invert:
+                if not c:
+                    raise DivisionByZeroFieldError("division by the zero scalar field")
+                c = c.field.raw_new(c.denom, c.numer)  # times() fixes the sign
+            return Components(self.n, self.rank, [times(a, c) for a in self.flat])
         c = sp.sympify(c, strict=True)
-        return Components(self.n, self.rank, [a * c for a in self.flat])
+        return Components(self.n, self.rank, [a / c if invert else a * c for a in self.flat])
 
-    def __rmul__(self, c) -> "Components":
-        c = sp.sympify(c, strict=True)
-        return Components(self.n, self.rank, [c * a for a in self.flat])
+    def __mul__(self, c) -> "Components":
+        return self._times(c)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Components":
-        c = sp.sympify(c, strict=True)
-        return Components(self.n, self.rank, [a / c for a in self.flat])
+        return self._times(c, invert=True)
 
     def __eq__(self, other):
         if hasattr(other, "tolist"):  # a sympy array or matrix compares by value
             other = Components.of(other)
+            field = next((e.field for e in self.flat if isinstance(e, FracElement)), None)
+            if field is not None and (other.n, other.rank) == (self.n, self.rank):
+                return self.flat == tuple(to_element(field, e) for e in other.flat)
         if not isinstance(other, Components):
             return NotImplemented
         return (self.n, self.rank, self.flat) == (other.n, other.rank, other.flat)
 
     def __hash__(self):
-        return hash((self.n, self.rank, self.flat))
+        keys = (element_key(e) if isinstance(e, FracElement) else e for e in self.flat)
+        return hash((self.n, self.rank, tuple(keys)))
 
     def __repr__(self):
         return f"Components({self.n}, {self.rank}, {self.flat!r})"
 
 
-class TensorField:
-    """Componentwise exact (r,s)-tensor field on a chart."""
+def _elements(context: ScalarContext, flat) -> tuple:
+    """The entries as elements of the context's field."""
+    field = context.field
+    return tuple(
+        e if isinstance(e, FracElement) and e.field is field else context.element(e) for e in flat
+    )
 
-    __slots__ = ("chart", "r", "s", "array")
+
+def _expr_view(comps: Components) -> Components:
+    return Components(comps.n, comps.rank, [e.as_expr() for e in comps.flat])
+
+
+class TensorField:
+    """Componentwise exact (r,s)-tensor field on a chart: comps holds the
+    field elements, array their sympy view."""
+
+    __slots__ = ("chart", "r", "s", "comps", "_array")
 
     def __init__(self, chart: Chart, r: int, s: int, array):
         self.chart = chart
@@ -193,7 +255,15 @@ class TensorField:
                 f"component array of rank {arr.rank} in dimension {arr.n} does not "
                 f"match valence ({r},{s}) in dimension {n}"
             )
-        self.array = Components(n, r + s, [canon(e) for e in arr.flat])
+        self.comps = Components(n, r + s, _elements(chart.context, arr.flat))
+        self._array = None
+
+    @property
+    def array(self) -> Components:
+        """The components as sympy expressions (reduced fractions)."""
+        if self._array is None:
+            self._array = _expr_view(self.comps)
+        return self._array
 
     def __getitem__(self, idx):
         if self.rank == 0:
@@ -219,37 +289,36 @@ class TensorField:
 
     def __add__(self, other):
         self._check_same_valence(other)
-        return TensorField(self.chart, self.r, self.s, self.array + other.array)
+        return TensorField(self.chart, self.r, self.s, self.comps + other.comps)
 
     def __sub__(self, other):
         self._check_same_valence(other)
-        return TensorField(self.chart, self.r, self.s, self.array - other.array)
+        return TensorField(self.chart, self.r, self.s, self.comps - other.comps)
 
     def __neg__(self):
-        return TensorField(self.chart, self.r, self.s, -self.array)
+        return TensorField(self.chart, self.r, self.s, -self.comps)
 
     def scale(self, f) -> "TensorField":
-        expr = f.expr if isinstance(f, ScalarField) else sp.sympify(f)
-        return TensorField(self.chart, self.r, self.s, self.array * expr)
+        return TensorField(self.chart, self.r, self.s, self.comps * self.chart.context.element(f))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.array)
+        return not any(self.comps.flat)
 
     def __eq__(self, other):
         if not isinstance(other, TensorField):
             return NotImplemented
         if self.chart != other.chart or (self.r, self.s) != (other.r, other.s):
             return False
-        return (self - other).is_zero()
+        return self.comps == other.comps
 
     def __hash__(self):
-        return hash((self.chart, self.r, self.s, self.array))
+        return hash((self.chart, self.r, self.s, self.comps))
 
     def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], sp.Expr]]:
         """Witness component for a failed identity, or None if zero."""
-        for idx, e in zip(self.indices(), self.array):
-            if e != 0:
-                return idx, e
+        for idx, e in zip(self.indices(), self.comps):
+            if e:
+                return idx, e.as_expr()
         return None
 
     # -- evaluation ----------------------------------------------------
@@ -261,19 +330,17 @@ class TensorField:
         gens = set(self.chart.context.gen_symbols)
 
         def value(e):
-            if e.free_symbols & gens:
+            num, den = e.numer.as_expr(), e.denom.as_expr()
+            if (num.free_symbols | den.free_symbols) & gens:
                 raise ValueError("exact evaluation of a generator-bearing tensor")
-            num, den = sp.fraction(canon(e))
             d = den.subs(subs)
             if d == 0:
-                from .errors import PoleError
-
                 raise PoleError(tuple(subs.values()))
             return sp.Rational(num.subs(subs)) / sp.Rational(d)
 
         if self.rank == 0:
-            return value(self.array.flat[0])
-        return self.array.applyfunc(value)
+            return value(self.comps.flat[0])
+        return self.comps.applyfunc(value)
 
     def numeric_at(self, point: Optional[Sequence] = None):
         """Float value (Components, or one float for a scalar); generators
@@ -291,7 +358,7 @@ class TensorField:
 # --------------------------------------------------------------------
 # the contraction primitive
 
-Entries = Dict[Tuple[int, ...], sp.Expr]
+Entries = Dict[Tuple[int, ...], FracElement]
 
 
 def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
@@ -311,7 +378,7 @@ def _components(x, labels: str) -> Tuple[Optional[int], tuple]:
     """(dimension, row-major component tuple) of one operand; a scalar that
     is not a TensorField has no dimension."""
     if isinstance(x, TensorField):
-        n, arr = x.chart.dim, x.array
+        n, arr = x.chart.dim, x.comps
     else:
         arr = Components.of(x)
         n = arr.n if arr.rank else None
@@ -328,13 +395,14 @@ def _entries(flat: tuple, labels: str, n: int) -> Tuple[str, Entries]:
     keep = [labels.index(c) for c in distinct]
     out: Entries = {}
     for idx, v in zip(itertools.product(range(n), repeat=len(labels)), flat):
-        if v != 0 and all(idx[p] == idx[f] for p, f in enumerate(first)):
+        if v and all(idx[p] == idx[f] for p, f in enumerate(first)):
             out[tuple(idx[p] for p in keep)] = v
     return distinct, out
 
 
-def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep) -> Tuple[str, Entries, bool]:
-    """Multiply two labelled operands and sum the labels not in keep."""
+def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep, field) -> Tuple[str, Entries]:
+    """Multiply two labelled operands, sum the labels not in keep, and
+    reduce every output entry once."""
     shared = [c for c in lb if c in la]
     extra = "".join(c for c in lb if c not in la)
     pa = [la.index(c) for c in shared]
@@ -350,19 +418,30 @@ def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep) -> Tuple[str, Entri
     for ia, va in ea.items():
         for ie, vb in by_shared.get(tuple(ia[p] for p in pa), ()):
             full = ia + ie
-            terms[tuple(full[p] for p in pos)].append(va * vb)
-    return kept, {k: sp.Add(*v) for k, v in terms.items()}, len(kept) < len(joint)
+            terms[tuple(full[p] for p in pos)].append((va, vb))
+    out: Entries = {}
+    one = field.one
+    for key, pairs in terms.items():
+        if len(pairs) == 1 and pairs[0][0] is one:  # the first operand as it stands
+            value = pairs[0][1]
+        else:
+            value = fraction_sum(field, (product(1, a, b) for a, b in pairs))
+        if value:
+            out[key] = value
+    return kept, out
 
 
 def contract(spec: str, *operands):
     """Exact einsum over TensorFields or component arrays.
 
     The operands are contracted in pairs, left to right in the order given,
-    skipping zero entries; an intermediate stage that summed over an index
-    is canonicalised once per entry.  Returns the final stage raw:
-    Components indexed by the output labels, or one expression when the
-    output is empty.  A malformed spec, or an operand whose rank or dimension does
-    not match its labels, raises ValenceError.
+    skipping zero entries; every stage reduces each of its entries once.
+    Returns Components of field elements indexed by the output labels, or,
+    for an empty output, one ScalarField (one field element when no operand
+    is a TensorField).  Operands that are all sympy arrays are contracted in
+    the field of their symbols and give sympy expressions back.  A
+    malformed spec, or an operand whose rank or dimension does not match
+    its labels, raises ValenceError.
     """
     inputs, output = _parse_spec(spec, len(operands))
     parts = [_components(x, labels) for x, labels in zip(operands, inputs)]
@@ -370,22 +449,33 @@ def contract(spec: str, *operands):
     if len(dims) > 1:
         raise ValenceError(f"operands of different dimensions {sorted(dims)}")
     n = dims.pop() if dims else 0
-    labels, entries = "", {(): sp.Integer(1)}
-    summed = False
-    for k, (labels_k, (_, flat)) in enumerate(zip(inputs, parts)):
-        if summed:
-            entries = {i: c for i, v in entries.items() if (c := canon(v)) != 0}
+    context = next((x.chart.context for x in operands if isinstance(x, TensorField)), None)
+    flats = [flat for _, flat in parts]
+    field = context.field if context is not None else next(
+        (e.field for flat in flats for e in flat if isinstance(e, FracElement)), None
+    )
+    plain = field is None
+    if plain:
+        field = field_of(set().union(*(e.free_symbols for flat in flats for e in flat)))
+    flats = [[to_element(field, e) for e in flat] for flat in flats]
+    labels, entries = "", {(): field.one}
+    for k, (labels_k, flat) in enumerate(zip(inputs, flats)):
         keep = set(output).union(*inputs[k + 1 :])
         lb, eb = _entries(flat, labels_k, n)
-        labels, entries, summed = _stage(labels, entries, lb, eb, keep)
+        labels, entries = _stage(labels, entries, lb, eb, keep, field)
     if not output:
-        return entries.get((), sp.Integer(0))
+        value = entries.get((), field.zero)
+        if plain:
+            return value.as_expr()
+        return ScalarField(context, value) if context is not None else value
     order = [output.index(c) for c in labels]
+    zero = field.zero
     flat = [
-        entries.get(tuple(idx[p] for p in order), sp.Integer(0))
+        entries.get(tuple(idx[p] for p in order), zero)
         for idx in itertools.product(range(n), repeat=len(output))
     ]
-    return Components(n, len(output), flat)
+    out = Components(n, len(output), flat)
+    return _expr_view(out) if plain else out
 
 
 def _letters(k: int, skip: str = "") -> str:
@@ -424,12 +514,13 @@ def apply11(a: TensorField, v: TensorField) -> TensorField:
 def trace11(t: TensorField) -> ScalarField:
     if (t.r, t.s) != (1, 1):
         raise ValenceError("trace11 needs a (1,1)-tensor")
-    return ScalarField(t.chart.context, contract("ii->", t))
+    return contract("ii->", t)
 
 
 def identity_tensor(chart: Chart) -> TensorField:
     n = chart.dim
-    flat = [sp.Integer(1 if i == j else 0) for i in range(n) for j in range(n)]
+    field = chart.context.field
+    flat = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
     return TensorField(chart, 1, 1, Components(n, 2, flat))
 
 
@@ -437,18 +528,58 @@ def identity_tensor(chart: Chart) -> TensorField:
 # metric machinery
 
 
-def metric_matrix(g: TensorField) -> sp.Matrix:
-    n = g.chart.dim
-    return sp.Matrix(n, n, lambda i, j: g.array[i, j])
+def _det_and_adjugate(rows: list) -> Tuple[object, list]:
+    """Determinant and adjugate (row-major) of a square matrix of
+    polynomials, by Laplace expansion over column subsets: exact, with no
+    division."""
+    n = len(rows)
+
+    def minors(kept_rows):
+        # det of kept_rows[:k] x (columns in mask, ascending) for |mask| = k,
+        # expanding along the last of those rows
+        dets = {0: rows[0][0].ring.one}
+        for k, row in enumerate(kept_rows, start=1):
+            for mask in range(1 << n):
+                if bin(mask).count("1") != k:
+                    continue
+                acc = row[0].ring.zero
+                for j in range(n):
+                    if mask >> j & 1 and row[j]:
+                        sub = dets[mask ^ (1 << j)]
+                        if sub:
+                            pos = bin(mask & ((1 << j) - 1)).count("1")
+                            term = row[j] * sub
+                            acc = acc + term if (k - 1 + pos) % 2 == 0 else acc - term
+                dets[mask] = acc
+        return dets
+
+    full = (1 << n) - 1
+    adj = [None] * (n * n)
+    for i in range(n):
+        dets = minors(rows[:i] + rows[i + 1 :])
+        for j in range(n):
+            minor = dets[full ^ (1 << j)]
+            adj[j * n + i] = minor if (i + j) % 2 == 0 else -minor
+    det = sum((rows[0][j] * adj[j * n] for j in range(n)), rows[0][0].ring.zero)
+    return det, adj
 
 
 def metric_inverse(g: TensorField) -> TensorField:
+    """g^{-1} = L adj(L g) / det(L g), with L the lcm of the denominators of
+    g, so the determinant and adjugate are taken over polynomials."""
     n = g.chart.dim
-    m = metric_matrix(g)
-    det = canon(m.det())
-    if det == 0:
-        raise SingularMetricError(f"metric determinant is identically zero")
-    inv = [canon(e / det) for e in m.adjugate()]
+    field = g.chart.context.field
+    lcm = field.ring.one
+    for e in g.comps.flat:
+        lcm = lcm.lcm(e.denom)
+    rows = [
+        [e.numer * lcm.exquo(e.denom) for e in g.comps.flat[i * n : (i + 1) * n]]
+        for i in range(n)
+    ]
+    det, adj = _det_and_adjugate(rows)
+    if not det:
+        raise SingularMetricError("metric determinant is identically zero")
+    inv = [field.new(a * lcm, det) for a in adj]
     return TensorField(g.chart, 2, 0, Components(n, 2, inv))
 
 
@@ -458,36 +589,50 @@ def christoffel(g: TensorField) -> "ConnectionCoefficients":
 
 class ConnectionCoefficients:
     """Levi-Civita connection coefficients Gamma^k_ij on a chart, stored as
-    Components with Gamma^k_ij at offset (k n + i) n + j."""
+    Components of field elements with Gamma^k_ij at offset (k n + i) n + j;
+    array is their sympy view."""
 
     def __init__(self, chart: Chart, gamma):
         self.chart = chart
-        self.gamma = Components.of(gamma).applyfunc(canon)
+        arr = Components.of(gamma)
+        self.gamma = Components(arr.n, arr.rank, _elements(chart.context, arr.flat))
+        self._array = None
+
+    @property
+    def array(self) -> Components:
+        if self._array is None:
+            self._array = _expr_view(self.gamma)
+        return self._array
 
     @staticmethod
     def from_metric(g: TensorField) -> "ConnectionCoefficients":
+        """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
         chart = g.chart
+        ctx = chart.context
         n = chart.dim
-        ginv = metric_inverse(g)
-        dg = [
-            [[pdiff(chart.context, g.array[i, j], k) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        gamma = [sp.Integer(0)] * n**3
+        G = g.comps.flat
+        ginv = metric_inverse(g).comps.flat
+        # dg[k][i * n + j] = d_k g_ij
+        dg = [[ctx.partial_element(e, k) for e in G] for k in range(n)]
+        gamma = [ctx.field.zero] * n**3
         for k in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    val = sum(
-                        ginv.array[k, l]
-                        * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                        for l in range(n)
-                    ) / 2
+                    pairs = []
+                    for l in range(n):
+                        gkl = ginv[k * n + l]
+                        if not gkl:
+                            continue
+                        for c, d in ((1, dg[i][j * n + l]), (1, dg[j][i * n + l]), (-1, dg[l][i * n + j])):
+                            if d:
+                                pairs.append(product(c, gkl, d))
+                    val = fraction_sum(ctx.field, pairs, divisor=2)
                     gamma[(k * n + i) * n + j] = val
                     gamma[(k * n + j) * n + i] = val
         return ConnectionCoefficients(chart, Components(n, 3, gamma))
 
     def __getitem__(self, idx):
-        return self.gamma[idx]
+        return self.array[idx]
 
 
 def _strides(n: int, rank: int) -> list:
@@ -495,27 +640,38 @@ def _strides(n: int, rank: int) -> list:
     return [n ** (rank - 1 - p) for p in range(rank)]
 
 
+def _times(f: FracElement, pair) -> tuple:
+    """f times an unreduced numerator/denominator pair."""
+    return f.numer * pair[0], f.denom * pair[1]
+
+
 def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> TensorField:
     """nabla T with the direction index appended as the last covariant slot."""
     chart = t.chart
+    ctx = chart.context
     n = chart.dim
     r, s = t.r, t.s
-    T, G = t.array.flat, conn.gamma.flat
+    T, G = t.comps.flat, conn.gamma.flat
     if r + s == 0:
-        return TensorField(chart, 0, 1, [pdiff(chart.context, T[0], c) for c in range(n)])
+        return TensorField(chart, 0, 1, [ctx.partial_element(T[0], c) for c in range(n)])
     strides = _strides(n, r + s)
     out = []  # (nabla T)[idx, c] at offset off * n + c: appended in that order
     for off, idx in enumerate(t.indices()):
         for c in range(n):
-            val = pdiff(chart.context, T[off], c)
+            pairs = [ctx.diff(T[off], c)]
             for p, (i, step) in enumerate(zip(idx, strides)):
                 base = off - i * step
                 for m in range(n):
+                    Tm = T[base + m * step]
+                    if not Tm:
+                        continue
                     if p < r:  # + Gamma^{i}_{c m} T[.. m ..]
-                        val += G[(i * n + c) * n + m] * T[base + m * step]
+                        gam, sign = G[(i * n + c) * n + m], 1
                     else:  # - Gamma^{m}_{c i} T[.. m ..]
-                        val -= G[(m * n + c) * n + i] * T[base + m * step]
-            out.append(val)
+                        gam, sign = G[(m * n + c) * n + i], -1
+                    if gam:
+                        pairs.append(product(sign, gam, Tm))
+            out.append(fraction_sum(ctx.field, pairs))
     return TensorField(chart, r, s + 1, Components(n, r + s + 1, out))
 
 
@@ -524,26 +680,34 @@ def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
     if (v.r, v.s) != (1, 0):
         raise ValenceError("lie_derivative direction must be a vector field")
     chart = t.chart
+    ctx = chart.context
     n = chart.dim
     r, s = t.r, t.s
-    V, T = v.array.flat, t.array.flat
+    V, T = v.comps.flat, t.comps.flat
+
+    def along_v(f):  # v(f) as pairs
+        return [_times(V[c], ctx.diff(f, c)) for c in range(n) if V[c]]
+
     if r + s == 0:
-        return TensorField(
-            chart, 0, 0, sum(V[c] * pdiff(chart.context, T[0], c) for c in range(n))
-        )
-    dv = [[pdiff(chart.context, V[i], m) for m in range(n)] for i in range(n)]  # d_m v^i
+        return TensorField(chart, 0, 0, fraction_sum(ctx.field, along_v(T[0])))
+    dv = [[ctx.partial_element(V[i], m) for m in range(n)] for i in range(n)]  # d_m v^i
     strides = _strides(n, r + s)
     out = []
     for off, idx in enumerate(t.indices()):
-        val = sum(V[c] * pdiff(chart.context, T[off], c) for c in range(n))
+        pairs = along_v(T[off])
         for p, (i, step) in enumerate(zip(idx, strides)):
             base = off - i * step
             for m in range(n):
+                Tm = T[base + m * step]
+                if not Tm:
+                    continue
                 if p < r:  # - (d_m v^i) T[.. m ..]
-                    val -= dv[i][m] * T[base + m * step]
+                    d, sign = dv[i][m], -1
                 else:  # + (d_i v^m) T[.. m ..]
-                    val += dv[m][i] * T[base + m * step]
-        out.append(val)
+                    d, sign = dv[m][i], 1
+                if d:
+                    pairs.append(product(sign, d, Tm))
+        out.append(fraction_sum(ctx.field, pairs))
     return TensorField(chart, r, s, Components(n, r + s, out))
 
 
@@ -558,11 +722,11 @@ def is_antisymmetric(t: TensorField) -> bool:
     k = t.s
     if k <= 1:
         return True
-    for idx, e in zip(t.indices(), t.array):
+    for idx, e in zip(t.indices(), t.comps):
         for a in range(k - 1):
             swapped = list(idx)
             swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-            if canon(e + t.array[tuple(swapped)]) != 0:
+            if e != -t.comps[tuple(swapped)]:
                 return False
     return True
 
@@ -574,19 +738,22 @@ def exterior_derivative(omega: TensorField) -> TensorField:
     if not is_antisymmetric(omega):
         raise ValenceError("exterior derivative input must be antisymmetric")
     chart = omega.chart
+    ctx = chart.context
     n = chart.dim
     k = omega.s
+    W = omega.comps.flat
     if k == 0:
-        return TensorField(
-            chart, 0, 1, [pdiff(chart.context, omega.array.flat[0], c) for c in range(n)]
-        )
+        return TensorField(chart, 0, 1, [ctx.partial_element(W[0], c) for c in range(n)])
+    dW = [[ctx.diff(e, c) for c in range(n)] for e in W]  # d_c of each entry
+    strides = _strides(n, k)
     out = []
     for idx in itertools.product(range(n), repeat=k + 1):
-        val = sp.Integer(0)
+        pairs = []
         for j in range(k + 1):
             rest = idx[:j] + idx[j + 1 :]
-            val += (-1) ** j * pdiff(chart.context, omega.array[rest], idx[j])
-        out.append(val)
+            num, den = dW[sum(i * st for i, st in zip(rest, strides))][idx[j]]
+            pairs.append((-num if j % 2 else num, den))
+        out.append(fraction_sum(ctx.field, pairs))
     return TensorField(chart, 0, k + 1, Components(n, k + 1, out))
 
 
@@ -603,23 +770,25 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
     if not is_antisymmetric(a) or not is_antisymmetric(b):
         raise ValenceError("wedge inputs must be antisymmetric")
     chart = a.chart
+    field = chart.context.field
     n = chart.dim
     k1, k2 = a.s, b.s
     if k1 == 0 or k2 == 0:
         return tensor_product(a, b)
     k = k1 + k2
-    norm = sp.Rational(1, sp.factorial(k1) * sp.factorial(k2))
     signed = [(_permutation_sign(perm), perm) for perm in itertools.permutations(range(k))]
     out = []
     for idx in itertools.product(range(n), repeat=k):
         if len(set(idx)) < k:
-            out.append(sp.Integer(0))
+            out.append(field.zero)
             continue
-        val = sp.Integer(0)
-        for sign, perm in signed:
+        pairs = []
+        for c, perm in signed:
             p = tuple(idx[perm[t]] for t in range(k))
-            val += sign * a.array[p[:k1]] * b.array[p[k1:]]
-        out.append(val * norm)
+            fa, fb = a.comps[p[:k1]], b.comps[p[k1:]]
+            if fa and fb:
+                pairs.append(product(c, fa, fb))
+        out.append(fraction_sum(field, pairs, divisor=factorial(k1) * factorial(k2)))
     return TensorField(chart, 0, k, Components(n, k, out))
 
 
@@ -630,21 +799,31 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
 def riemann(conn: ConnectionCoefficients) -> TensorField:
     """R[l, i, j, k] = component of R(d_i, d_j) d_k along d_l."""
     chart = conn.chart
+    ctx = chart.context
     n = chart.dim
-    G = conn.gamma
-    out = [sp.Integer(0)] * n**4
+    G = conn.gamma.flat
+    dG = {}  # (offset, coordinate) -> d Gamma, as a pair
+
+    def d_gamma(off, c):
+        if (off, c) not in dG:
+            dG[off, c] = ctx.diff(G[off], c)
+        return dG[off, c]
+
+    out = [ctx.field.zero] * n**4
     for l in range(n):
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
-                    val = pdiff(chart.context, G[l, j, k], i) - pdiff(
-                        chart.context, G[l, i, k], j
-                    )
-                    val += sum(
-                        G[l, i, m] * G[m, j, k] - G[l, j, m] * G[m, i, k]
-                        for m in range(n)
-                    )
-                    val = canon(val)
+                    num, den = d_gamma((l * n + i) * n + k, j)
+                    pairs = [d_gamma((l * n + j) * n + k, i), (-num, den)]
+                    for m in range(n):
+                        a, b = G[(l * n + i) * n + m], G[(m * n + j) * n + k]
+                        if a and b:
+                            pairs.append(product(1, a, b))
+                        a, b = G[(l * n + j) * n + m], G[(m * n + i) * n + k]
+                        if a and b:
+                            pairs.append(product(-1, a, b))
+                    val = fraction_sum(ctx.field, pairs)
                     out[((l * n + i) * n + j) * n + k] = val
                     out[((l * n + j) * n + i) * n + k] = -val
     return TensorField(chart, 1, 3, Components(n, 4, out))
@@ -672,20 +851,30 @@ def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int,
     Exact symmetric congruence diagonalization over the rationals; never
     touches eigenvalues, so no irrationals appear.  Generator symbols are
     substituted by their exact exp(rate*coord) values at the point, which
-    keeps the elimination symbolic but still decidable.
+    keeps the elimination symbolic but still decidable; without generators
+    every value is a Rational and nothing needs simplifying.  An entry whose
+    denominator vanishes at the point raises PoleError; that test is exact:
+    at a rational point the denominator becomes a sum of rational multiples
+    of exp(r) for distinct rationals r, which by Lindemann-Weierstrass
+    vanishes only when sympy's expanded form is 0.  A pivot whose sign no
+    exact test and no numeric evaluation decides raises UndecidedSignError.
     """
     n = g.chart.dim
     subs = g.chart.point_subs(point)
     ctx = g.chart.context
+    coords = tuple(subs[s] for s in ctx.coord_symbols)
     for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
         coord_val = subs[ctx.coord_symbols[gen.coord_index]]
         subs[gsym] = sp.exp(gen.rate * coord_val)
-    m = sp.Matrix(n, n, lambda i, j: sp.simplify(g.array[i, j].subs(subs)))
+    for e in g.comps.flat:
+        if sp.expand(e.denom.as_expr().subs(subs)) == 0:
+            raise PoleError(coords)
+    simplify = sp.simplify if ctx.generators else (lambda e: e)
+    work = sp.Matrix(n, n, lambda i, j: simplify(g.array[i, j].subs(subs)))
     pos = neg = 0
-    work = m[:, :]
     size = n
     while size > 0:
-        work = work.applyfunc(sp.simplify)
+        work = work.applyfunc(simplify)
         # find a nonzero diagonal pivot
         piv = next((i for i in range(size) if work[i, i] != 0), None)
         if piv is None:
@@ -710,7 +899,10 @@ def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int,
         d = work[piv, piv]
         is_pos = d.is_positive
         if is_pos is None:
-            is_pos = float(d.evalf(30)) > 0
+            try:
+                is_pos = float(d.evalf(30)) > 0
+            except TypeError as exc:
+                raise UndecidedSignError(f"sign of pivot {sp.sstr(d)} at point {coords}") from exc
         if is_pos:
             pos += 1
         else:

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 from .geometry import TensorField, compose11, contract, identity_tensor
-from .scalars import ScalarField, canon
+from .scalars import ScalarField
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -47,8 +48,8 @@ class NullityFit:
 
 
 def _solve_linear_field_system(
-    rows: List[Tuple[List[sp.Expr], sp.Expr]], n_unknowns: int
-) -> Optional[Tuple[List[Optional[sp.Expr]], bool]]:
+    rows: List[Tuple[List[FracElement], FracElement]], n_unknowns: int
+) -> Optional[Tuple[List[Optional[FracElement]], bool]]:
     """Exact Gaussian elimination of an overdetermined linear system over
     the rational-function field.
 
@@ -56,15 +57,14 @@ def _solve_linear_field_system(
     unknowns, or None if the system is inconsistent on the pivot rows.
     The caller must still verify the solution against all rows (a
     consistent pivot subset does not imply global consistency)."""
-    rows = [([canon(c) for c in coeffs], canon(rhs)) for coeffs, rhs in rows]
-    rows = [r for r in rows if any(c != 0 for c in r[0]) or r[1] != 0]
+    rows = [r for r in rows if any(r[0]) or r[1]]
     pivots: List[Optional[int]] = [None] * n_unknowns
     reduced: List[Tuple[List[sp.Expr], sp.Expr]] = []
     for col in range(n_unknowns):
         pick = None
         for ridx, (coeffs, rhs) in enumerate(rows):
-            if coeffs[col] != 0 and all(
-                coeffs[c] == 0 for c in range(col) if pivots[c] is not None
+            if coeffs[col] and not any(
+                coeffs[c] for c in range(col) if pivots[c] is not None
             ):
                 pick = ridx
                 break
@@ -72,34 +72,34 @@ def _solve_linear_field_system(
             continue
         coeffs, rhs = rows.pop(pick)
         inv = coeffs[col]
-        coeffs = [canon(c / inv) for c in coeffs]
-        rhs = canon(rhs / inv)
+        coeffs = [c / inv for c in coeffs]
+        rhs = rhs / inv
         reduced.append((coeffs, rhs))
         pivots[col] = len(reduced) - 1
         new_rows = []
         for rc, rr in rows:
             f = rc[col]
-            if f != 0:
-                rc = [canon(a - f * b) for a, b in zip(rc, coeffs)]
-                rr = canon(rr - f * rhs)
-            if any(c != 0 for c in rc) or rr != 0:
+            if f:
+                rc = [a - f * b for a, b in zip(rc, coeffs)]
+                rr = rr - f * rhs
+            if any(rc) or rr:
                 new_rows.append((rc, rr))
         rows = new_rows
     if rows:
         # leftover rows have all-zero coefficients but nonzero rhs
-        if any(rhs != 0 for _, rhs in rows):
+        if any(rhs for _, rhs in rows):
             return None
     # back substitution, free unknowns set to None
-    sol: List[Optional[sp.Expr]] = [None] * n_unknowns
+    sol: List[Optional[FracElement]] = [None] * n_unknowns
     for col in reversed(range(n_unknowns)):
         if pivots[col] is None:
             continue
         coeffs, rhs = reduced[pivots[col]]
         acc = rhs
         for c in range(col + 1, n_unknowns):
-            if coeffs[c] != 0:
-                acc -= coeffs[c] * (sol[c] if sol[c] is not None else 0)
-        sol[col] = canon(acc)
+            if coeffs[c] and sol[c] is not None:
+                acc -= coeffs[c] * sol[c]
+        sol[col] = acc
     unique = all(p is not None for p in pivots)
     return sol, unique
 
@@ -135,13 +135,13 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
 
     if h.is_zero():
         # fit kappa alone: l = kappa * P
-        rows = [([P.array[i, j]], l.array[i, j]) for i in rng for j in rng]
+        rows = [([P.comps[i, j]], l.comps[i, j]) for i in rng for j in rng]
         solved = _solve_linear_field_system(rows, 1)
         if solved is None:
             return NullityFit("not_nullity", witness="l is not proportional to phi^2")
         (kv,), _ = solved
-        kv = kv if kv is not None else sp.Integer(0)
-        B = TensorField(an.chart, 1, 1, kv * P.array)
+        kappa = ScalarField(ctx, kv if kv is not None else 0)
+        B = TensorField(an.chart, 1, 1, kappa * P.comps)
         residual = _bi_residual(an, B)
         w = residual.first_nonzero()
         if w is not None:
@@ -149,7 +149,6 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
                 "not_nullity",
                 witness=f"component {w[0]}: {sp.sstr(w[1])}",
             )
-        kappa = ScalarField(ctx, kv)
         bad = _r_eta_ok(an, kappa)
         if bad is not None:
             return NullityFit(
@@ -159,8 +158,8 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
 
     rows = [
         (
-            [P.array[i, j], h.array[i, j], phih.array[i, j]],
-            l.array[i, j],
+            [P.comps[i, j], h.comps[i, j], phih.comps[i, j]],
+            l.comps[i, j],
         )
         for i in rng
         for j in rng
@@ -172,16 +171,14 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
             witness="l is not in the span of {phi^2, h, phi.h}",
         )
     sol, unique = solved
-    vals = [v if v is not None else sp.Integer(0) for v in sol]
-    kv, mv, nv = vals
-    B = TensorField(an.chart, 1, 1, kv * P.array + mv * h.array + nv * phih.array)
+    kappa, mu, nu = (ScalarField(ctx, v if v is not None else 0) for v in sol)
+    B = TensorField(an.chart, 1, 1, kappa * P.comps + mu * h.comps + nu * phih.comps)
     residual = _bi_residual(an, B)
     w = residual.first_nonzero()
     if w is not None:
         return NullityFit(
             "not_nullity", witness=f"component {w[0]}: {sp.sstr(w[1])}"
         )
-    kappa, mu, nu = (ScalarField(ctx, v) for v in vals)
     for name, fld in (("kappa", kappa), ("mu", mu), ("nu", nu)):
         bad = _r_eta_ok(an, fld)
         if bad is not None:
@@ -224,16 +221,16 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     s = an.structure
     chart = an.chart
     phi, xi, eta = s.phi, s.xi, s.eta
-    alpha = an.alpha.expr
-    kappa, mu, nu = fit.kappa.expr, fit.mu.expr, fit.nu.expr
-    h, phih, P, l = an.h.array, an.phih.array, an.proj.array, an.l
-    delta = identity_tensor(chart).array
+    alpha = an.alpha
+    kappa, mu, nu = fit.kappa, fit.mu, fit.nu
+    h, phih, P, l = an.h.comps, an.phih.comps, an.proj.comps, an.l
+    delta = identity_tensor(chart).comps
     items: List[CheckItem] = []
 
     def residual(name, r, s_, comps):
         items.append(_residual_item(name, TensorField(chart, r, s_, comps)))
 
-    residual(names[0], 1, 1, l.array - (kappa * P + mu * h + nu * phih))
+    residual(names[0], 1, 1, l.comps - (kappa * P + mu * h + nu * phih))
 
     hphi = contract("ik,kj->ij", h, phi)
     residual(
@@ -247,16 +244,16 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     )
 
     h2 = compose11(an.h, an.h)
-    residual(names[2], 1, 1, h2.array - (kappa + alpha**2) * P)
+    residual(names[2], 1, 1, h2.comps - (kappa + alpha**2) * P)
 
     nab_xi_h = an.nab_xi_h
-    residual(names[3], 1, 1, nab_xi_h.array + (2 * alpha + nu) * h - mu * hphi)
+    residual(names[3], 1, 1, nab_xi_h.comps + (2 * alpha + nu) * h - mu * hphi)
 
     # nabla_xi(h^2) = (nabla_xi h) h + h (nabla_xi h), by the Leibniz rule
     nab_xi_h2 = contract("ik,kj->ij", nab_xi_h, h) + contract("ik,kj->ij", h, nab_xi_h)
     residual(names[4], 1, 1, nab_xi_h2 + 2 * (2 * alpha + nu) * (kappa + alpha**2) * P)
 
-    xikappa = an.xi_derivative(fit.kappa).expr
+    xikappa = an.xi_derivative(fit.kappa)
     items.append(
         _scalar_item(
             names[5], xikappa + 2 * (2 * alpha + nu) * (kappa + alpha**2)
@@ -274,7 +271,7 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
         + contract("b,ia->iab", eta, B),
     )
 
-    residual(names[7], 1, 0, contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi.array)
+    residual(names[7], 1, 0, contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi.comps)
 
     # (nabla_X phi)Y = g(Y, hX + alpha phi X) xi - eta(Y)(hX + alpha phi X):
     # the para-Kaehler leaves condition
@@ -289,7 +286,7 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     # (nabla_X h)Y - (nabla_Y h)X = (kappa+alpha^2)(eta(Y)phiX - eta(X)phiY
     #   + 2 g(Y, phi X) xi) + mu(eta(Y)phi.h X - eta(X)phi.h Y)
     #   + (nu+alpha)(eta(Y)hX - eta(X)hY), with g(Y, phi X) = Phi(X, Y)
-    D = (kappa + alpha**2) * phi.array + mu * phih + (nu + alpha) * h
+    D = (kappa + alpha**2) * phi.comps + mu * phih + (nu + alpha) * h
     res11 = contract("iba->iab", an.nabh) - contract("b,ia->iab", eta, D)
     residual(
         names[10],
@@ -316,12 +313,12 @@ def check_q_commutator_nullity(an: StructureAnalysis, fit: NullityFit) -> CheckI
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
     phi = an.structure.phi
-    alpha = an.alpha.expr
-    mu, nu = fit.mu.expr, fit.nu.expr
+    alpha = an.alpha
+    mu, nu = fit.mu, fit.nu
     res = (
         contract("ik,kj->ij", an.Q, phi)
         - contract("ik,kj->ij", phi, an.Q)
         - 2 * mu * contract("ik,kj->ij", an.h, phi)
-        + 2 * (nu + 2 * alpha * (1 - an.structure.n)) * an.h.array
+        + 2 * (nu + 2 * alpha * (1 - an.structure.n)) * an.h.comps
     )
     return _residual_item(name, TensorField(an.chart, 1, 1, res))

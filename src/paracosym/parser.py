@@ -35,9 +35,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
-from .errors import DefinitionError, ParseError, UnknownIdentifierError
-from .scalars import GeneratorDecl, ScalarContext, ScalarField
+from .errors import DefinitionError, DivisionByZeroFieldError, ParseError, UnknownIdentifierError
+from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
 
 MAX_EXPONENT = 8
 MAX_LITERAL_DIGITS = 1000  # well below the interpreter's int-string limit (4300)
@@ -202,15 +203,22 @@ def print_expression(node: Node) -> str:
 
 
 def lower(node: Node, context: ScalarContext) -> ScalarField:
-    """Elaborate an AST into a canonical ScalarField."""
+    """Elaborate an AST into a ScalarField, computing in the context's
+    field."""
+    return ScalarField(context, _lower(node, context))
+
+
+def _lower(node: Node, context: ScalarContext) -> FracElement:
     if isinstance(node, Lit):
-        return context.scalar(node.value)
+        return context.element(node.value)
     if isinstance(node, Var):
-        return ScalarField(context, context.symbol(node.name))
+        return context.variable(node.name)
     if isinstance(node, Neg):
-        return -lower(node.operand, context)
-    left = lower(node.left, context)
-    right = lower(node.right, context)
+        return -_lower(node.operand, context)
+    left = _lower(node.left, context)
+    if node.op == "^":
+        return power(left, int(node.right.value))
+    right = _lower(node.right, context)
     if node.op == "+":
         return left + right
     if node.op == "-":
@@ -218,9 +226,9 @@ def lower(node: Node, context: ScalarContext) -> ScalarField:
     if node.op == "*":
         return left * right
     if node.op == "/":
+        if not right:
+            raise DivisionByZeroFieldError("division by the zero scalar field")
         return left / right
-    if node.op == "^":
-        return left ** int(node.right.value)
     raise AssertionError(node.op)
 
 

@@ -306,8 +306,8 @@ def _classification_section(
     out["frame"] = {
         "kind": frame.kind,
         "exact": frame.exact,
-        "e1": [sp.sstr(frame.e1.array[i]) for i in range(3)],
-        "e2": [sp.sstr(frame.e2.array[i]) for i in range(3)],
+        "e1": [sp.sstr(c) for c in frame.e1],
+        "e2": [sp.sstr(c) for c in frame.e2],
     }
     if frame.lam is not None:
         out["frame"]["lambda"] = sp.sstr(frame.lam)

@@ -124,6 +124,35 @@ def test_cli_verify_negative_control(tmp_path):
     assert proc.returncode == 2
 
 
+# 1/x and -1/x have a pole at the base point (0, 1, 0); the signature item
+# must say so instead of counting the pole as a pivot of either sign
+POLE_AT_BASE = """
+[chart]
+dim = 3
+coords = [x, y, z]
+base_point = [0, 1, 0]
+
+[structure]
+xi = [0, 0, 1]
+eta = [0, 0, 1]
+phi = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+metric = [[1/x, 0, 0], [0, -1/x, 0], [0, 0, 1]]
+"""
+
+
+def test_cli_verify_pole_at_base_point(tmp_path):
+    path = tmp_path / "pole.txt"
+    path.write_text(POLE_AT_BASE)
+    proc = _run(["verify", str(path), "--json"])
+    assert proc.returncode == 2, proc.stderr
+    items = json.loads(proc.stdout)["axioms"]["items"]
+    assert {
+        "name": "signature (n+1,n) at base point",
+        "status": "fail",
+        "witness": "denominator vanishes at point (0, 1, 0)",
+    } in items
+
+
 def test_cli_missing_file():
     proc = _run(["verify", "/nonexistent/definition.txt"])
     assert proc.returncode == 4

@@ -26,7 +26,7 @@ from paracosym.geometry import (
     signature_at,
     wedge,
 )
-from paracosym.scalars import ScalarContext
+from paracosym.scalars import ScalarContext, canon
 
 CTX = ScalarContext(("x", "y", "z"), ())
 CHART = Chart(CTX, (Fraction(0), Fraction(0), Fraction(0)))
@@ -73,6 +73,39 @@ def seed11():
     """The seed-11 random metric and its curvature, computed once."""
     g = _random_metric(random.Random(11))
     return g, riemann(christoffel(g))
+
+
+def test_christoffel_and_riemann_match_expr_sums(seed11):
+    # the same formulas as nested sums over the sympy metric, each entry
+    # canonicalised once; the field kernels must give the same expressions
+    g, R = seed11
+    gm = sp.Matrix(3, 3, lambda i, j: g.array[i, j])
+    det, adj = canon(gm.det()), gm.adjugate()
+    ginv = [[canon(adj[k, l] / det) for l in RNG3] for k in RNG3]
+    coords = (X, Y, Z)
+    dg = [[[sp.diff(gm[i, j], coords[k]) for j in RNG3] for i in RNG3] for k in RNG3]
+    gamma = [
+        [
+            [
+                canon(
+                    sum(ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]) for l in RNG3) / 2
+                )
+                for j in RNG3
+            ]
+            for i in RNG3
+        ]
+        for k in RNG3
+    ]
+    conn = christoffel(g)
+    for k, i, j in itertools.product(RNG3, repeat=3):
+        assert conn[k, i, j] == gamma[k][i][j]
+    for l, i, j, k in itertools.product(RNG3, repeat=4):
+        want = canon(
+            sp.diff(gamma[l][j][k], coords[i])
+            - sp.diff(gamma[l][i][k], coords[j])
+            + sum(gamma[l][i][m] * gamma[m][j][k] - gamma[l][j][m] * gamma[m][i][k] for m in RNG3)
+        )
+        assert R.array[l, i, j, k] == want
 
 
 def test_riemann_first_bianchi_random(seed11):
@@ -257,7 +290,8 @@ RNG3 = range(3)
 
 
 def test_contract_r_xi(seed11):
-    # a single stage is not canonicalised: the raw sums agree term for term
+    # contract reduces each entry in the field; Components compares with a
+    # sympy array by value, so it must equal the raw nested sums as functions
     R, xi = seed11[1].array, XI.array
     want = [
         [[sum(R[i, m, a, b] * xi[m] for m in RNG3) for b in RNG3] for a in RNG3]
@@ -267,7 +301,7 @@ def test_contract_r_xi(seed11):
 
 
 def test_contract_metric_of_phi(seed11):
-    # the phi-g stage sums k and is canonicalised before phi joins
+    # the phi-g stage sums k and is reduced before phi joins
     g, phi = seed11[0].array, PHI.array
     want = [
         [

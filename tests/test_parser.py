@@ -23,6 +23,12 @@ def test_precedence():
     assert parse_scalar("(x + y)^3", CTX) == (CTX.coordinate(0) + CTX.coordinate(1)) ** 3
 
 
+def test_zeroth_power_of_zero_is_one():
+    # sympy's convention, 0**0 = 1, also in the field
+    assert parse_scalar("(x - x)^0", CTX) == 1
+    assert (CTX.coordinate(0) - CTX.coordinate(0)) ** 0 == 1
+
+
 def test_rational_literals():
     assert parse_scalar("3/4", CTX).serialize() == "3/4"
     assert parse_scalar("1/2 * x", CTX) == CTX.coordinate(0) / 2

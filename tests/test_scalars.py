@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paracosym.errors import (
     ContextMismatchError,
     DivisionByZeroFieldError,
     GeneratorEvalError,
+    NotRationalError,
     PoleError,
 )
-from paracosym.scalars import GeneratorDecl, ScalarContext, ScalarField, canon
+from paracosym.scalars import GeneratorDecl, ScalarContext, ScalarField, canon, pdiff
 
 
 @pytest.fixture
@@ -56,6 +57,25 @@ def test_partial_generator_chain_rule(gctx):
     # d/dz (x E) = 2 x E since E stands for exp(2 z)
     assert f.partial(2) == 2 * x * E
     assert f.partial(0) == E
+
+
+def test_negative_powers_keep_the_denominator_positive(ctx):
+    x = ctx.coordinate(0)
+    assert ctx.scalar(Fraction(-3, 2)) ** -1 == Fraction(-2, 3)
+    assert str((-x) ** -1) == "-1/x"
+    assert str((2 - x) ** -1) == "-1/(x - 2)"
+
+
+def test_partial_fractional_rate():
+    # F stands for exp(t/2) and G for exp(-3t): dF/dt = F/2, dG/dt = -3G
+    hctx = ScalarContext(("t", "x"), (GeneratorDecl("F", 0, sp.Rational(1, 2)), GeneratorDecl("G", 0, -3)))
+    t, x = hctx.coordinate(0), hctx.coordinate(1)
+    F, G = hctx.generator_field(0), hctx.generator_field(1)
+    f = t * F / (x + G)
+    want = F / (x + G) + t * F / (2 * (x + G)) + 3 * t * F * G / (x + G) ** 2
+    assert f.partial(0) == want
+    assert sp.srepr(f.partial(0).expr) == sp.srepr(canon(pdiff(hctx, f.expr, 0)))
+    assert f.partial(1) == -t * F / (x + G) ** 2
 
 
 def test_eval_exact_and_pole(ctx):
@@ -169,3 +189,32 @@ def test_canon_algebraic_constants_take_the_fallback(monkeypatch):
     calls.clear()
     assert canon(w / (2 * w + 2) - 1 / (w + 1)) == (w - 2) / (2 * w + 2)
     assert not calls
+
+
+# --------------------------------------------------------------------
+# ScalarField arithmetic in the field against canon of the same Expr step
+
+GCTX = ScalarContext(("t", "x"), (GeneratorDecl("E", 0, 2),))  # E = exp(2t)
+
+
+def _in_gctx(expr) -> ScalarField:
+    try:
+        return ScalarField(GCTX, expr)
+    except (DivisionByZeroFieldError, NotRationalError):  # a zero denominator, or zoo
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_RATIONAL_EXPRS, _RATIONAL_EXPRS, st.integers(-3, 3))
+def test_scalar_field_ops_match_canon(a, b, k):
+    fa, fb = _in_gctx(a), _in_gctx(b)
+    assert sp.srepr(fa.expr) == sp.srepr(canon(a))
+    cases = [(fa + fb, a + b), (fa - fb, a - b), (fa * fb, a * b)]
+    if not fb.is_zero():
+        cases.append((fa / fb, a / b))
+    if k >= 0 or not fa.is_zero():
+        cases.append((fa**k, a**k))
+    for c in range(2):
+        cases.append((fa.partial(c), pdiff(GCTX, a, c)))
+    for got, want in cases:
+        assert sp.srepr(got.expr) == sp.srepr(canon(want))

@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 
 from paracosym.errors import StructureError
-from paracosym.geometry import compose11
+from paracosym.geometry import TensorField, compose11, contract
 from paracosym.parser import load_definition
 from paracosym.structures import (
     AlmostParacontactStructure,
@@ -13,8 +13,19 @@ from paracosym.structures import (
     nijenhuis_normality,
     para_kenmotsu_biconditional,
     parakaehler_leaves_check,
-    shape_operator_residual,
 )
+
+
+def shape_operator_residual(an) -> TensorField:
+    """Residual of the equivalent leaves condition
+    (nabla_X phi)Y = g(AX, phiY) xi + eta(Y) phi A X."""
+    s = an.structure
+    out = (
+        contract("iba->iab", an.nabphi)
+        - contract("ma,mn,nb,i->iab", an.A, s.g, s.phi, s.xi)
+        - contract("ik,ka,b->iab", s.phi, an.A, s.eta)
+    )
+    return TensorField(an.chart, 1, 2, out)
 
 POSITIVE = [
     "example_e",
