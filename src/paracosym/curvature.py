@@ -313,40 +313,3 @@ def check_jacobi_self_adjoint(an: StructureAnalysis) -> CheckItem:
         "Jacobi operator self-adjoint",
         TensorField(an.chart, 0, 2, gl - contract("ij->ji", gl)),
     )
-
-
-def three_dim_decomposition_residual(
-    g: TensorField, ricci_sign: int = 1
-) -> TensorField:
-    """In three dimensions the curvature tensor is determined by the Ricci
-    tensor:
-
-    R(X,Y)Z = g(Y,Z)QX - g(X,Z)QY + g(QY,Z)X - g(QX,Z)Y
-              - (r/2)(g(Y,Z)X - g(X,Z)Y).
-
-    Returns the (1,3) residual for an arbitrary metric; ricci_sign = -1
-    flips the sign convention of Q (and r) and must break the identity on
-    any non-flat metric."""
-    from .geometry import (
-        christoffel,
-        ricci_operator,
-        ricci_tensor,
-        riemann,
-        scalar_curvature,
-    )
-
-    chart = g.chart
-    if chart.dim != 3:
-        raise ValueError("the decomposition is specific to three dimensions")
-    conn = christoffel(g)
-    R = riemann(conn)
-    S = ricci_tensor(R)
-    Q = ricci_operator(S, g).scale(ricci_sign)
-    r = scalar_curvature(S, g) * ricci_sign
-    delta = identity_tensor(chart).comps
-    gQ = contract("mk,mb->bk", g, Q)  # g(Q d_b, d_k)
-    # model = T - (T with a and b swapped)
-    T = contract("bk,ia->iabk", g, Q.comps - (r / 2) * delta) + contract(
-        "bk,ia->iabk", gQ, delta
-    )
-    return TensorField(chart, 1, 3, R.comps - T + contract("ibak->iabk", T))

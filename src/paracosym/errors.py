@@ -30,6 +30,11 @@ class DivisionByZeroFieldError(EngineError):
     """Division by a scalar field that is identically zero."""
 
 
+class ZeroDivisorError(DivisionByZeroFieldError):
+    """Inverse of a zero divisor of a quadratic tower: a norm p**2 - a q**2
+    that vanishes identically."""
+
+
 class NotRationalError(EngineError):
     """A value is not a rational function of the chart's coordinates and
     generators, so it has no place in the chart's rational function field."""

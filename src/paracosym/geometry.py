@@ -342,18 +342,6 @@ class TensorField:
             return value(self.comps.flat[0])
         return self.comps.applyfunc(value)
 
-    def numeric_at(self, point: Optional[Sequence] = None):
-        """Float value (Components, or one float for a scalar); generators
-        evaluate as exp(rate*coord)."""
-        subs = self.chart.point_subs(point)
-        pt = self.chart.base_point if point is None else [Fraction(p) for p in point]
-        for gen, gsym in zip(self.chart.context.generators, self.chart.context.gen_symbols):
-            p = Fraction(pt[gen.coord_index])
-            subs[gsym] = sp.exp(gen.rate * sp.Rational(p.numerator, p.denominator))
-        if self.rank == 0:
-            return float(self.array.flat[0].subs(subs))
-        return self.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))
-
 
 # --------------------------------------------------------------------
 # the contraction primitive

@@ -18,6 +18,8 @@ brackets are open):
     metric = [[1, 0, -x], ...]
     alpha = 1               # optional; cross-checked, never trusted
 
+dim is odd, at least 3 and at most MAX_DIM.
+
 Expression grammar: rational literals (ints, decimals, p/q via '/'),
 coordinate/generator identifiers, parentheses, unary -, binary + - * /,
 and ^ with a non-negative integer exponent of at most MAX_EXPONENT (a
@@ -41,6 +43,7 @@ from .errors import DefinitionError, DivisionByZeroFieldError, ParseError, Unkno
 from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
 
 MAX_EXPONENT = 8
+MAX_DIM = 9  # analyze time grows steeply with dim: about 1 s at 9, 30 s at 15
 MAX_LITERAL_DIGITS = 1000  # well below the interpreter's int-string limit (4300)
 
 # --------------------------------------------------------------------
@@ -368,6 +371,8 @@ def load_definition(contents: str) -> ManifoldDefinition:
         raise DefinitionError(f"dim must be an integer, got {chart['dim']!r}") from exc
     if dim < 3 or dim % 2 == 0:
         raise DefinitionError(f"dim must be odd and >= 3, got {dim}")
+    if dim > MAX_DIM:
+        raise DefinitionError(f"dim must be at most {MAX_DIM}, got {dim}")
 
     coords = tuple(_parse_list(chart["coords"]))
     for c in coords:

@@ -25,10 +25,11 @@ of the context, and applies to field elements and to sympy expressions.
 
 sympy expressions appear only at the boundary: parsing lowers straight
 into the field, and the Expr view of an element serves printing, JSON,
-evaluation at points and classify's frame code.  Frame vectors there carry
-algebraic constants (sqrt(...)) that no QQ field holds; canon() gives
-such an expression the form cancel(together(.)) gives it, computing it in
-a polynomial ring when the input is rational and calling sympy otherwise.
+evaluation at points and the sympy side of classify's frames, which carry
+algebraic constants (sqrt(...)) that no QQ field holds and are decided in
+a quadratic tower over the field (tower.py); canon() gives such an
+expression the form cancel(together(.)) gives it, computing it in a
+polynomial ring when the input is rational and calling sympy otherwise.
 No floats on the symbolic path.
 """
 
@@ -196,9 +197,6 @@ class ScalarContext:
 
     def coordinate(self, index: int) -> "ScalarField":
         return ScalarField(self, self.variable(self.coord_names[index]))
-
-    def generator_field(self, index: int) -> "ScalarField":
-        return ScalarField(self, self.variable(self.generators[index].name))
 
 
 @lru_cache(maxsize=256)

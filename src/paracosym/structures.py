@@ -188,7 +188,12 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
         )
 
     # eigendistributions D+/D- of phi inside ker(eta) have dimension n each
-    phi0 = s.phi.eval_at()
+    try:
+        phi0 = s.phi.eval_at()
+    except EngineError as exc:  # a pole of phi at the base point fails both items
+        for label in ("D+", "D-"):
+            items.append(CheckItem(f"dim {label} = n at base point", "fail", witness=str(exc)))
+        return items
     m = sp.Matrix(n_tot, n_tot, lambda i, j: phi0[i, j])
     for sign, label in ((1, "D+"), (-1, "D-")):
         null_dim = n_tot - (m - sign * sp.eye(n_tot)).rank()

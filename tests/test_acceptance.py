@@ -16,10 +16,8 @@ import sympy as sp
 from paracosym.catalog import catalog, catalog_entry
 from paracosym.classify import (
     classify_h,
-    h4_impossibility_test,
     harmonic_nullity_equivalence,
 )
-from paracosym.curvature import three_dim_decomposition_residual
 from paracosym.curvature import check_q_commutator, check_r2_suite, check_rxyxi_general
 from paracosym.deform import d_homothetic_deform, invariant_I0, transform_kmn
 from paracosym.geometry import Chart, TensorField, bracket
@@ -32,6 +30,7 @@ from paracosym.structures import (
     identity_suite,
     parakaehler_leaves_check,
 )
+from support import h4_impossibility_test, three_dim_decomposition_residual
 
 POSITIVE = [e.name for e in catalog() if not e.negative_control]
 THREE_DIM = [

@@ -153,6 +153,35 @@ def test_cli_verify_pole_at_base_point(tmp_path):
     } in items
 
 
+# phi has a pole at the base point: the D+/D- items fail with the pole as
+# their witness, and the report still reaches stdout
+PHI_POLE_AT_BASE = POLE_AT_BASE.replace(
+    "phi = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]", "phi = [[0, 1, 0], [1, 0, 1/x], [0, 0, 0]]"
+).replace("metric = [[1/x, 0, 0], [0, -1/x, 0], [0, 0, 1]]", "metric = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]")
+
+
+def test_cli_verify_phi_pole_at_base_point(tmp_path):
+    path = tmp_path / "phi_pole.txt"
+    path.write_text(PHI_POLE_AT_BASE)
+    proc = _run(["verify", str(path), "--json"])
+    assert proc.returncode == 2, proc.stderr
+    items = json.loads(proc.stdout)["axioms"]["items"]
+    for label in ("D+", "D-"):
+        assert {
+            "name": f"dim {label} = n at base point",
+            "status": "fail",
+            "witness": "denominator vanishes at point (0, 1, 0)",
+        } in items
+
+
+def test_cli_dim_above_bound_exits_4(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text(catalog_entry("flat_product").definition_text.replace("dim = 3", "dim = 15"))
+    proc = _run(["analyze", str(path)])
+    assert proc.returncode == 4
+    assert "at most 9" in proc.stderr
+
+
 def test_cli_missing_file():
     proc = _run(["verify", "/nonexistent/definition.txt"])
     assert proc.returncode == 4

@@ -6,6 +6,7 @@ import sympy as sp
 from paracosym import curvature as curv
 from paracosym.geometry import covariant_derivative
 from paracosym.structures import CheckItem
+from support import numeric_at, three_dim_decomposition_residual
 
 
 def frame_laplacian_cross_check(an, points, tol: float = 1e-9) -> CheckItem:
@@ -20,11 +21,11 @@ def frame_laplacian_cross_check(an, points, tol: float = 1e-9) -> CheckItem:
     lap = curv.rough_laplacian_xi(an)
     worst = 0.0
     for pt in points:
-        gnum = s.g.numeric_at(pt)
+        gnum = numeric_at(s.g, pt)
         gm = sp.Matrix(n_tot, n_tot, lambda i, j: sp.Float(gnum[i, j], 30))
         basis, signs = _numeric_frame(gm)
-        nn = nnxi.numeric_at(pt)
-        expect = lap.numeric_at(pt)
+        nn = numeric_at(nnxi, pt)
+        expect = numeric_at(lap, pt)
         for k in rng:
             acc = sp.Float(0, 30)
             for e, eps in zip(basis, signs):
@@ -200,5 +201,5 @@ def test_jacobi_matches_oracle(analyses):
 
 def test_three_dim_decomposition_sign_pin(analyses):
     g = analyses("example_e").structure.g
-    assert curv.three_dim_decomposition_residual(g).is_zero()
-    assert not curv.three_dim_decomposition_residual(g, ricci_sign=-1).is_zero()
+    assert three_dim_decomposition_residual(g).is_zero()
+    assert not three_dim_decomposition_residual(g, ricci_sign=-1).is_zero()

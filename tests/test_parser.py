@@ -3,6 +3,7 @@ import sympy as sp
 
 from paracosym.errors import DefinitionError, ParseError, UnknownIdentifierError
 from paracosym.parser import (
+    MAX_DIM,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
     load_definition,
@@ -108,6 +109,14 @@ def test_load_missing_section():
 def test_load_even_dim_rejected():
     with pytest.raises(DefinitionError):
         load_definition(MINIMAL.replace("dim = 3", "dim = 4"))
+
+
+@pytest.mark.parametrize("dim", [15, 5001])
+def test_load_dim_above_bound_rejected(dim):
+    # rejected before the coordinates are read: no list of dim names is needed
+    assert dim > MAX_DIM
+    with pytest.raises(DefinitionError, match=f"at most {MAX_DIM}"):
+        load_definition(MINIMAL.replace("dim = 3", f"dim = {dim}"))
 
 
 def test_load_asymmetric_metric():
