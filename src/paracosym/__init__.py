@@ -1,5 +1,10 @@
 """Exact symbolic verification, analysis, and classification of almost
-alpha-paracosymplectic structures on coordinate charts."""
+alpha-paracosymplectic structures on coordinate charts.
+
+classify (the one module that imports sympy) and report load on first
+use of their names (PEP 562), so importing the package loads no sympy."""
+
+import importlib
 
 from .errors import (
     DefinitionError,
@@ -19,9 +24,21 @@ from .structures import (
     verify_axioms,
 )
 from .nullity import NullityFit, nullity_fit
-from .classify import HType, classify_h
 from .catalog import CatalogEntry, catalog, catalog_entry
-from .report import AnalysisReport, run_analyze
+
+_LAZY = {
+    "HType": "classify",
+    "classify_h": "classify",
+    "AnalysisReport": "report",
+    "run_analyze": "report",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -29,17 +29,20 @@ in the tower.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 from .errors import StructureError, ZeroDivisorError
 from .geometry import ConnectionCoefficients, TensorField, compose11, contract, identity_tensor
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
-from .scalars import ScalarField, canon, pdiff
+from .scalars import ScalarContext, ScalarField, _collect_symbols, _fraction
 from .tower import Quad, QuadraticTower
 
 
@@ -102,6 +105,53 @@ def _exact_sign(val: sp.Expr) -> int:
     if abs(f) < 1e-25:
         return 0
     return 1 if f > 0 else -1
+
+
+# --------------------------------------------------------------------
+# canonical sympy expressions: the frames' sympy side
+
+CANON_MEMO_SIZE = 8192
+
+
+def canon(expr) -> sp.Expr:
+    """The canonical form of a rational function: one reduced fraction,
+    equal to sp.cancel(sp.together(expr))."""
+    return _canon(expr if isinstance(expr, sp.Basic) else sp.sympify(expr))
+
+
+@lru_cache(maxsize=CANON_MEMO_SIZE)
+def _canon(expr: sp.Basic) -> sp.Expr:
+    if expr.is_Number:
+        return expr
+    symbols = set()
+    if not _collect_symbols(expr, symbols):
+        return sp.cancel(sp.together(expr))
+    ring = _ring(tuple(_sort_gens(symbols)))
+    num, den = _fraction(expr, ring, {s.name: g for s, g in zip(ring.symbols, ring.gens)})
+    p, q = num.cancel(den)
+    return p.as_expr() / q.as_expr()
+
+
+@lru_cache(maxsize=256)
+def _ring(gens: tuple) -> PolyRing:
+    return PolyRing(gens, QQ)
+
+
+def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
+    """Raw partial derivative of a sympy expression by a chart coordinate,
+    generator rule included: d/dc = d_c + sum(rate * E * d_E) over the
+    generators E based on c."""
+    rule = [(context.coord_symbols[coord_index], sp.Integer(1))] + [
+        (gsym, sp.Rational(gen.rate) * gsym)
+        for gen, gsym in zip(context.generators, context.gen_symbols)
+        if gen.coord_index == coord_index
+    ]
+    free = expr.free_symbols
+    d = sp.Integer(0)
+    for sym, factor in rule:
+        if sym in free:
+            d = d + (sp.diff(expr, sym) if factor == 1 else factor * sp.diff(expr, sym))
+    return d
 
 
 # --------------------------------------------------------------------
@@ -222,7 +272,7 @@ def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
     ctx = an.chart.context
     subs = {s: sp.Rational(Fraction(v)) for s, v in zip(ctx.coord_symbols, pt)}
     for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
-        subs[gsym] = sp.exp(gen.rate * subs[ctx.coord_symbols[gen.coord_index]])
+        subs[gsym] = sp.exp(sp.Rational(gen.rate) * subs[ctx.coord_symbols[gen.coord_index]])
     return expr.subs(subs)
 
 

@@ -9,9 +9,8 @@ commutator, constant sectional curvature, harmonicity of xi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
-
-import sympy as sp
 
 from .geometry import (
     TensorField,
@@ -206,7 +205,7 @@ def check_q_commutator(an: StructureAnalysis) -> CheckItem:
 @dataclass
 class ConstantCurvatureResult:
     is_space_form: bool
-    c: Optional[sp.Rational]  # the sectional curvature when constant
+    c: Optional[Fraction]  # the sectional curvature when constant
     witness: Optional[str] = None
 
 
@@ -217,11 +216,11 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     delta = identity_tensor(an.chart)
     model = contract("bk,ia->iabk", g, delta) - contract("ak,ib->iabk", g, delta)
 
-    subs = an.chart.point_subs()
+    at = an.chart.values_at()
     cf = an.chart.context.zero()
     for idx in an.R.indices():
         m = model[idx]
-        if not m or m.denom.as_expr().subs(subs) == 0 or m.numer.as_expr().subs(subs) == 0:
+        if not m or not at.is_unit(m):
             continue
         cf = ScalarField(an.chart.context, R[idx] / m)
         break
@@ -230,7 +229,7 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     if not residual.is_zero():
         w = residual.first_nonzero()
         return ConstantCurvatureResult(
-            False, None, witness=f"component {w[0]}: {sp.sstr(w[1])}"
+            False, None, witness=f"component {w[0]}: {w[1]}"
         )
     if not cf.is_constant():
         return ConstantCurvatureResult(
@@ -304,7 +303,7 @@ def xi_is_harmonic(an: StructureAnalysis) -> Tuple[bool, Optional[str]]:
     w = TensorField(an.chart, 1, 0, res).first_nonzero()
     if w is None:
         return True, None
-    return False, f"Q(xi) - S(xi,xi) xi has component {w[0]}: {sp.sstr(w[1])}"
+    return False, f"Q(xi) - S(xi,xi) xi has component {w[0]}: {w[1]}"
 
 
 def check_jacobi_self_adjoint(an: StructureAnalysis) -> CheckItem:

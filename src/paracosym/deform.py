@@ -21,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-import sympy as sp
-
 from .errors import DeformationParameterError
 from .geometry import Chart, TensorField, contract
 from .scalars import GeneratorDecl, ScalarContext, ScalarField
@@ -46,23 +44,20 @@ def _check_eta_proportional(s: AlmostParacontactStructure, fld: ScalarField, wha
 
 
 def _nonzero_at_base(s: AlmostParacontactStructure, fld: ScalarField, what: str):
+    """fld is not zero at the base point, decided exactly (PoleError at a
+    pole)."""
     if fld.is_zero():
         raise DeformationParameterError(f"{what} is identically zero")
-    pt = s.chart.base_point
-    if fld.has_generators():
-        if abs(fld.numeric_eval(pt)) < 1e-12:
-            raise DeformationParameterError(f"{what} vanishes at the base point")
-    else:
-        if fld.eval(pt) == 0:
-            raise DeformationParameterError(f"{what} vanishes at the base point")
+    if not s.chart.values_at().value(fld.value):
+        raise DeformationParameterError(f"{what} vanishes at the base point")
 
 
 def d_homothetic_deform(
     s: AlmostParacontactStructure,
-    gamma: Union[int, Fraction, sp.Rational],
+    gamma: Union[int, Fraction],
     beta: ScalarField,
 ) -> AlmostParacontactStructure:
-    gamma = sp.Rational(Fraction(gamma)) if isinstance(gamma, (int, Fraction)) else sp.Rational(gamma)
+    gamma = Fraction(gamma)
     if gamma <= 0:
         raise DeformationParameterError(f"gamma must be positive, got {gamma}")
     if beta.context != s.chart.context:
@@ -130,7 +125,7 @@ def conformal_deform(
     return AlmostParacontactStructure(chart, phi_p, xi_p, eta_p, g_p)
 
 
-def _linear_coordinate_form(u: ScalarField) -> Tuple[sp.Rational, int]:
+def _linear_coordinate_form(u: ScalarField) -> Tuple[Fraction, int]:
     """Decompose u = q * x_k or fail."""
     ctx = u.context
     if u.has_generators():
@@ -156,7 +151,7 @@ def verify_deformation_laws(
     homothetic deformation, exactly."""
     s = an.structure
     chart = an.chart
-    gamma = sp.Rational(Fraction(gamma)) if isinstance(gamma, (int, Fraction)) else sp.Rational(gamma)
+    gamma = Fraction(gamma)
     b = beta
     dbeta_xi = an.xi_derivative(beta)
     xi, eta = s.xi, s.eta

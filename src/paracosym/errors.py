@@ -22,8 +22,8 @@ class PoleError(EngineError):
     """Denominator vanishes at the evaluation point."""
 
     def __init__(self, point):
-        self.point = point
-        super().__init__(f"denominator vanishes at point {tuple(point)}")
+        self.point = tuple(point)
+        super().__init__(f"denominator vanishes at point ({', '.join(map(str, self.point))})")
 
 
 class DivisionByZeroFieldError(EngineError):
@@ -38,10 +38,6 @@ class ZeroDivisorError(DivisionByZeroFieldError):
 class NotRationalError(EngineError):
     """A value is not a rational function of the chart's coordinates and
     generators, so it has no place in the chart's rational function field."""
-
-
-class UndecidedSignError(EngineError):
-    """The sign of a value at a point could not be decided."""
 
 
 class GeneratorEvalError(EngineError):

@@ -20,8 +20,9 @@ stores them in one Components value: the dimension n, the rank and a flat
 row-major tuple of the n**rank entries, so the entry at (i_1, ..., i_k)
 sits at offset ((i_1 n + i_2) n + ...) n + i_k.  TensorField.array (and
 ConnectionCoefficients.array) is the sympy view of the same entries, built
-once on first use, for printing, evaluation at points and classify's frame
-code; the kernels here never read it.
+once on first use for classify's frame code (sympy is imported then); the
+kernels here never read it.  Values at a rational point (eval_at,
+signature_at) are exact elements of QQ(E) from scalars.PointValues.
 
 Algebraic contractions go through one primitive, contract(spec,
 *operands), an exact einsum.  The spec names the slots of each operand
@@ -45,18 +46,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, Optional, Sequence, Tuple
 
-import sympy as sp
-from sympy.polys.fields import FracElement
-
 from .errors import (
     DegenerateMetricError,
     DivisionByZeroFieldError,
-    PoleError,
     SingularMetricError,
-    UndecidedSignError,
     ValenceError,
 )
+from .field import Frac
 from .scalars import (
+    PointValues,
     ScalarContext,
     ScalarField,
     combine,
@@ -77,6 +75,7 @@ class Chart:
             raise ValueError("base point dimension mismatch")
         self.context = context
         self.base_point = tuple(Fraction(p) for p in base_point)
+        self._base_values = None
 
     @property
     def dim(self) -> int:
@@ -92,21 +91,24 @@ class Chart:
     def __hash__(self):
         return hash((self.context, self.base_point))
 
-    def point_subs(self, point: Optional[Sequence] = None) -> dict:
-        pt = self.base_point if point is None else [Fraction(p) for p in point]
-        subs = {
-            s: sp.Rational(Fraction(p).numerator, Fraction(p).denominator)
-            for s, p in zip(self.context.coord_symbols, pt)
-        }
-        return subs
+    def values_at(self, point: Optional[Sequence] = None) -> PointValues:
+        """Exact values at a rational point (the base point by default)."""
+        if point is not None:
+            return PointValues(self.context, point)
+        if self._base_values is None:
+            self._base_values = PointValues(self.context, self.base_point)
+        return self._base_values
 
 
 def _entry(x):
-    """A component as stored: a field element, or a sympy expression."""
-    if isinstance(x, FracElement):
+    """A component as stored: a field element, an int or Fraction, or a
+    sympy expression."""
+    if isinstance(x, (Frac, int, Fraction)):
         return x
     if isinstance(x, ScalarField):
         return x.value
+    import sympy as sp
+
     return sp.sympify(x)
 
 
@@ -168,7 +170,7 @@ class Components:
         return zip(self.flat, other.flat)
 
     def _in_field(self) -> bool:
-        return bool(self.flat) and isinstance(self.flat[0], FracElement)
+        return bool(self.flat) and isinstance(self.flat[0], Frac)
 
     def __add__(self, other) -> "Components":
         pairs = self._zip(other)
@@ -197,6 +199,8 @@ class Components:
                     raise DivisionByZeroFieldError("division by the zero scalar field")
                 c = c.field.raw_new(c.denom, c.numer)  # times() fixes the sign
             return Components(self.n, self.rank, [times(a, c) for a in self.flat])
+        import sympy as sp
+
         c = sp.sympify(c, strict=True)
         return Components(self.n, self.rank, [a / c if invert else a * c for a in self.flat])
 
@@ -211,7 +215,7 @@ class Components:
     def __eq__(self, other):
         if hasattr(other, "tolist"):  # a sympy array or matrix compares by value
             other = Components.of(other)
-            field = next((e.field for e in self.flat if isinstance(e, FracElement)), None)
+            field = next((e.field for e in self.flat if isinstance(e, Frac)), None)
             if field is not None and (other.n, other.rank) == (self.n, self.rank):
                 return self.flat == tuple(to_element(field, e) for e in other.flat)
         if not isinstance(other, Components):
@@ -219,7 +223,7 @@ class Components:
         return (self.n, self.rank, self.flat) == (other.n, other.rank, other.flat)
 
     def __hash__(self):
-        keys = (element_key(e) if isinstance(e, FracElement) else e for e in self.flat)
+        keys = (element_key(e) if isinstance(e, Frac) else e for e in self.flat)
         return hash((self.n, self.rank, tuple(keys)))
 
     def __repr__(self):
@@ -229,9 +233,7 @@ class Components:
 def _elements(context: ScalarContext, flat) -> tuple:
     """The entries as elements of the context's field."""
     field = context.field
-    return tuple(
-        e if isinstance(e, FracElement) and e.field is field else context.element(e) for e in flat
-    )
+    return tuple(e if isinstance(e, Frac) and e.field is field else context.element(e) for e in flat)
 
 
 def _expr_view(comps: Components) -> Components:
@@ -260,7 +262,8 @@ class TensorField:
 
     @property
     def array(self) -> Components:
-        """The components as sympy expressions (reduced fractions)."""
+        """The components as sympy expressions (reduced fractions); imports
+        sympy."""
         if self._array is None:
             self._array = _expr_view(self.comps)
         return self._array
@@ -314,30 +317,19 @@ class TensorField:
     def __hash__(self):
         return hash((self.chart, self.r, self.s, self.comps))
 
-    def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], sp.Expr]]:
+    def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], Frac]]:
         """Witness component for a failed identity, or None if zero."""
         for idx, e in zip(self.indices(), self.comps):
             if e:
-                return idx, e.as_expr()
+                return idx, e
         return None
 
     # -- evaluation ----------------------------------------------------
 
     def eval_at(self, point: Optional[Sequence] = None):
-        """Exact value at a rational point (generator-free only): Components,
-        or one Rational for a scalar."""
-        subs = self.chart.point_subs(point)
-        gens = set(self.chart.context.gen_symbols)
-
-        def value(e):
-            num, den = e.numer.as_expr(), e.denom.as_expr()
-            if (num.free_symbols | den.free_symbols) & gens:
-                raise ValueError("exact evaluation of a generator-bearing tensor")
-            d = den.subs(subs)
-            if d == 0:
-                raise PoleError(tuple(subs.values()))
-            return sp.Rational(num.subs(subs)) / sp.Rational(d)
-
+        """Exact value at a rational point, in QQ(E) (scalars.PointValues):
+        Components, or one value for a scalar; PoleError at a pole."""
+        value = self.chart.values_at(point).value
         if self.rank == 0:
             return value(self.comps.flat[0])
         return self.comps.applyfunc(value)
@@ -346,7 +338,7 @@ class TensorField:
 # --------------------------------------------------------------------
 # the contraction primitive
 
-Entries = Dict[Tuple[int, ...], FracElement]
+Entries = Dict[Tuple[int, ...], Frac]
 
 
 def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
@@ -440,10 +432,13 @@ def contract(spec: str, *operands):
     context = next((x.chart.context for x in operands if isinstance(x, TensorField)), None)
     flats = [flat for _, flat in parts]
     field = context.field if context is not None else next(
-        (e.field for flat in flats for e in flat if isinstance(e, FracElement)), None
+        (e.field for flat in flats for e in flat if isinstance(e, Frac)), None
     )
     plain = field is None
-    if plain:
+    if plain:  # sympy entries: computed in the field of their symbols
+        import sympy as sp
+
+        flats = [[sp.sympify(e) for e in flat] for flat in flats]
         field = field_of(set().union(*(e.free_symbols for flat in flats for e in flat)))
     flats = [[to_element(field, e) for e in flat] for flat in flats]
     labels, entries = "", {(): field.one}
@@ -628,7 +623,7 @@ def _strides(n: int, rank: int) -> list:
     return [n ** (rank - 1 - p) for p in range(rank)]
 
 
-def _times(f: FracElement, pair) -> tuple:
+def _times(f: Frac, pair) -> tuple:
     """f times an unreduced numerator/denominator pair."""
     return f.numer * pair[0], f.denom * pair[1]
 
@@ -836,44 +831,24 @@ def scalar_curvature(S: TensorField, g: TensorField) -> ScalarField:
 def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int, int]:
     """(positive, negative) inertia of g at a rational point.
 
-    Exact symmetric congruence diagonalization over the rationals; never
-    touches eigenvalues, so no irrationals appear.  Generator symbols are
-    substituted by their exact exp(rate*coord) values at the point, which
-    keeps the elimination symbolic but still decidable; without generators
-    every value is a Rational and nothing needs simplifying.  An entry whose
-    denominator vanishes at the point raises PoleError; that test is exact:
-    at a rational point the denominator becomes a sum of rational multiples
-    of exp(r) for distinct rationals r, which by Lindemann-Weierstrass
-    vanishes only when sympy's expanded form is 0.  A pivot whose sign no
-    exact test and no numeric evaluation decides raises UndecidedSignError.
+    Exact symmetric congruence diagonalization of g's values at the point,
+    which lie in QQ(E) (scalars.PointValues): every zero test there is
+    exact and every pivot sign is decided by refining rational enclosures
+    of E, so no irrationals and no floats appear.  An entry whose
+    denominator vanishes at the point raises PoleError, a metric with no
+    nonzero pivot left DegenerateMetricError.
     """
     n = g.chart.dim
-    subs = g.chart.point_subs(point)
-    ctx = g.chart.context
-    coords = tuple(subs[s] for s in ctx.coord_symbols)
-    for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
-        coord_val = subs[ctx.coord_symbols[gen.coord_index]]
-        subs[gsym] = sp.exp(gen.rate * coord_val)
-    for e in g.comps.flat:
-        if sp.expand(e.denom.as_expr().subs(subs)) == 0:
-            raise PoleError(coords)
-    simplify = sp.simplify if ctx.generators else (lambda e: e)
-    work = sp.Matrix(n, n, lambda i, j: simplify(g.array[i, j].subs(subs)))
+    at = g.chart.values_at(point)
+    work = [[at.value(e) for e in g.comps.flat[i * n : (i + 1) * n]] for i in range(n)]
     pos = neg = 0
-    size = n
-    while size > 0:
-        work = work.applyfunc(simplify)
+    while work:
+        size = len(work)
         # find a nonzero diagonal pivot
-        piv = next((i for i in range(size) if work[i, i] != 0), None)
+        piv = next((i for i in range(size) if work[i][i]), None)
         if piv is None:
             ij = next(
-                (
-                    (i, j)
-                    for i in range(size)
-                    for j in range(i + 1, size)
-                    if work[i, j] != 0
-                ),
-                None,
+                ((i, j) for i in range(size) for j in range(i + 1, size) if work[i][j]), None
             )
             if ij is None:
                 raise DegenerateMetricError(
@@ -881,31 +856,20 @@ def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int,
                 )
             i, j = ij
             # congruence: add row/col j to row/col i to surface a diagonal entry
-            work[i, :] = work[i, :] + work[j, :]
-            work[:, i] = work[:, i] + work[:, j]
+            work[i] = [a + b for a, b in zip(work[i], work[j])]
+            for row in work:
+                row[i] = row[i] + row[j]
             piv = i
-        d = work[piv, piv]
-        is_pos = d.is_positive
-        if is_pos is None:
-            try:
-                is_pos = float(d.evalf(30)) > 0
-            except TypeError as exc:
-                raise UndecidedSignError(f"sign of pivot {sp.sstr(d)} at point {coords}") from exc
-        if is_pos:
+        d = work[piv][piv]
+        if at.sign(d) > 0:
             pos += 1
         else:
             neg += 1
         # eliminate the pivot row/column symmetrically (E m E^T)
         keep = [i for i in range(size) if i != piv]
-        factors = {i: work[i, piv] / d for i in keep}
-        for i in keep:
-            if factors[i] != 0:
-                work[i, :] = work[i, :] - factors[i] * work[piv, :]
-        for i in keep:
-            if factors[i] != 0:
-                work[:, i] = work[:, i] - factors[i] * work[:, piv]
-        work = work.extract(keep, keep)
-        size -= 1
-    if pos + neg < n:
-        raise DegenerateMetricError("metric degenerate at point")
+        prow = work[piv]
+        work = [
+            [work[a][b] - work[a][piv] * prow[b] / d if work[a][piv] else work[a][b] for b in keep]
+            for a in keep
+        ]
     return pos, neg

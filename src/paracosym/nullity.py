@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import sympy as sp
-from sympy.polys.fields import FracElement
-
+from .field import Frac
 from .geometry import TensorField, compose11, contract, identity_tensor
 from .scalars import ScalarField
 from .structures import (
@@ -48,8 +46,8 @@ class NullityFit:
 
 
 def _solve_linear_field_system(
-    rows: List[Tuple[List[FracElement], FracElement]], n_unknowns: int
-) -> Optional[Tuple[List[Optional[FracElement]], bool]]:
+    rows: List[Tuple[List[Frac], Frac]], n_unknowns: int
+) -> Optional[Tuple[List[Optional[Frac]], bool]]:
     """Exact Gaussian elimination of an overdetermined linear system over
     the rational-function field.
 
@@ -59,7 +57,7 @@ def _solve_linear_field_system(
     consistent pivot subset does not imply global consistency)."""
     rows = [r for r in rows if any(r[0]) or r[1]]
     pivots: List[Optional[int]] = [None] * n_unknowns
-    reduced: List[Tuple[List[sp.Expr], sp.Expr]] = []
+    reduced: List[Tuple[List[Frac], Frac]] = []
     for col in range(n_unknowns):
         pick = None
         for ridx, (coeffs, rhs) in enumerate(rows):
@@ -90,7 +88,7 @@ def _solve_linear_field_system(
         if any(rhs for _, rhs in rows):
             return None
     # back substitution, free unknowns set to None
-    sol: List[Optional[FracElement]] = [None] * n_unknowns
+    sol: List[Optional[Frac]] = [None] * n_unknowns
     for col in reversed(range(n_unknowns)):
         if pivots[col] is None:
             continue
@@ -120,7 +118,7 @@ def _r_eta_ok(an: StructureAnalysis, fld: Optional[ScalarField]) -> Optional[str
     if bad is None:
         return None
     (i, j), v = bad
-    return f"({i},{j}): {sp.sstr(v)}"
+    return f"({i},{j}): {v}"
 
 
 def nullity_fit(an: StructureAnalysis) -> NullityFit:
@@ -147,7 +145,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
         if w is not None:
             return NullityFit(
                 "not_nullity",
-                witness=f"component {w[0]}: {sp.sstr(w[1])}",
+                witness=f"component {w[0]}: {w[1]}",
             )
         bad = _r_eta_ok(an, kappa)
         if bad is not None:
@@ -177,7 +175,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
     w = residual.first_nonzero()
     if w is not None:
         return NullityFit(
-            "not_nullity", witness=f"component {w[0]}: {sp.sstr(w[1])}"
+            "not_nullity", witness=f"component {w[0]}: {w[1]}"
         )
     for name, fld in (("kappa", kappa), ("mu", mu), ("nu", nu)):
         bad = _r_eta_ok(an, fld)

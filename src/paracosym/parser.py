@@ -36,10 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-import sympy as sp
-from sympy.polys.fields import FracElement
-
 from .errors import DefinitionError, DivisionByZeroFieldError, ParseError, UnknownIdentifierError
+from .field import Frac
 from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
 
 MAX_EXPONENT = 8
@@ -52,7 +50,7 @@ MAX_LITERAL_DIGITS = 1000  # well below the interpreter's int-string limit (4300
 
 @dataclass(frozen=True)
 class Lit:
-    value: sp.Rational
+    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ class _Parser:
             digits = etok[1].lstrip("0") or "0"  # no int() of a huge digit string
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the maximum {MAX_EXPONENT}", etok[2])
-            return BinOp("^", base, Lit(sp.Integer(int(digits))))
+            return BinOp("^", base, Lit(Fraction(int(digits))))
         return base
 
     def parse_atom(self) -> Node:
@@ -172,9 +170,7 @@ class _Parser:
         if kind == "num":
             if len(text) - text.count(".") > MAX_LITERAL_DIGITS:  # before int()/Fraction()
                 raise ParseError(f"numeric literal exceeds {MAX_LITERAL_DIGITS} digits", off)
-            if "." in text:
-                return Lit(sp.Rational(Fraction(text)))
-            return Lit(sp.Integer(int(text)))
+            return Lit(Fraction(text))
         if kind == "id":
             if text not in self.names:
                 raise UnknownIdentifierError(text, off)
@@ -211,7 +207,7 @@ def lower(node: Node, context: ScalarContext) -> ScalarField:
     return ScalarField(context, _lower(node, context))
 
 
-def _lower(node: Node, context: ScalarContext) -> FracElement:
+def _lower(node: Node, context: ScalarContext) -> Frac:
     if isinstance(node, Lit):
         return context.element(node.value)
     if isinstance(node, Var):
@@ -404,7 +400,7 @@ def load_definition(contents: str) -> ManifoldDefinition:
             raise DefinitionError(f"generator {name!r}: unknown coordinate {fields['coord']!r}")
         rate = _parse_rational(fields["rate"])
         generators.append(
-            GeneratorDecl(name, coords.index(fields["coord"]), sp.Rational(rate.numerator, rate.denominator))
+            GeneratorDecl(name, coords.index(fields["coord"]), rate)
         )
 
     structure = sections["structure"]

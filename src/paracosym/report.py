@@ -12,9 +12,6 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-import sympy as sp
-
-from . import classify as cls
 from . import curvature as curv
 from .errors import EngineError
 from .geometry import TensorField, trace11
@@ -25,6 +22,7 @@ from .nullity import (
     check_q_commutator_nullity,
     nullity_fit,
 )
+from .field import to_str
 from .parser import ManifoldDefinition
 from .scalars import ScalarField
 from .structures import (
@@ -62,12 +60,12 @@ def _scalar_str(fld) -> str:
         return "none"
     if isinstance(fld, ScalarField):
         return fld.serialize()
-    return sp.sstr(sp.nsimplify(fld) if isinstance(fld, (int, Fraction)) else fld)
+    return str(Fraction(fld))
 
 
 def _matrix_strs(t: TensorField) -> List[List[str]]:
     n = t.chart.dim
-    return [[sp.sstr(t.array[i, j]) for j in range(n)] for i in range(n)]
+    return [[to_str(t.comps[i, j]) for j in range(n)] for i in range(n)]
 
 
 class AnalysisReport:
@@ -179,7 +177,7 @@ def _chart_section(defn: ManifoldDefinition) -> Dict[str, object]:
                 {
                     "name": g.name,
                     "coord": defn.coord_names[g.coord_index],
-                    "rate": sp.sstr(g.rate),
+                    "rate": str(g.rate),
                 }
                 for g in defn.generators
             ],
@@ -218,7 +216,7 @@ def run_analyze(
         "A": _matrix_strs(an.A),
         "h": _matrix_strs(an.h),
         "h_zero": an.h.is_zero(),
-        "trace_A": sp.sstr(trace11(an.A).expr),
+        "trace_A": str(trace11(an.A)),
         "scalar_curvature": an.r.serialize(),
     }
 
@@ -228,7 +226,7 @@ def run_analyze(
     norm_sec: Dict[str, object] = {"normal": normal}
     if not normal:
         idx, val = N1.first_nonzero()
-        norm_sec["first_nonzero"] = {"index": list(idx), "value": sp.sstr(val)}
+        norm_sec["first_nonzero"] = {"index": list(idx), "value": str(val)}
     tree["normality"] = norm_sec
 
     pk = parakaehler_leaves_check(an)
@@ -289,6 +287,10 @@ def _classification_section(
     fit: NullityFit,
     harmonic: bool,
 ) -> Dict[str, object]:
+    import sympy as sp
+
+    from . import classify as cls  # the one module that needs sympy
+
     out: Dict[str, object] = {}
     try:
         htype = cls.classify_h(an, point)
@@ -296,7 +298,7 @@ def _classification_section(
         out["error"] = str(exc)
         return out
     out["h_type"] = htype.tag
-    out["lambda2"] = _scalar_str(htype.lambda2) if htype.lambda2 is not None else "none"
+    out["lambda2"] = sp.sstr(htype.lambda2) if htype.lambda2 is not None else "none"
     out["point"] = [str(p) for p in htype.point]
     try:
         frame = cls.build_adapted_frame(an, htype)
@@ -375,7 +377,7 @@ def run_deform(
         s_t = d_homothetic_deform(s, gamma, beta)
         kind = {
             "kind": "homothetic",
-            "gamma": sp.sstr(sp.Rational(Fraction(gamma))),
+            "gamma": str(Fraction(gamma)),
             "beta": beta.serialize(),
         }
     an_t = StructureAnalysis(s_t)

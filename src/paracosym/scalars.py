@@ -5,47 +5,44 @@ involving declared exponential generators.  A generator E with base
 coordinate c and rational rate q stands for exp(q*c): algebraically it is
 an independent transcendental over the polynomial ring, so gcd reduction
 and zero testing stay decidable, and the only place its analytic meaning
-enters is the derivative rule dE/dc = q*E and numeric evaluation.
+enters is the derivative rule dE/dc = q*E and evaluation at points.
 
 Every ScalarContext owns one rational function field QQ(coordinates,
-generators): a cached sympy FracField of integer polynomials (the same
+generators): a cached field.FracField of integer polynomials (the same
 fractions as over QQ, with cheaper coefficient arithmetic) whose
-generators are in sympy's own order (polyutils._sort_gens).  A ScalarField
-holds one element of that field, and tensors store their components as
-such elements too.  An element is always a reduced fraction: integer
-numerator and denominator without a common factor, whose denominator has a
-positive leading coefficient (lex order on the sorted generators).  That form is unique, so equality and
-zero tests need no further work, and its as_expr() view is exactly the
-sympy expression cancel(together(.)) gives for the same function.  The
-kernels that sum many products (contractions, the connection, curvature)
-add numerator/denominator pairs over the lcm of their denominators and
-reduce each result once (fraction_sum).  The derivative rule
-d/dc = d_c + sum(rate * E * d_E) is written once, as the derivation table
-of the context, and applies to field elements and to sympy expressions.
+generators are in sympy's order (field.sort_names).  A ScalarField holds
+one element of that field, and tensors store their components as such
+elements too.  An element is always a reduced fraction: integer numerator
+and denominator without a common factor, whose denominator has a positive
+leading coefficient (lex order on the sorted generators).  That form is
+unique, so equality and zero tests need no further work; it is the form
+sympy's cancel(together(.)) gives, and str() prints what sympy's sstr
+prints for it.  The kernels that sum many products (contractions, the
+connection, curvature) add numerator/denominator pairs over the lcm of
+their denominators and reduce each result once (fraction_sum).  The
+derivative rule d/dc = d_c + sum(rate * E * d_E) is written once, as the
+derivation table of the context.
 
-sympy expressions appear only at the boundary: parsing lowers straight
-into the field, and the Expr view of an element serves printing, JSON,
-evaluation at points and the sympy side of classify's frames, which carry
-algebraic constants (sqrt(...)) that no QQ field holds and are decided in
-a quadratic tower over the field (tower.py); canon() gives such an
-expression the form cancel(together(.)) gives it, computing it in a
-polynomial ring when the input is rational and calling sympy otherwise.
-No floats on the symbolic path.
+Values at a rational point are exact too (PointValues): there every
+generator exp(r*c) is a power of E = e^(1/N) for one integer N, so a value
+is an element of QQ(E).  E is transcendental (Hermite-Lindemann), so a
+value is zero exactly when its numerator polynomial in E is, and the sign
+of a nonzero value comes from rational enclosures of e^(1/N) refined until
+they exclude 0.  No floats on any path.
+
+sympy is imported only at the boundary, on first use: the Expr view of an
+element (ScalarField.expr), the sympy symbols of a context, and the
+conversion of a sympy expression into the field.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence, Tuple, Union
-
-import sympy as sp
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement, PolyRing
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence, Tuple
 
 from .errors import (
     ContextMismatchError,
@@ -54,9 +51,9 @@ from .errors import (
     NotRationalError,
     PoleError,
 )
+from .field import Frac, FracField, Poly, field_of_names, reduce, sort_names, to_str
 
-RationalLike = Union[int, Fraction, sp.Rational]
-Pair = Tuple[PolyElement, PolyElement]  # (numerator, denominator), not reduced
+Pair = Tuple[Poly, Poly]  # (numerator, denominator), not reduced
 
 
 @dataclass(frozen=True)
@@ -65,10 +62,10 @@ class GeneratorDecl:
 
     name: str
     coord_index: int
-    rate: sp.Rational
+    rate: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", sp.Rational(self.rate))
+        object.__setattr__(self, "rate", Fraction(self.rate))
 
 
 class ScalarContext:
@@ -89,40 +86,40 @@ class ScalarContext:
             raise ValueError(f"duplicate generator names: {names}")
         self.coord_names = coord_names
         self.generators = tuple(generators)
-        self.coord_symbols = tuple(sp.Symbol(n) for n in coord_names)
-        self.gen_symbols = tuple(sp.Symbol(g.name) for g in self.generators)
-        self._sym_by_name = {s.name: s for s in self.coord_symbols + self.gen_symbols}
-        self.field = _field(_sort_gens(self.coord_symbols + self.gen_symbols))
+        self.field = field_of_names(sort_names(coord_names + tuple(names)))
         # d/dc = sum over (symbol, factor) of factor * d/d(symbol): the
         # coordinate itself with factor 1, and every generator E based on c
-        # with factor rate * E
-        self.derivation = tuple(
-            ((sym, sp.Integer(1)),)
-            + tuple(
-                (gsym, gen.rate * gsym)
-                for gen, gsym in zip(self.generators, self.gen_symbols)
-                if gen.coord_index == c
-            )
-            for c, sym in enumerate(self.coord_symbols)
-        )
-        # the same rule on integer polynomials: scaled by the lcm L of the
-        # rates' denominators, (ring index, L * factor) per term
+        # with factor rate * E; on integer polynomials, scaled by the lcm L
+        # of the rates' denominators: (ring index, L * factor) per term
         ring = self.field.ring
+        index = self.field.symbols.index
         self._poly_derivation = []
-        for rule in self.derivation:
-            lcd = math.lcm(*(int(sp.fraction(factor)[1]) for _, factor in rule))
-            terms = tuple(
-                (ring.symbols.index(sym), None if lcd * factor == 1 else ring.from_expr(lcd * factor))
-                for sym, factor in rule
-            )
-            self._poly_derivation.append((terms, lcd))
+        for c, name in enumerate(coord_names):
+            based = [g for g in self.generators if g.coord_index == c]
+            lcd = math.lcm(*(g.rate.denominator for g in based))
+            terms = [(index(name), None if lcd == 1 else ring(lcd))]
+            for g in based:
+                k = index(g.name)
+                terms.append((k, ring.gens[k] * int(lcd * g.rate)))
+            self._poly_derivation.append((tuple(terms), lcd))
 
     @property
     def dim(self) -> int:
         return len(self.coord_names)
 
-    def symbol(self, name: str) -> sp.Symbol:
-        return self._sym_by_name[name]
+    @cached_property
+    def coord_symbols(self) -> tuple:
+        """The coordinates as sympy symbols (imports sympy)."""
+        import sympy as sp
+
+        return tuple(sp.Symbol(n) for n in self.coord_names)
+
+    @cached_property
+    def gen_symbols(self) -> tuple:
+        """The generators as sympy symbols (imports sympy)."""
+        import sympy as sp
+
+        return tuple(sp.Symbol(g.name) for g in self.generators)
 
     def __eq__(self, other):
         return (
@@ -139,7 +136,7 @@ class ScalarContext:
 
     # -- field elements -----------------------------------------------
 
-    def element(self, value) -> FracElement:
+    def element(self, value) -> Frac:
         """value as an element of this context's field: a field element,
         a ScalarField, an int, a Fraction, or a sympy expression built from
         the context's symbols and rationals by +, * and integer powers."""
@@ -149,11 +146,11 @@ class ScalarContext:
             return value.value
         return to_element(self.field, value)
 
-    def variable(self, name: str) -> FracElement:
+    def variable(self, name: str) -> Frac:
         """The field generator of a coordinate or generator name."""
-        return self.field.gens[self.field.symbols.index(self._sym_by_name[name])]
+        return self.field.gens[self.field.symbols.index(name)]
 
-    def diff(self, f: FracElement, coord_index: int) -> Pair:
+    def diff(self, f: Frac, coord_index: int) -> Pair:
         """d f / d(coordinate), generator rule included, as an unreduced
         numerator/denominator pair (f' = (n' d - n d') / d^2)."""
         n, d = f.numer, f.denom
@@ -166,11 +163,11 @@ class ScalarContext:
             return dn, d * lcd
         return dn * d - n * dd, d * d * lcd
 
-    def partial_element(self, f: FracElement, coord_index: int) -> FracElement:
+    def partial_element(self, f: Frac, coord_index: int) -> Frac:
         return reduce(self.field, *self.diff(f, coord_index))
 
     @staticmethod
-    def _diff_poly(p: PolyElement, terms) -> PolyElement:
+    def _diff_poly(p: Poly, terms) -> Poly:
         out = p.ring.zero
         for i, factor in terms:
             dp = p.diff(i)
@@ -199,151 +196,40 @@ class ScalarContext:
         return ScalarField(self, self.variable(self.coord_names[index]))
 
 
-@lru_cache(maxsize=256)
-def _field(gens: tuple) -> FracField:
-    # fractions of integer polynomials: the same reduced fractions as over
-    # QQ, with faster coefficient arithmetic
-    return FracField(gens, ZZ)
-
-
 def field_of(symbols) -> FracField:
-    """QQ(symbols), with the symbols in sympy's order."""
-    return _field(_sort_gens(symbols))
+    """QQ(symbols) for sympy symbols, with the symbols in sympy's order."""
+    return field_of_names(sort_names(s.name for s in symbols))
 
 
-def to_element(field: FracField, value) -> FracElement:
+def to_element(field: FracField, value) -> Frac:
     """value (a field element, int, Fraction or rational sympy expression)
     as a reduced element of field."""
-    if isinstance(value, FracElement):
+    if isinstance(value, Frac):
         return value if value.field is field else value.set_field(field)
-    ring = field.ring
-    if isinstance(value, int):
-        return field.raw_new(ring(value), ring.one)
-    if isinstance(value, Fraction):
-        return reduce(field, ring(value.numerator), ring(value.denominator))
+    if isinstance(value, (int, Fraction)):
+        return field.ground(value)
+    if isinstance(value, numbers.Rational):  # a sympy Rational
+        return field.ground(Fraction(value.numerator, value.denominator))
+    import sympy as sp
+
     expr = value if isinstance(value, sp.Basic) else sp.sympify(value)
     if expr.is_Rational:
-        return reduce(field, ring(expr.p), ring(expr.q))
+        return field.ground(Fraction(int(expr.p), int(expr.q)))
     symbols = set()
-    if not _collect_symbols(expr, symbols) or not symbols <= set(field.symbols):
+    if not _collect_symbols(expr, symbols) or not {s.name for s in symbols} <= set(field.symbols):
         raise NotRationalError(
-            f"{sp.sstr(expr)} is not a rational function of {', '.join(map(str, field.symbols))}"
+            f"{sp.sstr(expr)} is not a rational function of {', '.join(field.symbols)}"
         )
-    num, den = _fraction(expr, ring, dict(zip(ring.symbols, ring.gens)))
+    ring = field.ring
+    num, den = _fraction(expr, ring, dict(zip(field.symbols, ring.gens)))
     if not den:
         raise DivisionByZeroFieldError(f"{sp.sstr(expr)} has an identically zero denominator")
     return reduce(field, num, den)
 
 
-def reduce(field: FracField, num: PolyElement, den: PolyElement) -> FracElement:
-    """num/den as a reduced field element (den not zero)."""
-    if not num:
-        return field.zero
-    if not den.is_ground:
-        return field.raw_new(*num.cancel(den))
-    # a constant denominator d: divide by the gcd of d and the numerator's
-    # content, which needs no gcd of polynomials
-    d = den.LC
-    g = math.gcd(d, *num.values())
-    if d < 0:
-        g = -g
-    return field.raw_new(num.quo_ground(g), den.ring.ground_new(d // g))
-
-
-def fraction_sum(field: FracField, pairs: Iterable[Pair], divisor: int = 1) -> FracElement:
-    """The sum of numerator/denominator pairs, taken over the lcm of their
-    denominators, divided by an integer divisor and reduced once."""
-    ring = field.ring
-    one = ring.one
-    num, den = ring.zero, one
-    for n, d in pairs:
-        if not n:
-            continue
-        if d == den:
-            num += n
-        elif den == one:
-            num, den = num * d + n, d
-        elif d == one:
-            num += n * den
-        else:
-            _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
-            num, den = num * cd + n * cden, den * cd
-    return reduce(field, num, den if divisor == 1 else den * divisor)
-
-
-def combine(a: FracElement, b: FracElement, sign: int = 1) -> FracElement:
-    """a + sign * b, summed over the lcm of the denominators and reduced
-    once."""
-    if not b:
-        return a
-    n = b.numer if sign == 1 else -b.numer
-    if not a:
-        return b if sign == 1 else b.field.raw_new(n, b.denom)
-    return fraction_sum(a.field, ((a.numer, a.denom), (n, b.denom)))
-
-
-def times(a: FracElement, c: FracElement) -> FracElement:
-    """a * c, reduced once."""
-    if not a or not c:
-        return a.field.zero
-    return reduce(a.field, a.numer * c.numer, a.denom * c.denom)
-
-
-def power(f: FracElement, n: int) -> FracElement:
-    """f**n for an integer n, with 0**0 = 1 as in sympy."""
-    if n == 0:
-        return f.field.one
-    if n > 0:
-        return f**n
-    if not f:
-        raise DivisionByZeroFieldError("negative power of the zero field")
-    # the inverse's denominator takes the sign of the old numerator
-    return reduce(f.field, f.denom ** (-n), f.numer ** (-n))
-
-
-def element_key(f: FracElement) -> tuple:
-    """A hashable key of a field element.  Not hash(f): sympy caches a
-    polynomial's hash on first use and some of its in-place steps (square)
-    change the polynomial afterwards."""
-    return frozenset(f.numer.items()), frozenset(f.denom.items())
-
-
-def product(c: int, *factors: FracElement) -> Pair:
-    """c times the product of field elements, as an unreduced pair."""
-    num, den = factors[0].numer, factors[0].denom
-    one = den.ring.one
-    for f in factors[1:]:
-        num = num * f.numer
-        if f.denom != one:
-            den = f.denom if den == one else den * f.denom
-    return (num if c == 1 else num * c), den
-
-
-CANON_MEMO_SIZE = 8192
-
-
-def canon(expr) -> sp.Expr:
-    """The canonical form of a rational function: one reduced fraction,
-    equal to sp.cancel(sp.together(expr))."""
-    return _canon(expr if isinstance(expr, sp.Basic) else sp.sympify(expr))
-
-
-@lru_cache(maxsize=CANON_MEMO_SIZE)
-def _canon(expr: sp.Basic) -> sp.Expr:
-    if expr.is_Number:
-        return expr
-    symbols = set()
-    if not _collect_symbols(expr, symbols):
-        return sp.cancel(sp.together(expr))
-    ring = _ring(tuple(_sort_gens(symbols)))
-    num, den = _fraction(expr, ring, dict(zip(ring.symbols, ring.gens)))
-    p, q = num.cancel(den)
-    return p.as_expr() / q.as_expr()
-
-
-def _collect_symbols(expr: sp.Basic, acc: set) -> bool:
-    """Add the symbols of expr to acc; False unless expr is built from
-    symbols and rationals by +, * and integer powers only."""
+def _collect_symbols(expr, acc: set) -> bool:
+    """Add the symbols of a sympy expression to acc; False unless expr is
+    built from symbols and rationals by +, * and integer powers only."""
     if expr.is_Symbol:
         acc.add(expr)
         return True
@@ -356,19 +242,15 @@ def _collect_symbols(expr: sp.Basic, acc: set) -> bool:
     return False
 
 
-@lru_cache(maxsize=256)
-def _ring(gens: tuple) -> PolyRing:
-    return PolyRing(gens, QQ)
-
-
-def _fraction(expr: sp.Expr, ring: PolyRing, gen_of: dict):
-    """(numerator, denominator) of a rational expression in ring; sums are
+def _fraction(expr, ring, gen_of: dict):
+    """(numerator, denominator) of a rational sympy expression in a
+    polynomial ring, whose generators gen_of maps by symbol name; sums are
     taken over the lcm of the denominators, products and powers as they
     stand, and the gcd is left to the caller."""
     if expr.is_Symbol:
-        return gen_of[expr], ring.one
+        return gen_of[expr.name], ring.one
     if expr.is_Rational:
-        return ring(expr.p), ring(expr.q)
+        return ring(int(expr.p)), ring(int(expr.q))
     if expr.is_Add:
         num, den = ring.zero, ring.one
         for arg in expr.args:
@@ -390,22 +272,159 @@ def _fraction(expr: sp.Expr, ring: PolyRing, gen_of: dict):
     return (n**k, d**k) if k >= 0 else (d ** (-k), n ** (-k))
 
 
-def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
-    """Raw partial derivative of a sympy expression by a chart coordinate,
-    by the context's derivation (generator rule included)."""
-    free = expr.free_symbols
-    d = sp.Integer(0)
-    for sym, factor in context.derivation[coord_index]:
-        if sym in free:
-            d = d + (sp.diff(expr, sym) if factor == 1 else factor * sp.diff(expr, sym))
-    return d
+def fraction_sum(field: FracField, pairs: Iterable[Pair], divisor: int = 1) -> Frac:
+    """The sum of numerator/denominator pairs, taken over the lcm of their
+    denominators, divided by an integer divisor and reduced once."""
+    ring = field.ring
+    one = ring.one
+    num, den = ring.zero, one
+    for n, d in pairs:
+        if not n:
+            continue
+        if d == den:
+            num += n
+        elif den == one:
+            num, den = num * d + n, d
+        elif d == one:
+            num += n * den
+        else:
+            _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
+            num, den = num * cd + n * cden, den * cd
+    return reduce(field, num, den if divisor == 1 else den * divisor)
 
 
-def _as_rational(v) -> sp.Rational:
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
-    r = sp.nsimplify(v, rational=True) if isinstance(v, float) else sp.Rational(v)
-    return r
+def combine(a: Frac, b: Frac, sign: int = 1) -> Frac:
+    """a + sign * b, summed over the lcm of the denominators and reduced
+    once."""
+    if not b:
+        return a
+    n = b.numer if sign == 1 else -b.numer
+    if not a:
+        return b if sign == 1 else b.field.raw_new(n, b.denom)
+    return fraction_sum(a.field, ((a.numer, a.denom), (n, b.denom)))
+
+
+def times(a: Frac, c: Frac) -> Frac:
+    """a * c, reduced once."""
+    if not a or not c:
+        return a.field.zero
+    return reduce(a.field, a.numer * c.numer, a.denom * c.denom)
+
+
+def power(f: Frac, n: int) -> Frac:
+    """f**n for an integer n, with 0**0 = 1 as in sympy."""
+    if n < 0 and not f:
+        raise DivisionByZeroFieldError("negative power of the zero field")
+    return f**n
+
+
+def element_key(f: Frac) -> tuple:
+    """A hashable key of a field element."""
+    return frozenset(f.numer.items()), frozenset(f.denom.items())
+
+
+def product(c: int, *factors: Frac) -> Pair:
+    """c times the product of field elements, as an unreduced pair."""
+    num, den = factors[0].numer, factors[0].denom
+    one = den.ring.one
+    for f in factors[1:]:
+        num = num * f.numer
+        if f.denom != one:
+            den = f.denom if den == one else den * f.denom
+    return (num if c == 1 else num * c), den
+
+
+# --------------------------------------------------------------------
+# exact values at a rational point
+
+
+class PointValues:
+    """Values of a context's field elements at a rational point, as
+    elements of QQ(E) with E = e^(1/N) (field, N): a generator
+    exp(rate * c) is E**k there, with k = rate * c * N an integer."""
+
+    field = field_of_names(("E",))
+
+    def __init__(self, context: ScalarContext, point: Sequence):
+        if len(point) != context.dim:
+            raise ValueError(f"point has {len(point)} entries, chart has {context.dim}")
+        self.point = tuple(Fraction(p) for p in point)
+        logs = [g.rate * self.point[g.coord_index] for g in context.generators]
+        self.N = math.lcm(*(r.denominator for r in logs))
+        # per field generator: (coordinate value, None) or (None, power of E)
+        at = dict(zip(context.coord_names, ((p, None) for p in self.point)))
+        at.update((g.name, (None, int(r * self.N))) for g, r in zip(context.generators, logs))
+        self._at = [at[name] for name in context.field.symbols]
+
+    def _laurent(self, p: Poly) -> dict:
+        """p at the point: {power of E: rational coefficient}."""
+        out = {}
+        for m, c in p.items():
+            v, k = Fraction(c), 0
+            for e, (x, g) in zip(m, self._at):
+                if e:
+                    if g is None:
+                        v *= x**e
+                    else:
+                        k += g * e
+            if v:
+                out[k] = out.get(k, 0) + v
+        return {k: v for k, v in out.items() if v}
+
+    def value(self, f: Frac) -> Frac:
+        """f at the point; PoleError when its denominator vanishes there."""
+        num, den = self._laurent(f.numer), self._laurent(f.denom)
+        if not den:
+            raise PoleError(self.point)
+        shift = min(list(num) + list(den))
+        scale = math.lcm(*(v.denominator for v in (*num.values(), *den.values())))
+        ring = self.field.ring
+
+        def poly(terms):
+            return ring.from_dict({(k - shift,): int(v * scale) for k, v in terms.items()})
+
+        return reduce(self.field, poly(num), poly(den))
+
+    def is_unit(self, f: Frac) -> bool:
+        """f is defined and nonzero at the point."""
+        return bool(self._laurent(f.numer)) and bool(self._laurent(f.denom))
+
+    def sign(self, v: Frac) -> int:
+        """The sign of a value (an element of self.field): -1, 0 or 1."""
+        return _sign_at(v.numer, self.N) * _sign_at(v.denom, self.N)
+
+
+@lru_cache(maxsize=256)
+def _exp_bounds(N: int, m: int) -> Tuple[Fraction, Fraction]:
+    """lo < e^(1/N) < hi: the Taylor sum to degree m and that sum plus
+    twice the next term, which bounds the remainder for 1/N <= 1."""
+    x = Fraction(1, N)
+    term = s = Fraction(1)
+    for k in range(1, m + 1):
+        term = term * x / k
+        s += term
+    return s, s + 2 * term * x / (m + 1)
+
+
+def _sign_at(p: Poly, N: int) -> int:
+    """The sign of a polynomial in one generator at E = e^(1/N); it is
+    nonzero unless p is, so the enclosure refinement ends."""
+    if p.is_ground:
+        c = p.LC
+        return (c > 0) - (c < 0)
+    terms = [(m[0], c) for m, c in p.items()]
+    m = 8
+    while True:
+        lo, hi = _exp_bounds(N, m)
+        if sum(c * (lo if c > 0 else hi) ** e for e, c in terms) > 0:
+            return 1
+        if sum(c * (hi if c > 0 else lo) ** e for e, c in terms) < 0:
+            return -1
+        m *= 2
+
+
+# --------------------------------------------------------------------
+# scalar fields
 
 
 class ScalarField:
@@ -420,8 +439,8 @@ class ScalarField:
         self._expr = None
 
     @property
-    def expr(self) -> sp.Expr:
-        """The sympy expression of the reduced fraction."""
+    def expr(self):
+        """The sympy expression of the reduced fraction (imports sympy)."""
         if self._expr is None:
             self._expr = self.value.as_expr()
         return self._expr
@@ -437,18 +456,15 @@ class ScalarField:
     def is_constant(self) -> bool:
         return self.value.numer.is_ground and self.value.denom.is_ground
 
-    def constant_value(self) -> sp.Rational:
+    def constant_value(self) -> Fraction:
         if not self.is_constant():
-            raise ValueError(f"not a constant: {self.expr}")
-        return sp.Rational(self.expr)
+            raise ValueError(f"not a constant: {self}")
+        return Fraction(self.value.numer.LC, self.value.denom.LC)
 
     def has_generators(self) -> bool:
-        gens = set(self.context.gen_symbols)
-        return bool(self.expr.free_symbols & gens)
-
-    def as_fraction(self):
-        """(numerator, denominator) as expanded sympy polynomials."""
-        return self.value.numer.as_expr(), self.value.denom.as_expr()
+        symbols = self.context.field.symbols
+        gens = [symbols.index(g.name) for g in self.context.generators]
+        return any(m[i] for p in (self.value.numer, self.value.denom) for m in p for i in gens)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -458,7 +474,7 @@ class ScalarField:
             if other.context != self.context:
                 raise ContextMismatchError(self.context, other.context)
             return other.value
-        if isinstance(other, (int, Fraction, sp.Rational, FracElement)):
+        if isinstance(other, (int, numbers.Rational, Frac)):
             return self.context.element(other)
         return None
 
@@ -524,47 +540,24 @@ class ScalarField:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, point: Sequence) -> sp.Rational:
+    def eval(self, point: Sequence) -> Fraction:
         """Exact value at a rational point; generator-free fields only."""
-        ctx = self.context
-        if len(point) != ctx.dim:
-            raise ValueError(f"point has {len(point)} entries, chart has {ctx.dim}")
+        at = PointValues(self.context, point)
         if self.has_generators():
-            raise GeneratorEvalError(
-                "exact eval undefined for generator-bearing fields; use numeric_eval"
-            )
-        subs = {s: _as_rational(v) for s, v in zip(ctx.coord_symbols, point)}
-        num, den = self.as_fraction()
-        den_val = den.subs(subs)
-        if den_val == 0:
-            raise PoleError(tuple(point))
-        return sp.Rational(num.subs(subs)) / sp.Rational(den_val)
-
-    def numeric_eval(self, point: Sequence) -> float:
-        """Float value at a point; generators evaluate as exp(rate*coord)."""
-        ctx = self.context
-        if len(point) != ctx.dim:
-            raise ValueError(f"point has {len(point)} entries, chart has {ctx.dim}")
-        pt = [_as_rational(v) for v in point]
-        subs = {s: v for s, v in zip(ctx.coord_symbols, pt)}
-        for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
-            subs[gsym] = sp.exp(gen.rate * pt[gen.coord_index])
-        num, den = self.as_fraction()
-        den_val = float(den.subs(subs))
-        if den_val == 0.0 or math.isnan(den_val):
-            raise PoleError(tuple(point))
-        return float(num.subs(subs)) / den_val
+            raise GeneratorEvalError("exact eval undefined for generator-bearing fields")
+        v = at.value(self.value)
+        return Fraction(v.numer.LC, v.denom.LC)
 
     # -- presentation -------------------------------------------------
 
     def __repr__(self):
-        return f"ScalarField({sp.sstr(self.expr)})"
+        return f"ScalarField({self})"
 
     def __str__(self):
-        return sp.sstr(self.expr)
+        return to_str(self.value)
 
     def serialize(self) -> str:
         """Deterministic exact string; constants render as p or p/q."""
         if self.is_constant():
-            return str(sp.Rational(self.expr))
-        return sp.sstr(self.expr, order="lex")
+            return str(self.constant_value())
+        return to_str(self.value, lex=True)

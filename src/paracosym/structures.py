@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
-
-import sympy as sp
 
 from .errors import ConventionBugError, EngineError, StructureError
 from .geometry import (
@@ -38,6 +37,7 @@ from .geometry import (
     signature_at,
     wedge,
 )
+from .field import Frac
 from .parser import ManifoldDefinition, parse_scalar
 from .scalars import ScalarField
 
@@ -61,7 +61,7 @@ def _residual_item(name: str, residual: TensorField) -> CheckItem:
     if w is None:
         return CheckItem(name, "pass")
     idx, value = w
-    return CheckItem(name, "fail", witness=f"component {idx}: {sp.sstr(value)}")
+    return CheckItem(name, "fail", witness=f"component {idx}: {value}")
 
 
 def _gradient(fld: ScalarField) -> Components:
@@ -77,7 +77,7 @@ def _antisymmetrized(t: Components) -> Components:
 
 def d_wedge_eta(
     s: "AlmostParacontactStructure", fld: ScalarField
-) -> Optional[Tuple[Tuple[int, ...], sp.Expr]]:
+) -> Optional[Tuple[Tuple[int, ...], Frac]]:
     """First nonzero component (i, j), i < j, of d(fld) ^ eta, or None."""
     w = contract("i,j->ij", _gradient(fld), s.eta)
     return TensorField(s.chart, 0, 2, w - contract("ij->ji", w)).first_nonzero()
@@ -86,7 +86,7 @@ def d_wedge_eta(
 def _scalar_item(name: str, value: ScalarField) -> CheckItem:
     if value.is_zero():
         return CheckItem(name, "pass")
-    return CheckItem(name, "fail", witness=sp.sstr(value.expr))
+    return CheckItem(name, "fail", witness=str(value))
 
 
 class AlmostParacontactStructure:
@@ -194,9 +194,12 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
         for label in ("D+", "D-"):
             items.append(CheckItem(f"dim {label} = n at base point", "fail", witness=str(exc)))
         return items
-    m = sp.Matrix(n_tot, n_tot, lambda i, j: phi0[i, j])
     for sign, label in ((1, "D+"), (-1, "D-")):
-        null_dim = n_tot - (m - sign * sp.eye(n_tot)).rank()
+        shifted = [
+            [phi0[i, j] - sign if i == j else phi0[i, j] for j in range(n_tot)]
+            for i in range(n_tot)
+        ]
+        null_dim = n_tot - _rank(shifted)
         if null_dim == n:
             items.append(CheckItem(f"dim {label} = n at base point", "pass"))
         else:
@@ -208,6 +211,24 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
                 )
             )
     return items
+
+
+def _rank(rows: List[list]) -> int:
+    """Rank of a square matrix over a field with exact zero tests, by
+    elimination in place."""
+    rank = 0
+    for col in range(len(rows)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / p[col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], p)]
+        rank += 1
+    return rank
 
 
 # --------------------------------------------------------------------
@@ -247,13 +268,11 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
     ep = wedge(s.eta, Phi)
 
     # pick components where (eta^Phi) is nonzero at the base point
-    subs = chart.point_subs()
+    at = chart.values_at()
     candidates = []
     for idx in itertools.combinations(range(n_tot), 3):
         val = ep.comps[idx]
-        if not val:
-            continue
-        if val.denom.as_expr().subs(subs) != 0 and val.numer.as_expr().subs(subs) != 0:
+        if val and at.is_unit(val):
             candidates.append(idx)
         if len(candidates) >= 2:
             break
@@ -309,9 +328,9 @@ def tensor_A(s: AlmostParacontactStructure, conn: ConnectionCoefficients) -> Ten
 
 def tensor_h(s: AlmostParacontactStructure, conn: ConnectionCoefficients) -> TensorField:
     """h = (1/2) L_xi phi, cross-checked against (1/2)(A phi - phi A)."""
-    h_lie = lie_derivative(s.xi, s.phi).scale(sp.Rational(1, 2))
+    h_lie = lie_derivative(s.xi, s.phi).scale(Fraction(1, 2))
     A = tensor_A(s, conn)
-    h_alg = (compose11(A, s.phi) - compose11(s.phi, A)).scale(sp.Rational(1, 2))
+    h_alg = (compose11(A, s.phi) - compose11(s.phi, A)).scale(Fraction(1, 2))
     if h_lie != h_alg:
         w = (h_lie - h_alg).first_nonzero()
         raise ConventionBugError(

@@ -22,9 +22,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from sympy.polys.fields import FracElement
-
 from .errors import ZeroDivisorError
+from .field import Frac
 from .scalars import ScalarContext, reduce
 
 
@@ -40,7 +39,7 @@ class QuadraticTower:
 
     def base(self, f) -> "Quad":
         """A field element, int or Fraction as a level-0 element."""
-        if not isinstance(f, FracElement):
+        if not isinstance(f, Frac):
             f = self.context.element(f)
         return Quad(self, 0, f, None)
 

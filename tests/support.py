@@ -1,11 +1,13 @@
 """Test-only helpers: numeric views, an identity residual and a linear
 algebra reproduction that the engine itself never needs."""
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import sympy as sp
 
+from paracosym.errors import PoleError
 from paracosym.geometry import (
     TensorField,
     christoffel,
@@ -24,14 +26,34 @@ def generator_field(context: ScalarContext, index: int) -> ScalarField:
     return ScalarField(context, context.variable(context.generators[index].name))
 
 
+def point_subs(context: ScalarContext, point: Sequence) -> dict:
+    """sympy substitutions of the coordinates and generators at a rational
+    point; a generator becomes exp(rate*coord)."""
+    pt = [sp.Rational(Fraction(p)) for p in point]
+    subs = dict(zip(context.coord_symbols, pt))
+    for gen, gsym in zip(context.generators, context.gen_symbols):
+        subs[gsym] = sp.exp(sp.Rational(gen.rate) * pt[gen.coord_index])
+    return subs
+
+
+def numeric_eval(f: ScalarField, point: Sequence) -> float:
+    """Float value of a scalar field at a point; generators evaluate as
+    exp(rate*coord)."""
+    ctx = f.context
+    if len(point) != ctx.dim:
+        raise ValueError(f"point has {len(point)} entries, chart has {ctx.dim}")
+    subs = point_subs(ctx, point)
+    num, den = f.value.numer.as_expr(), f.value.denom.as_expr()
+    den_val = float(den.subs(subs))
+    if den_val == 0.0 or math.isnan(den_val):
+        raise PoleError(tuple(point))
+    return float(num.subs(subs)) / den_val
+
+
 def numeric_at(t: TensorField, point: Optional[Sequence] = None):
     """Float value of a tensor (Components, or one float for a scalar);
     generators evaluate as exp(rate*coord)."""
-    subs = t.chart.point_subs(point)
-    pt = t.chart.base_point if point is None else [Fraction(p) for p in point]
-    for gen, gsym in zip(t.chart.context.generators, t.chart.context.gen_symbols):
-        p = Fraction(pt[gen.coord_index])
-        subs[gsym] = sp.exp(gen.rate * sp.Rational(p.numerator, p.denominator))
+    subs = point_subs(t.chart.context, t.chart.base_point if point is None else point)
     if t.rank == 0:
         return float(t.array.flat[0].subs(subs))
     return t.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))

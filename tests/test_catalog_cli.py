@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,44 @@ def test_cli_verify_phi_pole_at_base_point(tmp_path):
         } in items
 
 
+# phi carries the generator E = exp(2t), so its value at the base point lies
+# in QQ(E): the D+/D- items are decided exactly, at t = 0 (E = 1) and at
+# t = 1 (E = e^2, transcendental), and the report reaches stdout with the
+# structural failure of g(phi., phi.) = -g + eta(x)eta
+PHI_GENERATOR = catalog_entry("warped_kenmotsu").definition_text.replace(
+    "phi = [[0, 1, 0],\n       [1, 0, 0],", "phi = [[0, E, 0],\n       [1/E, 0, 0],"
+)
+
+
+@pytest.mark.parametrize("t", ["0", "1"])
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_cli_phi_generator_at_base_point(tmp_path, command, t):
+    assert "[1/E, 0, 0]" in PHI_GENERATOR
+    path = tmp_path / "phi_generator.txt"
+    path.write_text(PHI_GENERATOR.replace("base_point = [0, 0, 0]", f"base_point = [0, 0, {t}]"))
+    proc = _run([command, str(path), "--json"])
+    assert proc.returncode == 2, proc.stderr
+    tree = json.loads(proc.stdout)
+    assert tree["chart"]["base_point"] == ["0", "0", t]
+    status = {it["name"]: it["status"] for it in tree["axioms"]["items"]}
+    assert status["dim D+ = n at base point"] == "pass"
+    assert status["dim D- = n at base point"] == "pass"
+    assert status["signature (n+1,n) at base point"] == "pass"
+    assert status["g(phi.,phi.) = -g + eta(x)eta"] == "fail"
+
+
+def test_cli_deform_generator_beta(tmp_path):
+    # beta = E/10^13 is 1e-13 at the base point: accepted; E - 1 is 0 there
+    path = tmp_path / "wk.txt"
+    path.write_text(catalog_entry("warped_kenmotsu").definition_text)
+    tiny = _run(["deform", "--gamma", "1", "--beta", "E/10000000000000", "--json", str(path)])
+    assert tiny.returncode == 0, tiny.stdout + tiny.stderr
+    assert json.loads(tiny.stdout)["deformation"]["beta"] == "E/10000000000000"
+    zero = _run(["deform", "--gamma", "1", "--beta", "E - 1", str(path)])
+    assert zero.returncode == 2
+    assert "beta vanishes at the base point" in zero.stderr
+
+
 def test_cli_dim_above_bound_exits_4(tmp_path):
     path = tmp_path / "wide.txt"
     path.write_text(catalog_entry("flat_product").definition_text.replace("dim = 3", "dim = 15"))
@@ -221,6 +260,55 @@ def test_cli_import_leaves_out_sympy_combinatorics():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# runs CLI calls in one process in which any import of sympy fails, and
+# prints (exit code, sha256 of stdout, stdout of catalog --list) per call
+NO_SYMPY = r"""
+import contextlib, hashlib, io, json, sys
+sys.modules["sympy"] = None
+from paracosym.cli import main
+out = []
+for args in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args)
+    text = buf.getvalue()
+    out.append([code, hashlib.sha256(text.encode()).hexdigest(), text if args[0] == "catalog" else ""])
+print(json.dumps(out))
+"""
+BENCH_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "digests.json")
+
+
+def test_cli_runs_without_sympy(tmp_path):
+    # catalog, verify, deform and a 5D analyze never import sympy: the same
+    # bytes as the pinned bench digests (verify, deform, 5D analyze) and the
+    # golden analyze digests (every 5D entry)
+    with open(BENCH_DIGESTS) as fh:
+        pinned = json.load(fh)
+    for name in NAMES:
+        (tmp_path / f"{name}.txt").write_text(catalog_entry(name).definition_text)
+    calls, want = [["catalog", "--list"]], [None]
+    for key, digest in sorted(pinned.items()):
+        command, entry, *args = key.split(":")
+        if command in ("verify", "deform"):
+            calls.append([command, str(tmp_path / f"{entry}.txt"), "--json", *args])
+            want.append(digest)
+    five_dim = [n for n in NAMES if catalog_entry(n).definition().dim == 5]
+    for name in five_dim:
+        calls.append(["analyze", str(tmp_path / f"{name}.txt"), "--json"])
+        want.append(GOLDEN[name])
+        assert pinned.get(f"analyze:{name}", GOLDEN[name]) == GOLDEN[name]
+    assert len(calls) == 1 + len(NAMES) + 5 + len(five_dim) and len(five_dim) == 3
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY, json.dumps(calls)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert results[0][0] == 0 and all(name in results[0][2] for name in NAMES)
+    for args, digest, (code, got, _) in zip(calls[1:], want[1:], results[1:]):
+        negative = args[0] == "verify" and catalog_entry(Path(args[1]).stem).negative_control
+        assert (code, got) == (2 if negative else 0, digest), args
 
 
 def test_cli_analyze_json_deterministic(tmp_path):

@@ -20,7 +20,8 @@ from paracosym.errors import EngineError, ZeroDivisorError
 from paracosym.nullity import nullity_fit
 from paracosym.parser import load_definition
 from paracosym.report import run_analyze
-from paracosym.scalars import GeneratorDecl, ScalarContext, pdiff
+from paracosym.classify import pdiff
+from paracosym.scalars import GeneratorDecl, ScalarContext
 from paracosym.structures import AlmostParacontactStructure, StructureAnalysis
 from paracosym.tower import QuadraticTower
 from support import h4_impossibility_test

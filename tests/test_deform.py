@@ -13,6 +13,7 @@ from paracosym.deform import (
 )
 from paracosym.errors import DeformationParameterError
 from paracosym.nullity import nullity_fit
+from paracosym.parser import parse_scalar
 from paracosym.structures import StructureAnalysis
 
 
@@ -98,6 +99,18 @@ def test_beta_vanishing_at_base_point(analyses):
     an = analyses("example_e")  # base point has z = 0
     with pytest.raises(DeformationParameterError):
         d_homothetic_deform(an.structure, 2, an.chart.context.coordinate(2))
+
+
+def test_generator_beta_decided_exactly_at_base_point(analyses):
+    # E = exp(2t) is 1 at the base point t = 0: E/10^13 is 1e-13 there, not
+    # zero, and E - 1 is exactly zero there
+    an = analyses("warped_kenmotsu")
+    ctx = an.chart.context
+    tiny = parse_scalar("E/10000000000000", ctx)
+    an_t = _deform(an, 1, tiny)
+    assert an_t.axioms_ok and an_t.is_apc
+    with pytest.raises(DeformationParameterError, match="vanishes at the base point"):
+        d_homothetic_deform(an.structure, 1, parse_scalar("E - 1", ctx))
 
 
 def test_gamma_must_be_positive(analyses):

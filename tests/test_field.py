@@ -1,0 +1,186 @@
+"""The own integer-polynomial field, its printer and the exact point
+evaluator, each against sympy: FracField over ZZ, sstr and N(., 50)."""
+
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.fields import FracField
+from sympy.polys.polyutils import _sort_gens
+
+from paracosym.errors import PoleError
+from paracosym.field import field_of_names, ring_of, sort_names, to_str
+from paracosym.scalars import GeneratorDecl, PointValues, ScalarContext
+
+# names whose sympy order is neither alphabetical nor the order given:
+# x1, x10 by their index, t before a, E last
+NAMES = ("E", "a", "x10", "t", "x1")
+ORDER = sort_names(NAMES)
+SYMS = tuple(sp.Symbol(n) for n in ORDER)
+OURS = field_of_names(ORDER)
+THEIRS = FracField(SYMS, ZZ)
+
+_TERMS = st.lists(
+    st.tuples(st.integers(-4, 4), st.tuples(*[st.integers(0, 2)] * len(NAMES))),
+    min_size=0,
+    max_size=4,
+)
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def test_generator_order_is_sympys():
+    assert ORDER == ("x1", "x10", "t", "a", "E")
+    assert ORDER == tuple(s.name for s in _sort_gens(sp.symbols(NAMES)))
+    assert sort_names(["E", "z", "x2", "x", "y", "t", "x10", "a", "x1"]) == (
+        "x", "x1", "x2", "x10", "y", "z", "t", "a", "E"
+    )
+
+
+def _pair(terms):
+    """The same polynomial in our ring and in sympy's."""
+    ours, theirs = ring_of(ORDER).zero, THEIRS.ring.zero
+    for c, m in terms:
+        ours += ring_of(ORDER).from_dict({m: c}) if c else 0
+        theirs += THEIRS.ring({m: c}) if c else 0
+    return ours, theirs
+
+
+def _same(p, q) -> bool:
+    return dict(p) == dict(q)
+
+
+@SETTINGS
+@given(_TERMS, _TERMS, st.integers(0, 3), st.integers(0, len(NAMES) - 1))
+def test_polynomial_arithmetic_matches_sympy(a, b, k, i):
+    (p, P), (q, Q) = _pair(a), _pair(b)
+    assert _same(p + q, P + Q) and _same(p - q, P - Q) and _same(p * q, P * Q)
+    assert _same(p.diff(i), P.diff(THEIRS.ring.gens[i]))
+    if p or k:  # sympy's rings leave 0**0 undefined
+        assert _same(p**k, P**k)
+    assert all(_same(u, v) for u, v in zip(p.cofactors(q), P.cofactors(Q)))
+    assert p.LC == P.LC and p.is_ground == P.is_ground
+
+
+@SETTINGS
+@given(_TERMS, _TERMS, _TERMS)
+def test_gcd_and_reduce_match_sympy(a, b, c):
+    (p, P), (q, Q), (r, R) = _pair(a), _pair(b), _pair(c)
+    assume(q and r)
+    # a common factor r, so the gcd has work to do
+    assert all(_same(u, v) for u, v in zip((p * r).cofactors(q * r), (P * R).cofactors(Q * R)))
+    f, F = OURS.new(p * r, q * r), THEIRS.new(P * R, Q * R)
+    assert _same(f.numer, F.numer) and _same(f.denom, F.denom)
+    assert f.denom.LC > 0
+    g, G = OURS.new(q, r), THEIRS.new(Q, R)
+    for x, X in ((f + g, F + G), (f - g, F - G), (f * g, F * G)):
+        assert _same(x.numer, X.numer) and _same(x.denom, X.denom)
+    if g:
+        x, X = f / g, F / G
+        assert _same(x.numer, X.numer) and _same(x.denom, X.denom)
+    assert sp.srepr(f.as_expr()) == sp.srepr(F.as_expr())
+
+
+# --------------------------------------------------------------------
+# the printer
+
+PRINT_FIELD = field_of_names(sort_names(["x", "y", "t", "E"]))
+x, y, t, E = (PRINT_FIELD.gens[PRINT_FIELD.symbols.index(n)] for n in "xytE")
+HALF = Fraction(1, 2)
+CASES = [
+    1 - x, (1 - x) / 2, HALF - x / 2, 2 - 3 * x, 1 - x * y, 1 - x**2, x - 1,
+    x / 3 + y / 3, (2 * x + 3) / 6, (x + 1) / (2 * x**2), (1 - x) / x**2,
+    1 / x, -1 / x, 1 / x**2, -1 / x**2, 1 / (2 * x), 3 / (2 * x**2), 1 / (x * y),
+    2 / (x * y**2), 1 / (x + 1), -1 / (x + 1), 3 / (2 * x + 2), (2 * x + 2) / y,
+    x / (x + 1), -2 * x / (x + 1), (x + 1) / (x - 1), 1 / (t - x),
+    E * x + t, x * E / (t + 1), -x * y / (2 * t**2 * E), E**2 - Fraction(7389, 1000),
+    x**2 * y / 3, PRINT_FIELD.zero, PRINT_FIELD.one * Fraction(-7, 3),
+]
+
+
+@pytest.mark.parametrize("f", CASES, ids=[str(i) for i in range(len(CASES))])
+def test_printer_matches_sstr_on_listed_cases(f):
+    e = f.as_expr()
+    assert to_str(f) == sp.sstr(e)
+    assert to_str(f, lex=True) == sp.sstr(e, order="lex")
+
+
+def test_printer_orders_differ_as_sympys_do():
+    assert (to_str(1 - x), to_str(1 - x, lex=True)) == ("1 - x", "-x + 1")
+    assert (to_str(HALF - x / 2), to_str(HALF - x / 2, lex=True)) == ("1/2 - x/2", "-x/2 + 1/2")
+    assert to_str(x / 3 + y / 3) == "x/3 + y/3"
+    assert to_str((x + 1) / (2 * x**2)) == "(x + 1)/(2*x**2)"
+    assert to_str(1 / x**2) == "x**(-2)"
+
+
+_COEFF = st.fractions(-4, 4, max_denominator=4)
+_MONOM = st.tuples(*[st.integers(0, 2)] * 4)
+_POLY = st.lists(st.tuples(_COEFF, _MONOM), min_size=1, max_size=3)
+
+
+def _build(terms):
+    out = PRINT_FIELD.zero
+    for c, m in terms:
+        term = PRINT_FIELD.one * c
+        for g, e in zip((x, y, t, E), m):
+            term = term * g**e
+        out = out + term
+    return out
+
+
+@SETTINGS
+@given(_POLY, _POLY)
+def test_printer_matches_sstr(num, den):
+    d = _build(den)
+    assume(d)
+    f = _build(num) / d
+    e = f.as_expr()
+    assert to_str(f) == sp.sstr(e)
+    assert to_str(f, lex=True) == sp.sstr(e, order="lex")
+
+
+# --------------------------------------------------------------------
+# exact values and signs at a point
+
+# E = exp(2t) and F = exp(t/3): at t = 1 they are powers of e^(1/3)
+CTX = ScalarContext(("x", "t"), (GeneratorDecl("E", 1, 2), GeneratorDecl("F", 1, Fraction(1, 3))))
+AT = PointValues(CTX, (Fraction(1, 2), Fraction(1)))
+SE, SF, SX, ST = sp.symbols("E F x t")
+SUBS = {SX: sp.Rational(1, 2), ST: 1, SE: sp.exp(2), SF: sp.exp(sp.Rational(1, 3))}
+
+
+def _sign(expr) -> int:
+    value = AT.value(CTX.element(expr))
+    assert bool(value) == (expr.subs(SUBS) != 0)
+    return AT.sign(value)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [SE - sp.Rational(7389, 1000), SE - sp.Rational(7390, 1000), SF**6 - sp.Rational(7389056, 10**6),
+     sp.Rational(20085537, 10**6) - SE * SF**3, (SE - 7) / (SF - sp.Rational(13956, 10000)), SX * SE - 3],
+)
+def test_sign_of_near_cancellations(expr):
+    assert _sign(expr) == (1 if sp.N(expr.subs(SUBS), 50) > 0 else -1)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4))
+def test_sign_matches_sympy_numerics(terms):
+    expr = sum(c * SE**i * SF**j for c, i, j in terms) + sp.Rational(1, 3)
+    num = sp.N(expr.subs(SUBS), 50)
+    assume(abs(num) > 1e-30)
+    assert _sign(expr) == (1 if num > 0 else -1)
+
+
+def test_values_at_points_are_exact():
+    # E - F**6 is not zero in the field, but both are e^2 at t = 1
+    assert CTX.element(SE - SF**6) and not AT.value(CTX.element(SE - SF**6))
+    assert AT.value(CTX.element(SF**6)) == AT.value(CTX.element(SE))
+    at0 = PointValues(CTX, (0, 0))
+    assert not at0.value(CTX.element(SE - 1)) and not at0.is_unit(CTX.element(SE - 1))
+    with pytest.raises(PoleError):
+        at0.value(CTX.element(1 / (SF - 1)))
+    assert AT.value(CTX.element(2 * SX + 1)) == 2

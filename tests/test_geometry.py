@@ -26,7 +26,8 @@ from paracosym.geometry import (
     signature_at,
     wedge,
 )
-from paracosym.scalars import ScalarContext, canon
+from paracosym.classify import canon
+from paracosym.scalars import ScalarContext
 
 CTX = ScalarContext(("x", "y", "z"), ())
 CHART = Chart(CTX, (Fraction(0), Fraction(0), Fraction(0)))
