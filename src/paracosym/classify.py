@@ -24,6 +24,11 @@ for a residual the tower leaves nonzero or meets a zero divisor on, the
 point test _zero_at with its witness.  The numeric choices of a frame
 (seed field, signs) are made on the sympy values at the point and replayed
 in the tower.
+
+This is the one module of the engine that computes with sympy.  It reads
+the chart's field elements through Frac.as_expr, builds the symbols of the
+coordinates and generators from their names, and keeps its expressions in
+the form canon gives, sympy's cancel(together(.)), memoised.
 """
 
 from __future__ import annotations
@@ -34,15 +39,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyRing
 
 from .errors import StructureError, ZeroDivisorError
 from .geometry import ConnectionCoefficients, TensorField, compose11, contract, identity_tensor
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
-from .scalars import ScalarContext, ScalarField, _collect_symbols, _fraction
+from .field import Frac
+from .scalars import ScalarContext, ScalarField
 from .tower import Quad, QuadraticTower
 
 
@@ -70,19 +73,19 @@ def classify_h(an: StructureAnalysis, point=None) -> HType:
     pt = _point_or_base(an, point)
     n = 3
     hm = sp.Matrix(
-        n, n, lambda i, j: sp.simplify(_subs_point(an, an.h.array[i, j], pt))
+        n, n, lambda i, j: sp.simplify(_subs_point(an, an.h.comps[i, j].as_expr(), pt))
     )
     if hm.is_zero_matrix:
         return HType("Zero", None, pt)
     # basis of ker(eta) at the point
     eta_row = sp.Matrix(
-        1, n, lambda _, j: sp.simplify(_subs_point(an, s.eta.array[j], pt))
+        1, n, lambda _, j: sp.simplify(_subs_point(an, s.eta.comps[j].as_expr(), pt))
     )
     kernel = eta_row.nullspace()
     if len(kernel) != 2:
         raise StructureError(f"eta degenerate at point {pt}")
     v1, v2 = kernel
-    xi0 = sp.Matrix(n, 1, lambda i, _: _subs_point(an, s.xi.array[i], pt))
+    xi0 = sp.Matrix(n, 1, lambda i, _: _subs_point(an, s.xi.comps[i].as_expr(), pt))
     basis = sp.Matrix.hstack(v1, v2, xi0)
     coeffs = basis.solve(hm * basis)  # h in the (v1, v2, xi) basis
     det = sp.simplify(coeffs[:2, :2].det())
@@ -108,42 +111,35 @@ def _exact_sign(val: sp.Expr) -> int:
 
 
 # --------------------------------------------------------------------
-# canonical sympy expressions: the frames' sympy side
+# sympy expressions: the frames' sympy side
 
 CANON_MEMO_SIZE = 8192
 
 
-def canon(expr) -> sp.Expr:
-    """The canonical form of a rational function: one reduced fraction,
-    equal to sp.cancel(sp.together(expr))."""
-    return _canon(expr if isinstance(expr, sp.Basic) else sp.sympify(expr))
-
-
 @lru_cache(maxsize=CANON_MEMO_SIZE)
-def _canon(expr: sp.Basic) -> sp.Expr:
-    if expr.is_Number:
-        return expr
-    symbols = set()
-    if not _collect_symbols(expr, symbols):
-        return sp.cancel(sp.together(expr))
-    ring = _ring(tuple(_sort_gens(symbols)))
-    num, den = _fraction(expr, ring, {s.name: g for s, g in zip(ring.symbols, ring.gens)})
-    p, q = num.cancel(den)
-    return p.as_expr() / q.as_expr()
+def canon(expr) -> sp.Expr:
+    """The canonical form of an expression: sp.cancel(sp.together(expr)),
+    one reduced fraction for a rational function."""
+    return sp.cancel(sp.together(expr))
 
 
 @lru_cache(maxsize=256)
-def _ring(gens: tuple) -> PolyRing:
-    return PolyRing(gens, QQ)
+def _symbols(context: ScalarContext) -> Tuple[tuple, tuple]:
+    """The coordinates and the generators of a context as sympy symbols."""
+    return (
+        tuple(sp.Symbol(n) for n in context.coord_names),
+        tuple(sp.Symbol(g.name) for g in context.generators),
+    )
 
 
 def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
     """Raw partial derivative of a sympy expression by a chart coordinate,
     generator rule included: d/dc = d_c + sum(rate * E * d_E) over the
     generators E based on c."""
-    rule = [(context.coord_symbols[coord_index], sp.Integer(1))] + [
+    coords, gens = _symbols(context)
+    rule = [(coords[coord_index], sp.Integer(1))] + [
         (gsym, sp.Rational(gen.rate) * gsym)
-        for gen, gsym in zip(context.generators, context.gen_symbols)
+        for gen, gsym in zip(context.generators, gens)
         if gen.coord_index == coord_index
     ]
     free = expr.free_symbols
@@ -182,14 +178,13 @@ class _Domain:
         return sp.sqrt(a) if self.tower is None else self.tower.sqrt(a)
 
     def scalar(self, f: ScalarField):
-        return f.expr if self.tower is None else self.tower.base(f.value)
+        return f.value.as_expr() if self.tower is None else self.tower.base(f.value)
 
     def flat(self, t) -> tuple:
         """Row-major components of a TensorField or of the connection."""
-        if self.tower is None:
-            return t.array.flat
         comps = t.gamma if isinstance(t, ConnectionCoefficients) else t.comps
-        return tuple(map(self.tower.base, comps.flat))
+        convert = Frac.as_expr if self.tower is None else self.tower.base
+        return tuple(map(convert, comps.flat))
 
     g = cached_property(lambda self: self.flat(self.an.structure.g))
     phi = cached_property(lambda self: self.flat(self.an.structure.phi))
@@ -270,9 +265,10 @@ def _sub(D: _Domain, m1: Sequence, m2: Sequence) -> list:
 
 def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
     ctx = an.chart.context
-    subs = {s: sp.Rational(Fraction(v)) for s, v in zip(ctx.coord_symbols, pt)}
-    for gen, gsym in zip(ctx.generators, ctx.gen_symbols):
-        subs[gsym] = sp.exp(sp.Rational(gen.rate) * subs[ctx.coord_symbols[gen.coord_index]])
+    coords, gens = _symbols(ctx)
+    subs = {s: sp.Rational(Fraction(v)) for s, v in zip(coords, pt)}
+    for gen, gsym in zip(ctx.generators, gens):
+        subs[gsym] = sp.exp(sp.Rational(gen.rate) * subs[coords[gen.coord_index]])
     return expr.subs(subs)
 
 
@@ -360,7 +356,6 @@ class AdaptedFrame:
     kind: str  # "orthonormal-phi" | "pseudo-orthonormal"
     e1: List[sp.Expr]
     e2: List[sp.Expr]
-    e3: List[sp.Expr]  # always xi
     exact: bool  # True when all components are rational functions
     lam: Optional[sp.Expr] = None  # signed eigenfunction (H1/H3)
     sigma_sign: Optional[int] = None  # phi e1 = sigma_sign * e1 (H2)
@@ -369,8 +364,8 @@ class AdaptedFrame:
 
 
 def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
-    syms = an.chart.context.coord_symbols + an.chart.context.gen_symbols
-    return all(c.is_rational_function(*syms) for v in vectors for c in v)
+    coords, gens = _symbols(an.chart.context)
+    return all(c.is_rational_function(*coords, *gens) for v in vectors for c in v)
 
 
 def _seed_fields(D: _Domain) -> List[list]:
@@ -504,7 +499,6 @@ def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
         "pseudo-orthonormal" if htype.tag == "H2" else "orthonormal-phi",
         sympy.e1,
         sympy.e2,
-        list(sympy.xi),
         exact=_is_rational_frame(an, sympy.e1, sympy.e2),
         lam=sympy.lam,
         sigma_sign=sympy.sgn,
@@ -592,7 +586,6 @@ def _pattern_lines(kind: str, tag: str) -> list:
 class FrameDerivativeTable:
     a: sp.Expr  # a1 | a2 | a3 by type (value at the point)
     b: Dict[str, sp.Expr] = field(default_factory=dict)
-    sigma_values: Dict[str, sp.Expr] = field(default_factory=dict)
     items: List[CheckItem] = field(default_factory=list)
 
     @property
@@ -693,10 +686,6 @@ def verify_frame_tables(
     table = FrameDerivativeTable(
         a=_subs_point(an, E.a, pt),
         b={name: _subs_point(an, getattr(E, attr), pt) for name, attr in _TABLE_B[htype.tag]},
-        sigma_values={
-            "sigma(e1)": _subs_point(an, E.sig_e1, pt),
-            "sigma(e2)": _subs_point(an, E.sig_e2, pt),
-        },
     )
     table.items = [
         _decided_item(an, pt, frame.tower, E, name, shape, residual)

@@ -35,15 +35,6 @@ class ZeroDivisorError(DivisionByZeroFieldError):
     that vanishes identically."""
 
 
-class NotRationalError(EngineError):
-    """A value is not a rational function of the chart's coordinates and
-    generators, so it has no place in the chart's rational function field."""
-
-
-class GeneratorEvalError(EngineError):
-    """Exact evaluation requested for a generator-bearing field."""
-
-
 class ParseError(EngineError):
     """Syntax error in an expression or definition file, with position."""
 

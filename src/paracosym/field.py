@@ -633,9 +633,6 @@ class Frac:
         syms = _sympy_symbols(self.field.symbols)
         return _expr_of(self.numer, syms) / _expr_of(self.denom, syms)
 
-    def _sympy_(self):
-        return self.as_expr()
-
     def __str__(self):
         return to_str(self)
 

@@ -18,11 +18,11 @@ scalars): reduced fractions in the coordinates and any declared
 exponential generators.  Every tensor, connection and contraction result
 stores them in one Components value: the dimension n, the rank and a flat
 row-major tuple of the n**rank entries, so the entry at (i_1, ..., i_k)
-sits at offset ((i_1 n + i_2) n + ...) n + i_k.  TensorField.array (and
-ConnectionCoefficients.array) is the sympy view of the same entries, built
-once on first use for classify's frame code (sympy is imported then); the
-kernels here never read it.  Values at a rational point (eval_at,
-signature_at) are exact elements of QQ(E) from scalars.PointValues.
+sits at offset ((i_1 n + i_2) n + ...) n + i_k.  Field elements are the only
+entries the kernels here take or return; TensorField.array, the entries'
+sympy view (Frac.as_expr), is for reading from outside the engine.  Values
+at a rational point (eval_at, signature_at) are exact elements of QQ(E)
+from scalars.PointValues.
 
 Algebraic contractions go through one primitive, contract(spec,
 *operands), an exact einsum.  The spec names the slots of each operand
@@ -58,11 +58,8 @@ from .scalars import (
     ScalarContext,
     ScalarField,
     combine,
-    element_key,
-    field_of,
     fraction_sum,
     product,
-    times,
     to_element,
 )
 
@@ -101,22 +98,19 @@ class Chart:
 
 
 def _entry(x):
-    """A component as stored: a field element, an int or Fraction, or a
-    sympy expression."""
+    """A component as stored: a field element, or an int or Fraction that
+    a TensorField or contract lifts into the chart's field."""
     if isinstance(x, (Frac, int, Fraction)):
         return x
     if isinstance(x, ScalarField):
         return x.value
-    import sympy as sp
-
-    return sp.sympify(x)
+    raise ValenceError(f"component {x!r} is not a field element, an int or a Fraction")
 
 
 class Components:
     """Components of a rank-k array over range(n)**k: a flat row-major tuple
-    of n**k field elements (or sympy expressions).  Immutable; +, - and
-    unary - act entrywise on two arrays of the same n and rank, * and / by
-    a scalar."""
+    of n**k field elements.  Immutable; +, - and unary - act entrywise on
+    two arrays of the same n and rank, * and / by a scalar."""
 
     __slots__ = ("n", "rank", "flat")
 
@@ -130,12 +124,10 @@ class Components:
 
     @staticmethod
     def of(x) -> "Components":
-        """x as Components: a Components, a sympy array or matrix, a nested
-        list of equal-length rows, or a scalar (rank 0, no dimension)."""
+        """x as Components: a Components, a nested list of equal-length
+        rows, or a scalar (rank 0, no dimension)."""
         if isinstance(x, Components):
             return x
-        if hasattr(x, "tolist"):
-            x = x.tolist()
         if not isinstance(x, (list, tuple)):
             return Components(0, 0, (_entry(x),))
         rows = [Components.of(row) for row in x]
@@ -169,40 +161,26 @@ class Components:
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
         return zip(self.flat, other.flat)
 
-    def _in_field(self) -> bool:
-        return bool(self.flat) and isinstance(self.flat[0], Frac)
-
     def __add__(self, other) -> "Components":
-        pairs = self._zip(other)
-        if self._in_field():
-            return Components(self.n, self.rank, [combine(a, b) for a, b in pairs])
-        return Components(self.n, self.rank, [a + b for a, b in pairs])
+        return Components(self.n, self.rank, [combine(a, b) for a, b in self._zip(other)])
 
     def __sub__(self, other) -> "Components":
-        pairs = self._zip(other)
-        if self._in_field():
-            return Components(self.n, self.rank, [combine(a, b, -1) for a, b in pairs])
-        return Components(self.n, self.rank, [a - b for a, b in pairs])
+        return Components(self.n, self.rank, [combine(a, b, -1) for a, b in self._zip(other)])
 
     def __neg__(self) -> "Components":
         return Components(self.n, self.rank, [-a for a in self.flat])
 
     def _times(self, c, invert: bool = False) -> "Components":
         """Every entry times c, or divided by c; c is a ScalarField, a field
-        element or a number (or any sympy expression, for sympy entries)."""
+        element or a rational number."""
         if isinstance(c, ScalarField):
             c = c.value
-        if self._in_field():
-            c = to_element(self.flat[0].field, c)
-            if invert:
-                if not c:
-                    raise DivisionByZeroFieldError("division by the zero scalar field")
-                c = c.field.raw_new(c.denom, c.numer)  # times() fixes the sign
-            return Components(self.n, self.rank, [times(a, c) for a in self.flat])
-        import sympy as sp
-
-        c = sp.sympify(c, strict=True)
-        return Components(self.n, self.rank, [a / c if invert else a * c for a in self.flat])
+        c = to_element(self.flat[0].field, c)
+        if not invert:
+            return Components(self.n, self.rank, [a * c for a in self.flat])
+        if not c:
+            raise DivisionByZeroFieldError("division by the zero scalar field")
+        return Components(self.n, self.rank, [a / c for a in self.flat])
 
     def __mul__(self, c) -> "Components":
         return self._times(c)
@@ -213,18 +191,12 @@ class Components:
         return self._times(c, invert=True)
 
     def __eq__(self, other):
-        if hasattr(other, "tolist"):  # a sympy array or matrix compares by value
-            other = Components.of(other)
-            field = next((e.field for e in self.flat if isinstance(e, Frac)), None)
-            if field is not None and (other.n, other.rank) == (self.n, self.rank):
-                return self.flat == tuple(to_element(field, e) for e in other.flat)
         if not isinstance(other, Components):
             return NotImplemented
         return (self.n, self.rank, self.flat) == (other.n, other.rank, other.flat)
 
     def __hash__(self):
-        keys = (element_key(e) if isinstance(e, Frac) else e for e in self.flat)
-        return hash((self.n, self.rank, tuple(keys)))
+        return hash((self.n, self.rank, self.flat))
 
     def __repr__(self):
         return f"Components({self.n}, {self.rank}, {self.flat!r})"
@@ -234,10 +206,6 @@ def _elements(context: ScalarContext, flat) -> tuple:
     """The entries as elements of the context's field."""
     field = context.field
     return tuple(e if isinstance(e, Frac) and e.field is field else context.element(e) for e in flat)
-
-
-def _expr_view(comps: Components) -> Components:
-    return Components(comps.n, comps.rank, [e.as_expr() for e in comps.flat])
 
 
 class TensorField:
@@ -262,16 +230,11 @@ class TensorField:
 
     @property
     def array(self) -> Components:
-        """The components as sympy expressions (reduced fractions); imports
-        sympy."""
+        """The components as sympy expressions (Frac.as_expr, which imports
+        sympy), built once; the engine never reads them."""
         if self._array is None:
-            self._array = _expr_view(self.comps)
+            self._array = self.comps.applyfunc(Frac.as_expr)
         return self._array
-
-    def __getitem__(self, idx):
-        if self.rank == 0:
-            return self.array.flat[0]
-        return self.array[idx]
 
     @property
     def rank(self) -> int:
@@ -418,10 +381,9 @@ def contract(spec: str, *operands):
     skipping zero entries; every stage reduces each of its entries once.
     Returns Components of field elements indexed by the output labels, or,
     for an empty output, one ScalarField (one field element when no operand
-    is a TensorField).  Operands that are all sympy arrays are contracted in
-    the field of their symbols and give sympy expressions back.  A
-    malformed spec, or an operand whose rank or dimension does not match
-    its labels, raises ValenceError.
+    is a TensorField).  A malformed spec, an operand whose rank or
+    dimension does not match its labels, or operands without a field
+    element among them raise ValenceError.
     """
     inputs, output = _parse_spec(spec, len(operands))
     parts = [_components(x, labels) for x, labels in zip(operands, inputs)]
@@ -434,12 +396,8 @@ def contract(spec: str, *operands):
     field = context.field if context is not None else next(
         (e.field for flat in flats for e in flat if isinstance(e, Frac)), None
     )
-    plain = field is None
-    if plain:  # sympy entries: computed in the field of their symbols
-        import sympy as sp
-
-        flats = [[sp.sympify(e) for e in flat] for flat in flats]
-        field = field_of(set().union(*(e.free_symbols for flat in flats for e in flat)))
+    if field is None:
+        raise ValenceError(f"contraction {spec!r} has no operand in a chart's field")
     flats = [[to_element(field, e) for e in flat] for flat in flats]
     labels, entries = "", {(): field.one}
     for k, (labels_k, flat) in enumerate(zip(inputs, flats)):
@@ -448,8 +406,6 @@ def contract(spec: str, *operands):
         labels, entries = _stage(labels, entries, lb, eb, keep, field)
     if not output:
         value = entries.get((), field.zero)
-        if plain:
-            return value.as_expr()
         return ScalarField(context, value) if context is not None else value
     order = [output.index(c) for c in labels]
     zero = field.zero
@@ -457,8 +413,7 @@ def contract(spec: str, *operands):
         entries.get(tuple(idx[p] for p in order), zero)
         for idx in itertools.product(range(n), repeat=len(output))
     ]
-    out = Components(n, len(output), flat)
-    return _expr_view(out) if plain else out
+    return Components(n, len(output), flat)
 
 
 def _letters(k: int, skip: str = "") -> str:
@@ -572,20 +527,12 @@ def christoffel(g: TensorField) -> "ConnectionCoefficients":
 
 class ConnectionCoefficients:
     """Levi-Civita connection coefficients Gamma^k_ij on a chart, stored as
-    Components of field elements with Gamma^k_ij at offset (k n + i) n + j;
-    array is their sympy view."""
+    Components of field elements with Gamma^k_ij at offset (k n + i) n + j."""
 
     def __init__(self, chart: Chart, gamma):
         self.chart = chart
         arr = Components.of(gamma)
         self.gamma = Components(arr.n, arr.rank, _elements(chart.context, arr.flat))
-        self._array = None
-
-    @property
-    def array(self) -> Components:
-        if self._array is None:
-            self._array = _expr_view(self.gamma)
-        return self._array
 
     @staticmethod
     def from_metric(g: TensorField) -> "ConnectionCoefficients":
@@ -613,9 +560,6 @@ class ConnectionCoefficients:
                     gamma[(k * n + i) * n + j] = val
                     gamma[(k * n + j) * n + i] = val
         return ConnectionCoefficients(chart, Components(n, 3, gamma))
-
-    def __getitem__(self, idx):
-        return self.array[idx]
 
 
 def _strides(n: int, rank: int) -> list:
@@ -852,7 +796,7 @@ def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int,
             )
             if ij is None:
                 raise DegenerateMetricError(
-                    f"metric degenerate at point {point if point is not None else g.chart.base_point}"
+                    f"metric degenerate at point ({', '.join(map(str, at.point))})"
                 )
             i, j = ij
             # congruence: add row/col j to row/col i to surface a diagonal entry

@@ -30,9 +30,10 @@ value is zero exactly when its numerator polynomial in E is, and the sign
 of a nonzero value comes from rational enclosures of e^(1/N) refined until
 they exclude 0.  No floats on any path.
 
-sympy is imported only at the boundary, on first use: the Expr view of an
-element (ScalarField.expr), the sympy symbols of a context, and the
-conversion of a sympy expression into the field.
+Field elements are the only scalar representation here: a value enters as
+a field element, a ScalarField or a rational number, and this module never
+imports sympy.  The one sympy view of an element is Frac.as_expr (field),
+which classify and the tests read.
 """
 
 from __future__ import annotations
@@ -41,16 +42,10 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
-from .errors import (
-    ContextMismatchError,
-    DivisionByZeroFieldError,
-    GeneratorEvalError,
-    NotRationalError,
-    PoleError,
-)
+from .errors import ContextMismatchError, DivisionByZeroFieldError, PoleError
 from .field import Frac, FracField, Poly, field_of_names, reduce, sort_names, to_str
 
 Pair = Tuple[Poly, Poly]  # (numerator, denominator), not reduced
@@ -107,20 +102,6 @@ class ScalarContext:
     def dim(self) -> int:
         return len(self.coord_names)
 
-    @cached_property
-    def coord_symbols(self) -> tuple:
-        """The coordinates as sympy symbols (imports sympy)."""
-        import sympy as sp
-
-        return tuple(sp.Symbol(n) for n in self.coord_names)
-
-    @cached_property
-    def gen_symbols(self) -> tuple:
-        """The generators as sympy symbols (imports sympy)."""
-        import sympy as sp
-
-        return tuple(sp.Symbol(g.name) for g in self.generators)
-
     def __eq__(self, other):
         return (
             isinstance(other, ScalarContext)
@@ -138,8 +119,7 @@ class ScalarContext:
 
     def element(self, value) -> Frac:
         """value as an element of this context's field: a field element,
-        a ScalarField, an int, a Fraction, or a sympy expression built from
-        the context's symbols and rationals by +, * and integer powers."""
+        a ScalarField or a rational number."""
         if isinstance(value, ScalarField):
             if value.context != self:
                 raise ContextMismatchError(value.context, self)
@@ -178,8 +158,7 @@ class ScalarContext:
     # -- constructors -------------------------------------------------
 
     def scalar(self, value) -> "ScalarField":
-        """Lift a rational constant, field element or sympy expression into
-        this context."""
+        """Lift a rational constant or field element into this context."""
         if isinstance(value, ScalarField):
             if value.context != self:
                 raise ContextMismatchError(value.context, self)
@@ -196,80 +175,16 @@ class ScalarContext:
         return ScalarField(self, self.variable(self.coord_names[index]))
 
 
-def field_of(symbols) -> FracField:
-    """QQ(symbols) for sympy symbols, with the symbols in sympy's order."""
-    return field_of_names(sort_names(s.name for s in symbols))
-
-
 def to_element(field: FracField, value) -> Frac:
-    """value (a field element, int, Fraction or rational sympy expression)
-    as a reduced element of field."""
+    """value (a field element or a rational number) as a reduced element of
+    field."""
     if isinstance(value, Frac):
         return value if value.field is field else value.set_field(field)
     if isinstance(value, (int, Fraction)):
         return field.ground(value)
-    if isinstance(value, numbers.Rational):  # a sympy Rational
+    if isinstance(value, numbers.Rational):  # another Rational type, e.g. sympy's
         return field.ground(Fraction(value.numerator, value.denominator))
-    import sympy as sp
-
-    expr = value if isinstance(value, sp.Basic) else sp.sympify(value)
-    if expr.is_Rational:
-        return field.ground(Fraction(int(expr.p), int(expr.q)))
-    symbols = set()
-    if not _collect_symbols(expr, symbols) or not {s.name for s in symbols} <= set(field.symbols):
-        raise NotRationalError(
-            f"{sp.sstr(expr)} is not a rational function of {', '.join(field.symbols)}"
-        )
-    ring = field.ring
-    num, den = _fraction(expr, ring, dict(zip(field.symbols, ring.gens)))
-    if not den:
-        raise DivisionByZeroFieldError(f"{sp.sstr(expr)} has an identically zero denominator")
-    return reduce(field, num, den)
-
-
-def _collect_symbols(expr, acc: set) -> bool:
-    """Add the symbols of a sympy expression to acc; False unless expr is
-    built from symbols and rationals by +, * and integer powers only."""
-    if expr.is_Symbol:
-        acc.add(expr)
-        return True
-    if expr.is_Rational:
-        return True
-    if expr.is_Add or expr.is_Mul:
-        return all(_collect_symbols(a, acc) for a in expr.args)
-    if expr.is_Pow:
-        return expr.exp.is_Integer and _collect_symbols(expr.base, acc)
-    return False
-
-
-def _fraction(expr, ring, gen_of: dict):
-    """(numerator, denominator) of a rational sympy expression in a
-    polynomial ring, whose generators gen_of maps by symbol name; sums are
-    taken over the lcm of the denominators, products and powers as they
-    stand, and the gcd is left to the caller."""
-    if expr.is_Symbol:
-        return gen_of[expr.name], ring.one
-    if expr.is_Rational:
-        return ring(int(expr.p)), ring(int(expr.q))
-    if expr.is_Add:
-        num, den = ring.zero, ring.one
-        for arg in expr.args:
-            n, d = _fraction(arg, ring, gen_of)
-            if d == den:
-                num += n
-            else:
-                _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
-                num, den = num * cd + n * cden, den * cd
-        return num, den
-    if expr.is_Mul:
-        num, den = ring.one, ring.one
-        for arg in expr.args:
-            n, d = _fraction(arg, ring, gen_of)
-            num, den = num * n, den * d
-        return num, den
-    n, d = _fraction(expr.base, ring, gen_of)
-    k = int(expr.exp)
-    return (n**k, d**k) if k >= 0 else (d ** (-k), n ** (-k))
+    raise TypeError(f"{value!r} is not an element of {field}")
 
 
 def fraction_sum(field: FracField, pairs: Iterable[Pair], divisor: int = 1) -> Frac:
@@ -304,23 +219,11 @@ def combine(a: Frac, b: Frac, sign: int = 1) -> Frac:
     return fraction_sum(a.field, ((a.numer, a.denom), (n, b.denom)))
 
 
-def times(a: Frac, c: Frac) -> Frac:
-    """a * c, reduced once."""
-    if not a or not c:
-        return a.field.zero
-    return reduce(a.field, a.numer * c.numer, a.denom * c.denom)
-
-
 def power(f: Frac, n: int) -> Frac:
     """f**n for an integer n, with 0**0 = 1 as in sympy."""
     if n < 0 and not f:
         raise DivisionByZeroFieldError("negative power of the zero field")
     return f**n
-
-
-def element_key(f: Frac) -> tuple:
-    """A hashable key of a field element."""
-    return frozenset(f.numer.items()), frozenset(f.denom.items())
 
 
 def product(c: int, *factors: Frac) -> Pair:
@@ -429,24 +332,13 @@ def _sign_at(p: Poly, N: int) -> int:
 
 class ScalarField:
     """Immutable exact rational function over a ScalarContext: one reduced
-    element of the context's field, with a cached sympy view (expr)."""
+    element of the context's field."""
 
-    __slots__ = ("context", "value", "_expr")
+    __slots__ = ("context", "value")
 
     def __init__(self, context: ScalarContext, value):
         self.context = context
         self.value = context.element(value)
-        self._expr = None
-
-    @property
-    def expr(self):
-        """The sympy expression of the reduced fraction (imports sympy)."""
-        if self._expr is None:
-            self._expr = self.value.as_expr()
-        return self._expr
-
-    def _sympy_(self):
-        return self.expr
 
     # -- basic predicates ---------------------------------------------
 
@@ -480,7 +372,7 @@ class ScalarField:
 
     def _new(self, value) -> "ScalarField":
         out = ScalarField.__new__(ScalarField)
-        out.context, out.value, out._expr = self.context, value, None
+        out.context, out.value = self.context, value
         return out
 
     def __add__(self, other):
@@ -530,23 +422,13 @@ class ScalarField:
         return NotImplemented if v is None else self.value == v
 
     def __hash__(self):
-        return hash((self.context, element_key(self.value)))
+        return hash((self.context, self.value))
 
     # -- calculus -----------------------------------------------------
 
     def partial(self, coord_index: int) -> "ScalarField":
         """Partial derivative by chart coordinate, with the generator rule."""
         return self._new(self.context.partial_element(self.value, coord_index))
-
-    # -- evaluation ---------------------------------------------------
-
-    def eval(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point; generator-free fields only."""
-        at = PointValues(self.context, point)
-        if self.has_generators():
-            raise GeneratorEvalError("exact eval undefined for generator-bearing fields")
-        v = at.value(self.value)
-        return Fraction(v.numer.LC, v.denom.LC)
 
     # -- presentation -------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Test-only helpers: numeric views, an identity residual and a linear
-algebra reproduction that the engine itself never needs."""
+"""Test-only helpers: exact and numeric values, sympy symbols, an identity
+residual and a linear algebra reproduction that the engine itself never
+needs."""
 
 import math
 from fractions import Fraction
@@ -18,7 +19,21 @@ from paracosym.geometry import (
     riemann,
     scalar_curvature,
 )
-from paracosym.scalars import ScalarContext, ScalarField
+from paracosym.scalars import PointValues, ScalarContext, ScalarField
+
+
+def symbols(context: ScalarContext) -> tuple:
+    """The coordinates, then the generators, of a context as sympy symbols,
+    the symbols of Frac.as_expr."""
+    return tuple(sp.Symbol(n) for n in context.coord_names + tuple(g.name for g in context.generators))
+
+
+def exact_value(f: ScalarField, point: Sequence) -> Fraction:
+    """Exact value of a generator-free scalar field at a rational point."""
+    if f.has_generators():
+        raise ValueError("exact rational value undefined for generator-bearing fields")
+    v = PointValues(f.context, point).value(f.value)
+    return Fraction(v.numer.LC, v.denom.LC)
 
 
 def generator_field(context: ScalarContext, index: int) -> ScalarField:
@@ -30,8 +45,9 @@ def point_subs(context: ScalarContext, point: Sequence) -> dict:
     """sympy substitutions of the coordinates and generators at a rational
     point; a generator becomes exp(rate*coord)."""
     pt = [sp.Rational(Fraction(p)) for p in point]
-    subs = dict(zip(context.coord_symbols, pt))
-    for gen, gsym in zip(context.generators, context.gen_symbols):
+    syms = symbols(context)
+    subs = dict(zip(syms, pt))
+    for gen, gsym in zip(context.generators, syms[context.dim :]):
         subs[gsym] = sp.exp(sp.Rational(gen.rate) * pt[gen.coord_index])
     return subs
 

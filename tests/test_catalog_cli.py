@@ -154,6 +154,26 @@ def test_cli_verify_pole_at_base_point(tmp_path):
     } in items
 
 
+# the metric is degenerate at the base point (its first entry is x): the
+# witness prints the point as the pole witness does
+DEGENERATE_AT_BASE = POLE_AT_BASE.replace(
+    "metric = [[1/x, 0, 0], [0, -1/x, 0], [0, 0, 1]]", "metric = [[x, 0, 0], [0, -1, 0], [0, 0, 1]]"
+)
+
+
+def test_cli_verify_degenerate_metric_at_base_point(tmp_path):
+    path = tmp_path / "degenerate.txt"
+    path.write_text(DEGENERATE_AT_BASE)
+    proc = _run(["verify", str(path), "--json"])
+    assert proc.returncode == 2, proc.stderr
+    items = json.loads(proc.stdout)["axioms"]["items"]
+    assert {
+        "name": "signature (n+1,n) at base point",
+        "status": "fail",
+        "witness": "metric degenerate at point (0, 1, 0)",
+    } in items
+
+
 # phi has a pole at the base point: the D+/D- items fail with the pole as
 # their witness, and the report still reaches stdout
 PHI_POLE_AT_BASE = POLE_AT_BASE.replace(

@@ -285,9 +285,10 @@ def _tower_pairs(draw):
     """Two random elements of QQ(x, y, E)(sqrt(A1))(sqrt(x + sqrt(A1)))."""
     ctx = _tower_context()
     T = QuadraticTower(ctx)
-    t1 = T.adjoin(T.base(ctx.element(_A1)))
-    t2 = T.adjoin(T.base(ctx.variable("x")) + t1)
-    monomials = [T.base(ctx.element(m)) for m in (1, _TX, _TE)]
+    x, y, E = (ctx.variable(n) for n in ("x", "y", "E"))
+    t1 = T.adjoin(T.base(x**2 + y + 3))  # A1
+    t2 = T.adjoin(T.base(x) + t1)
+    monomials = [T.base(m) for m in (ctx.field.one, x, E)]
 
     def element():
         c = [sum((k * m for k, m in zip(draw(_coeffs), monomials)), T.zero) for _ in range(4)]

@@ -81,8 +81,8 @@ def test_nonconstant_beta(analyses):
     beta = 1 + an.chart.context.coordinate(2)
     an_t = _deform(an, 2, beta)
     assert an_t.axioms_ok and an_t.is_apc
-    z = an_t.chart.context.coord_symbols[2]
-    assert sp.cancel(an_t.alpha.expr - 1 / (1 + z)) == 0
+    z = an_t.chart.context.coordinate(2)
+    assert an_t.alpha == 1 / (1 + z)
     items = verify_deformation_laws(an, an_t, 2, beta)
     bad = [it for it in items if it.status == "fail"]
     assert not bad, [(b.name, b.witness) for b in bad]

@@ -149,38 +149,52 @@ CTX = ScalarContext(("x", "t"), (GeneratorDecl("E", 1, 2), GeneratorDecl("F", 1,
 AT = PointValues(CTX, (Fraction(1, 2), Fraction(1)))
 SE, SF, SX, ST = sp.symbols("E F x t")
 SUBS = {SX: sp.Rational(1, 2), ST: 1, SE: sp.exp(2), SF: sp.exp(sp.Rational(1, 3))}
+FE, FF, FX, FT = (CTX.variable(n) for n in ("E", "F", "x", "t"))
 
 
-def _sign(expr) -> int:
-    value = AT.value(CTX.element(expr))
+def _both(build):
+    """(field element, sympy reference): build over the field's generators
+    and over the sympy symbols, both in the order E, F, x, t."""
+    return build(FE, FF, FX, FT), build(SE, SF, SX, ST)
+
+
+def _sign(pair) -> int:
+    f, expr = pair
+    value = AT.value(f)
     assert bool(value) == (expr.subs(SUBS) != 0)
     return AT.sign(value)
 
 
 @pytest.mark.parametrize(
     "expr",
-    [SE - sp.Rational(7389, 1000), SE - sp.Rational(7390, 1000), SF**6 - sp.Rational(7389056, 10**6),
-     sp.Rational(20085537, 10**6) - SE * SF**3, (SE - 7) / (SF - sp.Rational(13956, 10000)), SX * SE - 3],
+    [
+        _both(lambda E, F, x, t: E - Fraction(7389, 1000)),
+        _both(lambda E, F, x, t: E - Fraction(7390, 1000)),
+        _both(lambda E, F, x, t: F**6 - Fraction(7389056, 10**6)),
+        _both(lambda E, F, x, t: Fraction(20085537, 10**6) - E * F**3),
+        _both(lambda E, F, x, t: (E - 7) / (F - Fraction(13956, 10000))),
+        _both(lambda E, F, x, t: x * E - 3),
+    ],
 )
 def test_sign_of_near_cancellations(expr):
-    assert _sign(expr) == (1 if sp.N(expr.subs(SUBS), 50) > 0 else -1)
+    assert _sign(expr) == (1 if sp.N(expr[1].subs(SUBS), 50) > 0 else -1)
 
 
 @SETTINGS
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4))
 def test_sign_matches_sympy_numerics(terms):
-    expr = sum(c * SE**i * SF**j for c, i, j in terms) + sp.Rational(1, 3)
-    num = sp.N(expr.subs(SUBS), 50)
+    pair = _both(lambda E, F, x, t: sum(c * E**i * F**j for c, i, j in terms) + Fraction(1, 3))
+    num = sp.N(pair[1].subs(SUBS), 50)
     assume(abs(num) > 1e-30)
-    assert _sign(expr) == (1 if num > 0 else -1)
+    assert _sign(pair) == (1 if num > 0 else -1)
 
 
 def test_values_at_points_are_exact():
     # E - F**6 is not zero in the field, but both are e^2 at t = 1
-    assert CTX.element(SE - SF**6) and not AT.value(CTX.element(SE - SF**6))
-    assert AT.value(CTX.element(SF**6)) == AT.value(CTX.element(SE))
+    assert FE - FF**6 and not AT.value(FE - FF**6)
+    assert AT.value(FF**6) == AT.value(FE)
     at0 = PointValues(CTX, (0, 0))
-    assert not at0.value(CTX.element(SE - 1)) and not at0.is_unit(CTX.element(SE - 1))
+    assert not at0.value(FE - 1) and not at0.is_unit(FE - 1)
     with pytest.raises(PoleError):
-        at0.value(CTX.element(1 / (SF - 1)))
-    assert AT.value(CTX.element(2 * SX + 1)) == 2
+        at0.value(1 / (FF - 1))
+    assert AT.value(2 * FX + 1) == 2

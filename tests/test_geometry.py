@@ -7,11 +7,10 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracosym.errors import ValenceError
+from paracosym.errors import DivisionByZeroFieldError, ValenceError
 from paracosym.geometry import (
     Chart,
     Components,
-    ConnectionCoefficients,
     TensorField,
     bracket,
     christoffel,
@@ -27,11 +26,15 @@ from paracosym.geometry import (
     wedge,
 )
 from paracosym.classify import canon
+from paracosym.field import Frac
 from paracosym.scalars import ScalarContext
+from support import exact_value, symbols
 
 CTX = ScalarContext(("x", "y", "z"), ())
 CHART = Chart(CTX, (Fraction(0), Fraction(0), Fraction(0)))
-X, Y, Z = (CTX.coord_symbols[i] for i in range(3))
+FIELD = CTX.field
+X, Y, Z = symbols(CTX)  # the sympy references
+x, y, z = (CTX.coordinate(i) for i in range(3))
 
 
 def _metric(rows):
@@ -41,11 +44,11 @@ def _metric(rows):
 def _random_metric(rng):
     """Random symmetric perturbation of diag(1, -1, 1), degree <= 2."""
     def poly():
-        return sp.Rational(rng.randint(-2, 2), rng.randint(1, 3)) * sp.Rational(1, 4) * (
-            rng.choice([X, Y, Z]) * rng.choice([1, X, Y, Z])
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * Fraction(1, 4) * (
+            rng.choice([x, y, z]) * rng.choice([1, x, y, z])
         )
 
-    base = [[sp.Integer(0)] * 3 for _ in range(3)]
+    base = [[CTX.zero()] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
             p = poly()
@@ -66,7 +69,7 @@ def test_christoffel_metric_compatible_and_symmetric():
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                assert sp.cancel(conn[k, i, j] - conn[k, j, i]) == 0
+                assert conn.gamma[k, i, j] == conn.gamma[k, j, i]
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +80,12 @@ def seed11():
 
 
 def test_christoffel_and_riemann_match_expr_sums(seed11):
-    # the same formulas as nested sums over the sympy metric, each entry
-    # canonicalised once; the field kernels must give the same expressions
+    # the connection as nested sums over the sympy metric, each entry
+    # canonicalised once: the field kernel must give the same expressions;
+    # then the curvature as nested sums of field arithmetic over that
+    # connection, which the fused kernel must match
     g, R = seed11
-    gm = sp.Matrix(3, 3, lambda i, j: g.array[i, j])
+    gm = sp.Matrix(3, 3, lambda i, j: g.comps[i, j].as_expr())
     det, adj = canon(gm.det()), gm.adjugate()
     ginv = [[canon(adj[k, l] / det) for l in RNG3] for k in RNG3]
     coords = (X, Y, Z)
@@ -97,16 +102,17 @@ def test_christoffel_and_riemann_match_expr_sums(seed11):
         ]
         for k in RNG3
     ]
-    conn = christoffel(g)
+    G = christoffel(g).gamma
     for k, i, j in itertools.product(RNG3, repeat=3):
-        assert conn[k, i, j] == gamma[k][i][j]
+        assert G[k, i, j].as_expr() == gamma[k][i][j]
+    d = CTX.partial_element
     for l, i, j, k in itertools.product(RNG3, repeat=4):
-        want = canon(
-            sp.diff(gamma[l][j][k], coords[i])
-            - sp.diff(gamma[l][i][k], coords[j])
-            + sum(gamma[l][i][m] * gamma[m][j][k] - gamma[l][j][m] * gamma[m][i][k] for m in RNG3)
+        want = (
+            d(G[l, j, k], i)
+            - d(G[l, i, k], j)
+            + sum(G[l, i, m] * G[m, j, k] - G[l, j, m] * G[m, i, k] for m in RNG3)
         )
-        assert R.array[l, i, j, k] == want
+        assert R.comps[l, i, j, k] == want
 
 
 def test_riemann_first_bianchi_random(seed11):
@@ -131,18 +137,18 @@ def test_riemann_antisymmetry():
 
 
 def test_exterior_derivative_squares_to_zero():
-    f = CTX.coordinate(0) * CTX.coordinate(1) + CTX.coordinate(2) ** 3
-    df = TensorField(CHART, 0, 1, [f.partial(c).expr for c in range(3)])
+    f = x * y + z**3
+    df = TensorField(CHART, 0, 1, [f.partial(c) for c in range(3)])
     ddf = exterior_derivative(df)
     assert ddf.is_zero()
-    omega = TensorField(CHART, 0, 1, [X * Y, Y * Z, X + Z**2])
+    omega = TensorField(CHART, 0, 1, [x * y, y * z, x + z**2])
     ddo = exterior_derivative(exterior_derivative(omega))
     assert ddo.is_zero()
 
 
 def test_wedge_antisymmetry():
-    a = TensorField(CHART, 0, 1, [X, sp.Integer(0), sp.Integer(1)])
-    b = TensorField(CHART, 0, 1, [sp.Integer(0), Y, sp.Integer(2)])
+    a = TensorField(CHART, 0, 1, [x, 0, 1])
+    b = TensorField(CHART, 0, 1, [0, y, 2])
     ab = wedge(a, b)
     ba = wedge(b, a)
     assert (ab + ba).is_zero()
@@ -150,9 +156,9 @@ def test_wedge_antisymmetry():
 
 
 def test_bracket_jacobi_identity():
-    u = TensorField(CHART, 1, 0, [Y, -X, sp.Integer(0)])
-    v = TensorField(CHART, 1, 0, [X * Z, sp.Integer(1), Y])
-    w = TensorField(CHART, 1, 0, [sp.Integer(1), Z, X])
+    u = TensorField(CHART, 1, 0, [y, -x, 0])
+    v = TensorField(CHART, 1, 0, [x * z, 1, y])
+    w = TensorField(CHART, 1, 0, [1, z, x])
     total = (
         bracket(u, bracket(v, w))
         + bracket(v, bracket(w, u))
@@ -163,8 +169,8 @@ def test_bracket_jacobi_identity():
 
 def test_lie_derivative_of_function_free_bracket():
     # L_v w = [v, w] on vector fields
-    v = TensorField(CHART, 1, 0, [X, Y * Z, sp.Integer(1)])
-    w = TensorField(CHART, 1, 0, [Z, sp.Integer(0), X * Y])
+    v = TensorField(CHART, 1, 0, [x, y * z, 1])
+    w = TensorField(CHART, 1, 0, [z, 0, x * y])
     assert (lie_derivative(v, w) - bracket(v, w)).is_zero()
 
 
@@ -197,7 +203,7 @@ def test_scalar_curvature_sphere_like():
 
 def test_finite_difference_partials():
     rng = random.Random(23)
-    f = CTX.coordinate(0) ** 2 * CTX.coordinate(1) + CTX.coordinate(2) ** 3 / 2
+    f = x**2 * y + z**3 / 2
     for _ in range(10):
         pt = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
         for c in range(3):
@@ -206,8 +212,8 @@ def test_finite_difference_partials():
             dn = list(pt)
             up[c] += step
             dn[c] -= step
-            fd = (f.eval(tuple(up)) - f.eval(tuple(dn))) / (2 * sp.Rational(step))
-            exact = f.partial(c).eval(tuple(pt))
+            fd = (exact_value(f, tuple(up)) - exact_value(f, tuple(dn))) / (2 * step)
+            exact = exact_value(f.partial(c), tuple(pt))
             denom = max(1.0, abs(float(exact)))
             assert abs(float(fd - exact)) / denom < 1e-6
 
@@ -224,22 +230,34 @@ def _component_pairs(draw):
     return n, rank, draw(entries), draw(entries)
 
 
+def _ground(vals) -> list:
+    return [FIELD.ground(v) for v in vals]
+
+
+# a scalar as a field element and as the sympy reference
+_SCALARS = [(2, 2), (-3, -3), (Fraction(1, 2), sp.Rational(1, 2)), (CTX.variable("x"), X)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(_component_pairs(), st.sampled_from([2, -3, sp.Rational(1, 2), X]))
-def test_components_match_sympy_arrays(case, c):
+@given(_component_pairs(), st.sampled_from(_SCALARS))
+def test_components_match_sympy_arrays(case, scalar):
     n, rank, a_vals, b_vals = case
+    c, C = scalar
     shape = (n,) * rank
-    a, b = (Components(n, rank, [sp.Integer(v) for v in vals]) for vals in (a_vals, b_vals))
+    a, b = Components(n, rank, _ground(a_vals)), Components(n, rank, _ground(b_vals))
     A, B = (sp.ImmutableDenseNDimArray(vals, shape) for vals in (a_vals, b_vals))
     indices = list(itertools.product(range(n), repeat=rank))
 
     def flat(oracle):
         return tuple(oracle[i] for i in indices)
 
-    assert [a[i] for i in indices] == list(flat(A))
+    def exprs(comps):
+        return tuple(e.as_expr() for e in comps.flat)
+
+    assert [a[i].as_expr() for i in indices] == list(flat(A))
     if rank == 1:
-        assert [a[i] for i in range(n)] == [A[i] for i in range(n)]
-    assert tuple(a) == flat(A)  # iteration is row-major
+        assert [a[i].as_expr() for i in range(n)] == [A[i] for i in range(n)]
+    assert tuple(e.as_expr() for e in a) == flat(A)  # iteration is row-major
     f = lambda e: e**2 - 1
     # sympy's applyfunc fails on a rank-0 array
     applied = A.applyfunc(f) if rank else sp.ImmutableDenseNDimArray([f(A[()])], ())
@@ -247,20 +265,27 @@ def test_components_match_sympy_arrays(case, c):
         (a + b, A + B),
         (a - b, A - B),
         (-a, -A),
-        (a * c, A * c),
-        (c * a, c * A),
-        (a / c, A / c),
+        (a * c, A * C),
+        (c * a, C * A),
+        (a / c, A / C),
         (a.applyfunc(f), applied),
     ]
     for got, want in cases:
-        assert (got.n, got.rank, got.flat) == (n, rank, flat(want))
+        assert (got.n, got.rank, exprs(got)) == (n, rank, flat(want))
+
+
+def test_components_divided_by_the_zero_scalar_raise():
+    a = Components(2, 1, _ground([1, 2]))
+    for zero in (0, FIELD.zero, CTX.zero()):
+        with pytest.raises(DivisionByZeroFieldError):
+            a / zero
 
 
 def test_components_shape_mismatch_raises():
-    a = Components(3, 2, [sp.Integer(k) for k in range(9)])
+    a = Components(3, 2, _ground(range(9)))
     others = [
-        Components(3, 1, [sp.Integer(k) for k in range(3)]),  # other rank
-        Components(2, 2, [sp.Integer(k) for k in range(4)]),  # other dimension
+        Components(3, 1, _ground(range(3))),  # other rank
+        Components(2, 2, _ground(range(4))),  # other dimension
         [[0] * 3] * 3,  # not Components
     ]
     for other in others:
@@ -269,41 +294,42 @@ def test_components_shape_mismatch_raises():
         with pytest.raises(ValenceError):
             a - other
     with pytest.raises(ValenceError):
-        Components(3, 2, [sp.Integer(0)] * 8)
+        Components(3, 2, _ground([0] * 8))
+    with pytest.raises(ValenceError):  # a sympy expression is not a component
+        Components.of([X, 1])
 
 
 def test_equal_components_hash_equal():
-    vals = [X, sp.Integer(0), Y * Z, sp.Rational(1, 2)]
+    vx, vy, vz = (CTX.variable(n) for n in "xyz")
+    vals = [vx, FIELD.zero, vy * vz, FIELD.ground(Fraction(1, 2))]
     a = Components(2, 2, vals)
-    b = Components.of([[X, 0], [Z * Y, sp.Rational(1, 2)]])
+    b = Components.of([[x, CTX.zero()], [z * y, CTX.scalar(Fraction(1, 2))]])
     assert a == b and hash(a) == hash(b)
     assert a != Components(4, 1, vals)
     assert a != Components(2, 2, vals[::-1])
-    assert hash(TensorField(CHART, 1, 0, [X, Y, Z])) == hash(TensorField(CHART, 1, 0, [X, Y, Z]))
+    assert hash(TensorField(CHART, 1, 0, [x, y, z])) == hash(TensorField(CHART, 1, 0, [x, y, z]))
 
 
 # --------------------------------------------------------------------
-# contract against naive nested sums
+# contract against naive nested sums of field arithmetic
 
-XI = TensorField(CHART, 1, 0, [X, sp.Integer(1), Y * Z])
-PHI = TensorField(CHART, 1, 1, [[0, 1, -Y], [1, 0, -X], [0, 0, 0]])
+XI = TensorField(CHART, 1, 0, [x, 1, y * z])
+PHI = TensorField(CHART, 1, 1, [[0, 1, -y], [1, 0, -x], [0, 0, 0]])
 RNG3 = range(3)
 
 
 def test_contract_r_xi(seed11):
-    # contract reduces each entry in the field; Components compares with a
-    # sympy array by value, so it must equal the raw nested sums as functions
-    R, xi = seed11[1].array, XI.array
+    R, xi = seed11[1].comps, XI.comps
     want = [
         [[sum(R[i, m, a, b] * xi[m] for m in RNG3) for b in RNG3] for a in RNG3]
         for i in RNG3
     ]
-    assert contract("imab,m->iab", seed11[1], XI) == sp.ImmutableDenseNDimArray(want)
+    assert contract("imab,m->iab", seed11[1], XI) == Components.of(want)
 
 
 def test_contract_metric_of_phi(seed11):
     # the phi-g stage sums k and is reduced before phi joins
-    g, phi = seed11[0].array, PHI.array
+    g, phi = seed11[0].comps, PHI.comps
     want = [
         [
             sum(phi[k, i] * g[k, l] * phi[l, j] for k in RNG3 for l in RNG3)
@@ -311,24 +337,23 @@ def test_contract_metric_of_phi(seed11):
         ]
         for i in RNG3
     ]
-    got = TensorField(CHART, 0, 2, contract("ki,kl,lj->ij", PHI, seed11[0], PHI))
-    assert got.array == TensorField(CHART, 0, 2, want).array
+    assert contract("ki,kl,lj->ij", PHI, seed11[0], PHI) == Components.of(want)
 
 
 def test_contract_outer_product_and_permutation(seed11):
-    g, R, xi = seed11[0].array, seed11[1].array, XI.array
+    g, R, xi = seed11[0].comps, seed11[1].comps, XI.comps
     outer = [[[xi[i] * g[a, b] for b in RNG3] for a in RNG3] for i in RNG3]
-    assert contract("i,ab->iab", XI, seed11[0]) == sp.ImmutableDenseNDimArray(outer)
+    assert contract("i,ab->iab", XI, seed11[0]) == Components.of(outer)
     swapped = [[[xi[i] * g[b, a] for b in RNG3] for a in RNG3] for i in RNG3]
-    assert contract("i,ba->iab", XI, seed11[0]) == sp.ImmutableDenseNDimArray(swapped)
+    assert contract("i,ba->iab", XI, seed11[0]) == Components.of(swapped)
     perm = [
         [[[R[k, i, b, a] for k in RNG3] for b in RNG3] for a in RNG3] for i in RNG3
     ]
-    assert contract("kiba->iabk", seed11[1]) == sp.ImmutableDenseNDimArray(perm)
+    assert contract("kiba->iabk", seed11[1]) == Components.of(perm)
 
 
 def test_contract_full_contraction_to_scalar(seed11):
-    g, phi, xi = seed11[0].array, PHI.array, XI.array
+    g, phi, xi = seed11[0].comps, PHI.comps, XI.comps
     want = sum(
         xi[a] * phi[b, a] * g[b, c] * xi[c]
         for a in RNG3
@@ -336,26 +361,25 @@ def test_contract_full_contraction_to_scalar(seed11):
         for c in RNG3
     )
     got = contract("a,ba,bc,c->", XI, PHI, seed11[0], XI)
-    assert sp.cancel(sp.together(got - want)) == 0
+    assert got.value == want
     assert contract("ii->", PHI) == 0
 
 
 def _naive(spec, ops, n):
+    """The einsum as nested sums over integer arrays: a dict from output
+    index to value."""
     inputs, output = spec.split("->")
     inputs = inputs.split(",")
     labels = sorted(set("".join(inputs)))
     acc = {}
     for vals in itertools.product(range(n), repeat=len(labels)):
         at = dict(zip(labels, vals))
-        term = sp.Integer(1)
+        term = 1
         for op, lab in zip(ops, inputs):
             term *= op[tuple(at[c] for c in lab)]
         key = tuple(at[c] for c in output)
         acc[key] = acc.get(key, 0) + term
-    if not output:
-        return acc.get((), 0)
-    keys = itertools.product(range(n), repeat=len(output))
-    return sp.ImmutableDenseNDimArray([acc.get(k, 0) for k in keys], (n,) * len(output))
+    return acc
 
 
 @st.composite
@@ -364,10 +388,10 @@ def _contractions(draw):
     labels = [draw(st.text("abcd", min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 3)))]
     used = sorted(set("".join(labels)))
     output = draw(st.permutations(used))[: draw(st.integers(0, len(used)))]
-    ops = []
+    ops = []  # integer arrays
     for lab in labels:
         vals = draw(st.lists(st.integers(-2, 2), min_size=n ** len(lab), max_size=n ** len(lab)))
-        ops.append(sp.ImmutableDenseNDimArray(vals, (n,) * len(lab)))
+        ops.append(Components(n, len(lab), vals))
     return ",".join(labels) + "->" + "".join(output), ops, n
 
 
@@ -375,7 +399,15 @@ def _contractions(draw):
 @given(_contractions())
 def test_contract_matches_nested_sums_on_integer_arrays(case):
     spec, ops, n = case
-    assert contract(spec, *ops) == _naive(spec, ops, n)
+    want = _naive(spec, ops, n)
+    got = contract(spec, *(Components(op.n, op.rank, _ground(op.flat)) for op in ops))
+    output = spec.split("->")[1]
+    if not output:
+        assert isinstance(got, Frac) and got == want.get((), 0)
+        return
+    keys = itertools.product(range(n), repeat=len(output))
+    assert (got.n, got.rank) == (n, len(output))
+    assert got.flat == tuple(FIELD.ground(want.get(k, 0)) for k in keys)
 
 
 @pytest.mark.parametrize(
@@ -387,7 +419,8 @@ def test_contract_matches_nested_sums_on_integer_arrays(case):
         ("ij,j->k", (PHI, XI)),  # output label never summed from an input
         ("ij,j->ii", (PHI, XI)),  # repeated output label
         ("ijk,j->i", (PHI, XI)),  # rank does not match the labels
-        ("ij,j->i", (PHI, sp.ImmutableDenseNDimArray([1, 2]))),  # dimensions differ
+        ("ij,j->i", (PHI, Components(2, 1, _ground([1, 2])))),  # dimensions differ
+        ("ij,j->i", ([[1, 0], [0, 1]], [1, 2])),  # no field element to compute in
     ],
 )
 def test_contract_rejects_bad_specs(spec, ops):

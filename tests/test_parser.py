@@ -65,7 +65,7 @@ def test_exponent_bounded():
 
 
 def test_literal_length_bounded():
-    assert parse_scalar("1" * MAX_LITERAL_DIGITS, CTX).expr == int("1" * MAX_LITERAL_DIGITS)
+    assert parse_scalar("1" * MAX_LITERAL_DIGITS, CTX) == int("1" * MAX_LITERAL_DIGITS)
     assert parse_expression("0." + "5" * (MAX_LITERAL_DIGITS - 1), NAMES)
     for text in ["1" * (MAX_LITERAL_DIGITS + 1), "0." + "5" * MAX_LITERAL_DIGITS, "9" * 5001]:
         with pytest.raises(ParseError):
