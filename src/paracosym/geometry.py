@@ -99,7 +99,8 @@ class Chart:
 
 def _entry(x):
     """A component as stored: a field element, or an int or Fraction that
-    a TensorField or contract lifts into the chart's field."""
+    a TensorField, contract or Components arithmetic lifts into the field
+    of the other entries."""
     if isinstance(x, (Frac, int, Fraction)):
         return x
     if isinstance(x, ScalarField):
@@ -107,10 +108,21 @@ def _entry(x):
     raise ValenceError(f"component {x!r} is not a field element, an int or a Fraction")
 
 
+def _field_in(flats, what: str):
+    """The field of the first field element among the entries; ints and
+    Fractions alone give no field to compute in."""
+    field = next((e.field for flat in flats for e in flat if isinstance(e, Frac)), None)
+    if field is None:
+        raise ValenceError(f"{what} has no entry in a chart's field")
+    return field
+
+
 class Components:
     """Components of a rank-k array over range(n)**k: a flat row-major tuple
     of n**k field elements.  Immutable; +, - and unary - act entrywise on
-    two arrays of the same n and rank, * and / by a scalar."""
+    two arrays of the same n and rank, * and / by a scalar, all in the field
+    of the first field element among the entries (ValenceError if there is
+    none)."""
 
     __slots__ = ("n", "rank", "flat")
 
@@ -159,7 +171,8 @@ class Components:
         if not isinstance(other, Components) or (other.n, other.rank) != (self.n, self.rank):
             shape = (other.n, other.rank) if isinstance(other, Components) else type(other)
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
-        return zip(self.flat, other.flat)
+        field = _field_in((self.flat, other.flat), "entrywise operation")
+        return ((to_element(field, a), to_element(field, b)) for a, b in zip(self.flat, other.flat))
 
     def __add__(self, other) -> "Components":
         return Components(self.n, self.rank, [combine(a, b) for a, b in self._zip(other)])
@@ -175,12 +188,14 @@ class Components:
         element or a rational number."""
         if isinstance(c, ScalarField):
             c = c.value
-        c = to_element(self.flat[0].field, c)
+        field = _field_in((self.flat, (c,)), "scaling")
+        c = to_element(field, c)
+        flat = [to_element(field, a) for a in self.flat]
         if not invert:
-            return Components(self.n, self.rank, [a * c for a in self.flat])
+            return Components(self.n, self.rank, [a * c for a in flat])
         if not c:
             raise DivisionByZeroFieldError("division by the zero scalar field")
-        return Components(self.n, self.rank, [a / c for a in self.flat])
+        return Components(self.n, self.rank, [a / c for a in flat])
 
     def __mul__(self, c) -> "Components":
         return self._times(c)
@@ -393,11 +408,7 @@ def contract(spec: str, *operands):
     n = dims.pop() if dims else 0
     context = next((x.chart.context for x in operands if isinstance(x, TensorField)), None)
     flats = [flat for _, flat in parts]
-    field = context.field if context is not None else next(
-        (e.field for flat in flats for e in flat if isinstance(e, Frac)), None
-    )
-    if field is None:
-        raise ValenceError(f"contraction {spec!r} has no operand in a chart's field")
+    field = context.field if context is not None else _field_in(flats, f"contraction {spec!r}")
     flats = [[to_element(field, e) for e in flat] for flat in flats]
     labels, entries = "", {(): field.one}
     for k, (labels_k, flat) in enumerate(zip(inputs, flats)):

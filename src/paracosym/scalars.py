@@ -39,7 +39,6 @@ which classify and the tests read.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -176,14 +175,12 @@ class ScalarContext:
 
 
 def to_element(field: FracField, value) -> Frac:
-    """value (a field element or a rational number) as a reduced element of
-    field."""
+    """value (a field element, an int or a Fraction) as a reduced element
+    of field."""
     if isinstance(value, Frac):
         return value if value.field is field else value.set_field(field)
     if isinstance(value, (int, Fraction)):
         return field.ground(value)
-    if isinstance(value, numbers.Rational):  # another Rational type, e.g. sympy's
-        return field.ground(Fraction(value.numerator, value.denominator))
     raise TypeError(f"{value!r} is not an element of {field}")
 
 
@@ -366,7 +363,7 @@ class ScalarField:
             if other.context != self.context:
                 raise ContextMismatchError(self.context, other.context)
             return other.value
-        if isinstance(other, (int, numbers.Rational, Frac)):
+        if isinstance(other, (int, Fraction, Frac)):
             return self.context.element(other)
         return None
 

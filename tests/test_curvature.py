@@ -158,7 +158,7 @@ def test_rough_laplacian_nonzero_case(analyses):
     an = analyses("warped_kenmotsu")
     lap = curv.rough_laplacian_xi(an)
     s = an.structure
-    res = (-lap) - s.xi.scale(sp.Integer(2))
+    res = (-lap) - s.xi.scale(2)
     assert res.is_zero()
 
 

@@ -79,11 +79,36 @@ def seed11():
     return g, riemann(christoffel(g))
 
 
+def _points(count, seed):
+    """Random rational points as sympy substitutions of the coordinates."""
+    rng = random.Random(seed)
+    return [
+        {c: sp.Rational(rng.randint(-40, 40), rng.randint(1, 40)) for c in (X, Y, Z)}
+        for _ in range(count)
+    ]
+
+
+# two rational functions that agree at three random rational points are
+# equal but for a degenerate choice of points; the sympy references below
+# are compared with the engine's results there, exactly
+POINTS = _points(3, seed=5)
+
+
+def _at(t, p):
+    """The entries at a point of a TensorField's sympy view, or of
+    Components of sympy expressions, as a sympy array."""
+    comps = t.array if isinstance(t, TensorField) else t
+    vals = [e.xreplace(p) for e in comps.flat]
+    assert all(v.is_Rational for v in vals)  # no pole at p
+    return sp.ImmutableDenseNDimArray(vals, (comps.n,) * comps.rank)
+
+
 def test_christoffel_and_riemann_match_expr_sums(seed11):
-    # the connection as nested sums over the sympy metric, each entry
-    # canonicalised once: the field kernel must give the same expressions;
-    # then the curvature as nested sums of field arithmetic over that
-    # connection, which the fused kernel must match
+    # the same formulas as nested sums over the sympy metric: the connection
+    # with each entry canonicalised once, which the field kernel must give
+    # as expressions; the curvature from sympy's derivatives of that
+    # connection and nested sums of its values at rational points, which
+    # the fused kernel must match there
     g, R = seed11
     gm = sp.Matrix(3, 3, lambda i, j: g.comps[i, j].as_expr())
     det, adj = canon(gm.det()), gm.adjugate()
@@ -105,14 +130,21 @@ def test_christoffel_and_riemann_match_expr_sums(seed11):
     G = christoffel(g).gamma
     for k, i, j in itertools.product(RNG3, repeat=3):
         assert G[k, i, j].as_expr() == gamma[k][i][j]
-    d = CTX.partial_element
-    for l, i, j, k in itertools.product(RNG3, repeat=4):
-        want = (
-            d(G[l, j, k], i)
-            - d(G[l, i, k], j)
-            + sum(G[l, i, m] * G[m, j, k] - G[l, j, m] * G[m, i, k] for m in RNG3)
-        )
-        assert R.comps[l, i, j, k] == want
+    dgamma = {
+        (c, k, i, j): sp.diff(gamma[k][i][j], coords[c])
+        for c, k, i, j in itertools.product(RNG3, repeat=4)
+    }
+    for p in POINTS:
+        Gp = [[[gamma[k][i][j].xreplace(p) for j in RNG3] for i in RNG3] for k in RNG3]
+        dGp = {key: e.xreplace(p) for key, e in dgamma.items()}
+        Rp = _at(R, p)
+        for l, i, j, k in itertools.product(RNG3, repeat=4):
+            want = (
+                dGp[i, l, j, k]
+                - dGp[j, l, i, k]
+                + sum(Gp[l][i][m] * Gp[m][j][k] - Gp[l][j][m] * Gp[m][i][k] for m in RNG3)
+            )
+            assert Rp[l, i, j, k] == want
 
 
 def test_riemann_first_bianchi_random(seed11):
@@ -297,6 +329,14 @@ def test_components_shape_mismatch_raises():
         Components(3, 2, _ground([0] * 8))
     with pytest.raises(ValenceError):  # a sympy expression is not a component
         Components.of([X, 1])
+    ints = Components.of([[1, 0], [0, 1]])  # no field element to compute in
+    for op in (lambda c: c + c, lambda c: c - c, lambda c: 2 * c, lambda c: c / 2):
+        with pytest.raises(ValenceError):
+            op(ints)
+    # ints next to a field element are lifted into its field
+    mixed = Components.of([[x, 0], [0, 1]])
+    two = Components.of([[2 * x, CTX.zero()], [CTX.zero(), CTX.scalar(2)]])
+    assert mixed + mixed == two and 2 * mixed == two and two - mixed == mixed / 1
 
 
 def test_equal_components_hash_equal():
@@ -311,7 +351,8 @@ def test_equal_components_hash_equal():
 
 
 # --------------------------------------------------------------------
-# contract against naive nested sums of field arithmetic
+# contract against sympy's nested sums of the operands' values at the
+# rational points POINTS
 
 XI = TensorField(CHART, 1, 0, [x, 1, y * z])
 PHI = TensorField(CHART, 1, 1, [[0, 1, -y], [1, 0, -x], [0, 0, 0]])
@@ -319,33 +360,42 @@ RNG3 = range(3)
 
 
 def test_contract_r_xi(seed11):
-    R, xi = seed11[1].comps, XI.comps
-    want = [
-        [[sum(R[i, m, a, b] * xi[m] for m in RNG3) for b in RNG3] for a in RNG3]
-        for i in RNG3
-    ]
-    assert contract("imab,m->iab", seed11[1], XI) == Components.of(want)
+    got = contract("imab,m->iab", seed11[1], XI).applyfunc(Frac.as_expr)
+    for p in POINTS:
+        R, xi = _at(seed11[1], p), _at(XI, p)
+        want = [
+            [[sum(R[i, m, a, b] * xi[m] for m in RNG3) for b in RNG3] for a in RNG3]
+            for i in RNG3
+        ]
+        assert _at(got, p) == sp.ImmutableDenseNDimArray(want)
 
 
 def test_contract_metric_of_phi(seed11):
     # the phi-g stage sums k and is reduced before phi joins
-    g, phi = seed11[0].comps, PHI.comps
-    want = [
-        [
-            sum(phi[k, i] * g[k, l] * phi[l, j] for k in RNG3 for l in RNG3)
-            for j in RNG3
+    got = contract("ki,kl,lj->ij", PHI, seed11[0], PHI).applyfunc(Frac.as_expr)
+    for p in POINTS:
+        g, phi = _at(seed11[0], p), _at(PHI, p)
+        want = [
+            [
+                sum(phi[k, i] * g[k, l] * phi[l, j] for k in RNG3 for l in RNG3)
+                for j in RNG3
+            ]
+            for i in RNG3
         ]
-        for i in RNG3
-    ]
-    assert contract("ki,kl,lj->ij", PHI, seed11[0], PHI) == Components.of(want)
+        assert _at(got, p) == sp.ImmutableDenseNDimArray(want)
 
 
 def test_contract_outer_product_and_permutation(seed11):
-    g, R, xi = seed11[0].comps, seed11[1].comps, XI.comps
-    outer = [[[xi[i] * g[a, b] for b in RNG3] for a in RNG3] for i in RNG3]
-    assert contract("i,ab->iab", XI, seed11[0]) == Components.of(outer)
-    swapped = [[[xi[i] * g[b, a] for b in RNG3] for a in RNG3] for i in RNG3]
-    assert contract("i,ba->iab", XI, seed11[0]) == Components.of(swapped)
+    outer = contract("i,ab->iab", XI, seed11[0]).applyfunc(Frac.as_expr)
+    swapped = contract("i,ba->iab", XI, seed11[0]).applyfunc(Frac.as_expr)
+    for p in POINTS:
+        g, xi = _at(seed11[0], p), _at(XI, p)
+        want = [[[xi[i] * g[a, b] for b in RNG3] for a in RNG3] for i in RNG3]
+        assert _at(outer, p) == sp.ImmutableDenseNDimArray(want)
+        want = [[[xi[i] * g[b, a] for b in RNG3] for a in RNG3] for i in RNG3]
+        assert _at(swapped, p) == sp.ImmutableDenseNDimArray(want)
+    # a permutation moves entries and computes nothing
+    R = seed11[1].comps
     perm = [
         [[[R[k, i, b, a] for k in RNG3] for b in RNG3] for a in RNG3] for i in RNG3
     ]
@@ -353,15 +403,16 @@ def test_contract_outer_product_and_permutation(seed11):
 
 
 def test_contract_full_contraction_to_scalar(seed11):
-    g, phi, xi = seed11[0].comps, PHI.comps, XI.comps
-    want = sum(
-        xi[a] * phi[b, a] * g[b, c] * xi[c]
-        for a in RNG3
-        for b in RNG3
-        for c in RNG3
-    )
-    got = contract("a,ba,bc,c->", XI, PHI, seed11[0], XI)
-    assert got.value == want
+    got = contract("a,ba,bc,c->", XI, PHI, seed11[0], XI).value.as_expr()
+    for p in POINTS:
+        g, phi, xi = _at(seed11[0], p), _at(PHI, p), _at(XI, p)
+        want = sum(
+            xi[a] * phi[b, a] * g[b, c] * xi[c]
+            for a in RNG3
+            for b in RNG3
+            for c in RNG3
+        )
+        assert got.xreplace(p) == want
     assert contract("ii->", PHI) == 0
 
 
