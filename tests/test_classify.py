@@ -80,6 +80,39 @@ def test_classification_tags(analyses, name):
         assert sp.cancel(ht.lambda2 - lam2) == 0
 
 
+# example_e's family with p = E = exp(x): h != 0 and lambda^2 carries the
+# generator (E is the symbol, exp(2) its square at x = 1)
+_GENERATOR_CHART = """
+[chart]
+dim = 3
+coords = [x, y, z]
+base_point = [1, 1, 0]
+
+[generators]
+E = { coord = x, rate = 1 }
+
+[structure]
+xi = [E, y + 2*x, 1]
+eta = [0, 0, 1]
+phi = [[0, 1, -(y + 2*x)], [1, 0, -(E)], [0, 0, 0]]
+metric = [[1, 0, -(E)], [0, -1, y + 2*x], [-(E), y + 2*x, 1 + (E)^2 - (y + 2*x)^2]]
+"""
+
+
+@pytest.mark.parametrize(
+    "point,tag,lambda2",
+    [
+        (None, "H1", "-exp(2)/4 + 3/4 + E/2"),
+        ((0, 0, 0), "H1", "1"),
+        ((2, -1, 0), "H3", "-exp(2)/2 - 3/4 + exp(4)/4"),
+    ],
+)
+def test_lambda2_on_a_generator_bearing_chart(point, tag, lambda2):
+    an = StructureAnalysis(AlmostParacontactStructure.from_definition(load_definition(_GENERATOR_CHART)))
+    ht = classify_h(an, point)
+    assert (ht.tag, sp.sstr(ht.lambda2)) == (tag, lambda2)
+
+
 def test_grid_classification_stable(analyses):
     an = analyses("example_e")
     pts = [
