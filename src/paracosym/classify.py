@@ -5,9 +5,10 @@ for a Lorentzian plane metric, so it is one of: diagonalizable with real
 eigenvalues +-lambda (H1), nonzero nilpotent (H2), complex eigenvalues
 +-i*lambda (H3), or zero.  The determinant of the restriction separates
 the cases: negative (H1, lambda^2 = -det), positive (H3, lambda^2 = det),
-zero with h nonzero (H2), h = 0 (Zero).  The remaining Lorentzian Jordan
-shape (a null one-chain hitting the xi-direction) is incompatible with
-h(xi) = 0 and g(xi,xi) = 1 and never occurs.
+zero with h nonzero (H2), h = 0 (Zero).  Its sign is decided exactly at
+the point.  The remaining Lorentzian Jordan shape (a null one-chain
+hitting the xi-direction) is incompatible with h(xi) = 0 and
+g(xi,xi) = 1 and never occurs.
 
 This module also builds adapted frames realizing the canonical matrices,
 verifies the frame-derivative tables, the closed-form Ricci operator, and
@@ -18,17 +19,21 @@ The frames carry square roots: sqrt(lambda^2), the norm sqrt(+-g(v,v)),
 and for H3 a rotation's sqrt((c2+1)/2).  Their helpers and table lines are
 written once over a scalar domain and run twice.  In a quadratic tower over
 the chart's field (tower.QuadraticTower) they decide: a check whose
-residual is zero there passes, for either sign of every root.  As sympy
-expressions they give what the report prints (e1, e2, lambda, a, b) and,
-for a residual the tower leaves nonzero or meets a zero divisor on, the
-point test _zero_at with its witness.  The numeric choices of a frame
+residual is zero there passes, for either sign of every root.  The tower
+also gives the printed coefficients a and b when they lie in the chart's
+field.  As sympy expressions the frames give the rest of what the report
+prints (e1, e2, lambda, and a or b when the tower value carries a root)
+and, for a residual the tower leaves nonzero or meets a zero divisor on,
+the point test _zero_at with its witness.  The numeric choices of a frame
 (seed field, signs) are made on the sympy values at the point and replayed
 in the tower.
 
-This is the one module of the engine that computes with sympy.  It reads
-the chart's field elements through Frac.as_expr, builds the symbols of the
-coordinates and generators from their names, and keeps its expressions in
-the form canon gives, sympy's cancel(together(.)), memoised.
+This is the one module of the engine that computes with sympy: for the
+printed e1, e2, lambda and lambda^2, the fallback a and b, and the point
+test.  It reads the chart's field elements through Frac.as_expr, builds
+the symbols of the coordinates and generators from their names, and keeps
+its expressions in the form canon gives, sympy's cancel(together(.)),
+memoised.
 """
 
 from __future__ import annotations
@@ -65,49 +70,24 @@ def _point_or_base(an: StructureAnalysis, point):
 def classify_h(an: StructureAnalysis, point=None) -> HType:
     """Classify h at a point via the determinant of its ker(eta) restriction.
 
-    Generator-bearing components are evaluated exactly as exponentials of
-    the rational point, so the sign decision stays symbolic."""
+    Since h xi = 0, that determinant is the second elementary symmetric
+    function of h, ((tr h)^2 - tr h^2)/2; its sign is decided exactly at
+    the point (scalars.PointValues), generators included."""
     s = an.structure
     if s.dim != 3:
         raise StructureError("h classification is a 3-dimensional analysis")
     pt = _point_or_base(an, point)
-    n = 3
-    hm = sp.Matrix(
-        n, n, lambda i, j: sp.simplify(_subs_point(an, an.h.comps[i, j].as_expr(), pt))
-    )
-    if hm.is_zero_matrix:
+    values = an.chart.values_at(pt)
+    if not any(values.value(c) for c in an.h.comps.flat):
         return HType("Zero", None, pt)
-    # basis of ker(eta) at the point
-    eta_row = sp.Matrix(
-        1, n, lambda _, j: sp.simplify(_subs_point(an, s.eta.comps[j].as_expr(), pt))
-    )
-    kernel = eta_row.nullspace()
-    if len(kernel) != 2:
+    if not any(values.value(c) for c in s.eta.comps.flat):
         raise StructureError(f"eta degenerate at point {pt}")
-    v1, v2 = kernel
-    xi0 = sp.Matrix(n, 1, lambda i, _: _subs_point(an, s.xi.comps[i].as_expr(), pt))
-    basis = sp.Matrix.hstack(v1, v2, xi0)
-    coeffs = basis.solve(hm * basis)  # h in the (v1, v2, xi) basis
-    det = sp.simplify(coeffs[:2, :2].det())
-    sign = _exact_sign(det)
-    if sign < 0:
-        return HType("H1", sp.simplify(-det), pt)
-    if sign > 0:
-        return HType("H3", det, pt)
-    return HType("H2", None, pt)
-
-
-def _exact_sign(val: sp.Expr) -> int:
-    if val == 0 or sp.simplify(val) == 0:
-        return 0
-    if val.is_positive:
-        return 1
-    if val.is_negative:
-        return -1
-    f = float(val.evalf(30))
-    if abs(f) < 1e-25:
-        return 0
-    return 1 if f > 0 else -1
+    det = (contract("ii->", an.h) ** 2 - contract("ij,ji->", an.h, an.h)) / 2
+    sign = values.sign(values.value(det.value))
+    if sign == 0:
+        return HType("H2", None, pt)
+    val = sp.simplify(_subs_point(an, det.value.as_expr(), pt))
+    return HType("H1", sp.simplify(-val), pt) if sign < 0 else HType("H3", val, pt)
 
 
 # --------------------------------------------------------------------
@@ -676,6 +656,21 @@ def _decided_item(an, pt, tower, sympy, name: str, shape: str, residual) -> Chec
     return CheckItem(name, "fail", witness=f"component {where}: {witness}")
 
 
+def _coefficient_at(an: StructureAnalysis, frame: AdaptedFrame, attr: str, pt) -> sp.Expr:
+    """The frame coefficient attr (a, c1, ...) at the point.  A tower value
+    of level 0 holds no root, so it is the sympy value for either sign of
+    every root, and is read from the chart's field; otherwise the sympy
+    value is."""
+    if frame.tower is not None:
+        try:
+            value = getattr(frame.tower, attr)
+        except ZeroDivisorError:
+            value = None
+        if value is not None and value.level == 0:
+            return _subs_point(an, value.p.as_expr(), pt)
+    return _subs_point(an, getattr(frame.sympy, attr), pt)
+
+
 def verify_frame_tables(
     an: StructureAnalysis, frame: AdaptedFrame, htype: HType
 ) -> FrameDerivativeTable:
@@ -684,8 +679,8 @@ def verify_frame_tables(
     pt = htype.point
     E = frame.sympy
     table = FrameDerivativeTable(
-        a=_subs_point(an, E.a, pt),
-        b={name: _subs_point(an, getattr(E, attr), pt) for name, attr in _TABLE_B[htype.tag]},
+        a=_coefficient_at(an, frame, "a", pt),
+        b={name: _coefficient_at(an, frame, attr, pt) for name, attr in _TABLE_B[htype.tag]},
     )
     table.items = [
         _decided_item(an, pt, frame.tower, E, name, shape, residual)

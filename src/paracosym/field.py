@@ -550,6 +550,9 @@ class Frac:
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
+        # a ground element equals its int or Fraction, so it hashes as one
+        if self.numer.is_ground and self.denom.is_ground:
+            return hash(Fraction(self.numer.LC, self.denom.LC))
         return hash((frozenset(self.numer.items()), frozenset(self.denom.items())))
 
     def __neg__(self) -> "Frac":

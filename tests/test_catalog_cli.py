@@ -97,6 +97,25 @@ def test_lie_family_digest(name):
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN[name]
 
 
+@pytest.mark.slow
+def test_lie3d_pool_digests():
+    # every draw of the benchmark's lie3d pool against the digest the
+    # benchmark pinned for it (read, never written here)
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    from workloads import lie_call, lie_definition, load_bundles
+
+    pinned = json.loads((bench / "digests.json").read_text())
+    pool = [params for bundle in load_bundles() for params in bundle]
+    assert len(pool) == 36
+    drifted = []
+    for params in pool:
+        rep = run_analyze(load_definition(lie_definition(params)))
+        if hashlib.sha256(rep.to_json().encode()).hexdigest() != pinned[lie_call(params).key]:
+            drifted.append(params)
+    assert drifted == []
+
+
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_entry("no_such_entry")

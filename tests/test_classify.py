@@ -440,6 +440,51 @@ def test_passing_h1_draw_needs_no_point_test(monkeypatch):
     assert calls == []
 
 
+def test_passing_h1_draw_builds_no_sympy_derivative(monkeypatch):
+    # the printed a and b come from the tower frame: the sympy frame's
+    # nabla e1 and nabla e2 are never built
+    domains = []
+    nabla = cls._nabla
+
+    def recording(D, w):
+        domains.append(D)
+        return nabla(D, w)
+
+    monkeypatch.setattr(cls, "_nabla", recording)
+    section = run_analyze(load_definition(_lie_text(ORACLE_DRAWS[0]))).tree["classification"]
+    assert section["h_type"] == "H1" and section["frame_table"]["a"]
+    assert domains and all(D.tower is not None for D in domains)
+
+
+_FRAME_ENTRIES = ["example_e", "h1_rational", "h2_nilpotent", "h3_rotation", "flat_product", "warped_kenmotsu", "sigma_nonzero"]
+
+
+@pytest.mark.parametrize("source", ORACLE_DRAWS + _FRAME_ENTRIES, ids=str)
+def test_printed_coefficients_match_the_sympy_frame(analyses, source):
+    an = analyses(source) if isinstance(source, str) else _lie_analysis(source)
+    ht = classify_h(an)
+    try:
+        frame = build_adapted_frame(an, ht)
+    except EngineError:
+        assert source == ORACLE_DRAWS[4]  # the failing H3 draw builds no frame
+        return
+    table = verify_frame_tables(an, frame, ht)
+    printed = {"a": table.a, **{attr: table.b[name] for name, attr in cls._TABLE_B[ht.tag]}}
+    for attr, value in printed.items():
+        assert sp.sstr(value) == sp.sstr(cls._subs_point(an, getattr(frame.sympy, attr), ht.point)), attr
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an H2 frame with g(w, h w) < 0 is scaled by 1/sqrt(g(w, h w)) and comes out "
+    "imaginary; a real frame has h e1 = -e2, a sign the H2 table lines would carry",
+)
+def test_h2_frame_is_real():
+    frame = run_analyze(load_definition(_lie_text(ORACLE_DRAWS[2]))).tree["classification"]["frame"]
+    assert frame["exact"]
+    assert not any(sp.sympify(c).has(sp.I) for c in frame["e1"] + frame["e2"]), frame
+
+
 @pytest.mark.slow
 def test_tower_proofs_pass_the_point_test_on_the_lie3d_pool():
     import sys

@@ -198,3 +198,10 @@ def test_values_at_points_are_exact():
     with pytest.raises(PoleError):
         at0.value(1 / (FF - 1))
     assert AT.value(2 * FX + 1) == 2
+
+
+@pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)], ids=str)
+def test_ground_element_hashes_as_its_number(c):
+    f = PRINT_FIELD.ground(c)
+    assert f == c and hash(f) == hash(c)
+    assert len({f, c}) == 1
