@@ -419,7 +419,7 @@ class ScalarField:
         return NotImplemented if v is None else self.value == v
 
     def __hash__(self):
-        return hash((self.context, self.value))
+        return hash(self.value)
 
     # -- calculus -----------------------------------------------------
 

@@ -82,21 +82,7 @@ def test_classification_tags(analyses, name):
 
 # example_e's family with p = E = exp(x): h != 0 and lambda^2 carries the
 # generator (E is the symbol, exp(2) its square at x = 1)
-_GENERATOR_CHART = """
-[chart]
-dim = 3
-coords = [x, y, z]
-base_point = [1, 1, 0]
-
-[generators]
-E = { coord = x, rate = 1 }
-
-[structure]
-xi = [E, y + 2*x, 1]
-eta = [0, 0, 1]
-phi = [[0, 1, -(y + 2*x)], [1, 0, -(E)], [0, 0, 0]]
-metric = [[1, 0, -(E)], [0, -1, y + 2*x], [-(E), y + 2*x, 1 + (E)^2 - (y + 2*x)^2]]
-"""
+_GENERATOR_CHART = _lie_family("E", "y + 2*x") + "\n[generators]\nE = { coord = x, rate = 1 }\n"
 
 
 @pytest.mark.parametrize(
@@ -431,28 +417,22 @@ def test_tower_does_not_prove_a_wrong_sign_of_alpha():
 
 
 def test_passing_h1_draw_needs_no_point_test(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cls, "_zero_at", lambda *args: calls.append(args))
-    section = run_analyze(load_definition(_lie_text(ORACLE_DRAWS[0]))).tree["classification"]
-    assert section["h_type"] == "H1"
-    items = section["frame_table"]["items"] + section["harmonic_nullity"]["items"]
-    assert items and all(it["status"] == "pass" for it in items)
-    assert calls == []
-
-
-def test_passing_h1_draw_builds_no_sympy_derivative(monkeypatch):
-    # the printed a and b come from the tower frame: the sympy frame's
-    # nabla e1 and nabla e2 are never built
-    domains = []
+    # nor a sympy nabla e1 or nabla e2: the printed a and b come from the
+    # tower frame
+    calls, domains = [], []
     nabla = cls._nabla
 
     def recording(D, w):
         domains.append(D)
         return nabla(D, w)
 
+    monkeypatch.setattr(cls, "_zero_at", lambda *args: calls.append(args))
     monkeypatch.setattr(cls, "_nabla", recording)
     section = run_analyze(load_definition(_lie_text(ORACLE_DRAWS[0]))).tree["classification"]
-    assert section["h_type"] == "H1" and section["frame_table"]["a"]
+    assert section["h_type"] == "H1"
+    items = section["frame_table"]["items"] + section["harmonic_nullity"]["items"]
+    assert items and all(it["status"] == "pass" for it in items)
+    assert calls == []
     assert domains and all(D.tower is not None for D in domains)
 
 

@@ -121,6 +121,8 @@ def test_hash_consistent_with_eq(ctx):
     b = x * x + 2 * x * y + y * y
     assert a == b
     assert hash(a) == hash(b)
+    half = ctx.scalar(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
 
 
 # --------------------------------------------------------------------
