@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import sympy as sp
 
 from .errors import StructureError, ZeroDivisorError
-from .geometry import ConnectionCoefficients, TensorField, compose11, contract, identity_tensor
+from .geometry import Components, contract, identity_tensor
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
 from .field import Frac
@@ -160,31 +160,28 @@ class _Domain:
     def scalar(self, f: ScalarField):
         return f.value.as_expr() if self.tower is None else self.tower.base(f.value)
 
-    def flat(self, t) -> tuple:
-        """Row-major components of a TensorField or of the connection."""
-        comps = t.gamma if isinstance(t, ConnectionCoefficients) else t.comps
+    def flat(self, comps: Components) -> tuple:
+        """The entries, row-major, in this domain."""
         convert = Frac.as_expr if self.tower is None else self.tower.base
         return tuple(map(convert, comps.flat))
 
-    g = cached_property(lambda self: self.flat(self.an.structure.g))
-    phi = cached_property(lambda self: self.flat(self.an.structure.phi))
-    xi = cached_property(lambda self: list(self.flat(self.an.structure.xi)))
-    h = cached_property(lambda self: self.flat(self.an.h))
-    h2 = cached_property(lambda self: self.flat(compose11(self.an.h, self.an.h)))
-    hphi = cached_property(lambda self: self.flat(compose11(self.an.h, self.an.structure.phi)))
-    nab_xi_h = cached_property(lambda self: self.flat(self.an.nab_xi_h))
-    proj = cached_property(lambda self: self.flat(self.an.proj))
-    sigma = cached_property(lambda self: self.flat(self.an.sigma))
-    conn = cached_property(lambda self: self.flat(self.an.conn))
+    g = cached_property(lambda self: self.flat(self.an.structure.g.comps))
+    phi = cached_property(lambda self: self.flat(self.an.structure.phi.comps))
+    xi = cached_property(lambda self: list(self.flat(self.an.structure.xi.comps)))
+    h = cached_property(lambda self: self.flat(self.an.h.comps))
+    h2 = cached_property(lambda self: self.flat(self.an.h2))
+    hphi = cached_property(lambda self: self.flat(self.an.hphi))
+    nab_xi_h = cached_property(lambda self: self.flat(self.an.nab_xi_h.comps))
+    proj = cached_property(lambda self: self.flat(self.an.proj.comps))
+    sigma = cached_property(lambda self: self.flat(self.an.sigma.comps))
+    conn = cached_property(lambda self: self.flat(self.an.conn.gamma))
     alpha = cached_property(lambda self: self.scalar(self.an.alpha))
 
     @cached_property
     def res13(self) -> tuple:
         """h^2 - (alpha^2 + (1/2) S(xi,xi)) phi^2, with phi^2 the projection."""
         an = self.an
-        szz = contract("ab,a,b->", an.S, an.structure.xi, an.structure.xi)
-        h2 = compose11(an.h, an.h)
-        return self.flat(TensorField(an.chart, 1, 1, h2.comps - (an.alpha**2 + szz / 2) * an.proj.comps))
+        return self.flat(an.h2 - (an.alpha**2 + an.szz / 2) * an.proj.comps)
 
 
 # helpers over a domain D; vectors are lists of three components
@@ -708,7 +705,7 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
     if not an.is_apc or not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="needs constant alpha")
     alpha, r = an.alpha, an.r
-    T = contract("ik,ki->", an.h, an.h) / 2
+    T = contract("ii->", an.h2) / 2
     sig_sharp = contract("ij,j->i", an.ginv, an.sigma)
     rhs = (
         (r / 2 + alpha**2 - T) * identity_tensor(an.chart).comps
@@ -718,7 +715,7 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
         + contract("i,j->ij", s.xi, an.sigma)
         + contract("i,j->ij", sig_sharp, s.eta)
     )
-    return _residual_item(name, TensorField(an.chart, 1, 1, an.Q.comps - rhs))
+    return _residual_item(name, an.Q.comps - rhs)
 
 
 # --------------------------------------------------------------------

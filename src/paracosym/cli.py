@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .catalog import catalog, catalog_entry
 from .errors import DefinitionError, DeformationParameterError, EngineError, ParseError
-from .parser import load_definition, parse_scalar
+from .parser import _parse_rational, load_definition, parse_scalar
 from .report import EXIT_PARSE, EXIT_STRUCTURAL, run_analyze, run_deform, run_verify
 
 
@@ -29,15 +29,19 @@ def _verbosity() -> int:
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_definition(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DefinitionError(f"cannot read {path}: {exc}") from exc
+    return load_definition(text)
 
 
 def _parse_point(raw: str, dim: int) -> List[Fraction]:
-    parts = [p.strip() for p in raw.split(",")]
+    parts = raw.split(",")
     if len(parts) != dim:
         raise DefinitionError(f"--point needs {dim} comma-separated rationals")
-    return [Fraction(p) for p in parts]
+    return [_parse_rational(p) for p in parts]
 
 
 def _emit(report, as_json: bool) -> int:
@@ -83,9 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, DefinitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (DeformationParameterError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
@@ -110,7 +111,7 @@ def _dispatch(args) -> int:
             return _emit(run_deform(defn, u=u), args.json)
         if not args.gamma or not args.beta:
             raise DefinitionError("deform needs --gamma and --beta, or --conformal-u")
-        gamma = Fraction(args.gamma)
+        gamma = _parse_rational(args.gamma)
         beta = parse_scalar(args.beta, ctx)
         return _emit(run_deform(defn, gamma=gamma, beta=beta), args.json)
 

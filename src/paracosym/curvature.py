@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .geometry import (
-    TensorField,
-    compose11,
-    contract,
-    covariant_derivative,
-    identity_tensor,
-)
+from .geometry import Components, TensorField, contract, covariant_derivative, identity_tensor
 from .scalars import ScalarField
 from .structures import (
     CheckItem,
@@ -33,14 +27,13 @@ from .structures import (
 def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     """R(X,Y)xi through derivatives of alpha and of phi.h (any alpha)."""
     s = an.structure
-    chart = an.chart
     if not an.is_apc:
         return [CheckItem("R(X,Y)xi formulas", "skip", reason="not apc")]
 
     eta = s.eta
     alpha = an.alpha
-    delta = identity_tensor(chart).comps
-    rxy_xi = contract("iabk,k->iab", an.R, s.xi)  # R(d_a, d_b) xi
+    delta = identity_tensor(an.chart).comps
+    rxy_xi = an.R_xi
     nab_phih = contract("iba->iab", an.nabphih)  # (nabla_{d_a} phi.h) d_b
     items: List[CheckItem] = []
 
@@ -52,10 +45,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
         + nab_phih
     )
     items.append(
-        _residual_item(
-            "R(X,Y)xi via d(alpha) and nabla(phi.h)",
-            TensorField(chart, 1, 2, rxy_xi - _antisymmetrized(rhs)),
-        )
+        _residual_item("R(X,Y)xi via d(alpha) and nabla(phi.h)", rxy_xi - _antisymmetrized(rhs))
     )
 
     if s.n >= 2 and an.alpha_extraction.f is not None:
@@ -63,10 +53,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
         B = (f + alpha**2) * delta + alpha * an.phih.comps
         rhs2 = contract("a,ib->iab", eta, B) + nab_phih
         items.append(
-            _residual_item(
-                "R(X,Y)xi with f (higher dimension)",
-                TensorField(chart, 1, 2, rxy_xi - _antisymmetrized(rhs2)),
-            )
+            _residual_item("R(X,Y)xi with f (higher dimension)", rxy_xi - _antisymmetrized(rhs2))
         )
     else:
         items.append(
@@ -79,15 +66,14 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     return items
 
 
-def divergence_phih(an: StructureAnalysis) -> TensorField:
+def divergence_phih(an: StructureAnalysis) -> Components:
     """div(phi.h)^k = g^{ij} (nabla_i phi.h)^k_j, a vector field."""
-    return TensorField(an.chart, 1, 0, contract("ij,kji->k", an.ginv, an.nabphih))
+    return contract("ij,kji->k", an.ginv, an.nabphih)
 
 
 def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
     """Jacobi-operator and Ricci consequences (constant alpha only)."""
     s = an.structure
-    chart = an.chart
     n = s.n
     names = [
         "R(xi,X)xi via h and nabla_xi(h)",
@@ -107,32 +93,30 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
     items: List[CheckItem] = []
 
     nab_xi_h = an.nab_xi_h
-    h2 = compose11(h, h)
-    phi2 = contract("ik,kj->ij", phi, phi)
+    h2, phi2 = an.h2, an.phi2
 
     # R(xi,X)xi = alpha^2 phi^2 X + 2 alpha phi h X - h^2 X + phi (nabla_xi h) X
     res1 = (
         -l.comps
         - alpha**2 * phi2
         - 2 * alpha * an.phih.comps
-        + h2.comps
+        + h2
         - contract("ik,kj->ij", phi, nab_xi_h)
     )
-    items.append(_residual_item(names[0], TensorField(chart, 1, 1, res1)))
+    items.append(_residual_item(names[0], res1))
 
     # (nabla_xi h) X = -alpha^2 phi X - 2 alpha h X + phi h^2 X - phi R(X,xi)xi
     res2 = (
         nab_xi_h.comps
         + alpha**2 * phi.comps
         + 2 * alpha * h.comps
-        + contract("ik,kj->ij", phi, l.comps - h2.comps)
+        + contract("ik,kj->ij", phi, l.comps - h2)
     )
-    items.append(_residual_item(names[1], TensorField(chart, 1, 1, res2)))
+    items.append(_residual_item(names[1], res2))
 
     # (1/2)(R(xi,X)xi + phi R(xi, phi X)xi) = alpha^2 phi^2 X - h^2 X
     average = -(l.comps + contract("im,mn,nj->ij", phi, l, phi)) / 2
-    res3 = average - alpha**2 * phi2 + h2.comps
-    items.append(_residual_item(names[2], TensorField(chart, 1, 1, res3)))
+    items.append(_residual_item(names[2], average - alpha**2 * phi2 + h2))
 
     # S(X,xi) = -2n alpha^2 eta(X) + g(div(phi.h), X)
     res4 = (
@@ -140,10 +124,8 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
         + 2 * n * alpha**2 * s.eta.comps
         - contract("mj,m->j", s.g, divergence_phih(an))
     )
-    items.append(_residual_item(names[3], TensorField(chart, 0, 1, res4)))
-
-    szz = contract("ab,a,b->", an.S, xi, xi)
-    items.append(_scalar_item(names[4], szz + 2 * n * alpha**2 - contract("ii->", h2)))
+    items.append(_residual_item(names[3], res4))
+    items.append(_scalar_item(names[4], an.szz + 2 * n * alpha**2 - contract("ii->", an.h2)))
     return items
 
 
@@ -155,12 +137,11 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="not apc")
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
-    chart = an.chart
     g, phi, eta = s.g, s.phi, s.eta
     alpha = an.alpha
 
     # Y[n,a,b] = g(R(xi, d_a) d_b, d_n), staged R.xi first
-    Y = TensorField(chart, 0, 3, contract("imab,m,in->nab", an.R, s.xi, g))
+    Y = contract("imab,m,in->nab", an.R, s.xi, g)
     lhs = (
         contract("cab->abc", Y)
         + contract("nam,mb,nc->abc", Y, phi, phi)
@@ -172,7 +153,7 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
     rhs = 2 * contract("da,bcd->abc", an.h, an.nabPhi) + 2 * alpha * (
         contract("b,ac->abc", eta, M) - contract("c,ab->abc", eta, M)
     )
-    return _residual_item(name, TensorField(chart, 0, 3, lhs - rhs))
+    return _residual_item(name, lhs - rhs)
 
 
 def check_q_commutator(an: StructureAnalysis) -> CheckItem:
@@ -199,7 +180,7 @@ def check_q_commutator(an: StructureAnalysis) -> CheckItem:
         + contract("mk,k,im,j->ij", Q, xi, phi, eta)
         - contract("m,mk,kj,i->ij", eta, Q, phi, xi)
     )
-    return _residual_item(name, TensorField(an.chart, 1, 1, res))
+    return _residual_item(name, res)
 
 
 @dataclass
@@ -225,9 +206,8 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
         cf = ScalarField(an.chart.context, R[idx] / m)
         break
 
-    residual = TensorField(an.chart, 1, 3, R - cf * model)
-    if not residual.is_zero():
-        w = residual.first_nonzero()
+    w = (R - cf * model).first_nonzero()
+    if w is not None:
         return ConstantCurvatureResult(
             False, None, witness=f"component {w[0]}: {w[1]}"
         )
@@ -255,9 +235,7 @@ def check_space_form_constraints(an: StructureAnalysis) -> List[CheckItem]:
     items.append(
         _scalar_item("space form: c = -alpha^2", alpha**2 + probe.c)
     )
-    items.append(
-        _residual_item("space form: h^2 = 0", compose11(an.h, an.h))
-    )
+    items.append(_residual_item("space form: h^2 = 0", an.h2))
     return items
 
 
@@ -266,10 +244,10 @@ def check_space_form_constraints(an: StructureAnalysis) -> List[CheckItem]:
 
 
 def rough_laplacian_xi(an: StructureAnalysis) -> TensorField:
-    """Trace of the second covariant derivative of xi, as a vector field."""
-    nxi = covariant_derivative(an.structure.xi, an.conn)  # [k, c]
-    nnxi = covariant_derivative(nxi, an.conn)  # [k, c, d], d the new direction
-    return TensorField(an.chart, 1, 0, contract("cd,kcd->k", an.ginv, nnxi))
+    """Trace of the second covariant derivative of xi, as a vector field;
+    nabla xi = -A."""
+    nA = covariant_derivative(an.A, an.conn)  # [k, c, d], d the new direction
+    return TensorField(an.chart, 1, 0, -contract("cd,kcd->k", an.ginv, nA))
 
 
 def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
@@ -286,21 +264,19 @@ def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
     if not an.alpha_is_constant:
         return CheckItem(name, "skip", reason="alpha is not constant")
     alpha = an.alpha
-    trh2 = contract("ik,ki->", an.h, an.h)
+    trh2 = contract("ii->", an.h2)
     res = (
         -rough_laplacian_xi(an).comps
         - (2 * s.n * alpha**2 - trh2) * s.xi.comps
         + contract("mk,k,im->i", an.Q, s.xi, an.proj)
     )
-    return _residual_item(name, TensorField(an.chart, 1, 0, res))
+    return _residual_item(name, res)
 
 
 def xi_is_harmonic(an: StructureAnalysis) -> Tuple[bool, Optional[str]]:
     """xi is harmonic iff Q xi = S(xi,xi) xi, equivalently sigma = 0."""
     xi = an.structure.xi
-    szz = contract("ab,a,b->", an.S, xi, xi)
-    res = contract("ik,k->i", an.Q, xi) - szz * xi.comps
-    w = TensorField(an.chart, 1, 0, res).first_nonzero()
+    w = (contract("ik,k->i", an.Q, xi) - an.szz * xi.comps).first_nonzero()
     if w is None:
         return True, None
     return False, f"Q(xi) - S(xi,xi) xi has component {w[0]}: {w[1]}"
@@ -308,7 +284,4 @@ def xi_is_harmonic(an: StructureAnalysis) -> Tuple[bool, Optional[str]]:
 
 def check_jacobi_self_adjoint(an: StructureAnalysis) -> CheckItem:
     gl = contract("mj,mi->ij", an.structure.g, an.l)  # g(l d_i, d_j)
-    return _residual_item(
-        "Jacobi operator self-adjoint",
-        TensorField(an.chart, 0, 2, gl - contract("ij->ji", gl)),
-    )
+    return _residual_item("Jacobi operator self-adjoint", gl - contract("ij->ji", gl))

@@ -87,7 +87,7 @@ def conformal_deform(
     if not an.is_apc:
         raise DeformationParameterError("conformal deformation needs an apc input")
     du_res = _gradient(u) - an.alpha * s.eta.comps
-    bad = TensorField(s.chart, 0, 1, du_res).first_nonzero()
+    bad = du_res.first_nonzero()
     if bad is not None:
         raise DeformationParameterError(
             f"du != alpha*eta at coordinate {bad[0][0]}; cannot conformally flatten alpha"
@@ -150,7 +150,6 @@ def verify_deformation_laws(
     """Verify the connection, A, h, and R(.,.)xi transformation laws of the
     homothetic deformation, exactly."""
     s = an.structure
-    chart = an.chart
     gamma = Fraction(gamma)
     b = beta
     dbeta_xi = an.xi_derivative(beta)
@@ -163,27 +162,18 @@ def verify_deformation_laws(
         dbeta_xi / b
     ) * contract("a,b->ab", eta, eta)
     res = an_t.conn.gamma - an.conn.gamma + contract("ab,k->kab", shift, xi)
-    items.append(
-        _residual_item("deformed connection law", TensorField(chart, 1, 2, res))
-    )
-
-    items.append(
-        _residual_item("A~ = A/beta", TensorField(chart, 1, 1, an_t.A.comps - an.A.comps / b))
-    )
-    items.append(
-        _residual_item("h~ = h/beta", TensorField(chart, 1, 1, an_t.h.comps - an.h.comps / b))
-    )
+    items.append(_residual_item("deformed connection law", res))
+    items.append(_residual_item("A~ = A/beta", an_t.A.comps - an.A.comps / b))
+    items.append(_residual_item("h~ = h/beta", an_t.h.comps - an.h.comps / b))
 
     # R~(X,Y)xi~ = (1/beta) R(X,Y)xi
     #   + (dbeta(xi)/beta^2) [eta(X) A Y - eta(Y) A X]
     res7 = (
-        contract("iabk,k->iab", an_t.R, an_t.structure.xi)
-        - contract("iabk,k->iab", an.R, xi) / b
+        an_t.R_xi
+        - an.R_xi / b
         - (dbeta_xi / b**2) * _antisymmetrized(contract("a,ib->iab", eta, an.A))
     )
-    items.append(
-        _residual_item("R~(X,Y)xi~ law", TensorField(chart, 1, 2, res7))
-    )
+    items.append(_residual_item("R~(X,Y)xi~ law", res7))
     return items
 
 

@@ -32,9 +32,17 @@ in pairs in the order written, so the caller stages the cheapest
 contraction first (R with xi before phi and g).  Each stage sums every
 output entry over the lcm of its denominators and reduces it once
 (scalars.fraction_sum); the differential operators below (the connection,
-covariant and Lie derivatives, d, wedge, Riemann) build each output entry
-the same way from numerator/denominator pairs.  Callers combine the
-results by entrywise field arithmetic into one residual per check.
+covariant and Lie derivatives, Riemann) build each output entry the same
+way from numerator/denominator pairs.  The exterior derivative and the
+wedge with a 1-form are alternating sums of index permutations, taken
+through contract, of the coordinate partials (partials) and of a (x) b.
+Callers combine the results by entrywise field arithmetic into one
+residual Components per check.
+
+The kernels here take their inputs and recompute nothing: a tensor that
+more than one check reads (g^{-1}, the connection, R, Q, h^2, R(.,.)xi,
+N^1, ...) is a cached property of structures.StructureAnalysis, built
+there once per structure.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ import itertools
 import string
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -164,6 +171,17 @@ class Components:
     def __iter__(self):
         return iter(self.flat)
 
+    def is_zero(self) -> bool:
+        return not any(self.flat)
+
+    def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], Frac]]:
+        """(index, entry) of the first nonzero entry in row-major order, the
+        witness of a failed identity, or None if every entry is zero."""
+        for idx, e in zip(itertools.product(range(self.n), repeat=self.rank), self.flat):
+            if e:
+                return idx, e
+        return None
+
     def applyfunc(self, f) -> "Components":
         return Components(self.n, self.rank, map(f, self.flat))
 
@@ -283,7 +301,7 @@ class TensorField:
         return TensorField(self.chart, self.r, self.s, self.comps * self.chart.context.element(f))
 
     def is_zero(self) -> bool:
-        return not any(self.comps.flat)
+        return self.comps.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, TensorField):
@@ -297,10 +315,7 @@ class TensorField:
 
     def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], Frac]]:
         """Witness component for a failed identity, or None if zero."""
-        for idx, e in zip(self.indices(), self.comps):
-            if e:
-                return idx, e
-        return None
+        return self.comps.first_nonzero()
 
     # -- evaluation ----------------------------------------------------
 
@@ -435,35 +450,12 @@ def _letters(k: int, skip: str = "") -> str:
 # pointwise linear algebra helpers
 
 
-def tensor_product(a: TensorField, b: TensorField) -> TensorField:
-    """Outer product; index order (a-upper, b-upper, a-lower, b-lower)."""
-    if a.chart != b.chart:
-        raise ValenceError("tensors live on different charts")
-    la = _letters(a.rank)
-    lb = _letters(b.rank, skip=la)
-    out = la[: a.r] + lb[: b.r] + la[a.r :] + lb[b.r :]
-    return TensorField(a.chart, a.r + b.r, a.s + b.s, contract(f"{la},{lb}->{out}", a, b))
-
-
 def compose11(a: TensorField, b: TensorField) -> TensorField:
     """(a . b)^i_j = a^i_k b^k_j for (1,1)-tensors."""
     for t in (a, b):
         if (t.r, t.s) != (1, 1):
             raise ValenceError("compose11 needs (1,1)-tensors")
     return TensorField(a.chart, 1, 1, contract("ik,kj->ij", a, b))
-
-
-def apply11(a: TensorField, v: TensorField) -> TensorField:
-    """(a v)^i = a^i_k v^k."""
-    if (a.r, a.s) != (1, 1) or (v.r, v.s) != (1, 0):
-        raise ValenceError("apply11 needs a (1,1)-tensor and a vector")
-    return TensorField(a.chart, 1, 0, contract("ik,k->i", a, v))
-
-
-def trace11(t: TensorField) -> ScalarField:
-    if (t.r, t.s) != (1, 1):
-        raise ValenceError("trace11 needs a (1,1)-tensor")
-    return contract("ii->", t)
 
 
 def identity_tensor(chart: Chart) -> TensorField:
@@ -532,10 +524,6 @@ def metric_inverse(g: TensorField) -> TensorField:
     return TensorField(g.chart, 2, 0, Components(n, 2, inv))
 
 
-def christoffel(g: TensorField) -> "ConnectionCoefficients":
-    return ConnectionCoefficients.from_metric(g)
-
-
 class ConnectionCoefficients:
     """Levi-Civita connection coefficients Gamma^k_ij on a chart, stored as
     Components of field elements with Gamma^k_ij at offset (k n + i) n + j."""
@@ -546,13 +534,14 @@ class ConnectionCoefficients:
         self.gamma = Components(arr.n, arr.rank, _elements(chart.context, arr.flat))
 
     @staticmethod
-    def from_metric(g: TensorField) -> "ConnectionCoefficients":
-        """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+    def from_metric(g: TensorField, ginv: TensorField) -> "ConnectionCoefficients":
+        """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with
+        ginv = metric_inverse(g)."""
         chart = g.chart
         ctx = chart.context
         n = chart.dim
         G = g.comps.flat
-        ginv = metric_inverse(g).comps.flat
+        ginv = ginv.comps.flat
         # dg[k][i * n + j] = d_k g_ij
         dg = [[ctx.partial_element(e, k) for e in G] for k in range(n)]
         gamma = [ctx.field.zero] * n**3
@@ -649,85 +638,42 @@ def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
     return TensorField(chart, r, s, Components(n, r + s, out))
 
 
-def bracket(v: TensorField, w: TensorField) -> TensorField:
-    """[v, w] = L_v w."""
-    return lie_derivative(v, w)
+def partials(t: TensorField) -> Components:
+    """The coordinate partials d_c T[idx] at [idx, c]: one more trailing
+    slot."""
+    ctx = t.chart.context
+    n = t.chart.dim
+    flat = [ctx.partial_element(e, c) for e in t.comps.flat for c in range(n)]
+    return Components(n, t.rank + 1, flat)
 
 
-def is_antisymmetric(t: TensorField) -> bool:
-    if t.r != 0:
-        return False
-    k = t.s
-    if k <= 1:
-        return True
-    for idx, e in zip(t.indices(), t.comps):
-        for a in range(k - 1):
-            swapped = list(idx)
-            swapped[a], swapped[a + 1] = swapped[a + 1], swapped[a]
-            if e != -t.comps[tuple(swapped)]:
-                return False
-    return True
+def _alternate(t: Components) -> Components:
+    """sum_j (-1)^j T with its last slot moved to position j, for
+    T[i_1, ..., i_k, c] antisymmetric in its first k slots."""
+    k = t.rank - 1
+    rest = _letters(k, skip="c")
+    moved = [contract(f"{rest}c->{rest[:j]}c{rest[j:]}", t) for j in range(k)] + [t]
+    out = moved[0]
+    for j in range(1, k + 1):
+        out = out - moved[j] if j % 2 else out + moved[j]
+    return out
 
 
 def exterior_derivative(omega: TensorField) -> TensorField:
-    """d of an antisymmetric (0,k) field, shuffle-normalized."""
+    """d of an antisymmetric (0,k) field, shuffle-normalized:
+    (d omega)[i_0, ..., i_k] = sum_j (-1)^j d_{i_j} omega[..., i_j omitted, ...]."""
     if omega.r != 0:
         raise ValenceError("exterior derivative needs a (0,k) field")
-    if not is_antisymmetric(omega):
-        raise ValenceError("exterior derivative input must be antisymmetric")
-    chart = omega.chart
-    ctx = chart.context
-    n = chart.dim
-    k = omega.s
-    W = omega.comps.flat
-    if k == 0:
-        return TensorField(chart, 0, 1, [ctx.partial_element(W[0], c) for c in range(n)])
-    dW = [[ctx.diff(e, c) for c in range(n)] for e in W]  # d_c of each entry
-    strides = _strides(n, k)
-    out = []
-    for idx in itertools.product(range(n), repeat=k + 1):
-        pairs = []
-        for j in range(k + 1):
-            rest = idx[:j] + idx[j + 1 :]
-            num, den = dW[sum(i * st for i, st in zip(rest, strides))][idx[j]]
-            pairs.append((-num if j % 2 else num, den))
-        out.append(fraction_sum(ctx.field, pairs))
-    return TensorField(chart, 0, k + 1, Components(n, k + 1, out))
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    """(-1) ** (number of inversions of perm)."""
-    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-    return -1 if inversions % 2 else 1
+    return TensorField(omega.chart, 0, omega.s + 1, _alternate(partials(omega)))
 
 
 def wedge(a: TensorField, b: TensorField) -> TensorField:
-    """Wedge of antisymmetric forms with (dx^dy)(d_x, d_y) = 1 normalization."""
-    if a.r != 0 or b.r != 0:
-        raise ValenceError("wedge needs (0,k) fields")
-    if not is_antisymmetric(a) or not is_antisymmetric(b):
-        raise ValenceError("wedge inputs must be antisymmetric")
-    chart = a.chart
-    field = chart.context.field
-    n = chart.dim
-    k1, k2 = a.s, b.s
-    if k1 == 0 or k2 == 0:
-        return tensor_product(a, b)
-    k = k1 + k2
-    signed = [(_permutation_sign(perm), perm) for perm in itertools.permutations(range(k))]
-    out = []
-    for idx in itertools.product(range(n), repeat=k):
-        if len(set(idx)) < k:
-            out.append(field.zero)
-            continue
-        pairs = []
-        for c, perm in signed:
-            p = tuple(idx[perm[t]] for t in range(k))
-            fa, fb = a.comps[p[:k1]], b.comps[p[k1:]]
-            if fa and fb:
-                pairs.append(product(c, fa, fb))
-        out.append(fraction_sum(field, pairs, divisor=factorial(k1) * factorial(k2)))
-    return TensorField(chart, 0, k, Components(n, k, out))
+    """a ^ b for a 1-form a and an antisymmetric (0,k) field b, with
+    (dx ^ dy)(d_x, d_y) = 1: the alternation of a (x) b."""
+    if (a.r, a.s) != (0, 1) or b.r != 0:
+        raise ValenceError("wedge needs a 1-form and a (0,k) field")
+    rest = _letters(b.s, skip="c")
+    return TensorField(a.chart, 0, b.s + 1, _alternate(contract(f"c,{rest}->{rest}c", a, b)))
 
 
 # --------------------------------------------------------------------
@@ -769,14 +715,6 @@ def riemann(conn: ConnectionCoefficients) -> TensorField:
 
 def ricci_tensor(R: TensorField) -> TensorField:
     return TensorField(R.chart, 0, 2, contract("iijk->jk", R))
-
-
-def ricci_operator(S: TensorField, g: TensorField) -> TensorField:
-    return TensorField(g.chart, 1, 1, contract("ik,kj->ij", metric_inverse(g), S))
-
-
-def scalar_curvature(S: TensorField, g: TensorField) -> ScalarField:
-    return trace11(ricci_operator(S, g))
 
 
 # --------------------------------------------------------------------

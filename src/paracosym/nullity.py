@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .field import Frac
-from .geometry import TensorField, compose11, contract, identity_tensor
+from .geometry import Components, TensorField, contract, identity_tensor
 from .scalars import ScalarField
 from .structures import (
     CheckItem,
@@ -102,12 +102,9 @@ def _solve_linear_field_system(
     return sol, unique
 
 
-def _bi_residual(an: StructureAnalysis, B: TensorField) -> TensorField:
+def _bi_residual(an: StructureAnalysis, B: TensorField) -> Components:
     """R(X,Y)xi - [eta(Y) B X - eta(X) B Y]."""
-    s = an.structure
-    eta_B = contract("b,ia->iab", s.eta, B)
-    out = contract("iabk,k->iab", an.R, s.xi) - _antisymmetrized(eta_B)
-    return TensorField(an.chart, 1, 2, out)
+    return an.R_xi - _antisymmetrized(contract("b,ia->iab", an.structure.eta, B))
 
 
 def _r_eta_ok(an: StructureAnalysis, fld: Optional[ScalarField]) -> Optional[str]:
@@ -217,39 +214,34 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
         ]
 
     s = an.structure
-    chart = an.chart
     phi, xi, eta = s.phi, s.xi, s.eta
     alpha = an.alpha
     kappa, mu, nu = fit.kappa, fit.mu, fit.nu
     h, phih, P, l = an.h.comps, an.phih.comps, an.proj.comps, an.l
-    delta = identity_tensor(chart).comps
+    hphi = an.hphi
+    delta = identity_tensor(an.chart).comps
     items: List[CheckItem] = []
 
-    def residual(name, r, s_, comps):
-        items.append(_residual_item(name, TensorField(chart, r, s_, comps)))
+    def residual(name, comps):
+        items.append(_residual_item(name, comps))
 
-    residual(names[0], 1, 1, l.comps - (kappa * P + mu * h + nu * phih))
-
-    hphi = contract("ik,kj->ij", h, phi)
+    residual(names[0], l.comps - (kappa * P + mu * h + nu * phih))
     residual(
         names[1],
-        1,
-        1,
         contract("ik,kj->ij", l, phi)
         - contract("ik,kj->ij", phi, l)
         - 2 * mu * hphi
         + 2 * nu * h,
     )
 
-    h2 = compose11(an.h, an.h)
-    residual(names[2], 1, 1, h2.comps - (kappa + alpha**2) * P)
+    residual(names[2], an.h2 - (kappa + alpha**2) * P)
 
     nab_xi_h = an.nab_xi_h
-    residual(names[3], 1, 1, nab_xi_h.comps + (2 * alpha + nu) * h - mu * hphi)
+    residual(names[3], nab_xi_h.comps + (2 * alpha + nu) * h - mu * hphi)
 
     # nabla_xi(h^2) = (nabla_xi h) h + h (nabla_xi h), by the Leibniz rule
     nab_xi_h2 = contract("ik,kj->ij", nab_xi_h, h) + contract("ik,kj->ij", h, nab_xi_h)
-    residual(names[4], 1, 1, nab_xi_h2 + 2 * (2 * alpha + nu) * (kappa + alpha**2) * P)
+    residual(names[4], nab_xi_h2 + 2 * (2 * alpha + nu) * (kappa + alpha**2) * P)
 
     xikappa = an.xi_derivative(fit.kappa)
     items.append(
@@ -262,24 +254,22 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     B = kappa * delta + mu * h + nu * phih
     residual(
         names[6],
-        1,
-        2,
         contract("imab,m->iab", an.R, xi)
         - contract("am,mb,i->iab", s.g, B, xi)
         + contract("b,ia->iab", eta, B),
     )
 
-    residual(names[7], 1, 0, contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi.comps)
+    residual(names[7], contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi.comps)
 
     # (nabla_X phi)Y = g(Y, hX + alpha phi X) xi - eta(Y)(hX + alpha phi X):
     # the para-Kaehler leaves condition
-    items.append(_residual_item(names[8], an.parakaehler_leaves_residual))
+    residual(names[8], an.parakaehler_leaves_residual)
 
     # (nabla_X phi.h)Y - (nabla_Y phi.h)X = (kappa+alpha^2)(eta(Y)X - eta(X)Y)
     #   + mu(eta(Y)hX - eta(X)hY) + (nu+alpha)(eta(Y)phi.h X - eta(X)phi.h Y)
     C = (kappa + alpha**2) * delta + mu * h + (nu + alpha) * phih
     res10 = contract("iba->iab", an.nabphih) - contract("b,ia->iab", eta, C)
-    residual(names[9], 1, 2, _antisymmetrized(res10))
+    residual(names[9], _antisymmetrized(res10))
 
     # (nabla_X h)Y - (nabla_Y h)X = (kappa+alpha^2)(eta(Y)phiX - eta(X)phiY
     #   + 2 g(Y, phi X) xi) + mu(eta(Y)phi.h X - eta(X)phi.h Y)
@@ -288,8 +278,6 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     res11 = contract("iba->iab", an.nabh) - contract("b,ia->iab", eta, D)
     residual(
         names[10],
-        1,
-        2,
         _antisymmetrized(res11) - 2 * (kappa + alpha**2) * contract("ab,i->iab", an.Phi, xi),
     )
     return items
@@ -316,7 +304,7 @@ def check_q_commutator_nullity(an: StructureAnalysis, fit: NullityFit) -> CheckI
     res = (
         contract("ik,kj->ij", an.Q, phi)
         - contract("ik,kj->ij", phi, an.Q)
-        - 2 * mu * contract("ik,kj->ij", an.h, phi)
+        - 2 * mu * an.hphi
         + 2 * (nu + 2 * alpha * (1 - an.structure.n)) * an.h.comps
     )
-    return _residual_item(name, TensorField(an.chart, 1, 1, res))
+    return _residual_item(name, res)

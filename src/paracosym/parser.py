@@ -189,18 +189,6 @@ def parse_expression(text: str, names: Sequence[str]) -> Node:
     return _Parser(text, names).parse()
 
 
-def print_expression(node: Node) -> str:
-    """Render an AST back to grammar-conforming text (fully parenthesized)."""
-    if isinstance(node, Lit):
-        v = node.value
-        return str(v) if v >= 0 else f"({v})"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{print_expression(node.operand)})"
-    return f"({print_expression(node.left)} {node.op} {print_expression(node.right)})"
-
-
 def lower(node: Node, context: ScalarContext) -> ScalarField:
     """Elaborate an AST into a ScalarField, computing in the context's
     field."""

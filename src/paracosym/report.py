@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import curvature as curv
 from .errors import EngineError
-from .geometry import TensorField, trace11
+from .geometry import TensorField, contract
 from .nullity import (
     NullityFit,
     check_irem_suite,
@@ -31,7 +31,6 @@ from .structures import (
     StructureAnalysis,
     identity_suite,
     leaf_second_fundamental_form,
-    nijenhuis_normality,
     para_kenmotsu_biconditional,
     parakaehler_leaves_check,
 )
@@ -216,13 +215,13 @@ def run_analyze(
         "A": _matrix_strs(an.A),
         "h": _matrix_strs(an.h),
         "h_zero": an.h.is_zero(),
-        "trace_A": str(trace11(an.A)),
+        "trace_A": str(contract("ii->", an.A)),
         "scalar_curvature": an.r.serialize(),
     }
 
     tree["identities"] = _items(identity_suite(an))
 
-    N1, normal = nijenhuis_normality(s)
+    N1, normal = an.normality
     norm_sec: Dict[str, object] = {"normal": normal}
     if not normal:
         idx, val = N1.first_nonzero()

@@ -5,6 +5,13 @@ the proportionality function alpha from dPhi = 2*alpha*(eta^Phi), computes
 the tensors A = -nabla(xi) and h = (1/2) L_xi phi, and runs the suite of
 structural identities that hold on every almost alpha-paracosymplectic
 manifold.
+
+StructureAnalysis is the one place where a tensor that more than one check
+reads is built: g^{-1}, the connection, A, h, R, S, Q, r, h^2, h.phi,
+phi^2, S(xi,xi), R(.,.)xi, N^1 and the covariant derivatives are cached
+properties there, computed once per structure, and the checks read them
+instead of rebuilding them.  Every check hands its residual to the item
+builder as Components.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ from .geometry import (
     Components,
     ConnectionCoefficients,
     TensorField,
-    apply11,
-    christoffel,
     compose11,
     contract,
     covariant_derivative,
@@ -30,10 +35,9 @@ from .geometry import (
     identity_tensor,
     lie_derivative,
     metric_inverse,
-    ricci_operator,
+    partials,
     ricci_tensor,
     riemann,
-    scalar_curvature,
     signature_at,
     wedge,
 )
@@ -56,7 +60,7 @@ class CheckItem:
         return self.status != "fail"
 
 
-def _residual_item(name: str, residual: TensorField) -> CheckItem:
+def _residual_item(name: str, residual: Components) -> CheckItem:
     w = residual.first_nonzero()
     if w is None:
         return CheckItem(name, "pass")
@@ -80,7 +84,7 @@ def d_wedge_eta(
 ) -> Optional[Tuple[Tuple[int, ...], Frac]]:
     """First nonzero component (i, j), i < j, of d(fld) ^ eta, or None."""
     w = contract("i,j->ij", _gradient(fld), s.eta)
-    return TensorField(s.chart, 0, 2, w - contract("ij->ji", w)).first_nonzero()
+    return (w - contract("ij->ji", w)).first_nonzero()
 
 
 def _scalar_item(name: str, value: ScalarField) -> CheckItem:
@@ -153,22 +157,14 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
     items.append(_scalar_item("eta(xi) = 1", contract("k,k->", eta, xi) - 1))
 
     phi2 = contract("ik,kj->ij", phi, phi) + contract("i,j->ij", xi, eta)
-    phi2 = phi2 - identity_tensor(chart).comps
-    items.append(_residual_item("phi^2 = Id - eta(x)xi", TensorField(chart, 1, 1, phi2)))
+    items.append(_residual_item("phi^2 = Id - eta(x)xi", phi2 - identity_tensor(chart).comps))
 
     # g(phi X, phi Y) = -g(X,Y) + eta(X) eta(Y)
     gphiphi = contract("ki,kl,lj->ij", phi, g, phi) + g.comps - contract("i,j->ij", eta, eta)
-    items.append(
-        _residual_item("g(phi.,phi.) = -g + eta(x)eta", TensorField(chart, 0, 2, gphiphi))
-    )
-
-    gxi = contract("ij,j->i", g, xi) - eta.comps
-    items.append(_residual_item("eta = g(xi,.)", TensorField(chart, 0, 1, gxi)))
-
-    items.append(_residual_item("phi(xi) = 0", apply11(phi, xi)))
-
-    eta_phi = contract("k,kj->j", eta, phi)
-    items.append(_residual_item("eta o phi = 0", TensorField(chart, 0, 1, eta_phi)))
+    items.append(_residual_item("g(phi.,phi.) = -g + eta(x)eta", gphiphi))
+    items.append(_residual_item("eta = g(xi,.)", contract("ij,j->i", g, xi) - eta.comps))
+    items.append(_residual_item("phi(xi) = 0", contract("ik,k->i", phi, xi)))
+    items.append(_residual_item("eta o phi = 0", contract("k,kj->j", eta, phi)))
 
     try:
         sig = signature_at(s.g)
@@ -238,11 +234,11 @@ def _rank(rows: List[list]) -> int:
 def fundamental_form(s: AlmostParacontactStructure) -> TensorField:
     """Phi(X,Y) = g(phi X, Y); must be antisymmetric with i_xi Phi = 0."""
     Phi = TensorField(s.chart, 0, 2, contract("ki,kj->ij", s.phi, s.g))
-    sym = TensorField(s.chart, 0, 2, Phi.comps + contract("ij->ji", Phi)).first_nonzero()
+    sym = (Phi.comps + contract("ij->ji", Phi)).first_nonzero()
     if sym is not None:
         i, j = sym[0]
         raise StructureError(f"fundamental form has a symmetric part at ({i},{j})")
-    if not TensorField(s.chart, 0, 1, contract("i,ij->j", s.xi, Phi)).is_zero():
+    if not contract("i,ij->j", s.xi, Phi).is_zero():
         raise StructureError("i_xi Phi != 0")
     return Phi
 
@@ -303,7 +299,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
     dalpha = _gradient(alpha)
     f = contract("c,c->", s.xi, dalpha)
     if s.n >= 2:
-        bad = TensorField(chart, 0, 1, dalpha - f * s.eta.comps).first_nonzero()
+        bad = (dalpha - f * s.eta.comps).first_nonzero()
         if bad is not None:
             return AlphaExtraction(
                 alpha, f, False, f"d(alpha) != f*eta at coordinate {bad[0][0]}"
@@ -322,14 +318,12 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
 
 def tensor_A(s: AlmostParacontactStructure, conn: ConnectionCoefficients) -> TensorField:
     """A = -nabla(xi) as a (1,1)-tensor, A^i_j = -(nabla_j xi)^i."""
-    nxi = covariant_derivative(s.xi, conn)
-    return TensorField(s.chart, 1, 1, -nxi.comps)
+    return -covariant_derivative(s.xi, conn)
 
 
-def tensor_h(s: AlmostParacontactStructure, conn: ConnectionCoefficients) -> TensorField:
+def tensor_h(s: AlmostParacontactStructure, A: TensorField) -> TensorField:
     """h = (1/2) L_xi phi, cross-checked against (1/2)(A phi - phi A)."""
     h_lie = lie_derivative(s.xi, s.phi).scale(Fraction(1, 2))
-    A = tensor_A(s, conn)
     h_alg = (compose11(A, s.phi) - compose11(s.phi, A)).scale(Fraction(1, 2))
     if h_lie != h_alg:
         w = (h_lie - h_alg).first_nonzero()
@@ -344,7 +338,8 @@ def tensor_h(s: AlmostParacontactStructure, conn: ConnectionCoefficients) -> Ten
 
 
 class StructureAnalysis:
-    """Derived data of a structure, computed lazily and cached."""
+    """Derived data of a structure, computed lazily and cached: every
+    tensor that more than one check reads is a property here."""
 
     def __init__(self, s: AlmostParacontactStructure):
         self.structure = s
@@ -380,7 +375,7 @@ class StructureAnalysis:
 
     @cached_property
     def conn(self) -> ConnectionCoefficients:
-        return christoffel(self.structure.g)
+        return ConnectionCoefficients.from_metric(self.structure.g, self.ginv)
 
     @cached_property
     def ginv(self) -> TensorField:
@@ -392,7 +387,7 @@ class StructureAnalysis:
 
     @cached_property
     def h(self) -> TensorField:
-        return tensor_h(self.structure, self.conn)
+        return tensor_h(self.structure, self.A)
 
     @cached_property
     def phih(self) -> TensorField:
@@ -408,17 +403,49 @@ class StructureAnalysis:
 
     @cached_property
     def Q(self) -> TensorField:
-        return ricci_operator(self.S, self.structure.g)
+        """Ricci operator g^{-1} S."""
+        return TensorField(self.chart, 1, 1, contract("ik,kj->ij", self.ginv, self.S))
 
     @cached_property
     def r(self) -> ScalarField:
-        return scalar_curvature(self.S, self.structure.g)
+        """Scalar curvature tr Q."""
+        return contract("ii->", self.Q)
+
+    @cached_property
+    def szz(self) -> ScalarField:
+        """S(xi, xi)."""
+        xi = self.structure.xi
+        return contract("ab,a,b->", self.S, xi, xi)
+
+    @cached_property
+    def R_xi(self) -> Components:
+        """R(d_a, d_b) xi, as [i, a, b]."""
+        return contract("iabk,k->iab", self.R, self.structure.xi)
 
     @cached_property
     def l(self) -> TensorField:
-        """Jacobi operator lX = R(X, xi)xi, staged through R(X, Y)xi."""
-        xi = self.structure.xi
-        return TensorField(self.chart, 1, 1, contract("ijab,b,a->ij", self.R, xi, xi))
+        """Jacobi operator lX = R(X, xi)xi, from R(X, Y)xi."""
+        return TensorField(self.chart, 1, 1, contract("iab,b->ia", self.R_xi, self.structure.xi))
+
+    @cached_property
+    def h2(self) -> Components:
+        """h.h"""
+        return contract("ik,kj->ij", self.h, self.h)
+
+    @cached_property
+    def hphi(self) -> Components:
+        """h.phi"""
+        return contract("ik,kj->ij", self.h, self.structure.phi)
+
+    @cached_property
+    def phi2(self) -> Components:
+        """phi.phi, equal to proj when the axioms hold."""
+        return contract("ik,kj->ij", self.structure.phi, self.structure.phi)
+
+    @cached_property
+    def normality(self) -> Tuple[Components, bool]:
+        """(N^1, whether it vanishes): nijenhuis_normality of the structure."""
+        return nijenhuis_normality(self.structure)
 
     @cached_property
     def proj(self) -> TensorField:
@@ -455,18 +482,17 @@ class StructureAnalysis:
         return TensorField(self.chart, 1, 1, contract("ijz,z->ij", self.nabh, self.structure.xi))
 
     @cached_property
-    def parakaehler_leaves_residual(self) -> TensorField:
+    def parakaehler_leaves_residual(self) -> Components:
         """Residual of (nabla_X phi)Y = alpha g(phiX,Y) xi + g(hX,Y) xi
         - alpha eta(Y) phi X - eta(Y) h X, as a (1,2)-tensor (i; X=a, Y=b);
         it vanishes iff the leaves are para-Kaehler."""
         s = self.structure
         w = self.alpha * s.phi.comps + self.h.comps  # hX + alpha phi X
-        out = (
+        return (
             contract("iba->iab", self.nabphi)
             - contract("mb,ma,i->iab", s.g, w, s.xi)
             + contract("b,ia->iab", s.eta, w)
         )
-        return TensorField(self.chart, 1, 2, out)
 
     def xi_derivative(self, fld: ScalarField) -> ScalarField:
         xi = self.structure.xi
@@ -493,22 +519,22 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     alpha = an.alpha
     items: List[CheckItem] = []
 
-    def residual(name, r, s_, comps):
-        items.append(_residual_item(name, TensorField(chart, r, s_, comps)))
+    def residual(name, comps):
+        items.append(_residual_item(name, comps))
 
-    items.append(_residual_item("L_xi(eta) = 0", lie_derivative(xi, eta)))
+    residual("L_xi(eta) = 0", lie_derivative(xi, eta).comps)
 
-    gA = TensorField(chart, 0, 2, contract("mj,mi->ij", g, A))  # g(A d_i, d_j)
-    residual("A self-adjoint", 0, 2, gA.comps - contract("ij->ji", gA))
-    items.append(_residual_item("A(xi) = 0", apply11(A, xi)))
+    gA = contract("mj,mi->ij", g, A)  # g(A d_i, d_j)
+    residual("A self-adjoint", gA - contract("ij->ji", gA))
+    residual("A(xi) = 0", contract("ik,k->i", A, xi))
     L_Phi = lie_derivative(xi, Phi).comps
-    residual("L_xi(Phi) = 2*alpha*Phi", 0, 2, L_Phi - 2 * alpha * Phi.comps)
-    residual("L_xi(g) = -2*g(A.,.)", 0, 2, lie_derivative(xi, g).comps + 2 * gA.comps)
-    residual("eta o A = 0", 0, 1, contract("m,mj->j", eta, A))
+    residual("L_xi(Phi) = 2*alpha*Phi", L_Phi - 2 * alpha * Phi.comps)
+    residual("L_xi(g) = -2*g(A.,.)", lie_derivative(xi, g).comps + 2 * gA)
+    residual("eta o A = 0", contract("m,mj->j", eta, A))
 
     if n >= 2:
         f = an.alpha_extraction.f
-        residual("d(alpha) = f*eta", 0, 1, _gradient(an.alpha) - f * eta.comps)
+        residual("d(alpha) = f*eta", _gradient(an.alpha) - f * eta.comps)
     else:
         items.append(
             CheckItem("d(alpha) = f*eta", "skip", reason="stated only for dim >= 5")
@@ -516,24 +542,16 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     residual(
         "A.phi + phi.A = -2*alpha*phi",
-        1,
-        1,
         contract("ik,kj->ij", A, phi) + contract("ik,kj->ij", phi, A) + 2 * alpha * phi.comps,
     )
 
-    residual("nabla_xi(phi) = 0", 1, 1, contract("ijz,z->ij", nabphi, xi))
+    residual("nabla_xi(phi) = 0", contract("ijz,z->ij", nabphi, xi))
 
-    gh = TensorField(chart, 0, 2, contract("mj,mi->ij", g, h))  # g(h d_i, d_j)
-    residual("h self-adjoint", 0, 2, gh.comps - contract("ij->ji", gh))
-    hphi = contract("ik,kj->ij", h, phi)
-    residual("h.phi + phi.h = 0", 1, 1, hphi + contract("ik,kj->ij", phi, h))
-    items.append(_residual_item("h(xi) = 0", apply11(h, xi)))
-    residual(
-        "nabla(xi) = alpha*phi^2 + phi.h",
-        1,
-        1,
-        alpha * contract("ik,kj->ij", phi, phi) + an.phih.comps + A.comps,
-    )
+    gh = contract("mj,mi->ij", g, h)  # g(h d_i, d_j)
+    residual("h self-adjoint", gh - contract("ij->ji", gh))
+    residual("h.phi + phi.h = 0", an.hphi + an.phih.comps)
+    residual("h(xi) = 0", contract("ik,k->i", h, xi))
+    residual("nabla(xi) = alpha*phi^2 + phi.h", alpha * an.phi2 + an.phih.comps + A.comps)
 
     items.append(_scalar_item("tr(A.phi) = 0", contract("ik,ki->", A, phi)))
     items.append(_scalar_item("tr(h.phi) = 0", contract("ik,ki->", h, phi)))
@@ -543,15 +561,13 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     # (nabla_X Phi)(Y,Z) = g((nabla_X phi)Y, Z), with X = d_c, Y = d_j, Z = d_k
     residual(
         "nabla(Phi) via nabla(phi)",
-        0,
-        3,
         contract("jkc->cjk", nabPhi) - contract("mk,mjc->cjk", g, nabphi),
     )
 
     # (nabla_X Phi)(Z, phi Y) + (nabla_X Phi)(Y, phi Z)
     #   = -eta(Y) g(AX, Z) - eta(Z) g(AX, Y)
     shuffle = contract("kmc,mj->cjk", nabPhi, phi) + contract("j,ck->cjk", eta, gA)
-    residual("nabla(Phi) phi-shuffle (ii)", 0, 3, shuffle + contract("ckj->cjk", shuffle))
+    residual("nabla(Phi) phi-shuffle (ii)", shuffle + contract("ckj->cjk", shuffle))
 
     # (nabla_X Phi)(phi Y, phi Z) - (nabla_X Phi)(Y,Z)
     #   = eta(Y) g(AX, phi Z) - eta(Z) g(AX, phi Y)
@@ -559,8 +575,6 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     eta_gAphi = contract("j,ck->cjk", eta, gAphi)
     residual(
         "nabla(Phi) phi-shuffle (iii)",
-        0,
-        3,
         contract("mnc,mj,nk->cjk", nabPhi, phi, phi)
         - contract("jkc->cjk", nabPhi)
         - eta_gAphi
@@ -579,8 +593,6 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     #   - 2 alpha (g(X, phi Y) xi + eta(Y) phi X) = 0
     residual(
         "phi-derivative symmetry (B)",
-        1,
-        2,
         contract("idc,ca,db->iab", nabphi, phi, phi)
         - contract("iba->iab", nabphi)
         - contract("ik,ka,b->iab", A, phi, eta)
@@ -591,8 +603,6 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     #   - 2 alpha (g(X,Y) xi - eta(Y) X) = 0
     residual(
         "phi-derivative symmetry (first companion)",
-        1,
-        2,
         nab_phi_x
         - contract("ima,mb->iab", nabphi, phi)
         + contract("b,ia->iab", eta, A)
@@ -603,8 +613,6 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     #   - 2 alpha (g(X,Y) xi - eta(Y) X) = 0
     residual(
         "phi-derivative symmetry (second companion)",
-        1,
-        2,
         nab_phi_x
         + contract("im,mba->iab", phi, nabphi)
         - contract("ab,i->iab", gA, xi)
@@ -615,12 +623,10 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     #   = -2 alpha eta(Y) phi X + g(alpha phi X + h X, Y) xi
     residual(
         "phi-derivative contraction with h-term",
-        1,
-        2,
         contract("mbc,ca,im->iab", nabphi, phi, phi)
         + contract("iba->iab", nabphi)
         + 2 * alpha * eta_phi
-        - contract("ab,i->iab", alpha * Phi.comps + gh.comps, xi),
+        - contract("ab,i->iab", alpha * Phi.comps + gh, xi),
     )
     return items
 
@@ -629,19 +635,14 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
 # normality, para-Kaehler leaves, second fundamental form
 
 
-def nijenhuis_normality(s: AlmostParacontactStructure) -> Tuple[TensorField, bool]:
-    """N1(X,Y) = [phi,phi](X,Y) - 2 d(eta)(X,Y) xi; normal iff N1 = 0."""
-    chart = s.chart
-    n_tot = s.dim
-    phi = s.phi.comps
-    grid = itertools.product(range(n_tot), repeat=3)
-    dphi = Components(  # dphi[k, j, m] = d_m phi^k_j
-        n_tot, 3, [chart.context.partial_element(phi[k, j], m) for k, j, m in grid]
-    )
+def nijenhuis_normality(s: AlmostParacontactStructure) -> Tuple[Components, bool]:
+    """N1(X,Y) = [phi,phi](X,Y) - 2 d(eta)(X,Y) xi as [k, i, j]; normal iff
+    N1 = 0."""
+    phi = s.phi
+    dphi = partials(phi)  # dphi[k, j, m] = d_m phi^k_j
     deta = exterior_derivative(s.eta)  # deta[i,j] = 2 d(eta)(d_i, d_j)
     half = contract("mi,kjm->kij", phi, dphi) + contract("km,mij->kij", phi, dphi)
-    out = half - contract("kji->kij", half) - contract("ij,k->kij", deta, s.xi)
-    N1 = TensorField(chart, 1, 2, out)
+    N1 = half - contract("kji->kij", half) - contract("ij,k->kij", deta, s.xi)
     return N1, N1.is_zero()
 
 
@@ -672,14 +673,12 @@ def para_kenmotsu_biconditional(an: StructureAnalysis) -> CheckItem:
     Left side: normality (vanishing N^1) together with alpha = 1 and
     para-Kaehler leaves.  Right side: the shape operator equals -phi^2.
     Both sides are decidable exactly, and the check asserts they agree."""
-    s = an.structure
     name = "para-Kenmotsu criterion: normal with alpha = 1 <=> A = -phi^2"
     if not an.is_apc:
         return CheckItem(name, "skip", reason="not an apc structure")
-    _, normal = nijenhuis_normality(s)
+    _, normal = an.normality
     lhs = normal and an.alpha == 1 and parakaehler_leaves_check(an)
-    A_plus_phi2 = an.A.comps + contract("ik,kj->ij", s.phi, s.phi)
-    rhs = TensorField(an.chart, 1, 1, A_plus_phi2).is_zero()
+    rhs = (an.A.comps + an.phi2).is_zero()
     if lhs == rhs:
         return CheckItem(name, "pass")
     return CheckItem(

@@ -1,6 +1,7 @@
-"""Test-only helpers: exact and numeric values, sympy symbols, an identity
-residual and a linear algebra reproduction that the engine itself never
-needs."""
+"""Test-only helpers: exact and numeric values, sympy symbols, the
+connection and Ricci quantities of a bare metric, an identity residual, an
+expression printer and a linear algebra reproduction that the engine itself
+never needs."""
 
 import math
 from fractions import Fraction
@@ -10,15 +11,15 @@ import sympy as sp
 
 from paracosym.errors import PoleError
 from paracosym.geometry import (
+    ConnectionCoefficients,
     TensorField,
-    christoffel,
     contract,
     identity_tensor,
-    ricci_operator,
+    metric_inverse,
     ricci_tensor,
     riemann,
-    scalar_curvature,
 )
+from paracosym.parser import Lit, Neg, Node, Var
 from paracosym.scalars import PointValues, ScalarContext, ScalarField
 
 
@@ -73,6 +74,33 @@ def numeric_at(t: TensorField, point: Optional[Sequence] = None):
     if t.rank == 0:
         return float(t.array.flat[0].subs(subs))
     return t.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))
+
+
+def christoffel(g: TensorField) -> ConnectionCoefficients:
+    """The Levi-Civita connection of a bare metric."""
+    return ConnectionCoefficients.from_metric(g, metric_inverse(g))
+
+
+def ricci_operator(S: TensorField, g: TensorField) -> TensorField:
+    """Q = g^{-1} S."""
+    return TensorField(g.chart, 1, 1, contract("ik,kj->ij", metric_inverse(g), S))
+
+
+def scalar_curvature(S: TensorField, g: TensorField) -> ScalarField:
+    """r = tr Q."""
+    return contract("ii->", ricci_operator(S, g))
+
+
+def print_expression(node: Node) -> str:
+    """Render an AST back to grammar-conforming text (fully parenthesized)."""
+    if isinstance(node, Lit):
+        v = node.value
+        return str(v) if v >= 0 else f"({v})"
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{print_expression(node.operand)})"
+    return f"({print_expression(node.left)} {node.op} {print_expression(node.right)})"
 
 
 def three_dim_decomposition_residual(g: TensorField, ricci_sign: int = 1) -> TensorField:

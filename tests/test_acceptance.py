@@ -20,7 +20,7 @@ from paracosym.classify import (
 )
 from paracosym.curvature import check_q_commutator, check_r2_suite, check_rxyxi_general
 from paracosym.deform import d_homothetic_deform, invariant_I0, transform_kmn
-from paracosym.geometry import Chart, TensorField, bracket
+from paracosym.geometry import Chart, TensorField, lie_derivative
 from paracosym.nullity import _bi_residual, nullity_fit
 from paracosym.parser import load_definition
 from paracosym.scalars import ScalarContext
@@ -57,9 +57,9 @@ def test_criterion_01_golden_example(analyses):
     e1 = TensorField(chart, 1, 0, [1, 0, 0])
     e2 = TensorField(chart, 1, 0, [0, 1, 0])
     e3 = an.structure.xi
-    assert bracket(e1, e2).is_zero()
-    assert (bracket(e1, e3) - (e1 + e2.scale(2))).is_zero()
-    assert (bracket(e2, e3) - e2).is_zero()
+    assert lie_derivative(e1, e2).is_zero()
+    assert (lie_derivative(e1, e3) - (e1 + e2.scale(2))).is_zero()
+    assert (lie_derivative(e2, e3) - e2).is_zero()
     fit = nullity_fit(an)
     assert fit.status == "exact" and fit.unique
     assert _bi_residual(an, fit.B).is_zero()

@@ -265,6 +265,39 @@ def test_cli_missing_file():
     assert proc.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "--point", "1,a,0"],
+        ["analyze", "--point", "1/0,1,0"],
+        ["deform", "--gamma", "abc", "--beta", "2"],
+        ["deform", "--gamma", "1/0", "--beta", "2"],
+    ],
+    ids=["point-letter", "point-zero-denominator", "gamma-letters", "gamma-zero-denominator"],
+)
+def test_cli_bad_rational_option_exits_4(tmp_path, args):
+    path = tmp_path / "e.txt"
+    path.write_text(catalog_entry("example_e").definition_text)
+    proc = _run([*args, str(path)])
+    assert proc.returncode == 4, proc.stderr
+    assert "bad rational literal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_directory_as_definition_exits_4(tmp_path):
+    proc = _run(["verify", str(tmp_path)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: cannot read")
+
+
+def test_cli_non_utf8_definition_exits_4(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(catalog_entry("example_e").definition_text.encode() + b"# caf\xe9\n")
+    proc = _run(["verify", str(path)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: cannot read")
+
+
 def test_cli_unparseable_definition(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("[chart]\ndim = 3\ncoords = [x, y, z]\n")

@@ -12,23 +12,21 @@ from paracosym.geometry import (
     Chart,
     Components,
     TensorField,
-    bracket,
-    christoffel,
     contract,
     covariant_derivative,
     exterior_derivative,
     lie_derivative,
     metric_inverse,
+    partials,
     riemann,
     ricci_tensor,
-    scalar_curvature,
     signature_at,
     wedge,
 )
 from paracosym.classify import canon
 from paracosym.field import Frac
 from paracosym.scalars import ScalarContext
-from support import exact_value, symbols
+from support import christoffel, exact_value, scalar_curvature, symbols
 
 CTX = ScalarContext(("x", "y", "z"), ())
 CHART = Chart(CTX, (Fraction(0), Fraction(0), Fraction(0)))
@@ -192,18 +190,24 @@ def test_bracket_jacobi_identity():
     v = TensorField(CHART, 1, 0, [x * z, 1, y])
     w = TensorField(CHART, 1, 0, [1, z, x])
     total = (
-        bracket(u, bracket(v, w))
-        + bracket(v, bracket(w, u))
-        + bracket(w, bracket(u, v))
+        lie_derivative(u, lie_derivative(v, w))
+        + lie_derivative(v, lie_derivative(w, u))
+        + lie_derivative(w, lie_derivative(u, v))
     )
     assert total.is_zero()
 
 
 def test_lie_derivative_of_function_free_bracket():
-    # L_v w = [v, w] on vector fields
-    v = TensorField(CHART, 1, 0, [x, y * z, 1])
-    w = TensorField(CHART, 1, 0, [z, 0, x * y])
-    assert (lie_derivative(v, w) - bracket(v, w)).is_zero()
+    # L_v w = [v, w] on vector fields: [v, w]^i = v^j d_j w^i - w^j d_j v^i
+    vc = [x, y * z, CTX.scalar(1)]
+    wc = [z, CTX.zero(), x * y]
+    v = TensorField(CHART, 1, 0, vc)
+    w = TensorField(CHART, 1, 0, wc)
+    bracket = [
+        sum((vc[j] * wc[i].partial(j) - wc[j] * vc[i].partial(j) for j in range(3)), CTX.zero())
+        for i in range(3)
+    ]
+    assert (lie_derivative(v, w) - TensorField(CHART, 1, 0, bracket)).is_zero()
 
 
 def test_metric_inverse_exact():
@@ -477,3 +481,71 @@ def test_contract_matches_nested_sums_on_integer_arrays(case):
 def test_contract_rejects_bad_specs(spec, ops):
     with pytest.raises(ValenceError):
         contract(spec, *ops)
+
+
+# --------------------------------------------------------------------
+# d and wedge: alternating sums through contract, against sympy
+
+
+@st.composite
+def _forms(draw):
+    """(chart, a 1-form, an antisymmetric 2-form) in dimension 3 or 5 with
+    small rational-function entries."""
+    n = draw(st.sampled_from([3, 5]))
+    ctx = ScalarContext(tuple(f"x{i}" for i in range(n)), ())
+    chart = Chart(ctx, (Fraction(0),) * n)
+    coords = [ctx.coordinate(i) for i in range(n)]
+    index = st.integers(0, n - 1)
+
+    def entry():
+        f = ctx.scalar(draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(0, 2))):
+            f = f + draw(st.integers(-3, 3)) * coords[draw(index)] * coords[draw(index)]
+        if draw(st.booleans()):
+            f = f / (1 + coords[draw(index)] ** 2)
+        return f
+
+    eta = TensorField(chart, 0, 1, [entry() for _ in range(n)])
+    rows = [[ctx.zero()] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = entry()
+        rows[j][i] = -rows[i][j]
+    return chart, eta, TensorField(chart, 0, 2, rows)
+
+
+def _same(engine, want) -> bool:
+    """engine == want exactly: the numerator of their difference over a
+    common denominator expands to 0."""
+    return sp.expand(sp.fraction(sp.together(engine.as_expr() - want))[0]) == 0
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_forms())
+def test_partials_d_and_wedge_match_sympy_sums(case):
+    chart, eta, Phi = case
+    n = chart.dim
+    coords = symbols(chart.context)
+    e, P = eta.array, Phi.array
+    # the forms are antisymmetric, and so are their partials in the form's
+    # slots and d and wedge in every slot: increasing indices there cover
+    # every entry
+    pairs = list(itertools.combinations(range(n), 2))
+    dP = partials(Phi)
+    for (i, j), c in itertools.product(pairs, range(n)):
+        assert _same(dP[i, j, c], sp.diff(P[i, j], coords[c]))
+    deta = exterior_derivative(eta).comps
+    for i, j in pairs:
+        assert _same(deta[i, j], sp.diff(e[j], coords[i]) - sp.diff(e[i], coords[j]))
+    dPhi = exterior_derivative(Phi).comps
+    ePhi = wedge(eta, Phi).comps
+    assert (dP + contract("ijc->jic", dP)).is_zero()
+    assert (deta + contract("ij->ji", deta)).is_zero()
+    for form in (dPhi, ePhi):
+        assert (form + contract("ijk->jik", form)).is_zero()
+        assert (form + contract("ijk->ikj", form)).is_zero()
+    for idx in itertools.combinations(range(n), 3):
+        rest = [idx[:j] + idx[j + 1 :] for j in range(3)]
+        d_sum = sum((-1) ** j * sp.diff(P[rest[j]], coords[idx[j]]) for j in range(3))
+        w_sum = sum((-1) ** j * e[idx[j]] * P[rest[j]] for j in range(3))
+        assert _same(dPhi[idx], d_sum)
+        assert _same(ePhi[idx], w_sum)

@@ -9,9 +9,9 @@ from paracosym.parser import (
     load_definition,
     parse_expression,
     parse_scalar,
-    print_expression,
 )
 from paracosym.scalars import ScalarContext
+from support import print_expression
 
 NAMES = ["x", "y", "z"]
 CTX = ScalarContext(("x", "y", "z"), ())

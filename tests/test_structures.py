@@ -128,6 +128,27 @@ def test_normality_flags(analyses):
     assert not normal_npk
 
 
+def test_shared_tensors_built_once_per_analyze(entries, monkeypatch):
+    # g^{-1}, A and N^1 are read by several checks but built once, as cached
+    # StructureAnalysis properties; every module global that names the
+    # kernel is wrapped, so a call from any of them is counted
+    from paracosym import geometry, report, structures
+
+    calls = {"metric_inverse": 0, "tensor_A": 0, "nijenhuis_normality": 0}
+    for name in calls:
+        inner = getattr(structures, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        for module in (geometry, structures, report):
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, counted)
+    report.run_analyze(entries["five_dim_non_pk_leaves"].definition())
+    assert calls == {"metric_inverse": 1, "tensor_A": 1, "nijenhuis_normality": 1}
+
+
 def test_parakaehler_leaves(analyses):
     assert parakaehler_leaves_check(analyses("example_e"))
     assert parakaehler_leaves_check(analyses("warped_kenmotsu"))
