@@ -1,32 +1,40 @@
 """Exact symbolic verification, analysis, and classification of almost
 alpha-paracosymplectic structures on coordinate charts.
 
-classify (the one module that imports sympy) and report load on first
-use of their names (PEP 562), so importing the package loads no sympy."""
+The package is lazy: importing it loads no submodule.  Every public name
+is served on first use from the module that defines it (PEP 562, the
+_LAZY table below), so `paracosym catalog --list` loads only cli, errors
+and catalog, and a process never compiles a module it does not run.
+classify is the one module that imports sympy."""
 
 import importlib
-
-from .errors import (
-    DefinitionError,
-    DeformationParameterError,
-    EngineError,
-    ParseError,
-    StructureError,
-)
-from .parser import ManifoldDefinition, load_definition, parse_scalar
-from .scalars import GeneratorDecl, ScalarContext, ScalarField
-from .geometry import Chart, TensorField
-from .structures import (
-    AlmostParacontactStructure,
-    CheckItem,
-    StructureAnalysis,
-    identity_suite,
-    verify_axioms,
-)
-from .nullity import NullityFit, nullity_fit
-from .catalog import CatalogEntry, catalog, catalog_entry
+import sys
+import types
 
 _LAZY = {
+    "DefinitionError": "errors",
+    "DeformationParameterError": "errors",
+    "EngineError": "errors",
+    "ParseError": "errors",
+    "StructureError": "errors",
+    "ManifoldDefinition": "parser",
+    "load_definition": "parser",
+    "parse_scalar": "parser",
+    "GeneratorDecl": "scalars",
+    "ScalarContext": "scalars",
+    "ScalarField": "scalars",
+    "Chart": "geometry",
+    "TensorField": "geometry",
+    "AlmostParacontactStructure": "structures",
+    "CheckItem": "structures",
+    "StructureAnalysis": "structures",
+    "identity_suite": "structures",
+    "verify_axioms": "structures",
+    "NullityFit": "nullity",
+    "nullity_fit": "nullity",
+    "CatalogEntry": "catalog",
+    "catalog": "catalog",
+    "catalog_entry": "catalog",
     "HType": "classify",
     "classify_h": "classify",
     "AnalysisReport": "report",
@@ -40,34 +48,20 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing a submodule binds it on the package: the submodule
+        # catalog must not hide the function catalog
+        if not (name in _LAZY and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlmostParacontactStructure",
-    "AnalysisReport",
-    "CatalogEntry",
-    "Chart",
-    "CheckItem",
-    "DefinitionError",
-    "DeformationParameterError",
-    "EngineError",
-    "GeneratorDecl",
-    "HType",
-    "ManifoldDefinition",
-    "NullityFit",
-    "ParseError",
-    "ScalarContext",
-    "ScalarField",
-    "StructureAnalysis",
-    "StructureError",
-    "TensorField",
-    "catalog",
-    "catalog_entry",
-    "classify_h",
-    "identity_suite",
-    "load_definition",
-    "nullity_fit",
-    "parse_scalar",
-    "run_analyze",
-    "verify_axioms",
-]
+__all__ = sorted(_LAZY)

@@ -18,9 +18,10 @@ are built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .parser import ManifoldDefinition, load_definition
+if TYPE_CHECKING:
+    from .parser import ManifoldDefinition
 
 
 @dataclass
@@ -32,6 +33,8 @@ class CatalogEntry:
     expected: Dict[str, object] = field(default_factory=dict)
 
     def definition(self) -> ManifoldDefinition:
+        from .parser import load_definition  # catalog --list parses nothing
+
         return load_definition(self.definition_text)
 
 

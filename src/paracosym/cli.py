@@ -14,10 +14,14 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .catalog import catalog, catalog_entry
-from .errors import DefinitionError, DeformationParameterError, EngineError, ParseError
-from .parser import _parse_rational, load_definition, parse_scalar
-from .report import EXIT_PARSE, EXIT_STRUCTURAL, run_analyze, run_deform, run_verify
+from .errors import (
+    EXIT_PARSE,
+    EXIT_STRUCTURAL,
+    DefinitionError,
+    DeformationParameterError,
+    EngineError,
+    ParseError,
+)
 
 
 def _verbosity() -> int:
@@ -28,16 +32,20 @@ def _verbosity() -> int:
         return 1
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DefinitionError(f"cannot read {path}: {exc}") from exc
-    return load_definition(text)
 
 
 def _parse_point(raw: str, dim: int) -> List[Fraction]:
+    from .parser import _parse_rational
+
+    if dim != 3:
+        # the point feeds only the h-type classification, which is 3D
+        raise DefinitionError(f"--point applies to a 3-dimensional definition only, not dim {dim}")
     parts = raw.split(",")
     if len(parts) != dim:
         raise DefinitionError(f"--point needs {dim} comma-separated rationals")
@@ -93,16 +101,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command == "catalog":
+        return _catalog(args)
+
+    # the other commands read a definition: only they load the engine
+    from .parser import _parse_rational, load_definition, parse_scalar
+    from .report import run_analyze, run_deform, run_verify
+
+    defn = load_definition(_read(args.file))
     if args.command == "verify":
-        return _emit(run_verify(_load(args.file)), args.json)
+        return _emit(run_verify(defn), args.json)
 
     if args.command == "analyze":
-        defn = _load(args.file)
         point = _parse_point(args.point, defn.dim) if args.point else None
         return _emit(run_analyze(defn, point), args.json)
 
     if args.command == "deform":
-        defn = _load(args.file)
         ctx = defn.context()
         if args.u is not None:
             if args.gamma or args.beta:
@@ -115,21 +129,24 @@ def _dispatch(args) -> int:
         beta = parse_scalar(args.beta, ctx)
         return _emit(run_deform(defn, gamma=gamma, beta=beta), args.json)
 
-    if args.command == "catalog":
-        if args.emit:
-            try:
-                entry = catalog_entry(args.emit)
-            except KeyError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return EXIT_PARSE
-            sys.stdout.write(entry.definition_text.lstrip("\n"))
-            return 0
-        for entry in catalog():
-            marker = " (negative control)" if entry.negative_control else ""
-            print(f"{entry.name}{marker}: {entry.notes}")
-        return 0
-
     raise DefinitionError(f"unknown command {args.command!r}")
+
+
+def _catalog(args) -> int:
+    from .catalog import catalog, catalog_entry
+
+    if args.emit:
+        try:
+            entry = catalog_entry(args.emit)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return EXIT_PARSE
+        sys.stdout.write(entry.definition_text.lstrip("\n"))
+        return 0
+    for entry in catalog():
+        marker = " (negative control)" if entry.negative_control else ""
+        print(f"{entry.name}{marker}: {entry.notes}")
+    return 0
 
 
 if __name__ == "__main__":

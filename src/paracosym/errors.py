@@ -1,4 +1,9 @@
-"""Exception hierarchy for the engine."""
+"""Exception hierarchy for the engine, and the CLI's exit codes."""
+
+EXIT_OK = 0
+EXIT_STRUCTURAL = 2  # the input is not an almost alpha-paracosymplectic structure
+EXIT_IDENTITY = 3  # a derived identity failed
+EXIT_PARSE = 4  # parse or usage error
 
 
 class EngineError(Exception):

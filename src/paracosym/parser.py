@@ -23,9 +23,12 @@ dim is odd, at least 3 and at most MAX_DIM.
 Expression grammar: rational literals (ints, decimals, p/q via '/'),
 coordinate/generator identifiers, parentheses, unary -, binary + - * /,
 and ^ with a non-negative integer exponent of at most MAX_EXPONENT (a
-larger one is a ParseError, not a long expansion).  A numeric literal has
-at most MAX_LITERAL_DIGITS digits (a longer one is a ParseError, not a
-ValueError from int()).  ^ binds tightest, then unary -, then * /, then
+larger one is a ParseError, not a long expansion).  No operation may
+give a numerator or denominator of total degree above MAX_DEGREE; the
+bound is checked before the operation expands, so a nest of ^ is a
+ParseError at once, not tens of thousands of terms.  A numeric literal
+has at most MAX_LITERAL_DIGITS digits (a longer one is a ParseError, not
+a ValueError from int()).  ^ binds tightest, then unary -, then * /, then
 + -; binary operators are left associative.
 """
 
@@ -43,6 +46,7 @@ from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
 MAX_EXPONENT = 8
 MAX_DIM = 9  # analyze time grows steeply with dim: about 1 s at 9, 30 s at 15
 MAX_LITERAL_DIGITS = 1000  # well below the interpreter's int-string limit (4300)
+MAX_DEGREE = 8  # total degree of a lowered numerator or denominator
 
 # --------------------------------------------------------------------
 # expression AST
@@ -195,6 +199,18 @@ def lower(node: Node, context: ScalarContext) -> ScalarField:
     return ScalarField(context, _lower(node, context))
 
 
+def _degree(f: Frac) -> int:
+    """The larger total degree of f's numerator and denominator."""
+    return max(sum(m) for p in (f.numer, f.denom) for m in p)
+
+
+def _check_degree(degree: int, node: BinOp) -> None:
+    """Refuse an operation whose result may exceed MAX_DEGREE before it
+    expands: ((x+y+z+1)^8)^8 would lower into 47,905 terms."""
+    if degree > MAX_DEGREE:
+        raise ParseError(f"{node.op!r} would give total degree {degree}, above the maximum {MAX_DEGREE}")
+
+
 def _lower(node: Node, context: ScalarContext) -> Frac:
     if isinstance(node, Lit):
         return context.element(node.value)
@@ -204,8 +220,16 @@ def _lower(node: Node, context: ScalarContext) -> Frac:
         return -_lower(node.operand, context)
     left = _lower(node.left, context)
     if node.op == "^":
-        return power(left, int(node.right.value))
+        n = int(node.right.value)
+        _check_degree(_degree(left) * n, node)
+        return power(left, n)
     right = _lower(node.right, context)
+    # a sum over one denominator keeps the larger degree; every other
+    # operation multiplies numerators and denominators, adding degrees
+    if node.op in "+-" and left.denom == right.denom:
+        _check_degree(max(_degree(left), _degree(right)), node)
+    else:
+        _check_degree(_degree(left) + _degree(right), node)
     if node.op == "+":
         return left + right
     if node.op == "-":

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from . import curvature as curv
-from .errors import EngineError
+from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, EngineError
 from .geometry import TensorField, contract
-from .nullity import (
-    NullityFit,
-    check_irem_suite,
-    check_parakaehler_consequence,
-    check_q_commutator_nullity,
-    nullity_fit,
-)
 from .field import to_str
 from .parser import ManifoldDefinition
 from .scalars import ScalarField
@@ -35,10 +27,8 @@ from .structures import (
     parakaehler_leaves_check,
 )
 
-EXIT_OK = 0
-EXIT_STRUCTURAL = 2
-EXIT_IDENTITY = 3
-EXIT_PARSE = 4
+if TYPE_CHECKING:
+    from .nullity import NullityFit
 
 
 def _item_dict(it: CheckItem) -> Dict[str, object]:
@@ -201,6 +191,14 @@ def run_analyze(
     defn: ManifoldDefinition, point: Optional[Sequence[Fraction]] = None
 ) -> AnalysisReport:
     """Full pipeline; structural failures are report entries, not raises."""
+    from . import curvature as curv
+    from .nullity import (
+        check_irem_suite,
+        check_parakaehler_consequence,
+        check_q_commutator_nullity,
+        nullity_fit,
+    )
+
     tree = _chart_section(defn)
     s = AlmostParacontactStructure.from_definition(defn)
     an = StructureAnalysis(s)
@@ -358,6 +356,7 @@ def run_deform(
         transform_kmn,
         verify_deformation_laws,
     )
+    from .nullity import nullity_fit
 
     tree = _chart_section(defn)
     s = AlmostParacontactStructure.from_definition(defn)

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from paracosym.catalog import _lie_family, catalog, catalog_entry
+from paracosym.cli import main
 from paracosym.parser import load_definition
 from paracosym.report import run_analyze
 
@@ -284,6 +286,17 @@ def test_cli_bad_rational_option_exits_4(tmp_path, args):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_point_on_5d_definition_exits_4(tmp_path):
+    # the point feeds only the 3D h-type classification: on a 5D definition
+    # it used to be accepted and ignored
+    path = tmp_path / "five.txt"
+    path.write_text(catalog_entry("five_dim_product").definition_text)
+    proc = _run(["analyze", "--json", "--point", "7,7,7,7,7", str(path)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: --point applies to a 3-dimensional definition only, not dim 5\n"
+    assert proc.stdout == ""
+
+
 def test_cli_directory_as_definition_exits_4(tmp_path):
     proc = _run(["verify", str(tmp_path)])
     assert proc.returncode == 4, proc.stderr
@@ -326,12 +339,79 @@ def test_cli_huge_literal_exits_4(tmp_path, literal):
     assert "digits" in proc.stderr
 
 
+def test_cli_huge_degree_exits_4_fast(tmp_path):
+    # 16 characters that lowered into 47,905 terms in about 37 s before the
+    # degree bound; now the parser refuses the outer ^ before it expands
+    text = catalog_entry("flat_product").definition_text
+    path = tmp_path / "deep.txt"
+    path.write_text(text.replace("xi = [0, 0, 1]", "xi = [0, 0, ((x+y+z+1)^8)^8]"))
+    t0 = time.perf_counter()
+    code = main(["verify", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 4
+    assert elapsed < 0.5, elapsed
+
+
 def test_cli_import_leaves_out_sympy_combinatorics():
     # importing sympy.combinatorics costs about 25 ms in every CLI process
     code = "import sys, paracosym.cli; print('sympy.combinatorics' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# runs one CLI call and prints its exit code and the paracosym modules it loaded
+MODULES = r"""
+import contextlib, io, json, sys
+from paracosym.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "paracosym")]))
+"""
+
+
+def _loaded(*args):
+    proc = subprocess.run([sys.executable, "-c", MODULES, *args], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    return {m.replace("paracosym.", "") for m in modules}
+
+
+def test_cli_commands_load_only_their_modules(tmp_path):
+    # each module a process imports is compiled afresh when bytecode is not
+    # written, so a command pays for every module it loads
+    path = tmp_path / "e.txt"
+    path.write_text(catalog_entry("example_e").definition_text)
+    assert _loaded("catalog", "--list") == {"paracosym", "cli", "errors", "catalog"}
+    verify = _loaded("verify", str(path))
+    assert {"parser", "report", "structures"} <= verify
+    assert not verify & {"curvature", "nullity", "catalog", "deform", "classify", "tower"}
+    deform = _loaded("deform", str(path), "--gamma", "3", "--beta", "2")
+    assert {"deform", "nullity"} <= deform
+    assert not deform & {"curvature", "catalog", "classify"}
+
+
+PACKAGE = r"""
+import importlib, sys
+import paracosym
+assert [m for m in sys.modules if m.startswith("paracosym.")] == [], sys.modules
+assert set(paracosym.__all__) <= set(dir(paracosym)), dir(paracosym)
+for name in paracosym.__all__:
+    module = importlib.import_module("paracosym." + paracosym._LAZY[name])
+    assert getattr(paracosym, name) is getattr(module, name), name
+namespace = {}
+exec("from paracosym import *", namespace)
+missing = set(paracosym.__all__) - set(namespace)
+assert not missing, missing
+print(len(paracosym.__all__))
+"""
+
+
+def test_package_serves_every_public_name_lazily():
+    proc = subprocess.run([sys.executable, "-c", PACKAGE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 27  # the names the package exported when it imported eagerly
 
 
 # runs CLI calls in one process in which any import of sympy fails, and

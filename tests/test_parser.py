@@ -3,6 +3,7 @@ import sympy as sp
 
 from paracosym.errors import DefinitionError, ParseError, UnknownIdentifierError
 from paracosym.parser import (
+    MAX_DEGREE,
     MAX_DIM,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
@@ -62,6 +63,17 @@ def test_exponent_bounded():
     for text in [f"x^{MAX_EXPONENT + 1}", "(x + y)^1000000", "x^" + "9" * 5000]:
         with pytest.raises(ParseError):
             parse_expression(text, NAMES)
+
+
+def test_degree_bounded():
+    assert MAX_DEGREE == 8
+    # within the bound: one ^, a product, sums of polynomials and over one denominator
+    for text in ["(x + y + z + 1)^8", "x^4 * y^4", "x^8 + y^8", "x^7/(y + 1) - z/(y + 1)", "(x/y)^8"]:
+        parse_scalar(text, CTX)
+    # above it, refused before the operation expands
+    for text in ["((x + y + z + 1)^8)^8", "x^8 * y", "x^8 / y", "1/(x + 1)^5 + 1/(y + 1)^4", "(x^2 + y)^5"]:
+        with pytest.raises(ParseError, match="total degree"):
+            parse_scalar(text, CTX)
 
 
 def test_literal_length_bounded():
