@@ -17,20 +17,21 @@ are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .parser import ManifoldDefinition
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
+    """A named definition text, with the facts its analysis must report
+    (a NamedTuple: catalog --list imports no dataclasses)."""
+
     name: str
     definition_text: str
     notes: str
+    expected: Dict[str, object]
     negative_control: bool = False
-    expected: Dict[str, object] = field(default_factory=dict)
 
     def definition(self) -> ManifoldDefinition:
         from .parser import load_definition  # catalog --list parses nothing

@@ -249,18 +249,17 @@ def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
     return expr.subs(subs)
 
 
-def _zero_at(an: StructureAnalysis, expr: sp.Expr, pt, tol: float = 1e-9):
-    """(ok, witness, numeric_used) for expr = 0 at a point; exact first."""
+def _zero_at(an: StructureAnalysis, expr: sp.Expr, pt):
+    """(ok, witness) for expr = 0 at a point, decided symbolically: a value
+    sympy cannot prove zero fails with its simplified form as witness, however
+    small it is."""
     val = _subs_point(an, expr, pt)
     if sp.expand(val) == 0:  # most table entries vanish already when expanded
-        return True, None, False
+        return True, None
     simplified = sp.simplify(sp.radsimp(val))
     if simplified == 0:
-        return True, None, False
-    f = abs(complex(simplified.evalf(30)))
-    if f <= tol:
-        return True, None, True
-    return False, sp.sstr(simplified), True
+        return True, None
+    return False, sp.sstr(simplified)
 
 
 # --------------------------------------------------------------------
@@ -507,7 +506,7 @@ def _first_nonzero(an: StructureAnalysis, pt, tower: Optional[_FrameValues], sym
     for i, r in enumerate(residual(sympy)):
         if proved and proved[i]:
             continue
-        ok, witness, _ = _zero_at(an, r, pt)
+        ok, witness = _zero_at(an, r, pt)
         if not ok:
             return i, witness
     return None

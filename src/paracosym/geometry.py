@@ -469,6 +469,27 @@ def identity_tensor(chart: Chart) -> TensorField:
 # metric machinery
 
 
+def row_reduce(rows: list) -> Tuple[list, list]:
+    """The reduced row echelon form of a matrix over a field with exact zero
+    tests, and its pivot columns: the nonzero rows, each with a 1 in its
+    pivot column and 0 in every other pivot column."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        p = [a / rows[piv][col] for a in rows[piv]]
+        rows[piv], rows[rank] = rows[rank], p
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != rank:
+                rows[r] = [a - f * b for a, b in zip(row, p)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
 def _det_and_adjugate(rows: list) -> Tuple[object, list]:
     """Determinant and adjugate (row-major) of a square matrix of
     polynomials, by Laplace expansion over column subsets: exact, with no

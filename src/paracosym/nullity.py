@@ -5,11 +5,12 @@ R(X,Y)xi = eta(Y) B X - eta(X) B Y with B = kappa*phi^2 + mu*h + nu*phi.h
 for scalars kappa, mu, nu constant along the leaves (d(.)^eta = 0).
 Setting Y = xi shows B must equal the Jacobi operator l, so the fit solves
 l = kappa*phi^2 + mu*h + nu*phi.h componentwise over the rational-function
-field by exact Gaussian elimination, then verifies the full two-argument
-condition.  When h = 0 only kappa is determined (mu, nu unconstrained);
-when {phi^2, h, phi.h} are linearly dependent with h != 0 (nilpotent h)
-the fit solves on a maximal independent subset and reports the
-representation as non-unique after global verification.
+field, from the reduced row echelon form of its augmented matrix
+(geometry.row_reduce), then verifies the full two-argument condition.  When
+h = 0 only kappa is determined (mu, nu unconstrained); when {phi^2, h,
+phi.h} are linearly dependent with h != 0 (nilpotent h) the free unknowns
+are set to zero and the representation is reported as non-unique after
+global verification.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .field import Frac
-from .geometry import Components, TensorField, contract, identity_tensor
+from .geometry import Components, TensorField, contract, identity_tensor, row_reduce
 from .scalars import ScalarField
 from .structures import (
     CheckItem,
@@ -45,61 +45,18 @@ class NullityFit:
         return (self.kappa, self.mu, self.nu)
 
 
-def _solve_linear_field_system(
-    rows: List[Tuple[List[Frac], Frac]], n_unknowns: int
-) -> Optional[Tuple[List[Optional[Frac]], bool]]:
-    """Exact Gaussian elimination of an overdetermined linear system over
-    the rational-function field.
-
-    Returns (solution, unique) with None entries for unconstrained
-    unknowns, or None if the system is inconsistent on the pivot rows.
-    The caller must still verify the solution against all rows (a
-    consistent pivot subset does not imply global consistency)."""
-    rows = [r for r in rows if any(r[0]) or r[1]]
-    pivots: List[Optional[int]] = [None] * n_unknowns
-    reduced: List[Tuple[List[Frac], Frac]] = []
-    for col in range(n_unknowns):
-        pick = None
-        for ridx, (coeffs, rhs) in enumerate(rows):
-            if coeffs[col] and not any(
-                coeffs[c] for c in range(col) if pivots[c] is not None
-            ):
-                pick = ridx
-                break
-        if pick is None:
-            continue
-        coeffs, rhs = rows.pop(pick)
-        inv = coeffs[col]
-        coeffs = [c / inv for c in coeffs]
-        rhs = rhs / inv
-        reduced.append((coeffs, rhs))
-        pivots[col] = len(reduced) - 1
-        new_rows = []
-        for rc, rr in rows:
-            f = rc[col]
-            if f:
-                rc = [a - f * b for a, b in zip(rc, coeffs)]
-                rr = rr - f * rhs
-            if any(rc) or rr:
-                new_rows.append((rc, rr))
-        rows = new_rows
-    if rows:
-        # leftover rows have all-zero coefficients but nonzero rhs
-        if any(rhs for _, rhs in rows):
-            return None
-    # back substitution, free unknowns set to None
-    sol: List[Optional[Frac]] = [None] * n_unknowns
-    for col in reversed(range(n_unknowns)):
-        if pivots[col] is None:
-            continue
-        coeffs, rhs = reduced[pivots[col]]
-        acc = rhs
-        for c in range(col + 1, n_unknowns):
-            if coeffs[c] and sol[c] is not None:
-                acc -= coeffs[c] * sol[c]
-        sol[col] = acc
-    unique = all(p is not None for p in pivots)
-    return sol, unique
+def _solve(rows: List[list]) -> Optional[Tuple[list, bool]]:
+    """A solution of the linear system over the rational-function field whose
+    augmented rows are given, with free unknowns set to zero, and whether it
+    is unique; None when the system is inconsistent."""
+    n = len(rows[0]) - 1
+    reduced, pivots = row_reduce(rows)
+    if n in pivots:  # the right-hand column takes a pivot
+        return None
+    sol = [0] * n
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[n]
+    return sol, len(pivots) == n
 
 
 def _bi_residual(an: StructureAnalysis, B: TensorField) -> Components:
@@ -130,12 +87,11 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
 
     if h.is_zero():
         # fit kappa alone: l = kappa * P
-        rows = [([P.comps[i, j]], l.comps[i, j]) for i in rng for j in rng]
-        solved = _solve_linear_field_system(rows, 1)
+        solved = _solve([[P.comps[i, j], l.comps[i, j]] for i in rng for j in rng])
         if solved is None:
             return NullityFit("not_nullity", witness="l is not proportional to phi^2")
         (kv,), _ = solved
-        kappa = ScalarField(ctx, kv if kv is not None else 0)
+        kappa = ScalarField(ctx, kv)
         B = TensorField(an.chart, 1, 1, kappa * P.comps)
         residual = _bi_residual(an, B)
         w = residual.first_nonzero()
@@ -151,22 +107,14 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
             )
         return NullityFit("degenerate_h_zero", kappa=kappa, B=B)
 
-    rows = [
-        (
-            [P.comps[i, j], h.comps[i, j], phih.comps[i, j]],
-            l.comps[i, j],
-        )
-        for i in rng
-        for j in rng
-    ]
-    solved = _solve_linear_field_system(rows, 3)
+    solved = _solve([[P.comps[i, j], h.comps[i, j], phih.comps[i, j], l.comps[i, j]] for i in rng for j in rng])
     if solved is None:
         return NullityFit(
             "not_nullity",
             witness="l is not in the span of {phi^2, h, phi.h}",
         )
     sol, unique = solved
-    kappa, mu, nu = (ScalarField(ctx, v if v is not None else 0) for v in sol)
+    kappa, mu, nu = (ScalarField(ctx, v) for v in sol)
     B = TensorField(an.chart, 1, 1, kappa * P.comps + mu * h.comps + nu * phih.comps)
     residual = _bi_residual(an, B)
     w = residual.first_nonzero()

@@ -23,21 +23,26 @@ dim is odd, at least 3 and at most MAX_DIM.
 Expression grammar: rational literals (ints, decimals, p/q via '/'),
 coordinate/generator identifiers, parentheses, unary -, binary + - * /,
 and ^ with a non-negative integer exponent of at most MAX_EXPONENT (a
-larger one is a ParseError, not a long expansion).  No operation may
-give a numerator or denominator of total degree above MAX_DEGREE; the
-bound is checked before the operation expands, so a nest of ^ is a
-ParseError at once, not tens of thousands of terms.  A numeric literal
-has at most MAX_LITERAL_DIGITS digits (a longer one is a ParseError, not
-a ValueError from int()).  ^ binds tightest, then unary -, then * /, then
-+ -; binary operators are left associative.
+larger one is a ParseError, not a long expansion).  ^ binds tightest, then
+unary -, then * /, then + -; binary operators are left associative.  A
+numeric literal has at most MAX_LITERAL_DIGITS digits (a longer one is a
+ParseError, not a ValueError from int()).
+
+The parser computes as it reads: each production returns an element of
+the context's field, so an expression is parsed once, straight into the
+chart's field.  Before an operation expands, its result is bounded: no
+numerator or denominator may reach a total degree above MAX_DEGREE or more
+than MAX_TERMS terms, so a nest of ^ or a power of a long sum is a
+ParseError at once, not tens of thousands of terms.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import DefinitionError, DivisionByZeroFieldError, ParseError, UnknownIdentifierError
 from .field import Frac
@@ -46,35 +51,11 @@ from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
 MAX_EXPONENT = 8
 MAX_DIM = 9  # analyze time grows steeply with dim: about 1 s at 9, 30 s at 15
 MAX_LITERAL_DIGITS = 1000  # well below the interpreter's int-string limit (4300)
-MAX_DEGREE = 8  # total degree of a lowered numerator or denominator
+MAX_DEGREE = 8  # total degree of a numerator or denominator
+MAX_TERMS = 1000  # terms of a numerator or denominator; (x+y+z+1)^8 has 165
 
 # --------------------------------------------------------------------
-# expression AST
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Lit, Var, Neg, BinOp]
+# expressions
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d+|\d+)|(?P<id>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
@@ -98,11 +79,21 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
+def _size(f: Frac) -> Tuple[int, int, int]:
+    """The larger total degree of f's numerator and denominator, and their
+    term counts."""
+    return max(sum(m) for p in (f.numer, f.denom) for m in p), len(f.numer), len(f.denom)
+
+
 class _Parser:
-    def __init__(self, text: str, names: Sequence[str]):
+    """Recursive descent over one expression; each production returns an
+    element of the context's field."""
+
+    def __init__(self, text: str, context: ScalarContext):
         self.text = text
         self.tokens = _tokenize(text)
-        self.names = set(names)
+        self.context = context
+        self.names = set(context.field.symbols)
         self.i = 0
 
     def peek(self):
@@ -120,132 +111,115 @@ class _Parser:
         if tok[0] != "op" or tok[1] != op:
             raise ParseError(f"expected {op!r}, found {tok[1]!r}", tok[2])
 
-    def parse(self) -> Node:
-        node = self.parse_sum()
+    def bound(self, tok, degree: int, numer: int, denom: int) -> None:
+        """Refuse the operation at tok before it expands when a numerator or
+        denominator of its result could pass MAX_DEGREE in total degree or
+        MAX_TERMS in terms, given bounds on each; a polynomial of total
+        degree at most d in k variables has at most comb(d + k, k) terms."""
+        if degree > MAX_DEGREE:
+            raise ParseError(f"{tok[1]!r} would give total degree {degree}, above the maximum {MAX_DEGREE}", tok[2])
+        k = len(self.names)
+        terms = min(max(numer, denom), math.comb(degree + k, k))
+        if terms > MAX_TERMS:
+            raise ParseError(f"{tok[1]!r} could give {terms} terms, above the maximum {MAX_TERMS}", tok[2])
+
+    def binary(self, tok, left: Frac, right: Frac) -> Frac:
+        (dl, nl, el), (dr, nr, er) = _size(left), _size(right)
+        # a sum over one denominator keeps the larger degree; every other
+        # operation multiplies numerators and denominators, adding degrees
+        op = tok[1]
+        if op in "+-" and left.denom == right.denom:
+            self.bound(tok, max(dl, dr), nl + nr, el)
+        elif op in "+-":
+            self.bound(tok, dl + dr, nl * er + nr * el, el * er)
+        elif op == "*":
+            self.bound(tok, dl + dr, nl * nr, el * er)
+        else:
+            self.bound(tok, dl + dr, nl * er, el * nr)
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if not right:
+            raise DivisionByZeroFieldError("division by the zero scalar field")
+        return left / right
+
+    def accept(self, ops: str):
+        """The next token, consumed, if it is one of the operators ops."""
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] in ops:
+            self.i += 1
+            return tok
+        return None
+
+    def parse(self) -> Frac:
+        value = self.parse_sum()
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return node
+        return value
 
-    def parse_sum(self) -> Node:
-        node = self.parse_product()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                node = BinOp(tok[1], node, self.parse_product())
-            else:
-                return node
+    def chain(self, ops: str, operand) -> Frac:
+        """operand (op operand)* for op in ops, left associative."""
+        value = operand()
+        while tok := self.accept(ops):
+            value = self.binary(tok, value, operand())
+        return value
 
-    def parse_product(self) -> Node:
-        node = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                node = BinOp(tok[1], node, self.parse_unary())
-            else:
-                return node
+    def parse_sum(self) -> Frac:
+        return self.chain("+-", self.parse_product)
 
-    def parse_unary(self) -> Node:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.next()
-            return Neg(self.parse_unary())
+    def parse_product(self) -> Frac:
+        return self.chain("*/", self.parse_unary)
+
+    def parse_unary(self) -> Frac:
+        if self.accept("-"):
+            return -self.parse_unary()
         return self.parse_power()
 
-    def parse_power(self) -> Node:
+    def parse_power(self) -> Frac:
         base = self.parse_atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            etok = self.next()
-            if etok[0] != "num" or "." in etok[1]:
-                raise ParseError("exponent must be a non-negative integer", etok[2])
-            digits = etok[1].lstrip("0") or "0"  # no int() of a huge digit string
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds the maximum {MAX_EXPONENT}", etok[2])
-            return BinOp("^", base, Lit(Fraction(int(digits))))
-        return base
+        tok = self.accept("^")
+        if tok is None:
+            return base
+        etok = self.next()
+        if etok[0] != "num" or "." in etok[1]:
+            raise ParseError("exponent must be a non-negative integer", etok[2])
+        digits = etok[1].lstrip("0") or "0"  # no int() of a huge digit string
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the maximum {MAX_EXPONENT}", etok[2])
+        n = int(digits)
+        degree, numer, denom = _size(base)
+        # a power of a t-term polynomial has at most comb(t + n - 1, n)
+        # terms; 0^0 = 1 has one
+        self.bound(tok, degree * n, math.comb(max(numer, 1) + n - 1, n), math.comb(denom + n - 1, n))
+        return power(base, n)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> Frac:
         tok = self.next()
         kind, text, off = tok
         if kind == "num":
             if len(text) - text.count(".") > MAX_LITERAL_DIGITS:  # before int()/Fraction()
                 raise ParseError(f"numeric literal exceeds {MAX_LITERAL_DIGITS} digits", off)
-            return Lit(Fraction(text))
+            return self.context.element(Fraction(text))
         if kind == "id":
             if text not in self.names:
                 raise UnknownIdentifierError(text, off)
-            return Var(text)
+            return self.context.variable(text)
         if kind == "op" and text == "(":
-            node = self.parse_sum()
+            value = self.parse_sum()
             self.expect_op(")")
-            return node
+            return value
         raise ParseError(f"unexpected token {text!r}", off)
 
 
-def parse_expression(text: str, names: Sequence[str]) -> Node:
-    """Parse one expression over the given identifier universe."""
+def parse_scalar(text: str, context: ScalarContext) -> ScalarField:
+    """Parse one expression straight into the context's field."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text, names).parse()
-
-
-def lower(node: Node, context: ScalarContext) -> ScalarField:
-    """Elaborate an AST into a ScalarField, computing in the context's
-    field."""
-    return ScalarField(context, _lower(node, context))
-
-
-def _degree(f: Frac) -> int:
-    """The larger total degree of f's numerator and denominator."""
-    return max(sum(m) for p in (f.numer, f.denom) for m in p)
-
-
-def _check_degree(degree: int, node: BinOp) -> None:
-    """Refuse an operation whose result may exceed MAX_DEGREE before it
-    expands: ((x+y+z+1)^8)^8 would lower into 47,905 terms."""
-    if degree > MAX_DEGREE:
-        raise ParseError(f"{node.op!r} would give total degree {degree}, above the maximum {MAX_DEGREE}")
-
-
-def _lower(node: Node, context: ScalarContext) -> Frac:
-    if isinstance(node, Lit):
-        return context.element(node.value)
-    if isinstance(node, Var):
-        return context.variable(node.name)
-    if isinstance(node, Neg):
-        return -_lower(node.operand, context)
-    left = _lower(node.left, context)
-    if node.op == "^":
-        n = int(node.right.value)
-        _check_degree(_degree(left) * n, node)
-        return power(left, n)
-    right = _lower(node.right, context)
-    # a sum over one denominator keeps the larger degree; every other
-    # operation multiplies numerators and denominators, adding degrees
-    if node.op in "+-" and left.denom == right.denom:
-        _check_degree(max(_degree(left), _degree(right)), node)
-    else:
-        _check_degree(_degree(left) + _degree(right), node)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if not right:
-            raise DivisionByZeroFieldError("division by the zero scalar field")
-        return left / right
-    raise AssertionError(node.op)
-
-
-def parse_scalar(text: str, context: ScalarContext) -> ScalarField:
-    names = list(context.coord_names) + [g.name for g in context.generators]
-    return lower(parse_expression(text, names), context)
+    return ScalarField(context, _Parser(text, context).parse())
 
 
 # --------------------------------------------------------------------
@@ -254,18 +228,24 @@ def parse_scalar(text: str, context: ScalarContext) -> ScalarField:
 
 @dataclass
 class ManifoldDefinition:
-    dim: int
-    coord_names: Tuple[str, ...]
+    """A definition file, read: the chart's context and base point, and the
+    entries of (phi, xi, eta, g) and the declared alpha, each parsed once
+    into the context's field."""
+
+    scalar_context: ScalarContext
     base_point: Tuple[Fraction, ...]
-    generators: Tuple[GeneratorDecl, ...]
-    xi: List[str]
-    eta: List[str]
-    phi: List[List[str]]
-    metric: List[List[str]]
-    declared_alpha: Optional[str] = None
+    xi: List[ScalarField]
+    eta: List[ScalarField]
+    phi: List[List[ScalarField]]
+    metric: List[List[ScalarField]]
+    declared_alpha: Optional[ScalarField] = None
+
+    dim = property(lambda self: self.scalar_context.dim)
+    coord_names = property(lambda self: self.scalar_context.coord_names)
+    generators = property(lambda self: self.scalar_context.generators)
 
     def context(self) -> ScalarContext:
-        return ScalarContext(self.coord_names, self.generators)
+        return self.scalar_context
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -415,6 +395,11 @@ def load_definition(contents: str) -> ManifoldDefinition:
             GeneratorDecl(name, coords.index(fields["coord"]), rate)
         )
 
+    try:
+        context = ScalarContext(coords, generators)
+    except ValueError as exc:  # a repeated coordinate, or a generator named like one
+        raise DefinitionError(str(exc)) from exc
+
     structure = sections["structure"]
     for key in ("xi", "eta", "phi", "metric"):
         if key not in structure:
@@ -433,27 +418,17 @@ def load_definition(contents: str) -> ManifoldDefinition:
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise DefinitionError(f"{label} must be a {dim}x{dim} matrix")
 
-    definition = ManifoldDefinition(
-        dim=dim,
-        coord_names=coords,
-        base_point=base_point,
-        generators=tuple(generators),
-        xi=xi,
-        eta=eta,
-        phi=phi,
-        metric=metric,
-        declared_alpha=structure.get("alpha"),
-    )
+    def scalars(entries: List[str]) -> List[ScalarField]:
+        return [parse_scalar(e, context) for e in entries]
 
-    # elaborate everything once so syntax/identifier errors surface at load
-    ctx = definition.context()
-    for text in xi + eta + [e for row in phi for e in row]:
-        parse_scalar(text, ctx)
-    g = [[parse_scalar(e, ctx) for e in row] for row in metric]
+    xi, eta = scalars(xi), scalars(eta)
+    phi = [scalars(row) for row in phi]
+    g = [scalars(row) for row in metric]
     for i in range(dim):
         for j in range(i + 1, dim):
             if g[i][j] != g[j][i]:
                 raise DefinitionError(f"metric is not symmetric at ({i},{j})")
-    if definition.declared_alpha is not None:
-        parse_scalar(definition.declared_alpha, ctx)
-    return definition
+    alpha = structure.get("alpha")
+    return ManifoldDefinition(
+        context, base_point, xi, eta, phi, g, None if alpha is None else parse_scalar(alpha, context)
+    )

@@ -38,11 +38,12 @@ from .geometry import (
     partials,
     ricci_tensor,
     riemann,
+    row_reduce,
     signature_at,
     wedge,
 )
 from .field import Frac
-from .parser import ManifoldDefinition, parse_scalar
+from .parser import ManifoldDefinition
 from .scalars import ScalarField
 
 
@@ -122,25 +123,12 @@ class AlmostParacontactStructure:
 
     @classmethod
     def from_definition(cls, defn: ManifoldDefinition) -> "AlmostParacontactStructure":
-        ctx = defn.context()
-        chart = Chart(ctx, defn.base_point)
-
-        def mat(rows):
-            return [[parse_scalar(e, ctx) for e in row] for row in rows]
-
-        def vec(entries):
-            return [parse_scalar(e, ctx) for e in entries]
-
-        phi = TensorField(chart, 1, 1, mat(defn.phi))
-        xi = TensorField(chart, 1, 0, vec(defn.xi))
-        eta = TensorField(chart, 0, 1, vec(defn.eta))
-        g = TensorField(chart, 0, 2, mat(defn.metric))
-        declared = (
-            parse_scalar(defn.declared_alpha, ctx)
-            if defn.declared_alpha is not None
-            else None
-        )
-        return cls(chart, phi, xi, eta, g, declared)
+        chart = Chart(defn.context(), defn.base_point)
+        phi = TensorField(chart, 1, 1, defn.phi)
+        xi = TensorField(chart, 1, 0, defn.xi)
+        eta = TensorField(chart, 0, 1, defn.eta)
+        g = TensorField(chart, 0, 2, defn.metric)
+        return cls(chart, phi, xi, eta, g, defn.declared_alpha)
 
 
 # --------------------------------------------------------------------
@@ -195,7 +183,7 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
             [phi0[i, j] - sign if i == j else phi0[i, j] for j in range(n_tot)]
             for i in range(n_tot)
         ]
-        null_dim = n_tot - _rank(shifted)
+        null_dim = n_tot - len(row_reduce(shifted)[1])
         if null_dim == n:
             items.append(CheckItem(f"dim {label} = n at base point", "pass"))
         else:
@@ -207,24 +195,6 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
                 )
             )
     return items
-
-
-def _rank(rows: List[list]) -> int:
-    """Rank of a square matrix over a field with exact zero tests, by
-    elimination in place."""
-    rank = 0
-    for col in range(len(rows)):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] / p[col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], p)]
-        rank += 1
-    return rank
 
 
 # --------------------------------------------------------------------

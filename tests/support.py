@@ -1,7 +1,6 @@
 """Test-only helpers: exact and numeric values, sympy symbols, the
-connection and Ricci quantities of a bare metric, an identity residual, an
-expression printer and a linear algebra reproduction that the engine itself
-never needs."""
+connection and Ricci quantities of a bare metric, an identity residual and
+a linear algebra reproduction that the engine itself never needs."""
 
 import math
 from fractions import Fraction
@@ -19,7 +18,6 @@ from paracosym.geometry import (
     ricci_tensor,
     riemann,
 )
-from paracosym.parser import Lit, Neg, Node, Var
 from paracosym.scalars import PointValues, ScalarContext, ScalarField
 
 
@@ -89,18 +87,6 @@ def ricci_operator(S: TensorField, g: TensorField) -> TensorField:
 def scalar_curvature(S: TensorField, g: TensorField) -> ScalarField:
     """r = tr Q."""
     return contract("ii->", ricci_operator(S, g))
-
-
-def print_expression(node: Node) -> str:
-    """Render an AST back to grammar-conforming text (fully parenthesized)."""
-    if isinstance(node, Lit):
-        v = node.value
-        return str(v) if v >= 0 else f"({v})"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{print_expression(node.operand)})"
-    return f"({print_expression(node.left)} {node.op} {print_expression(node.right)})"
 
 
 def three_dim_decomposition_residual(g: TensorField, ricci_sign: int = 1) -> TensorField:

@@ -352,6 +352,52 @@ def test_cli_huge_degree_exits_4_fast(tmp_path):
     assert elapsed < 0.5, elapsed
 
 
+def _nine_dim_definition(xi0: str) -> str:
+    """A 9-coordinate definition of the right shapes whose xi starts with xi0."""
+    rows = ["[" + ", ".join("1" if i == j else "0" for j in range(9)) + "]" for i in range(9)]
+    return f"""
+[chart]
+dim = 9
+coords = [{", ".join(f"a{i}" for i in range(9))}]
+base_point = [{", ".join(["0"] * 9)}]
+
+[structure]
+xi = [{xi0}, {", ".join(["0"] * 8)}]
+eta = [{", ".join(["0"] * 9)}]
+phi = [{", ".join(rows)}]
+metric = [{", ".join(rows)}]
+"""
+
+
+@pytest.mark.parametrize("power", ["(S + 1)^8", "(S + 1)^4 * (S + 2)^4"], ids=["power", "product"])
+def test_cli_huge_term_count_exits_4_fast(tmp_path, capsys, power):
+    # in nine coordinates these stay within the degree bound and lowered into
+    # 24,310 terms in about 0.6 s each; now the parser refuses them first
+    path = tmp_path / "wide.txt"
+    path.write_text(_nine_dim_definition(power.replace("S", " + ".join(f"a{i}" for i in range(9)))))
+    t0 = time.perf_counter()
+    code = main(["verify", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 4
+    assert "24310 terms, above the maximum" in capsys.readouterr().err
+    assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("coords = [x, y, z]", "coords = [x, x, z]"), ("[structure]", "[generators]\nx = { coord = z, rate = 1 }\n\n[structure]")],
+    ids=["repeated-coordinate", "generator-named-like-a-coordinate"],
+)
+def test_cli_bad_chart_names_exit_4(tmp_path, old, new):
+    text = catalog_entry("flat_product").definition_text
+    assert old in text
+    path = tmp_path / "names.txt"
+    path.write_text(text.replace(old, new))
+    proc = _run(["verify", str(path)])
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_cli_import_leaves_out_sympy_combinatorics():
     # importing sympy.combinatorics costs about 25 ms in every CLI process
     code = "import sys, paracosym.cli; print('sympy.combinatorics' in sys.modules)"
@@ -360,13 +406,14 @@ def test_cli_import_leaves_out_sympy_combinatorics():
     assert proc.stdout.strip() == "False"
 
 
-# runs one CLI call and prints its exit code and the paracosym modules it loaded
+# runs one CLI call and prints its exit code and the paracosym modules it
+# loaded, and dataclasses if it loaded that
 MODULES = r"""
 import contextlib, io, json, sys
 from paracosym.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "paracosym")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("paracosym", "dataclasses"))]))
 """
 
 
@@ -380,7 +427,8 @@ def _loaded(*args):
 
 def test_cli_commands_load_only_their_modules(tmp_path):
     # each module a process imports is compiled afresh when bytecode is not
-    # written, so a command pays for every module it loads
+    # written, so a command pays for every module it loads; importing
+    # dataclasses, and inspect through it, cost catalog --list about 15 ms
     path = tmp_path / "e.txt"
     path.write_text(catalog_entry("example_e").definition_text)
     assert _loaded("catalog", "--list") == {"paracosym", "cli", "errors", "catalog"}

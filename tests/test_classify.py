@@ -405,6 +405,14 @@ def test_tower_proofs_pass_the_point_test_with_generators(analyses):
     assert _check_tower_against_point_test(analyses("warped_kenmotsu")) > 0
 
 
+def test_point_test_takes_no_float_tolerance():
+    # about -1.6e-12 at every point: it once passed as zero below 1e-9
+    residual = sp.sqrt(2) - sp.Rational(665857, 470832)
+    ok, witness = cls._zero_at(_lie_analysis(ORACLE_DRAWS[0]), residual, (1, 1, 0))
+    assert not ok
+    assert sp.sympify(witness) - residual == 0
+
+
 def test_tower_does_not_prove_a_wrong_sign_of_alpha():
     an = _lie_analysis(ORACLE_DRAWS[0])
     ht = classify_h(an)

@@ -1,20 +1,23 @@
+from fractions import Fraction
+
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from paracosym.errors import DefinitionError, ParseError, UnknownIdentifierError
+from paracosym.errors import DefinitionError, DivisionByZeroFieldError, ParseError, UnknownIdentifierError
 from paracosym.parser import (
     MAX_DEGREE,
     MAX_DIM,
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
+    MAX_TERMS,
     load_definition,
-    parse_expression,
     parse_scalar,
 )
 from paracosym.scalars import ScalarContext
-from support import print_expression
+from paracosym.structures import AlmostParacontactStructure
 
-NAMES = ["x", "y", "z"]
 CTX = ScalarContext(("x", "y", "z"), ())
 
 
@@ -36,21 +39,41 @@ def test_rational_literals():
     assert parse_scalar("1/2 * x", CTX) == CTX.coordinate(0) / 2
 
 
-def test_roundtrip_print_parse():
-    for text in ["x", "x + y*z", "(x - 1)^2 / (y + 2)", "-3*x + 1/2"]:
-        ast = parse_expression(text, NAMES)
-        again = parse_expression(print_expression(ast), NAMES)
-        assert parse_scalar(print_expression(again), CTX) == parse_scalar(text, CTX)
+# grammar text at every precedence level, with no more parentheses than the
+# drawn structure needs: sums and products of sums, unary minus of powers
+_ATOMS = st.sampled_from(["x", "y", "z", "0", "1", "2", "3", "10", "1.5"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+        st.builds("{}^{}".format, _ATOMS, st.integers(0, 3)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=8))
+def test_parse_matches_sympy(text):
+    # the parser's precedence, associativity and unary minus agree with
+    # Python's, which sympify reads
+    try:
+        value = parse_scalar(text, CTX)
+    except (DivisionByZeroFieldError, ParseError):  # a zero divisor, or past a bound
+        assume(False)
+    expected = sp.sympify(text.replace("^", "**"), rational=True)
+    assert sp.cancel(value.value.as_expr() - expected) == 0, text
 
 
 def test_parse_error_offsets():
     with pytest.raises(ParseError) as exc:
-        parse_expression("x + ", NAMES)
+        parse_scalar("x + ", CTX)
     assert exc.value.offset == 4
     with pytest.raises(ParseError):
-        parse_expression("x + * y", NAMES)
+        parse_scalar("x + * y", CTX)
     with pytest.raises(ParseError):
-        parse_expression("", NAMES)
+        parse_scalar("", CTX)
 
 
 def test_unknown_identifier():
@@ -62,7 +85,7 @@ def test_exponent_bounded():
     assert parse_scalar(f"x^{MAX_EXPONENT}", CTX) == CTX.coordinate(0) ** MAX_EXPONENT
     for text in [f"x^{MAX_EXPONENT + 1}", "(x + y)^1000000", "x^" + "9" * 5000]:
         with pytest.raises(ParseError):
-            parse_expression(text, NAMES)
+            parse_scalar(text, CTX)
 
 
 def test_degree_bounded():
@@ -78,17 +101,31 @@ def test_degree_bounded():
 
 def test_literal_length_bounded():
     assert parse_scalar("1" * MAX_LITERAL_DIGITS, CTX) == int("1" * MAX_LITERAL_DIGITS)
-    assert parse_expression("0." + "5" * (MAX_LITERAL_DIGITS - 1), NAMES)
+    longest = "0." + "5" * (MAX_LITERAL_DIGITS - 1)
+    assert parse_scalar(longest, CTX) == Fraction(longest)
     for text in ["1" * (MAX_LITERAL_DIGITS + 1), "0." + "5" * MAX_LITERAL_DIGITS, "9" * 5001]:
         with pytest.raises(ParseError):
-            parse_expression(text, NAMES)
+            parse_scalar(text, CTX)
+
+
+def test_term_count_bounded():
+    # a power of a long sum stays within MAX_DEGREE; in three variables no
+    # polynomial of degree 8 has more than 165 terms, in nine 24,310
+    assert len(parse_scalar("(x + y + z + 1)^8", CTX).value.numer) == 165 <= MAX_TERMS
+    nine = ScalarContext(tuple(f"a{i}" for i in range(9)))
+    s = "a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7 + a8"
+    assert len(parse_scalar(f"({s} + 1)^4", nine).value.numer) == 715
+    assert len(parse_scalar(f"({s} + 1)^4 / (a0 + 1)", nine).value.numer) == 715
+    for text in [f"({s} + 1)^8", f"({s} + 1)^4 * ({s} + 2)^4"]:
+        with pytest.raises(ParseError, match=f"above the maximum {MAX_TERMS}"):
+            parse_scalar(text, nine)
 
 
 def test_negative_exponent_rejected():
     with pytest.raises(ParseError):
-        parse_expression("x^-1", NAMES)
+        parse_scalar("x^-1", CTX)
     with pytest.raises(ParseError):
-        parse_expression("x^y", NAMES)
+        parse_scalar("x^y", CTX)
 
 
 MINIMAL = """
@@ -110,7 +147,15 @@ def test_load_minimal():
     defn = load_definition(MINIMAL)
     assert defn.dim == 3
     assert defn.coord_names == ("x", "y", "z")
-    assert parse_scalar(defn.declared_alpha, defn.context()).is_zero()
+    assert defn.declared_alpha.is_zero()
+    assert defn.metric[1][1] == -1 and defn.xi[2] == 1
+
+
+def test_definition_is_parsed_into_one_context():
+    defn = load_definition(MINIMAL)
+    assert defn.context() is defn.context()
+    assert all(e.context is defn.context() for e in defn.xi + defn.eta + [defn.declared_alpha])
+    assert AlmostParacontactStructure.from_definition(defn).chart.context is defn.context()
 
 
 def test_load_missing_section():
