@@ -174,7 +174,7 @@ class _Domain:
     nab_xi_h = cached_property(lambda self: self.flat(self.an.nab_xi_h.comps))
     proj = cached_property(lambda self: self.flat(self.an.proj.comps))
     sigma = cached_property(lambda self: self.flat(self.an.sigma.comps))
-    conn = cached_property(lambda self: self.flat(self.an.conn.gamma))
+    conn = cached_property(lambda self: self.flat(self.an.conn.comps))
     alpha = cached_property(lambda self: self.scalar(self.an.alpha))
 
     @cached_property

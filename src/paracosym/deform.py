@@ -161,7 +161,7 @@ def verify_deformation_laws(
     shift = ((b**2 - gamma) / b**2) * contract("mb,ma->ab", s.g, an.A) - (
         dbeta_xi / b
     ) * contract("a,b->ab", eta, eta)
-    res = an_t.conn.gamma - an.conn.gamma + contract("ab,k->kab", shift, xi)
+    res = an_t.conn.comps - an.conn.comps + contract("ab,k->kab", shift, xi)
     items.append(_residual_item("deformed connection law", res))
     items.append(_residual_item("A~ = A/beta", an_t.A.comps - an.A.comps / b))
     items.append(_residual_item("h~ = h/beta", an_t.h.comps - an.h.comps / b))

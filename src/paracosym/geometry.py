@@ -15,27 +15,38 @@ Conventions used throughout the package:
 
 Components are elements of the chart's rational function field (see
 scalars): reduced fractions in the coordinates and any declared
-exponential generators.  Every tensor, connection and contraction result
-stores them in one Components value: the dimension n, the rank and a flat
-row-major tuple of the n**rank entries, so the entry at (i_1, ..., i_k)
-sits at offset ((i_1 n + i_2) n + ...) n + i_k.  Field elements are the only
+exponential generators.  Every tensor and contraction result stores them
+in one Components value: the dimension n, the rank and a flat row-major
+tuple of the n**rank entries, so the entry at (i_1, ..., i_k) sits at
+offset ((i_1 n + i_2) n + ...) n + i_k.  Field elements are the only
 entries the kernels here take or return; TensorField.array, the entries'
 sympy view (Frac.as_expr), is for reading from outside the engine.  Values
 at a rational point (eval_at, signature_at) are exact elements of QQ(E)
 from scalars.PointValues.
 
-Algebraic contractions go through one primitive, contract(spec,
-*operands), an exact einsum.  The spec names the slots of each operand
-with one letter per index, e.g. "imab,m->iab" for (R(xi, d_a) d_b)^i; a
-letter that is not in the output is summed.  The operands are contracted
-in pairs in the order written, so the caller stages the cheapest
-contraction first (R with xi before phi and g).  Each stage sums every
-output entry over the lcm of its denominators and reduces it once
-(scalars.fraction_sum); the differential operators below (the connection,
-covariant and Lie derivatives, Riemann) build each output entry the same
-way from numerator/denominator pairs.  The exterior derivative and the
-wedge with a 1-form are alternating sums of index permutations, taken
-through contract, of the coordinate partials (partials) and of a (x) b.
+Every algebraic and differential operator is built from two primitives:
+partials, the coordinate partials of every entry as one more trailing
+slot, and contract(spec, *operands), an exact einsum.  The spec names the
+slots of each operand with one letter per index, e.g. "imab,m->iab" for
+(R(xi, d_a) d_b)^i; a letter that is not in the output is summed.  The
+operands are contracted in pairs in the order written, so the caller
+stages the cheapest contraction first (R with xi before phi and g).  Each
+stage sums every output entry over the lcm of its denominators and
+reduces it once (scalars.fraction_sum).  Two fast paths keep the
+primitive cheap: an operand whose labels are all distinct keys its
+nonzero entries by position directly, with no diagonal test, and the
+last stage's entries are scattered into the output by the row-major
+stride of each label.  On top of them:
+
+- the connection (christoffel) is g^{-1}/2 contracted with a sum of
+  permutations of the partials of g;
+- nabla T is partials(T) plus one contraction with the connection per
+  slot, L_v T is v contracted with partials(T) plus one contraction with
+  partials(v) per slot;
+- Riemann is X - X(i<->j) for X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk;
+- the exterior derivative and the wedge with a 1-form are alternating
+  sums of index permutations of partials and of a (x) b.
+
 Callers combine the results by entrywise field arithmetic into one
 residual Components per check.
 
@@ -48,6 +59,7 @@ there once per structure.
 from __future__ import annotations
 
 import itertools
+import operator
 import string
 from collections import defaultdict
 from fractions import Fraction
@@ -201,7 +213,7 @@ class Components:
     def __neg__(self) -> "Components":
         return Components(self.n, self.rank, [-a for a in self.flat])
 
-    def _times(self, c, invert: bool = False) -> "Components":
+    def _scaled(self, c, invert: bool = False) -> "Components":
         """Every entry times c, or divided by c; c is a ScalarField, a field
         element or a rational number."""
         if isinstance(c, ScalarField):
@@ -216,12 +228,12 @@ class Components:
         return Components(self.n, self.rank, [a / c for a in flat])
 
     def __mul__(self, c) -> "Components":
-        return self._times(c)
+        return self._scaled(c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Components":
-        return self._times(c, invert=True)
+        return self._scaled(c, invert=True)
 
     def __eq__(self, other):
         if not isinstance(other, Components):
@@ -363,11 +375,14 @@ def _components(x, labels: str) -> Tuple[Optional[int], tuple]:
 def _entries(flat: tuple, labels: str, n: int) -> Tuple[str, Entries]:
     """Nonzero entries keyed by the distinct labels; a label repeated within
     one operand takes its diagonal."""
+    keys = itertools.product(range(n), repeat=len(labels))
     distinct = "".join(dict.fromkeys(labels))
+    if distinct == labels:
+        return labels, {idx: v for idx, v in zip(keys, flat) if v}
     first = [labels.index(c) for c in labels]
     keep = [labels.index(c) for c in distinct]
     out: Entries = {}
-    for idx, v in zip(itertools.product(range(n), repeat=len(labels)), flat):
+    for idx, v in zip(keys, flat):
         if v and all(idx[p] == idx[f] for p, f in enumerate(first)):
             out[tuple(idx[p] for p in keep)] = v
     return distinct, out
@@ -398,7 +413,7 @@ def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep, field) -> Tuple[str
         if len(pairs) == 1 and pairs[0][0] is one:  # the first operand as it stands
             value = pairs[0][1]
         else:
-            value = fraction_sum(field, (product(1, a, b) for a, b in pairs))
+            value = fraction_sum(field, (product(a, b) for a, b in pairs))
         if value:
             out[key] = value
     return kept, out
@@ -433,13 +448,14 @@ def contract(spec: str, *operands):
     if not output:
         value = entries.get((), field.zero)
         return ScalarField(context, value) if context is not None else value
-    order = [output.index(c) for c in labels]
-    zero = field.zero
-    flat = [
-        entries.get(tuple(idx[p] for p in order), zero)
-        for idx in itertools.product(range(n), repeat=len(output))
-    ]
-    return Components(n, len(output), flat)
+    # the last stage keeps exactly the output labels, in its own order:
+    # scatter its entries by the row-major stride of each label
+    rank = len(output)
+    steps = [n ** (rank - 1 - output.index(c)) for c in labels]
+    flat = [field.zero] * n**rank
+    for key, value in entries.items():
+        flat[sum(map(operator.mul, key, steps))] = value
+    return Components(n, rank, flat)
 
 
 def _letters(k: int, skip: str = "") -> str:
@@ -545,118 +561,48 @@ def metric_inverse(g: TensorField) -> TensorField:
     return TensorField(g.chart, 2, 0, Components(n, 2, inv))
 
 
-class ConnectionCoefficients:
-    """Levi-Civita connection coefficients Gamma^k_ij on a chart, stored as
-    Components of field elements with Gamma^k_ij at offset (k n + i) n + j."""
-
-    def __init__(self, chart: Chart, gamma):
-        self.chart = chart
-        arr = Components.of(gamma)
-        self.gamma = Components(arr.n, arr.rank, _elements(chart.context, arr.flat))
-
-    @staticmethod
-    def from_metric(g: TensorField, ginv: TensorField) -> "ConnectionCoefficients":
-        """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with
-        ginv = metric_inverse(g)."""
-        chart = g.chart
-        ctx = chart.context
-        n = chart.dim
-        G = g.comps.flat
-        ginv = ginv.comps.flat
-        # dg[k][i * n + j] = d_k g_ij
-        dg = [[ctx.partial_element(e, k) for e in G] for k in range(n)]
-        gamma = [ctx.field.zero] * n**3
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    pairs = []
-                    for l in range(n):
-                        gkl = ginv[k * n + l]
-                        if not gkl:
-                            continue
-                        for c, d in ((1, dg[i][j * n + l]), (1, dg[j][i * n + l]), (-1, dg[l][i * n + j])):
-                            if d:
-                                pairs.append(product(c, gkl, d))
-                    val = fraction_sum(ctx.field, pairs, divisor=2)
-                    gamma[(k * n + i) * n + j] = val
-                    gamma[(k * n + j) * n + i] = val
-        return ConnectionCoefficients(chart, Components(n, 3, gamma))
+def christoffel(g: TensorField, ginv: TensorField) -> TensorField:
+    """The Levi-Civita connection of g, with ginv = metric_inverse(g):
+    Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) at [k, i, j].
+    The TensorField(chart, 1, 2) is storage for the coefficients, not a
+    tensor: they do not transform as one under a change of chart."""
+    dg = partials(g)  # [i, j, l] = d_l g_ij
+    first = contract("jli->ijl", dg) + contract("ilj->ijl", dg) - dg
+    return TensorField(g.chart, 1, 2, contract("kl,ijl->kij", ginv.comps / 2, first))
 
 
-def _strides(n: int, rank: int) -> list:
-    """Offset step of each slot of a row-major rank-`rank` array."""
-    return [n ** (rank - 1 - p) for p in range(rank)]
-
-
-def _times(f: Frac, pair) -> tuple:
-    """f times an unreduced numerator/denominator pair."""
-    return f.numer * pair[0], f.denom * pair[1]
-
-
-def covariant_derivative(t: TensorField, conn: ConnectionCoefficients) -> TensorField:
-    """nabla T with the direction index appended as the last covariant slot."""
-    chart = t.chart
-    ctx = chart.context
-    n = chart.dim
-    r, s = t.r, t.s
-    T, G = t.comps.flat, conn.gamma.flat
-    if r + s == 0:
-        return TensorField(chart, 0, 1, [ctx.partial_element(T[0], c) for c in range(n)])
-    strides = _strides(n, r + s)
-    out = []  # (nabla T)[idx, c] at offset off * n + c: appended in that order
-    for off, idx in enumerate(t.indices()):
-        for c in range(n):
-            pairs = [ctx.diff(T[off], c)]
-            for p, (i, step) in enumerate(zip(idx, strides)):
-                base = off - i * step
-                for m in range(n):
-                    Tm = T[base + m * step]
-                    if not Tm:
-                        continue
-                    if p < r:  # + Gamma^{i}_{c m} T[.. m ..]
-                        gam, sign = G[(i * n + c) * n + m], 1
-                    else:  # - Gamma^{m}_{c i} T[.. m ..]
-                        gam, sign = G[(m * n + c) * n + i], -1
-                    if gam:
-                        pairs.append(product(sign, gam, Tm))
-            out.append(fraction_sum(ctx.field, pairs))
-    return TensorField(chart, r, s + 1, Components(n, r + s + 1, out))
+def covariant_derivative(t: TensorField, conn: TensorField) -> TensorField:
+    """nabla T with the direction index appended as the last covariant
+    slot: d_c T[..] plus Gamma^a_cm T[.. m ..] for each upper slot a and
+    minus Gamma^m_ca T[.. m ..] for each lower one, with conn the
+    christoffel coefficients."""
+    idx = _letters(t.rank, skip="cm")
+    out = partials(t)
+    for p, a in enumerate(idx):
+        moved = idx[:p] + "m" + idx[p + 1 :]
+        if p < t.r:
+            out = out + contract(f"{a}cm,{moved}->{idx}c", conn, t)
+        else:
+            out = out - contract(f"mc{a},{moved}->{idx}c", conn, t)
+    return TensorField(t.chart, t.r, t.s + 1, out)
 
 
 def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
-    """Connection-free Lie derivative along the vector field v."""
+    """Connection-free Lie derivative along the vector field v:
+    v^c d_c T[..] minus (d_m v^a) T[.. m ..] for each upper slot a and plus
+    (d_a v^m) T[.. m ..] for each lower one."""
     if (v.r, v.s) != (1, 0):
         raise ValenceError("lie_derivative direction must be a vector field")
-    chart = t.chart
-    ctx = chart.context
-    n = chart.dim
-    r, s = t.r, t.s
-    V, T = v.comps.flat, t.comps.flat
-
-    def along_v(f):  # v(f) as pairs
-        return [_times(V[c], ctx.diff(f, c)) for c in range(n) if V[c]]
-
-    if r + s == 0:
-        return TensorField(chart, 0, 0, fraction_sum(ctx.field, along_v(T[0])))
-    dv = [[ctx.partial_element(V[i], m) for m in range(n)] for i in range(n)]  # d_m v^i
-    strides = _strides(n, r + s)
-    out = []
-    for off, idx in enumerate(t.indices()):
-        pairs = along_v(T[off])
-        for p, (i, step) in enumerate(zip(idx, strides)):
-            base = off - i * step
-            for m in range(n):
-                Tm = T[base + m * step]
-                if not Tm:
-                    continue
-                if p < r:  # - (d_m v^i) T[.. m ..]
-                    d, sign = dv[i][m], -1
-                else:  # + (d_i v^m) T[.. m ..]
-                    d, sign = dv[m][i], 1
-                if d:
-                    pairs.append(product(sign, d, Tm))
-        out.append(fraction_sum(ctx.field, pairs))
-    return TensorField(chart, r, s, Components(n, r + s, out))
+    idx = _letters(t.rank, skip="cm")
+    dv = partials(v)  # [a, m] = d_m v^a
+    out = contract(f"{idx}c,c->{idx}", partials(t), v)
+    for p, a in enumerate(idx):
+        moved = idx[:p] + "m" + idx[p + 1 :]
+        if p < t.r:
+            out = out - contract(f"{a}m,{moved}->{idx}", dv, t)
+        else:
+            out = out + contract(f"m{a},{moved}->{idx}", dv, t)
+    return TensorField(t.chart, t.r, t.s, out)
 
 
 def partials(t: TensorField) -> Components:
@@ -701,37 +647,11 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
 # curvature
 
 
-def riemann(conn: ConnectionCoefficients) -> TensorField:
-    """R[l, i, j, k] = component of R(d_i, d_j) d_k along d_l."""
-    chart = conn.chart
-    ctx = chart.context
-    n = chart.dim
-    G = conn.gamma.flat
-    dG = {}  # (offset, coordinate) -> d Gamma, as a pair
-
-    def d_gamma(off, c):
-        if (off, c) not in dG:
-            dG[off, c] = ctx.diff(G[off], c)
-        return dG[off, c]
-
-    out = [ctx.field.zero] * n**4
-    for l in range(n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    num, den = d_gamma((l * n + i) * n + k, j)
-                    pairs = [d_gamma((l * n + j) * n + k, i), (-num, den)]
-                    for m in range(n):
-                        a, b = G[(l * n + i) * n + m], G[(m * n + j) * n + k]
-                        if a and b:
-                            pairs.append(product(1, a, b))
-                        a, b = G[(l * n + j) * n + m], G[(m * n + i) * n + k]
-                        if a and b:
-                            pairs.append(product(-1, a, b))
-                    val = fraction_sum(ctx.field, pairs)
-                    out[((l * n + i) * n + j) * n + k] = val
-                    out[((l * n + j) * n + i) * n + k] = -val
-    return TensorField(chart, 1, 3, Components(n, 4, out))
+def riemann(conn: TensorField) -> TensorField:
+    """R[l, i, j, k] = component of R(d_i, d_j) d_k along d_l:
+    X[l, i, j, k] - X[l, j, i, k] with X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk."""
+    X = contract("ljki->lijk", partials(conn)) + contract("lim,mjk->lijk", conn, conn)
+    return TensorField(conn.chart, 1, 3, X - contract("ljik->lijk", X))
 
 
 def ricci_tensor(R: TensorField) -> TensorField:

@@ -26,7 +26,8 @@ and ^ with a non-negative integer exponent of at most MAX_EXPONENT (a
 larger one is a ParseError, not a long expansion).  ^ binds tightest, then
 unary -, then * /, then + -; binary operators are left associative.  A
 numeric literal has at most MAX_LITERAL_DIGITS digits (a longer one is a
-ParseError, not a ValueError from int()).
+ParseError, not a ValueError from int()), and so is a division by an
+expression that is identically zero.
 
 The parser computes as it reads: each production returns an element of
 the context's field, so an expression is parsed once, straight into the
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import DefinitionError, DivisionByZeroFieldError, ParseError, UnknownIdentifierError
+from .errors import DefinitionError, ParseError, UnknownIdentifierError
 from .field import Frac
 from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
 
@@ -143,7 +144,7 @@ class _Parser:
         if op == "*":
             return left * right
         if not right:
-            raise DivisionByZeroFieldError("division by the zero scalar field")
+            raise ParseError("division by zero", tok[2])
         return left / right
 
     def accept(self, ops: str):

@@ -17,11 +17,13 @@ and denominator without a common factor, whose denominator has a positive
 leading coefficient (lex order on the sorted generators).  That form is
 unique, so equality and zero tests need no further work; it is the form
 sympy's cancel(together(.)) gives, and str() prints what sympy's sstr
-prints for it.  The kernels that sum many products (contractions, the
-connection, curvature) add numerator/denominator pairs over the lcm of
-their denominators and reduce each result once (fraction_sum).  The
-derivative rule d/dc = d_c + sum(rate * E * d_E) is written once, as the
-derivation table of the context.
+prints for it.  Sums of many products are taken in one place,
+geometry.contract, through which the connection, the covariant and Lie
+derivatives and the curvature are built too: each of its stages adds the
+products of two entries as numerator/denominator pairs (product) over the
+lcm of their denominators and reduces each result once (fraction_sum).
+The derivative rule d/dc = d_c + sum(rate * E * d_E) is written once, as
+the derivation table of the context, and partial_element applies it.
 
 Values at a rational point are exact too (PointValues): there every
 generator exp(r*c) is a power of E = e^(1/N) for one integer N, so a value
@@ -129,21 +131,16 @@ class ScalarContext:
         """The field generator of a coordinate or generator name."""
         return self.field.gens[self.field.symbols.index(name)]
 
-    def diff(self, f: Frac, coord_index: int) -> Pair:
-        """d f / d(coordinate), generator rule included, as an unreduced
-        numerator/denominator pair (f' = (n' d - n d') / d^2)."""
+    def partial_element(self, f: Frac, coord_index: int) -> Frac:
+        """d f / d(coordinate), generator rule included, reduced from
+        (n' d - n d') / d^2."""
         n, d = f.numer, f.denom
         terms, lcd = self._poly_derivation[coord_index]
         dn = self._diff_poly(n, terms)  # lcd * n'
-        if d.is_ground:
-            return dn, d * lcd
-        dd = self._diff_poly(d, terms)  # lcd * d'
+        dd = None if d.is_ground else self._diff_poly(d, terms)  # lcd * d'
         if not dd:
-            return dn, d * lcd
-        return dn * d - n * dd, d * d * lcd
-
-    def partial_element(self, f: Frac, coord_index: int) -> Frac:
-        return reduce(self.field, *self.diff(f, coord_index))
+            return reduce(self.field, dn, d * lcd)
+        return reduce(self.field, dn * d - n * dd, d * d * lcd)
 
     @staticmethod
     def _diff_poly(p: Poly, terms) -> Poly:
@@ -184,9 +181,9 @@ def to_element(field: FracField, value) -> Frac:
     raise TypeError(f"{value!r} is not an element of {field}")
 
 
-def fraction_sum(field: FracField, pairs: Iterable[Pair], divisor: int = 1) -> Frac:
+def fraction_sum(field: FracField, pairs: Iterable[Pair]) -> Frac:
     """The sum of numerator/denominator pairs, taken over the lcm of their
-    denominators, divided by an integer divisor and reduced once."""
+    denominators and reduced once."""
     ring = field.ring
     one = ring.one
     num, den = ring.zero, one
@@ -202,7 +199,7 @@ def fraction_sum(field: FracField, pairs: Iterable[Pair], divisor: int = 1) -> F
         else:
             _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
             num, den = num * cd + n * cden, den * cd
-    return reduce(field, num, den if divisor == 1 else den * divisor)
+    return reduce(field, num, den)
 
 
 def combine(a: Frac, b: Frac, sign: int = 1) -> Frac:
@@ -223,15 +220,11 @@ def power(f: Frac, n: int) -> Frac:
     return f**n
 
 
-def product(c: int, *factors: Frac) -> Pair:
-    """c times the product of field elements, as an unreduced pair."""
-    num, den = factors[0].numer, factors[0].denom
-    one = den.ring.one
-    for f in factors[1:]:
-        num = num * f.numer
-        if f.denom != one:
-            den = f.denom if den == one else den * f.denom
-    return (num if c == 1 else num * c), den
+def product(a: Frac, b: Frac) -> Pair:
+    """a * b as an unreduced pair."""
+    one = a.field.ring.one
+    den = b.denom if a.denom == one else a.denom if b.denom == one else a.denom * b.denom
+    return a.numer * b.numer, den
 
 
 # --------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .errors import ConventionBugError, EngineError, StructureError
 from .geometry import (
     Chart,
     Components,
-    ConnectionCoefficients,
     TensorField,
+    christoffel,
     compose11,
     contract,
     covariant_derivative,
@@ -286,7 +286,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
 # A and h
 
 
-def tensor_A(s: AlmostParacontactStructure, conn: ConnectionCoefficients) -> TensorField:
+def tensor_A(s: AlmostParacontactStructure, conn: TensorField) -> TensorField:
     """A = -nabla(xi) as a (1,1)-tensor, A^i_j = -(nabla_j xi)^i."""
     return -covariant_derivative(s.xi, conn)
 
@@ -344,8 +344,9 @@ class StructureAnalysis:
         return self.alpha is not None and self.alpha.is_constant()
 
     @cached_property
-    def conn(self) -> ConnectionCoefficients:
-        return ConnectionCoefficients.from_metric(self.structure.g, self.ginv)
+    def conn(self) -> TensorField:
+        """The connection coefficients Gamma^k_ij at [k, i, j] (christoffel)."""
+        return christoffel(self.structure.g, self.ginv)
 
     @cached_property
     def ginv(self) -> TensorField:

@@ -9,8 +9,8 @@ from typing import Optional, Sequence
 import sympy as sp
 
 from paracosym.errors import PoleError
+from paracosym import geometry
 from paracosym.geometry import (
-    ConnectionCoefficients,
     TensorField,
     contract,
     identity_tensor,
@@ -74,9 +74,9 @@ def numeric_at(t: TensorField, point: Optional[Sequence] = None):
     return t.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))
 
 
-def christoffel(g: TensorField) -> ConnectionCoefficients:
-    """The Levi-Civita connection of a bare metric."""
-    return ConnectionCoefficients.from_metric(g, metric_inverse(g))
+def christoffel(g: TensorField) -> TensorField:
+    """The Levi-Civita connection coefficients of a bare metric."""
+    return geometry.christoffel(g, metric_inverse(g))
 
 
 def ricci_operator(S: TensorField, g: TensorField) -> TensorField:

@@ -286,6 +286,25 @@ def test_cli_bad_rational_option_exits_4(tmp_path, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "entry, old, new, options, offset",
+    [
+        ("flat_product", "xi = [0, 0, 1]", "xi = [0, 0, 1 + x/(y - y)]", ["verify"], 5),
+        ("example_e", "", "", ["deform", "--gamma", "2", "--beta", "1/(x-x)"], 1),
+    ],
+    ids=["definition-entry", "beta"],
+)
+def test_cli_division_by_zero_expression_exits_4(tmp_path, capsys, entry, old, new, options, offset):
+    # an expression that divides by an identically zero one is a parse
+    # error, reported at the offset of its '/'; it used to exit 2
+    text = catalog_entry(entry).definition_text
+    assert old in text
+    path = tmp_path / "zero.txt"
+    path.write_text(text.replace(old, new))
+    assert main([*options, str(path)]) == 4
+    assert capsys.readouterr().err == f"error: division by zero (at offset {offset})\n"
+
+
 def test_cli_point_on_5d_definition_exits_4(tmp_path):
     # the point feeds only the 3D h-type classification: on a 5D definition
     # it used to be accepted and ignored

@@ -62,12 +62,12 @@ def test_christoffel_metric_compatible_and_symmetric():
     rng = random.Random(7)
     g = _random_metric(rng)
     conn = christoffel(g)
-    nabg = covariant_derivative(g, conn)
-    assert nabg.is_zero()
+    for metric in (g, metric_inverse(g)):  # nabla g = 0 and nabla g^{-1} = 0
+        assert covariant_derivative(metric, conn).is_zero()
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                assert conn.gamma[k, i, j] == conn.gamma[k, j, i]
+                assert conn.comps[k, i, j] == conn.comps[k, j, i]
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_christoffel_and_riemann_match_expr_sums(seed11):
         ]
         for k in RNG3
     ]
-    G = christoffel(g).gamma
+    G = christoffel(g).comps
     for k, i, j in itertools.product(RNG3, repeat=3):
         assert G[k, i, j].as_expr() == gamma[k][i][j]
     dgamma = {
@@ -549,3 +549,80 @@ def test_partials_d_and_wedge_match_sympy_sums(case):
         w_sum = sum((-1) ** j * e[idx[j]] * P[rest[j]] for j in range(3))
         assert _same(dPhi[idx], d_sum)
         assert _same(ePhi[idx], w_sum)
+
+
+# --------------------------------------------------------------------
+# nabla and L_v of every valence, against sympy
+
+
+@st.composite
+def _fields(draw, r, s):
+    """(chart, an (r,s) field, a vector field v, connection coefficients) in
+    dimension 3 whose entries are zero or polynomials of degree at most 2
+    with rational coefficients; the coefficients are not symmetric, so a
+    swapped index shows."""
+    n = 3
+    ctx = ScalarContext(tuple(f"x{i}" for i in range(n)), ())
+    chart = Chart(ctx, (Fraction(0),) * n)
+    coords = [ctx.coordinate(i) for i in range(n)]
+    index = st.integers(0, n - 1)
+
+    def entries(rank):
+        out = []
+        for _ in range(n**rank):
+            f = ctx.zero()
+            for _ in range(draw(st.integers(0, 2))):  # monomials of degree 0..2
+                term = ctx.scalar(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2))))
+                for _ in range(draw(st.integers(0, 2))):
+                    term = term * coords[draw(index)]
+                f = f + term
+            out.append(f.value)
+        return Components(n, rank, out)
+
+    return (
+        chart,
+        TensorField(chart, r, s, entries(r + s)),
+        TensorField(chart, 1, 0, entries(1)),
+        TensorField(chart, 1, 2, entries(3)),
+    )
+
+
+VALENCES = [(r, k - r) for k in (1, 2, 3) for r in range(k + 1)]
+
+
+@pytest.mark.parametrize("r, s", VALENCES, ids=[f"{r}{s}" for r, s in VALENCES])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_covariant_and_lie_derivatives_match_sympy_sums(r, s, data):
+    chart, t, v, conn = data.draw(_fields(r, s))
+    coords = symbols(chart.context)
+    nabla = covariant_derivative(t, conn).comps
+    lie = lie_derivative(v, t).comps
+    # the nested sums are taken in sympy's ring QQ[x0, x1, x2], which
+    # decides equality exactly and much sooner than expand on expressions
+    K = sp.QQ[coords]
+    T, V, G = (x.array.applyfunc(K.from_sympy) for x in (t, v, conn))
+    indices = list(itertools.product(RNG3, repeat=r + s))
+    # dT[idx][c] = d_c T[idx] and dV[a][m] = d_m v^a, by sp.diff
+    dT = {i: [K.from_sympy(sp.diff(t.array[i], c)) for c in coords] for i in indices}
+    dV = [[K.from_sympy(sp.diff(v.array[a], c)) for c in coords] for a in RNG3]
+
+    def moved(idx, p, m):
+        return idx[:p] + (m,) + idx[p + 1 :]
+
+    for idx in indices:
+        for c in RNG3:
+            want = dT[idx][c]
+            for p, a in enumerate(idx):
+                if p < r:
+                    want += sum(G[a, c, m] * T[moved(idx, p, m)] for m in RNG3)
+                else:
+                    want -= sum(G[m, c, a] * T[moved(idx, p, m)] for m in RNG3)
+            assert K.from_sympy(nabla[idx + (c,)].as_expr()) == want
+        want = sum(V[c] * dT[idx][c] for c in RNG3)
+        for p, a in enumerate(idx):
+            if p < r:
+                want -= sum(dV[a][m] * T[moved(idx, p, m)] for m in RNG3)
+            else:
+                want += sum(dV[m][a] * T[moved(idx, p, m)] for m in RNG3)
+        assert K.from_sympy(lie[idx].as_expr()) == want
