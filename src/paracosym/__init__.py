@@ -22,7 +22,6 @@ _LAZY = {
     "parse_scalar": "parser",
     "GeneratorDecl": "scalars",
     "ScalarContext": "scalars",
-    "ScalarField": "scalars",
     "Chart": "geometry",
     "TensorField": "geometry",
     "AlmostParacontactStructure": "structures",

@@ -50,7 +50,7 @@ from .geometry import Components, contract, identity_tensor
 from .structures import CheckItem, StructureAnalysis, _residual_item
 from .nullity import NullityFit, nullity_fit
 from .field import Frac
-from .scalars import ScalarContext, ScalarField
+from .scalars import ScalarContext
 from .tower import Quad, QuadraticTower
 
 
@@ -83,10 +83,10 @@ def classify_h(an: StructureAnalysis, point=None) -> HType:
     if not any(values.value(c) for c in s.eta.comps.flat):
         raise StructureError(f"eta degenerate at point {pt}")
     det = (contract("ii->", an.h) ** 2 - contract("ij,ji->", an.h, an.h)) / 2
-    sign = values.sign(values.value(det.value))
+    sign = values.sign(values.value(det))
     if sign == 0:
         return HType("H2", None, pt)
-    val = sp.simplify(_subs_point(an, det.value.as_expr(), pt))
+    val = sp.simplify(_subs_point(an, det.as_expr(), pt))
     return HType("H1", sp.simplify(-val), pt) if sign < 0 else HType("H3", val, pt)
 
 
@@ -157,13 +157,12 @@ class _Domain:
     def sqrt(self, a):
         return sp.sqrt(a) if self.tower is None else self.tower.sqrt(a)
 
-    def scalar(self, f: ScalarField):
-        return f.value.as_expr() if self.tower is None else self.tower.base(f.value)
+    def scalar(self, f: Frac):
+        return f.as_expr() if self.tower is None else self.tower.base(f)
 
     def flat(self, comps: Components) -> tuple:
         """The entries, row-major, in this domain."""
-        convert = Frac.as_expr if self.tower is None else self.tower.base
-        return tuple(map(convert, comps.flat))
+        return tuple(map(self.scalar, comps.flat))
 
     g = cached_property(lambda self: self.flat(self.an.structure.g.comps))
     phi = cached_property(lambda self: self.flat(self.an.structure.phi.comps))

@@ -40,16 +40,20 @@ def _read(path: str) -> str:
         raise DefinitionError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_point(raw: str, dim: int) -> List[Fraction]:
+def _parse_point(raw: str, context) -> List[Fraction]:
     from .parser import _parse_rational
+    from .scalars import PointValues
 
+    dim = context.dim
     if dim != 3:
         # the point feeds only the h-type classification, which is 3D
         raise DefinitionError(f"--point applies to a 3-dimensional definition only, not dim {dim}")
     parts = raw.split(",")
     if len(parts) != dim:
         raise DefinitionError(f"--point needs {dim} comma-separated rationals")
-    return [_parse_rational(p) for p in parts]
+    point = [_parse_rational(p) for p in parts]
+    PointValues(context, point)  # refuses a generator power above the bound
+    return point
 
 
 def _emit(report, as_json: bool) -> int:
@@ -113,7 +117,7 @@ def _dispatch(args) -> int:
         return _emit(run_verify(defn), args.json)
 
     if args.command == "analyze":
-        point = _parse_point(args.point, defn.dim) if args.point else None
+        point = _parse_point(args.point, defn.context()) if args.point else None
         return _emit(run_analyze(defn, point), args.json)
 
     if args.command == "deform":

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .geometry import Components, TensorField, contract, covariant_derivative, identity_tensor
-from .scalars import ScalarField
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -40,7 +39,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     # R(X,Y)xi = X(alpha) P Y - Y(alpha) P X + alpha eta(X)(alpha Y + phi.h Y)
     #   - alpha eta(Y)(alpha X + phi.h X) + (nabla_X phi.h)Y - (nabla_Y phi.h)X
     rhs = (
-        contract("a,ib->iab", _gradient(an.alpha), an.proj)
+        contract("a,ib->iab", _gradient(an.chart.context, an.alpha), an.proj)
         + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih.comps))
         + nab_phih
     )
@@ -198,12 +197,12 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     model = contract("bk,ia->iabk", g, delta) - contract("ak,ib->iabk", g, delta)
 
     at = an.chart.values_at()
-    cf = an.chart.context.zero()
+    cf = an.chart.context.field.zero
     for idx in an.R.indices():
         m = model[idx]
         if not m or not at.is_unit(m):
             continue
-        cf = ScalarField(an.chart.context, R[idx] / m)
+        cf = R[idx] / m
         break
 
     w = (R - cf * model).first_nonzero()

@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import DeformationParameterError
 from .geometry import Chart, TensorField, contract
-from .scalars import GeneratorDecl, ScalarContext, ScalarField
+from .field import Frac
+from .scalars import GeneratorDecl, ScalarContext
 from .structures import (
     AlmostParacontactStructure,
     CheckItem,
@@ -35,7 +36,7 @@ from .structures import (
 )
 
 
-def _check_eta_proportional(s: AlmostParacontactStructure, fld: ScalarField, what: str):
+def _check_eta_proportional(s: AlmostParacontactStructure, fld: Frac, what: str):
     """d(fld) ^ eta = 0, exactly."""
     bad = d_wedge_eta(s, fld)
     if bad is not None:
@@ -43,24 +44,24 @@ def _check_eta_proportional(s: AlmostParacontactStructure, fld: ScalarField, wha
         raise DeformationParameterError(f"d({what}) ^ eta != 0 at component ({i},{j})")
 
 
-def _nonzero_at_base(s: AlmostParacontactStructure, fld: ScalarField, what: str):
+def _nonzero_at_base(s: AlmostParacontactStructure, fld: Frac, what: str):
     """fld is not zero at the base point, decided exactly (PoleError at a
     pole)."""
     if fld.is_zero():
         raise DeformationParameterError(f"{what} is identically zero")
-    if not s.chart.values_at().value(fld.value):
+    if not s.chart.values_at().value(fld):
         raise DeformationParameterError(f"{what} vanishes at the base point")
 
 
 def d_homothetic_deform(
     s: AlmostParacontactStructure,
     gamma: Union[int, Fraction],
-    beta: ScalarField,
+    beta: Frac,
 ) -> AlmostParacontactStructure:
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise DeformationParameterError(f"gamma must be positive, got {gamma}")
-    if beta.context != s.chart.context:
+    if beta.field.symbols != s.chart.context.field.symbols:
         raise DeformationParameterError("beta lives in a different scalar context")
     _check_eta_proportional(s, beta, "beta")
     _nonzero_at_base(s, beta, "beta")
@@ -76,7 +77,7 @@ def d_homothetic_deform(
 
 
 def conformal_deform(
-    an: StructureAnalysis, u: ScalarField
+    an: StructureAnalysis, u: Frac
 ) -> AlmostParacontactStructure:
     """Requires du = alpha*eta (checked exactly); the output has alpha' = 0.
 
@@ -86,7 +87,8 @@ def conformal_deform(
     s = an.structure
     if not an.is_apc:
         raise DeformationParameterError("conformal deformation needs an apc input")
-    du_res = _gradient(u) - an.alpha * s.eta.comps
+    ctx = s.chart.context
+    du_res = _gradient(ctx, u) - an.alpha * s.eta.comps
     bad = du_res.first_nonzero()
     if bad is not None:
         raise DeformationParameterError(
@@ -95,9 +97,7 @@ def conformal_deform(
     if u.is_zero():
         return AlmostParacontactStructure(s.chart, s.phi, s.xi, s.eta, s.g)
 
-    coeff, coord_index = _linear_coordinate_form(u)
-    ctx = s.chart.context
-    rate = coeff
+    rate, coord_index = _linear_coordinate_form(ctx, u)
     decl = None
     for i, gen in enumerate(ctx.generators):
         if gen.coord_index == coord_index and gen.rate == rate:
@@ -113,7 +113,7 @@ def conformal_deform(
         decl = GeneratorDecl(name, coord_index, rate)
         ctx = ScalarContext(ctx.coord_names, ctx.generators + (decl,))
     chart = Chart(ctx, s.chart.base_point)
-    E = ScalarField(ctx, ctx.variable(decl.name))  # e^{u}
+    E = ctx.variable(decl.name)  # e^{u}
 
     def moved(t: TensorField):  # t's components in the field of the new context
         return TensorField(chart, t.r, t.s, t.comps).comps
@@ -125,10 +125,9 @@ def conformal_deform(
     return AlmostParacontactStructure(chart, phi_p, xi_p, eta_p, g_p)
 
 
-def _linear_coordinate_form(u: ScalarField) -> Tuple[Fraction, int]:
+def _linear_coordinate_form(ctx: ScalarContext, u: Frac) -> Tuple[Fraction, int]:
     """Decompose u = q * x_k or fail."""
-    ctx = u.context
-    if u.has_generators():
+    if ctx.has_generators(u):
         raise DeformationParameterError(f"u = {u} is not of the form q*coordinate")
     for k in range(ctx.dim):
         q = u / ctx.coordinate(k)
@@ -145,7 +144,7 @@ def verify_deformation_laws(
     an: StructureAnalysis,
     an_t: StructureAnalysis,
     gamma,
-    beta: ScalarField,
+    beta: Frac,
 ) -> List[CheckItem]:
     """Verify the connection, A, h, and R(.,.)xi transformation laws of the
     homothetic deformation, exactly."""
@@ -178,13 +177,13 @@ def verify_deformation_laws(
 
 
 def transform_kmn(
-    kappa: ScalarField,
-    mu: Optional[ScalarField],
-    nu: Optional[ScalarField],
-    alpha: ScalarField,
+    kappa: Frac,
+    mu: Optional[Frac],
+    nu: Optional[Frac],
+    alpha: Frac,
     gamma,
-    beta: ScalarField,
-    dbeta_xi: ScalarField,
+    beta: Frac,
+    dbeta_xi: Frac,
 ):
     """Closed-form (kappa~, mu~, nu~) of the deformed nullity parameters."""
     b = beta
@@ -195,8 +194,8 @@ def transform_kmn(
 
 
 def invariant_I0(
-    kappa: ScalarField, mu: ScalarField, nu: ScalarField, alpha: ScalarField
-) -> ScalarField:
+    kappa: Frac, mu: Frac, nu: Frac, alpha: Frac
+) -> Frac:
     """I0 = (kappa - alpha*nu)/mu^2; undefined when mu = 0."""
     if mu is None or mu.is_zero():
         raise DeformationParameterError("I0 is undefined when mu = 0")

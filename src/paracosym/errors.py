@@ -11,16 +11,13 @@ class EngineError(Exception):
 
 
 class ContextMismatchError(EngineError):
-    """Two scalar fields live over different coordinate/generator contexts."""
+    """Arithmetic between elements of two fields: scalars of charts with
+    different coordinates or generators."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        super().__init__(
-            f"context mismatch: coords {left.coord_names} / generators "
-            f"{tuple(g.name for g in left.generators)} vs coords {right.coord_names} / "
-            f"generators {tuple(g.name for g in right.generators)}"
-        )
+        super().__init__(f"context mismatch: field over {left.symbols} vs field over {right.symbols}")
 
 
 class PoleError(EngineError):
@@ -32,7 +29,8 @@ class PoleError(EngineError):
 
 
 class DivisionByZeroFieldError(EngineError):
-    """Division by a scalar field that is identically zero."""
+    """Division by a scalar that is identically zero, or a negative power
+    of it."""
 
 
 class ZeroDivisorError(DivisionByZeroFieldError):

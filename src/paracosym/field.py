@@ -8,6 +8,11 @@ numerator and a denominator Poly.  Every Frac the engine keeps is reduced
 whose leading coefficient is positive.  That form is unique, so equality
 and zero tests need no further work.
 
+A Frac is the engine's one scalar type.  Arithmetic with an element of
+another field (another chart's) raises ContextMismatchError, and == is
+False; a division by zero or a negative power of zero raises
+DivisionByZeroFieldError.
+
 The generators are kept in sympy's order (sort_names, after
 polyutils._sort_gens: x, x1, x2, x10, y, z, t, a, E) and the gcd is the
 heuristic gcd of Char, Geddes and Gonnet (1989), ported from sympy's
@@ -16,7 +21,8 @@ FracField over ZZ gives; as_expr() is its sympy view, built on first use
 (the only place this module imports sympy).
 
 to_str prints a reduced fraction exactly as sympy's StrPrinter prints that
-view: sstr(f.as_expr()) and, with lex=True, sstr(f.as_expr(), order="lex").
+view: sstr(f.as_expr()) and, with lex=True, sstr(f.as_expr(), order="lex"),
+which serialize gives the JSON report.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import sub
 from typing import Optional, Tuple
+
+from .errors import ContextMismatchError, DivisionByZeroFieldError
 
 HEU_GCD_MAX = 6
 
@@ -532,14 +540,31 @@ class Frac:
     def __bool__(self):
         return bool(self.numer)
 
+    def is_zero(self) -> bool:
+        return not self.numer
+
+    def is_constant(self) -> bool:
+        return self.numer.is_ground and self.denom.is_ground
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError(f"not a constant: {self}")
+        return Fraction(self.numer.LC, self.denom.LC)
+
     def _other(self, other) -> Optional["Frac"]:
+        """other as an element of our field (an int or Fraction is lifted),
+        or None for a type that is not a scalar."""
         if isinstance(other, Frac):
+            if other.field is not self.field and other.field.symbols != self.field.symbols:
+                raise ContextMismatchError(self.field, other.field)
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.ground(other)
         return None
 
     def __eq__(self, other):
+        if isinstance(other, Frac) and other.field.symbols != self.field.symbols:
+            return False
         g = self._other(other)
         if g is None:
             return NotImplemented
@@ -597,7 +622,7 @@ class Frac:
         if g is None:
             return NotImplemented
         if not g.numer:
-            raise ZeroDivisionError("division by the zero element")
+            raise DivisionByZeroFieldError("division by the zero scalar field")
         if not self.numer:
             return self
         return reduce(self.field, self.numer * g.denom, self.denom * g.numer)
@@ -611,7 +636,7 @@ class Frac:
         if n >= 0:
             return Frac(self.field, self.numer**n, self.denom**n)
         if not self.numer:
-            raise ZeroDivisionError("negative power of zero")
+            raise DivisionByZeroFieldError("negative power of the zero field")
         # the inverse's denominator takes the sign of the old numerator
         return reduce(self.field, self.denom ** (-n), self.numer ** (-n))
 
@@ -722,6 +747,12 @@ def _poly_str(names, p: Poly, lex: bool, scale: int = 1) -> str:
     if len(terms) == 1:
         return _term_str(names, *terms[0])
     return _add_str(names, terms, lex)
+
+
+def serialize(f: Frac) -> str:
+    """The exact string of the JSON report: sstr(f.as_expr(), order="lex"),
+    so a constant prints as p or p/q."""
+    return to_str(f, lex=True)
 
 
 def to_str(f: Frac, lex: bool = False) -> str:

@@ -19,8 +19,9 @@ exponential generators.  Every tensor and contraction result stores them
 in one Components value: the dimension n, the rank and a flat row-major
 tuple of the n**rank entries, so the entry at (i_1, ..., i_k) sits at
 offset ((i_1 n + i_2) n + ...) n + i_k.  Field elements are the only
-entries the kernels here take or return; TensorField.array, the entries'
-sympy view (Frac.as_expr), is for reading from outside the engine.  Values
+entries the kernels here take or return, and a contraction to no index
+returns one field element; TensorField.array, the entries' sympy view
+(Frac.as_expr), is for reading from outside the engine.  Values
 at a rational point (eval_at, signature_at) are exact elements of QQ(E)
 from scalars.PointValues.
 
@@ -75,7 +76,6 @@ from .field import Frac
 from .scalars import (
     PointValues,
     ScalarContext,
-    ScalarField,
     combine,
     fraction_sum,
     product,
@@ -122,8 +122,6 @@ def _entry(x):
     of the other entries."""
     if isinstance(x, (Frac, int, Fraction)):
         return x
-    if isinstance(x, ScalarField):
-        return x.value
     raise ValenceError(f"component {x!r} is not a field element, an int or a Fraction")
 
 
@@ -214,10 +212,8 @@ class Components:
         return Components(self.n, self.rank, [-a for a in self.flat])
 
     def _scaled(self, c, invert: bool = False) -> "Components":
-        """Every entry times c, or divided by c; c is a ScalarField, a field
-        element or a rational number."""
-        if isinstance(c, ScalarField):
-            c = c.value
+        """Every entry times c, or divided by c; c is a field element or a
+        rational number."""
         field = _field_in((self.flat, (c,)), "scaling")
         c = to_element(field, c)
         flat = [to_element(field, a) for a in self.flat]
@@ -247,12 +243,6 @@ class Components:
         return f"Components({self.n}, {self.rank}, {self.flat!r})"
 
 
-def _elements(context: ScalarContext, flat) -> tuple:
-    """The entries as elements of the context's field."""
-    field = context.field
-    return tuple(e if isinstance(e, Frac) and e.field is field else context.element(e) for e in flat)
-
-
 class TensorField:
     """Componentwise exact (r,s)-tensor field on a chart: comps holds the
     field elements, array their sympy view."""
@@ -270,7 +260,9 @@ class TensorField:
                 f"component array of rank {arr.rank} in dimension {arr.n} does not "
                 f"match valence ({r},{s}) in dimension {n}"
             )
-        self.comps = Components(n, r + s, _elements(chart.context, arr.flat))
+        field = chart.context.field
+        flat = (e if isinstance(e, Frac) and e.field is field else to_element(field, e) for e in arr.flat)
+        self.comps = Components(n, r + s, flat)
         self._array = None
 
     @property
@@ -425,10 +417,9 @@ def contract(spec: str, *operands):
     The operands are contracted in pairs, left to right in the order given,
     skipping zero entries; every stage reduces each of its entries once.
     Returns Components of field elements indexed by the output labels, or,
-    for an empty output, one ScalarField (one field element when no operand
-    is a TensorField).  A malformed spec, an operand whose rank or
-    dimension does not match its labels, or operands without a field
-    element among them raise ValenceError.
+    for an empty output, one field element.  A malformed spec, an operand
+    whose rank or dimension does not match its labels, or operands without
+    a field element among them raise ValenceError.
     """
     inputs, output = _parse_spec(spec, len(operands))
     parts = [_components(x, labels) for x, labels in zip(operands, inputs)]
@@ -436,9 +427,9 @@ def contract(spec: str, *operands):
     if len(dims) > 1:
         raise ValenceError(f"operands of different dimensions {sorted(dims)}")
     n = dims.pop() if dims else 0
-    context = next((x.chart.context for x in operands if isinstance(x, TensorField)), None)
+    field = next((x.chart.context.field for x in operands if isinstance(x, TensorField)), None)
     flats = [flat for _, flat in parts]
-    field = context.field if context is not None else _field_in(flats, f"contraction {spec!r}")
+    field = field or _field_in(flats, f"contraction {spec!r}")
     flats = [[to_element(field, e) for e in flat] for flat in flats]
     labels, entries = "", {(): field.one}
     for k, (labels_k, flat) in enumerate(zip(inputs, flats)):
@@ -446,8 +437,7 @@ def contract(spec: str, *operands):
         lb, eb = _entries(flat, labels_k, n)
         labels, entries = _stage(labels, entries, lb, eb, keep, field)
     if not output:
-        value = entries.get((), field.zero)
-        return ScalarField(context, value) if context is not None else value
+        return entries.get((), field.zero)
     # the last stage keeps exactly the output labels, in its own order:
     # scatter its entries by the row-major stride of each label
     rank = len(output)

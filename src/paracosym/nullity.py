@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .field import Frac
 from .geometry import Components, TensorField, contract, identity_tensor, row_reduce
-from .scalars import ScalarField
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -33,9 +33,9 @@ from .structures import (
 @dataclass
 class NullityFit:
     status: str  # "exact" | "degenerate_h_zero" | "not_nullity"
-    kappa: Optional[ScalarField] = None
-    mu: Optional[ScalarField] = None
-    nu: Optional[ScalarField] = None
+    kappa: Optional[Frac] = None
+    mu: Optional[Frac] = None
+    nu: Optional[Frac] = None
     B: Optional[TensorField] = None
     witness: Optional[str] = None
     unique: bool = True  # False when the parameter representation is non-unique
@@ -64,7 +64,7 @@ def _bi_residual(an: StructureAnalysis, B: TensorField) -> Components:
     return an.R_xi - _antisymmetrized(contract("b,ia->iab", an.structure.eta, B))
 
 
-def _r_eta_ok(an: StructureAnalysis, fld: Optional[ScalarField]) -> Optional[str]:
+def _r_eta_ok(an: StructureAnalysis, fld: Optional[Frac]) -> Optional[str]:
     """d(fld) ^ eta = 0 check; returns a witness string on failure."""
     if fld is None:
         return None
@@ -91,7 +91,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
         if solved is None:
             return NullityFit("not_nullity", witness="l is not proportional to phi^2")
         (kv,), _ = solved
-        kappa = ScalarField(ctx, kv)
+        kappa = ctx.element(kv)
         B = TensorField(an.chart, 1, 1, kappa * P.comps)
         residual = _bi_residual(an, B)
         w = residual.first_nonzero()
@@ -114,7 +114,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
             witness="l is not in the span of {phi^2, h, phi.h}",
         )
     sol, unique = solved
-    kappa, mu, nu = (ScalarField(ctx, v) for v in sol)
+    kappa, mu, nu = map(ctx.element, sol)
     B = TensorField(an.chart, 1, 1, kappa * P.comps + mu * h.comps + nu * phih.comps)
     residual = _bi_residual(an, B)
     w = residual.first_nonzero()

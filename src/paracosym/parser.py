@@ -31,10 +31,13 @@ expression that is identically zero.
 
 The parser computes as it reads: each production returns an element of
 the context's field, so an expression is parsed once, straight into the
-chart's field.  Before an operation expands, its result is bounded: no
+chart's field: every entry, the declared alpha, --beta and --conformal-u
+is a field.Frac.  Before an operation expands, its result is bounded: no
 numerator or denominator may reach a total degree above MAX_DEGREE or more
 than MAX_TERMS terms, so a nest of ^ or a power of a long sum is a
-ParseError at once, not tens of thousands of terms.
+ParseError at once, not tens of thousands of terms.  A generator of rate
+0, or a base point where a generator's power passes
+scalars.MAX_GENERATOR_POWER, is a DefinitionError.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import List, Optional, Tuple
 
 from .errors import DefinitionError, ParseError, UnknownIdentifierError
 from .field import Frac
-from .scalars import GeneratorDecl, ScalarContext, ScalarField, power
+from .scalars import GeneratorDecl, PointValues, ScalarContext
 
 MAX_EXPONENT = 8
 MAX_DIM = 9  # analyze time grows steeply with dim: about 1 s at 9, 30 s at 15
@@ -196,7 +199,7 @@ class _Parser:
         # a power of a t-term polynomial has at most comb(t + n - 1, n)
         # terms; 0^0 = 1 has one
         self.bound(tok, degree * n, math.comb(max(numer, 1) + n - 1, n), math.comb(denom + n - 1, n))
-        return power(base, n)
+        return base**n
 
     def parse_atom(self) -> Frac:
         tok = self.next()
@@ -216,11 +219,11 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", off)
 
 
-def parse_scalar(text: str, context: ScalarContext) -> ScalarField:
+def parse_scalar(text: str, context: ScalarContext) -> Frac:
     """Parse one expression straight into the context's field."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return ScalarField(context, _Parser(text, context).parse())
+    return _Parser(text, context).parse()
 
 
 # --------------------------------------------------------------------
@@ -235,11 +238,11 @@ class ManifoldDefinition:
 
     scalar_context: ScalarContext
     base_point: Tuple[Fraction, ...]
-    xi: List[ScalarField]
-    eta: List[ScalarField]
-    phi: List[List[ScalarField]]
-    metric: List[List[ScalarField]]
-    declared_alpha: Optional[ScalarField] = None
+    xi: List[Frac]
+    eta: List[Frac]
+    phi: List[List[Frac]]
+    metric: List[List[Frac]]
+    declared_alpha: Optional[Frac] = None
 
     dim = property(lambda self: self.scalar_context.dim)
     coord_names = property(lambda self: self.scalar_context.coord_names)
@@ -398,8 +401,9 @@ def load_definition(contents: str) -> ManifoldDefinition:
 
     try:
         context = ScalarContext(coords, generators)
-    except ValueError as exc:  # a repeated coordinate, or a generator named like one
+    except ValueError as exc:  # a repeated coordinate, a generator named like one, a rate 0
         raise DefinitionError(str(exc)) from exc
+    PointValues(context, base_point)  # refuses a generator power above the bound
 
     structure = sections["structure"]
     for key in ("xi", "eta", "phi", "metric"):
@@ -419,7 +423,7 @@ def load_definition(contents: str) -> ManifoldDefinition:
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise DefinitionError(f"{label} must be a {dim}x{dim} matrix")
 
-    def scalars(entries: List[str]) -> List[ScalarField]:
+    def scalars(entries: List[str]) -> List[Frac]:
         return [parse_scalar(e, context) for e in entries]
 
     xi, eta = scalars(xi), scalars(eta)

@@ -14,9 +14,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, EngineError
 from .geometry import TensorField, contract
-from .field import to_str
+from .field import Frac, serialize, to_str
 from .parser import ManifoldDefinition
-from .scalars import ScalarField
 from .structures import (
     AlmostParacontactStructure,
     CheckItem,
@@ -47,9 +46,7 @@ def _items(items: Sequence[CheckItem]) -> List[Dict[str, object]]:
 def _scalar_str(fld) -> str:
     if fld is None:
         return "none"
-    if isinstance(fld, ScalarField):
-        return fld.serialize()
-    return str(Fraction(fld))
+    return serialize(fld) if isinstance(fld, Frac) else str(Fraction(fld))
 
 
 def _matrix_strs(t: TensorField) -> List[List[str]]:
@@ -214,7 +211,7 @@ def run_analyze(
         "h": _matrix_strs(an.h),
         "h_zero": an.h.is_zero(),
         "trace_A": str(contract("ii->", an.A)),
-        "scalar_curvature": an.r.serialize(),
+        "scalar_curvature": serialize(an.r),
     }
 
     tree["identities"] = _items(identity_suite(an))
@@ -345,8 +342,8 @@ def _classification_section(
 def run_deform(
     defn: ManifoldDefinition,
     gamma=None,
-    beta: Optional[ScalarField] = None,
-    u: Optional[ScalarField] = None,
+    beta: Optional[Frac] = None,
+    u: Optional[Frac] = None,
 ) -> AnalysisReport:
     """Deform, re-verify the axioms, and check the transformation laws."""
     from .deform import (
@@ -370,13 +367,13 @@ def run_deform(
 
     if u is not None:
         s_t = conformal_deform(an, u)
-        kind: Dict[str, object] = {"kind": "conformal", "u": u.serialize()}
+        kind: Dict[str, object] = {"kind": "conformal", "u": serialize(u)}
     else:
         s_t = d_homothetic_deform(s, gamma, beta)
         kind = {
             "kind": "homothetic",
             "gamma": str(Fraction(gamma)),
-            "beta": beta.serialize(),
+            "beta": serialize(beta),
         }
     an_t = StructureAnalysis(s_t)
     tree["deformation"] = kind

@@ -1,41 +1,45 @@
 """Exact scalar arithmetic for chart computations.
 
-A ScalarField is a rational function of the chart coordinates, optionally
+A scalar is a rational function of the chart coordinates, optionally
 involving declared exponential generators.  A generator E with base
-coordinate c and rational rate q stands for exp(q*c): algebraically it is
-an independent transcendental over the polynomial ring, so gcd reduction
-and zero testing stay decidable, and the only place its analytic meaning
-enters is the derivative rule dE/dc = q*E and evaluation at points.
+coordinate c and nonzero rational rate q stands for exp(q*c):
+algebraically it is an independent transcendental over the polynomial
+ring, so gcd reduction and zero testing stay decidable, and the only place
+its analytic meaning enters is the derivative rule dE/dc = q*E and
+evaluation at points.  A rate of 0 is refused: exp(0*c) = 1 is no
+transcendental.
 
 Every ScalarContext owns one rational function field QQ(coordinates,
 generators): a cached field.FracField of integer polynomials (the same
 fractions as over QQ, with cheaper coefficient arithmetic) whose
-generators are in sympy's order (field.sort_names).  A ScalarField holds
-one element of that field, and tensors store their components as such
-elements too.  An element is always a reduced fraction: integer numerator
-and denominator without a common factor, whose denominator has a positive
-leading coefficient (lex order on the sorted generators).  That form is
-unique, so equality and zero tests need no further work; it is the form
-sympy's cancel(together(.)) gives, and str() prints what sympy's sstr
-prints for it.  Sums of many products are taken in one place,
+generators are in sympy's order (field.sort_names).  Every scalar, and
+every tensor component, is one element of that field (field.Frac).  An
+element is always a reduced fraction: integer numerator and denominator
+without a common factor, whose denominator has a positive leading
+coefficient (lex order on the sorted generators).  That form is unique, so
+equality and zero tests need no further work; it is the form sympy's
+cancel(together(.)) gives, and str() prints what sympy's sstr prints for
+it.  Sums of many products are taken in one place,
 geometry.contract, through which the connection, the covariant and Lie
 derivatives and the curvature are built too: each of its stages adds the
 products of two entries as numerator/denominator pairs (product) over the
 lcm of their denominators and reduces each result once (fraction_sum).
-The derivative rule d/dc = d_c + sum(rate * E * d_E) is written once, as
-the derivation table of the context, and partial_element applies it.
+The context keeps what needs the generators' rates: the derivative rule
+d/dc = d_c + sum(rate * E * d_E), written once as its derivation table and
+applied by partial_element, and has_generators.
 
 Values at a rational point are exact too (PointValues): there every
-generator exp(r*c) is a power of E = e^(1/N) for one integer N, so a value
-is an element of QQ(E).  E is transcendental (Hermite-Lindemann), so a
-value is zero exactly when its numerator polynomial in E is, and the sign
-of a nonzero value comes from rational enclosures of e^(1/N) refined until
-they exclude 0.  No floats on any path.
+generator exp(r*c) is a power E**k of E = e^(1/N) for one integer N, so a
+value is an element of QQ(E).  E is transcendental (Hermite-Lindemann), so
+a value is zero exactly when its numerator polynomial in E is, and the
+sign of a nonzero value comes from rational enclosures of e^(1/N) refined
+until they exclude 0.  A point where some |k| is above
+MAX_GENERATOR_POWER is refused.  No floats on any path.
 
 Field elements are the only scalar representation here: a value enters as
-a field element, a ScalarField or a rational number, and this module never
-imports sympy.  The one sympy view of an element is Frac.as_expr (field),
-which classify and the tests read.
+a field element or a rational number, and this module never imports
+sympy.  The one sympy view of an element is Frac.as_expr (field), which
+classify and the tests read.
 """
 
 from __future__ import annotations
@@ -46,10 +50,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
-from .errors import ContextMismatchError, DivisionByZeroFieldError, PoleError
-from .field import Frac, FracField, Poly, field_of_names, reduce, sort_names, to_str
+from .errors import DefinitionError, PoleError
+from .field import Frac, FracField, Poly, field_of_names, reduce, sort_names
 
 Pair = Tuple[Poly, Poly]  # (numerator, denominator), not reduced
+
+# the largest |k| of a generator E**k at a point (PointValues): a sign
+# there raises rational enclosures of e^(1/N) to powers of that size
+MAX_GENERATOR_POWER = 10000
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class GeneratorDecl:
 
 
 class ScalarContext:
-    """Shared coordinate/generator universe for a family of scalar fields,
+    """Shared coordinate/generator universe for the scalars of a chart,
     with its rational function field."""
 
     def __init__(self, coord_names: Sequence[str], generators: Sequence[GeneratorDecl] = ()):
@@ -77,6 +85,10 @@ class ScalarContext:
                 raise ValueError(f"generator {gen.name!r} shadows a coordinate")
             if not 0 <= gen.coord_index < len(coord_names):
                 raise ValueError(f"generator {gen.name!r}: bad coordinate index {gen.coord_index}")
+            if not gen.rate:
+                # exp(0*c) = 1 is no transcendental: as an independent
+                # symbol it would make E - 1 a nonzero element
+                raise ValueError(f"generator {gen.name!r}: rate 0 makes it the constant 1")
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate generator names: {names}")
@@ -119,17 +131,22 @@ class ScalarContext:
     # -- field elements -----------------------------------------------
 
     def element(self, value) -> Frac:
-        """value as an element of this context's field: a field element,
-        a ScalarField or a rational number."""
-        if isinstance(value, ScalarField):
-            if value.context != self:
-                raise ContextMismatchError(value.context, self)
-            return value.value
+        """value as an element of this context's field: an element of it
+        or of a field with fewer generators, or a rational number."""
         return to_element(self.field, value)
+
+    def has_generators(self, f: Frac) -> bool:
+        """f, an element of this context's field, involves a generator."""
+        gens = [self.field.symbols.index(g.name) for g in self.generators]
+        return any(m[i] for p in (f.numer, f.denom) for m in p for i in gens)
 
     def variable(self, name: str) -> Frac:
         """The field generator of a coordinate or generator name."""
         return self.field.gens[self.field.symbols.index(name)]
+
+    def coordinate(self, index: int) -> Frac:
+        """The field generator of coordinate number index."""
+        return self.variable(self.coord_names[index])
 
     def partial_element(self, f: Frac, coord_index: int) -> Frac:
         """d f / d(coordinate), generator rule included, reduced from
@@ -150,25 +167,6 @@ class ScalarContext:
             if dp:
                 out += dp if factor is None else dp * factor
         return out
-
-    # -- constructors -------------------------------------------------
-
-    def scalar(self, value) -> "ScalarField":
-        """Lift a rational constant or field element into this context."""
-        if isinstance(value, ScalarField):
-            if value.context != self:
-                raise ContextMismatchError(value.context, self)
-            return value
-        return ScalarField(self, value)
-
-    def zero(self) -> "ScalarField":
-        return self.scalar(0)
-
-    def one(self) -> "ScalarField":
-        return self.scalar(1)
-
-    def coordinate(self, index: int) -> "ScalarField":
-        return ScalarField(self, self.variable(self.coord_names[index]))
 
 
 def to_element(field: FracField, value) -> Frac:
@@ -213,13 +211,6 @@ def combine(a: Frac, b: Frac, sign: int = 1) -> Frac:
     return fraction_sum(a.field, ((a.numer, a.denom), (n, b.denom)))
 
 
-def power(f: Frac, n: int) -> Frac:
-    """f**n for an integer n, with 0**0 = 1 as in sympy."""
-    if n < 0 and not f:
-        raise DivisionByZeroFieldError("negative power of the zero field")
-    return f**n
-
-
 def product(a: Frac, b: Frac) -> Pair:
     """a * b as an unreduced pair."""
     one = a.field.ring.one
@@ -244,9 +235,16 @@ class PointValues:
         self.point = tuple(Fraction(p) for p in point)
         logs = [g.rate * self.point[g.coord_index] for g in context.generators]
         self.N = math.lcm(*(r.denominator for r in logs))
+        powers = [int(r * self.N) for r in logs]
+        top = max(powers, key=abs, default=0)
+        if abs(top) > MAX_GENERATOR_POWER:
+            raise DefinitionError(
+                f"a generator is E**{top} with E = e^(1/{self.N}) at point "
+                f"({', '.join(map(str, self.point))}), above the maximum power {MAX_GENERATOR_POWER}"
+            )
         # per field generator: (coordinate value, None) or (None, power of E)
         at = dict(zip(context.coord_names, ((p, None) for p in self.point)))
-        at.update((g.name, (None, int(r * self.N))) for g, r in zip(context.generators, logs))
+        at.update((g.name, (None, k)) for g, k in zip(context.generators, powers))
         self._at = [at[name] for name in context.field.symbols]
 
     def _laurent(self, p: Poly) -> dict:
@@ -314,122 +312,3 @@ def _sign_at(p: Poly, N: int) -> int:
         if sum(c * (hi if c > 0 else lo) ** e for e, c in terms) < 0:
             return -1
         m *= 2
-
-
-# --------------------------------------------------------------------
-# scalar fields
-
-
-class ScalarField:
-    """Immutable exact rational function over a ScalarContext: one reduced
-    element of the context's field."""
-
-    __slots__ = ("context", "value")
-
-    def __init__(self, context: ScalarContext, value):
-        self.context = context
-        self.value = context.element(value)
-
-    # -- basic predicates ---------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def is_constant(self) -> bool:
-        return self.value.numer.is_ground and self.value.denom.is_ground
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(self.value.numer.LC, self.value.denom.LC)
-
-    def has_generators(self) -> bool:
-        symbols = self.context.field.symbols
-        gens = [symbols.index(g.name) for g in self.context.generators]
-        return any(m[i] for p in (self.value.numer, self.value.denom) for m in p for i in gens)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other):
-        """other's field element, or None for a type that is not a scalar."""
-        if isinstance(other, ScalarField):
-            if other.context != self.context:
-                raise ContextMismatchError(self.context, other.context)
-            return other.value
-        if isinstance(other, (int, Fraction, Frac)):
-            return self.context.element(other)
-        return None
-
-    def _new(self, value) -> "ScalarField":
-        out = ScalarField.__new__(ScalarField)
-        out.context, out.value = self.context, value
-        return out
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else self._new(self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else self._new(self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else self._new(v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else self._new(self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if not v:
-            raise DivisionByZeroFieldError("division by the zero scalar field")
-        return self._new(self.value / v)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else self._new(v) / self
-
-    def __neg__(self):
-        return self._new(-self.value)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an int")
-        return self._new(power(self.value, n))
-
-    def __eq__(self, other):
-        if isinstance(other, ScalarField) and other.context != self.context:
-            return False
-        v = self._coerce(other)
-        return NotImplemented if v is None else self.value == v
-
-    def __hash__(self):
-        return hash(self.value)
-
-    # -- calculus -----------------------------------------------------
-
-    def partial(self, coord_index: int) -> "ScalarField":
-        """Partial derivative by chart coordinate, with the generator rule."""
-        return self._new(self.context.partial_element(self.value, coord_index))
-
-    # -- presentation -------------------------------------------------
-
-    def __repr__(self):
-        return f"ScalarField({self})"
-
-    def __str__(self):
-        return to_str(self.value)
-
-    def serialize(self) -> str:
-        """Deterministic exact string; constants render as p or p/q."""
-        if self.is_constant():
-            return str(self.constant_value())
-        return to_str(self.value, lex=True)

@@ -44,7 +44,7 @@ from .geometry import (
 )
 from .field import Frac
 from .parser import ManifoldDefinition
-from .scalars import ScalarField
+from .scalars import ScalarContext
 
 
 @dataclass
@@ -69,10 +69,9 @@ def _residual_item(name: str, residual: Components) -> CheckItem:
     return CheckItem(name, "fail", witness=f"component {idx}: {value}")
 
 
-def _gradient(fld: ScalarField) -> Components:
-    """Components of d(fld)."""
-    n = fld.context.dim
-    return Components(n, 1, [fld.partial(c).value for c in range(n)])
+def _gradient(context: ScalarContext, f: Frac) -> Components:
+    """Components of d(f)."""
+    return Components(context.dim, 1, [context.partial_element(f, c) for c in range(context.dim)])
 
 
 def _antisymmetrized(t: Components) -> Components:
@@ -81,14 +80,14 @@ def _antisymmetrized(t: Components) -> Components:
 
 
 def d_wedge_eta(
-    s: "AlmostParacontactStructure", fld: ScalarField
+    s: "AlmostParacontactStructure", f: Frac
 ) -> Optional[Tuple[Tuple[int, ...], Frac]]:
-    """First nonzero component (i, j), i < j, of d(fld) ^ eta, or None."""
-    w = contract("i,j->ij", _gradient(fld), s.eta)
+    """First nonzero component (i, j), i < j, of d(f) ^ eta, or None."""
+    w = contract("i,j->ij", _gradient(s.chart.context, f), s.eta)
     return (w - contract("ij->ji", w)).first_nonzero()
 
 
-def _scalar_item(name: str, value: ScalarField) -> CheckItem:
+def _scalar_item(name: str, value: Frac) -> CheckItem:
     if value.is_zero():
         return CheckItem(name, "pass")
     return CheckItem(name, "fail", witness=str(value))
@@ -104,7 +103,7 @@ class AlmostParacontactStructure:
         xi: TensorField,
         eta: TensorField,
         g: TensorField,
-        declared_alpha: Optional[ScalarField] = None,
+        declared_alpha: Optional[Frac] = None,
     ):
         self.chart = chart
         self.phi = phi
@@ -215,8 +214,8 @@ def fundamental_form(s: AlmostParacontactStructure) -> TensorField:
 
 @dataclass
 class AlphaExtraction:
-    alpha: Optional[ScalarField]
-    f: Optional[ScalarField]  # f = xi(alpha); satisfies d(alpha) = f*eta
+    alpha: Optional[Frac]
+    f: Optional[Frac]  # f = xi(alpha); satisfies d(alpha) = f*eta
     is_apc: bool
     reason: Optional[str] = None
 
@@ -246,10 +245,10 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
         raise StructureError("eta ^ Phi vanishes at the base point")
 
     idx = candidates[0]
-    alpha = ScalarField(chart.context, dPhi.comps[idx] / (2 * ep.comps[idx]))
+    alpha = dPhi.comps[idx] / (2 * ep.comps[idx])
     if len(candidates) > 1:
         idx2 = candidates[1]
-        alpha2 = ScalarField(chart.context, dPhi.comps[idx2] / (2 * ep.comps[idx2]))
+        alpha2 = dPhi.comps[idx2] / (2 * ep.comps[idx2])
         if alpha != alpha2:
             return AlphaExtraction(
                 None, None, False,
@@ -266,7 +265,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
         )
 
     # f = xi(alpha); in dim >= 5 we also demand d(alpha) = f * eta
-    dalpha = _gradient(alpha)
+    dalpha = _gradient(chart.context, alpha)
     f = contract("c,c->", s.xi, dalpha)
     if s.n >= 2:
         bad = (dalpha - f * s.eta.comps).first_nonzero()
@@ -336,7 +335,7 @@ class StructureAnalysis:
         return self.alpha_extraction.is_apc
 
     @property
-    def alpha(self) -> ScalarField:
+    def alpha(self) -> Frac:
         return self.alpha_extraction.alpha
 
     @property
@@ -378,12 +377,12 @@ class StructureAnalysis:
         return TensorField(self.chart, 1, 1, contract("ik,kj->ij", self.ginv, self.S))
 
     @cached_property
-    def r(self) -> ScalarField:
+    def r(self) -> Frac:
         """Scalar curvature tr Q."""
         return contract("ii->", self.Q)
 
     @cached_property
-    def szz(self) -> ScalarField:
+    def szz(self) -> Frac:
         """S(xi, xi)."""
         xi = self.structure.xi
         return contract("ab,a,b->", self.S, xi, xi)
@@ -465,9 +464,8 @@ class StructureAnalysis:
             + contract("b,ia->iab", s.eta, w)
         )
 
-    def xi_derivative(self, fld: ScalarField) -> ScalarField:
-        xi = self.structure.xi
-        return contract("c,c->", xi, _gradient(fld))
+    def xi_derivative(self, f: Frac) -> Frac:
+        return contract("c,c->", self.structure.xi, _gradient(self.chart.context, f))
 
 
 # --------------------------------------------------------------------
@@ -505,7 +503,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     if n >= 2:
         f = an.alpha_extraction.f
-        residual("d(alpha) = f*eta", _gradient(an.alpha) - f * eta.comps)
+        residual("d(alpha) = f*eta", _gradient(chart.context, alpha) - f * eta.comps)
     else:
         items.append(
             CheckItem("d(alpha) = f*eta", "skip", reason="stated only for dim >= 5")

@@ -18,7 +18,8 @@ from paracosym.geometry import (
     ricci_tensor,
     riemann,
 )
-from paracosym.scalars import PointValues, ScalarContext, ScalarField
+from paracosym.field import Frac
+from paracosym.scalars import PointValues, ScalarContext
 
 
 def symbols(context: ScalarContext) -> tuple:
@@ -27,17 +28,18 @@ def symbols(context: ScalarContext) -> tuple:
     return tuple(sp.Symbol(n) for n in context.coord_names + tuple(g.name for g in context.generators))
 
 
-def exact_value(f: ScalarField, point: Sequence) -> Fraction:
-    """Exact value of a generator-free scalar field at a rational point."""
-    if f.has_generators():
+def exact_value(context: ScalarContext, f: Frac, point: Sequence) -> Fraction:
+    """Exact value of a generator-free element of the context's field at a
+    rational point."""
+    if context.has_generators(f):
         raise ValueError("exact rational value undefined for generator-bearing fields")
-    v = PointValues(f.context, point).value(f.value)
+    v = PointValues(context, point).value(f)
     return Fraction(v.numer.LC, v.denom.LC)
 
 
-def generator_field(context: ScalarContext, index: int) -> ScalarField:
-    """The declared generator number index as a scalar field."""
-    return ScalarField(context, context.variable(context.generators[index].name))
+def generator_field(context: ScalarContext, index: int) -> Frac:
+    """The declared generator number index as a field element."""
+    return context.variable(context.generators[index].name)
 
 
 def point_subs(context: ScalarContext, point: Sequence) -> dict:
@@ -51,14 +53,13 @@ def point_subs(context: ScalarContext, point: Sequence) -> dict:
     return subs
 
 
-def numeric_eval(f: ScalarField, point: Sequence) -> float:
-    """Float value of a scalar field at a point; generators evaluate as
-    exp(rate*coord)."""
-    ctx = f.context
-    if len(point) != ctx.dim:
-        raise ValueError(f"point has {len(point)} entries, chart has {ctx.dim}")
-    subs = point_subs(ctx, point)
-    num, den = f.value.numer.as_expr(), f.value.denom.as_expr()
+def numeric_eval(context: ScalarContext, f: Frac, point: Sequence) -> float:
+    """Float value of an element of the context's field at a point;
+    generators evaluate as exp(rate*coord)."""
+    if len(point) != context.dim:
+        raise ValueError(f"point has {len(point)} entries, chart has {context.dim}")
+    subs = point_subs(context, point)
+    num, den = f.numer.as_expr(), f.denom.as_expr()
     den_val = float(den.subs(subs))
     if den_val == 0.0 or math.isnan(den_val):
         raise PoleError(tuple(point))
@@ -84,7 +85,7 @@ def ricci_operator(S: TensorField, g: TensorField) -> TensorField:
     return TensorField(g.chart, 1, 1, contract("ik,kj->ij", metric_inverse(g), S))
 
 
-def scalar_curvature(S: TensorField, g: TensorField) -> ScalarField:
+def scalar_curvature(S: TensorField, g: TensorField) -> Frac:
     """r = tr Q."""
     return contract("ii->", ricci_operator(S, g))
 

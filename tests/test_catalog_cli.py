@@ -13,6 +13,7 @@ from paracosym.catalog import _lie_family, catalog, catalog_entry
 from paracosym.cli import main
 from paracosym.parser import load_definition
 from paracosym.report import run_analyze
+from paracosym.scalars import MAX_GENERATOR_POWER
 
 NAMES = [e.name for e in catalog()]
 
@@ -371,6 +372,50 @@ def test_cli_huge_degree_exits_4_fast(tmp_path):
     assert elapsed < 0.5, elapsed
 
 
+def test_cli_generator_of_rate_0_exits_4(tmp_path, capsys):
+    # exp(0*z) = 1 is no transcendental: taken as an independent symbol, E
+    # made this valid structure (E = 1) fail three axioms with witness E - 1
+    text = catalog_entry("flat_product").definition_text
+    text = text.replace("[structure]", "[generators]\nE = { coord = z, rate = 0 }\n\n[structure]")
+    path = tmp_path / "rate0.txt"
+    path.write_text(text.replace("xi = [0, 0, 1]", "xi = [0, 0, E]"))
+    t0 = time.perf_counter()
+    code = main(["verify", str(path)])
+    elapsed = time.perf_counter() - t0
+    assert code == 4
+    assert capsys.readouterr().err == "error: generator 'E': rate 0 makes it the constant 1\n"
+    assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize(
+    "entry, old, new, options, code",
+    [
+        ("warped_kenmotsu", "base_point = [0, 0, 0]", "base_point = [0, 0, 5000]", [], 0),
+        ("warped_kenmotsu", "base_point = [0, 0, 0]", "base_point = [0, 0, -5001]", [], 4),
+        ("warped_kenmotsu", "", "", ["--point", "0,0,5001"], 4),
+        ("flat_product", "base_point = [0, 0, 0]", "base_point = [0, 0, 3000]", [], 4),
+    ],
+    ids=["base-at-bound", "base-above-bound", "point-above-bound", "rate-3000"],
+)
+def test_cli_generator_power_at_a_point_is_bounded(tmp_path, capsys, entry, old, new, options, code):
+    # a generator exp(rate*c) is E**(rate*c*N) at a point, and a sign there
+    # raised enclosures of e^(1/N) to that power: rate = base z = 3000 on
+    # flat_product ran for over 100 s; E = exp(2t) at t = 5000 is E**10000
+    text = catalog_entry(entry).definition_text.replace(old, new)
+    if entry == "flat_product":
+        text = text.replace("[structure]", "[generators]\nE = { coord = z, rate = 3000 }\n\n[structure]")
+        text = text.replace("metric = [[1, 0, 0]", "metric = [[E, 0, 0]")
+    path = tmp_path / "power.txt"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    got = main(["analyze" if options else "verify", *options, str(path)])
+    elapsed = time.perf_counter() - t0
+    assert got == code
+    if code == 4:
+        assert f"above the maximum power {MAX_GENERATOR_POWER}" in capsys.readouterr().err
+    assert elapsed < 0.5, elapsed
+
+
 def _nine_dim_definition(xi0: str) -> str:
     """A 9-coordinate definition of the right shapes whose xi starts with xi0."""
     rows = ["[" + ", ".join("1" if i == j else "0" for j in range(9)) + "]" for i in range(9)]
@@ -460,7 +505,7 @@ def test_cli_commands_load_only_their_modules(tmp_path):
 
 
 PACKAGE = r"""
-import importlib, sys
+import importlib, json, sys
 import paracosym
 assert [m for m in sys.modules if m.startswith("paracosym.")] == [], sys.modules
 assert set(paracosym.__all__) <= set(dir(paracosym)), dir(paracosym)
@@ -471,14 +516,45 @@ namespace = {}
 exec("from paracosym import *", namespace)
 missing = set(paracosym.__all__) - set(namespace)
 assert not missing, missing
-print(len(paracosym.__all__))
+print(json.dumps(paracosym.__all__))
 """
+
+# the public names, sorted; ScalarField left when every scalar became a
+# field element
+PUBLIC_NAMES = [
+    "AlmostParacontactStructure",
+    "AnalysisReport",
+    "CatalogEntry",
+    "Chart",
+    "CheckItem",
+    "DefinitionError",
+    "DeformationParameterError",
+    "EngineError",
+    "GeneratorDecl",
+    "HType",
+    "ManifoldDefinition",
+    "NullityFit",
+    "ParseError",
+    "ScalarContext",
+    "StructureAnalysis",
+    "StructureError",
+    "TensorField",
+    "catalog",
+    "catalog_entry",
+    "classify_h",
+    "identity_suite",
+    "load_definition",
+    "nullity_fit",
+    "parse_scalar",
+    "run_analyze",
+    "verify_axioms",
+]
 
 
 def test_package_serves_every_public_name_lazily():
     proc = subprocess.run([sys.executable, "-c", PACKAGE], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 27  # the names the package exported when it imported eagerly
+    assert json.loads(proc.stdout) == PUBLIC_NAMES
 
 
 # runs CLI calls in one process in which any import of sympy fails, and

@@ -17,7 +17,7 @@ from paracosym.structures import StructureAnalysis
 
 
 def _const(an, value):
-    return an.chart.context.scalar(Fraction(value))
+    return an.chart.context.element(Fraction(value))
 
 
 def _deform(an, gamma, beta):
@@ -137,7 +137,7 @@ def test_I0_invariant_under_random_deformations(analyses):
 
 def test_I0_undefined_when_mu_zero(analyses):
     an = analyses("example_e")
-    zero = an.chart.context.zero()
+    zero = an.chart.context.element(0)
     with pytest.raises(DeformationParameterError):
         invariant_I0(zero, zero, zero, an.alpha)
 
@@ -161,5 +161,5 @@ def test_conformal_rejects_wrong_u(analyses):
 
 def test_conformal_identity_when_alpha_zero(analyses):
     an = analyses("flat_product")
-    s_p = conformal_deform(an, an.chart.context.zero())
+    s_p = conformal_deform(an, an.chart.context.element(0))
     assert (s_p.g - an.structure.g).is_zero()
