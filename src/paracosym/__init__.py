@@ -5,11 +5,11 @@ The package is lazy: importing it loads no submodule.  Every public name
 is served on first use from the module that defines it (PEP 562, the
 _LAZY table below), so `paracosym catalog --list` loads only cli, errors
 and catalog, and a process never compiles a module it does not run.
-classify is the one module that imports sympy."""
+The name catalog is the submodule, so the function of that name is
+paracosym.catalog.catalog.  classify is the one module that imports
+sympy."""
 
 import importlib
-import sys
-import types
 
 _LAZY = {
     "DefinitionError": "errors",
@@ -32,7 +32,6 @@ _LAZY = {
     "NullityFit": "nullity",
     "nullity_fit": "nullity",
     "CatalogEntry": "catalog",
-    "catalog": "catalog",
     "catalog_entry": "catalog",
     "HType": "classify",
     "classify_h": "classify",
@@ -50,16 +49,6 @@ def __getattr__(name):
 def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name, value):
-        # importing a submodule binds it on the package: the submodule
-        # catalog must not hide the function catalog
-        if not (name in _LAZY and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 

@@ -78,9 +78,9 @@ def classify_h(an: StructureAnalysis, point=None) -> HType:
         raise StructureError("h classification is a 3-dimensional analysis")
     pt = _point_or_base(an, point)
     values = an.chart.values_at(pt)
-    if not any(values.value(c) for c in an.h.comps.flat):
+    if not any(values.value(c) for c in an.h.flat):
         return HType("Zero", None, pt)
-    if not any(values.value(c) for c in s.eta.comps.flat):
+    if not any(values.value(c) for c in s.eta.flat):
         raise StructureError(f"eta degenerate at point {pt}")
     det = (contract("ii->", an.h) ** 2 - contract("ij,ji->", an.h, an.h)) / 2
     sign = values.sign(values.value(det))
@@ -164,23 +164,23 @@ class _Domain:
         """The entries, row-major, in this domain."""
         return tuple(map(self.scalar, comps.flat))
 
-    g = cached_property(lambda self: self.flat(self.an.structure.g.comps))
-    phi = cached_property(lambda self: self.flat(self.an.structure.phi.comps))
-    xi = cached_property(lambda self: list(self.flat(self.an.structure.xi.comps)))
-    h = cached_property(lambda self: self.flat(self.an.h.comps))
+    g = cached_property(lambda self: self.flat(self.an.structure.g))
+    phi = cached_property(lambda self: self.flat(self.an.structure.phi))
+    xi = cached_property(lambda self: list(self.flat(self.an.structure.xi)))
+    h = cached_property(lambda self: self.flat(self.an.h))
     h2 = cached_property(lambda self: self.flat(self.an.h2))
     hphi = cached_property(lambda self: self.flat(self.an.hphi))
-    nab_xi_h = cached_property(lambda self: self.flat(self.an.nab_xi_h.comps))
-    proj = cached_property(lambda self: self.flat(self.an.proj.comps))
-    sigma = cached_property(lambda self: self.flat(self.an.sigma.comps))
-    conn = cached_property(lambda self: self.flat(self.an.conn.comps))
+    nab_xi_h = cached_property(lambda self: self.flat(self.an.nab_xi_h))
+    proj = cached_property(lambda self: self.flat(self.an.proj))
+    sigma = cached_property(lambda self: self.flat(self.an.sigma))
+    conn = cached_property(lambda self: self.flat(self.an.conn))
     alpha = cached_property(lambda self: self.scalar(self.an.alpha))
 
     @cached_property
     def res13(self) -> tuple:
         """h^2 - (alpha^2 + (1/2) S(xi,xi)) phi^2, with phi^2 the projection."""
         an = self.an
-        return self.flat(an.h2 - (an.alpha**2 + an.szz / 2) * an.proj.comps)
+        return self.flat(an.h2 - (an.alpha**2 + an.szz / 2) * an.proj)
 
 
 # helpers over a domain D; vectors are lists of three components
@@ -345,7 +345,7 @@ def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
 
 def _seed_fields(D: _Domain) -> List[list]:
     """Deterministic seeds: ker(eta)-projections of the coordinate fields."""
-    P = D.an.proj.comps.flat
+    P = D.an.proj.flat
     return [[D.proj[3 * i + c] for i in range(3)] for c in range(3) if any(P[3 * i + c] for i in range(3))]
 
 
@@ -706,14 +706,14 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
     T = contract("ii->", an.h2) / 2
     sig_sharp = contract("ij,j->i", an.ginv, an.sigma)
     rhs = (
-        (r / 2 + alpha**2 - T) * identity_tensor(an.chart).comps
+        (r / 2 + alpha**2 - T) * identity_tensor(an.chart)
         + (-r / 2 + 3 * (T - alpha**2)) * contract("i,j->ij", s.xi, s.eta)
-        - 2 * alpha * an.phih.comps
+        - 2 * alpha * an.phih
         - contract("ik,kj->ij", s.phi, an.nab_xi_h)
         + contract("i,j->ij", s.xi, an.sigma)
         + contract("i,j->ij", sig_sharp, s.eta)
     )
-    return _residual_item(name, an.Q.comps - rhs)
+    return _residual_item(name, an.Q - rhs)
 
 
 # --------------------------------------------------------------------

@@ -31,7 +31,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
 
     eta = s.eta
     alpha = an.alpha
-    delta = identity_tensor(an.chart).comps
+    delta = identity_tensor(an.chart)
     rxy_xi = an.R_xi
     nab_phih = contract("iba->iab", an.nabphih)  # (nabla_{d_a} phi.h) d_b
     items: List[CheckItem] = []
@@ -40,7 +40,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     #   - alpha eta(Y)(alpha X + phi.h X) + (nabla_X phi.h)Y - (nabla_Y phi.h)X
     rhs = (
         contract("a,ib->iab", _gradient(an.chart.context, an.alpha), an.proj)
-        + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih.comps))
+        + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih))
         + nab_phih
     )
     items.append(
@@ -49,7 +49,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
 
     if s.n >= 2 and an.alpha_extraction.f is not None:
         f = an.alpha_extraction.f
-        B = (f + alpha**2) * delta + alpha * an.phih.comps
+        B = (f + alpha**2) * delta + alpha * an.phih
         rhs2 = contract("a,ib->iab", eta, B) + nab_phih
         items.append(
             _residual_item("R(X,Y)xi with f (higher dimension)", rxy_xi - _antisymmetrized(rhs2))
@@ -96,9 +96,9 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     # R(xi,X)xi = alpha^2 phi^2 X + 2 alpha phi h X - h^2 X + phi (nabla_xi h) X
     res1 = (
-        -l.comps
+        -l
         - alpha**2 * phi2
-        - 2 * alpha * an.phih.comps
+        - 2 * alpha * an.phih
         + h2
         - contract("ik,kj->ij", phi, nab_xi_h)
     )
@@ -106,21 +106,21 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     # (nabla_xi h) X = -alpha^2 phi X - 2 alpha h X + phi h^2 X - phi R(X,xi)xi
     res2 = (
-        nab_xi_h.comps
-        + alpha**2 * phi.comps
-        + 2 * alpha * h.comps
-        + contract("ik,kj->ij", phi, l.comps - h2)
+        nab_xi_h
+        + alpha**2 * phi
+        + 2 * alpha * h
+        + contract("ik,kj->ij", phi, l - h2)
     )
     items.append(_residual_item(names[1], res2))
 
     # (1/2)(R(xi,X)xi + phi R(xi, phi X)xi) = alpha^2 phi^2 X - h^2 X
-    average = -(l.comps + contract("im,mn,nj->ij", phi, l, phi)) / 2
+    average = -(l + contract("im,mn,nj->ij", phi, l, phi)) / 2
     items.append(_residual_item(names[2], average - alpha**2 * phi2 + h2))
 
     # S(X,xi) = -2n alpha^2 eta(X) + g(div(phi.h), X)
     res4 = (
         contract("jk,k->j", an.S, xi)
-        + 2 * n * alpha**2 * s.eta.comps
+        + 2 * n * alpha**2 * s.eta
         - contract("mj,m->j", s.g, divergence_phih(an))
     )
     items.append(_residual_item(names[3], res4))
@@ -148,7 +148,7 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
         - contract("nkb,ka,nc->abc", Y, phi, phi)
     )
     # M[a,c] = alpha g(d_a, d_c) + g(phi.h d_a, d_c)
-    M = alpha * g.comps + contract("mc,ma->ac", g, an.phih)
+    M = alpha * g + contract("mc,ma->ac", g, an.phih)
     rhs = 2 * contract("da,bcd->abc", an.h, an.nabPhi) + 2 * alpha * (
         contract("b,ac->abc", eta, M) - contract("c,ab->abc", eta, M)
     )
@@ -171,11 +171,11 @@ def check_q_commutator(an: StructureAnalysis) -> CheckItem:
     alpha = an.alpha
     Q = an.Q
     # [Q, phi] = [l, phi] - 4 alpha (1 - n) h - eta(.) phi Q xi + eta(Q phi .) xi
-    Q_minus_l = Q.comps - an.l.comps
+    Q_minus_l = Q - an.l
     res = (
         contract("ik,kj->ij", Q_minus_l, phi)
         - contract("ik,kj->ij", phi, Q_minus_l)
-        + 4 * alpha * (1 - s.n) * an.h.comps
+        + 4 * alpha * (1 - s.n) * an.h
         + contract("mk,k,im,j->ij", Q, xi, phi, eta)
         - contract("m,mk,kj,i->ij", eta, Q, phi, xi)
     )
@@ -192,18 +192,16 @@ class ConstantCurvatureResult:
 def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     """Test R(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y) and recover c exactly."""
     g = an.structure.g
-    R = an.R.comps
+    R = an.R
     delta = identity_tensor(an.chart)
     model = contract("bk,ia->iabk", g, delta) - contract("ak,ib->iabk", g, delta)
 
     at = an.chart.values_at()
     cf = an.chart.context.field.zero
-    for idx in an.R.indices():
-        m = model[idx]
-        if not m or not at.is_unit(m):
-            continue
-        cf = R[idx] / m
-        break
+    for r, m in zip(R.flat, model.flat):
+        if m and at.is_unit(m):
+            cf = r / m
+            break
 
     w = (R - cf * model).first_nonzero()
     if w is not None:
@@ -265,8 +263,8 @@ def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
     alpha = an.alpha
     trh2 = contract("ii->", an.h2)
     res = (
-        -rough_laplacian_xi(an).comps
-        - (2 * s.n * alpha**2 - trh2) * s.xi.comps
+        -rough_laplacian_xi(an)
+        - (2 * s.n * alpha**2 - trh2) * s.xi
         + contract("mk,k,im->i", an.Q, s.xi, an.proj)
     )
     return _residual_item(name, res)
@@ -275,7 +273,7 @@ def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
 def xi_is_harmonic(an: StructureAnalysis) -> Tuple[bool, Optional[str]]:
     """xi is harmonic iff Q xi = S(xi,xi) xi, equivalently sigma = 0."""
     xi = an.structure.xi
-    w = (contract("ik,k->i", an.Q, xi) - an.szz * xi.comps).first_nonzero()
+    w = (contract("ik,k->i", an.Q, xi) - an.szz * xi).first_nonzero()
     if w is None:
         return True, None
     return False, f"Q(xi) - S(xi,xi) xi has component {w[0]}: {w[1]}"

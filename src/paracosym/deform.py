@@ -67,11 +67,11 @@ def d_homothetic_deform(
     _nonzero_at_base(s, beta, "beta")
 
     b = beta
-    eta = s.eta.comps
-    xi_t = TensorField(s.chart, 1, 0, s.xi.comps / b)
+    eta = s.eta
+    xi_t = TensorField(s.chart, 1, 0, s.xi / b)
     eta_t = TensorField(s.chart, 0, 1, b * eta)
     g_t = TensorField(
-        s.chart, 0, 2, gamma * s.g.comps + (b**2 - gamma) * contract("i,j->ij", eta, eta)
+        s.chart, 0, 2, gamma * s.g + (b**2 - gamma) * contract("i,j->ij", eta, eta)
     )
     return AlmostParacontactStructure(s.chart, s.phi, xi_t, eta_t, g_t)
 
@@ -88,7 +88,7 @@ def conformal_deform(
     if not an.is_apc:
         raise DeformationParameterError("conformal deformation needs an apc input")
     ctx = s.chart.context
-    du_res = _gradient(ctx, u) - an.alpha * s.eta.comps
+    du_res = _gradient(ctx, u) - an.alpha * s.eta
     bad = du_res.first_nonzero()
     if bad is not None:
         raise DeformationParameterError(
@@ -115,10 +115,10 @@ def conformal_deform(
     chart = Chart(ctx, s.chart.base_point)
     E = ctx.variable(decl.name)  # e^{u}
 
-    def moved(t: TensorField):  # t's components in the field of the new context
-        return TensorField(chart, t.r, t.s, t.comps).comps
+    def moved(t: TensorField) -> TensorField:  # t in the field of the new context
+        return TensorField(chart, t.r, t.s, t)
 
-    phi_p = TensorField(chart, 1, 1, moved(s.phi))
+    phi_p = moved(s.phi)
     xi_p = TensorField(chart, 1, 0, E * moved(s.xi))
     eta_p = TensorField(chart, 0, 1, moved(s.eta) / E)
     g_p = TensorField(chart, 0, 2, moved(s.g) / E**2)
@@ -160,10 +160,10 @@ def verify_deformation_laws(
     shift = ((b**2 - gamma) / b**2) * contract("mb,ma->ab", s.g, an.A) - (
         dbeta_xi / b
     ) * contract("a,b->ab", eta, eta)
-    res = an_t.conn.comps - an.conn.comps + contract("ab,k->kab", shift, xi)
+    res = an_t.conn - an.conn + contract("ab,k->kab", shift, xi)
     items.append(_residual_item("deformed connection law", res))
-    items.append(_residual_item("A~ = A/beta", an_t.A.comps - an.A.comps / b))
-    items.append(_residual_item("h~ = h/beta", an_t.h.comps - an.h.comps / b))
+    items.append(_residual_item("A~ = A/beta", an_t.A - an.A / b))
+    items.append(_residual_item("h~ = h/beta", an_t.h - an.h / b))
 
     # R~(X,Y)xi~ = (1/beta) R(X,Y)xi
     #   + (dbeta(xi)/beta^2) [eta(X) A Y - eta(Y) A X]

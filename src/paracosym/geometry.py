@@ -15,15 +15,17 @@ Conventions used throughout the package:
 
 Components are elements of the chart's rational function field (see
 scalars): reduced fractions in the coordinates and any declared
-exponential generators.  Every tensor and contraction result stores them
-in one Components value: the dimension n, the rank and a flat row-major
-tuple of the n**rank entries, so the entry at (i_1, ..., i_k) sits at
-offset ((i_1 n + i_2) n + ...) n + i_k.  Field elements are the only
+exponential generators.  There is one tensor type, Components: the
+dimension n, the rank and a flat row-major tuple of the n**rank entries,
+so the entry at (i_1, ..., i_k) sits at offset ((i_1 n + i_2) n + ...) n
++ i_k.  A TensorField is Components that also carries its chart and its
+valence (r, s), which partials, the derivatives, wedge and eval_at read;
+arithmetic on either returns Components.  Field elements are the only
 entries the kernels here take or return, and a contraction to no index
 returns one field element; TensorField.array, the entries' sympy view
-(Frac.as_expr), is for reading from outside the engine.  Values
-at a rational point (eval_at, signature_at) are exact elements of QQ(E)
-from scalars.PointValues.
+(Frac.as_expr), is for reading from outside the engine.  Values at a
+rational point (eval_at, signature_at) are exact elements of QQ(E) from
+scalars.PointValues.
 
 Every algebraic and differential operator is built from two primitives:
 partials, the coordinate partials of every entry as one more trailing
@@ -49,7 +51,8 @@ stride of each label.  On top of them:
   sums of index permutations of partials and of a (x) b.
 
 Callers combine the results by entrywise field arithmetic into one
-residual Components per check.
+residual Components per check.  The metric inverse is row_reduce of
+[g | Id], the one elimination over the field.
 
 The kernels here take their inputs and recompute nothing: a tensor that
 more than one check reads (g^{-1}, the connection, R, Q, h^2, R(.,.)xi,
@@ -67,6 +70,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
+    ContextMismatchError,
     DegenerateMetricError,
     DivisionByZeroFieldError,
     SingularMetricError,
@@ -134,12 +138,22 @@ def _field_in(flats, what: str):
     return field
 
 
+def _in(field, a) -> Frac:
+    """An entry of Components arithmetic in field: an int or Fraction is
+    lifted, an element of another field raises ContextMismatchError."""
+    if not isinstance(a, Frac):
+        return field.ground(a)
+    if a.field is not field and a.field.symbols != field.symbols:
+        raise ContextMismatchError(a.field, field)
+    return a
+
+
 class Components:
     """Components of a rank-k array over range(n)**k: a flat row-major tuple
     of n**k field elements.  Immutable; +, - and unary - act entrywise on
     two arrays of the same n and rank, * and / by a scalar, all in the field
     of the first field element among the entries (ValenceError if there is
-    none)."""
+    none, ContextMismatchError for an entry of another field)."""
 
     __slots__ = ("n", "rank", "flat")
 
@@ -200,7 +214,7 @@ class Components:
             shape = (other.n, other.rank) if isinstance(other, Components) else type(other)
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
         field = _field_in((self.flat, other.flat), "entrywise operation")
-        return ((to_element(field, a), to_element(field, b)) for a, b in zip(self.flat, other.flat))
+        return ((_in(field, a), _in(field, b)) for a, b in zip(self.flat, other.flat))
 
     def __add__(self, other) -> "Components":
         return Components(self.n, self.rank, [combine(a, b) for a, b in self._zip(other)])
@@ -215,8 +229,8 @@ class Components:
         """Every entry times c, or divided by c; c is a field element or a
         rational number."""
         field = _field_in((self.flat, (c,)), "scaling")
-        c = to_element(field, c)
-        flat = [to_element(field, a) for a in self.flat]
+        c = _in(field, c)
+        flat = [_in(field, a) for a in self.flat]
         if not invert:
             return Components(self.n, self.rank, [a * c for a in flat])
         if not c:
@@ -243,16 +257,17 @@ class Components:
         return f"Components({self.n}, {self.rank}, {self.flat!r})"
 
 
-class TensorField:
-    """Componentwise exact (r,s)-tensor field on a chart: comps holds the
-    field elements, array their sympy view."""
+class TensorField(Components):
+    """An exact (r,s)-tensor field on a chart: Components in the chart's
+    field, r contravariant slots first, with the chart and the valence that
+    partials, the derivatives, wedge and eval_at read.  Arithmetic is
+    Components': it returns Components, and a caller wraps a result only
+    where one of those kernels takes it.  Built from the components of
+    another chart, it lifts them into this chart's field."""
 
-    __slots__ = ("chart", "r", "s", "comps", "_array")
+    __slots__ = ("chart", "r", "s", "_array")
 
     def __init__(self, chart: Chart, r: int, s: int, array):
-        self.chart = chart
-        self.r = r
-        self.s = s
         n = chart.dim
         arr = Components.of(array)
         if arr.rank != r + s or (arr.rank and arr.n != n):
@@ -262,7 +277,10 @@ class TensorField:
             )
         field = chart.context.field
         flat = (e if isinstance(e, Frac) and e.field is field else to_element(field, e) for e in arr.flat)
-        self.comps = Components(n, r + s, flat)
+        super().__init__(n, r + s, flat)
+        self.chart = chart
+        self.r = r
+        self.s = s
         self._array = None
 
     @property
@@ -270,66 +288,16 @@ class TensorField:
         """The components as sympy expressions (Frac.as_expr, which imports
         sympy), built once; the engine never reads them."""
         if self._array is None:
-            self._array = self.comps.applyfunc(Frac.as_expr)
+            self._array = self.applyfunc(Frac.as_expr)
         return self._array
-
-    @property
-    def rank(self) -> int:
-        return self.r + self.s
-
-    def indices(self):
-        return itertools.product(range(self.chart.dim), repeat=self.rank)
-
-    # -- algebra -------------------------------------------------------
-
-    def _check_same_valence(self, other: "TensorField"):
-        if self.chart != other.chart:
-            raise ValenceError("tensors live on different charts")
-        if (self.r, self.s) != (other.r, other.s):
-            raise ValenceError(
-                f"valence mismatch: ({self.r},{self.s}) vs ({other.r},{other.s})"
-            )
-
-    def __add__(self, other):
-        self._check_same_valence(other)
-        return TensorField(self.chart, self.r, self.s, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check_same_valence(other)
-        return TensorField(self.chart, self.r, self.s, self.comps - other.comps)
-
-    def __neg__(self):
-        return TensorField(self.chart, self.r, self.s, -self.comps)
-
-    def scale(self, f) -> "TensorField":
-        return TensorField(self.chart, self.r, self.s, self.comps * self.chart.context.element(f))
-
-    def is_zero(self) -> bool:
-        return self.comps.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorField):
-            return NotImplemented
-        if self.chart != other.chart or (self.r, self.s) != (other.r, other.s):
-            return False
-        return self.comps == other.comps
-
-    def __hash__(self):
-        return hash((self.chart, self.r, self.s, self.comps))
-
-    def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], Frac]]:
-        """Witness component for a failed identity, or None if zero."""
-        return self.comps.first_nonzero()
-
-    # -- evaluation ----------------------------------------------------
 
     def eval_at(self, point: Optional[Sequence] = None):
         """Exact value at a rational point, in QQ(E) (scalars.PointValues):
         Components, or one value for a scalar; PoleError at a pole."""
         value = self.chart.values_at(point).value
         if self.rank == 0:
-            return value(self.comps.flat[0])
-        return self.comps.applyfunc(value)
+            return value(self.flat[0])
+        return self.applyfunc(value)
 
 
 # --------------------------------------------------------------------
@@ -349,19 +317,6 @@ def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
     if len(set(output)) != len(output) or not set(output) <= set(seen):
         raise ValenceError(f"contraction spec {spec!r}: bad output labels {output!r}")
     return inputs, output
-
-
-def _components(x, labels: str) -> Tuple[Optional[int], tuple]:
-    """(dimension, row-major component tuple) of one operand; a scalar that
-    is not a TensorField has no dimension."""
-    if isinstance(x, TensorField):
-        n, arr = x.chart.dim, x.comps
-    else:
-        arr = Components.of(x)
-        n = arr.n if arr.rank else None
-    if arr.rank != len(labels):
-        raise ValenceError(f"operand of rank {arr.rank} labelled {labels!r}")
-    return n, arr.flat
 
 
 def _entries(flat: tuple, labels: str, n: int) -> Tuple[str, Entries]:
@@ -422,13 +377,17 @@ def contract(spec: str, *operands):
     a field element among them raise ValenceError.
     """
     inputs, output = _parse_spec(spec, len(operands))
-    parts = [_components(x, labels) for x, labels in zip(operands, inputs)]
-    dims = {d for d, _ in parts if d is not None}
+    arrs = [Components.of(x) for x in operands]
+    for arr, labels in zip(arrs, inputs):
+        if arr.rank != len(labels):
+            raise ValenceError(f"operand of rank {arr.rank} labelled {labels!r}")
+    # a scalar has a dimension only as a TensorField, from its chart
+    dims = {a.n for a in arrs if a.rank or isinstance(a, TensorField)}
     if len(dims) > 1:
         raise ValenceError(f"operands of different dimensions {sorted(dims)}")
     n = dims.pop() if dims else 0
-    field = next((x.chart.context.field for x in operands if isinstance(x, TensorField)), None)
-    flats = [flat for _, flat in parts]
+    field = next((a.chart.context.field for a in arrs if isinstance(a, TensorField)), None)
+    flats = [a.flat for a in arrs]
     field = field or _field_in(flats, f"contraction {spec!r}")
     flats = [[to_element(field, e) for e in flat] for flat in flats]
     labels, entries = "", {(): field.one}
@@ -454,14 +413,6 @@ def _letters(k: int, skip: str = "") -> str:
 
 # --------------------------------------------------------------------
 # pointwise linear algebra helpers
-
-
-def compose11(a: TensorField, b: TensorField) -> TensorField:
-    """(a . b)^i_j = a^i_k b^k_j for (1,1)-tensors."""
-    for t in (a, b):
-        if (t.r, t.s) != (1, 1):
-            raise ValenceError("compose11 needs (1,1)-tensors")
-    return TensorField(a.chart, 1, 1, contract("ik,kj->ij", a, b))
 
 
 def identity_tensor(chart: Chart) -> TensorField:
@@ -496,59 +447,19 @@ def row_reduce(rows: list) -> Tuple[list, list]:
     return rows[: len(pivots)], pivots
 
 
-def _det_and_adjugate(rows: list) -> Tuple[object, list]:
-    """Determinant and adjugate (row-major) of a square matrix of
-    polynomials, by Laplace expansion over column subsets: exact, with no
-    division."""
-    n = len(rows)
-
-    def minors(kept_rows):
-        # det of kept_rows[:k] x (columns in mask, ascending) for |mask| = k,
-        # expanding along the last of those rows
-        dets = {0: rows[0][0].ring.one}
-        for k, row in enumerate(kept_rows, start=1):
-            for mask in range(1 << n):
-                if bin(mask).count("1") != k:
-                    continue
-                acc = row[0].ring.zero
-                for j in range(n):
-                    if mask >> j & 1 and row[j]:
-                        sub = dets[mask ^ (1 << j)]
-                        if sub:
-                            pos = bin(mask & ((1 << j) - 1)).count("1")
-                            term = row[j] * sub
-                            acc = acc + term if (k - 1 + pos) % 2 == 0 else acc - term
-                dets[mask] = acc
-        return dets
-
-    full = (1 << n) - 1
-    adj = [None] * (n * n)
-    for i in range(n):
-        dets = minors(rows[:i] + rows[i + 1 :])
-        for j in range(n):
-            minor = dets[full ^ (1 << j)]
-            adj[j * n + i] = minor if (i + j) % 2 == 0 else -minor
-    det = sum((rows[0][j] * adj[j * n] for j in range(n)), rows[0][0].ring.zero)
-    return det, adj
-
-
 def metric_inverse(g: TensorField) -> TensorField:
-    """g^{-1} = L adj(L g) / det(L g), with L the lcm of the denominators of
-    g, so the determinant and adjugate are taken over polynomials."""
-    n = g.chart.dim
+    """g^{-1}: row_reduce takes [g | Id] to [Id | g^{-1}].  When g is
+    singular, a pivot of [g | Id] lies in Id's columns."""
+    n = g.n
     field = g.chart.context.field
-    lcm = field.ring.one
-    for e in g.comps.flat:
-        lcm = lcm.lcm(e.denom)
     rows = [
-        [e.numer * lcm.exquo(e.denom) for e in g.comps.flat[i * n : (i + 1) * n]]
+        [*g.flat[i * n : (i + 1) * n], *(field.one if j == i else field.zero for j in range(n))]
         for i in range(n)
     ]
-    det, adj = _det_and_adjugate(rows)
-    if not det:
+    reduced, pivots = row_reduce(rows)
+    if pivots[n - 1] != n - 1:
         raise SingularMetricError("metric determinant is identically zero")
-    inv = [field.new(a * lcm, det) for a in adj]
-    return TensorField(g.chart, 2, 0, Components(n, 2, inv))
+    return TensorField(g.chart, 2, 0, Components(n, 2, [e for row in reduced for e in row[n:]]))
 
 
 def christoffel(g: TensorField, ginv: TensorField) -> TensorField:
@@ -558,7 +469,7 @@ def christoffel(g: TensorField, ginv: TensorField) -> TensorField:
     tensor: they do not transform as one under a change of chart."""
     dg = partials(g)  # [i, j, l] = d_l g_ij
     first = contract("jli->ijl", dg) + contract("ilj->ijl", dg) - dg
-    return TensorField(g.chart, 1, 2, contract("kl,ijl->kij", ginv.comps / 2, first))
+    return TensorField(g.chart, 1, 2, contract("kl,ijl->kij", ginv / 2, first))
 
 
 def covariant_derivative(t: TensorField, conn: TensorField) -> TensorField:
@@ -599,8 +510,8 @@ def partials(t: TensorField) -> Components:
     """The coordinate partials d_c T[idx] at [idx, c]: one more trailing
     slot."""
     ctx = t.chart.context
-    n = t.chart.dim
-    flat = [ctx.partial_element(e, c) for e in t.comps.flat for c in range(n)]
+    n = t.n
+    flat = [ctx.partial_element(e, c) for e in t.flat for c in range(n)]
     return Components(n, t.rank + 1, flat)
 
 
@@ -657,14 +568,14 @@ def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int,
 
     Exact symmetric congruence diagonalization of g's values at the point,
     which lie in QQ(E) (scalars.PointValues): every zero test there is
-    exact and every pivot sign is decided by refining rational enclosures
+    exact and every pivot sign is decided by refining integer enclosures
     of E, so no irrationals and no floats appear.  An entry whose
     denominator vanishes at the point raises PoleError, a metric with no
     nonzero pivot left DegenerateMetricError.
     """
-    n = g.chart.dim
+    n = g.n
     at = g.chart.values_at(point)
-    work = [[at.value(e) for e in g.comps.flat[i * n : (i + 1) * n]] for i in range(n)]
+    work = [[at.value(e) for e in g.flat[i * n : (i + 1) * n]] for i in range(n)]
     pos = neg = 0
     while work:
         size = len(work)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .field import Frac
-from .geometry import Components, TensorField, contract, identity_tensor, row_reduce
+from .geometry import Components, contract, identity_tensor, row_reduce
 from .structures import (
     CheckItem,
     StructureAnalysis,
@@ -36,7 +36,7 @@ class NullityFit:
     kappa: Optional[Frac] = None
     mu: Optional[Frac] = None
     nu: Optional[Frac] = None
-    B: Optional[TensorField] = None
+    B: Optional[Components] = None
     witness: Optional[str] = None
     unique: bool = True  # False when the parameter representation is non-unique
 
@@ -59,7 +59,7 @@ def _solve(rows: List[list]) -> Optional[Tuple[list, bool]]:
     return sol, len(pivots) == n
 
 
-def _bi_residual(an: StructureAnalysis, B: TensorField) -> Components:
+def _bi_residual(an: StructureAnalysis, B: Components) -> Components:
     """R(X,Y)xi - [eta(Y) B X - eta(X) B Y]."""
     return an.R_xi - _antisymmetrized(contract("b,ia->iab", an.structure.eta, B))
 
@@ -87,12 +87,12 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
 
     if h.is_zero():
         # fit kappa alone: l = kappa * P
-        solved = _solve([[P.comps[i, j], l.comps[i, j]] for i in rng for j in rng])
+        solved = _solve([[P[i, j], l[i, j]] for i in rng for j in rng])
         if solved is None:
             return NullityFit("not_nullity", witness="l is not proportional to phi^2")
         (kv,), _ = solved
         kappa = ctx.element(kv)
-        B = TensorField(an.chart, 1, 1, kappa * P.comps)
+        B = kappa * P
         residual = _bi_residual(an, B)
         w = residual.first_nonzero()
         if w is not None:
@@ -107,7 +107,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
             )
         return NullityFit("degenerate_h_zero", kappa=kappa, B=B)
 
-    solved = _solve([[P.comps[i, j], h.comps[i, j], phih.comps[i, j], l.comps[i, j]] for i in rng for j in rng])
+    solved = _solve([[P[i, j], h[i, j], phih[i, j], l[i, j]] for i in rng for j in rng])
     if solved is None:
         return NullityFit(
             "not_nullity",
@@ -115,7 +115,7 @@ def nullity_fit(an: StructureAnalysis) -> NullityFit:
         )
     sol, unique = solved
     kappa, mu, nu = map(ctx.element, sol)
-    B = TensorField(an.chart, 1, 1, kappa * P.comps + mu * h.comps + nu * phih.comps)
+    B = kappa * P + mu * h + nu * phih
     residual = _bi_residual(an, B)
     w = residual.first_nonzero()
     if w is not None:
@@ -165,15 +165,15 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     phi, xi, eta = s.phi, s.xi, s.eta
     alpha = an.alpha
     kappa, mu, nu = fit.kappa, fit.mu, fit.nu
-    h, phih, P, l = an.h.comps, an.phih.comps, an.proj.comps, an.l
+    h, phih, P, l = an.h, an.phih, an.proj, an.l
     hphi = an.hphi
-    delta = identity_tensor(an.chart).comps
+    delta = identity_tensor(an.chart)
     items: List[CheckItem] = []
 
     def residual(name, comps):
         items.append(_residual_item(name, comps))
 
-    residual(names[0], l.comps - (kappa * P + mu * h + nu * phih))
+    residual(names[0], l - (kappa * P + mu * h + nu * phih))
     residual(
         names[1],
         contract("ik,kj->ij", l, phi)
@@ -185,7 +185,7 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     residual(names[2], an.h2 - (kappa + alpha**2) * P)
 
     nab_xi_h = an.nab_xi_h
-    residual(names[3], nab_xi_h.comps + (2 * alpha + nu) * h - mu * hphi)
+    residual(names[3], nab_xi_h + (2 * alpha + nu) * h - mu * hphi)
 
     # nabla_xi(h^2) = (nabla_xi h) h + h (nabla_xi h), by the Leibniz rule
     nab_xi_h2 = contract("ik,kj->ij", nab_xi_h, h) + contract("ik,kj->ij", h, nab_xi_h)
@@ -207,7 +207,7 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
         + contract("b,ia->iab", eta, B),
     )
 
-    residual(names[7], contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi.comps)
+    residual(names[7], contract("ik,k->i", an.Q, xi) - 2 * s.n * kappa * xi)
 
     # (nabla_X phi)Y = g(Y, hX + alpha phi X) xi - eta(Y)(hX + alpha phi X):
     # the para-Kaehler leaves condition
@@ -222,7 +222,7 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
     # (nabla_X h)Y - (nabla_Y h)X = (kappa+alpha^2)(eta(Y)phiX - eta(X)phiY
     #   + 2 g(Y, phi X) xi) + mu(eta(Y)phi.h X - eta(X)phi.h Y)
     #   + (nu+alpha)(eta(Y)hX - eta(X)hY), with g(Y, phi X) = Phi(X, Y)
-    D = (kappa + alpha**2) * phi.comps + mu * phih + (nu + alpha) * h
+    D = (kappa + alpha**2) * phi + mu * phih + (nu + alpha) * h
     res11 = contract("iba->iab", an.nabh) - contract("b,ia->iab", eta, D)
     residual(
         names[10],
@@ -253,6 +253,6 @@ def check_q_commutator_nullity(an: StructureAnalysis, fit: NullityFit) -> CheckI
         contract("ik,kj->ij", an.Q, phi)
         - contract("ik,kj->ij", phi, an.Q)
         - 2 * mu * an.hphi
-        + 2 * (nu + 2 * alpha * (1 - an.structure.n)) * an.h.comps
+        + 2 * (nu + 2 * alpha * (1 - an.structure.n)) * an.h
     )
     return _residual_item(name, res)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, EngineError
-from .geometry import TensorField, contract
+from .geometry import Components, contract
 from .field import Frac, serialize, to_str
 from .parser import ManifoldDefinition
 from .structures import (
@@ -49,9 +49,8 @@ def _scalar_str(fld) -> str:
     return serialize(fld) if isinstance(fld, Frac) else str(Fraction(fld))
 
 
-def _matrix_strs(t: TensorField) -> List[List[str]]:
-    n = t.chart.dim
-    return [[to_str(t.comps[i, j]) for j in range(n)] for i in range(n)]
+def _matrix_strs(t: Components) -> List[List[str]]:
+    return [[to_str(t[i, j]) for j in range(t.n)] for i in range(t.n)]
 
 
 class AnalysisReport:

@@ -32,8 +32,8 @@ Values at a rational point are exact too (PointValues): there every
 generator exp(r*c) is a power E**k of E = e^(1/N) for one integer N, so a
 value is an element of QQ(E).  E is transcendental (Hermite-Lindemann), so
 a value is zero exactly when its numerator polynomial in E is, and the
-sign of a nonzero value comes from rational enclosures of e^(1/N) refined
-until they exclude 0.  A point where some |k| is above
+sign of a nonzero value comes from integer fixed-point enclosures of each
+term, refined until their sum excludes 0.  A point where some |k| is above
 MAX_GENERATOR_POWER is refused.  No floats on any path.
 
 Field elements are the only scalar representation here: a value enters as
@@ -56,7 +56,7 @@ from .field import Frac, FracField, Poly, field_of_names, reduce, sort_names
 Pair = Tuple[Poly, Poly]  # (numerator, denominator), not reduced
 
 # the largest |k| of a generator E**k at a point (PointValues): a sign
-# there raises rational enclosures of e^(1/N) to powers of that size
+# there raises enclosures of e^(1/N) to powers of that size
 MAX_GENERATOR_POWER = 10000
 
 
@@ -286,29 +286,49 @@ class PointValues:
 
 
 @lru_cache(maxsize=256)
-def _exp_bounds(N: int, m: int) -> Tuple[Fraction, Fraction]:
-    """lo < e^(1/N) < hi: the Taylor sum to degree m and that sum plus
-    twice the next term, which bounds the remainder for 1/N <= 1."""
+def _exp_bounds(N: int, bits: int) -> Tuple[int, int]:
+    """Integers lo < 2**bits * e^(1/N) < hi: the Taylor sum of e^x, x = 1/N,
+    to the first degree m whose next term is below 2**-bits, and that sum
+    plus twice the next term, which bounds the remainder for x <= 1."""
     x = Fraction(1, N)
     term = s = Fraction(1)
-    for k in range(1, m + 1):
-        term = term * x / k
+    m = 0
+    while term * x / (m + 1) * 2**bits >= 1:
+        m += 1
+        term = term * x / m
         s += term
-    return s, s + 2 * term * x / (m + 1)
+    tail = 2 * term * x / (m + 1)
+    return math.floor(s * 2**bits), math.ceil((s + tail) * 2**bits)
+
+
+def _fixed_power(x: int, e: int, bits: int, up: bool) -> int:
+    """2**bits * (x / 2**bits)**e for x >= 0, by squaring, each product
+    rounded down, or up if up: a bound on the power of any number that x
+    bounds the same way."""
+    out = 1 << bits
+    while e:
+        if e & 1:
+            out = -(-out * x >> bits) if up else out * x >> bits
+        x = -(-x * x >> bits) if up else x * x >> bits
+        e >>= 1
+    return out
 
 
 def _sign_at(p: Poly, N: int) -> int:
     """The sign of a polynomial in one generator at E = e^(1/N); it is
-    nonzero unless p is, so the enclosure refinement ends."""
+    nonzero unless p is, so doubling the fixed-point precision of the
+    enclosure of each term ends."""
     if p.is_ground:
         c = p.LC
         return (c > 0) - (c < 0)
     terms = [(m[0], c) for m, c in p.items()]
-    m = 8
+    bits = 64
     while True:
-        lo, hi = _exp_bounds(N, m)
-        if sum(c * (lo if c > 0 else hi) ** e for e, c in terms) > 0:
+        lo, hi = _exp_bounds(N, bits)
+        low = {e: _fixed_power(lo, e, bits, False) for e, _ in terms}
+        high = {e: _fixed_power(hi, e, bits, True) for e, _ in terms}
+        if sum(c * (low[e] if c > 0 else high[e]) for e, c in terms) > 0:
             return 1
-        if sum(c * (hi if c > 0 else lo) ** e for e, c in terms) < 0:
+        if sum(c * (high[e] if c > 0 else low[e]) for e, c in terms) < 0:
             return -1
-        m *= 2
+        bits *= 2

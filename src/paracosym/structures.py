@@ -10,15 +10,15 @@ StructureAnalysis is the one place where a tensor that more than one check
 reads is built: g^{-1}, the connection, A, h, R, S, Q, r, h^2, h.phi,
 phi^2, S(xi,xi), R(.,.)xi, N^1 and the covariant derivatives are cached
 properties there, computed once per structure, and the checks read them
-instead of rebuilding them.  Every check hands its residual to the item
-builder as Components.
+instead of rebuilding them.  Each is Components, and a TensorField where
+a kernel reads its chart or valence (A, h and phi.h, say).  Every check
+hands its residual to the item builder as Components.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -28,7 +28,6 @@ from .geometry import (
     Components,
     TensorField,
     christoffel,
-    compose11,
     contract,
     covariant_derivative,
     exterior_derivative,
@@ -144,12 +143,12 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
     items.append(_scalar_item("eta(xi) = 1", contract("k,k->", eta, xi) - 1))
 
     phi2 = contract("ik,kj->ij", phi, phi) + contract("i,j->ij", xi, eta)
-    items.append(_residual_item("phi^2 = Id - eta(x)xi", phi2 - identity_tensor(chart).comps))
+    items.append(_residual_item("phi^2 = Id - eta(x)xi", phi2 - identity_tensor(chart)))
 
     # g(phi X, phi Y) = -g(X,Y) + eta(X) eta(Y)
-    gphiphi = contract("ki,kl,lj->ij", phi, g, phi) + g.comps - contract("i,j->ij", eta, eta)
+    gphiphi = contract("ki,kl,lj->ij", phi, g, phi) + g - contract("i,j->ij", eta, eta)
     items.append(_residual_item("g(phi.,phi.) = -g + eta(x)eta", gphiphi))
-    items.append(_residual_item("eta = g(xi,.)", contract("ij,j->i", g, xi) - eta.comps))
+    items.append(_residual_item("eta = g(xi,.)", contract("ij,j->i", g, xi) - eta))
     items.append(_residual_item("phi(xi) = 0", contract("ik,k->i", phi, xi)))
     items.append(_residual_item("eta o phi = 0", contract("k,kj->j", eta, phi)))
 
@@ -203,7 +202,7 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
 def fundamental_form(s: AlmostParacontactStructure) -> TensorField:
     """Phi(X,Y) = g(phi X, Y); must be antisymmetric with i_xi Phi = 0."""
     Phi = TensorField(s.chart, 0, 2, contract("ki,kj->ij", s.phi, s.g))
-    sym = (Phi.comps + contract("ij->ji", Phi)).first_nonzero()
+    sym = (Phi + contract("ij->ji", Phi)).first_nonzero()
     if sym is not None:
         i, j = sym[0]
         raise StructureError(f"fundamental form has a symmetric part at ({i},{j})")
@@ -236,7 +235,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
     at = chart.values_at()
     candidates = []
     for idx in itertools.combinations(range(n_tot), 3):
-        val = ep.comps[idx]
+        val = ep[idx]
         if val and at.is_unit(val):
             candidates.append(idx)
         if len(candidates) >= 2:
@@ -245,10 +244,10 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
         raise StructureError("eta ^ Phi vanishes at the base point")
 
     idx = candidates[0]
-    alpha = dPhi.comps[idx] / (2 * ep.comps[idx])
+    alpha = dPhi[idx] / (2 * ep[idx])
     if len(candidates) > 1:
         idx2 = candidates[1]
-        alpha2 = dPhi.comps[idx2] / (2 * ep.comps[idx2])
+        alpha2 = dPhi[idx2] / (2 * ep[idx2])
         if alpha != alpha2:
             return AlphaExtraction(
                 None, None, False,
@@ -256,7 +255,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
                 f"(ratios differ between components {idx} and {idx2})",
             )
 
-    residual = dPhi - ep.scale(alpha * 2)
+    residual = dPhi - ep * (alpha * 2)
     if not residual.is_zero():
         w = residual.first_nonzero()
         return AlphaExtraction(
@@ -268,7 +267,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
     dalpha = _gradient(chart.context, alpha)
     f = contract("c,c->", s.xi, dalpha)
     if s.n >= 2:
-        bad = (dalpha - f * s.eta.comps).first_nonzero()
+        bad = (dalpha - f * s.eta).first_nonzero()
         if bad is not None:
             return AlphaExtraction(
                 alpha, f, False, f"d(alpha) != f*eta at coordinate {bad[0][0]}"
@@ -287,19 +286,19 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
 
 def tensor_A(s: AlmostParacontactStructure, conn: TensorField) -> TensorField:
     """A = -nabla(xi) as a (1,1)-tensor, A^i_j = -(nabla_j xi)^i."""
-    return -covariant_derivative(s.xi, conn)
+    return TensorField(s.chart, 1, 1, -covariant_derivative(s.xi, conn))
 
 
 def tensor_h(s: AlmostParacontactStructure, A: TensorField) -> TensorField:
     """h = (1/2) L_xi phi, cross-checked against (1/2)(A phi - phi A)."""
-    h_lie = lie_derivative(s.xi, s.phi).scale(Fraction(1, 2))
-    h_alg = (compose11(A, s.phi) - compose11(s.phi, A)).scale(Fraction(1, 2))
+    h_lie = lie_derivative(s.xi, s.phi) / 2
+    h_alg = (contract("ik,kj->ij", A, s.phi) - contract("ik,kj->ij", s.phi, A)) / 2
     if h_lie != h_alg:
         w = (h_lie - h_alg).first_nonzero()
         raise ConventionBugError(
             f"(1/2)L_xi(phi) != (1/2)(A.phi - phi.A) at component {w[0]}"
         )
-    return h_lie
+    return TensorField(s.chart, 1, 1, h_lie)
 
 
 # --------------------------------------------------------------------
@@ -361,7 +360,7 @@ class StructureAnalysis:
 
     @cached_property
     def phih(self) -> TensorField:
-        return compose11(self.structure.phi, self.h)
+        return TensorField(self.chart, 1, 1, contract("ik,kj->ij", self.structure.phi, self.h))
 
     @cached_property
     def R(self) -> TensorField:
@@ -372,9 +371,9 @@ class StructureAnalysis:
         return ricci_tensor(self.R)
 
     @cached_property
-    def Q(self) -> TensorField:
+    def Q(self) -> Components:
         """Ricci operator g^{-1} S."""
-        return TensorField(self.chart, 1, 1, contract("ik,kj->ij", self.ginv, self.S))
+        return contract("ik,kj->ij", self.ginv, self.S)
 
     @cached_property
     def r(self) -> Frac:
@@ -418,17 +417,15 @@ class StructureAnalysis:
         return nijenhuis_normality(self.structure)
 
     @cached_property
-    def proj(self) -> TensorField:
+    def proj(self) -> Components:
         """Projection onto ker(eta): P = phi^2 = Id - eta(x)xi."""
         s = self.structure
-        P = identity_tensor(self.chart).comps - contract("i,j->ij", s.xi, s.eta)
-        return TensorField(self.chart, 1, 1, P)
+        return identity_tensor(self.chart) - contract("i,j->ij", s.xi, s.eta)
 
     @cached_property
-    def sigma(self) -> TensorField:
+    def sigma(self) -> Components:
         """sigma = S(xi, .) restricted to ker(eta), as a covector."""
-        sigma = contract("a,ab,bj->j", self.structure.xi, self.S, self.proj)
-        return TensorField(self.chart, 0, 1, sigma)
+        return contract("a,ab,bj->j", self.structure.xi, self.S, self.proj)
 
     @cached_property
     def nabphi(self) -> TensorField:
@@ -447,9 +444,9 @@ class StructureAnalysis:
         return covariant_derivative(self.h, self.conn)
 
     @cached_property
-    def nab_xi_h(self) -> TensorField:
+    def nab_xi_h(self) -> Components:
         """nabla_xi h, from the cached nabla h."""
-        return TensorField(self.chart, 1, 1, contract("ijz,z->ij", self.nabh, self.structure.xi))
+        return contract("ijz,z->ij", self.nabh, self.structure.xi)
 
     @cached_property
     def parakaehler_leaves_residual(self) -> Components:
@@ -457,7 +454,7 @@ class StructureAnalysis:
         - alpha eta(Y) phi X - eta(Y) h X, as a (1,2)-tensor (i; X=a, Y=b);
         it vanishes iff the leaves are para-Kaehler."""
         s = self.structure
-        w = self.alpha * s.phi.comps + self.h.comps  # hX + alpha phi X
+        w = self.alpha * s.phi + self.h  # hX + alpha phi X
         return (
             contract("iba->iab", self.nabphi)
             - contract("mb,ma,i->iab", s.g, w, s.xi)
@@ -491,19 +488,19 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     def residual(name, comps):
         items.append(_residual_item(name, comps))
 
-    residual("L_xi(eta) = 0", lie_derivative(xi, eta).comps)
+    residual("L_xi(eta) = 0", lie_derivative(xi, eta))
 
     gA = contract("mj,mi->ij", g, A)  # g(A d_i, d_j)
     residual("A self-adjoint", gA - contract("ij->ji", gA))
     residual("A(xi) = 0", contract("ik,k->i", A, xi))
-    L_Phi = lie_derivative(xi, Phi).comps
-    residual("L_xi(Phi) = 2*alpha*Phi", L_Phi - 2 * alpha * Phi.comps)
-    residual("L_xi(g) = -2*g(A.,.)", lie_derivative(xi, g).comps + 2 * gA)
+    L_Phi = lie_derivative(xi, Phi)
+    residual("L_xi(Phi) = 2*alpha*Phi", L_Phi - 2 * alpha * Phi)
+    residual("L_xi(g) = -2*g(A.,.)", lie_derivative(xi, g) + 2 * gA)
     residual("eta o A = 0", contract("m,mj->j", eta, A))
 
     if n >= 2:
         f = an.alpha_extraction.f
-        residual("d(alpha) = f*eta", _gradient(chart.context, alpha) - f * eta.comps)
+        residual("d(alpha) = f*eta", _gradient(chart.context, alpha) - f * eta)
     else:
         items.append(
             CheckItem("d(alpha) = f*eta", "skip", reason="stated only for dim >= 5")
@@ -511,16 +508,16 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     residual(
         "A.phi + phi.A = -2*alpha*phi",
-        contract("ik,kj->ij", A, phi) + contract("ik,kj->ij", phi, A) + 2 * alpha * phi.comps,
+        contract("ik,kj->ij", A, phi) + contract("ik,kj->ij", phi, A) + 2 * alpha * phi,
     )
 
     residual("nabla_xi(phi) = 0", contract("ijz,z->ij", nabphi, xi))
 
     gh = contract("mj,mi->ij", g, h)  # g(h d_i, d_j)
     residual("h self-adjoint", gh - contract("ij->ji", gh))
-    residual("h.phi + phi.h = 0", an.hphi + an.phih.comps)
+    residual("h.phi + phi.h = 0", an.hphi + an.phih)
     residual("h(xi) = 0", contract("ik,k->i", h, xi))
-    residual("nabla(xi) = alpha*phi^2 + phi.h", alpha * an.phi2 + an.phih.comps + A.comps)
+    residual("nabla(xi) = alpha*phi^2 + phi.h", alpha * an.phi2 + an.phih + A)
 
     items.append(_scalar_item("tr(A.phi) = 0", contract("ik,ki->", A, phi)))
     items.append(_scalar_item("tr(h.phi) = 0", contract("ik,ki->", h, phi)))
@@ -595,7 +592,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
         contract("mbc,ca,im->iab", nabphi, phi, phi)
         + contract("iba->iab", nabphi)
         + 2 * alpha * eta_phi
-        - contract("ab,i->iab", alpha * Phi.comps + gh, xi),
+        - contract("ab,i->iab", alpha * Phi + gh, xi),
     )
     return items
 
@@ -621,7 +618,7 @@ def parakaehler_leaves_check(an: StructureAnalysis) -> bool:
 
 @dataclass
 class LeafGeometry:
-    second_fundamental_form: TensorField  # (0,2), supported on ker(eta)
+    second_fundamental_form: Components  # (0,2), supported on ker(eta)
     umbilical: bool
     geodesic: bool
 
@@ -629,8 +626,8 @@ class LeafGeometry:
 def leaf_second_fundamental_form(an: StructureAnalysis) -> LeafGeometry:
     """II(X,Y) = -alpha g(PX, PY) - g(PX, phi h PY), P the ker(eta) projection."""
     P = an.proj
-    op = an.alpha * identity_tensor(an.chart).comps + an.phih.comps
-    II = TensorField(an.chart, 0, 2, -contract("ma,mn,nk,kb->ab", P, an.structure.g, op, P))
+    op = an.alpha * identity_tensor(an.chart) + an.phih
+    II = -contract("ma,mn,nk,kb->ab", P, an.structure.g, op, P)
     h_zero = an.h.is_zero()
     alpha_zero = an.alpha.is_zero()
     return LeafGeometry(II, umbilical=h_zero and not alpha_zero, geodesic=h_zero and alpha_zero)
@@ -647,7 +644,7 @@ def para_kenmotsu_biconditional(an: StructureAnalysis) -> CheckItem:
         return CheckItem(name, "skip", reason="not an apc structure")
     _, normal = an.normality
     lhs = normal and an.alpha == 1 and parakaehler_leaves_check(an)
-    rhs = (an.A.comps + an.phi2).is_zero()
+    rhs = (an.A + an.phi2).is_zero()
     if lhs == rhs:
         return CheckItem(name, "pass")
     return CheckItem(

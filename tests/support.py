@@ -106,15 +106,15 @@ def three_dim_decomposition_residual(g: TensorField, ricci_sign: int = 1) -> Ten
     conn = christoffel(g)
     R = riemann(conn)
     S = ricci_tensor(R)
-    Q = ricci_operator(S, g).scale(ricci_sign)
+    Q = ricci_operator(S, g) * ricci_sign
     r = scalar_curvature(S, g) * ricci_sign
-    delta = identity_tensor(chart).comps
+    delta = identity_tensor(chart)
     gQ = contract("mk,mb->bk", g, Q)  # g(Q d_b, d_k)
     # model = T - (T with a and b swapped)
-    T = contract("bk,ia->iabk", g, Q.comps - (r / 2) * delta) + contract(
+    T = contract("bk,ia->iabk", g, Q - (r / 2) * delta) + contract(
         "bk,ia->iabk", gQ, delta
     )
-    return TensorField(chart, 1, 3, R.comps - T + contract("ibak->iabk", T))
+    return TensorField(chart, 1, 3, R - T + contract("ibak->iabk", T))
 
 
 def h4_impossibility_test() -> bool:

@@ -32,8 +32,8 @@ def test_constant_deformation_laws(analyses):
     assert an_t.axioms_ok and an_t.is_apc
     assert an_t.alpha == Fraction(1, 2)
     # A~ = A/2 and h~ = h/2, checked entrywise
-    assert (an_t.A - an.A.scale(Fraction(1, 2))).is_zero()
-    assert (an_t.h - an.h.scale(Fraction(1, 2))).is_zero()
+    assert (an_t.A - an.A * Fraction(1, 2)).is_zero()
+    assert (an_t.h - an.h * Fraction(1, 2)).is_zero()
     items = verify_deformation_laws(an, an_t, 3, beta)
     bad = [it for it in items if it.status == "fail"]
     assert not bad, [(b.name, b.witness) for b in bad]

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paracosym.errors import DivisionByZeroFieldError, ValenceError
+from paracosym.errors import ContextMismatchError, DivisionByZeroFieldError, SingularMetricError, ValenceError
 from paracosym.geometry import (
     Chart,
     Components,
@@ -25,7 +25,7 @@ from paracosym.geometry import (
 )
 from paracosym.classify import canon
 from paracosym.field import Frac
-from paracosym.scalars import ScalarContext
+from paracosym.scalars import GeneratorDecl, ScalarContext
 from support import christoffel, exact_value, scalar_curvature, symbols
 
 CTX = ScalarContext(("x", "y", "z"), ())
@@ -67,7 +67,7 @@ def test_christoffel_metric_compatible_and_symmetric():
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                assert conn.comps[k, i, j] == conn.comps[k, j, i]
+                assert conn[k, i, j] == conn[k, j, i]
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ def test_christoffel_and_riemann_match_expr_sums(seed11):
     # connection and nested sums of its values at rational points, which
     # the fused kernel must match there
     g, R = seed11
-    gm = sp.Matrix(3, 3, lambda i, j: g.comps[i, j].as_expr())
+    gm = sp.Matrix(3, 3, lambda i, j: g[i, j].as_expr())
     det, adj = canon(gm.det()), gm.adjugate()
     ginv = [[canon(adj[k, l] / det) for l in RNG3] for k in RNG3]
     coords = (X, Y, Z)
@@ -125,7 +125,7 @@ def test_christoffel_and_riemann_match_expr_sums(seed11):
         ]
         for k in RNG3
     ]
-    G = christoffel(g).comps
+    G = christoffel(g)
     for k, i, j in itertools.product(RNG3, repeat=3):
         assert G[k, i, j].as_expr() == gamma[k][i][j]
     dgamma = {
@@ -210,16 +210,44 @@ def test_lie_derivative_of_function_free_bracket():
     assert (lie_derivative(v, w) - TensorField(CHART, 1, 0, bracket)).is_zero()
 
 
+def _five_dim_metric():
+    ctx = ScalarContext(tuple(f"u{i}" for i in range(5)), ())
+    u = [ctx.coordinate(i) for i in range(5)]
+    rows = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        rows[i][i] = (-1) ** i + (i == 2) * u[0] * u[1]
+        if i < 4:
+            rows[i][i + 1] = rows[i + 1][i] = u[i] + i
+    rows[0][4] = rows[4][0] = 2
+    return TensorField(Chart(ctx, (0,) * 5), 0, 2, rows)
+
+
+def _generator_metric():
+    ctx = ScalarContext(("x", "y", "z"), (GeneratorDecl("E", 2, 1),))
+    E, x = ctx.variable("E"), ctx.coordinate(0)
+    rows = [[E, x, 0], [x, -1, E / (1 + x**2)], [0, E / (1 + x**2), E**2 - x]]
+    return TensorField(Chart(ctx, (0, 0, 0)), 0, 2, rows)
+
+
 def test_metric_inverse_exact():
-    rng = random.Random(17)
-    g = _random_metric(rng)
-    ginv = metric_inverse(g)
-    for i in range(3):
-        for j in range(3):
-            val = sp.cancel(
-                sum(ginv.array[i, k] * g.array[k, j] for k in range(3))
-            )
-            assert val == (1 if i == j else 0)
+    for g in (_random_metric(random.Random(17)), _five_dim_metric(), _generator_metric()):
+        n = g.n
+        ginv = metric_inverse(g)
+        assert (ginv.r, ginv.s) == (2, 0)
+        for i in range(n):
+            for j in range(n):
+                val = sp.cancel(sum(ginv.array[i, k] * g.array[k, j] for k in range(n)))
+                assert val == (1 if i == j else 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, x, 0], [x, x**2, 0], [0, 0, 1]], [[1, 2, 3], [2, 4, 6], [0, 1, y]], [[0, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    ids=["rank-2", "proportional-rows", "zero-row"],
+)
+def test_singular_metric_raises(rows):
+    with pytest.raises(SingularMetricError):
+        metric_inverse(_metric(rows))
 
 
 def test_signature_lorentzian():
@@ -343,6 +371,72 @@ def test_components_shape_mismatch_raises():
     assert mixed + mixed == two and 2 * mixed == two and two - mixed == mixed / 1
 
 
+def test_tensor_field_arithmetic_returns_components():
+    t = TensorField(CHART, 1, 1, [[x, 0, 1], [0, y, 0], [z, 0, 2]])
+    c = Components.of([[1, x, 0], [0, 0, y], [0, z, 0]])
+    got = [t + c, c + t, t - c, c - t, -t, t * x, x * t, t / 2]
+    want = [
+        [[x + 1, x, 1], [0, y, y], [z, z, 2]],
+        [[x + 1, x, 1], [0, y, y], [z, z, 2]],
+        [[x - 1, -x, 1], [0, y, -y], [z, -z, 2]],
+        [[1 - x, x, -1], [0, -y, y], [-z, z, -2]],
+        [[-x, 0, -1], [0, -y, 0], [-z, 0, -2]],
+        [[x * x, 0, x], [0, x * y, 0], [x * z, 0, 2 * x]],
+        [[x * x, 0, x], [0, x * y, 0], [x * z, 0, 2 * x]],
+        [[x / 2, 0, Fraction(1, 2)], [0, y / 2, 0], [z / 2, 0, 1]],
+    ]
+    for result, rows in zip(got, want):
+        assert type(result) is Components
+        assert result == TensorField(CHART, 1, 1, rows)
+    # a TensorField is Components: equal entries are equal, whatever the valence
+    assert t == Components(3, 2, t.flat) and TensorField(CHART, 0, 2, t) == t
+
+
+def test_components_of_two_fields_do_not_mix():
+    gctx = ScalarContext(("x", "y", "z"), (GeneratorDecl("E", 2, 1),))
+    E = gctx.variable("E")
+    t = TensorField(CHART, 1, 0, [x, y, z])
+    u = TensorField(Chart(gctx, (0, 0, 0)), 1, 0, [E, 0, 1])
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ContextMismatchError):
+            op(t, u)
+        with pytest.raises(ContextMismatchError):
+            op(u, t)
+    with pytest.raises(ContextMismatchError):
+        t * E
+
+
+def test_tensor_field_lifts_another_charts_components():
+    # conformal_deform moves a structure into a chart with one more
+    # generator: TensorField(chart2, r, s, t) lifts t's entries into its field
+    gctx = ScalarContext(("x", "y", "z"), (GeneratorDecl("E", 2, 1),))
+    chart2 = Chart(gctx, (0, 0, 0))
+    t = TensorField(CHART, 1, 1, [[x, 0, 1], [0, y * z, 0], [z / (1 + x**2), 0, 2]])
+    moved = TensorField(chart2, 1, 1, t)
+    assert moved.chart is chart2 and (moved.r, moved.s) == (1, 1)
+    assert all(e.field is gctx.field for e in moved)
+    gx, gy, gz = (gctx.coordinate(i) for i in range(3))
+    assert moved == TensorField(chart2, 1, 1, [[gx, 0, 1], [0, gy * gz, 0], [gz / (1 + gx**2), 0, 2]])
+    assert moved != t  # the same fractions, in two fields
+    E = gctx.variable("E")
+    assert E * moved == TensorField(chart2, 1, 1, [[E * gx, 0, E], [0, E * gy * gz, 0], [E * gz / (1 + gx**2), 0, 2 * E]])
+
+
+@pytest.mark.parametrize(
+    "spec, operands",
+    [
+        ("ik,kj->ij", ("PHI", "PHI")),
+        ("ij,j->i", ("PHI", "XI")),
+        ("ii->", ("PHI",)),
+        ("i,j->ij", ("XI", "XI")),
+    ],
+)
+def test_contract_reads_a_tensor_field_as_its_components(spec, operands):
+    tensors = [{"PHI": PHI, "XI": XI}[name] for name in operands]
+    bare = [Components(t.n, t.rank, t.flat) for t in tensors]
+    assert contract(spec, *tensors) == contract(spec, *bare)
+
+
 def test_equal_components_hash_equal():
     vx, vy, vz = (CTX.variable(n) for n in "xyz")
     vals = [vx, FIELD.zero, vy * vz, FIELD.ground(Fraction(1, 2))]
@@ -399,7 +493,7 @@ def test_contract_outer_product_and_permutation(seed11):
         want = [[[xi[i] * g[b, a] for b in RNG3] for a in RNG3] for i in RNG3]
         assert _at(swapped, p) == sp.ImmutableDenseNDimArray(want)
     # a permutation moves entries and computes nothing
-    R = seed11[1].comps
+    R = seed11[1]
     perm = [
         [[[R[k, i, b, a] for k in RNG3] for b in RNG3] for a in RNG3] for i in RNG3
     ]
@@ -533,11 +627,11 @@ def test_partials_d_and_wedge_match_sympy_sums(case):
     dP = partials(Phi)
     for (i, j), c in itertools.product(pairs, range(n)):
         assert _same(dP[i, j, c], sp.diff(P[i, j], coords[c]))
-    deta = exterior_derivative(eta).comps
+    deta = exterior_derivative(eta)
     for i, j in pairs:
         assert _same(deta[i, j], sp.diff(e[j], coords[i]) - sp.diff(e[i], coords[j]))
-    dPhi = exterior_derivative(Phi).comps
-    ePhi = wedge(eta, Phi).comps
+    dPhi = exterior_derivative(Phi)
+    ePhi = wedge(eta, Phi)
     assert (dP + contract("ijc->jic", dP)).is_zero()
     assert (deta + contract("ij->ji", deta)).is_zero()
     for form in (dPhi, ePhi):
@@ -596,8 +690,8 @@ VALENCES = [(r, k - r) for k in (1, 2, 3) for r in range(k + 1)]
 def test_covariant_and_lie_derivatives_match_sympy_sums(r, s, data):
     chart, t, v, conn = data.draw(_fields(r, s))
     coords = symbols(chart.context)
-    nabla = covariant_derivative(t, conn).comps
-    lie = lie_derivative(v, t).comps
+    nabla = covariant_derivative(t, conn)
+    lie = lie_derivative(v, t)
     # the nested sums are taken in sympy's ring QQ[x0, x1, x2], which
     # decides equality exactly and much sooner than expand on expressions
     K = sp.QQ[coords]

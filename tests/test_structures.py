@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 
 from paracosym.errors import StructureError
-from paracosym.geometry import TensorField, compose11, contract
+from paracosym.geometry import Components, TensorField, contract
 from paracosym.parser import load_definition
 from paracosym.structures import (
     AlmostParacontactStructure,
@@ -182,5 +182,26 @@ def test_para_kenmotsu_biconditional(analyses, name, expect_sides):
     item = para_kenmotsu_biconditional(an)
     assert item.ok, (item.name, item.witness)
     s = an.structure
-    rhs = (an.A + compose11(s.phi, s.phi)).is_zero()
+    rhs = (an.A + contract("ik,kj->ij", s.phi, s.phi)).is_zero()
     assert rhs is expect_sides
+
+
+# every tensor a StructureAnalysis caches, by the name of its property
+ANALYSIS_TENSORS = [
+    "Phi", "conn", "ginv", "A", "h", "phih", "R", "S", "Q", "R_xi", "l", "h2", "hphi",
+    "phi2", "proj", "sigma", "nabphi", "nabPhi", "nabphih", "nabh", "nab_xi_h",
+    "parakaehler_leaves_residual",
+]
+
+
+@pytest.mark.parametrize("name", ["example_e", "five_dim_non_pk_leaves"])
+def test_every_analysis_tensor_is_components(analyses, name):
+    an = analyses(name)
+    for prop in ANALYSIS_TENSORS:
+        assert isinstance(getattr(an, prop), Components), prop
+    N1, _ = an.normality
+    assert isinstance(N1, Components)
+    # the ones a kernel reads a chart or a valence from are TensorFields
+    for prop, valence in [("A", (1, 1)), ("h", (1, 1)), ("phih", (1, 1)), ("conn", (1, 2)), ("R", (1, 3))]:
+        t = getattr(an, prop)
+        assert isinstance(t, TensorField) and t.chart is an.chart and (t.r, t.s) == valence, prop
