@@ -563,10 +563,6 @@ class FrameDerivativeTable:
     b: Dict[str, sp.Expr] = field(default_factory=dict)
     items: List[CheckItem] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return all(it.ok for it in self.items)
-
 
 # each type's table: (name, shape, residual of the frame values); a vector
 # or matrix item names its first failing component
@@ -727,10 +723,6 @@ class HarmonicNullityReport:
     equivalent: bool
     fit: NullityFit
     case_items: List[CheckItem] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.equivalent and all(it.ok for it in self.case_items)
 
 
 def _half_tr_h2(F: _FrameValues):

@@ -8,10 +8,18 @@ numerator and a denominator Poly.  Every Frac the engine keeps is reduced
 whose leading coefficient is positive.  That form is unique, so equality
 and zero tests need no further work.
 
-A Frac is the engine's one scalar type.  Arithmetic with an element of
-another field (another chart's) raises ContextMismatchError, and == is
-False; a division by zero or a negative power of zero raises
-DivisionByZeroFieldError.
+A Frac is the engine's one scalar type, and this module owns its
+arithmetic.  There is one sum, fraction_sum: numerator/denominator pairs
+(a product of two elements is one, unreduced) added over the lcm of their
+denominators, the gcd cofactors giving each pair's multiplier (Henrici's
+rational addition, Knuth TAOCP Vol. 2, 4.5.1), and reduced once.  Frac's
++ and - take it with two pairs, and geometry.contract with every product
+of an output entry.  There is one rule for meeting another value,
+FracField.coerce: an int or a Fraction is lifted, and an element of
+another field (another chart's) raises ContextMismatchError; == is then
+False.  The one lift between fields is Frac.set_field, into a field whose
+generators include ours.  A division by zero or a negative power of zero
+raises DivisionByZeroFieldError.
 
 The generators are kept in sympy's order (sort_names, after
 polyutils._sort_gens: x, x1, x2, x10, y, z, t, a, E) and the gcd is the
@@ -32,7 +40,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import sub
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .errors import ContextMismatchError, DivisionByZeroFieldError
 
@@ -256,12 +264,6 @@ class Poly(dict):
 
     # -- division, content, gcd ---------------------------------------
 
-    def exquo(self, g: "Poly") -> "Poly":
-        q = _div_exact(self, g)
-        if q is None:
-            raise ArithmeticError("polynomial division is not exact")
-        return q
-
     def content(self) -> int:
         return math.gcd(*self.values())
 
@@ -290,14 +292,6 @@ class Poly(dict):
         J, f, g = _deflate(f, g)
         h, cff, cfg = heugcd(f, g)
         return _inflate(h, J), _inflate(cff, J), _inflate(cfg, J)
-
-    def gcd(self, g: "Poly") -> "Poly":
-        return self.cofactors(g)[0]
-
-    def lcm(self, g: "Poly") -> "Poly":
-        fc, f = self.primitive()
-        gc, g = g.primitive()
-        return (f * g).exquo(f.gcd(g)).mul_ground(math.lcm(fc, gc))
 
     def cancel(self, g: "Poly") -> Tuple["Poly", "Poly"]:
         """f/g in lowest terms, with the denominator's LC positive."""
@@ -493,17 +487,19 @@ class FracField:
         self.one = Frac(self, ring.one, ring.one)
         self.gens = tuple(Frac(self, g, ring.one) for g in ring.gens)
 
-    def raw_new(self, numer: Poly, denom: Poly) -> "Frac":
-        return Frac(self, numer, denom)
-
-    def new(self, numer: Poly, denom: Poly) -> "Frac":
-        return reduce(self, numer, denom)
-
-    def ground(self, c) -> "Frac":
-        """An int or Fraction as an element."""
-        if isinstance(c, int):
-            return Frac(self, self.ring(c), self.ring.one)
-        return Frac(self, self.ring(c.numerator), self.ring(c.denominator))
+    def coerce(self, x) -> "Frac":
+        """x as an element of this field: an element of it is itself, an int
+        or Fraction is lifted, an element of another field raises
+        ContextMismatchError and anything else TypeError."""
+        if isinstance(x, Frac):
+            if x.field is self or x.field.symbols == self.symbols:
+                return x
+            raise ContextMismatchError(x.field, self)
+        if isinstance(x, int):
+            return Frac(self, self.ring(x), self.ring.one)
+        if isinstance(x, Fraction):
+            return Frac(self, self.ring(x.numerator), self.ring(x.denominator))
+        raise TypeError(f"{x!r} is not an element of {self}")
 
     def __repr__(self):
         return f"FracField({self.symbols})"
@@ -529,8 +525,39 @@ def reduce(field: FracField, num: Poly, den: Poly) -> "Frac":
     return Frac(field, num.quo_ground(g), field.ring(d // g))
 
 
+Pair = Tuple[Poly, Poly]  # (numerator, denominator), not reduced
+
+
+def fraction_sum(field: FracField, pairs: Iterable[Pair]) -> "Frac":
+    """The sum of numerator/denominator pairs, taken over the lcm of their
+    denominators and reduced once: the one sum of the field."""
+    ring = field.ring
+    one = ring.one
+    num, den = ring.zero, one
+    for n, d in pairs:
+        if not n:
+            continue
+        if d == den:
+            num += n
+        elif den == one:
+            num, den = num * d + n, d
+        elif d == one:
+            num += n * den
+        else:
+            _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
+            num, den = num * cd + n * cden, den * cd
+    return reduce(field, num, den)
+
+
+def product(a: "Frac", b: "Frac") -> Pair:
+    """a * b as an unreduced pair."""
+    one = a.field.ring.one
+    den = b.denom if a.denom == one else a.denom if b.denom == one else a.denom * b.denom
+    return a.numer * b.numer, den
+
+
 class Frac:
-    """numer/denom in a FracField; reduced unless built by raw_new."""
+    """numer/denom in a FracField, reduced."""
 
     __slots__ = ("field", "numer", "denom")
 
@@ -552,14 +579,12 @@ class Frac:
         return Fraction(self.numer.LC, self.denom.LC)
 
     def _other(self, other) -> Optional["Frac"]:
-        """other as an element of our field (an int or Fraction is lifted),
-        or None for a type that is not a scalar."""
-        if isinstance(other, Frac):
-            if other.field is not self.field and other.field.symbols != self.field.symbols:
-                raise ContextMismatchError(self.field, other.field)
+        """other as an element of our field (FracField.coerce), or None for
+        a type that is not a scalar."""
+        if isinstance(other, Frac) and other.field is self.field:
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.ground(other)
+        if isinstance(other, (Frac, int, Fraction)):
+            return self.field.coerce(other)
         return None
 
     def __eq__(self, other):
@@ -583,29 +608,29 @@ class Frac:
     def __neg__(self) -> "Frac":
         return Frac(self.field, -self.numer, self.denom)
 
-    def __add__(self, other) -> "Frac":
-        g = self._other(other)
-        if g is None:
-            return NotImplemented
-        if not g.numer:
+    def _plus(self, numer: Poly, denom: Poly) -> "Frac":
+        """self + numer/denom, a reduced fraction of our field."""
+        if not numer:
             return self
         if not self.numer:
-            return g
-        if dict.__eq__(self.denom, g.denom):
-            return reduce(self.field, self.numer + g.numer, self.denom)
-        return reduce(
-            self.field, self.numer * g.denom + self.denom * g.numer, self.denom * g.denom
-        )
+            return Frac(self.field, numer, denom)
+        return fraction_sum(self.field, ((self.numer, self.denom), (numer, denom)))
+
+    def __add__(self, other) -> "Frac":
+        g = self._other(other)
+        return NotImplemented if g is None else self._plus(g.numer, g.denom)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Frac":
         g = self._other(other)
-        return NotImplemented if g is None else self + (-g)
+        if g is None:
+            return NotImplemented
+        return self._plus(-g.numer, g.denom) if g.numer else self
 
     def __rsub__(self, other) -> "Frac":
         g = self._other(other)
-        return NotImplemented if g is None else g + (-self)
+        return NotImplemented if g is None else g._plus(-self.numer, self.denom)
 
     def __mul__(self, other) -> "Frac":
         g = self._other(other)
@@ -641,7 +666,12 @@ class Frac:
         return reduce(self.field, self.denom ** (-n), self.numer ** (-n))
 
     def set_field(self, field: FracField) -> "Frac":
-        """The same fraction in a field whose generators include ours."""
+        """The same fraction in a field whose generators include ours; for
+        any other field, ContextMismatchError."""
+        if field is self.field:
+            return self
+        if not set(self.field.symbols) <= set(field.symbols):
+            raise ContextMismatchError(self.field, field)
         pos = [field.symbols.index(s) for s in self.field.symbols]
         n = field.ring.ngens
 

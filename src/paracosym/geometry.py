@@ -20,9 +20,15 @@ dimension n, the rank and a flat row-major tuple of the n**rank entries,
 so the entry at (i_1, ..., i_k) sits at offset ((i_1 n + i_2) n + ...) n
 + i_k.  A TensorField is Components that also carries its chart and its
 valence (r, s), which partials, the derivatives, wedge and eval_at read;
-arithmetic on either returns Components.  Field elements are the only
-entries the kernels here take or return, and a contraction to no index
-returns one field element; TensorField.array, the entries' sympy view
+arithmetic on either returns Components, entry by entry with Frac's own
++, -, * and /.  Field elements are the only entries the kernels here take
+or return, and a contraction to no index returns one field element.
+Entries meet by the field's one rule (FracField.coerce): Components
+arithmetic and contract lift an int or a Fraction and raise
+ContextMismatchError for an element of another field, whatever the order
+of the operands.  The one lift between fields is TensorField(chart, r, s,
+t), into a chart whose field contains t's (Frac.set_field), which
+deform.conformal_deform takes; TensorField.array, the entries' sympy view
 (Frac.as_expr), is for reading from outside the engine.  Values at a
 rational point (eval_at, signature_at) are exact elements of QQ(E) from
 scalars.PointValues.
@@ -35,10 +41,10 @@ slots of each operand with one letter per index, e.g. "imab,m->iab" for
 operands are contracted in pairs in the order written, so the caller
 stages the cheapest contraction first (R with xi before phi and g).  Each
 stage sums every output entry over the lcm of its denominators and
-reduces it once (scalars.fraction_sum).  Two fast paths keep the
-primitive cheap: an operand whose labels are all distinct keys its
-nonzero entries by position directly, with no diagonal test, and the
-last stage's entries are scattered into the output by the row-major
+reduces it once (field.fraction_sum, the field's one sum).  Two fast
+paths keep the primitive cheap: an operand whose labels are all distinct
+keys its nonzero entries by position directly, with no diagonal test, and
+the last stage's entries are scattered into the output by the row-major
 stride of each label.  On top of them:
 
 - the connection (christoffel) is g^{-1}/2 contracted with a sum of
@@ -70,21 +76,13 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
-    ContextMismatchError,
     DegenerateMetricError,
     DivisionByZeroFieldError,
     SingularMetricError,
     ValenceError,
 )
-from .field import Frac
-from .scalars import (
-    PointValues,
-    ScalarContext,
-    combine,
-    fraction_sum,
-    product,
-    to_element,
-)
+from .field import Frac, fraction_sum, product
+from .scalars import PointValues, ScalarContext
 
 
 class Chart:
@@ -136,16 +134,6 @@ def _field_in(flats, what: str):
     if field is None:
         raise ValenceError(f"{what} has no entry in a chart's field")
     return field
-
-
-def _in(field, a) -> Frac:
-    """An entry of Components arithmetic in field: an int or Fraction is
-    lifted, an element of another field raises ContextMismatchError."""
-    if not isinstance(a, Frac):
-        return field.ground(a)
-    if a.field is not field and a.field.symbols != field.symbols:
-        raise ContextMismatchError(a.field, field)
-    return a
 
 
 class Components:
@@ -213,14 +201,14 @@ class Components:
         if not isinstance(other, Components) or (other.n, other.rank) != (self.n, self.rank):
             shape = (other.n, other.rank) if isinstance(other, Components) else type(other)
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
-        field = _field_in((self.flat, other.flat), "entrywise operation")
-        return ((_in(field, a), _in(field, b)) for a, b in zip(self.flat, other.flat))
+        coerce = _field_in((self.flat, other.flat), "entrywise operation").coerce
+        return ((coerce(a), b) for a, b in zip(self.flat, other.flat))
 
     def __add__(self, other) -> "Components":
-        return Components(self.n, self.rank, [combine(a, b) for a, b in self._zip(other)])
+        return Components(self.n, self.rank, [a + b for a, b in self._zip(other)])
 
     def __sub__(self, other) -> "Components":
-        return Components(self.n, self.rank, [combine(a, b, -1) for a, b in self._zip(other)])
+        return Components(self.n, self.rank, [a - b for a, b in self._zip(other)])
 
     def __neg__(self) -> "Components":
         return Components(self.n, self.rank, [-a for a in self.flat])
@@ -228,9 +216,9 @@ class Components:
     def _scaled(self, c, invert: bool = False) -> "Components":
         """Every entry times c, or divided by c; c is a field element or a
         rational number."""
-        field = _field_in((self.flat, (c,)), "scaling")
-        c = _in(field, c)
-        flat = [_in(field, a) for a in self.flat]
+        coerce = _field_in((self.flat, (c,)), "scaling").coerce
+        c = coerce(c)
+        flat = [coerce(a) for a in self.flat]
         if not invert:
             return Components(self.n, self.rank, [a * c for a in flat])
         if not c:
@@ -263,7 +251,9 @@ class TensorField(Components):
     partials, the derivatives, wedge and eval_at read.  Arithmetic is
     Components': it returns Components, and a caller wraps a result only
     where one of those kernels takes it.  Built from the components of
-    another chart, it lifts them into this chart's field."""
+    another chart whose field this chart's contains, it lifts them into
+    this chart's field; an entry of any other field raises
+    ContextMismatchError."""
 
     __slots__ = ("chart", "r", "s", "_array")
 
@@ -276,7 +266,7 @@ class TensorField(Components):
                 f"match valence ({r},{s}) in dimension {n}"
             )
         field = chart.context.field
-        flat = (e if isinstance(e, Frac) and e.field is field else to_element(field, e) for e in arr.flat)
+        flat = (e.set_field(field) if isinstance(e, Frac) else field.coerce(e) for e in arr.flat)
         super().__init__(n, r + s, flat)
         self.chart = chart
         self.r = r
@@ -374,7 +364,9 @@ def contract(spec: str, *operands):
     Returns Components of field elements indexed by the output labels, or,
     for an empty output, one field element.  A malformed spec, an operand
     whose rank or dimension does not match its labels, or operands without
-    a field element among them raise ValenceError.
+    a field element among them raise ValenceError; an entry of a field other
+    than the first TensorField's (or the first entry's) raises
+    ContextMismatchError.
     """
     inputs, output = _parse_spec(spec, len(operands))
     arrs = [Components.of(x) for x in operands]
@@ -389,7 +381,7 @@ def contract(spec: str, *operands):
     field = next((a.chart.context.field for a in arrs if isinstance(a, TensorField)), None)
     flats = [a.flat for a in arrs]
     field = field or _field_in(flats, f"contraction {spec!r}")
-    flats = [[to_element(field, e) for e in flat] for flat in flats]
+    flats = [[field.coerce(e) for e in flat] for flat in flats]
     labels, entries = "", {(): field.one}
     for k, (labels_k, flat) in enumerate(zip(inputs, flats)):
         keep = set(output).union(*inputs[k + 1 :])

@@ -4,13 +4,15 @@ A structure satisfies the nullity condition when
 R(X,Y)xi = eta(Y) B X - eta(X) B Y with B = kappa*phi^2 + mu*h + nu*phi.h
 for scalars kappa, mu, nu constant along the leaves (d(.)^eta = 0).
 Setting Y = xi shows B must equal the Jacobi operator l, so the fit solves
-l = kappa*phi^2 + mu*h + nu*phi.h componentwise over the rational-function
+l as a combination of a basis componentwise over the rational-function
 field, from the reduced row echelon form of its augmented matrix
-(geometry.row_reduce), then verifies the full two-argument condition.  When
-h = 0 only kappa is determined (mu, nu unconstrained); when {phi^2, h,
-phi.h} are linearly dependent with h != 0 (nilpotent h) the free unknowns
-are set to zero and the representation is reported as non-unique after
-global verification.
+(geometry.row_reduce), then verifies the full two-argument condition and
+d(.)^eta = 0 for each coefficient.  There is one fit, over one of two
+bases: (phi^2, h, phi.h), or (phi^2) when h = 0, where only kappa is
+determined (mu and nu are unconstrained and reported as None).  When
+{phi^2, h, phi.h} are linearly dependent with h != 0 (nilpotent h) the
+free unknowns are set to zero and the representation is reported as
+non-unique after global verification.
 """
 
 from __future__ import annotations
@@ -64,71 +66,33 @@ def _bi_residual(an: StructureAnalysis, B: Components) -> Components:
     return an.R_xi - _antisymmetrized(contract("b,ia->iab", an.structure.eta, B))
 
 
-def _r_eta_ok(an: StructureAnalysis, fld: Optional[Frac]) -> Optional[str]:
-    """d(fld) ^ eta = 0 check; returns a witness string on failure."""
-    if fld is None:
-        return None
-    bad = d_wedge_eta(an.structure, fld)
-    if bad is None:
-        return None
-    (i, j), v = bad
-    return f"({i},{j}): {v}"
-
-
 def nullity_fit(an: StructureAnalysis) -> NullityFit:
-    s = an.structure
-    ctx = an.chart.context
-    n_tot = s.dim
-    rng = range(n_tot)
-    P = an.proj  # phi^2
-    h = an.h
-    phih = an.phih
-    l = an.l
-
-    if h.is_zero():
-        # fit kappa alone: l = kappa * P
-        solved = _solve([[P[i, j], l[i, j]] for i in rng for j in rng])
-        if solved is None:
-            return NullityFit("not_nullity", witness="l is not proportional to phi^2")
-        (kv,), _ = solved
-        kappa = ctx.element(kv)
-        B = kappa * P
-        residual = _bi_residual(an, B)
-        w = residual.first_nonzero()
-        if w is not None:
-            return NullityFit(
-                "not_nullity",
-                witness=f"component {w[0]}: {w[1]}",
-            )
-        bad = _r_eta_ok(an, kappa)
-        if bad is not None:
-            return NullityFit(
-                "not_nullity", witness=f"d(kappa)^eta != 0 at {bad}"
-            )
-        return NullityFit("degenerate_h_zero", kappa=kappa, B=B)
-
-    solved = _solve([[P[i, j], h[i, j], phih[i, j], l[i, j]] for i in rng for j in rng])
+    """Solve l = kappa*phi^2 + mu*h + nu*phi.h over the basis (phi^2, h,
+    phi.h), or over (phi^2) alone when h = 0, then check the two-argument
+    condition and d(.)^eta = 0 for each coefficient."""
+    rng = range(an.structure.dim)
+    h_zero = an.h.is_zero()
+    basis = (an.proj,) if h_zero else (an.proj, an.h, an.phih)
+    solved = _solve([[b[i, j] for b in basis] + [an.l[i, j]] for i in rng for j in rng])
     if solved is None:
-        return NullityFit(
-            "not_nullity",
-            witness="l is not in the span of {phi^2, h, phi.h}",
-        )
+        span = "proportional to phi^2" if h_zero else "in the span of {phi^2, h, phi.h}"
+        return NullityFit("not_nullity", witness=f"l is not {span}")
     sol, unique = solved
-    kappa, mu, nu = map(ctx.element, sol)
-    B = kappa * P + mu * h + nu * phih
-    residual = _bi_residual(an, B)
-    w = residual.first_nonzero()
+    coeffs = [an.chart.context.element(v) for v in sol]
+    B = coeffs[0] * basis[0]
+    for c, b in zip(coeffs[1:], basis[1:]):
+        B = B + c * b
+    w = _bi_residual(an, B).first_nonzero()
     if w is not None:
-        return NullityFit(
-            "not_nullity", witness=f"component {w[0]}: {w[1]}"
-        )
-    for name, fld in (("kappa", kappa), ("mu", mu), ("nu", nu)):
-        bad = _r_eta_ok(an, fld)
+        return NullityFit("not_nullity", witness=f"component {w[0]}: {w[1]}")
+    for name, fld in zip(("kappa", "mu", "nu"), coeffs):
+        bad = d_wedge_eta(an.structure, fld)
         if bad is not None:
-            return NullityFit(
-                "not_nullity", witness=f"d({name})^eta != 0 at {bad}"
-            )
-    return NullityFit("exact", kappa=kappa, mu=mu, nu=nu, B=B, unique=unique)
+            (i, j), v = bad
+            return NullityFit("not_nullity", witness=f"d({name})^eta != 0 at ({i},{j}): {v}")
+    if h_zero:
+        return NullityFit("degenerate_h_zero", kappa=coeffs[0], B=B)
+    return NullityFit("exact", *coeffs, B=B, unique=unique)
 
 
 # --------------------------------------------------------------------

@@ -35,7 +35,10 @@ chart's field: every entry, the declared alpha, --beta and --conformal-u
 is a field.Frac.  Before an operation expands, its result is bounded: no
 numerator or denominator may reach a total degree above MAX_DEGREE or more
 than MAX_TERMS terms, so a nest of ^ or a power of a long sum is a
-ParseError at once, not tens of thousands of terms.  A generator of rate
+ParseError at once, not tens of thousands of terms.  The degree bound
+reads the operands' numerator and denominator degrees apart: for a/c + b/d
+it is max(deg a + deg d, deg b + deg c, deg c + deg d), so x^4/4 - x^6
+(degree 6) parses.  A generator of rate
 0, or a base point where a generator's power passes
 scalars.MAX_GENERATOR_POWER, is a DefinitionError.
 """
@@ -83,10 +86,11 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
-def _size(f: Frac) -> Tuple[int, int, int]:
-    """The larger total degree of f's numerator and denominator, and their
-    term counts."""
-    return max(sum(m) for p in (f.numer, f.denom) for m in p), len(f.numer), len(f.denom)
+def _size(f: Frac) -> Tuple[int, int, int, int]:
+    """The total degrees of f's numerator and denominator, and their term
+    counts."""
+    a, c = (max(map(sum, p), default=0) for p in (f.numer, f.denom))
+    return a, c, len(f.numer), len(f.denom)
 
 
 class _Parser:
@@ -128,18 +132,19 @@ class _Parser:
             raise ParseError(f"{tok[1]!r} could give {terms} terms, above the maximum {MAX_TERMS}", tok[2])
 
     def binary(self, tok, left: Frac, right: Frac) -> Frac:
-        (dl, nl, el), (dr, nr, er) = _size(left), _size(right)
-        # a sum over one denominator keeps the larger degree; every other
-        # operation multiplies numerators and denominators, adding degrees
+        # for a/c op b/d, the largest degree of the result's numerator and
+        # denominator: a sum over one denominator keeps the larger degree,
+        # every other operation multiplies numerators and denominators
+        (a, c, nl, el), (b, d, nr, er) = _size(left), _size(right)
         op = tok[1]
         if op in "+-" and left.denom == right.denom:
-            self.bound(tok, max(dl, dr), nl + nr, el)
+            self.bound(tok, max(a, b, c), nl + nr, el)
         elif op in "+-":
-            self.bound(tok, dl + dr, nl * er + nr * el, el * er)
+            self.bound(tok, max(a + d, b + c, c + d), nl * er + nr * el, el * er)
         elif op == "*":
-            self.bound(tok, dl + dr, nl * nr, el * er)
+            self.bound(tok, max(a + b, c + d), nl * nr, el * er)
         else:
-            self.bound(tok, dl + dr, nl * er, el * nr)
+            self.bound(tok, max(a + d, c + b), nl * er, el * nr)
         if op == "+":
             return left + right
         if op == "-":
@@ -195,7 +200,8 @@ class _Parser:
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds the maximum {MAX_EXPONENT}", etok[2])
         n = int(digits)
-        degree, numer, denom = _size(base)
+        a, c, numer, denom = _size(base)
+        degree = max(a, c)
         # a power of a t-term polynomial has at most comb(t + n - 1, n)
         # terms; 0^0 = 1 has one
         self.bound(tok, degree * n, math.comb(max(numer, 1) + n - 1, n), math.comb(denom + n - 1, n))

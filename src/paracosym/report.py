@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, EngineError
 from .geometry import Components, contract
@@ -139,21 +139,10 @@ def _finish(tree: Dict[str, object], structural_failure: bool) -> AnalysisReport
     return AnalysisReport(tree)
 
 
-def run_verify(defn: ManifoldDefinition) -> AnalysisReport:
-    """Axioms and the alpha gate only."""
-    tree = _chart_section(defn)
-    s = AlmostParacontactStructure.from_definition(defn)
-    an = StructureAnalysis(s)
-    tree["axioms"] = {"ok": an.axioms_ok, "items": _items(an.axiom_report)}
-    structural = not an.axioms_ok
-    if an.axioms_ok:
-        tree["alpha_gate"] = _alpha_section(an)
-        structural = not an.is_apc
-    return _finish(tree, structural)
-
-
-def _chart_section(defn: ManifoldDefinition) -> Dict[str, object]:
-    return {
+def _gate(defn: ManifoldDefinition) -> Tuple[Dict[str, object], StructureAnalysis, bool]:
+    """The chart section, the axioms and, when they hold, the alpha gate:
+    (tree, analysis, whether the structure passed both)."""
+    tree: Dict[str, object] = {
         "chart": {
             "dim": defn.dim,
             "coords": list(defn.coord_names),
@@ -168,6 +157,18 @@ def _chart_section(defn: ManifoldDefinition) -> Dict[str, object]:
             ],
         }
     }
+    an = StructureAnalysis(AlmostParacontactStructure.from_definition(defn))
+    tree["axioms"] = {"ok": an.axioms_ok, "items": _items(an.axiom_report)}
+    if not an.axioms_ok:
+        return tree, an, False
+    tree["alpha_gate"] = _alpha_section(an)
+    return tree, an, an.is_apc
+
+
+def run_verify(defn: ManifoldDefinition) -> AnalysisReport:
+    """Axioms and the alpha gate only."""
+    tree, _, passed = _gate(defn)
+    return _finish(tree, structural_failure=not passed)
 
 
 def _alpha_section(an: StructureAnalysis) -> Dict[str, object]:
@@ -195,14 +196,8 @@ def run_analyze(
         nullity_fit,
     )
 
-    tree = _chart_section(defn)
-    s = AlmostParacontactStructure.from_definition(defn)
-    an = StructureAnalysis(s)
-    tree["axioms"] = {"ok": an.axioms_ok, "items": _items(an.axiom_report)}
-    if not an.axioms_ok:
-        return _finish(tree, structural_failure=True)
-    tree["alpha_gate"] = _alpha_section(an)
-    if not an.is_apc:
+    tree, an, passed = _gate(defn)
+    if not passed:
         return _finish(tree, structural_failure=True)
 
     tree["tensors"] = {
@@ -268,7 +263,7 @@ def run_analyze(
         nulsec["commutator"] = _item_dict(check_q_commutator_nullity(an, fit))
     tree["nullity"] = nulsec
 
-    if s.dim == 3:
+    if an.structure.dim == 3:
         tree["classification"] = _classification_section(an, point, fit, harmonic)
 
     return _finish(tree, structural_failure=False)
@@ -354,21 +349,17 @@ def run_deform(
     )
     from .nullity import nullity_fit
 
-    tree = _chart_section(defn)
-    s = AlmostParacontactStructure.from_definition(defn)
-    an = StructureAnalysis(s)
-    if not an.axioms_ok or not an.is_apc:
-        tree["axioms"] = {"ok": an.axioms_ok, "items": _items(an.axiom_report)}
-        if an.axioms_ok:
-            tree["alpha_gate"] = _alpha_section(an)
-        return _finish(tree, structural_failure=True)
-    tree["source"] = {"alpha": _scalar_str(an.alpha)}
+    gate, an, passed = _gate(defn)
+    if not passed:
+        return _finish(gate, structural_failure=True)
+    # a passed gate shows only the chart
+    tree: Dict[str, object] = {"chart": gate["chart"], "source": {"alpha": _scalar_str(an.alpha)}}
 
     if u is not None:
         s_t = conformal_deform(an, u)
         kind: Dict[str, object] = {"kind": "conformal", "u": serialize(u)}
     else:
-        s_t = d_homothetic_deform(s, gamma, beta)
+        s_t = d_homothetic_deform(an.structure, gamma, beta)
         kind = {
             "kind": "homothetic",
             "gamma": str(Fraction(gamma)),

@@ -19,14 +19,12 @@ without a common factor, whose denominator has a positive leading
 coefficient (lex order on the sorted generators).  That form is unique, so
 equality and zero tests need no further work; it is the form sympy's
 cancel(together(.)) gives, and str() prints what sympy's sstr prints for
-it.  Sums of many products are taken in one place,
-geometry.contract, through which the connection, the covariant and Lie
-derivatives and the curvature are built too: each of its stages adds the
-products of two entries as numerator/denominator pairs (product) over the
-lcm of their denominators and reduces each result once (fraction_sum).
-The context keeps what needs the generators' rates: the derivative rule
-d/dc = d_c + sum(rate * E * d_E), written once as its derivation table and
-applied by partial_element, and has_generators.
+it.  The arithmetic of elements, their one sum (fraction_sum) and the
+one rule for meeting a value of another field (FracField.coerce, which
+element applies) live in field.  The context keeps what needs the
+generators' rates: the derivative rule d/dc = d_c + sum(rate * E * d_E),
+written once as its derivation table and applied by partial_element, and
+has_generators.
 
 Values at a rational point are exact too (PointValues): there every
 generator exp(r*c) is a power E**k of E = e^(1/N) for one integer N, so a
@@ -37,8 +35,8 @@ term, refined until their sum excludes 0.  A point where some |k| is above
 MAX_GENERATOR_POWER is refused.  No floats on any path.
 
 Field elements are the only scalar representation here: a value enters as
-a field element or a rational number, and this module never imports
-sympy.  The one sympy view of an element is Frac.as_expr (field), which
+an element of the context's field or a rational number, and this module
+never imports sympy.  The one sympy view of an element is Frac.as_expr (field), which
 classify and the tests read.
 """
 
@@ -48,12 +46,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import DefinitionError, PoleError
-from .field import Frac, FracField, Poly, field_of_names, reduce, sort_names
-
-Pair = Tuple[Poly, Poly]  # (numerator, denominator), not reduced
+from .field import Frac, Poly, field_of_names, reduce, sort_names
 
 # the largest |k| of a generator E**k at a point (PointValues): a sign
 # there raises enclosures of e^(1/N) to powers of that size
@@ -131,9 +127,9 @@ class ScalarContext:
     # -- field elements -----------------------------------------------
 
     def element(self, value) -> Frac:
-        """value as an element of this context's field: an element of it
-        or of a field with fewer generators, or a rational number."""
-        return to_element(self.field, value)
+        """value, an element of this context's field or a rational number,
+        as an element of the field (FracField.coerce)."""
+        return self.field.coerce(value)
 
     def has_generators(self, f: Frac) -> bool:
         """f, an element of this context's field, involves a generator."""
@@ -167,55 +163,6 @@ class ScalarContext:
             if dp:
                 out += dp if factor is None else dp * factor
         return out
-
-
-def to_element(field: FracField, value) -> Frac:
-    """value (a field element, an int or a Fraction) as a reduced element
-    of field."""
-    if isinstance(value, Frac):
-        return value if value.field is field else value.set_field(field)
-    if isinstance(value, (int, Fraction)):
-        return field.ground(value)
-    raise TypeError(f"{value!r} is not an element of {field}")
-
-
-def fraction_sum(field: FracField, pairs: Iterable[Pair]) -> Frac:
-    """The sum of numerator/denominator pairs, taken over the lcm of their
-    denominators and reduced once."""
-    ring = field.ring
-    one = ring.one
-    num, den = ring.zero, one
-    for n, d in pairs:
-        if not n:
-            continue
-        if d == den:
-            num += n
-        elif den == one:
-            num, den = num * d + n, d
-        elif d == one:
-            num += n * den
-        else:
-            _, cd, cden = d.cofactors(den)  # d = g*cd, den = g*cden
-            num, den = num * cd + n * cden, den * cd
-    return reduce(field, num, den)
-
-
-def combine(a: Frac, b: Frac, sign: int = 1) -> Frac:
-    """a + sign * b, summed over the lcm of the denominators and reduced
-    once."""
-    if not b:
-        return a
-    n = b.numer if sign == 1 else -b.numer
-    if not a:
-        return b if sign == 1 else b.field.raw_new(n, b.denom)
-    return fraction_sum(a.field, ((a.numer, a.denom), (n, b.denom)))
-
-
-def product(a: Frac, b: Frac) -> Pair:
-    """a * b as an unreduced pair."""
-    one = a.field.ring.one
-    den = b.denom if a.denom == one else a.denom if b.denom == one else a.denom * b.denom
-    return a.numer * b.numer, den
 
 
 # --------------------------------------------------------------------

@@ -618,19 +618,19 @@ def parakaehler_leaves_check(an: StructureAnalysis) -> bool:
 
 @dataclass
 class LeafGeometry:
-    second_fundamental_form: Components  # (0,2), supported on ker(eta)
     umbilical: bool
     geodesic: bool
 
 
 def leaf_second_fundamental_form(an: StructureAnalysis) -> LeafGeometry:
-    """II(X,Y) = -alpha g(PX, PY) - g(PX, phi h PY), P the ker(eta) projection."""
-    P = an.proj
-    op = an.alpha * identity_tensor(an.chart) + an.phih
-    II = -contract("ma,mn,nk,kb->ab", P, an.structure.g, op, P)
+    """The leaves of ker(eta) from their second fundamental form
+    II(X,Y) = -alpha g(PX, PY) - g(PX, phi h PY), P the ker(eta)
+    projection.  phi h is trace-free, so II is proportional to g on ker(eta)
+    exactly when h = 0: the leaves are then umbilical, and totally geodesic
+    when alpha = 0 too.  Only h and alpha are read; II is never built."""
     h_zero = an.h.is_zero()
     alpha_zero = an.alpha.is_zero()
-    return LeafGeometry(II, umbilical=h_zero and not alpha_zero, geodesic=h_zero and alpha_zero)
+    return LeafGeometry(umbilical=h_zero and not alpha_zero, geodesic=h_zero and alpha_zero)
 
 
 def para_kenmotsu_biconditional(an: StructureAnalysis) -> CheckItem:

@@ -295,7 +295,7 @@ def _component_pairs(draw):
 
 
 def _ground(vals) -> list:
-    return [FIELD.ground(v) for v in vals]
+    return [FIELD.coerce(v) for v in vals]
 
 
 # a scalar as a field element and as the sympy reference
@@ -404,6 +404,13 @@ def test_components_of_two_fields_do_not_mix():
             op(u, t)
     with pytest.raises(ContextMismatchError):
         t * E
+    # contract meets the two fields the same way in either order
+    for a, b in ((t, u), (u, t)):
+        with pytest.raises(ContextMismatchError):
+            contract("i,i->", a, b)
+    # TensorField lifts only into a chart whose field contains the entries'
+    with pytest.raises(ContextMismatchError):
+        TensorField(CHART, 1, 0, u)
 
 
 def test_tensor_field_lifts_another_charts_components():
@@ -439,7 +446,7 @@ def test_contract_reads_a_tensor_field_as_its_components(spec, operands):
 
 def test_equal_components_hash_equal():
     vx, vy, vz = (CTX.variable(n) for n in "xyz")
-    vals = [vx, FIELD.zero, vy * vz, FIELD.ground(Fraction(1, 2))]
+    vals = [vx, FIELD.zero, vy * vz, FIELD.coerce(Fraction(1, 2))]
     a = Components(2, 2, vals)
     b = Components.of([[x, CTX.element(0)], [z * y, CTX.element(Fraction(1, 2))]])
     assert a == b and hash(a) == hash(b)
@@ -556,7 +563,7 @@ def test_contract_matches_nested_sums_on_integer_arrays(case):
         return
     keys = itertools.product(range(n), repeat=len(output))
     assert (got.n, got.rank) == (n, len(output))
-    assert got.flat == tuple(FIELD.ground(want.get(k, 0)) for k in keys)
+    assert got.flat == tuple(FIELD.coerce(want.get(k, 0)) for k in keys)
 
 
 @pytest.mark.parametrize(

@@ -91,11 +91,13 @@ def test_exponent_bounded():
 
 def test_degree_bounded():
     assert MAX_DEGREE == 8
-    # within the bound: one ^, a product, sums of polynomials and over one denominator
-    for text in ["(x + y + z + 1)^8", "x^4 * y^4", "x^8 + y^8", "x^7/(y + 1) - z/(y + 1)", "(x/y)^8"]:
+    # within the bound: one ^, a product, a quotient, sums of polynomials,
+    # over one denominator and over two constant ones
+    within = ["(x + y + z + 1)^8", "x^4 * y^4", "x^8 + y^8", "x^7/(y + 1) - z/(y + 1)", "(x/y)^8", "x^8 / y"]
+    for text in within + ["x/2 + y^8", "x^4/4 - x^6", "(x+1)/3 - x^8"]:
         parse_scalar(text, CTX)
     # above it, refused before the operation expands
-    for text in ["((x + y + z + 1)^8)^8", "x^8 * y", "x^8 / y", "1/(x + 1)^5 + 1/(y + 1)^4", "(x^2 + y)^5"]:
+    for text in ["((x + y + z + 1)^8)^8", "x^8 * y", "x^8 / (y/x)", "1/(x + 1)^5 + 1/(y + 1)^4", "(x^2 + y)^5"]:
         with pytest.raises(ParseError, match="total degree"):
             parse_scalar(text, CTX)
 

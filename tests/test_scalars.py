@@ -110,6 +110,10 @@ def test_context_mismatch(ctx, gctx):
             op(E, x)
     with pytest.raises(ContextMismatchError):
         x + gctx.coordinate(0)
+    # element lifts no element of another field, smaller or larger
+    for context, value in ((gctx, x), (ctx, E)):
+        with pytest.raises(ContextMismatchError):
+            context.element(value)
     assert x != E and not x == E and x != gctx.coordinate(0)
 
 
