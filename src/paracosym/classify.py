@@ -16,17 +16,20 @@ the harmonicity <-> nullity equivalence with its per-type parameter
 formulas.
 
 The frames carry square roots: sqrt(lambda^2), the norm sqrt(+-g(v,v)),
-and for H3 a rotation's sqrt((c2+1)/2).  Their helpers and table lines are
-written once over a scalar domain and run twice.  In a quadratic tower over
-the chart's field (tower.QuadraticTower) they decide: a check whose
-residual is zero there passes, for either sign of every root.  The tower
-also gives the printed coefficients a and b when they lie in the chart's
-field.  As sympy expressions the frames give the rest of what the report
-prints (e1, e2, lambda, and a or b when the tower value carries a root)
-and, for a residual the tower leaves nonzero or meets a zero divisor on,
-the point test _zero_at with its witness.  The numeric choices of a frame
-(seed field, signs) are made on the sympy values at the point and replayed
-in the tower.
+and for H3 a rotation's sqrt((c2+1)/2).  A frame's choices (its seed
+field and signs) are one pure function of the analysis, the type and the
+point (_frame_seed), decided exactly on values of the chart's field at the
+point (scalars.PointValues): each value they read is an element of the
+field or p + q*sqrt(lambda^2) over it.  The frame's helpers and table
+lines are written once over a scalar domain, and each domain builds the
+frame from that seed on its own.  In a quadratic tower over the chart's
+field (tower.QuadraticTower) they decide: a check whose residual is zero
+there passes, for either sign of every root.  The tower also gives the
+printed coefficients a and b when they lie in the chart's field.  As sympy
+expressions the frames give the rest of what the report prints (e1, e2,
+lambda, and a or b when the tower value carries a root) and, for a
+residual the tower leaves nonzero or meets a zero divisor on, the point
+test _zero_at with its witness.
 
 This is the one module of the engine that computes with sympy: for the
 printed e1, e2, lambda and lambda^2, the fallback a and b, and the point
@@ -320,125 +323,96 @@ class _FrameValues:
         return _add(D, _sub(D, D.nab_xi_h, _scale(D, D.h, self.dxi_lam / self.lam)), _scale(D, D.hphi, 2 * self.a))
 
 
-@dataclass
-class AdaptedFrame:
-    """Frame vectors as component lists of sympy expressions: they may
-    carry algebraic constants (sqrt(...)) outside the chart's field.  The
-    same frame in a quadratic tower (tower; None when building it met a
-    zero divisor) decides the checks, and the sympy one (sympy) serves the
-    point test of what the tower leaves open."""
+def _frame_seed(an: StructureAnalysis, tag: str, pt) -> Tuple[int, int, int]:
+    """(col, s, r): the type's adapted frame at pt grows from w, column col
+    of proj, with the sign s and the H3 rotation sign r (0: none), each
+    decided exactly at pt (scalars.PointValues).  H2: the first w with
+    u = g(w, hw) not zero at pt (nor, then, hw), s the sign of
+    g(phi(w + t hw), hw)/u with t = -g(w, w)/(2u).  H1: the first w and s
+    with g(v, v) = g(hw, hw) + lam^2 g(w, w) + 2 s g(w, hw) lam < 0 for
+    v = hw + s lam w, lam > 0.  H3 and Zero: the first w not null, s the
+    sign of g(w, w), and v = w, or phi w if s > 0; H3 rotates when g(hv, v)
+    is not identically zero, r the sign of g(hv, phi v)."""
+    values = an.chart.values_at(pt)
+    g, h, phi = an.structure.g, an.h, an.structure.phi
 
-    kind: str  # "orthonormal-phi" | "pseudo-orthonormal"
-    e1: List[sp.Expr]
-    e2: List[sp.Expr]
-    exact: bool  # True when all components are rational functions
-    lam: Optional[sp.Expr] = None  # signed eigenfunction (H1/H3)
-    sigma_sign: Optional[int] = None  # phi e1 = sigma_sign * e1 (H2)
-    tower: Optional[_FrameValues] = field(default=None, repr=False, compare=False)
-    sympy: Optional[_FrameValues] = field(default=None, repr=False, compare=False)
+    def sign(f):
+        return values.sign(values.value(f))
+
+    def g_of(v, w):
+        return contract("i,ij,j->", v, g, w)
+
+    def apply(op, v):
+        return contract("ij,j->i", op, v)
+
+    lam2 = contract("ii->", an.h2) / 2
+    for col in range(3):
+        w = Components(3, 1, [an.proj[i, col] for i in range(3)])
+        if w.is_zero():
+            continue
+        hw = apply(h, w)
+        if tag == "H2":
+            u = g_of(w, hw)
+            if values.value(u):
+                t = -g_of(w, w) / (2 * u)
+                return col, sign(g_of(apply(phi, w + hw * t), hw) / u) or -1, 0
+        elif tag == "H1":
+            p, q = (values.value(f) for f in (g_of(hw, hw) + lam2 * g_of(w, w), 2 * g_of(w, hw)))
+            for s in (1, -1):
+                if values.quadratic_sign(p, s * q, values.value(lam2)) < 0:
+                    return col, s, 0
+        else:
+            s = sign(g_of(w, w))
+            if not s:
+                continue
+            v = w if s < 0 else apply(phi, w)
+            hv = apply(h, v)
+            if tag == "Zero" or not g_of(hv, v):
+                return col, s, 0
+            return col, s, sign(g_of(hv, apply(phi, v))) or -1
+    raise StructureError(f"could not seed an adapted frame at {pt}; resample the point")
 
 
-def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
-    coords, gens = _symbols(an.chart.context)
-    return all(c.is_rational_function(*coords, *gens) for v in vectors for c in v)
-
-
-def _seed_fields(D: _Domain) -> List[list]:
-    """Deterministic seeds: ker(eta)-projections of the coordinate fields."""
-    P = D.an.proj.flat
-    return [[D.proj[3 * i + c] for i in range(3)] for c in range(3) if any(P[3 * i + c] for i in range(3))]
-
-
-class _Choices:
-    """A frame's numeric and structural choices: made on the sympy
-    expressions and recorded, then replayed when the same frame is built
-    in the tower."""
-
-    def __init__(self):
-        self.made: list = []
-        self._replay = None
-
-    def __call__(self, decide):
-        if self._replay is not None:
-            return next(self._replay)
-        self.made.append(decide())
-        return self.made[-1]
-
-    def replay(self) -> "_Choices":
-        self._replay = iter(self.made)
-        return self
-
-
-def _frame_in(D: _Domain, tag: str, pt, choose: _Choices):
-    """(e1, e2, lam, sigma_sign) of the type's adapted frame in D."""
-    an = D.an
-
-    def at(e):  # only called on sympy expressions: the choices are made there
-        return float(_subs_point(an, e, pt).evalf(30))
-
+def _frame_in(D: _Domain, tag: str, seed: Tuple[int, int, int]) -> _FrameValues:
+    """The type's adapted frame in D, built from its seed (_frame_seed)."""
+    col, s, r = seed
+    w = [D.proj[3 * i + col] for i in range(3)]
     if tag == "H2":
-        # nilpotent h; build the pseudo-orthonormal chain
-        for w in _seed_fields(D):
-            hw = _apply_op(D, D.h, w)
-            if choose(lambda: all(abs(at(c)) < 1e-12 for c in hw)):
-                continue
-            u = _g_of(D, w, hw)
-            if choose(lambda: abs(at(u)) < 1e-12):
-                continue
-            t = D.canon(-_g_of(D, w, w) / (2 * u))
-            cfac = 1 / D.sqrt(u)
-            e2 = [D.canon(cfac * c) for c in hw]
-            e1 = [D.canon(cfac * (a + t * b)) for a, b in zip(w, hw)]
-            sig = _g_of(D, _apply_op(D, D.phi, e1), e2)
-            sigma_sign = choose(lambda: 1 if at(sig) > 0 else -1)
-            return [D.canon(c) for c in e1], [D.canon(c) for c in e2], None, sigma_sign
-        raise StructureError(f"could not build a nilpotent chain frame at {pt}")
+        # nilpotent h: the pseudo-orthonormal chain
+        hw = _apply_op(D, D.h, w)
+        u = _g_of(D, w, hw)
+        t = D.canon(-_g_of(D, w, w) / (2 * u))
+        cfac = 1 / D.sqrt(u)
+        e2 = [D.canon(cfac * c) for c in hw]
+        e1 = [D.canon(cfac * (a + t * b)) for a, b in zip(w, hw)]
+        return _FrameValues(D, e1, e2, None, s)
 
     tr_h2 = D.canon(sum(D.h2[4 * i] for i in range(3)))
-    e_field = None
     if tag == "H1":
-        # eigenvector field (h + s*lam)w, choose the timelike one
+        # the timelike eigenvector field (h + s*lam)w
         lam_abs = D.sqrt(tr_h2 / 2)
-        for w in _seed_fields(D):
-            for sgn in (1, -1):
-                v = [D.canon(c + sgn * lam_abs * wc) for c, wc in zip(_apply_op(D, D.h, w), w)]
-                q = _g_of(D, v, v)
-                if choose(lambda: at(q) < -1e-9):
-                    norm = D.sqrt(-q)
-                    e_field = [D.canon(c / norm) for c in v]
-                    break
-            if e_field is not None:
-                break
+        v = [D.canon(c + s * lam_abs * wc) for c, wc in zip(_apply_op(D, D.h, w), w)]
+        norm = D.sqrt(-_g_of(D, v, v))
     else:
-        # any timelike unit field in ker(eta); phi flips causality
-        for w in _seed_fields(D):
-            q = _g_of(D, w, w)
-            causal = choose(lambda: -1 if at(q) < -1e-9 else 1 if at(q) > 1e-9 else 0)
-            if causal < 0:
-                norm = D.sqrt(-q)
-                e_field = [D.canon(c / norm) for c in w]
-                break
-            if causal > 0:
-                pw = _apply_op(D, D.phi, w)
-                norm = D.sqrt(q)
-                e_field = [D.canon(c / norm) for c in pw]
-                break
-    if e_field is None:
-        raise StructureError(f"could not seed an adapted frame at {pt}; resample the point")
+        # a timelike field in ker(eta): w, or phi w for a spacelike w, since
+        # phi flips causality
+        q = _g_of(D, w, w)
+        v = w if s < 0 else _apply_op(D, D.phi, w)
+        norm = D.sqrt(-q if s < 0 else q)
+    e_field = [D.canon(c / norm) for c in v]
 
-    if tag == "H3":
-        # hyperbolic rotation killing g(h e, e)
-        a0 = D.canon(-_g_of(D, _apply_op(D, D.h, e_field), e_field))
-        if choose(lambda: a0 != 0):
-            pe = _apply_op(D, D.phi, e_field)
-            b0 = _g_of(D, _apply_op(D, D.h, e_field), pe)
-            sb = choose(lambda: 1 if at(b0) > 0 else -1)
-            lamf = D.sqrt(-tr_h2 / 2)
-            c2 = sb * b0 / lamf
-            s2 = -a0 * sb / lamf
-            ch = D.sqrt((c2 + 1) / 2)
-            sh = s2 / (2 * ch)
-            e_field = [D.canon(ch * a + sh * b) for a, b in zip(e_field, pe)]
+    if r:
+        # H3: the hyperbolic rotation killing g(h e, e)
+        he = _apply_op(D, D.h, e_field)
+        a0 = D.canon(-_g_of(D, he, e_field))
+        pe = _apply_op(D, D.phi, e_field)
+        b0 = _g_of(D, he, pe)
+        lamf = D.sqrt(-tr_h2 / 2)
+        c2 = r * b0 / lamf
+        s2 = -a0 * r / lamf
+        ch = D.sqrt((c2 + 1) / 2)
+        sh = s2 / (2 * ch)
+        e_field = [D.canon(ch * a + sh * b) for a, b in zip(e_field, pe)]
 
     pe_field = _apply_op(D, D.phi, e_field)
     if tag == "H1":
@@ -447,23 +421,39 @@ def _frame_in(D: _Domain, tag: str, pt, choose: _Choices):
         lam = _g_of(D, _apply_op(D, D.h, e_field), pe_field)
     else:
         lam = D.canon(0)
-    return [D.canon(c) for c in e_field], [D.canon(c) for c in pe_field], lam, None
+    return _FrameValues(D, e_field, pe_field, lam)
 
 
 def _frame_values(an: StructureAnalysis, htype: HType) -> Tuple[Optional[_FrameValues], _FrameValues]:
     """The type's adapted frame in a quadratic tower over the chart's field
-    (None when building it meets a zero divisor) and as sympy expressions.
-    The sympy run makes the numeric choices at the point; the tower run
-    replays them."""
-    choices = _Choices()
-    D = _Domain(an)
-    sympy = _FrameValues(D, *_frame_in(D, htype.tag, htype.point, choices))
-    T = _Domain(an, QuadraticTower(an.chart.context))
+    (None when building it meets a zero divisor) and as sympy expressions,
+    both built from the one seed _frame_seed decides."""
+    seed = _frame_seed(an, htype.tag, htype.point)
+    sympy = _frame_in(_Domain(an), htype.tag, seed)
     try:
-        tower = _FrameValues(T, *_frame_in(T, htype.tag, htype.point, choices.replay()))
+        tower = _frame_in(_Domain(an, QuadraticTower(an.chart.context)), htype.tag, seed)
     except ZeroDivisorError:
         tower = None
     return tower, sympy
+
+
+@dataclass
+class AdaptedFrame:
+    """The type's adapted frame twice: in a quadratic tower over the chart's
+    field (tower; None when building it met a zero divisor), which decides
+    the checks, and as sympy expressions (sympy), which the report prints
+    and the point test takes for what the tower leaves open.  The vectors
+    may carry algebraic constants (sqrt(...)) outside the chart's field."""
+
+    kind: str  # "orthonormal-phi" | "pseudo-orthonormal"
+    exact: bool  # True when all components are rational functions
+    tower: Optional[_FrameValues] = field(repr=False, compare=False)
+    sympy: _FrameValues = field(repr=False, compare=False)
+
+
+def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
+    coords, gens = _symbols(an.chart.context)
+    return all(c.is_rational_function(*coords, *gens) for v in vectors for c in v)
 
 
 def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
@@ -472,11 +462,7 @@ def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
     tower, sympy = _frame_values(an, htype)
     frame = AdaptedFrame(
         "pseudo-orthonormal" if htype.tag == "H2" else "orthonormal-phi",
-        sympy.e1,
-        sympy.e2,
         exact=_is_rational_frame(an, sympy.e1, sympy.e2),
-        lam=sympy.lam,
-        sigma_sign=sympy.sgn,
         tower=tower,
         sympy=sympy,
     )
@@ -668,13 +654,12 @@ def verify_frame_tables(
     """Check every line of the type's covariant-derivative table at the
     classification point, and extract the connection coefficients."""
     pt = htype.point
-    E = frame.sympy
     table = FrameDerivativeTable(
         a=_coefficient_at(an, frame, "a", pt),
         b={name: _coefficient_at(an, frame, attr, pt) for name, attr in _TABLE_B[htype.tag]},
     )
     table.items = [
-        _decided_item(an, pt, frame.tower, E, name, shape, residual)
+        _decided_item(an, pt, frame.tower, frame.sympy, name, shape, residual)
         for name, shape, residual in _TABLE_LINES[htype.tag]
     ]
     return table
@@ -812,10 +797,8 @@ def harmonic_nullity_equivalence(
             frame = build_adapted_frame(an, htype)
         tower, sympy = frame.tower, frame.sympy
 
-    for name, residual in _case_lines(htype.tag, fit):
-        found = _first_nonzero(an, htype.point, tower, sympy, residual)
-        if found is None:
-            report.case_items.append(CheckItem(name, "pass"))
-        else:
-            report.case_items.append(CheckItem(name, "fail", witness=found[1]))
+    report.case_items = [
+        _decided_item(an, htype.point, tower, sympy, name, "scalar", residual)
+        for name, residual in _case_lines(htype.tag, fit)
+    ]
     return report

@@ -296,13 +296,13 @@ def _classification_section(
     out["frame"] = {
         "kind": frame.kind,
         "exact": frame.exact,
-        "e1": [sp.sstr(c) for c in frame.e1],
-        "e2": [sp.sstr(c) for c in frame.e2],
+        "e1": [sp.sstr(c) for c in frame.sympy.e1],
+        "e2": [sp.sstr(c) for c in frame.sympy.e2],
     }
-    if frame.lam is not None:
-        out["frame"]["lambda"] = sp.sstr(frame.lam)
-    if frame.sigma_sign is not None:
-        out["frame"]["sigma_sign"] = frame.sigma_sign
+    if frame.sympy.lam is not None:
+        out["frame"]["lambda"] = sp.sstr(frame.sympy.lam)
+    if frame.sympy.sgn is not None:
+        out["frame"]["sigma_sign"] = frame.sympy.sgn
     table = cls.verify_frame_tables(an, frame, htype)
     out["frame_table"] = {
         "a": sp.sstr(table.a),

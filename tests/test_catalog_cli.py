@@ -20,8 +20,10 @@ NAMES = [e.name for e in catalog()]
 # sha256 of `run_analyze(entry.definition()).to_json()` for every catalog
 # entry, pinned before the check families moved onto `geometry.contract`,
 # and for two draws of the left-invariant family (LIE_DRAWS), pinned before
-# `scalars.canon` moved onto polynomial rings: any refactor of the engine
-# must keep the --json output byte-identical.
+# `scalars.canon` moved onto polynomial rings, and for two generator-bearing
+# draws (GENERATOR_DRAWS), pinned before the adapted frame's seed and signs
+# were decided exactly: any refactor of the engine must keep the --json
+# output byte-identical.
 with open(os.path.join(os.path.dirname(__file__), "golden_analyze.json")) as _fh:
     GOLDEN = json.load(_fh)
 
@@ -97,6 +99,24 @@ def test_lie_family_digest(name):
     a, b, c, d = (Fraction(v) for v in LIE_DRAWS[name])
     text = _lie_family(f"({a})*x + ({b})*y", f"({c})*x + ({d})*y") + f"alpha = {(a + d) / 2}\n"
     rep = run_analyze(load_definition(text))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN[name]
+
+
+# name -> (p, q, base point) of a _lie_family draw with E = exp(z) at a base
+# point where z != 0, so that the frame's seed and signs read values in
+# QQ(e): an H1 frame, and an H3 one that fails its h-action pattern (the
+# rotation defect of the H3 frames)
+GENERATOR_DRAWS = {
+    "lie_E_h1": ("x", "E*x + y", "[1, 1, 1]"),
+    "lie_E_h3": ("x + E*y", "-y", "[1, 2, 1/2]"),
+}
+EXP_Z = "\n[generators]\nE = { coord = z, rate = 1 }\n"
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DRAWS))
+def test_generator_frame_digest(name):
+    rep = run_analyze(load_definition(_lie_family(*GENERATOR_DRAWS[name]) + EXP_Z))
+    assert rep.exit_code == 0
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == GOLDEN[name]
 
 

@@ -250,6 +250,19 @@ def test_h3_draw_builds_its_adapted_frame():
     assert "frame_error" not in section, section["frame_error"]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="lambda^2 = (E - 1)^2/4 is a square: the tower meets a zero divisor on its "
+    "root, and _zero_at cannot prove sqrt(1 - 2e + e**2) = e - 1",
+)
+def test_square_radicand_with_a_generator_passes():
+    # p = E y, q = x with E = exp(z) at z = 1: alpha = 0 and h is of type H1
+    text = _lie_family("E*y", "x", "[1, 1, 1]") + "\n[generators]\nE = { coord = z, rate = 1 }\n"
+    report = run_analyze(load_definition(text))
+    assert report.tree["classification"]["h_type"] == "H1"
+    assert report.exit_code == 0, report.tree["summary"]["failed_checks"]
+
+
 # --------------------------------------------------------------------
 # the quadratic tower the frame checks are decided in
 

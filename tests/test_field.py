@@ -200,6 +200,55 @@ def test_values_at_points_are_exact():
     assert AT.value(2 * FX + 1) == 2
 
 
+# the sign of p + q*sqrt(a) for values p, q and a > 0 at a point
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@SETTINGS
+@given(_rationals, _rationals, st.fractions(min_value=0, max_value=9, max_denominator=4).filter(bool))
+def test_quadratic_sign_matches_sympy_on_rationals(p, q, a):
+    value = PointValues.field.coerce
+    exact = sp.sign(sp.Rational(p) + sp.Rational(q) * sp.sqrt(sp.Rational(a)))
+    assert AT.quadratic_sign(value(p), value(q), value(a)) == exact
+
+
+# E = exp(z) at x = y = z = 1: the values lie in QQ(E) with E = e
+GCTX = ScalarContext(("x", "y", "z"), (GeneratorDecl("E", 2, 1),))
+AT_E = PointValues(GCTX, (1, 1, 1))
+GE = GCTX.variable("E")
+
+
+@pytest.mark.parametrize(
+    "p, q, a",
+    [
+        (GE - 1, 1, GE**2),  # p and q of one sign
+        (1 - GE, 1, (GE - 1) ** 2 + 1),  # opposite signs, p**2 < a*q**2
+        (3 - GE, -1, GE),  # opposite signs, p**2 > a*q**2
+        (GE - 1, -1, (GE - 1) ** 2),  # zero: sqrt((E - 1)**2) is E - 1 at z = 1
+        (GE, -1, Fraction(7389, 1000)),  # e - 2.71827...
+        (GE, -1, Fraction(7390, 1000)),  # e - 2.71845...
+        (0, -GE, GE),
+    ],
+)
+def test_quadratic_sign_at_a_generator_value(p, q, a):
+    values = [AT_E.value(GCTX.element(v)) for v in (p, q, a)]
+    p, q, a = (GCTX.element(v).as_expr().subs(sp.Symbol("E"), sp.E) for v in (p, q, a))
+    # factored, sympy proves sqrt((e - 1)**2) = e - 1
+    exact = sp.sign(p + q * sp.sqrt(sp.factor(a)))
+    assert AT_E.quadratic_sign(*values) == exact
+
+
+def test_quadratic_sign_of_a_pell_pair():
+    # 768398401**2 - 2 * 543339720**2 = 1, so 768398401 - 543339720*sqrt(2)
+    # is 1/(768398401 + 543339720*sqrt(2)), about 6.5e-10: its negative is
+    # negative, which a test "below -1e-9" misses
+    value = PointValues.field.coerce
+    assert 768398401**2 - 2 * 543339720**2 == 1
+    assert AT.quadratic_sign(value(-768398401), value(543339720), value(2)) == -1
+    assert AT.quadratic_sign(value(768398401), value(-543339720), value(2)) == 1
+
+
 @pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)], ids=str)
 def test_ground_element_hashes_as_its_number(c):
     f = PRINT_FIELD.coerce(c)
