@@ -50,7 +50,16 @@ import sympy as sp
 
 from .errors import StructureError, ZeroDivisorError
 from .geometry import Components, contract, identity_tensor
-from .structures import CheckItem, StructureAnalysis, _residual_item
+from .structures import (
+    CONSTANT_ALPHA,
+    DIM_3,
+    CheckItem,
+    StructureAnalysis,
+    _item,
+    _residual_item,
+    _skip,
+    unmet,
+)
 from .nullity import NullityFit, nullity_fit
 from .field import Frac
 from .scalars import ScalarContext
@@ -625,12 +634,11 @@ _TABLE_B = {
 def _decided_item(an, pt, tower, sympy, name: str, shape: str, residual) -> CheckItem:
     found = _first_nonzero(an, pt, tower, sympy, residual)
     if found is None:
-        return CheckItem(name, "pass")
+        return _item(name)
     i, witness = found
-    if shape == "scalar":
-        return CheckItem(name, "fail", witness=witness)
-    where = i if shape == "vector" else divmod(i, 3)
-    return CheckItem(name, "fail", witness=f"component {where}: {witness}")
+    if shape != "scalar":
+        witness = f"component {i if shape == 'vector' else divmod(i, 3)}: {witness}"
+    return _item(name, witness)
 
 
 def _coefficient_at(an: StructureAnalysis, frame: AdaptedFrame, attr: str, pt) -> sp.Expr:
@@ -679,10 +687,8 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
     Jordan type's printed formula (T = lambda^2, 0, -lambda^2)."""
     s = an.structure
     name = "Ricci operator closed form (3D)"
-    if s.dim != 3:
-        return CheckItem(name, "skip", reason="3-dimensional statement")
-    if not an.is_apc or not an.alpha_is_constant:
-        return CheckItem(name, "skip", reason="needs constant alpha")
+    if reason := unmet(an, DIM_3, CONSTANT_ALPHA):
+        return _skip(name, reason)
     alpha, r = an.alpha, an.r
     T = contract("ii->", an.h2) / 2
     sig_sharp = contract("ij,j->i", an.ginv, an.sigma)

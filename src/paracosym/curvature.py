@@ -14,27 +14,29 @@ from typing import List, Optional, Tuple
 
 from .geometry import Components, TensorField, contract, covariant_derivative, identity_tensor
 from .structures import (
+    CONSTANT_ALPHA,
+    DIM_5,
+    PK_LEAVES,
     CheckItem,
     StructureAnalysis,
     _antisymmetrized,
     _gradient,
     _residual_item,
     _scalar_item,
+    _skip,
+    unmet,
 )
 
 
 def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     """R(X,Y)xi through derivatives of alpha and of phi.h (any alpha)."""
+    unmet(an)
     s = an.structure
-    if not an.is_apc:
-        return [CheckItem("R(X,Y)xi formulas", "skip", reason="not apc")]
-
     eta = s.eta
     alpha = an.alpha
     delta = identity_tensor(an.chart)
     rxy_xi = an.R_xi
     nab_phih = contract("iba->iab", an.nabphih)  # (nabla_{d_a} phi.h) d_b
-    items: List[CheckItem] = []
 
     # R(X,Y)xi = X(alpha) P Y - Y(alpha) P X + alpha eta(X)(alpha Y + phi.h Y)
     #   - alpha eta(Y)(alpha X + phi.h X) + (nabla_X phi.h)Y - (nabla_Y phi.h)X
@@ -43,26 +45,16 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
         + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih))
         + nab_phih
     )
-    items.append(
-        _residual_item("R(X,Y)xi via d(alpha) and nabla(phi.h)", rxy_xi - _antisymmetrized(rhs))
+    general = _residual_item(
+        "R(X,Y)xi via d(alpha) and nabla(phi.h)", rxy_xi - _antisymmetrized(rhs)
     )
 
-    if s.n >= 2 and an.alpha_extraction.f is not None:
-        f = an.alpha_extraction.f
-        B = (f + alpha**2) * delta + alpha * an.phih
-        rhs2 = contract("a,ib->iab", eta, B) + nab_phih
-        items.append(
-            _residual_item("R(X,Y)xi with f (higher dimension)", rxy_xi - _antisymmetrized(rhs2))
-        )
-    else:
-        items.append(
-            CheckItem(
-                "R(X,Y)xi with f (higher dimension)",
-                "skip",
-                reason="stated only for dim >= 5",
-            )
-        )
-    return items
+    name = "R(X,Y)xi with f (higher dimension)"
+    if reason := unmet(an, DIM_5):
+        return [general, _skip(name, reason)]
+    B = (an.alpha_extraction.f + alpha**2) * delta + alpha * an.phih
+    rhs2 = contract("a,ib->iab", eta, B) + nab_phih
+    return [general, _residual_item(name, rxy_xi - _antisymmetrized(rhs2))]
 
 
 def divergence_phih(an: StructureAnalysis) -> Components:
@@ -81,10 +73,8 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
         "S(X,xi) via div(phi.h)",
         "S(xi,xi) = -2n alpha^2 + tr h^2",
     ]
-    if not an.is_apc:
-        return [CheckItem(nm, "skip", reason="not apc") for nm in names]
-    if not an.alpha_is_constant:
-        return [CheckItem(nm, "skip", reason="alpha is not constant") for nm in names]
+    if reason := unmet(an, CONSTANT_ALPHA):
+        return [_skip(nm, reason) for nm in names]
 
     phi, xi = s.phi, s.xi
     alpha = an.alpha
@@ -132,10 +122,8 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
     """Four-term curvature average against the h-directional nabla(Phi)."""
     s = an.structure
     name = "curvature phi-average via nabla(Phi)"
-    if not an.is_apc:
-        return CheckItem(name, "skip", reason="not apc")
-    if not an.alpha_is_constant:
-        return CheckItem(name, "skip", reason="alpha is not constant")
+    if reason := unmet(an, CONSTANT_ALPHA):
+        return _skip(name, reason)
     g, phi, eta = s.g, s.phi, s.eta
     alpha = an.alpha
 
@@ -157,16 +145,10 @@ def check_r3_identity(an: StructureAnalysis) -> CheckItem:
 
 def check_q_commutator(an: StructureAnalysis) -> CheckItem:
     """Ricci-operator commutator with phi (constant alpha, leaves condition)."""
-    from .structures import parakaehler_leaves_check
-
     s = an.structure
     name = "Ricci commutator [Q,phi]"
-    if not an.is_apc:
-        return CheckItem(name, "skip", reason="not apc")
-    if not an.alpha_is_constant:
-        return CheckItem(name, "skip", reason="alpha is not constant")
-    if not parakaehler_leaves_check(an):
-        return CheckItem(name, "skip", reason="leaves are not para-Kaehler")
+    if reason := unmet(an, CONSTANT_ALPHA, PK_LEAVES):
+        return _skip(name, reason)
     phi, xi, eta = s.phi, s.xi, s.eta
     alpha = an.alpha
     Q = an.Q
@@ -218,22 +200,14 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
 def check_space_form_constraints(an: StructureAnalysis) -> List[CheckItem]:
     """If the metric has constant sectional curvature c, then c = -alpha^2
     and h^2 = 0."""
+    unmet(an)
     probe = constant_curvature_probe(an)
     if not probe.is_space_form:
-        return [
-            CheckItem(
-                "space-form constraints",
-                "skip",
-                reason="not of constant sectional curvature",
-            )
-        ]
-    items = []
-    alpha = an.alpha
-    items.append(
-        _scalar_item("space form: c = -alpha^2", alpha**2 + probe.c)
-    )
-    items.append(_residual_item("space form: h^2 = 0", an.h2))
-    return items
+        return [_skip("space-form constraints", "not of constant sectional curvature")]
+    return [
+        _scalar_item("space form: c = -alpha^2", an.alpha**2 + probe.c),
+        _residual_item("space form: h^2 = 0", an.h2),
+    ]
 
 
 # --------------------------------------------------------------------
@@ -256,10 +230,8 @@ def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:
     (the one with nonnegative spectrum on a compact Riemannian manifold)."""
     s = an.structure
     name = "rough Laplacian of xi, closed form"
-    if not an.is_apc:
-        return CheckItem(name, "skip", reason="not apc")
-    if not an.alpha_is_constant:
-        return CheckItem(name, "skip", reason="alpha is not constant")
+    if reason := unmet(an, CONSTANT_ALPHA):
+        return _skip(name, reason)
     alpha = an.alpha
     trh2 = contract("ii->", an.h2)
     res = (

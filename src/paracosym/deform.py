@@ -33,6 +33,7 @@ from .structures import (
     _gradient,
     _residual_item,
     d_wedge_eta,
+    unmet,
 )
 
 
@@ -84,9 +85,8 @@ def conformal_deform(
     u must be 0 or a rational multiple q*x_k of a single coordinate, so
     that e^{2u} is expressible by an exponential generator.
     """
+    unmet(an)
     s = an.structure
-    if not an.is_apc:
-        raise DeformationParameterError("conformal deformation needs an apc input")
     ctx = s.chart.context
     du_res = _gradient(ctx, u) - an.alpha * s.eta
     bad = du_res.first_nonzero()

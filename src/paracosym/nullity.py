@@ -23,12 +23,16 @@ from typing import List, Optional, Tuple
 from .field import Frac
 from .geometry import Components, contract, identity_tensor, row_reduce
 from .structures import (
+    CONSTANT_ALPHA,
     CheckItem,
     StructureAnalysis,
     _antisymmetrized,
     _residual_item,
     _scalar_item,
+    _skip,
     d_wedge_eta,
+    exact_fit,
+    unmet,
 )
 
 
@@ -115,15 +119,8 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
         "antisymmetrized nabla(phi.h) expansion",
         "antisymmetrized nabla(h) expansion",
     ]
-    if fit.status != "exact":
-        return [
-            CheckItem(nm, "skip", reason=f"fit status is {fit.status}")
-            for nm in names
-        ]
-    if not an.alpha_is_constant:
-        return [
-            CheckItem(nm, "skip", reason="alpha is not constant") for nm in names
-        ]
+    if reason := unmet(an, exact_fit(fit), CONSTANT_ALPHA):
+        return [_skip(nm, reason) for nm in names]
 
     s = an.structure
     phi, xi, eta = s.phi, s.xi, s.eta
@@ -198,18 +195,16 @@ def check_irem_suite(an: StructureAnalysis, fit: NullityFit) -> List[CheckItem]:
 def check_parakaehler_consequence(an: StructureAnalysis, fit: NullityFit) -> CheckItem:
     """Every exact (kappa,mu,nu)-space has para-Kaehler leaves."""
     name = "nullity implies para-Kaehler leaves"
-    if fit.status != "exact":
-        return CheckItem(name, "skip", reason=f"fit status is {fit.status}")
+    if reason := unmet(an, exact_fit(fit)):
+        return _skip(name, reason)
     return _residual_item(name, an.parakaehler_leaves_residual)
 
 
 def check_q_commutator_nullity(an: StructureAnalysis, fit: NullityFit) -> CheckItem:
     """On exact fits: Q.phi - phi.Q = 2 mu h.phi - 2(nu + 2 alpha(1-n)) h."""
     name = "[Q,phi] via (mu,nu)"
-    if fit.status != "exact":
-        return CheckItem(name, "skip", reason=f"fit status is {fit.status}")
-    if not an.alpha_is_constant:
-        return CheckItem(name, "skip", reason="alpha is not constant")
+    if reason := unmet(an, exact_fit(fit), CONSTANT_ALPHA):
+        return _skip(name, reason)
     phi = an.structure.phi
     alpha = an.alpha
     mu, nu = fit.mu, fit.nu

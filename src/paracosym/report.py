@@ -20,6 +20,7 @@ from .structures import (
     AlmostParacontactStructure,
     CheckItem,
     StructureAnalysis,
+    _item,
     identity_suite,
     leaf_second_fundamental_form,
     para_kenmotsu_biconditional,
@@ -321,15 +322,8 @@ def _classification_section(
         "items": _items(rep.case_items),
     }
     if not rep.equivalent:
-        out["harmonic_nullity"]["items"].append(
-            _item_dict(
-                CheckItem(
-                    "harmonicity <=> nullity",
-                    "fail",
-                    witness=f"harmonic = {rep.harmonic}, nullity = {rep.nullity}",
-                )
-            )
-        )
+        witness = f"harmonic = {rep.harmonic}, nullity = {rep.nullity}"
+        out["harmonic_nullity"]["items"].append(_item_dict(_item("harmonicity <=> nullity", witness)))
     return out
 
 
@@ -371,8 +365,8 @@ def run_deform(
         "ok": an_t.axioms_ok,
         "items": _items(an_t.axiom_report),
     }
-    tree["deformed"] = {"alpha": _scalar_str(an_t.alpha) if an_t.is_apc else "none",
-                        "is_apc": an_t.is_apc}
+    gate_t = _alpha_section(an_t)
+    tree["deformed"] = {"alpha": gate_t.get("alpha", "none"), "is_apc": gate_t["is_apc"]}
 
     if u is None:
         tree["laws"] = _items(verify_deformation_laws(an, an_t, gamma, beta))
@@ -383,47 +377,21 @@ def run_deform(
                 fit.kappa, fit.mu, fit.nu, an.alpha, gamma, beta, dbeta_xi
             )
             fit_t = nullity_fit(an_t)
-            pred = {
-                "kappa": _scalar_str(kap_t),
-                "mu": _scalar_str(mu_t),
-                "nu": _scalar_str(nu_t),
-            }
-            got = {
-                "kappa": _scalar_str(fit_t.kappa),
-                "mu": _scalar_str(fit_t.mu),
-                "nu": _scalar_str(fit_t.nu),
-            }
-            match = fit_t.status == "exact" and all(
-                pred[k] == got[k] for k in pred
-            )
+            pred = dict(zip(("kappa", "mu", "nu"), map(_scalar_str, (kap_t, mu_t, nu_t))))
+            got = dict(zip(("kappa", "mu", "nu"), map(_scalar_str, fit_t.triple)))
+            witness = None if fit_t.status == "exact" and pred == got else f"{pred} vs {got}"
+            match_item = _item("deformed nullity parameters match the closed form", witness)
             nul: Dict[str, object] = {
                 "predicted": pred,
                 "fitted": got,
-                "items": [
-                    _item_dict(
-                        CheckItem(
-                            "deformed nullity parameters match the closed form",
-                            "pass" if match else "fail",
-                            witness=None if match else f"{pred} vs {got}",
-                        )
-                    )
-                ],
+                "items": [_item_dict(match_item)],
             }
             if fit.mu is not None and not fit.mu.is_zero():
                 i0 = invariant_I0(fit.kappa, fit.mu, fit.nu, an.alpha)
                 i0_t = invariant_I0(fit_t.kappa, fit_t.mu, fit_t.nu, an_t.alpha)
                 nul["I0"] = _scalar_str(i0)
                 nul["I0_deformed"] = _scalar_str(i0_t)
-                nul["items"].append(
-                    _item_dict(
-                        CheckItem(
-                            "I0 invariant",
-                            "pass" if i0 == i0_t else "fail",
-                            witness=None
-                            if i0 == i0_t
-                            else f"{_scalar_str(i0)} vs {_scalar_str(i0_t)}",
-                        )
-                    )
-                )
+                witness = None if i0 == i0_t else f"{nul['I0']} vs {nul['I0_deformed']}"
+                nul["items"].append(_item_dict(_item("I0 invariant", witness)))
             tree["nullity_transport"] = nul
     return _finish(tree, structural_failure=False)

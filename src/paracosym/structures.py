@@ -11,8 +11,21 @@ reads is built: g^{-1}, the connection, A, h, R, S, Q, r, h^2, h.phi,
 phi^2, S(xi,xi), R(.,.)xi, N^1 and the covariant derivatives are cached
 properties there, computed once per structure, and the checks read them
 instead of rebuilding them.  Each is Components, and a TensorField where
-a kernel reads its chart or valence (A, h and phi.h, say).  Every check
-hands its residual to the item builder as Components.
+a kernel reads its chart or valence (A, h and phi.h, say).
+
+Every check of every module builds its CheckItems here, through one
+builder and one gate.  _item(name, witness) passes when the witness is
+None and fails with it otherwise, and _skip(name, reason) skips;
+_residual_item and _scalar_item hand a residual's first nonzero component
+or nonzero value to _item as its witness.  unmet(an, *hypotheses) raises
+StructureError unless the structure is almost alpha-paracosymplectic, and
+otherwise returns the reason of the first hypothesis that fails, or None.
+The hypotheses, and so the skip reasons a check can carry, are:
+CONSTANT_ALPHA "alpha is not constant", DIM_5 "stated only for dim >= 5",
+DIM_3 "3-dimensional statement", PK_LEAVES "leaves are not para-Kaehler"
+and exact_fit(fit) "fit status is <status>".  check_space_form_constraints
+also skips "not of constant sectional curvature", which a report never
+carries: it runs that check on space forms only.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import ConventionBugError, EngineError, StructureError
 from .geometry import (
@@ -60,12 +73,20 @@ class CheckItem:
         return self.status != "fail"
 
 
+def _item(name: str, witness: Optional[str] = None) -> CheckItem:
+    """The one pass/fail builder: pass when witness is None, else fail with it."""
+    if witness is None:
+        return CheckItem(name, "pass")
+    return CheckItem(name, "fail", witness=witness)
+
+
+def _skip(name: str, reason: str) -> CheckItem:
+    return CheckItem(name, "skip", reason=reason)
+
+
 def _residual_item(name: str, residual: Components) -> CheckItem:
     w = residual.first_nonzero()
-    if w is None:
-        return CheckItem(name, "pass")
-    idx, value = w
-    return CheckItem(name, "fail", witness=f"component {idx}: {value}")
+    return _item(name, None if w is None else f"component {w[0]}: {w[1]}")
 
 
 def _gradient(context: ScalarContext, f: Frac) -> Components:
@@ -87,9 +108,7 @@ def d_wedge_eta(
 
 
 def _scalar_item(name: str, value: Frac) -> CheckItem:
-    if value.is_zero():
-        return CheckItem(name, "pass")
-    return CheckItem(name, "fail", witness=str(value))
+    return _item(name, None if value.is_zero() else str(value))
 
 
 class AlmostParacontactStructure:
@@ -154,44 +173,25 @@ def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
 
     try:
         sig = signature_at(s.g)
-        if sig == (n + 1, n):
-            items.append(CheckItem("signature (n+1,n) at base point", "pass"))
-        else:
-            items.append(
-                CheckItem(
-                    "signature (n+1,n) at base point",
-                    "fail",
-                    witness=f"got {sig}, expected {(n + 1, n)}",
-                )
-            )
+        witness = None if sig == (n + 1, n) else f"got {sig}, expected {(n + 1, n)}"
     except EngineError as exc:  # a degenerate metric or a pole is a failure, not a crash
-        items.append(
-            CheckItem("signature (n+1,n) at base point", "fail", witness=str(exc))
-        )
+        witness = str(exc)
+    items.append(_item("signature (n+1,n) at base point", witness))
 
     # eigendistributions D+/D- of phi inside ker(eta) have dimension n each
+    labels = ((1, "D+"), (-1, "D-"))
     try:
         phi0 = s.phi.eval_at()
     except EngineError as exc:  # a pole of phi at the base point fails both items
-        for label in ("D+", "D-"):
-            items.append(CheckItem(f"dim {label} = n at base point", "fail", witness=str(exc)))
-        return items
-    for sign, label in ((1, "D+"), (-1, "D-")):
+        return items + [_item(f"dim {label} = n at base point", str(exc)) for _, label in labels]
+    for sign, label in labels:
         shifted = [
             [phi0[i, j] - sign if i == j else phi0[i, j] for j in range(n_tot)]
             for i in range(n_tot)
         ]
         null_dim = n_tot - len(row_reduce(shifted)[1])
-        if null_dim == n:
-            items.append(CheckItem(f"dim {label} = n at base point", "pass"))
-        else:
-            items.append(
-                CheckItem(
-                    f"dim {label} = n at base point",
-                    "fail",
-                    witness=f"dim = {null_dim}, expected {n}",
-                )
-            )
+        witness = None if null_dim == n else f"dim = {null_dim}, expected {n}"
+        items.append(_item(f"dim {label} = n at base point", witness))
     return items
 
 
@@ -231,29 +231,16 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
     dPhi = exterior_derivative(Phi)
     ep = wedge(s.eta, Phi)
 
-    # pick components where (eta^Phi) is nonzero at the base point
+    # alpha is the ratio at the first component where (eta^Phi) is nonzero
+    # at the base point; the residual test below decides proportionality
     at = chart.values_at()
-    candidates = []
-    for idx in itertools.combinations(range(n_tot), 3):
-        val = ep[idx]
-        if val and at.is_unit(val):
-            candidates.append(idx)
-        if len(candidates) >= 2:
-            break
-    if not candidates:
+    idx = next(
+        (i for i in itertools.combinations(range(n_tot), 3) if ep[i] and at.is_unit(ep[i])),
+        None,
+    )
+    if idx is None:
         raise StructureError("eta ^ Phi vanishes at the base point")
-
-    idx = candidates[0]
     alpha = dPhi[idx] / (2 * ep[idx])
-    if len(candidates) > 1:
-        idx2 = candidates[1]
-        alpha2 = dPhi[idx2] / (2 * ep[idx2])
-        if alpha != alpha2:
-            return AlphaExtraction(
-                None, None, False,
-                "d(Phi) is not proportional to eta ^ Phi "
-                f"(ratios differ between components {idx} and {idx2})",
-            )
 
     residual = dPhi - ep * (alpha * 2)
     if not residual.is_zero():
@@ -466,6 +453,40 @@ class StructureAnalysis:
 
 
 # --------------------------------------------------------------------
+# hypotheses and the gate
+
+
+class Hypothesis(NamedTuple):
+    """A hypothesis an identity is stated under, and the skip reason when
+    it fails."""
+
+    holds: Callable[[StructureAnalysis], bool]
+    reason: str
+
+
+CONSTANT_ALPHA = Hypothesis(lambda an: an.alpha_is_constant, "alpha is not constant")
+DIM_5 = Hypothesis(lambda an: an.structure.n >= 2, "stated only for dim >= 5")
+DIM_3 = Hypothesis(lambda an: an.structure.dim == 3, "3-dimensional statement")
+PK_LEAVES = Hypothesis(lambda an: parakaehler_leaves_check(an), "leaves are not para-Kaehler")
+
+
+def exact_fit(fit) -> Hypothesis:
+    """The (kappa, mu, nu) fit is exact."""
+    return Hypothesis(lambda an: fit.status == "exact", f"fit status is {fit.status}")
+
+
+def unmet(an: StructureAnalysis, *hypotheses: Hypothesis) -> Optional[str]:
+    """The one hypothesis gate of the checks: raise StructureError unless
+    the structure is almost alpha-paracosymplectic, else the reason of the
+    first hypothesis that fails, or None."""
+    if not an.is_apc:
+        raise StructureError(
+            f"not almost alpha-paracosymplectic: {an.alpha_extraction.reason}"
+        )
+    return next((h.reason for h in hypotheses if not h.holds(an)), None)
+
+
+# --------------------------------------------------------------------
 # identity suite
 
 
@@ -473,12 +494,10 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     """The structural identities valid on every almost
     alpha-paracosymplectic manifold (general, not necessarily constant,
     alpha)."""
+    unmet(an)
     s = an.structure
     chart = an.chart
     n = s.n
-    if not an.is_apc:
-        return [CheckItem("identity suite", "skip", reason="not an apc structure")]
-
     g, phi, xi, eta = s.g, s.phi, s.xi, s.eta
     A, h, Phi = an.A, an.h, an.Phi
     nabphi, nabPhi = an.nabphi, an.nabPhi
@@ -498,13 +517,11 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     residual("L_xi(g) = -2*g(A.,.)", lie_derivative(xi, g) + 2 * gA)
     residual("eta o A = 0", contract("m,mj->j", eta, A))
 
-    if n >= 2:
+    if reason := unmet(an, DIM_5):
+        items.append(_skip("d(alpha) = f*eta", reason))
+    else:
         f = an.alpha_extraction.f
         residual("d(alpha) = f*eta", _gradient(chart.context, alpha) - f * eta)
-    else:
-        items.append(
-            CheckItem("d(alpha) = f*eta", "skip", reason="stated only for dim >= 5")
-        )
 
     residual(
         "A.phi + phi.A = -2*alpha*phi",
@@ -639,16 +656,11 @@ def para_kenmotsu_biconditional(an: StructureAnalysis) -> CheckItem:
     Left side: normality (vanishing N^1) together with alpha = 1 and
     para-Kaehler leaves.  Right side: the shape operator equals -phi^2.
     Both sides are decidable exactly, and the check asserts they agree."""
-    name = "para-Kenmotsu criterion: normal with alpha = 1 <=> A = -phi^2"
-    if not an.is_apc:
-        return CheckItem(name, "skip", reason="not an apc structure")
+    unmet(an)
     _, normal = an.normality
     lhs = normal and an.alpha == 1 and parakaehler_leaves_check(an)
     rhs = (an.A + an.phi2).is_zero()
-    if lhs == rhs:
-        return CheckItem(name, "pass")
-    return CheckItem(
-        name,
-        "fail",
-        witness=f"normal/alpha=1/leaves side = {lhs}, A = -phi^2 side = {rhs}",
+    return _item(
+        "para-Kenmotsu criterion: normal with alpha = 1 <=> A = -phi^2",
+        None if lhs == rhs else f"normal/alpha=1/leaves side = {lhs}, A = -phi^2 side = {rhs}",
     )

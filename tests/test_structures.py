@@ -74,6 +74,23 @@ def test_non_apc_gate(analyses):
     assert an.alpha_extraction.reason
 
 
+def test_alpha_is_decided_by_the_residual_alone():
+    # the first 2x2 block of the metric scaled by 1 + z: d(Phi) and
+    # eta ^ Phi are nonzero at (0, 1, 4) and (2, 3, 4) with different
+    # ratios, so no alpha makes d(Phi) = 2*alpha*(eta ^ Phi)
+    from paracosym.catalog import FIVE_DIM_PRODUCT
+
+    text = (
+        FIVE_DIM_PRODUCT.replace("metric = [[1, 0,", "metric = [[1 + z, 0,")
+        .replace("[0, -1, 0, 0, 0]", "[0, -(1 + z), 0, 0, 0]")
+        .replace("alpha = 0\n", "")
+    )
+    an = StructureAnalysis(AlmostParacontactStructure.from_definition(load_definition(text)))
+    assert an.axioms_ok
+    assert not an.is_apc
+    assert an.alpha_extraction.reason == "d(Phi) - 2*alpha*(eta^Phi) != 0 at component (2, 3, 4)"
+
+
 def test_declared_alpha_mismatch():
     from paracosym.catalog import catalog_entry
 
