@@ -4,15 +4,22 @@ Exit codes: 0 all applicable checks pass; 2 structural failure (the input
 is not an almost alpha-paracosymplectic structure); 3 a derived
 identity failed; 4 parse or usage error.  Set PARACOSYM_VERBOSITY to 0, 1,
 or 2 to control the text rendering.
+
+`run`, the process entry of `python -m paracosym.cli` and the `paracosym`
+script, runs without the cyclic collector and ends with `os._exit` after
+flushing stdout and stderr, so an `atexit` handler registered in such a
+process does not run; library callers use `main`, which returns the exit
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from .errors import (
     EXIT_PARSE,
@@ -153,5 +160,19 @@ def _catalog(args) -> int:
     return 0
 
 
+def run(argv: Optional[List[str]] = None) -> NoReturn:
+    """Run `main` as the whole process and end it at the last byte written.
+
+    The engine builds acyclic values and the heap lives until exit, so
+    neither the cyclic collector nor the interpreter's teardown has work
+    worth doing.  An exception from `main` or from a flush propagates, and
+    the interpreter then exits as usual."""
+    gc.disable()
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -197,11 +197,15 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
     return ConstantCurvatureResult(True, cf.constant_value())
 
 
-def check_space_form_constraints(an: StructureAnalysis) -> List[CheckItem]:
+def check_space_form_constraints(
+    an: StructureAnalysis, probe: Optional[ConstantCurvatureResult] = None
+) -> List[CheckItem]:
     """If the metric has constant sectional curvature c, then c = -alpha^2
-    and h^2 = 0."""
+    and h^2 = 0.  `probe` is `constant_curvature_probe(an)` when the caller
+    already has it."""
     unmet(an)
-    probe = constant_curvature_probe(an)
+    if probe is None:
+        probe = constant_curvature_probe(an)
     if not probe.is_space_form:
         return [_skip("space-form constraints", "not of constant sectional curvature")]
     return [

@@ -238,7 +238,7 @@ def run_analyze(
         "c": _scalar_str(ccr.c) if ccr.is_space_form else "none",
     }
     if ccr.is_space_form:
-        curvsec["space_form"] = _items(curv.check_space_form_constraints(an))
+        curvsec["space_form"] = _items(curv.check_space_form_constraints(an, ccr))
     curvsec["rough_laplacian"] = _item_dict(curv.check_rough_laplacian_formula(an))
     curvsec["jacobi_self_adjoint"] = _item_dict(curv.check_jacobi_self_adjoint(an))
     harmonic, hwit = curv.xi_is_harmonic(an)

@@ -1,3 +1,5 @@
+import ast
+import gc
 import hashlib
 import json
 import os
@@ -684,6 +686,98 @@ def test_cli_analyze_json_deterministic(tmp_path):
     tree = json.loads(first.stdout)
     assert tree["summary"]["exit_code"] == 0
     assert tree["classification"]["h_type"] == "H1"
+
+
+def _analyze_to_file(tmp_path, text):
+    """(exit code, stdout bytes) of an `analyze --json` process whose stdout
+    is a regular file, so block-buffered, not a pipe; without
+    PYTHONUNBUFFERED, which would write through and hide a missing flush."""
+    path = tmp_path / "def.txt"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(out, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paracosym.cli", "analyze", "--json", str(path)],
+            stdout=fh,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.stderr == ""
+    return proc.returncode, out.read_bytes()
+
+
+# the process ends with os._exit, which flushes no buffer: every byte must
+# be flushed before it, on the sympy-free path (5D) and the sympy one (3D)
+@pytest.mark.parametrize("name", ["five_dim_non_pk_leaves", "example_e"])
+def test_cli_process_flushes_a_regular_file(tmp_path, name):
+    entry = catalog_entry(name)
+    code, got = _analyze_to_file(tmp_path, entry.definition_text)
+    rep = run_analyze(entry.definition())
+    assert code == rep.exit_code == 0
+    assert got == rep.to_json().encode()
+
+
+@pytest.mark.slow
+def test_cli_process_exits_3_with_its_report(tmp_path):
+    # a non-constant alpha (x/2 - 1) fails frame-table lines: exit 3
+    text = _lie_family("x^2/2 - 2*y", "3*x - 2*y + x^2/2")
+    code, got = _analyze_to_file(tmp_path, text)
+    rep = run_analyze(load_definition(text))
+    assert code == rep.exit_code == 3
+    assert got == rep.to_json().encode()
+
+
+def test_cli_usage_error_exits_through_the_interpreter():
+    # argparse's SystemExit escapes main, so the process ends the usual way
+    proc = _run([])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: paracosym")
+
+
+def test_main_leaves_the_collector_on(capsys):
+    assert gc.isenabled()
+    assert main(["catalog", "--list"]) == 0
+    assert gc.isenabled()
+    assert "example_e" in capsys.readouterr().out
+
+
+# the process-only calls: they may appear in src/ only inside cli.run
+PROCESS_ONLY = {("os", "_exit"), ("gc", "disable")}
+SRC = Path(__file__).resolve().parents[1] / "src" / "paracosym"
+
+
+def _process_only_uses(tree: ast.Module):
+    """(top-level definition or None, 'module.name') of every use of a
+    process-only call, as an attribute or a from-import."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (node.value.id, node.attr) in PROCESS_ONLY:
+                    yield owner, f"{node.value.id}.{node.attr}"
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (node.module, alias.name) in PROCESS_ONLY:
+                        yield owner, f"{node.module}.{alias.name}"
+
+
+def test_process_exit_lives_only_in_cli_run():
+    found = {
+        (path.name, owner, what)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, what in _process_only_uses(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("cli.py", "run", "os._exit"), ("cli.py", "run", "gc.disable")}
+    # python -m paracosym.cli enters through run, and so does the script
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    guard = cli.body[-1]
+    assert isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(stmt) for stmt in guard.body] == ["run()"]
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["paracosym", "=", '"paracosym.cli:run"']
 
 
 def test_cli_deform(tmp_path):

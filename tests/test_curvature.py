@@ -146,6 +146,21 @@ def test_not_constant_curvature(analyses):
     assert probe.witness
 
 
+@pytest.mark.parametrize("name", ["flat_product", "warped_kenmotsu", "five_dim_product"])
+def test_analyze_probes_a_space_form_once(monkeypatch, entries, name):
+    # the space-form constraints read the constant_curvature section's
+    # probe: one Riemann-versus-model comparison per analysis
+    from paracosym.report import run_analyze
+
+    calls = []
+    probe = curv.constant_curvature_probe
+    monkeypatch.setattr(curv, "constant_curvature_probe", lambda an: calls.append(an) or probe(an))
+    tree = run_analyze(entries[name].definition()).tree
+    assert tree["curvature"]["constant_curvature"]["is_constant"]
+    assert [it["status"] for it in tree["curvature"]["space_form"]] == ["pass", "pass"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", CONSTANT_ALPHA)
 def test_rough_laplacian_closed_form(analyses, name):
     item = curv.check_rough_laplacian_formula(analyses(name))
