@@ -15,11 +15,13 @@ denominators, the gcd cofactors giving each pair's multiplier (Henrici's
 rational addition, Knuth TAOCP Vol. 2, 4.5.1), and reduced once.  Frac's
 + and - take it with two pairs, and geometry.contract with every product
 of an output entry.  There is one rule for meeting another value,
-FracField.coerce: an int or a Fraction is lifted, and an element of
-another field (another chart's) raises ContextMismatchError; == is then
-False.  The one lift between fields is Frac.set_field, into a field whose
-generators include ours.  A division by zero or a negative power of zero
-raises DivisionByZeroFieldError.
+FracField.coerce: an int or a Fraction is lifted, an element of a field
+of the same symbols kept (field_of_names is a bounded cache), and one of
+another field raises ContextMismatchError; == is then False.  geometry
+applies it where an array enters and once per contract operand.  The one
+lift between fields is Frac.set_field, into a field whose generators
+include ours.  A division by zero or a negative power of zero raises
+DivisionByZeroFieldError.
 
 The generators are kept in sympy's order (sort_names, after
 polyutils._sort_gens: x, x1, x2, x10, y, z, t, a, E) and the gcd is the

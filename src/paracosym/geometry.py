@@ -13,25 +13,27 @@ Conventions used throughout the package:
 - Covariant derivative appends its direction index as a trailing covariant
   slot: (nabla T)[..., c].
 
-Components are elements of the chart's rational function field (see
-scalars): reduced fractions in the coordinates and any declared
-exponential generators.  There is one tensor type, Components: the
-dimension n, the rank and a flat row-major tuple of the n**rank entries,
-so the entry at (i_1, ..., i_k) sits at offset ((i_1 n + i_2) n + ...) n
-+ i_k.  A TensorField is Components that also carries its chart and its
-valence (r, s), which partials, the derivatives, wedge and eval_at read;
-arithmetic on either returns Components, entry by entry with Frac's own
-+, -, * and /.  Field elements are the only entries the kernels here take
-or return, and a contraction to no index returns one field element.
-Entries meet by the field's one rule (FracField.coerce): Components
-arithmetic and contract lift an int or a Fraction and raise
-ContextMismatchError for an element of another field, whatever the order
-of the operands.  The one lift between fields is TensorField(chart, r, s,
-t), into a chart whose field contains t's (Frac.set_field), which
-deform.conformal_deform takes; TensorField.array, the entries' sympy view
-(Frac.as_expr), is for reading from outside the engine.  Values at a
-rational point (eval_at, signature_at) are exact elements of QQ(E) from
-scalars.PointValues.
+There is one tensor type, Components: the dimension n, the rank and a
+flat row-major tuple of the n**rank entries; (i_1, ..., i_k) sits at
+offset ((i_1 n + i_2) n + ...) n + i_k.  A TensorField is Components that
+also carries its chart and its valence (r, s), which partials, the
+derivatives, wedge and eval_at read; arithmetic on either returns
+Components, and a contraction to no index returns one field element.
+
+Every entry of a Components is an element of one field, a chart's
+rational function field (see scalars), set where an array enters:
+Components.of lifts the numbers of a nested list once into the field of
+its first field element (ValenceError if it has none), TensorField into
+its chart's field, and the kernels compute in their operands' field.
+Entrywise arithmetic leaves the field to Frac's operators, which lift a
+number and raise ContextMismatchError for an element of another field,
+and contract checks it once per operand (FracField.coerce on the first
+entry), in any operand order.  The one lift between fields is
+TensorField(chart, r, s, t), into a chart whose field contains t's
+(Frac.set_field), which deform.conformal_deform takes; TensorField.array,
+the entries' sympy view (Frac.as_expr), is for reading from outside the
+engine.  Values at the chart's base point (eval_at, signature_at) are
+exact elements of QQ(E) (scalars.PointValues).
 
 Every algebraic and differential operator is built from two primitives:
 partials, the coordinate partials of every entry as one more trailing
@@ -77,7 +79,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateMetricError,
-    DivisionByZeroFieldError,
     SingularMetricError,
     ValenceError,
 )
@@ -118,30 +119,26 @@ class Chart:
         return self._base_values
 
 
-def _entry(x):
-    """A component as stored: a field element, or an int or Fraction that
-    a TensorField, contract or Components arithmetic lifts into the field
-    of the other entries."""
-    if isinstance(x, (Frac, int, Fraction)):
-        return x
-    raise ValenceError(f"component {x!r} is not a field element, an int or a Fraction")
-
-
-def _field_in(flats, what: str):
-    """The field of the first field element among the entries; ints and
-    Fractions alone give no field to compute in."""
-    field = next((e.field for flat in flats for e in flat if isinstance(e, Frac)), None)
-    if field is None:
-        raise ValenceError(f"{what} has no entry in a chart's field")
-    return field
+def _nested(x) -> Tuple[int, int, list]:
+    """(n, rank, row-major entries) of a nested list of equal-length rows,
+    or of a scalar (rank 0, no dimension)."""
+    if not isinstance(x, (list, tuple)):
+        if not isinstance(x, (Frac, int, Fraction)):
+            raise ValenceError(f"component {x!r} is not a field element, an int or a Fraction")
+        return 0, 0, [x]
+    rows = [_nested(row) for row in x]
+    rank = rows[0][1] if rows else 0
+    if any(r != rank or (rank and n != len(x)) for n, r, _ in rows):
+        raise ValenceError("component array is ragged or not square")
+    return len(x), rank + 1, [e for _, _, flat in rows for e in flat]
 
 
 class Components:
     """Components of a rank-k array over range(n)**k: a flat row-major tuple
-    of n**k field elements.  Immutable; +, - and unary - act entrywise on
-    two arrays of the same n and rank, * and / by a scalar, all in the field
-    of the first field element among the entries (ValenceError if there is
-    none, ContextMismatchError for an entry of another field)."""
+    of n**k elements of one field, taken as they are (Components.of lifts
+    an outside array's numbers).  Immutable; +, - and unary - act entrywise
+    on two arrays of the same n and rank, * and / by a field element or a
+    number, with Frac's own operators."""
 
     __slots__ = ("n", "rank", "flat")
 
@@ -154,18 +151,19 @@ class Components:
         self.flat = flat
 
     @staticmethod
-    def of(x) -> "Components":
-        """x as Components: a Components, a nested list of equal-length
-        rows, or a scalar (rank 0, no dimension)."""
+    def of(x, field=None) -> "Components":
+        """x as Components: a Components, or a nested list of equal-length
+        rows or a scalar (rank 0, no dimension) whose ints and Fractions are
+        lifted into the field of its first field element, or into field if
+        it has none (ValenceError if neither, FracField.coerce's
+        ContextMismatchError for an element of another field)."""
         if isinstance(x, Components):
             return x
-        if not isinstance(x, (list, tuple)):
-            return Components(0, 0, (_entry(x),))
-        rows = [Components.of(row) for row in x]
-        rank = rows[0].rank if rows else 0
-        if any(row.rank != rank or (rank and row.n != len(x)) for row in rows):
-            raise ValenceError("component array is ragged or not square")
-        return Components(len(x), rank + 1, [e for row in rows for e in row.flat])
+        n, rank, flat = _nested(x)
+        field = next((e.field for e in flat if isinstance(e, Frac)), field)
+        if field is None:
+            raise ValenceError("component array has no entry in a chart's field")
+        return Components(n, rank, map(field.coerce, flat))
 
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
@@ -201,8 +199,7 @@ class Components:
         if not isinstance(other, Components) or (other.n, other.rank) != (self.n, self.rank):
             shape = (other.n, other.rank) if isinstance(other, Components) else type(other)
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
-        coerce = _field_in((self.flat, other.flat), "entrywise operation").coerce
-        return ((coerce(a), b) for a, b in zip(self.flat, other.flat))
+        return zip(self.flat, other.flat)
 
     def __add__(self, other) -> "Components":
         return Components(self.n, self.rank, [a + b for a, b in self._zip(other)])
@@ -213,25 +210,17 @@ class Components:
     def __neg__(self) -> "Components":
         return Components(self.n, self.rank, [-a for a in self.flat])
 
-    def _scaled(self, c, invert: bool = False) -> "Components":
-        """Every entry times c, or divided by c; c is a field element or a
-        rational number."""
-        coerce = _field_in((self.flat, (c,)), "scaling").coerce
-        c = coerce(c)
-        flat = [coerce(a) for a in self.flat]
-        if not invert:
-            return Components(self.n, self.rank, [a * c for a in flat])
-        if not c:
-            raise DivisionByZeroFieldError("division by the zero scalar field")
-        return Components(self.n, self.rank, [a / c for a in flat])
-
     def __mul__(self, c) -> "Components":
-        return self._scaled(c)
+        if not isinstance(c, (Frac, int, Fraction)):
+            return NotImplemented
+        return Components(self.n, self.rank, [a * c for a in self.flat])
 
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Components":
-        return self._scaled(c, invert=True)
+        if not isinstance(c, (Frac, int, Fraction)):
+            return NotImplemented
+        return Components(self.n, self.rank, [a / c for a in self.flat])
 
     def __eq__(self, other):
         if not isinstance(other, Components):
@@ -250,23 +239,25 @@ class TensorField(Components):
     field, r contravariant slots first, with the chart and the valence that
     partials, the derivatives, wedge and eval_at read.  Arithmetic is
     Components': it returns Components, and a caller wraps a result only
-    where one of those kernels takes it.  Built from the components of
-    another chart whose field this chart's contains, it lifts them into
-    this chart's field; an entry of any other field raises
+    where one of those kernels takes it.  Numbers are lifted into the
+    chart's field, and so are components of a field that the chart's
+    contains (Frac.set_field); components of any other field raise
     ContextMismatchError."""
 
     __slots__ = ("chart", "r", "s", "_array")
 
     def __init__(self, chart: Chart, r: int, s: int, array):
         n = chart.dim
-        arr = Components.of(array)
+        field = chart.context.field
+        arr = Components.of(array, field)
         if arr.rank != r + s or (arr.rank and arr.n != n):
             raise ValenceError(
                 f"component array of rank {arr.rank} in dimension {arr.n} does not "
                 f"match valence ({r},{s}) in dimension {n}"
             )
-        field = chart.context.field
-        flat = (e.set_field(field) if isinstance(e, Frac) else field.coerce(e) for e in arr.flat)
+        flat = arr.flat
+        if flat[0].field.symbols != field.symbols:
+            flat = [e.set_field(field) for e in flat]
         super().__init__(n, r + s, flat)
         self.chart = chart
         self.r = r
@@ -281,10 +272,10 @@ class TensorField(Components):
             self._array = self.applyfunc(Frac.as_expr)
         return self._array
 
-    def eval_at(self, point: Optional[Sequence] = None):
-        """Exact value at a rational point, in QQ(E) (scalars.PointValues):
+    def eval_at(self):
+        """Exact value at the base point, in QQ(E) (scalars.PointValues):
         Components, or one value for a scalar; PoleError at a pole."""
-        value = self.chart.values_at(point).value
+        value = self.chart.values_at().value
         if self.rank == 0:
             return value(self.flat[0])
         return self.applyfunc(value)
@@ -364,9 +355,9 @@ def contract(spec: str, *operands):
     Returns Components of field elements indexed by the output labels, or,
     for an empty output, one field element.  A malformed spec, an operand
     whose rank or dimension does not match its labels, or operands without
-    a field element among them raise ValenceError; an entry of a field other
-    than the first TensorField's (or the first entry's) raises
-    ContextMismatchError.
+    an entry raise ValenceError; an operand in a field other than the first
+    operand's raises ContextMismatchError (FracField.coerce on its first
+    entry, once per operand).
     """
     inputs, output = _parse_spec(spec, len(operands))
     arrs = [Components.of(x) for x in operands]
@@ -378,14 +369,16 @@ def contract(spec: str, *operands):
     if len(dims) > 1:
         raise ValenceError(f"operands of different dimensions {sorted(dims)}")
     n = dims.pop() if dims else 0
-    field = next((a.chart.context.field for a in arrs if isinstance(a, TensorField)), None)
-    flats = [a.flat for a in arrs]
-    field = field or _field_in(flats, f"contraction {spec!r}")
-    flats = [[field.coerce(e) for e in flat] for flat in flats]
+    heads = [a.flat[0] for a in arrs if a.flat]
+    if not heads:
+        raise ValenceError(f"contraction {spec!r} has no entry in a chart's field")
+    field = heads[0].field
+    for head in heads[1:]:
+        field.coerce(head)
     labels, entries = "", {(): field.one}
-    for k, (labels_k, flat) in enumerate(zip(inputs, flats)):
+    for k, (labels_k, arr) in enumerate(zip(inputs, arrs)):
         keep = set(output).union(*inputs[k + 1 :])
-        lb, eb = _entries(flat, labels_k, n)
+        lb, eb = _entries(arr.flat, labels_k, n)
         labels, entries = _stage(labels, entries, lb, eb, keep, field)
     if not output:
         return entries.get((), field.zero)
@@ -555,10 +548,10 @@ def ricci_tensor(R: TensorField) -> TensorField:
 # signature
 
 
-def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int, int]:
-    """(positive, negative) inertia of g at a rational point.
+def signature_at(g: TensorField) -> Tuple[int, int]:
+    """(positive, negative) inertia of g at the chart's base point.
 
-    Exact symmetric congruence diagonalization of g's values at the point,
+    Exact symmetric congruence diagonalization of g's values there,
     which lie in QQ(E) (scalars.PointValues): every zero test there is
     exact and every pivot sign is decided by refining integer enclosures
     of E, so no irrationals and no floats appear.  An entry whose
@@ -566,7 +559,7 @@ def signature_at(g: TensorField, point: Optional[Sequence] = None) -> Tuple[int,
     nonzero pivot left DegenerateMetricError.
     """
     n = g.n
-    at = g.chart.values_at(point)
+    at = g.chart.values_at()
     work = [[at.value(e) for e in g.flat[i * n : (i + 1) * n]] for i in range(n)]
     pos = neg = 0
     while work:

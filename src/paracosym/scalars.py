@@ -21,10 +21,11 @@ equality and zero tests need no further work; it is the form sympy's
 cancel(together(.)) gives, and str() prints what sympy's sstr prints for
 it.  The arithmetic of elements, their one sum (fraction_sum) and the
 one rule for meeting a value of another field (FracField.coerce, which
-element applies) live in field.  The context keeps what needs the
-generators' rates: the derivative rule d/dc = d_c + sum(rate * E * d_E),
-written once as its derivation table and applied by partial_element, and
-has_generators.
+element applies to lift a number) live in field; geometry lifts the
+numbers of a tensor's array once, where it enters.  The context keeps
+what needs the generators' rates: the derivative rule
+d/dc = d_c + sum(rate * E * d_E), written once as its derivation table
+and applied by partial_element, and has_generators.
 
 Values at a rational point are exact too (PointValues): there every
 generator exp(r*c) is a power E**k of E = e^(1/N) for one integer N, so a

@@ -24,7 +24,7 @@ from paracosym.geometry import (
     wedge,
 )
 from paracosym.classify import canon
-from paracosym.field import Frac
+from paracosym.field import Frac, FracField, field_of_names
 from paracosym.scalars import GeneratorDecl, ScalarContext
 from support import christoffel, exact_value, scalar_curvature, symbols
 
@@ -361,10 +361,10 @@ def test_components_shape_mismatch_raises():
         Components(3, 2, _ground([0] * 8))
     with pytest.raises(ValenceError):  # a sympy expression is not a component
         Components.of([X, 1])
-    ints = Components.of([[1, 0], [0, 1]])  # no field element to compute in
-    for op in (lambda c: c + c, lambda c: c - c, lambda c: 2 * c, lambda c: c / 2):
-        with pytest.raises(ValenceError):
-            op(ints)
+    with pytest.raises(ValenceError):  # no field element to compute in
+        Components.of([[1, 0], [0, 1]])
+    with pytest.raises(TypeError):  # * and / take a scalar, not an array
+        a * a
     # ints next to a field element are lifted into its field
     mixed = Components.of([[x, 0], [0, 1]])
     two = Components.of([[2 * x, CTX.element(0)], [CTX.element(0), CTX.element(2)]])
@@ -402,15 +402,46 @@ def test_components_of_two_fields_do_not_mix():
             op(t, u)
         with pytest.raises(ContextMismatchError):
             op(u, t)
-    with pytest.raises(ContextMismatchError):
-        t * E
-    # contract meets the two fields the same way in either order
+    for op in (lambda: t * E, lambda: E * t, lambda: t / E):
+        with pytest.raises(ContextMismatchError):
+            op()
+    # contract meets the two fields the same way in either order, with the
+    # other field's operand in any position
     for a, b in ((t, u), (u, t)):
         with pytest.raises(ContextMismatchError):
             contract("i,i->", a, b)
+    for ops in ((u, t, t), (t, u, t), (t, t, u)):
+        with pytest.raises(ContextMismatchError):
+            contract("i,j,k->ijk", *ops)
     # TensorField lifts only into a chart whose field contains the entries'
     with pytest.raises(ContextMismatchError):
         TensorField(CHART, 1, 0, u)
+    # field_of_names is a bounded cache, so two FracField objects may stand
+    # for one field: elements meet by their symbols, not by identity
+    other = FracField(FIELD.symbols)
+    assert FIELD is field_of_names(FIELD.symbols) and other is not FIELD
+    ox, oy, _ = other.gens
+    c = Components.of([ox, oy, 1])
+    assert t + c == t - c + 2 * c == Components.of([2 * x, 2 * y, z + 1])
+    assert c * x == Components.of([x * x, x * y, x]) and t / ox == t / x
+    assert contract("i,i->", t, c) == contract("i,i->", c, t) == x * x + y * y + z
+    assert TensorField(CHART, 1, 0, c) == Components.of([x, y, 1])
+
+
+def test_contract_and_arithmetic_check_fields_once_per_operand(monkeypatch, analyses):
+    # every entry of a Components is an element of one field, so contract
+    # checks each operand's field once and entrywise arithmetic leaves the
+    # check to Frac's operators: no FracField.coerce call per entry
+    an = analyses("five_dim_non_pk_leaves")
+    R, xi, g = an.R, an.structure.xi, an.structure.g
+    calls = []
+    coerce = FracField.coerce
+    monkeypatch.setattr(FracField, "coerce", lambda self, v: calls.append(v) or coerce(self, v))
+    contract("imab,m,in->nab", R, xi, g)
+    assert len(calls) <= 3
+    calls.clear()
+    R - R
+    assert len(calls) <= 2
 
 
 def test_tensor_field_lifts_another_charts_components():
