@@ -22,21 +22,21 @@ point (_frame_seed), decided exactly on values of the chart's field at the
 point (scalars.PointValues): each value they read is an element of the
 field or p + q*sqrt(lambda^2) over it.  The frame's helpers and table
 lines are written once over a scalar domain, and each domain builds the
-frame from that seed on its own.  In a quadratic tower over the chart's
-field (tower.QuadraticTower) they decide: a check whose residual is zero
-there passes, for either sign of every root.  The tower also gives the
-printed coefficients a and b when they lie in the chart's field.  As sympy
-expressions the frames give the rest of what the report prints (e1, e2,
-lambda, and a or b when the tower value carries a root) and, for a
-residual the tower leaves nonzero or meets a zero divisor on, the point
-test _zero_at with its witness.
+frame from that seed on its own.  One domain decides: a quadratic tower
+over the chart's field (tower.QuadraticTower), which takes a root in the
+field when the radicand is a square there.  A check whose residual is zero
+in the tower passes, for either sign of every root; a component it leaves
+nonzero goes to the point test _zero_at on its tower value, read with
+t_k = sqrt(a_k) as the printed a and b are.  A zero divisor met while
+building the frame raises ZeroDivisorError, a frame error in the report.
+The other domain, sympy expressions, only prints e1, e2, lambda and exact
+and witnesses the pattern lines, which need no derivative.
 
 This is the one module of the engine that computes with sympy: for the
-printed e1, e2, lambda and lambda^2, the fallback a and b, and the point
-test.  It reads the chart's field elements through Frac.as_expr, builds
-the symbols of the coordinates and generators from their names, and keeps
-its expressions in the form canon gives, sympy's cancel(together(.)),
-memoised.
+printed frame, lambda^2 and the point test.  It reads the chart's field
+elements through Frac.as_expr, builds the symbols of the coordinates and
+generators from their names, and keeps its expressions in the form canon
+gives, sympy's cancel(together(.)), memoised.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy as sp
 
-from .errors import StructureError, ZeroDivisorError
+from .errors import StructureError
 from .geometry import Components, contract, identity_tensor
 from .structures import (
     CONSTANT_ALPHA,
@@ -124,37 +124,27 @@ def _symbols(context: ScalarContext) -> Tuple[tuple, tuple]:
     )
 
 
-def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
-    """Raw partial derivative of a sympy expression by a chart coordinate,
-    generator rule included: d/dc = d_c + sum(rate * E * d_E) over the
-    generators E based on c."""
-    coords, gens = _symbols(context)
-    rule = [(coords[coord_index], sp.Integer(1))] + [
-        (gsym, sp.Rational(gen.rate) * gsym)
-        for gen, gsym in zip(context.generators, gens)
-        if gen.coord_index == coord_index
-    ]
-    free = expr.free_symbols
-    d = sp.Integer(0)
-    for sym, factor in rule:
-        if sym in free:
-            d = d + (sp.diff(expr, sym) if factor == 1 else factor * sp.diff(expr, sym))
-    return d
+def _as_expr(q: Quad) -> sp.Expr:
+    """A tower element as a sympy expression, with t_k = sqrt(a_k)."""
+    if q.level == 0:
+        return q.p.as_expr()
+    return _as_expr(q.p) + _as_expr(q.q) * sp.sqrt(_as_expr(q.tower.radicands[q.level - 1]))
 
 
 # --------------------------------------------------------------------
-# scalar domains: the frame code runs on sympy expressions, which the
-# report prints and the point test takes, and in a quadratic tower over
-# the chart's field, which decides
+# scalar domains: the frame code runs in a quadratic tower over the
+# chart's field, which decides, and on sympy expressions, which the report
+# prints
 
 
 class _Domain:
-    """The scalars of the frame code: sympy expressions in canon form, or,
-    given a tower, elements of that QuadraticTower."""
+    """The scalars of the frame code: given a point, elements of a
+    QuadraticTower whose roots take their signs there; otherwise sympy
+    expressions in canon form, which are only printed, never differentiated."""
 
-    def __init__(self, an: StructureAnalysis, tower: Optional[QuadraticTower] = None):
+    def __init__(self, an: StructureAnalysis, point=None):
         self.an = an
-        self.tower = tower
+        self.tower = None if point is None else QuadraticTower(an.chart.context, an.chart.values_at(point))
 
     def canon(self, e):
         if self.tower is None:
@@ -162,8 +152,6 @@ class _Domain:
         return e if isinstance(e, Quad) else self.tower.base(e)
 
     def diff(self, e, coord_index: int):
-        if self.tower is None:
-            return pdiff(self.an.chart.context, e, coord_index)
         return e.diff(coord_index)
 
     def sqrt(self, a):
@@ -433,30 +421,26 @@ def _frame_in(D: _Domain, tag: str, seed: Tuple[int, int, int]) -> _FrameValues:
     return _FrameValues(D, e_field, pe_field, lam)
 
 
-def _frame_values(an: StructureAnalysis, htype: HType) -> Tuple[Optional[_FrameValues], _FrameValues]:
-    """The type's adapted frame in a quadratic tower over the chart's field
-    (None when building it meets a zero divisor) and as sympy expressions,
-    both built from the one seed _frame_seed decides."""
+def _frame_values(an: StructureAnalysis, htype: HType) -> Tuple[_FrameValues, _FrameValues]:
+    """The type's adapted frame in a quadratic tower over the chart's field,
+    which decides, and as sympy expressions, which the report prints, both
+    built from the one seed _frame_seed decides.  A zero divisor met in the
+    tower raises ZeroDivisorError."""
     seed = _frame_seed(an, htype.tag, htype.point)
-    sympy = _frame_in(_Domain(an), htype.tag, seed)
-    try:
-        tower = _frame_in(_Domain(an, QuadraticTower(an.chart.context)), htype.tag, seed)
-    except ZeroDivisorError:
-        tower = None
-    return tower, sympy
+    return _frame_in(_Domain(an, htype.point), htype.tag, seed), _frame_in(_Domain(an), htype.tag, seed)
 
 
 @dataclass
 class AdaptedFrame:
     """The type's adapted frame twice: in a quadratic tower over the chart's
-    field (tower; None when building it met a zero divisor), which decides
-    the checks, and as sympy expressions (sympy), which the report prints
-    and the point test takes for what the tower leaves open.  The vectors
-    may carry algebraic constants (sqrt(...)) outside the chart's field."""
+    field (tower), which decides the checks and gives the printed a and b,
+    and as sympy expressions (sympy), which the report prints as e1, e2 and
+    lambda and which witnesses a failing pattern line.  The vectors may
+    carry algebraic constants (sqrt(...)) outside the chart's field."""
 
     kind: str  # "orthonormal-phi" | "pseudo-orthonormal"
     exact: bool  # True when all components are rational functions
-    tower: Optional[_FrameValues] = field(repr=False, compare=False)
+    tower: _FrameValues = field(repr=False, compare=False)
     sympy: _FrameValues = field(repr=False, compare=False)
 
 
@@ -476,7 +460,7 @@ def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
         sympy=sympy,
     )
     for label, residual in _pattern_lines(frame.kind, htype.tag):
-        found = _first_nonzero(an, htype.point, tower, sympy, residual)
+        found = _first_nonzero(an, htype.point, tower, residual, printed=sympy)
         if found is not None:
             raise StructureError(
                 f"adapted frame fails its {label} pattern at {htype.point}: {found[1]}"
@@ -484,23 +468,20 @@ def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
     return frame
 
 
-def _first_nonzero(an: StructureAnalysis, pt, tower: Optional[_FrameValues], sympy: _FrameValues, residual):
+def _first_nonzero(an: StructureAnalysis, pt, tower: _FrameValues, residual, printed: Optional[_FrameValues] = None):
     """(index, witness) of the first component of residual(values) that is
     not zero at the point, or None.  A component that is zero in the tower
     is zero for either sign of every root; every other one goes to the
-    point test on its sympy expression."""
-    proved: List[bool] = []
-    if tower is not None:
-        try:
-            proved = [r.is_zero() for r in residual(tower)]
-        except ZeroDivisorError:
-            pass
-    if proved and all(proved):
+    point test, on its value in the printed frame when one is given and
+    otherwise on its tower value."""
+    values = residual(tower)
+    if all(v.is_zero() for v in values):
         return None
-    for i, r in enumerate(residual(sympy)):
-        if proved and proved[i]:
+    exprs = residual(printed) if printed is not None else [_as_expr(v) for v in values]
+    for i, v in enumerate(values):
+        if v.is_zero():
             continue
-        ok, witness = _zero_at(an, r, pt)
+        ok, witness = _zero_at(an, exprs[i], pt)
         if not ok:
             return i, witness
     return None
@@ -631,8 +612,8 @@ _TABLE_B = {
 }
 
 
-def _decided_item(an, pt, tower, sympy, name: str, shape: str, residual) -> CheckItem:
-    found = _first_nonzero(an, pt, tower, sympy, residual)
+def _decided_item(an, pt, tower, name: str, shape: str, residual) -> CheckItem:
+    found = _first_nonzero(an, pt, tower, residual)
     if found is None:
         return _item(name)
     i, witness = found
@@ -642,18 +623,9 @@ def _decided_item(an, pt, tower, sympy, name: str, shape: str, residual) -> Chec
 
 
 def _coefficient_at(an: StructureAnalysis, frame: AdaptedFrame, attr: str, pt) -> sp.Expr:
-    """The frame coefficient attr (a, c1, ...) at the point.  A tower value
-    of level 0 holds no root, so it is the sympy value for either sign of
-    every root, and is read from the chart's field; otherwise the sympy
-    value is."""
-    if frame.tower is not None:
-        try:
-            value = getattr(frame.tower, attr)
-        except ZeroDivisorError:
-            value = None
-        if value is not None and value.level == 0:
-            return _subs_point(an, value.p.as_expr(), pt)
-    return _subs_point(an, getattr(frame.sympy, attr), pt)
+    """The frame coefficient attr (a, c1, ...) at the point: its tower value
+    there, with t_k = sqrt(a_k)."""
+    return _subs_point(an, _as_expr(getattr(frame.tower, attr)), pt)
 
 
 def verify_frame_tables(
@@ -667,7 +639,7 @@ def verify_frame_tables(
         b={name: _coefficient_at(an, frame, attr, pt) for name, attr in _TABLE_B[htype.tag]},
     )
     table.items = [
-        _decided_item(an, pt, frame.tower, frame.sympy, name, shape, residual)
+        _decided_item(an, pt, frame.tower, name, shape, residual)
         for name, shape, residual in _TABLE_LINES[htype.tag]
     ]
     return table
@@ -796,15 +768,14 @@ def harmonic_nullity_equivalence(
     if htype is None:
         htype = classify_h(an)
     if htype.tag == "Zero":  # no frame needed
-        tower = _FrameValues(_Domain(an, QuadraticTower(an.chart.context)))
-        sympy = _FrameValues(_Domain(an))
+        tower = _FrameValues(_Domain(an, htype.point))
     else:
         if frame is None:
             frame = build_adapted_frame(an, htype)
-        tower, sympy = frame.tower, frame.sympy
+        tower = frame.tower
 
     report.case_items = [
-        _decided_item(an, htype.point, tower, sympy, name, "scalar", residual)
+        _decided_item(an, htype.point, tower, name, "scalar", residual)
         for name, residual in _case_lines(htype.tag, fit)
     ]
     return report

@@ -6,7 +6,8 @@ after it is built.  A Frac is an element of the FracField of a ring: a
 numerator and a denominator Poly.  Every Frac the engine keeps is reduced
 (reduce): no common factor, integer content included, and a denominator
 whose leading coefficient is positive.  That form is unique, so equality
-and zero tests need no further work.
+and zero tests need no further work; and a Frac is a square exactly when
+its numerator and denominator are, which Poly.sqrt decides.
 
 A Frac is the engine's one scalar type, and this module owns its
 arithmetic.  There is one sum, fraction_sum: numerator/denominator pairs
@@ -301,6 +302,28 @@ class Poly(dict):
             return self, self.ring.one
         _, p, q = self.cofactors(g)
         return (-p, -q) if q.LC < 0 else (p, q)
+
+    def sqrt(self) -> Optional["Poly"]:
+        """The root with a positive LC of a square of an integer polynomial,
+        else None.  Schoolbook: each next term cancels the leading term of
+        the rest, and no term of a root has more than half self's degree."""
+        if not self:
+            return self
+        lm, lc = max(self), self.LC
+        r, top = math.isqrt(max(lc, 0)), max(map(sum, self)) // 2
+        if r * r != lc or any(e % 2 for e in lm):
+            return None
+        half = tuple(e // 2 for e in lm)
+        root = _poly(self.ring, {half: r})
+        rest = self - root * root
+        while rest:
+            m = max(rest)
+            d = _monomial_div(m, half)
+            if d is None or rest[m] % (2 * r) or sum(d) > top:
+                return None
+            t = _poly(self.ring, {d: rest[m] // (2 * r)})
+            rest, root = rest - (root * 2 + t) * t, root + t
+        return root
 
     # -- views --------------------------------------------------------
 

@@ -9,7 +9,9 @@ tj**2 = a_j: it has zero divisors when some a_j is a square below, so an
 inverse, taken by the conjugate, raises ZeroDivisorError when the norm
 p**2 - a_j q**2 vanishes.  An element is zero exactly when every
 coefficient is, so a value computed with true inverses only and found zero
-is zero for either sign of every root.
+is zero for either sign of every root.  sqrt adjoins no level for a
+square of K: it takes the root in K that is positive at the tower's point
+(scalars.PointValues), the value sympy's sqrt takes there.
 
 The chart derivation extends by d(tj) = (d a_j / (2 a_j)) tj, which keeps
 the tower closed under partial derivatives (generator rule included, from
@@ -18,21 +20,21 @@ ScalarContext.partial_element).
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import ZeroDivisorError
 from .field import Frac
-from .scalars import ScalarContext, reduce
+from .scalars import PointValues, ScalarContext, reduce
 
 
 class QuadraticTower:
-    """K(t1)...(tk) over one context's field, grown by adjoin()."""
+    """K(t1)...(tk) over one context's field, grown by adjoin(), with the
+    values at the point whose signs choose the roots sqrt takes in K."""
 
-    def __init__(self, context: ScalarContext):
+    def __init__(self, context: ScalarContext, values: PointValues):
         self.context = context
         self.field = context.field
+        self.values = values
         self.radicands: List["Quad"] = []
         self._dlog: Dict[Tuple[int, int], "Quad"] = {}
         self.zero = self.base(self.field.zero)
@@ -44,14 +46,15 @@ class QuadraticTower:
         return Quad(self, 0, f, None)
 
     def sqrt(self, a: "Quad") -> "Quad":
-        """The square root of a: the positive rational root of a positive
-        rational square (the root sympy's sqrt gives), otherwise a new
+        """The square root of a: for a square of K, its root in K that is
+        positive at the point (sympy's sqrt there), otherwise t of a new
         level."""
-        if a.level == 0 and a.p.numer.is_ground and a.p.denom.is_ground:
-            n, d = int(a.p.numer.LC), int(a.p.denom.LC)
-            rn, rd = math.isqrt(max(n, 0)), math.isqrt(d)
-            if n > 0 and rn * rn == n and rd * rd == d:
-                return self.base(Fraction(rn, rd))
+        if a.level == 0:
+            n, d = a.p.numer.sqrt(), a.p.denom.sqrt()
+            if n is not None and d is not None:
+                root = Frac(self.field, n, d)  # reduced, as a is
+                values = self.values
+                return self.base(-root if values.sign(values.value(root)) < 0 else root)
         return self.adjoin(a)
 
     def adjoin(self, a: "Quad") -> "Quad":

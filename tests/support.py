@@ -1,6 +1,8 @@
 """Test-only helpers: exact and numeric values, sympy symbols, the
-connection and Ricci quantities of a bare metric, an identity residual and
-a linear algebra reproduction that the engine itself never needs."""
+generator derivative rule on sympy expressions and the adapted frame built
+on them, the connection and Ricci quantities of a bare metric, an identity
+residual and a linear algebra reproduction that the engine itself never
+needs."""
 
 import math
 from fractions import Fraction
@@ -9,6 +11,7 @@ from typing import Optional, Sequence
 import sympy as sp
 
 from paracosym.errors import PoleError
+from paracosym import classify as cls
 from paracosym import geometry
 from paracosym.geometry import (
     TensorField,
@@ -26,6 +29,32 @@ def symbols(context: ScalarContext) -> tuple:
     """The coordinates, then the generators, of a context as sympy symbols,
     the symbols of Frac.as_expr."""
     return tuple(sp.Symbol(n) for n in context.coord_names + tuple(g.name for g in context.generators))
+
+
+def pdiff(context: ScalarContext, expr: sp.Expr, coord_index: int) -> sp.Expr:
+    """Raw partial derivative of a sympy expression by a chart coordinate,
+    generator rule included: d/dc = d_c + sum(rate * E * d_E) over the
+    generators E based on c."""
+    syms = symbols(context)
+    d = sp.diff(expr, syms[coord_index])
+    for gen, gsym in zip(context.generators, syms[context.dim :]):
+        if gen.coord_index == coord_index:
+            d += sp.Rational(gen.rate) * gsym * sp.diff(expr, gsym)
+    return d
+
+
+class SympyDomain(cls._Domain):
+    """The frame code's sympy domain, differentiated by pdiff: the
+    reference the quadratic tower is checked against."""
+
+    def diff(self, e, coord_index: int):
+        return pdiff(self.an.chart.context, e, coord_index)
+
+
+def reference_frame(an, htype) -> "cls._FrameValues":
+    """The type's adapted frame on sympy expressions, from the seed the
+    engine's frames grow from."""
+    return cls._frame_in(SympyDomain(an), htype.tag, cls._frame_seed(an, htype.tag, htype.point))
 
 
 def exact_value(context: ScalarContext, f: Frac, point: Sequence) -> Fraction:

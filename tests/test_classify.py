@@ -20,11 +20,11 @@ from paracosym.errors import EngineError, ZeroDivisorError
 from paracosym.nullity import nullity_fit
 from paracosym.parser import load_definition
 from paracosym.report import run_analyze
-from paracosym.classify import pdiff
-from paracosym.scalars import GeneratorDecl, ScalarContext
+from paracosym.field import ring_of
+from paracosym.scalars import GeneratorDecl, PointValues, ScalarContext
 from paracosym.structures import AlmostParacontactStructure, StructureAnalysis
 from paracosym.tower import QuadraticTower
-from support import h4_impossibility_test
+from support import h4_impossibility_test, pdiff, reference_frame
 
 
 def classify_h_grid(an, points):
@@ -250,16 +250,24 @@ def test_h3_draw_builds_its_adapted_frame():
     assert "frame_error" not in section, section["frame_error"]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="lambda^2 = (E - 1)^2/4 is a square: the tower meets a zero divisor on its "
-    "root, and _zero_at cannot prove sqrt(1 - 2e + e**2) = e - 1",
+@pytest.mark.parametrize(
+    "p, q, base",
+    [
+        ("E*y", "x", "[1, 1, 1]"),
+        ("y", "E*x", "[1, 1, 1]"),
+        ("x - E*y", "x + y", "[1, 1, 1/2]"),
+        ("E*y", "x", "[1, 1, -1]"),
+    ],
 )
-def test_square_radicand_with_a_generator_passes():
-    # p = E y, q = x with E = exp(z) at z = 1: alpha = 0 and h is of type H1
-    text = _lie_family("E*y", "x", "[1, 1, 1]") + "\n[generators]\nE = { coord = z, rate = 1 }\n"
+def test_square_radicand_with_a_generator_passes(p, q, base):
+    # E = exp(z): lambda^2 is (E - 1)^2/4 on the first two and the last
+    # (alpha = 0) and (1 + E)^2/4 on the third (alpha = 1), a square of
+    # QQ(x, y, z, E) whose root the tower takes in the field, positive at the
+    # base point: at z = -1, E - 1 < 0 and the root is (1 - E)/2
+    text = _lie_family(p, q, base) + "\n[generators]\nE = { coord = z, rate = 1 }\n"
     report = run_analyze(load_definition(text))
-    assert report.tree["classification"]["h_type"] == "H1"
+    section = report.tree["classification"]
+    assert section["h_type"] == "H1" and "frame_error" not in section, section
     assert report.exit_code == 0, report.tree["summary"]["failed_checks"]
 
 
@@ -277,6 +285,10 @@ _POINTS = ({_TX: sp.Rational(2, 3), _TY: 5, _TE: sp.Rational(7, 2)}, {_TX: -3, _
 
 def _tower_context():
     return ScalarContext(("x", "y"), (GeneratorDecl("E", 0, 2),))
+
+
+def _tower(ctx, point=(1, 1)):
+    return QuadraticTower(ctx, PointValues(ctx, point))
 
 
 def _tower_expr(q, at=None):
@@ -316,7 +328,7 @@ _coeffs = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
 def _tower_pairs(draw):
     """Two random elements of QQ(x, y, E)(sqrt(A1))(sqrt(x + sqrt(A1)))."""
     ctx = _tower_context()
-    T = QuadraticTower(ctx)
+    T = _tower(ctx)
     x, y, E = (ctx.variable(n) for n in ("x", "y", "E"))
     t1 = T.adjoin(T.base(x**2 + y + 3))  # A1
     t2 = T.adjoin(T.base(x) + t1)
@@ -354,14 +366,78 @@ def test_tower_arithmetic_matches_sympy_roots(pair):
 
 def test_tower_zero_divisor_and_rational_root():
     ctx = _tower_context()
-    T = QuadraticTower(ctx)
+    T = _tower(ctx)
+    x = T.base(ctx.variable("x"))
     root = T.sqrt(T.base(Fraction(9, 4)))
     assert root.level == 0 and root.p == ctx.element(Fraction(3, 2))  # sympy's sqrt(9/4)
-    t = T.sqrt(T.base(ctx.variable("x")) ** 2)  # sqrt(x**2) is not x
-    assert t.level == 1
+    # a square of the field has its root there: x, positive at x = 1
+    root = T.sqrt(x**2)
+    assert root.level == 0 and root.p == ctx.variable("x")
+    # a level adjoined for a square is a zero divisor
+    t = T.adjoin(x**2)
     with pytest.raises(ZeroDivisorError):
-        (t - T.base(ctx.variable("x"))).inverse()
-    assert ((t - T.base(ctx.variable("x"))) * (t + T.base(ctx.variable("x")))).is_zero()
+        (t - x).inverse()
+    assert ((t - x) * (t + x)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "radicand, point, root",
+    [
+        (lambda x, y, E: x**2, (-2, 0), lambda x, y, E: -x),
+        (lambda x, y, E: x**2, (3, 0), lambda x, y, E: x),
+        (lambda x, y, E: (x - y) ** 2 / (4 * E**2), (0, 1), lambda x, y, E: (y - x) / (2 * E)),
+        # E = exp(2x) is e**2 at x = 1, and x*y + E < 0 at y = -10
+        (lambda x, y, E: (x * y + E) ** 2, (1, -10), lambda x, y, E: -x * y - E),
+    ],
+    ids=["x=-2", "x=3", "fraction", "generator"],
+)
+def test_tower_takes_the_root_positive_at_the_point(radicand, point, root):
+    ctx = _tower_context()
+    T = _tower(ctx, point)
+    xyE = [ctx.variable(n) for n in ("x", "y", "E")]
+    t = T.sqrt(T.base(radicand(*xyE)))
+    assert t.level == 0 and t.p == root(*xyE)
+
+
+def test_tower_adjoins_a_radicand_that_is_no_square():
+    ctx = _tower_context()
+    T = _tower(ctx)
+    x = ctx.variable("x")
+    for radicand in (x**2 * 2, -(x**2), x**3, x**2 + 1, Fraction(-4)):
+        assert T.sqrt(T.base(radicand)).level > 0, radicand
+
+
+_ZXY = ring_of(("x", "y", "E"))
+_polys = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), max_size=4
+).map(lambda terms: sum((c * _ZXY.gens[0] ** i * _ZXY.gens[1] ** j * _ZXY.gens[2] ** k for c, i, j, k in terms), _ZXY.zero))
+
+
+def _is_square(q) -> bool:
+    """q is the square of an integer polynomial, by sympy's factorization."""
+    c, factors = sp.factor_list(q.as_expr(), *sp.symbols("x y E"))
+    return c >= 0 and sp.sqrt(c).is_Integer and all(e % 2 == 0 for _, e in factors)
+
+
+@given(_polys, _polys)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_poly_sqrt_of_a_square_and_of_no_square(p, q):
+    for square, base in ((p * p, p), (p * p * q * q, p * q)):
+        root = square.sqrt()
+        assert root == base or root == -base
+        assert not root or root.LC > 0
+    if p:  # p*p*q is a square exactly when q is
+        root = (p * p * q).sqrt()
+        if _is_square(q):
+            assert root is not None and root * root == p * p * q, (p, q)
+        else:
+            assert root is None, (p, q)
+
+
+@pytest.mark.parametrize("c, root", [(9, 3), (-4, None), (0, 0), (1, 1), (2, None)])
+def test_poly_sqrt_of_a_constant(c, root):
+    got = _ZXY(c).sqrt()
+    assert (got is None and root is None) or got == root
 
 
 # frames checked against the point test: heavy H1, square-lambda^2 H1,
@@ -388,11 +464,12 @@ def _lie_analysis(params) -> StructureAnalysis:
 
 
 def _check_tower_against_point_test(an) -> int:
-    """Every residual component the tower proves zero passes _zero_at;
-    returns how many were proved."""
+    """Every residual component the tower proves zero passes _zero_at on
+    the reference frame (support.reference_frame, on sympy expressions and
+    differentiated by pdiff); returns how many were proved."""
     ht = classify_h(an)
-    tower, sympy = cls._frame_values(an, ht)
-    assert tower is not None
+    tower, _ = cls._frame_values(an, ht)
+    reference = reference_frame(an, ht)
     kind = "pseudo-orthonormal" if ht.tag == "H2" else "orthonormal-phi"
     lines = cls._pattern_lines(kind, ht.tag) + [(n, r) for n, _, r in cls._TABLE_LINES[ht.tag]]
     fit = nullity_fit(an)
@@ -401,7 +478,7 @@ def _check_tower_against_point_test(an) -> int:
     proved = 0
     for name, residual in lines:
         values = residual(tower)
-        exprs = residual(sympy)
+        exprs = residual(reference)
         for value, expr in zip(values, exprs):
             if value.is_zero():
                 proved += 1
@@ -437,9 +514,10 @@ def test_tower_does_not_prove_a_wrong_sign_of_alpha():
     assert not all(r.is_zero() for r in wrong)
 
 
-def test_passing_h1_draw_needs_no_point_test(monkeypatch):
-    # nor a sympy nabla e1 or nabla e2: the printed a and b come from the
-    # tower frame
+def test_passing_h1_draw_needs_no_point_test(monkeypatch, entries):
+    # nor a sympy nabla: the printed a and b come from the tower frame.  A
+    # pool draw, sigma_nonzero (lambda^2 = (x + 1)^2, a square of the field)
+    # and a generator-bearing draw (E = exp(z) at z = 1)
     calls, domains = [], []
     nabla = cls._nabla
 
@@ -449,20 +527,47 @@ def test_passing_h1_draw_needs_no_point_test(monkeypatch):
 
     monkeypatch.setattr(cls, "_zero_at", lambda *args: calls.append(args))
     monkeypatch.setattr(cls, "_nabla", recording)
-    section = run_analyze(load_definition(_lie_text(ORACLE_DRAWS[0]))).tree["classification"]
-    assert section["h_type"] == "H1"
-    items = section["frame_table"]["items"] + section["harmonic_nullity"]["items"]
-    assert items and all(it["status"] == "pass" for it in items)
-    assert calls == []
-    assert domains and all(D.tower is not None for D in domains)
+    texts = [
+        _lie_text(ORACLE_DRAWS[0]),
+        entries["sigma_nonzero"].definition_text,
+        _lie_family("x", "E*x + y", "[1, 1, 1]") + "\n[generators]\nE = { coord = z, rate = 1 }\n",
+    ]
+    for text in texts:
+        domains.clear()
+        section = run_analyze(load_definition(text)).tree["classification"]
+        assert section["h_type"] == "H1"
+        items = section["frame_table"]["items"] + section["harmonic_nullity"]["items"]
+        assert items and all(it["status"] == "pass" for it in items)
+        assert calls == []
+        assert domains and all(D.tower is not None for D in domains)
 
 
 _FRAME_ENTRIES = ["example_e", "h1_rational", "h2_nilpotent", "h3_rotation", "flat_product", "warped_kenmotsu", "sigma_nonzero"]
+# nonlinear draws of tests/test_nonlinear_draws.py whose frames carry
+# roots: three print a b with roots, and the H2 one has an imaginary frame
+_ROOT_DRAWS = [
+    ("x^2/2 - 2*y", "3*x - 2*y + x^2/2"),
+    ("x/2 - y/2 - 2*x*y", "-3*x/2 + y/2 - y^2/2"),
+    ("-x - 3*y^2", "x + y - 3*x^3"),
+    ("-x - 2*y^2", "-3*x - 2*x^3"),
+]
 
 
-@pytest.mark.parametrize("source", ORACLE_DRAWS + _FRAME_ENTRIES, ids=str)
+def _analysis_of(analyses, source) -> StructureAnalysis:
+    if isinstance(source, str):
+        return analyses(source)
+    if isinstance(source[0], str):
+        return StructureAnalysis(AlmostParacontactStructure.from_definition(load_definition(_lie_family(*source))))
+    return _lie_analysis(source)
+
+
+@pytest.mark.parametrize(
+    "source", ORACLE_DRAWS + _FRAME_ENTRIES + _ROOT_DRAWS, ids=lambda s: " | ".join(s) if isinstance(s[0], str) and len(s) == 2 else str(s)
+)
 def test_printed_coefficients_match_the_sympy_frame(analyses, source):
-    an = analyses(source) if isinstance(source, str) else _lie_analysis(source)
+    # the printed a and b, tower values at the point, equal the coefficients
+    # of the reference frame there as real numbers
+    an = _analysis_of(analyses, source)
     ht = classify_h(an)
     try:
         frame = build_adapted_frame(an, ht)
@@ -470,9 +575,10 @@ def test_printed_coefficients_match_the_sympy_frame(analyses, source):
         assert source == ORACLE_DRAWS[4]  # the failing H3 draw builds no frame
         return
     table = verify_frame_tables(an, frame, ht)
+    reference = reference_frame(an, ht)
     printed = {"a": table.a, **{attr: table.b[name] for name, attr in cls._TABLE_B[ht.tag]}}
     for attr, value in printed.items():
-        assert sp.sstr(value) == sp.sstr(cls._subs_point(an, getattr(frame.sympy, attr), ht.point)), attr
+        assert sp.simplify(value - cls._subs_point(an, getattr(reference, attr), ht.point)) == 0, attr
 
 
 @pytest.mark.xfail(

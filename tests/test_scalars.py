@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paracosym.errors import ContextMismatchError, DivisionByZeroFieldError, PoleError
-from paracosym.classify import canon, pdiff
+from paracosym.classify import canon
 from paracosym.field import serialize
 from paracosym.scalars import GeneratorDecl, ScalarContext
-from support import exact_value, generator_field, numeric_eval
+from support import exact_value, generator_field, numeric_eval, pdiff
 
 
 @pytest.fixture
