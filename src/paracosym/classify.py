@@ -41,10 +41,9 @@ gives, sympy's cancel(together(.)), memoised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import sympy as sp
 
@@ -66,8 +65,7 @@ from .scalars import ScalarContext
 from .tower import Quad, QuadraticTower
 
 
-@dataclass
-class HType:
+class HType(NamedTuple):
     tag: str  # "H1" | "H2" | "H3" | "Zero"
     lambda2: Optional[sp.Expr]  # for H1/H3
     point: Tuple[Fraction, ...]
@@ -430,8 +428,7 @@ def _frame_values(an: StructureAnalysis, htype: HType) -> Tuple[_FrameValues, _F
     return _frame_in(_Domain(an, htype.point), htype.tag, seed), _frame_in(_Domain(an), htype.tag, seed)
 
 
-@dataclass
-class AdaptedFrame:
+class AdaptedFrame(NamedTuple):
     """The type's adapted frame twice: in a quadratic tower over the chart's
     field (tower), which decides the checks and gives the printed a and b,
     and as sympy expressions (sympy), which the report prints as e1, e2 and
@@ -440,8 +437,8 @@ class AdaptedFrame:
 
     kind: str  # "orthonormal-phi" | "pseudo-orthonormal"
     exact: bool  # True when all components are rational functions
-    tower: _FrameValues = field(repr=False, compare=False)
-    sympy: _FrameValues = field(repr=False, compare=False)
+    tower: _FrameValues
+    sympy: _FrameValues
 
 
 def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
@@ -533,11 +530,10 @@ def _pattern_lines(kind: str, tag: str) -> list:
 # frame-derivative tables
 
 
-@dataclass
-class FrameDerivativeTable:
+class FrameDerivativeTable(NamedTuple):
     a: sp.Expr  # a1 | a2 | a3 by type (value at the point)
-    b: Dict[str, sp.Expr] = field(default_factory=dict)
-    items: List[CheckItem] = field(default_factory=list)
+    b: Dict[str, sp.Expr]
+    items: List[CheckItem]
 
 
 # each type's table: (name, shape, residual of the frame values); a vector
@@ -634,15 +630,14 @@ def verify_frame_tables(
     """Check every line of the type's covariant-derivative table at the
     classification point, and extract the connection coefficients."""
     pt = htype.point
-    table = FrameDerivativeTable(
+    return FrameDerivativeTable(
         a=_coefficient_at(an, frame, "a", pt),
         b={name: _coefficient_at(an, frame, attr, pt) for name, attr in _TABLE_B[htype.tag]},
+        items=[
+            _decided_item(an, pt, frame.tower, name, shape, residual)
+            for name, shape, residual in _TABLE_LINES[htype.tag]
+        ],
     )
-    table.items = [
-        _decided_item(an, pt, frame.tower, name, shape, residual)
-        for name, shape, residual in _TABLE_LINES[htype.tag]
-    ]
-    return table
 
 
 # --------------------------------------------------------------------
@@ -679,13 +674,12 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
 # harmonicity <-> nullity
 
 
-@dataclass
-class HarmonicNullityReport:
+class HarmonicNullityReport(NamedTuple):
     harmonic: bool
     nullity: bool
     equivalent: bool
     fit: NullityFit
-    case_items: List[CheckItem] = field(default_factory=list)
+    case_items: List[CheckItem]
 
 
 def _half_tr_h2(F: _FrameValues):
@@ -761,9 +755,8 @@ def harmonic_nullity_equivalence(
     if fit is None:
         fit = nullity_fit(an)
     nullity = fit.status in ("exact", "degenerate_h_zero")
-    report = HarmonicNullityReport(harmonic, nullity, harmonic == nullity, fit)
     if not (harmonic and nullity):
-        return report
+        return HarmonicNullityReport(harmonic, nullity, harmonic == nullity, fit, [])
 
     if htype is None:
         htype = classify_h(an)
@@ -774,8 +767,8 @@ def harmonic_nullity_equivalence(
             frame = build_adapted_frame(an, htype)
         tower = frame.tower
 
-    report.case_items = [
+    case_items = [
         _decided_item(an, htype.point, tower, name, "scalar", residual)
         for name, residual in _case_lines(htype.tag, fit)
     ]
-    return report
+    return HarmonicNullityReport(True, True, True, fit, case_items)

@@ -18,8 +18,7 @@ import argparse
 import gc
 import os
 import sys
-from fractions import Fraction
-from typing import List, NoReturn, Optional
+from typing import TYPE_CHECKING, List, NoReturn, Optional
 
 from .errors import (
     EXIT_PARSE,
@@ -29,6 +28,9 @@ from .errors import (
     EngineError,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _verbosity() -> int:
@@ -71,8 +73,17 @@ def _emit(report, as_json: bool) -> int:
     return report.exit_code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with the documented usage-error exit code, EXIT_PARSE; its
+    subparsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="paracosym",
         description="Exact verification and classification of almost "
         "alpha-paracosymplectic structures.",

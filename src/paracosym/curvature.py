@@ -8,11 +8,10 @@ commutator, constant sectional curvature, harmonicity of xi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .geometry import Components, TensorField, contract, covariant_derivative, identity_tensor
+from .geometry import Components, TensorField, contract, identity_tensor
 from .structures import (
     CONSTANT_ALPHA,
     DIM_5,
@@ -164,8 +163,7 @@ def check_q_commutator(an: StructureAnalysis) -> CheckItem:
     return _residual_item(name, res)
 
 
-@dataclass
-class ConstantCurvatureResult:
+class ConstantCurvatureResult(NamedTuple):
     is_space_form: bool
     c: Optional[Fraction]  # the sectional curvature when constant
     witness: Optional[str] = None
@@ -221,8 +219,7 @@ def check_space_form_constraints(
 def rough_laplacian_xi(an: StructureAnalysis) -> TensorField:
     """Trace of the second covariant derivative of xi, as a vector field;
     nabla xi = -A."""
-    nA = covariant_derivative(an.A, an.conn)  # [k, c, d], d the new direction
-    return TensorField(an.chart, 1, 0, -contract("cd,kcd->k", an.ginv, nA))
+    return TensorField(an.chart, 1, 0, -contract("cd,kcd->k", an.ginv, an.nabA))
 
 
 def check_rough_laplacian_formula(an: StructureAnalysis) -> CheckItem:

@@ -211,14 +211,18 @@ class Components:
         return Components(self.n, self.rank, [-a for a in self.flat])
 
     def __mul__(self, c) -> "Components":
-        if not isinstance(c, (Frac, int, Fraction)):
+        if isinstance(c, (int, Fraction)):
+            c = self.flat[0].field.coerce(c)  # lifted once, not per entry
+        elif not isinstance(c, Frac):
             return NotImplemented
         return Components(self.n, self.rank, [a * c for a in self.flat])
 
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Components":
-        if not isinstance(c, (Frac, int, Fraction)):
+        if isinstance(c, (int, Fraction)):
+            c = self.flat[0].field.coerce(c)
+        elif not isinstance(c, Frac):
             return NotImplemented
         return Components(self.n, self.rank, [a / c for a in self.flat])
 

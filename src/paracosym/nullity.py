@@ -17,8 +17,7 @@ non-unique after global verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .field import Frac
 from .geometry import Components, contract, identity_tensor, row_reduce
@@ -36,8 +35,7 @@ from .structures import (
 )
 
 
-@dataclass
-class NullityFit:
+class NullityFit(NamedTuple):
     status: str  # "exact" | "degenerate_h_zero" | "not_nullity"
     kappa: Optional[Frac] = None
     mu: Optional[Frac] = None

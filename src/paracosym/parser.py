@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import DefinitionError, ParseError, UnknownIdentifierError
 from .field import Frac
@@ -236,8 +235,7 @@ def parse_scalar(text: str, context: ScalarContext) -> Frac:
 # definition files
 
 
-@dataclass
-class ManifoldDefinition:
+class ManifoldDefinition(NamedTuple):
     """A definition file, read: the chart's context and base point, and the
     entries of (phi, xi, eta, g) and the declared alpha, each parsed once
     into the context's field."""

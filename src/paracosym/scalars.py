@@ -46,10 +46,9 @@ classify and the tests read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DefinitionError, PoleError
 from .field import Frac, Poly, field_of_names, reduce, sort_names
@@ -59,16 +58,20 @@ from .field import Frac, Poly, field_of_names, reduce, sort_names
 MAX_GENERATOR_POWER = 10000
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
-    """An exponential generator exp(rate * coord)."""
-
+class _Generator(NamedTuple):
     name: str
     coord_index: int
     rate: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", Fraction(self.rate))
+
+class GeneratorDecl(_Generator):
+    """An exponential generator exp(rate * coord); rate is taken as a
+    Fraction whatever rational number it is given as."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, coord_index: int, rate) -> "GeneratorDecl":
+        return super().__new__(cls, name, coord_index, Fraction(rate))
 
 
 class ScalarContext:

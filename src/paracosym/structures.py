@@ -11,7 +11,9 @@ reads is built: g^{-1}, the connection, A, h, R, S, Q, r, h^2, h.phi,
 phi^2, S(xi,xi), R(.,.)xi, N^1 and the covariant derivatives are cached
 properties there, computed once per structure, and the checks read them
 instead of rebuilding them.  Each is Components, and a TensorField where
-a kernel reads its chart or valence (A, h and phi.h, say).
+a kernel reads its chart or valence (A, h and phi.h, say).  R(.,.)xi
+comes from nabla A, so a caller that reads only it and the Jacobi
+operator (the nullity fit, the deformation laws) never builds R.
 
 Every check of every module builds its CheckItems here, through one
 builder and one gate.  _item(name, witness) passes when the witness is
@@ -31,7 +33,6 @@ carries: it runs that check on space forms only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -59,8 +60,7 @@ from .parser import ManifoldDefinition
 from .scalars import ScalarContext
 
 
-@dataclass
-class CheckItem:
+class CheckItem(NamedTuple):
     """One verified identity/axiom: pass, fail (with witness), or skip."""
 
     name: str
@@ -211,8 +211,7 @@ def fundamental_form(s: AlmostParacontactStructure) -> TensorField:
     return Phi
 
 
-@dataclass
-class AlphaExtraction:
+class AlphaExtraction(NamedTuple):
     alpha: Optional[Frac]
     f: Optional[Frac]  # f = xi(alpha); satisfies d(alpha) = f*eta
     is_apc: bool
@@ -375,8 +374,10 @@ class StructureAnalysis:
 
     @cached_property
     def R_xi(self) -> Components:
-        """R(d_a, d_b) xi, as [i, a, b]."""
-        return contract("iabk,k->iab", self.R, self.structure.xi)
+        """R(d_a, d_b) xi, as [i, a, b], from nabla A: with A = -nabla xi
+        and a torsion-free connection, R(X, Y)xi = (nabla_Y A)X -
+        (nabla_X A)Y, so R itself is never built for it."""
+        return self.nabA - contract("iba->iab", self.nabA)
 
     @cached_property
     def l(self) -> TensorField:
@@ -425,6 +426,11 @@ class StructureAnalysis:
     @cached_property
     def nabphih(self) -> TensorField:
         return covariant_derivative(self.phih, self.conn)
+
+    @cached_property
+    def nabA(self) -> TensorField:
+        """nabla A as [i, a, b] = ((nabla_{d_b} A) d_a)^i."""
+        return covariant_derivative(self.A, self.conn)
 
     @cached_property
     def nabh(self) -> TensorField:
@@ -633,8 +639,7 @@ def parakaehler_leaves_check(an: StructureAnalysis) -> bool:
     return an.parakaehler_leaves_residual.is_zero()
 
 
-@dataclass
-class LeafGeometry:
+class LeafGeometry(NamedTuple):
     umbilical: bool
     geodesic: bool
 

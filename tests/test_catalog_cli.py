@@ -13,6 +13,7 @@ import pytest
 
 from paracosym.catalog import _lie_family, catalog, catalog_entry
 from paracosym.cli import main
+from paracosym.errors import EXIT_PARSE
 from paracosym.parser import load_definition
 from paracosym.report import run_analyze
 from paracosym.scalars import MAX_GENERATOR_POWER
@@ -528,13 +529,14 @@ def test_cli_import_leaves_out_sympy_combinatorics():
 
 
 # runs one CLI call and prints its exit code and the paracosym modules it
-# loaded, and dataclasses if it loaded that
+# loaded, and those of STDLIB that it loaded
 MODULES = r"""
 import contextlib, io, json, sys
+STDLIB = ("dataclasses", "inspect", "fractions")
 from paracosym.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("paracosym", "dataclasses"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("paracosym",) + STDLIB)]))
 """
 
 
@@ -549,7 +551,8 @@ def _loaded(*args):
 def test_cli_commands_load_only_their_modules(tmp_path):
     # each module a process imports is compiled afresh when bytecode is not
     # written, so a command pays for every module it loads; importing
-    # dataclasses, and inspect through it, cost catalog --list about 15 ms
+    # dataclasses, and inspect through it, cost catalog --list about 15 ms,
+    # and fractions with decimal about 4.5 ms more
     path = tmp_path / "e.txt"
     path.write_text(catalog_entry("example_e").definition_text)
     assert _loaded("catalog", "--list") == {"paracosym", "cli", "errors", "catalog"}
@@ -559,6 +562,12 @@ def test_cli_commands_load_only_their_modules(tmp_path):
     deform = _loaded("deform", str(path), "--gamma", "3", "--beta", "2")
     assert {"deform", "nullity"} <= deform
     assert not deform & {"curvature", "catalog", "classify"}
+    five_dim = tmp_path / "p5.txt"
+    five_dim.write_text(catalog_entry("five_dim_product").definition_text)
+    analyze = _loaded("analyze", str(five_dim))
+    assert {"curvature", "nullity"} <= analyze
+    for loaded in (verify, deform, analyze):
+        assert not loaded & {"dataclasses", "inspect"}
 
 
 PACKAGE = r"""
@@ -730,10 +739,30 @@ def test_cli_process_exits_3_with_its_report(tmp_path):
 
 
 def test_cli_usage_error_exits_through_the_interpreter():
-    # argparse's SystemExit escapes main, so the process ends the usual way
+    # argparse's SystemExit escapes main, so the process ends the usual way,
+    # with the documented usage-error code
     proc = _run([])
-    assert proc.returncode == 2
+    assert proc.returncode == EXIT_PARSE == 4
     assert proc.stderr.startswith("usage: paracosym")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify"], ["analyze", "x.txt", "--bogus"], ["deform"], ["catalog", "--list", "--emit", "e"], ["frobnicate"]],
+)
+def test_cli_usage_errors_exit_4(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
+def test_cli_help_exits_0(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: paracosym")
 
 
 def test_main_leaves_the_collector_on(capsys):

@@ -1,8 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from paracosym.catalog import catalog_entry
+from paracosym.cli import main
 from paracosym.deform import (
     conformal_deform,
     d_homothetic_deform,
@@ -163,3 +168,28 @@ def test_conformal_identity_when_alpha_zero(analyses):
     an = analyses("flat_product")
     s_p = conformal_deform(an, an.chart.context.element(0))
     assert (s_p.g - an.structure.g).is_zero()
+
+
+BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def test_deform_builds_no_riemann_tensor(tmp_path, monkeypatch, capsys):
+    # the nullity fit and the R~(X,Y)xi~ law read R(X,Y)xi, which comes
+    # from nabla A: every pinned deformation prints its pinned bytes with
+    # the Riemann kernel made to raise
+    from paracosym import geometry, structures
+
+    def no_riemann(conn):
+        raise AssertionError("deform built the Riemann tensor")
+
+    monkeypatch.setattr(geometry, "riemann", no_riemann)
+    monkeypatch.setattr(structures, "riemann", no_riemann)
+    pinned = json.loads(BENCH_DIGESTS.read_text())
+    calls = [(key.split(":")[1:], digest) for key, digest in sorted(pinned.items()) if key.startswith("deform:")]
+    assert len(calls) == 5
+    for (entry, *args), digest in calls:
+        path = tmp_path / f"{entry}.txt"
+        path.write_text(catalog_entry(entry).definition_text)
+        assert main(["deform", str(path), "--json", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (entry, args)

@@ -1,6 +1,7 @@
 import pytest
 import sympy as sp
 
+from paracosym.catalog import _lie_family, catalog
 from paracosym.errors import StructureError
 from paracosym.geometry import Components, TensorField, contract
 from paracosym.parser import load_definition
@@ -206,7 +207,7 @@ def test_para_kenmotsu_biconditional(analyses, name, expect_sides):
 # every tensor a StructureAnalysis caches, by the name of its property
 ANALYSIS_TENSORS = [
     "Phi", "conn", "ginv", "A", "h", "phih", "R", "S", "Q", "R_xi", "l", "h2", "hphi",
-    "phi2", "proj", "sigma", "nabphi", "nabPhi", "nabphih", "nabh", "nab_xi_h",
+    "phi2", "proj", "sigma", "nabA", "nabphi", "nabPhi", "nabphih", "nabh", "nab_xi_h",
     "parakaehler_leaves_residual",
 ]
 
@@ -222,3 +223,39 @@ def test_every_analysis_tensor_is_components(analyses, name):
     for prop, valence in [("A", (1, 1)), ("h", (1, 1)), ("phih", (1, 1)), ("conn", (1, 2)), ("R", (1, 3))]:
         t = getattr(an, prop)
         assert isinstance(t, TensorField) and t.chart is an.chart and (t.r, t.s) == valence, prop
+
+
+# R(X,Y)xi comes from nabla A, never from R: on every input whose axioms
+# hold it must equal R contracted with xi, entry for entry; _lie_family
+# draws: a linear one, two nonlinear ones and two with an exponential
+# generator
+R_XI_DRAWS = {
+    "lie_linear": _lie_family("x", "y + 2*x"),
+    "lie_nonlinear": _lie_family("x/2 - y + x*y", "-x + y/3 + x^2/2"),
+    "lie_zero_at_base": _lie_family("y^2/2 - y", "x^2/2 - x"),
+    "lie_E_x": _lie_family("E", "y + 2*x") + "\n[generators]\nE = { coord = x, rate = 1 }\n",
+    "lie_E_z": _lie_family("x", "E*x + y", "[1, 1, 1]") + "\n[generators]\nE = { coord = z, rate = 1 }\n",
+}
+
+
+def _r_xi_pairs(an):
+    return an.R_xi, contract("iabk,k->iab", an.R, an.structure.xi)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_r_xi_from_nabla_a_matches_riemann_on_the_catalog(analyses, name):
+    an = analyses(name)
+    if not an.axioms_ok:
+        pytest.skip("the axioms fail, so no analysis reads R(X,Y)xi")
+    got, want = _r_xi_pairs(an)
+    assert got.flat == want.flat
+
+
+@pytest.mark.parametrize("name", sorted(R_XI_DRAWS))
+def test_r_xi_from_nabla_a_matches_riemann_on_lie_draws(name):
+    defn = load_definition(R_XI_DRAWS[name])
+    an = StructureAnalysis(AlmostParacontactStructure.from_definition(defn))
+    assert an.axioms_ok
+    got, want = _r_xi_pairs(an)
+    assert got.flat == want.flat
+    assert not got.is_zero()
