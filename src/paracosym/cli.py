@@ -42,8 +42,9 @@ def _verbosity() -> int:
 
 
 def _read(path: str) -> str:
+    # utf-8-sig drops the byte-order mark that some editors save
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DefinitionError(f"cannot read {path}: {exc}") from exc

@@ -29,7 +29,13 @@ polyutils._sort_gens: x, x1, x2, x10, y, z, t, a, E) and the gcd is the
 heuristic gcd of Char, Geddes and Gonnet (1989), ported from sympy's
 heuristicgcd.heugcd, so every reduced fraction is the one sympy's
 FracField over ZZ gives; as_expr() is its sympy view, built on first use
-(the only place this module imports sympy).
+(the only place this module imports sympy).  Poly.cofactors is the one gcd
+that reduce (through cancel) and fraction_sum (for the lcm) call, and an
+analysis asks for the same gcd many times (five_dim_alpha_z: 129 gcds of
+multi-term operands, 11 distinct).  So each ring's gcd_memo keeps those
+gcds, keyed on each operand's set of terms, and is emptied when it holds
+GCD_MEMO_SIZE of them; the Polys it hands out are shared, which is safe
+because no Poly is changed after it is built.
 
 to_str prints a reduced fraction exactly as sympy's StrPrinter prints that
 view: sstr(f.as_expr()) and, with lex=True, sstr(f.as_expr(), order="lex"),
@@ -48,6 +54,10 @@ from typing import Iterable, Optional, Tuple
 from .errors import ContextMismatchError, DivisionByZeroFieldError
 
 HEU_GCD_MAX = 6
+# the most gcds a ring's memo holds before it is emptied (Poly.cofactors):
+# five_dim_alpha_z in a dense linear chart computes 2,745 gcds with this
+# bound against 2,423 with none, and peaks about 18 MB lower
+GCD_MEMO_SIZE = 1024
 
 # polyutils._gens_order and _max_order: the rank of a generator's name
 # without its trailing digits
@@ -94,6 +104,7 @@ class PolyRing:
         self.ngens = n = len(symbols)
         self.zero_monom = (0,) * n
         self.monomial_mul = _monomial_mul(n)
+        self.gcd_memo = {}  # Poly.cofactors of multi-term operands
         self.zero = _poly(self, {})
         self.one = _poly(self, {self.zero_monom: 1})
         self.gens = tuple(
@@ -279,7 +290,8 @@ class Poly(dict):
 
     def cofactors(self, g: "Poly") -> Tuple["Poly", "Poly", "Poly"]:
         """(h, f/h, g/h) with h = gcd(f, g), as rings.PolyElement.cofactors
-        computes them over ZZ."""
+        computes them over ZZ; for two multi-term operands, remembered in
+        the ring's gcd_memo."""
         f, ring = self, self.ring
         if not f and not g:
             return ring.zero, ring.zero, ring.zero
@@ -292,9 +304,17 @@ class Poly(dict):
         if len(g) == 1:
             h, cfg, cff = _gcd_monom(g, f)
             return h, cff, cfg
-        J, f, g = _deflate(f, g)
-        h, cff, cfg = heugcd(f, g)
-        return _inflate(h, J), _inflate(cff, J), _inflate(cfg, J)
+        # the same two polynomials in any term order are one key
+        key = frozenset(f.items()), frozenset(g.items())
+        memo = ring.gcd_memo
+        out = memo.get(key)
+        if out is None:
+            J, f, g = _deflate(f, g)
+            h, cff, cfg = heugcd(f, g)
+            if len(memo) >= GCD_MEMO_SIZE:
+                memo.clear()
+            out = memo[key] = _inflate(h, J), _inflate(cff, J), _inflate(cfg, J)
+        return out
 
     def cancel(self, g: "Poly") -> Tuple["Poly", "Poly"]:
         """f/g in lowest terms, with the denominator's LC positive."""

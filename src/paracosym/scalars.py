@@ -25,7 +25,10 @@ element applies to lift a number) live in field; geometry lifts the
 numbers of a tensor's array once, where it enters.  The context keeps
 what needs the generators' rates: the derivative rule
 d/dc = d_c + sum(rate * E * d_E), written once as its derivation table
-and applied by partial_element, and has_generators.
+and applied by partial_element, and has_generators.  partial_element
+returns the field's zero for a constant (numerator and denominator both
+ground) before any derivation: most entries whose partials an analysis
+takes are constants (1,900 of 2,095 for five_dim_alpha_z).
 
 Values at a rational point are exact too (PointValues): there every
 generator exp(r*c) is a power E**k of E = e^(1/N) for one integer N, so a
@@ -152,7 +155,10 @@ class ScalarContext:
 
     def partial_element(self, f: Frac, coord_index: int) -> Frac:
         """d f / d(coordinate), generator rule included, reduced from
-        (n' d - n d') / d^2."""
+        (n' d - n d') / d^2; the field's zero for a constant f, with no
+        derivation."""
+        if f.is_constant():
+            return self.field.zero
         n, d = f.numer, f.denom
         terms, lcd = self._poly_derivation[coord_index]
         dn = self._diff_poly(n, terms)  # lcd * n'

@@ -163,6 +163,17 @@ def test_cli_emit_then_verify(tmp_path):
     assert check.returncode == 0, check.stdout + check.stderr
 
 
+def test_cli_verify_reads_a_byte_order_mark(tmp_path):
+    # a definition saved with a UTF-8 byte-order mark, as Windows editors
+    # save it, reads as the same definition
+    text = _run(["catalog", "--emit", "example_e"]).stdout
+    (tmp_path / "plain.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.txt").write_text(text, encoding="utf-8-sig")
+    plain, bom = (_run(["verify", "--json", str(tmp_path / f"{d}.txt")]) for d in ("plain", "bom"))
+    assert bom.returncode == plain.returncode == 0, bom.stdout + bom.stderr
+    assert bom.stdout == plain.stdout
+
+
 def test_cli_verify_negative_control(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(catalog_entry("perturbed_metric").definition_text)

@@ -9,8 +9,11 @@ analyses must agree: alpha, r, S(xi, xi) and the nullity triple as
 functions composed with A, and the verdicts of the identity suite,
 normality, the leaves, para-Kenmotsu and the nullity fit.  The 3D
 classification is left out: its adapted frame starts from a seed column,
-which a chart change can move.
+which a chart change can move.  The 5D entries are also written in the
+chart of one seeded dense A, with every entry in -2..2.
 """
+
+import random
 
 import pytest
 import sympy as sp
@@ -105,22 +108,46 @@ def _matrices(draw, n: int) -> sp.Matrix:
     return A
 
 
+def _same_in_chart(defn, A: sp.Matrix, verdicts, scalars):
+    """defn in the chart x' with x = A x' has the verdicts, and the scalar
+    functions composed with A, of defn in its own chart."""
+    changed = _analysis(load_definition(_changed(defn, A)))
+    got_verdicts, got_scalars = _verdicts(changed)
+    assert got_verdicts == verdicts
+    coords = sp.Matrix(sp.symbols(defn.coord_names))
+    subs = dict(zip(coords, A * coords))
+    for want, got in zip(scalars, got_scalars):
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert sp.cancel(want.as_expr().xreplace(subs) - got.as_expr()) == 0
+
+
 @pytest.mark.parametrize("name", ENTRIES)
 def test_linear_chart_change_keeps_the_verdicts(entries, name):
     defn = entries[name].definition()
     verdicts, scalars = _verdicts(_analysis(defn))
-    coords = sp.Matrix(sp.symbols(defn.coord_names))
 
     @settings(max_examples=2, deadline=None, derandomize=True, database=None)
     @given(_matrices(defn.dim))
     def check(A):
-        changed = _analysis(load_definition(_changed(defn, A)))
-        got_verdicts, got_scalars = _verdicts(changed)
-        assert got_verdicts == verdicts
-        subs = dict(zip(coords, A * coords))
-        for want, got in zip(scalars, got_scalars):
-            assert (want is None) == (got is None)
-            if want is not None:
-                assert sp.cancel(want.as_expr().xreplace(subs) - got.as_expr()) == 0
+        _same_in_chart(defn, A, verdicts, scalars)
 
     check()
+
+
+def _dense(n: int) -> sp.Matrix:
+    """A seeded n x n integer matrix with every entry in -2..2, det != 0."""
+    rng = random.Random(7)
+    while True:
+        A = sp.Matrix(n, n, [rng.randint(-2, 2) for _ in range(n * n)])
+        if A.det() != 0:
+            return A
+
+
+# a dense A mixes every coordinate into every entry: in the chart x', a
+# power of 1+z is a power of a linear form in all five coordinates, whose
+# gcds cost far more than in the entry's own chart
+@pytest.mark.parametrize("name", ["five_dim_product", "five_dim_alpha_z", "five_dim_non_pk_leaves"])
+def test_dense_chart_change_keeps_the_verdicts(entries, name):
+    defn = entries[name].definition()
+    _same_in_chart(defn, _dense(defn.dim), *_verdicts(_analysis(defn)))

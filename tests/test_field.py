@@ -69,8 +69,17 @@ def test_polynomial_arithmetic_matches_sympy(a, b, k, i):
 def test_gcd_and_reduce_match_sympy(a, b, c):
     (p, P), (q, Q), (r, R) = _pair(a), _pair(b), _pair(c)
     assume(q and r)
-    # a common factor r, so the gcd has work to do
-    assert all(_same(u, v) for u, v in zip((p * r).cofactors(q * r), (P * R).cofactors(Q * R)))
+    # a common factor r, so the gcd has work to do; asked again, the ring's
+    # memo answers, also for the same operands with their terms in reverse
+    # order, and the memo shares its Polys, which nothing may change
+    pr, qr, want = p * r, q * r, (P * R).cofactors(Q * R)
+    operands = dict(pr), dict(qr)
+    first = pr.cofactors(qr)
+    results = [dict(u) for u in first]
+    reverse = lambda u: ring_of(ORDER).from_dict(dict(reversed(u.items())))
+    for got in (first, pr.cofactors(qr), reverse(pr).cofactors(reverse(qr))):
+        assert all(_same(u, v) for u, v in zip(got, want))
+    assert (dict(pr), dict(qr)) == operands and [dict(u) for u in first] == results
     f, F = reduce(OURS, p * r, q * r), THEIRS.new(P * R, Q * R)
     assert _same(f.numer, F.numer) and _same(f.denom, F.denom)
     assert f.denom.LC > 0

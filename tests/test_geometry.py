@@ -23,8 +23,10 @@ from paracosym.geometry import (
     signature_at,
     wedge,
 )
+from paracosym import field
 from paracosym.classify import canon
 from paracosym.field import Frac, FracField, field_of_names
+from paracosym.report import run_analyze
 from paracosym.scalars import GeneratorDecl, ScalarContext
 from support import christoffel, exact_value, scalar_curvature, symbols
 
@@ -442,6 +444,36 @@ def test_contract_and_arithmetic_check_fields_once_per_operand(monkeypatch, anal
     calls.clear()
     R - R
     assert len(calls) <= 2
+
+
+def test_each_gcd_once_and_no_derivation_of_a_constant(monkeypatch, entries):
+    # five_dim_alpha_z's analysis asks for 129 gcds of multi-term
+    # polynomials but only 11 distinct ones: the ring's memo computes each
+    # once (heugcd recurses, so only the outermost call counts)
+    defn = entries["five_dim_alpha_z"].definition()
+    monkeypatch.setattr(defn.context().field.ring, "gcd_memo", {})
+    calls, depth = [], [0]
+    heugcd = field.heugcd
+
+    def counted(f, g):
+        calls.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return heugcd(f, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(field, "heugcd", counted)
+    run_analyze(defn)
+    assert 0 < calls.count(True) <= 11
+    # the partials of a constant tensor are the field's zero, derived from
+    # nothing
+    derived = []
+    diff_poly = ScalarContext._diff_poly
+    monkeypatch.setattr(ScalarContext, "_diff_poly", staticmethod(lambda p, terms: derived.append(p) or diff_poly(p, terms)))
+    t = TensorField(CHART, 1, 1, [[1, 0, Fraction(1, 2)], [0, -3, 0], [2, 0, 1]])
+    d = partials(t)
+    assert len(d.flat) == 27 and not any(d.flat) and derived == []
 
 
 def test_tensor_field_lifts_another_charts_components():
