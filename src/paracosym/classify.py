@@ -34,9 +34,11 @@ and witnesses the pattern lines, which need no derivative.
 
 This is the one module of the engine that computes with sympy: for the
 printed frame, lambda^2 and the point test.  It reads the chart's field
-elements through Frac.as_expr, builds the symbols of the coordinates and
-generators from their names, and keeps its expressions in the form canon
-gives, sympy's cancel(together(.)), memoised.
+elements through Frac.as_expr, takes the symbols of the coordinates and
+generators from field._sympy_symbols, and keeps its expressions in the
+form canon gives, sympy's cancel(together(.)), memoised.  It also builds
+and prints the report's 3D section (classification_section), so the
+report reads none of these records and imports no sympy.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import sympy as sp
 
-from .errors import StructureError
+from .errors import EngineError, StructureError
 from .geometry import Components, contract, identity_tensor
 from .structures import (
     CONSTANT_ALPHA,
@@ -60,8 +62,8 @@ from .structures import (
     unmet,
 )
 from .nullity import NullityFit, nullity_fit
-from .field import Frac
-from .scalars import ScalarContext
+from .field import Frac, _sympy_symbols
+from .report import _item_dict, _items
 from .tower import Quad, QuadraticTower
 
 
@@ -111,15 +113,6 @@ def canon(expr) -> sp.Expr:
     """The canonical form of an expression: sp.cancel(sp.together(expr)),
     one reduced fraction for a rational function."""
     return sp.cancel(sp.together(expr))
-
-
-@lru_cache(maxsize=256)
-def _symbols(context: ScalarContext) -> Tuple[tuple, tuple]:
-    """The coordinates and the generators of a context as sympy symbols."""
-    return (
-        tuple(sp.Symbol(n) for n in context.coord_names),
-        tuple(sp.Symbol(g.name) for g in context.generators),
-    )
 
 
 def _as_expr(q: Quad) -> sp.Expr:
@@ -239,7 +232,8 @@ def _sub(D: _Domain, m1: Sequence, m2: Sequence) -> list:
 
 def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
     ctx = an.chart.context
-    coords, gens = _symbols(ctx)
+    coords = _sympy_symbols(ctx.coord_names)
+    gens = _sympy_symbols(tuple(g.name for g in ctx.generators))
     subs = {s: sp.Rational(Fraction(v)) for s, v in zip(coords, pt)}
     for gen, gsym in zip(ctx.generators, gens):
         subs[gsym] = sp.exp(sp.Rational(gen.rate) * subs[coords[gen.coord_index]])
@@ -442,8 +436,8 @@ class AdaptedFrame(NamedTuple):
 
 
 def _is_rational_frame(an: StructureAnalysis, *vectors: List[sp.Expr]) -> bool:
-    coords, gens = _symbols(an.chart.context)
-    return all(c.is_rational_function(*coords, *gens) for v in vectors for c in v)
+    syms = _sympy_symbols(an.chart.context.field.symbols)
+    return all(c.is_rational_function(*syms) for v in vectors for c in v)
 
 
 def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
@@ -772,3 +766,65 @@ def harmonic_nullity_equivalence(
         for name, residual in _case_lines(htype.tag, fit)
     ]
     return HarmonicNullityReport(True, True, True, fit, case_items)
+
+
+# --------------------------------------------------------------------
+# the report's 3D section
+
+
+def classification_section(
+    an: StructureAnalysis,
+    point: Optional[Sequence[Fraction]],
+    fit: NullityFit,
+    harmonic: bool,
+) -> Dict[str, object]:
+    """The analyze report's classification section: the h-type at point
+    (the base point when None), the adapted frame as printed sympy
+    expressions, its derivative table, the closed-form Ricci operator and
+    the harmonicity <=> nullity equivalence for the given fit and verdict.
+    An engine error ends the section with its message."""
+    out: Dict[str, object] = {}
+    try:
+        htype = classify_h(an, point)
+    except EngineError as exc:
+        out["error"] = str(exc)
+        return out
+    out["h_type"] = htype.tag
+    out["lambda2"] = sp.sstr(htype.lambda2) if htype.lambda2 is not None else "none"
+    out["point"] = [str(p) for p in htype.point]
+    try:
+        frame = build_adapted_frame(an, htype)
+    except EngineError as exc:
+        out["frame_error"] = str(exc)
+        return out
+    out["frame"] = {
+        "kind": frame.kind,
+        "exact": frame.exact,
+        "e1": [sp.sstr(c) for c in frame.sympy.e1],
+        "e2": [sp.sstr(c) for c in frame.sympy.e2],
+    }
+    if frame.sympy.lam is not None:
+        out["frame"]["lambda"] = sp.sstr(frame.sympy.lam)
+    if frame.sympy.sgn is not None:
+        out["frame"]["sigma_sign"] = frame.sympy.sgn
+    table = verify_frame_tables(an, frame, htype)
+    out["frame_table"] = {
+        "a": sp.sstr(table.a),
+        "b": {k: sp.sstr(v) for k, v in sorted(table.b.items())},
+        "items": _items(table.items),
+    }
+    out["ricci_closed_form"] = _item_dict(verify_ricci_formula(an))
+    # the equivalence is stated at the base point: reuse the type and frame
+    # only when they were built there
+    at_base = (htype, frame) if point is None else ()
+    rep = harmonic_nullity_equivalence(an, fit, harmonic, *at_base)
+    out["harmonic_nullity"] = {
+        "harmonic": rep.harmonic,
+        "nullity": rep.nullity,
+        "equivalent": rep.equivalent,
+        "items": _items(rep.case_items),
+    }
+    if not rep.equivalent:
+        witness = f"harmonic = {rep.harmonic}, nullity = {rep.nullity}"
+        out["harmonic_nullity"]["items"].append(_item_dict(_item("harmonicity <=> nullity", witness)))
+    return out

@@ -256,15 +256,29 @@ class ManifoldDefinition(NamedTuple):
         return self.scalar_context
 
 
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[0-9_]+)$")
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
+
+
 def _parse_rational(text: str) -> Fraction:
+    """A base point coordinate, rate, --point coordinate or --gamma: p/q
+    or what Fraction reads, whose numerator and denominator have at most
+    MAX_LITERAL_DIGITS digits (1e5000 is a DefinitionError, not a
+    ValueError from str())."""
     text = text.strip()
     try:
         if "/" in text:
             p, q = text.split("/")
-            return Fraction(int(p.strip()), int(q.strip()))
-        return Fraction(text)
+            value = Fraction(int(p.strip()), int(q.strip()))
+        else:
+            # bound the exponent before Fraction raises 10 to it
+            exp = _EXPONENT_RE.search(text)
+            value = None if exp and abs(int(exp.group(1))) > MAX_LITERAL_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DefinitionError(f"bad rational literal {text!r}") from exc
+    if value is None or max(abs(value.numerator), value.denominator) >= _LITERAL_BOUND:
+        raise DefinitionError(f"rational literal {text!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    return value
 
 
 def _split_top_level(text: str) -> List[str]:

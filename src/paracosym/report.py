@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, EngineError
+from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL
 from .geometry import Components, contract
 from .field import Frac, serialize, to_str
 from .parser import ManifoldDefinition
@@ -26,9 +26,6 @@ from .structures import (
     para_kenmotsu_biconditional,
     parakaehler_leaves_check,
 )
-
-if TYPE_CHECKING:
-    from .nullity import NullityFit
 
 
 def _item_dict(it: CheckItem) -> Dict[str, object]:
@@ -265,66 +262,11 @@ def run_analyze(
     tree["nullity"] = nulsec
 
     if an.structure.dim == 3:
-        tree["classification"] = _classification_section(an, point, fit, harmonic)
+        from .classify import classification_section  # loaded for a 3D analyze only
+
+        tree["classification"] = classification_section(an, point, fit, harmonic)
 
     return _finish(tree, structural_failure=False)
-
-
-def _classification_section(
-    an: StructureAnalysis,
-    point: Optional[Sequence[Fraction]],
-    fit: NullityFit,
-    harmonic: bool,
-) -> Dict[str, object]:
-    import sympy as sp
-
-    from . import classify as cls  # the one module that needs sympy
-
-    out: Dict[str, object] = {}
-    try:
-        htype = cls.classify_h(an, point)
-    except EngineError as exc:
-        out["error"] = str(exc)
-        return out
-    out["h_type"] = htype.tag
-    out["lambda2"] = sp.sstr(htype.lambda2) if htype.lambda2 is not None else "none"
-    out["point"] = [str(p) for p in htype.point]
-    try:
-        frame = cls.build_adapted_frame(an, htype)
-    except EngineError as exc:
-        out["frame_error"] = str(exc)
-        return out
-    out["frame"] = {
-        "kind": frame.kind,
-        "exact": frame.exact,
-        "e1": [sp.sstr(c) for c in frame.sympy.e1],
-        "e2": [sp.sstr(c) for c in frame.sympy.e2],
-    }
-    if frame.sympy.lam is not None:
-        out["frame"]["lambda"] = sp.sstr(frame.sympy.lam)
-    if frame.sympy.sgn is not None:
-        out["frame"]["sigma_sign"] = frame.sympy.sgn
-    table = cls.verify_frame_tables(an, frame, htype)
-    out["frame_table"] = {
-        "a": sp.sstr(table.a),
-        "b": {k: sp.sstr(v) for k, v in sorted(table.b.items())},
-        "items": _items(table.items),
-    }
-    out["ricci_closed_form"] = _item_dict(cls.verify_ricci_formula(an))
-    # the equivalence is stated at the base point: reuse the type and frame
-    # only when they were built there
-    at_base = (htype, frame) if point is None else ()
-    rep = cls.harmonic_nullity_equivalence(an, fit, harmonic, *at_base)
-    out["harmonic_nullity"] = {
-        "harmonic": rep.harmonic,
-        "nullity": rep.nullity,
-        "equivalent": rep.equivalent,
-        "items": _items(rep.case_items),
-    }
-    if not rep.equivalent:
-        witness = f"harmonic = {rep.harmonic}, nullity = {rep.nullity}"
-        out["harmonic_nullity"]["items"].append(_item_dict(_item("harmonicity <=> nullity", witness)))
-    return out
 
 
 def run_deform(

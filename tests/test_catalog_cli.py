@@ -351,6 +351,30 @@ def test_cli_point_on_5d_definition_exits_4(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "base, args, code",
+    [
+        ("[1, 1, 1e5000]", ["verify"], 4),
+        ("[1, 1, 0]", ["analyze", "--point", "1,1,1e5000"], 4),
+        ("[1, 1, 0]", ["analyze", "--point", "1,1,1e-5000"], 4),
+        ("[1, 1, 0]", ["deform", "--gamma", "1e5000", "--beta", "2"], 4),
+        ("[1, 1, 0]", ["deform", "--gamma", "1e3", "--beta", "2"], 0),
+    ],
+    ids=["base-point", "point", "point-negative-exponent", "gamma", "gamma-1e3"],
+)
+def test_cli_exponent_literal_is_bounded(tmp_path, capsys, base, args, code):
+    # Fraction reads 1e5000 as a 5001-digit integer, past MAX_LITERAL_DIGITS,
+    # and str() of it raised ValueError: a traceback and exit 1
+    path = tmp_path / "e.txt"
+    path.write_text(catalog_entry("example_e").definition_text.replace("[1, 1, 0]", base))
+    assert main([args[0], "--json", str(path), *args[1:]]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.endswith("exceeds 1000 digits\n")
+    else:
+        assert json.loads(out)["deformation"]["gamma"] == "1000"
+
+
 def test_cli_directory_as_definition_exits_4(tmp_path):
     proc = _run(["verify", str(tmp_path)])
     assert proc.returncode == 4, proc.stderr
@@ -577,6 +601,8 @@ def test_cli_commands_load_only_their_modules(tmp_path):
     five_dim.write_text(catalog_entry("five_dim_product").definition_text)
     analyze = _loaded("analyze", str(five_dim))
     assert {"curvature", "nullity"} <= analyze
+    # the 3D classification section is a lazy import of classify
+    assert not analyze & {"classify", "tower"}
     for loaded in (verify, deform, analyze):
         assert not loaded & {"dataclasses", "inspect"}
 

@@ -99,6 +99,16 @@ def test_lambda2_on_a_generator_bearing_chart(point, tag, lambda2):
     assert (ht.tag, sp.sstr(ht.lambda2)) == (tag, lambda2)
 
 
+@pytest.mark.xfail(strict=True, reason="Zero is decided at the point alone (ROADMAP direction 8)")
+@pytest.mark.parametrize("p, q", [("y^2/2 - y", "x^2/2 - x"), ("x + z*y", "y")])
+def test_zero_type_only_for_h_identically_zero(p, q):
+    # h vanishes at [1, 1, 0] but not identically: the first structure is
+    # H1 with lambda^2 = 1/4 at [2, 3, 0]
+    an = StructureAnalysis(AlmostParacontactStructure.from_definition(load_definition(_lie_family(p, q))))
+    tag = classify_h(an).tag
+    assert tag != "Zero" or an.h.is_zero()
+
+
 def test_grid_classification_stable(analyses):
     an = analyses("example_e")
     pts = [

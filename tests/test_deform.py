@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from paracosym.catalog import catalog_entry
+from paracosym.catalog import _lie_family, catalog_entry
 from paracosym.cli import main
 from paracosym.deform import (
     conformal_deform,
@@ -17,8 +17,9 @@ from paracosym.deform import (
 )
 from paracosym.errors import DeformationParameterError
 from paracosym.nullity import nullity_fit
-from paracosym.parser import parse_scalar
-from paracosym.structures import StructureAnalysis
+from paracosym.parser import load_definition, parse_scalar
+from paracosym.report import run_deform
+from paracosym.structures import AlmostParacontactStructure, StructureAnalysis
 
 
 def _const(an, value):
@@ -138,6 +139,42 @@ def test_I0_invariant_under_random_deformations(analyses):
         assert fit_t.status == "exact"
         i0_t = invariant_I0(fit_t.kappa, fit_t.mu, fit_t.nu, an_t.alpha)
         assert i0 == i0_t
+
+
+# name -> (definition, fitted (kappa, mu, nu), I0) of a structure whose
+# nullity parameters are functions: the abstract's deformation invariance
+# beyond constant triples; at the base [1, 1, 0] mu = z vanishes
+FUNCTION_NULLITY = {
+    "lie_E_h1": (
+        _lie_family("x", "E*x + y", "[1, 1, 1]") + "\n[generators]\nE = { coord = z, rate = 1 }\n",
+        ("E^2/4 - 1", "E", "-3"),
+        "(E**2 + 8)/(4*E**2)",
+    ),
+    "x+zy": (_lie_family("x + z*y", "y", "[1, 1, 1]"), ("z^2/4 - 1", "z", "(-2*z - 1)/z"), "(z**3 + 4*z + 4)/(4*z**3)"),
+    "x+zy-mu-zero-at-base": (_lie_family("x + z*y", "y"), ("z^2/4 - 1", "z", "(-2*z - 1)/z"), "(z**3 + 4*z + 4)/(4*z**3)"),
+}
+
+
+@pytest.mark.parametrize("gamma, beta", [(2, "1+z"), (3, "2"), (Fraction(1, 2), "2+z^2")])
+@pytest.mark.parametrize("name", FUNCTION_NULLITY)
+def test_function_valued_nullity_transport(name, gamma, beta):
+    text, triple, i0 = FUNCTION_NULLITY[name]
+    defn = load_definition(text)
+    an = StructureAnalysis(AlmostParacontactStructure.from_definition(defn))
+    ctx = an.chart.context
+    fit = nullity_fit(an)
+    assert fit.status == "exact"
+    assert fit.triple == tuple(parse_scalar(t, ctx) for t in triple)
+    b = parse_scalar(beta, ctx)
+    an_t = _deform(an, gamma, b)
+    fit_t = nullity_fit(an_t)
+    assert fit_t.status == "exact"
+    assert fit_t.triple == transform_kmn(*fit.triple, an.alpha, gamma, b, an.xi_derivative(b))
+    assert invariant_I0(*fit_t.triple, an_t.alpha) == invariant_I0(*fit.triple, an.alpha)
+    rep = run_deform(defn, gamma=gamma, beta=b)
+    summary, transport = rep.tree["summary"], rep.tree["nullity_transport"]
+    assert (rep.exit_code, summary["passed"], summary["failed"]) == (0, 15, 0)
+    assert transport["I0"] == transport["I0_deformed"] == i0
 
 
 def test_I0_undefined_when_mu_zero(analyses):
