@@ -5,10 +5,11 @@ for a Lorentzian plane metric, so it is one of: diagonalizable with real
 eigenvalues +-lambda (H1), nonzero nilpotent (H2), complex eigenvalues
 +-i*lambda (H3), or zero.  The determinant of the restriction separates
 the cases: negative (H1, lambda^2 = -det), positive (H3, lambda^2 = det),
-zero with h nonzero (H2), h = 0 (Zero).  Its sign is decided exactly at
-the point.  The remaining Lorentzian Jordan shape (a null one-chain
-hitting the xi-direction) is incompatible with h(xi) = 0 and
-g(xi,xi) = 1 and never occurs.
+zero with h nonzero (H2), h = 0 (Zero).  Zero and H2 are decided in the
+chart's field, det's sign exactly at the point; h or det zero there but
+not identically is a type not constant near the point.  The remaining
+Lorentzian Jordan shape (a null one-chain hitting the xi-direction) is
+incompatible with h(xi) = 0 and g(xi,xi) = 1 and never occurs.
 
 This module also builds adapted frames realizing the canonical matrices,
 verifies the frame-derivative tables, the closed-form Ricci operator, and
@@ -25,15 +26,15 @@ lines are written once over a scalar domain, and each domain builds the
 frame from that seed on its own.  One domain decides: a quadratic tower
 over the chart's field (tower.QuadraticTower), which takes a root in the
 field when the radicand is a square there.  A check whose residual is zero
-in the tower passes, for either sign of every root; a component it leaves
-nonzero goes to the point test _zero_at on its tower value, read with
-t_k = sqrt(a_k) as the printed a and b are.  A zero divisor met while
+in the tower passes, for either sign of every root; the first component
+it leaves nonzero fails it, its value at the point the witness (_witness,
+t_k = sqrt(a_k), as the printed a and b).  A zero divisor met while
 building the frame raises ZeroDivisorError, a frame error in the report.
 The other domain, sympy expressions, only prints e1, e2, lambda and exact
 and witnesses the pattern lines, which need no derivative.
 
-This is the one module of the engine that computes with sympy: for the
-printed frame, lambda^2 and the point test.  It reads the chart's field
+This is the one module of the engine that uses sympy, and only to print:
+the frame, lambda^2 and the witnesses.  It reads the chart's field
 elements through Frac.as_expr, takes the symbols of the coordinates and
 generators from field._sympy_symbols, and keeps its expressions in the
 form canon gives, sympy's cancel(together(.)), memoised.  It also builds
@@ -49,7 +50,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import sympy as sp
 
-from .errors import EngineError, StructureError
+from .errors import EngineError, HTypeNotConstantError, StructureError
 from .geometry import Components, contract, identity_tensor
 from .structures import (
     CONSTANT_ALPHA,
@@ -67,37 +68,38 @@ from .report import _item_dict, _items
 from .tower import Quad, QuadraticTower
 
 
+H_TYPE_CONSTANT = "h-type constant near the point"
+
+
 class HType(NamedTuple):
     tag: str  # "H1" | "H2" | "H3" | "Zero"
     lambda2: Optional[sp.Expr]  # for H1/H3
     point: Tuple[Fraction, ...]
 
 
-def _point_or_base(an: StructureAnalysis, point):
-    if point is None:
-        return tuple(an.chart.base_point)
-    return tuple(Fraction(p) for p in point)
-
-
 def classify_h(an: StructureAnalysis, point=None) -> HType:
-    """Classify h at a point via the determinant of its ker(eta) restriction.
-
-    Since h xi = 0, that determinant is the second elementary symmetric
-    function of h, ((tr h)^2 - tr h^2)/2; its sign is decided exactly at
-    the point (scalars.PointValues), generators included."""
+    """Classify h near a point (the base point when None) via the
+    determinant of its ker(eta) restriction, ((tr h)^2 - tr h^2)/2 since
+    h xi = 0: Zero (h = 0) and H2 (det = 0) identically in the chart's
+    field, else det's sign exactly at the point (scalars.PointValues)."""
     s = an.structure
     if s.dim != 3:
         raise StructureError("h classification is a 3-dimensional analysis")
-    pt = _point_or_base(an, point)
+    pt = tuple(an.chart.base_point) if point is None else tuple(map(Fraction, point))
+    at = f"[{', '.join(map(str, pt))}]"
+    if an.h.is_zero():
+        return HType("Zero", None, pt)
     values = an.chart.values_at(pt)
     if not any(values.value(c) for c in an.h.flat):
-        return HType("Zero", None, pt)
+        raise HTypeNotConstantError(f"h vanishes at {at} but not identically")
     if not any(values.value(c) for c in s.eta.flat):
         raise StructureError(f"eta degenerate at point {pt}")
     det = (contract("ii->", an.h) ** 2 - contract("ij,ji->", an.h, an.h)) / 2
+    if det.is_zero():
+        return HType("H2", None, pt)
     sign = values.sign(values.value(det))
     if sign == 0:
-        return HType("H2", None, pt)
+        raise HTypeNotConstantError(f"det(h|ker eta) = {det} vanishes at {at} but not identically")
     val = sp.simplify(_subs_point(an, det.as_expr(), pt))
     return HType("H1", sp.simplify(-val), pt) if sign < 0 else HType("H3", val, pt)
 
@@ -240,17 +242,10 @@ def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
     return expr.subs(subs)
 
 
-def _zero_at(an: StructureAnalysis, expr: sp.Expr, pt):
-    """(ok, witness) for expr = 0 at a point, decided symbolically: a value
-    sympy cannot prove zero fails with its simplified form as witness, however
-    small it is."""
-    val = _subs_point(an, expr, pt)
-    if sp.expand(val) == 0:  # most table entries vanish already when expanded
-        return True, None
-    simplified = sp.simplify(sp.radsimp(val))
-    if simplified == 0:
-        return True, None
-    return False, sp.sstr(simplified)
+def _witness(an: StructureAnalysis, expr: sp.Expr, pt) -> str:
+    """The printed value at a point of a component the tower left nonzero:
+    sympy's simplified form, which decides nothing."""
+    return sp.sstr(sp.simplify(sp.radsimp(_subs_point(an, expr, pt))))
 
 
 # --------------------------------------------------------------------
@@ -451,31 +446,17 @@ def build_adapted_frame(an: StructureAnalysis, htype: HType) -> AdaptedFrame:
         sympy=sympy,
     )
     for label, residual in _pattern_lines(frame.kind, htype.tag):
-        found = _first_nonzero(an, htype.point, tower, residual, printed=sympy)
-        if found is not None:
-            raise StructureError(
-                f"adapted frame fails its {label} pattern at {htype.point}: {found[1]}"
-            )
+        i = _first_nonzero(residual(tower))
+        if i is not None:
+            witness = _witness(an, residual(sympy)[i], htype.point)
+            raise StructureError(f"adapted frame fails its {label} pattern at {htype.point}: {witness}")
     return frame
 
 
-def _first_nonzero(an: StructureAnalysis, pt, tower: _FrameValues, residual, printed: Optional[_FrameValues] = None):
-    """(index, witness) of the first component of residual(values) that is
-    not zero at the point, or None.  A component that is zero in the tower
-    is zero for either sign of every root; every other one goes to the
-    point test, on its value in the printed frame when one is given and
-    otherwise on its tower value."""
-    values = residual(tower)
-    if all(v.is_zero() for v in values):
-        return None
-    exprs = residual(printed) if printed is not None else [_as_expr(v) for v in values]
-    for i, v in enumerate(values):
-        if v.is_zero():
-            continue
-        ok, witness = _zero_at(an, exprs[i], pt)
-        if not ok:
-            return i, witness
-    return None
+def _first_nonzero(values) -> Optional[int]:
+    """The index of the first tower value that is not zero, or None.  A
+    value zero in the tower is zero for either sign of every root."""
+    return next((i for i, v in enumerate(values) if not v.is_zero()), None)
 
 
 _METRIC_PATTERN = {
@@ -603,10 +584,11 @@ _TABLE_B = {
 
 
 def _decided_item(an, pt, tower, name: str, shape: str, residual) -> CheckItem:
-    found = _first_nonzero(an, pt, tower, residual)
-    if found is None:
+    values = residual(tower)
+    i = _first_nonzero(values)
+    if i is None:
         return _item(name)
-    i, witness = found
+    witness = _witness(an, _as_expr(values[i]), pt)
     if shape != "scalar":
         witness = f"component {i if shape == 'vector' else divmod(i, 3)}: {witness}"
     return _item(name, witness)
@@ -738,7 +720,8 @@ def harmonic_nullity_equivalence(
 
     A caller that already has them passes nullity_fit(an), the verdict of
     xi_is_harmonic(an), and classify_h(an) at the base point with its
-    adapted frame; whatever is not given is computed here."""
+    adapted frame; whatever is not given is computed here.  A type not
+    constant near the base point is the one, failed, case item."""
     from .curvature import xi_is_harmonic
 
     s = an.structure
@@ -753,7 +736,10 @@ def harmonic_nullity_equivalence(
         return HarmonicNullityReport(harmonic, nullity, harmonic == nullity, fit, [])
 
     if htype is None:
-        htype = classify_h(an)
+        try:
+            htype = classify_h(an)
+        except HTypeNotConstantError as exc:
+            return HarmonicNullityReport(True, True, True, fit, [_item(H_TYPE_CONSTANT, str(exc))])
     if htype.tag == "Zero":  # no frame needed
         tower = _FrameValues(_Domain(an, htype.point))
     else:
@@ -782,10 +768,14 @@ def classification_section(
     (the base point when None), the adapted frame as printed sympy
     expressions, its derivative table, the closed-form Ricci operator and
     the harmonicity <=> nullity equivalence for the given fit and verdict.
-    An engine error ends the section with its message."""
+    A type not constant near the point ends the section with that failed
+    item, any other engine error with its message."""
     out: Dict[str, object] = {}
     try:
         htype = classify_h(an, point)
+    except HTypeNotConstantError as exc:
+        out["items"] = [_item_dict(_item(H_TYPE_CONSTANT, str(exc)))]
+        return out
     except EngineError as exc:
         out["error"] = str(exc)
         return out

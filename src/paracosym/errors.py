@@ -74,6 +74,11 @@ class StructureError(EngineError):
     """The input does not satisfy a required structural property."""
 
 
+class HTypeNotConstantError(StructureError):
+    """h, or the determinant of its ker(eta) restriction, vanishes at the
+    classification point but not identically: the 3D h-type changes there."""
+
+
 class DeformationParameterError(EngineError):
     """Invalid conformal / homothetic deformation parameters."""
 

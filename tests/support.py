@@ -1,8 +1,8 @@
 """Test-only helpers: exact and numeric values, sympy symbols, the
-generator derivative rule on sympy expressions and the adapted frame built
-on them, the connection and Ricci quantities of a bare metric, an identity
-residual and a linear algebra reproduction that the engine itself never
-needs."""
+generator derivative rule on sympy expressions, the adapted frame built on
+them and sympy's point test, the connection and Ricci quantities of a bare
+metric, an identity residual and a linear algebra reproduction that the
+engine itself never needs."""
 
 import math
 from fractions import Fraction
@@ -55,6 +55,14 @@ def reference_frame(an, htype) -> "cls._FrameValues":
     """The type's adapted frame on sympy expressions, from the seed the
     engine's frames grow from."""
     return cls._frame_in(SympyDomain(an), htype.tag, cls._frame_seed(an, htype.tag, htype.point))
+
+
+def zero_at(an, expr: sp.Expr, point) -> bool:
+    """The point test: expr = 0 at a point, decided symbolically by sympy,
+    with no float tolerance.  The engine decides every line in its quadratic
+    tower; this is the independent oracle its proofs are checked against."""
+    value = cls._subs_point(an, expr, point)
+    return sp.expand(value) == 0 or sp.simplify(sp.radsimp(value)) == 0
 
 
 def exact_value(context: ScalarContext, f: Frac, point: Sequence) -> Fraction:

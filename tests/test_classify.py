@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,8 @@ from paracosym.classify import (
     verify_ricci_formula,
 )
 from paracosym.catalog import _lie_family, catalog_entry
-from paracosym.errors import EngineError, ZeroDivisorError
+from paracosym.cli import main
+from paracosym.errors import EngineError, HTypeNotConstantError, ZeroDivisorError
 from paracosym.nullity import nullity_fit
 from paracosym.parser import load_definition
 from paracosym.report import run_analyze
@@ -24,7 +26,7 @@ from paracosym.field import ring_of
 from paracosym.scalars import GeneratorDecl, PointValues, ScalarContext
 from paracosym.structures import AlmostParacontactStructure, StructureAnalysis
 from paracosym.tower import QuadraticTower
-from support import h4_impossibility_test, pdiff, reference_frame
+from support import h4_impossibility_test, pdiff, reference_frame, zero_at
 
 
 def classify_h_grid(an, points):
@@ -99,14 +101,43 @@ def test_lambda2_on_a_generator_bearing_chart(point, tag, lambda2):
     assert (ht.tag, sp.sstr(ht.lambda2)) == (tag, lambda2)
 
 
-@pytest.mark.xfail(strict=True, reason="Zero is decided at the point alone (ROADMAP direction 8)")
-@pytest.mark.parametrize("p, q", [("y^2/2 - y", "x^2/2 - x"), ("x + z*y", "y")])
-def test_zero_type_only_for_h_identically_zero(p, q):
-    # h vanishes at [1, 1, 0] but not identically: the first structure is
-    # H1 with lambda^2 = 1/4 at [2, 3, 0]
-    an = StructureAnalysis(AlmostParacontactStructure.from_definition(load_definition(_lie_family(p, q))))
-    tag = classify_h(an).tag
-    assert tag != "Zero" or an.h.is_zero()
+# h vanishes at [1, 1, 0] but not identically on the first two (the first
+# is H1 with lambda^2 = 1/4 at [2, 3, 0]), and det(h|ker eta) on the last
+# two, nonlinear draws of tests/test_nonlinear_draws.py: Zero and H2 only
+# at the point, where the type changes
+NOT_CONSTANT_AT_BASE = [
+    ("y^2/2 - y", "x^2/2 - x"),
+    ("x + z*y", "y"),
+    ("x/2 - y/2 - 2*x*y", "-3*x/2 + y/2 - y^2/2"),
+    ("-x - 3*y^2", "x + y - 3*x^3"),
+]
+
+
+@pytest.mark.parametrize("p, q", NOT_CONSTANT_AT_BASE, ids=["h-quadratic", "h-zy", "det-quadratic", "det-quartic"])
+def test_h_type_not_constant_near_the_point_fails(p, q):
+    defn = load_definition(_lie_family(p, q))
+    with pytest.raises(HTypeNotConstantError, match="but not identically"):
+        classify_h(StructureAnalysis(AlmostParacontactStructure.from_definition(defn)))
+    report = run_analyze(defn)
+    assert report.exit_code == 3
+    assert report.tree["summary"]["failed_checks"] == [cls.H_TYPE_CONSTANT]
+    assert list(report.tree["classification"]) == ["items"]  # no frame after it
+
+
+def test_type_not_constant_at_the_base_point_fails_the_equivalence(tmp_path, capsys):
+    # H1 with lambda^2 = 1/4 at [2, 3, 1], but h = 0 at the base point
+    # [1, 1, 0], where the equivalence is stated: xi is harmonic and the fit
+    # exact, so the equivalence reports the type there, in a whole report
+    path = tmp_path / "def.txt"
+    path.write_text(_lie_family("x + z*y", "y"))
+    code = main(["analyze", "--json", "--point", "2,3,1", str(path)])
+    tree = json.loads(capsys.readouterr().out)
+    assert code == 3 and tree["nullity"]["status"] == "exact"
+    section = tree["classification"]
+    assert (section["h_type"], section["lambda2"]) == ("H1", "1/4")
+    assert all(it["status"] == "pass" for it in section["frame_table"]["items"])
+    assert section["harmonic_nullity"]["harmonic"] and section["harmonic_nullity"]["equivalent"]
+    assert tree["summary"]["failed_checks"] == [cls.H_TYPE_CONSTANT]
 
 
 def test_grid_classification_stable(analyses):
@@ -450,9 +481,9 @@ def test_poly_sqrt_of_a_constant(c, root):
     assert (got is None and root is None) or got == root
 
 
-# frames checked against the point test: heavy H1, square-lambda^2 H1,
-# H2, passing H3, failing H3 (its rotation goes the wrong way), and a
-# generator-bearing catalog entry
+# frames checked against sympy's point test (support.zero_at): heavy H1,
+# square-lambda^2 H1, H2, passing H3, failing H3 (its rotation goes the
+# wrong way), and a generator-bearing catalog entry
 ORACLE_DRAWS = [
     (Fraction(-1, 2), 3, -3, 3),
     (1, Fraction(1, 2), 0, 1),
@@ -474,8 +505,8 @@ def _lie_analysis(params) -> StructureAnalysis:
 
 
 def _check_tower_against_point_test(an) -> int:
-    """Every residual component the tower proves zero passes _zero_at on
-    the reference frame (support.reference_frame, on sympy expressions and
+    """Every residual component the tower proves zero passes the point test
+    on the reference frame (support.reference_frame, on sympy expressions and
     differentiated by pdiff); returns how many were proved."""
     ht = classify_h(an)
     tower, _ = cls._frame_values(an, ht)
@@ -492,7 +523,7 @@ def _check_tower_against_point_test(an) -> int:
         for value, expr in zip(values, exprs):
             if value.is_zero():
                 proved += 1
-                assert cls._zero_at(an, expr, ht.point)[0], name
+                assert zero_at(an, expr, ht.point), name
     return proved
 
 
@@ -506,11 +537,14 @@ def test_tower_proofs_pass_the_point_test_with_generators(analyses):
 
 
 def test_point_test_takes_no_float_tolerance():
-    # about -1.6e-12 at every point: it once passed as zero below 1e-9
-    residual = sp.sqrt(2) - sp.Rational(665857, 470832)
-    ok, witness = cls._zero_at(_lie_analysis(ORACLE_DRAWS[0]), residual, (1, 1, 0))
-    assert not ok
-    assert sp.sympify(witness) - residual == 0
+    # about -1.6e-12 at every point: it once passed as zero below 1e-9.  A
+    # tower value that is not zero fails its line, with its value as witness
+    an = _lie_analysis(ORACLE_DRAWS[0])
+    tower, _ = cls._frame_values(an, classify_h(an))
+    r = Fraction(665857, 470832)
+    item = cls._decided_item(an, (1, 1, 0), tower, "line", "scalar", lambda F: [F.D.sqrt(F.D.canon(2)) - r])
+    assert item.status == "fail"
+    assert sp.sympify(item.witness) - (sp.sqrt(2) - sp.Rational(r)) == 0
 
 
 def test_tower_does_not_prove_a_wrong_sign_of_alpha():
@@ -524,10 +558,28 @@ def test_tower_does_not_prove_a_wrong_sign_of_alpha():
     assert not all(r.is_zero() for r in wrong)
 
 
+def test_a_line_zero_at_the_point_alone_fails():
+    # a true table line with its a term perturbed by x - 1: its residual is
+    # zero at the base point [1, 1, 0] but not identically, so it fails,
+    # with the value 0 at the point as witness
+    an = _lie_analysis(ORACLE_DRAWS[0])
+    ht = classify_h(an)
+    tower, _ = cls._frame_values(an, ht)
+    shift = tower.D.scalar(an.chart.context.variable("x") - 1)
+
+    def item(d):
+        line = lambda F: F.residual(F.cov("xi", "e1"), (F.a + d, F.e2))
+        return cls._decided_item(an, ht.point, tower, "nabla_xi e", "vector", line)
+
+    assert item(0).status == "pass"
+    perturbed = item(shift)
+    assert perturbed.status == "fail" and perturbed.witness.endswith(": 0"), perturbed
+
+
 def test_passing_h1_draw_needs_no_point_test(monkeypatch, entries):
-    # nor a sympy nabla: the printed a and b come from the tower frame.  A
-    # pool draw, sigma_nonzero (lambda^2 = (x + 1)^2, a square of the field)
-    # and a generator-bearing draw (E = exp(z) at z = 1)
+    # no witness and no sympy nabla: the printed a and b come from the tower
+    # frame.  A pool draw, sigma_nonzero (lambda^2 = (x + 1)^2, a square of
+    # the field) and a generator-bearing draw (E = exp(z) at z = 1)
     calls, domains = [], []
     nabla = cls._nabla
 
@@ -535,7 +587,7 @@ def test_passing_h1_draw_needs_no_point_test(monkeypatch, entries):
         domains.append(D)
         return nabla(D, w)
 
-    monkeypatch.setattr(cls, "_zero_at", lambda *args: calls.append(args))
+    monkeypatch.setattr(cls, "_witness", lambda *args: calls.append(args))
     monkeypatch.setattr(cls, "_nabla", recording)
     texts = [
         _lie_text(ORACLE_DRAWS[0]),
@@ -554,11 +606,10 @@ def test_passing_h1_draw_needs_no_point_test(monkeypatch, entries):
 
 _FRAME_ENTRIES = ["example_e", "h1_rational", "h2_nilpotent", "h3_rotation", "flat_product", "warped_kenmotsu", "sigma_nonzero"]
 # nonlinear draws of tests/test_nonlinear_draws.py whose frames carry
-# roots: three print a b with roots, and the H2 one has an imaginary frame
+# roots and print a b with roots (its two H2 draws are H2 at the point
+# alone and build no frame: NOT_CONSTANT_AT_BASE)
 _ROOT_DRAWS = [
     ("x^2/2 - 2*y", "3*x - 2*y + x^2/2"),
-    ("x/2 - y/2 - 2*x*y", "-3*x/2 + y/2 - y^2/2"),
-    ("-x - 3*y^2", "x + y - 3*x^3"),
     ("-x - 2*y^2", "-3*x - 2*x^3"),
 ]
 
