@@ -178,9 +178,9 @@ def constant_curvature_probe(an: StructureAnalysis) -> ConstantCurvatureResult:
 
     at = an.chart.values_at()
     cf = an.chart.context.field.zero
-    for r, m in zip(R.flat, model.flat):
-        if m and at.is_unit(m):
-            cf = r / m
+    for idx, m in sorted(model.entries.items()):  # row-major
+        if at.is_unit(m):
+            cf = R[idx] / m
             break
 
     w = (R - cf * model).first_nonzero()

@@ -13,22 +13,27 @@ Conventions used throughout the package:
 - Covariant derivative appends its direction index as a trailing covariant
   slot: (nabla T)[..., c].
 
-There is one tensor type, Components: the dimension n, the rank and a
-flat row-major tuple of the n**rank entries; (i_1, ..., i_k) sits at
-offset ((i_1 n + i_2) n + ...) n + i_k.  A TensorField is Components that
-also carries its chart and its valence (r, s), which partials, the
-derivatives, wedge and eval_at read; arithmetic on either returns
-Components, and a contraction to no index returns one field element.
+There is one tensor type, Components: the dimension n, the rank and a map
+from index tuple to entry that holds only the nonzero ones of its
+n**rank entries, with the field's zero at every other index.  The map is the
+representation; flat, the row-major tuple of all n**rank entries
+((i_1, ..., i_k) at offset ((i_1 n + i_2) n + ...) n + i_k), indexing and
+iteration are a dense view of it, built when first read.  A TensorField is
+Components that also carries its chart and its valence (r, s), which
+partials, the derivatives, wedge and eval_at read; arithmetic on either
+returns Components, and a contraction to no index returns one field
+element.
 
 Every entry of a Components is an element of one field, a chart's
 rational function field (see scalars), set where an array enters:
 Components.of lifts the numbers of a nested list once into the field of
 its first field element (ValenceError if it has none), TensorField into
 its chart's field, and the kernels compute in their operands' field.
-Entrywise arithmetic leaves the field to Frac's operators, which lift a
-number and raise ContextMismatchError for an element of another field,
-and contract checks it once per operand (FracField.coerce on the first
-entry), in any operand order.  The one lift between fields is
+Entrywise arithmetic touches the nonzero entries only and leaves the
+field to Frac's operators, which lift a number and raise
+ContextMismatchError for an element of another field; it checks the
+operands' fields once (their zeros), as contract does once per operand,
+in any operand order.  The one lift between fields is
 TensorField(chart, r, s, t), into a chart whose field contains t's
 (Frac.set_field), which deform.conformal_deform takes; TensorField.array,
 the entries' sympy view (Frac.as_expr), is for reading from outside the
@@ -36,25 +41,26 @@ engine.  Values at the chart's base point (eval_at, signature_at) are
 exact elements of QQ(E) (scalars.PointValues).
 
 Every algebraic and differential operator is built from two primitives:
-partials, the coordinate partials of every entry as one more trailing
-slot, and contract(spec, *operands), an exact einsum.  The spec names the
-slots of each operand with one letter per index, e.g. "imab,m->iab" for
-(R(xi, d_a) d_b)^i; a letter that is not in the output is summed.  The
-operands are contracted in pairs in the order written, so the caller
-stages the cheapest contraction first (R with xi before phi and g).  Each
-stage sums every output entry over the lcm of its denominators and
-reduces it once (field.fraction_sum, the field's one sum).  Two fast
-paths keep the primitive cheap: an operand whose labels are all distinct
-keys its nonzero entries by position directly, with no diagonal test, and
-the last stage's entries are scattered into the output by the row-major
-stride of each label.  On top of them:
+partials, the coordinate partials of every non-constant entry as one more
+trailing slot, and contract(spec, *operands), an exact einsum.  The spec
+names the slots of each operand with one letter per index, e.g.
+"imab,m->iab" for (R(xi, d_a) d_b)^i; a letter that is not in the output
+is summed.  The operands are contracted in pairs in the order written, so
+the caller stages the cheapest contraction first (R with xi before phi and
+g).  Each stage joins the nonzero maps of its two operands, sums every
+output entry over the lcm of its denominators and reduces it once
+(field.fraction_sum, the field's one sum).  The index plan of a stage (the
+positions of its shared, extra and kept labels, as itemgetters) is
+computed once per pair of labellings, and the last stage's map, with its
+keys put in output order, is the result.  On top of them:
 
 - the connection (christoffel) is g^{-1}/2 contracted with a sum of
   permutations of the partials of g;
 - nabla T is partials(T) plus one contraction with the connection per
   slot, L_v T is v contracted with partials(T) plus one contraction with
   partials(v) per slot;
-- Riemann is X - X(i<->j) for X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk;
+- Riemann is X - X(i<->j) for X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk,
+  one field.fraction_sum per entry with i < j (its own kernel);
 - the exterior derivative and the wedge with a 1-form are alternating
   sums of index permutations of partials and of a (x) b.
 
@@ -70,6 +76,7 @@ there once per structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import string
@@ -79,6 +86,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateMetricError,
+    DivisionByZeroFieldError,
     SingularMetricError,
     ValenceError,
 )
@@ -119,6 +127,9 @@ class Chart:
         return self._base_values
 
 
+Entries = Dict[Tuple[int, ...], Frac]
+
+
 def _nested(x) -> Tuple[int, int, list]:
     """(n, rank, row-major entries) of a nested list of equal-length rows,
     or of a scalar (rank 0, no dimension)."""
@@ -134,21 +145,36 @@ def _nested(x) -> Tuple[int, int, list]:
 
 
 class Components:
-    """Components of a rank-k array over range(n)**k: a flat row-major tuple
-    of n**k elements of one field, taken as they are (Components.of lifts
-    an outside array's numbers).  Immutable; +, - and unary - act entrywise
-    on two arrays of the same n and rank, * and / by a field element or a
-    number, with Frac's own operators."""
+    """Components of a rank-k array over range(n)**k, elements of one field
+    taken as they are (Components.of lifts an outside array's numbers).
 
-    __slots__ = ("n", "rank", "flat")
+    The representation is entries, a dict from index tuple to entry that
+    holds the nonzero entries only, and zero, the field's zero that every
+    other index reads.  flat, indexing and iteration are a dense row-major
+    view of the map, built when first read.  Immutable; +, - and unary -
+    act entrywise on two arrays of the same n and rank, * and / by a field
+    element or a number, with Frac's own operators, and each touches the
+    nonzero entries only."""
+
+    __slots__ = ("n", "rank", "entries", "zero", "_flat")
 
     def __init__(self, n: int, rank: int, flat):
+        """Components of the row-major tuple flat of n**rank entries."""
         flat = tuple(flat)
         if len(flat) != n**rank:
             raise ValenceError(f"{len(flat)} components for rank {rank} in dimension {n}")
-        self.n = n
-        self.rank = rank
-        self.flat = flat
+        keys = itertools.product(range(n), repeat=rank)
+        self.n, self.rank, self._flat = n, rank, flat
+        self.entries = {idx: e for idx, e in zip(keys, flat) if e}
+        self.zero = flat[0] * 0 if flat else None  # a field element's is the field's zero
+
+    @staticmethod
+    def from_entries(n: int, rank: int, entries: Entries, zero) -> "Components":
+        """Components whose nonzero entries are the map entries, taken as it
+        is (not copied, and no entry of it may be zero)."""
+        out = object.__new__(Components)
+        out.n, out.rank, out.entries, out.zero, out._flat = n, rank, entries, zero, None
+        return out
 
     @staticmethod
     def of(x, field=None) -> "Components":
@@ -165,74 +191,111 @@ class Components:
             raise ValenceError("component array has no entry in a chart's field")
         return Components(n, rank, map(field.coerce, flat))
 
+    @property
+    def flat(self) -> tuple:
+        """The n**rank entries in row-major order, zeros included: (i_1,
+        ..., i_k) sits at offset ((i_1 n + i_2) n + ...) n + i_k."""
+        if self._flat is None:
+            keys = itertools.product(range(self.n), repeat=self.rank)
+            self._flat = tuple(map(self.entries.get, keys, itertools.repeat(self.zero)))
+        return self._flat
+
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
         if len(idx) != self.rank:
             raise IndexError(f"index {idx} for an array of rank {self.rank}")
-        n = self.n
-        offset = 0
-        for i in idx:
-            if not 0 <= i < n:
-                raise IndexError(f"index {idx} out of range in dimension {n}")
-            offset = offset * n + i
-        return self.flat[offset]
+        if not all(0 <= i < self.n for i in idx):
+            raise IndexError(f"index {idx} out of range in dimension {self.n}")
+        return self.entries.get(idx, self.zero)
 
     def __iter__(self):
         return iter(self.flat)
 
     def is_zero(self) -> bool:
-        return not any(self.flat)
+        return not self.entries
 
     def first_nonzero(self) -> Optional[Tuple[Tuple[int, ...], Frac]]:
         """(index, entry) of the first nonzero entry in row-major order, the
-        witness of a failed identity, or None if every entry is zero."""
-        for idx, e in zip(itertools.product(range(self.n), repeat=self.rank), self.flat):
-            if e:
-                return idx, e
-        return None
+        least index, the witness of a failed identity; or None if every
+        entry is zero."""
+        if not self.entries:
+            return None
+        idx = min(self.entries)
+        return idx, self.entries[idx]
 
     def applyfunc(self, f) -> "Components":
-        return Components(self.n, self.rank, map(f, self.flat))
+        """f of every entry: of the nonzero ones and of zero once, when f
+        takes zero to zero, and of the dense view otherwise."""
+        zero = f(self.zero)
+        if zero:
+            return Components(self.n, self.rank, map(f, self.flat))
+        out = {}
+        for idx, e in self.entries.items():
+            v = f(e)
+            if v:
+                out[idx] = v
+        return Components.from_entries(self.n, self.rank, out, zero)
 
-    def _zip(self, other) -> zip:
+    def _like(self, entries: Entries) -> "Components":
+        return Components.from_entries(self.n, self.rank, entries, self.zero)
+
+    def _merge(self, other, op, alone) -> "Components":
+        """op of the entries at each index where either side is nonzero,
+        alone(b) where only other's entry b is.  ValenceError unless other
+        has our n and rank; ContextMismatchError if its entries lie in
+        another field, checked once on the zeros."""
         if not isinstance(other, Components) or (other.n, other.rank) != (self.n, self.rank):
             shape = (other.n, other.rank) if isinstance(other, Components) else type(other)
             raise ValenceError(f"entrywise operation on (n, rank) {(self.n, self.rank)} and {shape}")
-        return zip(self.flat, other.flat)
+        a, b = self.zero, other.zero
+        if isinstance(a, Frac) and isinstance(b, Frac) and a.field is not b.field:
+            a.field.coerce(b)
+        out = dict(self.entries)
+        for idx, b in other.entries.items():
+            a = out.get(idx)
+            if a is None:
+                out[idx] = alone(b)
+            elif v := op(a, b):
+                out[idx] = v
+            else:
+                del out[idx]
+        return self._like(out)
 
     def __add__(self, other) -> "Components":
-        return Components(self.n, self.rank, [a + b for a, b in self._zip(other)])
+        return self._merge(other, operator.add, lambda b: b)
 
     def __sub__(self, other) -> "Components":
-        return Components(self.n, self.rank, [a - b for a, b in self._zip(other)])
+        return self._merge(other, operator.sub, operator.neg)
 
     def __neg__(self) -> "Components":
-        return Components(self.n, self.rank, [-a for a in self.flat])
+        return self._like({idx: -a for idx, a in self.entries.items()})
 
     def __mul__(self, c) -> "Components":
-        if isinstance(c, (int, Fraction)):
-            c = self.flat[0].field.coerce(c)  # lifted once, not per entry
-        elif not isinstance(c, Frac):
+        if not isinstance(c, (Frac, int, Fraction)):
             return NotImplemented
-        return Components(self.n, self.rank, [a * c for a in self.flat])
+        c = self.zero.field.coerce(c)  # lifted or checked once, not per entry
+        if not c:
+            return self._like({})
+        return self._like({idx: a * c for idx, a in self.entries.items()})
 
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Components":
-        if isinstance(c, (int, Fraction)):
-            c = self.flat[0].field.coerce(c)
-        elif not isinstance(c, Frac):
+        if not isinstance(c, (Frac, int, Fraction)):
             return NotImplemented
-        return Components(self.n, self.rank, [a / c for a in self.flat])
+        c = self.zero.field.coerce(c)
+        if not c:
+            raise DivisionByZeroFieldError("division by the zero scalar field")
+        return self._like({idx: a / c for idx, a in self.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Components):
             return NotImplemented
-        return (self.n, self.rank, self.flat) == (other.n, other.rank, other.flat)
+        return (self.n, self.rank) == (other.n, other.rank) and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.n, self.rank, self.flat))
+        return hash((self.n, self.rank, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f"Components({self.n}, {self.rank}, {self.flat!r})"
@@ -259,10 +322,12 @@ class TensorField(Components):
                 f"component array of rank {arr.rank} in dimension {arr.n} does not "
                 f"match valence ({r},{s}) in dimension {n}"
             )
-        flat = arr.flat
-        if flat[0].field.symbols != field.symbols:
-            flat = [e.set_field(field) for e in flat]
-        super().__init__(n, r + s, flat)
+        entries, zero, flat = arr.entries, arr.zero, arr._flat
+        if zero.field.symbols != field.symbols:
+            zero.set_field(field)  # ContextMismatchError unless field contains zero's
+            entries = {idx: e.set_field(field) for idx, e in entries.items()}
+            zero, flat = field.zero, None
+        self.n, self.rank, self.entries, self.zero, self._flat = n, r + s, entries, zero, flat
         self.chart = chart
         self.r = r
         self.s = s
@@ -281,19 +346,30 @@ class TensorField(Components):
         Components, or one value for a scalar; PoleError at a pole."""
         value = self.chart.values_at().value
         if self.rank == 0:
-            return value(self.flat[0])
+            return value(self[()])
         return self.applyfunc(value)
 
 
 # --------------------------------------------------------------------
 # the contraction primitive
 
-Entries = Dict[Tuple[int, ...], Frac]
+
+def _getter(positions) -> operator.itemgetter:
+    """An itemgetter that takes an index tuple to the tuple of its entries
+    at positions (a slice where they are consecutive)."""
+    p = tuple(positions)
+    start = p[0] if p else 0
+    if p == tuple(range(start, start + len(p))):
+        return operator.itemgetter(slice(start, start + len(p)))
+    return operator.itemgetter(*p)
 
 
-def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
+@functools.cache
+def _parse_spec(spec: str, count: int) -> Tuple[Tuple[str, ...], str, Tuple[frozenset, ...]]:
+    """(the labels of each operand, the output labels, the labels each
+    stage keeps: the output's and those of every later operand)."""
     inputs, arrow, output = spec.partition("->")
-    inputs = inputs.split(",")
+    inputs = tuple(inputs.split(","))
     if not arrow or len(inputs) != count:
         raise ValenceError(f"contraction spec {spec!r} does not match {count} operands")
     seen = "".join(inputs)
@@ -301,44 +377,54 @@ def _parse_spec(spec: str, count: int) -> Tuple[list, str]:
         raise ValenceError(f"contraction spec {spec!r}: index labels must be letters")
     if len(set(output)) != len(output) or not set(output) <= set(seen):
         raise ValenceError(f"contraction spec {spec!r}: bad output labels {output!r}")
-    return inputs, output
+    keeps = tuple(frozenset(output).union(*inputs[k + 1 :]) for k in range(count))
+    return inputs, output, keeps
 
 
-def _entries(flat: tuple, labels: str, n: int) -> Tuple[str, Entries]:
-    """Nonzero entries keyed by the distinct labels; a label repeated within
-    one operand takes its diagonal."""
-    keys = itertools.product(range(n), repeat=len(labels))
+def _labelled(entries: Entries, labels: str) -> Tuple[str, Entries]:
+    """An operand's nonzero entries keyed by its distinct labels: the map
+    itself, or its diagonal where a label repeats within the operand."""
     distinct = "".join(dict.fromkeys(labels))
     if distinct == labels:
-        return labels, {idx: v for idx, v in zip(keys, flat) if v}
+        return labels, entries
     first = [labels.index(c) for c in labels]
-    keep = [labels.index(c) for c in distinct]
-    out: Entries = {}
-    for idx, v in zip(keys, flat):
-        if v and all(idx[p] == idx[f] for p, f in enumerate(first)):
-            out[tuple(idx[p] for p in keep)] = v
-    return distinct, out
+    keep = _getter(labels.index(c) for c in distinct)
+    return distinct, {
+        keep(idx): v for idx, v in entries.items() if all(idx[p] == idx[f] for p, f in enumerate(first))
+    }
+
+
+@functools.cache
+def _plan(la: str, lb: str, keep: frozenset):
+    """How a stage joins operands labelled la and lb: getters of the
+    shared labels' positions in a and in b, of b's other labels, and of the
+    kept positions of a's index followed by b's other labels (None when
+    every one is kept, in order); and the kept labels."""
+    shared = [c for c in lb if c in la]
+    extra = "".join(c for c in lb if c not in la)
+    joint = la + extra
+    kept = "".join(c for c in joint if c in keep)
+    return (
+        _getter(la.index(c) for c in shared),
+        _getter(lb.index(c) for c in shared),
+        _getter(lb.index(c) for c in extra),
+        None if kept == joint else _getter(joint.index(c) for c in kept),
+        kept,
+    )
 
 
 def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep, field) -> Tuple[str, Entries]:
     """Multiply two labelled operands, sum the labels not in keep, and
     reduce every output entry once."""
-    shared = [c for c in lb if c in la]
-    extra = "".join(c for c in lb if c not in la)
-    pa = [la.index(c) for c in shared]
-    pb = [lb.index(c) for c in shared]
-    pe = [lb.index(c) for c in extra]
+    get_a, get_b, get_extra, get_kept, kept = _plan(la, lb, keep)
     by_shared = defaultdict(list)
     for ib, vb in eb.items():
-        by_shared[tuple(ib[p] for p in pb)].append((tuple(ib[p] for p in pe), vb))
-    joint = la + extra
-    kept = "".join(c for c in joint if c in keep)
-    pos = [joint.index(c) for c in kept]
+        by_shared[get_b(ib)].append((get_extra(ib), vb))
     terms = defaultdict(list)
     for ia, va in ea.items():
-        for ie, vb in by_shared.get(tuple(ia[p] for p in pa), ()):
+        for ie, vb in by_shared.get(get_a(ia), ()):
             full = ia + ie
-            terms[tuple(full[p] for p in pos)].append((va, vb))
+            terms[full if get_kept is None else get_kept(full)].append((va, vb))
     out: Entries = {}
     one = field.one
     for key, pairs in terms.items():
@@ -351,19 +437,25 @@ def _stage(la: str, ea: Entries, lb: str, eb: Entries, keep, field) -> Tuple[str
     return kept, out
 
 
+@functools.cache
+def _move(labels: str, output: str) -> operator.itemgetter:
+    """The getter that reorders an index labelled labels to output."""
+    return _getter(labels.index(c) for c in output)
+
+
 def contract(spec: str, *operands):
     """Exact einsum over TensorFields or component arrays.
 
     The operands are contracted in pairs, left to right in the order given,
-    skipping zero entries; every stage reduces each of its entries once.
-    Returns Components of field elements indexed by the output labels, or,
-    for an empty output, one field element.  A malformed spec, an operand
-    whose rank or dimension does not match its labels, or operands without
-    an entry raise ValenceError; an operand in a field other than the first
-    operand's raises ContextMismatchError (FracField.coerce on its first
-    entry, once per operand).
+    over their nonzero entries; every stage reduces each of its entries
+    once.  Returns Components of field elements indexed by the output
+    labels, or, for an empty output, one field element.  A malformed spec,
+    an operand whose rank or dimension does not match its labels, or
+    operands without an entry raise ValenceError; an operand in a field
+    other than the first operand's raises ContextMismatchError
+    (FracField.coerce on its zero, once per operand).
     """
-    inputs, output = _parse_spec(spec, len(operands))
+    inputs, output, keeps = _parse_spec(spec, len(operands))
     arrs = [Components.of(x) for x in operands]
     for arr, labels in zip(arrs, inputs):
         if arr.rank != len(labels):
@@ -373,27 +465,27 @@ def contract(spec: str, *operands):
     if len(dims) > 1:
         raise ValenceError(f"operands of different dimensions {sorted(dims)}")
     n = dims.pop() if dims else 0
-    heads = [a.flat[0] for a in arrs if a.flat]
-    if not heads:
+    zeros = [a.zero for a in arrs if a.zero is not None]
+    if not zeros:
         raise ValenceError(f"contraction {spec!r} has no entry in a chart's field")
-    field = heads[0].field
-    for head in heads[1:]:
-        field.coerce(head)
+    field = zeros[0].field
+    for zero in zeros[1:]:
+        if zero.field is not field:
+            field.coerce(zero)
     labels, entries = "", {(): field.one}
     for k, (labels_k, arr) in enumerate(zip(inputs, arrs)):
-        keep = set(output).union(*inputs[k + 1 :])
-        lb, eb = _entries(arr.flat, labels_k, n)
-        labels, entries = _stage(labels, entries, lb, eb, keep, field)
+        lb, eb = _labelled(arr.entries, labels_k)
+        if k == 0 and keeps[0].issuperset(lb):  # nothing summed: the operand as it stands
+            labels, entries = lb, eb
+        else:
+            labels, entries = _stage(labels, entries, lb, eb, keeps[k], field)
     if not output:
         return entries.get((), field.zero)
-    # the last stage keeps exactly the output labels, in its own order:
-    # scatter its entries by the row-major stride of each label
-    rank = len(output)
-    steps = [n ** (rank - 1 - output.index(c)) for c in labels]
-    flat = [field.zero] * n**rank
-    for key, value in entries.items():
-        flat[sum(map(operator.mul, key, steps))] = value
-    return Components(n, rank, flat)
+    # the last stage keeps exactly the output labels, in its own order
+    if labels != output:
+        move = _move(labels, output)
+        entries = {move(key): value for key, value in entries.items()}
+    return Components.from_entries(n, len(output), entries, field.zero)
 
 
 def _letters(k: int, skip: str = "") -> str:
@@ -405,10 +497,9 @@ def _letters(k: int, skip: str = "") -> str:
 
 
 def identity_tensor(chart: Chart) -> TensorField:
-    n = chart.dim
     field = chart.context.field
-    flat = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-    return TensorField(chart, 1, 1, Components(n, 2, flat))
+    entries = {(i, i): field.one for i in range(chart.dim)}
+    return TensorField(chart, 1, 1, Components.from_entries(chart.dim, 2, entries, field.zero))
 
 
 # --------------------------------------------------------------------
@@ -497,11 +588,17 @@ def lie_derivative(v: TensorField, t: TensorField) -> TensorField:
 
 def partials(t: TensorField) -> Components:
     """The coordinate partials d_c T[idx] at [idx, c]: one more trailing
-    slot."""
+    slot, derived for the non-constant nonzero entries only."""
     ctx = t.chart.context
-    n = t.n
-    flat = [ctx.partial_element(e, c) for e in t.flat for c in range(n)]
-    return Components(n, t.rank + 1, flat)
+    out: Entries = {}
+    for idx, e in t.entries.items():
+        if e.is_constant():
+            continue
+        for c in range(t.n):
+            d = ctx.partial_element(e, c)
+            if d:
+                out[idx + (c,)] = d
+    return Components.from_entries(t.n, t.rank + 1, out, ctx.field.zero)
 
 
 def _alternate(t: Components) -> Components:
@@ -539,9 +636,35 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
 
 def riemann(conn: TensorField) -> TensorField:
     """R[l, i, j, k] = component of R(d_i, d_j) d_k along d_l:
-    X[l, i, j, k] - X[l, j, i, k] with X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk."""
-    X = contract("ljki->lijk", partials(conn)) + contract("lim,mjk->lijk", conn, conn)
-    return TensorField(conn.chart, 1, 3, X - contract("ljik->lijk", X))
+    X[l, i, j, k] - X[l, j, i, k] with X = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk.
+
+    R is antisymmetric in i, j, so each entry with i < j is one
+    field.fraction_sum of its d(Gamma) and Gamma.Gamma terms, reduced once;
+    the entry with i and j swapped is its negation, and i = j is zero."""
+    terms = defaultdict(list)  # (l, i, j, k) with i < j -> (numer, denom) pairs
+
+    def add(l, i, j, k, numer, denom):
+        if i < j:
+            terms[l, i, j, k].append((numer, denom))
+        elif i > j:
+            terms[l, j, i, k].append((-numer, denom))
+
+    for (l, j, k, i), d in partials(conn).entries.items():  # d_i Gamma^l_jk
+        add(l, i, j, k, d.numer, d.denom)
+    by_upper = defaultdict(list)  # m -> [(j, k, Gamma^m_jk)]
+    for (m, j, k), b in conn.entries.items():
+        by_upper[m].append((j, k, b))
+    for (l, i, m), a in conn.entries.items():
+        for j, k, b in by_upper[m]:
+            add(l, i, j, k, *product(a, b))
+    field = conn.chart.context.field
+    out: Entries = {}
+    for (l, i, j, k), pairs in terms.items():
+        value = fraction_sum(field, pairs)
+        if value:
+            out[l, i, j, k] = value
+            out[l, j, i, k] = -value
+    return TensorField(conn.chart, 1, 3, Components.from_entries(conn.n, 4, out, field.zero))
 
 
 def ricci_tensor(R: TensorField) -> TensorField:

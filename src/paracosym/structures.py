@@ -152,17 +152,17 @@ class AlmostParacontactStructure:
 # axioms
 
 
-def verify_axioms(s: AlmostParacontactStructure) -> List[CheckItem]:
+def verify_axioms(an: "StructureAnalysis") -> List[CheckItem]:
+    """The axioms of the analysed structure; phi^2 and the projection are
+    the analysis's cached phi2 and proj, which later checks read too."""
+    s = an.structure
     n_tot = s.dim
     n = s.n
-    chart = s.chart
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
     items: List[CheckItem] = []
 
     items.append(_scalar_item("eta(xi) = 1", contract("k,k->", eta, xi) - 1))
-
-    phi2 = contract("ik,kj->ij", phi, phi) + contract("i,j->ij", xi, eta)
-    items.append(_residual_item("phi^2 = Id - eta(x)xi", phi2 - identity_tensor(chart)))
+    items.append(_residual_item("phi^2 = Id - eta(x)xi", an.phi2 - an.proj))
 
     # g(phi X, phi Y) = -g(X,Y) + eta(X) eta(Y)
     gphiphi = contract("ki,kl,lj->ij", phi, g, phi) + g - contract("i,j->ij", eta, eta)
@@ -275,10 +275,10 @@ def tensor_A(s: AlmostParacontactStructure, conn: TensorField) -> TensorField:
     return TensorField(s.chart, 1, 1, -covariant_derivative(s.xi, conn))
 
 
-def tensor_h(s: AlmostParacontactStructure, A: TensorField) -> TensorField:
+def tensor_h(s: AlmostParacontactStructure, A_phi: Components, phi_A: Components) -> TensorField:
     """h = (1/2) L_xi phi, cross-checked against (1/2)(A phi - phi A)."""
     h_lie = lie_derivative(s.xi, s.phi) / 2
-    h_alg = (contract("ik,kj->ij", A, s.phi) - contract("ik,kj->ij", s.phi, A)) / 2
+    h_alg = (A_phi - phi_A) / 2
     if h_lie != h_alg:
         w = (h_lie - h_alg).first_nonzero()
         raise ConventionBugError(
@@ -301,7 +301,7 @@ class StructureAnalysis:
 
     @cached_property
     def axiom_report(self) -> List[CheckItem]:
-        return verify_axioms(self.structure)
+        return verify_axioms(self)
 
     @property
     def axioms_ok(self) -> bool:
@@ -341,8 +341,14 @@ class StructureAnalysis:
         return tensor_A(self.structure, self.conn)
 
     @cached_property
+    def A_phi(self) -> Tuple[Components, Components]:
+        """(A.phi, phi.A), which h and the identity suite read."""
+        phi = self.structure.phi
+        return contract("ik,kj->ij", self.A, phi), contract("ik,kj->ij", phi, self.A)
+
+    @cached_property
     def h(self) -> TensorField:
-        return tensor_h(self.structure, self.A)
+        return tensor_h(self.structure, *self.A_phi)
 
     @cached_property
     def phih(self) -> TensorField:
@@ -420,6 +426,12 @@ class StructureAnalysis:
         return covariant_derivative(self.structure.phi, self.conn)
 
     @cached_property
+    def nabphi_ab(self) -> Components:
+        """(nabla_{d_a} phi) d_b as [i, a, b]: nabla phi with its last two
+        slots swapped."""
+        return contract("iba->iab", self.nabphi)
+
+    @cached_property
     def nabPhi(self) -> TensorField:
         return covariant_derivative(self.Phi, self.conn)
 
@@ -449,7 +461,7 @@ class StructureAnalysis:
         s = self.structure
         w = self.alpha * s.phi + self.h  # hX + alpha phi X
         return (
-            contract("iba->iab", self.nabphi)
+            self.nabphi_ab
             - contract("mb,ma,i->iab", s.g, w, s.xi)
             + contract("b,ia->iab", s.eta, w)
         )
@@ -529,10 +541,8 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
         f = an.alpha_extraction.f
         residual("d(alpha) = f*eta", _gradient(chart.context, alpha) - f * eta)
 
-    residual(
-        "A.phi + phi.A = -2*alpha*phi",
-        contract("ik,kj->ij", A, phi) + contract("ik,kj->ij", phi, A) + 2 * alpha * phi,
-    )
+    A_phi, phi_A = an.A_phi
+    residual("A.phi + phi.A = -2*alpha*phi", A_phi + phi_A + 2 * alpha * phi)
 
     residual("nabla_xi(phi) = 0", contract("ijz,z->ij", nabphi, xi))
 
@@ -548,10 +558,8 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     items.append(_scalar_item("tr(h) = 0", contract("ii->", h)))
 
     # (nabla_X Phi)(Y,Z) = g((nabla_X phi)Y, Z), with X = d_c, Y = d_j, Z = d_k
-    residual(
-        "nabla(Phi) via nabla(phi)",
-        contract("jkc->cjk", nabPhi) - contract("mk,mjc->cjk", g, nabphi),
-    )
+    nabPhi_cjk = contract("jkc->cjk", nabPhi)
+    residual("nabla(Phi) via nabla(phi)", nabPhi_cjk - contract("mk,mjc->cjk", g, nabphi))
 
     # (nabla_X Phi)(Z, phi Y) + (nabla_X Phi)(Y, phi Z)
     #   = -eta(Y) g(AX, Z) - eta(Z) g(AX, Y)
@@ -565,7 +573,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     residual(
         "nabla(Phi) phi-shuffle (iii)",
         contract("mnc,mj,nk->cjk", nabPhi, phi, phi)
-        - contract("jkc->cjk", nabPhi)
+        - nabPhi_cjk
         - eta_gAphi
         + contract("ckj->cjk", eta_gAphi),
     )
@@ -583,7 +591,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     residual(
         "phi-derivative symmetry (B)",
         contract("idc,ca,db->iab", nabphi, phi, phi)
-        - contract("iba->iab", nabphi)
+        - an.nabphi_ab
         - contract("ik,ka,b->iab", A, phi, eta)
         - 2 * alpha * (contract("ba,i->iab", Phi, xi) + eta_phi),
     )
@@ -613,7 +621,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     residual(
         "phi-derivative contraction with h-term",
         contract("mbc,ca,im->iab", nabphi, phi, phi)
-        + contract("iba->iab", nabphi)
+        + an.nabphi_ab
         + 2 * alpha * eta_phi
         - contract("ab,i->iab", alpha * Phi + gh, xi),
     )

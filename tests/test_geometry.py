@@ -288,12 +288,25 @@ def test_finite_difference_partials():
 # Components against sympy's dense arrays
 
 
+# an adapted chart's tensors are mostly zero: draw dense, mostly-zero and
+# all-zero arrays
+_DENSITIES = [
+    st.integers(-3, 3),
+    st.sampled_from([0] * 6 + [-2, -1, 1, 2]),
+    st.just(0),
+]
+
+
 @st.composite
 def _component_pairs(draw):
     n = draw(st.integers(1, 5))
     rank = draw(st.integers(0, 4))
-    entries = st.lists(st.integers(-3, 3), min_size=n**rank, max_size=n**rank)
-    return n, rank, draw(entries), draw(entries)
+
+    def entries():
+        values = draw(st.sampled_from(_DENSITIES))
+        return draw(st.lists(values, min_size=n**rank, max_size=n**rank))
+
+    return n, rank, entries(), entries()
 
 
 def _ground(vals) -> list:
@@ -324,6 +337,7 @@ def test_components_match_sympy_arrays(case, scalar):
     if rank == 1:
         assert [a[i].as_expr() for i in range(n)] == [A[i] for i in range(n)]
     assert tuple(e.as_expr() for e in a) == flat(A)  # iteration is row-major
+    assert (a == b) == (a_vals == b_vals)
     f = lambda e: e**2 - 1
     # sympy's applyfunc fails on a rank-0 array
     applied = A.applyfunc(f) if rank else sp.ImmutableDenseNDimArray([f(A[()])], ())
@@ -335,9 +349,18 @@ def test_components_match_sympy_arrays(case, scalar):
         (c * a, C * A),
         (a / c, A / C),
         (a.applyfunc(f), applied),
+        (a.applyfunc(lambda e: 3 * e), 3 * A),  # zero to zero: the nonzero entries only
     ]
     for got, want in cases:
-        assert (got.n, got.rank, exprs(got)) == (n, rank, flat(want))
+        want = flat(want)
+        assert (got.n, got.rank, exprs(got)) == (n, rank, want)
+        # the nonzero map against the dense reference
+        assert got.is_zero() == (not any(want))
+        witness = got.first_nonzero()
+        first = next(((i, w) for i, w in zip(indices, want) if w), None)
+        assert (witness and (witness[0], witness[1].as_expr())) == first
+        dense = Components(n, rank, got.flat)
+        assert got == dense and hash(got) == hash(dense)
 
 
 def test_components_divided_by_the_zero_scalar_raise():
@@ -444,6 +467,44 @@ def test_contract_and_arithmetic_check_fields_once_per_operand(monkeypatch, anal
     calls.clear()
     R - R
     assert len(calls) <= 2
+
+
+def test_sparse_arithmetic_and_partials_touch_nonzero_entries_only(monkeypatch, analyses):
+    # five_dim_alpha_z's R has 24 nonzero entries of 625: R - R subtracts
+    # only where an entry of either side is nonzero, and partials derives
+    # only phi's non-constant nonzero entries
+    an = analyses("five_dim_alpha_z")
+    R, phi = an.R, an.structure.phi
+    subs = []
+    sub = Frac.__sub__
+    monkeypatch.setattr(Frac, "__sub__", lambda a, b: subs.append(a) or sub(a, b))
+    assert (R - R).is_zero()
+    assert len(subs) == len(R.entries) < R.n**4
+    derived = []
+    ctx = an.chart.context
+    partial_element = ctx.partial_element
+    monkeypatch.setattr(ctx, "partial_element", lambda f, c: derived.append(f) or partial_element(f, c))
+    d = partials(phi)
+    moving = [e for e in phi.entries.values() if not e.is_constant()]
+    assert len(derived) == phi.n * len(moving) < phi.n**3
+    # the dense definition: every entry's partials, in row-major order
+    assert d.flat == tuple(partial_element(e, c) for e in phi.flat for c in range(phi.n))
+
+
+def test_riemann_reduces_each_independent_entry_once(monkeypatch, analyses):
+    # R[l, i, j, k] with i < j is one fraction_sum of its d(Gamma) and
+    # Gamma.Gamma terms; i > j is its negation and i = j zero, so the
+    # field reduces at most n * n(n-1)/2 * n entries
+    for name in ("example_e", "five_dim_alpha_z"):
+        conn = analyses(name).conn
+        n = conn.n
+        calls = []
+        reduce = field.reduce
+        monkeypatch.setattr(field, "reduce", lambda *args: calls.append(args) or reduce(*args))
+        R = riemann(conn)
+        monkeypatch.setattr(field, "reduce", reduce)
+        assert 0 < len(calls) <= n * n * (n - 1) // 2 * n
+        assert all(not R[l, i, i, k] for l in range(n) for i in range(n) for k in range(n))
 
 
 def test_each_gcd_once_and_no_derivation_of_a_constant(monkeypatch, entries):
