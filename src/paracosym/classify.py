@@ -90,9 +90,9 @@ def classify_h(an: StructureAnalysis, point=None) -> HType:
     if an.h.is_zero():
         return HType("Zero", None, pt)
     values = an.chart.values_at(pt)
-    if not any(values.value(c) for c in an.h.flat):
+    if not any(values.value(c) for c in an.h.entries.values()):
         raise HTypeNotConstantError(f"h vanishes at {at} but not identically")
-    if not any(values.value(c) for c in s.eta.flat):
+    if not any(values.value(c) for c in s.eta.entries.values()):
         raise StructureError(f"eta degenerate at point {pt}")
     det = (contract("ii->", an.h) ** 2 - contract("ij,ji->", an.h, an.h)) / 2
     if det.is_zero():
@@ -155,7 +155,7 @@ class _Domain:
 
     def flat(self, comps: Components) -> tuple:
         """The entries, row-major, in this domain."""
-        return tuple(map(self.scalar, comps.flat))
+        return tuple(map(self.scalar, comps))
 
     g = cached_property(lambda self: self.flat(self.an.structure.g))
     phi = cached_property(lambda self: self.flat(self.an.structure.phi))
@@ -331,7 +331,7 @@ def _frame_seed(an: StructureAnalysis, tag: str, pt) -> Tuple[int, int, int]:
 
     lam2 = contract("ii->", an.h2) / 2
     for col in range(3):
-        w = Components(3, 1, [an.proj[i, col] for i in range(3)])
+        w = Components.of([an.proj[i, col] for i in range(3)])
         if w.is_zero():
             continue
         hw = apply(h, w)
@@ -635,9 +635,10 @@ def verify_ricci_formula(an: StructureAnalysis) -> CheckItem:
     alpha, r = an.alpha, an.r
     T = contract("ii->", an.h2) / 2
     sig_sharp = contract("ij,j->i", an.ginv, an.sigma)
+    identity = identity_tensor(an.chart)
     rhs = (
-        (r / 2 + alpha**2 - T) * identity_tensor(an.chart)
-        + (-r / 2 + 3 * (T - alpha**2)) * contract("i,j->ij", s.xi, s.eta)
+        (r / 2 + alpha**2 - T) * identity
+        + (-r / 2 + 3 * (T - alpha**2)) * (identity - an.proj)  # eta(x)xi = Id - phi^2
         - 2 * alpha * an.phih
         - contract("ik,kj->ij", s.phi, an.nab_xi_h)
         + contract("i,j->ij", s.xi, an.sigma)

@@ -40,7 +40,7 @@ def check_rxyxi_general(an: StructureAnalysis) -> List[CheckItem]:
     # R(X,Y)xi = X(alpha) P Y - Y(alpha) P X + alpha eta(X)(alpha Y + phi.h Y)
     #   - alpha eta(Y)(alpha X + phi.h X) + (nabla_X phi.h)Y - (nabla_Y phi.h)X
     rhs = (
-        contract("a,ib->iab", _gradient(an.chart.context, an.alpha), an.proj)
+        contract("a,ib->iab", _gradient(an.chart, an.alpha), an.proj)
         + contract("a,ib->iab", eta, alpha * (alpha * delta + an.phih))
         + nab_phih
     )

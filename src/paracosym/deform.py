@@ -88,7 +88,7 @@ def conformal_deform(
     unmet(an)
     s = an.structure
     ctx = s.chart.context
-    du_res = _gradient(ctx, u) - an.alpha * s.eta
+    du_res = _gradient(s.chart, u) - an.alpha * s.eta
     bad = du_res.first_nonzero()
     if bad is not None:
         raise DeformationParameterError(

@@ -13,16 +13,15 @@ Conventions used throughout the package:
 - Covariant derivative appends its direction index as a trailing covariant
   slot: (nabla T)[..., c].
 
-There is one tensor type, Components: the dimension n, the rank and a map
-from index tuple to entry that holds only the nonzero ones of its
-n**rank entries, with the field's zero at every other index.  The map is the
-representation; flat, the row-major tuple of all n**rank entries
-((i_1, ..., i_k) at offset ((i_1 n + i_2) n + ...) n + i_k), indexing and
-iteration are a dense view of it, built when first read.  A TensorField is
-Components that also carries its chart and its valence (r, s), which
-partials, the derivatives, wedge and eval_at read; arithmetic on either
-returns Components, and a contraction to no index returns one field
-element.
+There is one tensor type, Components: the dimension n, the rank, a map
+from index tuple to entry that holds only the nonzero ones of its n**rank
+entries, and the field's zero, which every other index reads.  The map is
+the one representation: indexing reads it, and iteration yields all
+n**rank entries from it in row-major order, zeros included, building
+nothing.  A TensorField is Components that also carries its chart and its
+valence (r, s), which partials, the derivatives, wedge and eval_at read;
+arithmetic on either returns Components, and a contraction to no index
+returns one field element.
 
 Every entry of a Components is an element of one field, a chart's
 rational function field (see scalars), set where an array enters:
@@ -108,16 +107,6 @@ class Chart:
     def dim(self) -> int:
         return self.context.dim
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chart)
-            and self.context == other.context
-            and self.base_point == other.base_point
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.base_point))
-
     def values_at(self, point: Optional[Sequence] = None) -> PointValues:
         """Exact values at a rational point (the base point by default)."""
         if point is not None:
@@ -130,18 +119,18 @@ class Chart:
 Entries = Dict[Tuple[int, ...], Frac]
 
 
-def _nested(x) -> Tuple[int, int, list]:
-    """(n, rank, row-major entries) of a nested list of equal-length rows,
-    or of a scalar (rank 0, no dimension)."""
+def _nested(x) -> Tuple[int, int, dict]:
+    """(n, rank, index -> entry, zeros included) of a nested list of
+    equal-length rows, or of a scalar (rank 0, no dimension)."""
     if not isinstance(x, (list, tuple)):
         if not isinstance(x, (Frac, int, Fraction)):
             raise ValenceError(f"component {x!r} is not a field element, an int or a Fraction")
-        return 0, 0, [x]
+        return 0, 0, {(): x}
     rows = [_nested(row) for row in x]
     rank = rows[0][1] if rows else 0
     if any(r != rank or (rank and n != len(x)) for n, r, _ in rows):
         raise ValenceError("component array is ragged or not square")
-    return len(x), rank + 1, [e for _, _, flat in rows for e in flat]
+    return len(x), rank + 1, {(i, *idx): e for i, (_, _, row) in enumerate(rows) for idx, e in row.items()}
 
 
 class Components:
@@ -150,31 +139,17 @@ class Components:
 
     The representation is entries, a dict from index tuple to entry that
     holds the nonzero entries only, and zero, the field's zero that every
-    other index reads.  flat, indexing and iteration are a dense row-major
-    view of the map, built when first read.  Immutable; +, - and unary -
-    act entrywise on two arrays of the same n and rank, * and / by a field
-    element or a number, with Frac's own operators, and each touches the
-    nonzero entries only."""
+    other index reads; iteration yields every entry in row-major order,
+    zeros included.  Immutable; +, - and unary - act entrywise on two
+    arrays of the same n and rank, * and / by a field element or a number,
+    with Frac's own operators, and each touches the nonzero entries only."""
 
-    __slots__ = ("n", "rank", "entries", "zero", "_flat")
+    __slots__ = ("n", "rank", "entries", "zero")
 
-    def __init__(self, n: int, rank: int, flat):
-        """Components of the row-major tuple flat of n**rank entries."""
-        flat = tuple(flat)
-        if len(flat) != n**rank:
-            raise ValenceError(f"{len(flat)} components for rank {rank} in dimension {n}")
-        keys = itertools.product(range(n), repeat=rank)
-        self.n, self.rank, self._flat = n, rank, flat
-        self.entries = {idx: e for idx, e in zip(keys, flat) if e}
-        self.zero = flat[0] * 0 if flat else None  # a field element's is the field's zero
-
-    @staticmethod
-    def from_entries(n: int, rank: int, entries: Entries, zero) -> "Components":
+    def __init__(self, n: int, rank: int, entries: Entries, zero):
         """Components whose nonzero entries are the map entries, taken as it
         is (not copied, and no entry of it may be zero)."""
-        out = object.__new__(Components)
-        out.n, out.rank, out.entries, out.zero, out._flat = n, rank, entries, zero, None
-        return out
+        self.n, self.rank, self.entries, self.zero = n, rank, entries, zero
 
     @staticmethod
     def of(x, field=None) -> "Components":
@@ -185,20 +160,12 @@ class Components:
         ContextMismatchError for an element of another field)."""
         if isinstance(x, Components):
             return x
-        n, rank, flat = _nested(x)
-        field = next((e.field for e in flat if isinstance(e, Frac)), field)
+        n, rank, nested = _nested(x)
+        field = next((e.field for e in nested.values() if isinstance(e, Frac)), field)
         if field is None:
             raise ValenceError("component array has no entry in a chart's field")
-        return Components(n, rank, map(field.coerce, flat))
-
-    @property
-    def flat(self) -> tuple:
-        """The n**rank entries in row-major order, zeros included: (i_1,
-        ..., i_k) sits at offset ((i_1 n + i_2) n + ...) n + i_k."""
-        if self._flat is None:
-            keys = itertools.product(range(self.n), repeat=self.rank)
-            self._flat = tuple(map(self.entries.get, keys, itertools.repeat(self.zero)))
-        return self._flat
+        lifted = ((idx, field.coerce(e)) for idx, e in nested.items())
+        return Components(n, rank, {idx: e for idx, e in lifted if e}, field.zero)
 
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
@@ -210,7 +177,9 @@ class Components:
         return self.entries.get(idx, self.zero)
 
     def __iter__(self):
-        return iter(self.flat)
+        """The n**rank entries in row-major order, zeros included."""
+        keys = itertools.product(range(self.n), repeat=self.rank)
+        return map(self.entries.get, keys, itertools.repeat(self.zero))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -225,20 +194,20 @@ class Components:
         return idx, self.entries[idx]
 
     def applyfunc(self, f) -> "Components":
-        """f of every entry: of the nonzero ones and of zero once, when f
-        takes zero to zero, and of the dense view otherwise."""
+        """f of every nonzero entry, for an f that takes zero to zero
+        (ValenceError otherwise)."""
         zero = f(self.zero)
         if zero:
-            return Components(self.n, self.rank, map(f, self.flat))
+            raise ValenceError(f"applyfunc of a function that takes zero to {zero}")
         out = {}
         for idx, e in self.entries.items():
             v = f(e)
             if v:
                 out[idx] = v
-        return Components.from_entries(self.n, self.rank, out, zero)
+        return Components(self.n, self.rank, out, zero)
 
     def _like(self, entries: Entries) -> "Components":
-        return Components.from_entries(self.n, self.rank, entries, self.zero)
+        return Components(self.n, self.rank, entries, self.zero)
 
     def _merge(self, other, op, alone) -> "Components":
         """op of the entries at each index where either side is nonzero,
@@ -298,7 +267,7 @@ class Components:
         return hash((self.n, self.rank, frozenset(self.entries.items())))
 
     def __repr__(self):
-        return f"Components({self.n}, {self.rank}, {self.flat!r})"
+        return f"Components({self.n}, {self.rank}, {self.entries!r}, {self.zero!r})"
 
 
 class TensorField(Components):
@@ -322,12 +291,12 @@ class TensorField(Components):
                 f"component array of rank {arr.rank} in dimension {arr.n} does not "
                 f"match valence ({r},{s}) in dimension {n}"
             )
-        entries, zero, flat = arr.entries, arr.zero, arr._flat
+        entries, zero = arr.entries, arr.zero
         if zero.field.symbols != field.symbols:
             zero.set_field(field)  # ContextMismatchError unless field contains zero's
             entries = {idx: e.set_field(field) for idx, e in entries.items()}
-            zero, flat = field.zero, None
-        self.n, self.rank, self.entries, self.zero, self._flat = n, r + s, entries, zero, flat
+            zero = field.zero
+        self.n, self.rank, self.entries, self.zero = n, r + s, entries, zero
         self.chart = chart
         self.r = r
         self.s = s
@@ -341,13 +310,10 @@ class TensorField(Components):
             self._array = self.applyfunc(Frac.as_expr)
         return self._array
 
-    def eval_at(self):
-        """Exact value at the base point, in QQ(E) (scalars.PointValues):
-        Components, or one value for a scalar; PoleError at a pole."""
-        value = self.chart.values_at().value
-        if self.rank == 0:
-            return value(self[()])
-        return self.applyfunc(value)
+    def eval_at(self) -> Components:
+        """Exact values at the base point, in QQ(E) (scalars.PointValues);
+        PoleError at a pole."""
+        return self.applyfunc(self.chart.values_at().value)
 
 
 # --------------------------------------------------------------------
@@ -485,7 +451,7 @@ def contract(spec: str, *operands):
     if labels != output:
         move = _move(labels, output)
         entries = {move(key): value for key, value in entries.items()}
-    return Components.from_entries(n, len(output), entries, field.zero)
+    return Components(n, len(output), entries, field.zero)
 
 
 def _letters(k: int, skip: str = "") -> str:
@@ -499,7 +465,7 @@ def _letters(k: int, skip: str = "") -> str:
 def identity_tensor(chart: Chart) -> TensorField:
     field = chart.context.field
     entries = {(i, i): field.one for i in range(chart.dim)}
-    return TensorField(chart, 1, 1, Components.from_entries(chart.dim, 2, entries, field.zero))
+    return TensorField(chart, 1, 1, Components(chart.dim, 2, entries, field.zero))
 
 
 # --------------------------------------------------------------------
@@ -532,14 +498,11 @@ def metric_inverse(g: TensorField) -> TensorField:
     singular, a pivot of [g | Id] lies in Id's columns."""
     n = g.n
     field = g.chart.context.field
-    rows = [
-        [*g.flat[i * n : (i + 1) * n], *(field.one if j == i else field.zero for j in range(n))]
-        for i in range(n)
-    ]
+    rows = [[g[i, j] for j in range(n)] + [field.one if j == i else field.zero for j in range(n)] for i in range(n)]
     reduced, pivots = row_reduce(rows)
     if pivots[n - 1] != n - 1:
         raise SingularMetricError("metric determinant is identically zero")
-    return TensorField(g.chart, 2, 0, Components(n, 2, [e for row in reduced for e in row[n:]]))
+    return TensorField(g.chart, 2, 0, [row[n:] for row in reduced])
 
 
 def christoffel(g: TensorField, ginv: TensorField) -> TensorField:
@@ -598,7 +561,7 @@ def partials(t: TensorField) -> Components:
             d = ctx.partial_element(e, c)
             if d:
                 out[idx + (c,)] = d
-    return Components.from_entries(t.n, t.rank + 1, out, ctx.field.zero)
+    return Components(t.n, t.rank + 1, out, ctx.field.zero)
 
 
 def _alternate(t: Components) -> Components:
@@ -664,7 +627,7 @@ def riemann(conn: TensorField) -> TensorField:
         if value:
             out[l, i, j, k] = value
             out[l, j, i, k] = -value
-    return TensorField(conn.chart, 1, 3, Components.from_entries(conn.n, 4, out, field.zero))
+    return TensorField(conn.chart, 1, 3, Components(conn.n, 4, out, field.zero))
 
 
 def ricci_tensor(R: TensorField) -> TensorField:
@@ -687,7 +650,7 @@ def signature_at(g: TensorField) -> Tuple[int, int]:
     """
     n = g.n
     at = g.chart.values_at()
-    work = [[at.value(e) for e in g.flat[i * n : (i + 1) * n]] for i in range(n)]
+    work = [[at.value(g[i, j]) for j in range(n)] for i in range(n)]
     pos = neg = 0
     while work:
         size = len(work)

@@ -120,16 +120,6 @@ class ScalarContext:
     def dim(self) -> int:
         return len(self.coord_names)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarContext)
-            and self.coord_names == other.coord_names
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.coord_names, self.generators))
-
     def __repr__(self):
         return f"ScalarContext({self.coord_names}, generators={self.generators})"
 

@@ -57,7 +57,6 @@ from .geometry import (
 )
 from .field import Frac
 from .parser import ManifoldDefinition
-from .scalars import ScalarContext
 
 
 class CheckItem(NamedTuple):
@@ -89,9 +88,9 @@ def _residual_item(name: str, residual: Components) -> CheckItem:
     return _item(name, None if w is None else f"component {w[0]}: {w[1]}")
 
 
-def _gradient(context: ScalarContext, f: Frac) -> Components:
-    """Components of d(f)."""
-    return Components(context.dim, 1, [context.partial_element(f, c) for c in range(context.dim)])
+def _gradient(chart: Chart, f: Frac) -> TensorField:
+    """d(f), the exterior derivative of the 0-form f."""
+    return exterior_derivative(TensorField(chart, 0, 0, f))
 
 
 def _antisymmetrized(t: Components) -> Components:
@@ -103,8 +102,7 @@ def d_wedge_eta(
     s: "AlmostParacontactStructure", f: Frac
 ) -> Optional[Tuple[Tuple[int, ...], Frac]]:
     """First nonzero component (i, j), i < j, of d(f) ^ eta, or None."""
-    w = contract("i,j->ij", _gradient(s.chart.context, f), s.eta)
-    return (w - contract("ij->ji", w)).first_nonzero()
+    return wedge(_gradient(s.chart, f), s.eta).first_nonzero()
 
 
 def _scalar_item(name: str, value: Frac) -> CheckItem:
@@ -250,7 +248,7 @@ def extract_alpha(s: AlmostParacontactStructure, Phi: TensorField) -> AlphaExtra
         )
 
     # f = xi(alpha); in dim >= 5 we also demand d(alpha) = f * eta
-    dalpha = _gradient(chart.context, alpha)
+    dalpha = _gradient(chart, alpha)
     f = contract("c,c->", s.xi, dalpha)
     if s.n >= 2:
         bad = (dalpha - f * s.eta).first_nonzero()
@@ -467,7 +465,7 @@ class StructureAnalysis:
         )
 
     def xi_derivative(self, f: Frac) -> Frac:
-        return contract("c,c->", self.structure.xi, _gradient(self.chart.context, f))
+        return contract("c,c->", self.structure.xi, _gradient(self.chart, f))
 
 
 # --------------------------------------------------------------------
@@ -539,7 +537,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
         items.append(_skip("d(alpha) = f*eta", reason))
     else:
         f = an.alpha_extraction.f
-        residual("d(alpha) = f*eta", _gradient(chart.context, alpha) - f * eta)
+        residual("d(alpha) = f*eta", _gradient(chart, alpha) - f * eta)
 
     A_phi, phi_A = an.A_phi
     residual("A.phi + phi.A = -2*alpha*phi", A_phi + phi_A + 2 * alpha * phi)

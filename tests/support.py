@@ -108,7 +108,7 @@ def numeric_at(t: TensorField, point: Optional[Sequence] = None):
     generators evaluate as exp(rate*coord)."""
     subs = point_subs(t.chart.context, t.chart.base_point if point is None else point)
     if t.rank == 0:
-        return float(t.array.flat[0].subs(subs))
+        return float(t.array[()].subs(subs))
     return t.array.applyfunc(lambda e: sp.Float(e.subs(subs), 30))
 
 

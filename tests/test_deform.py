@@ -95,8 +95,8 @@ def test_nonconstant_beta(analyses):
 
 def test_beta_not_proportional_to_eta(analyses):
     an = analyses("example_e")
-    beta = an.chart.context.coordinate(0)  # d(x) ^ eta != 0
-    with pytest.raises(DeformationParameterError):
+    beta = an.chart.context.coordinate(0)  # d(x) ^ eta != 0, with eta = dz
+    with pytest.raises(DeformationParameterError, match=r"d\(beta\) \^ eta != 0 at component \(0,2\)"):
         d_homothetic_deform(an.structure, 2, beta)
 
 

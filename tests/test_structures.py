@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 import sympy as sp
 
@@ -8,6 +10,7 @@ from paracosym.parser import load_definition
 from paracosym.structures import (
     AlmostParacontactStructure,
     StructureAnalysis,
+    d_wedge_eta,
     fundamental_form,
     identity_suite,
     leaf_second_fundamental_form,
@@ -248,7 +251,7 @@ def test_r_xi_from_nabla_a_matches_riemann_on_the_catalog(analyses, name):
     if not an.axioms_ok:
         pytest.skip("the axioms fail, so no analysis reads R(X,Y)xi")
     got, want = _r_xi_pairs(an)
-    assert got.flat == want.flat
+    assert got == want
 
 
 @pytest.mark.parametrize("name", sorted(R_XI_DRAWS))
@@ -257,5 +260,30 @@ def test_r_xi_from_nabla_a_matches_riemann_on_lie_draws(name):
     an = StructureAnalysis(AlmostParacontactStructure.from_definition(defn))
     assert an.axioms_ok
     got, want = _r_xi_pairs(an)
-    assert got.flat == want.flat
+    assert got == want
     assert not got.is_zero()
+
+
+def _df_eta_minus_eta_df(s, f):
+    """The first nonzero entry, in row-major order, of df (x) eta - eta (x) df,
+    or None."""
+    ctx = s.chart.context
+    df = [ctx.partial_element(f, c) for c in range(s.dim)]
+    eta = list(s.eta)
+    for i, j in itertools.product(range(s.dim), repeat=2):
+        if w := df[i] * eta[j] - eta[i] * df[j]:
+            return (i, j), w
+    return None
+
+
+def test_d_wedge_eta_is_df_eta_minus_eta_df(analyses):
+    s = analyses("example_e").structure  # eta = dz
+    x, y, z = (s.chart.context.coordinate(i) for i in range(3))
+    defn = load_definition(R_XI_DRAWS["lie_E_z"])  # E = exp(z)
+    gen = AlmostParacontactStructure.from_definition(defn)
+    E, gx = gen.chart.context.variable("E"), gen.chart.context.coordinate(0)
+    cases = [(s, x), (s, z * z), (s, x * y + z / (1 + x * x)), (gen, E), (gen, E * gx)]
+    got = [d_wedge_eta(t, f) for t, f in cases]
+    assert got == [_df_eta_minus_eta_df(t, f) for t, f in cases]
+    assert got[1] is None and got[0] == ((0, 2), s.chart.context.element(1))
+    assert got[4] is not None
