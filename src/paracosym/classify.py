@@ -17,15 +17,13 @@ the harmonicity <-> nullity equivalence with its per-type parameter
 formulas.
 
 The frames carry square roots: sqrt(lambda^2), the norm sqrt(+-g(v,v)),
-and for H3 a rotation's sqrt((c2+1)/2).  A frame's choices (its seed
-field and signs) are one pure function of the analysis, the type and the
-point (_frame_seed), decided exactly on values of the chart's field at the
-point (scalars.PointValues): each value they read is an element of the
-field or p + q*sqrt(lambda^2) over it.  The frame's helpers and table
-lines are written once over a scalar domain, and each domain builds the
-frame from that seed on its own.  One domain decides: a quadratic tower
-over the chart's field (tower.QuadraticTower), which takes a root in the
-field when the radicand is a square there.  A check whose residual is zero
+and for H3 a rotation's sqrt((c2+1)/2).  The frame's helpers and table
+lines are written once over a scalar domain.  One domain decides: a
+quadratic tower over the chart's field (tower.QuadraticTower), which takes
+a root in the field when the radicand is a square there.  It takes each of
+the frame's choices (its seed field and signs, _frame_in) from the exact
+sign at the point (QuadraticTower.sign) of the tower value that the choice
+governs, and the other domain replays them.  A check whose residual is zero
 in the tower passes, for either sign of every root; the first component
 it leaves nonzero fails it, its value at the point the witness (_witness,
 t_k = sqrt(a_k), as the printed a and b).  A zero divisor met while
@@ -133,7 +131,8 @@ def _as_expr(q: Quad) -> sp.Expr:
 class _Domain:
     """The scalars of the frame code: given a point, elements of a
     QuadraticTower whose roots take their signs there; otherwise sympy
-    expressions in canon form, which are only printed, never differentiated."""
+    expressions in canon form, which are only printed, never differentiated,
+    and decide nothing."""
 
     def __init__(self, an: StructureAnalysis, point=None):
         self.an = an
@@ -149,6 +148,9 @@ class _Domain:
 
     def sqrt(self, a):
         return sp.sqrt(a) if self.tower is None else self.tower.sqrt(a)
+
+    def sign(self, a) -> int:
+        return self.tower.sign(a)
 
     def scalar(self, f: Frac):
         return f.as_expr() if self.tower is None else self.tower.base(f)
@@ -256,8 +258,8 @@ class _FrameValues:
     """An adapted frame in one domain, with the covariant derivatives and
     coefficients its checks use, each computed once when first needed."""
 
-    def __init__(self, D: _Domain, e1=None, e2=None, lam=None, sgn=None):
-        self.D, self.e1, self.e2, self.lam, self.sgn = D, e1, e2, lam, sgn
+    def __init__(self, D: _Domain, e1=None, e2=None, lam=None, sgn=None, seed=None):
+        self.D, self.e1, self.e2, self.lam, self.sgn, self.seed = D, e1, e2, lam, sgn, seed
         self.xi, self.alpha = D.xi, D.alpha
         self._nabla: Dict[str, List[list]] = {}
         self._cov: Dict[Tuple[str, str], list] = {}
@@ -307,90 +309,70 @@ class _FrameValues:
         return _add(D, _sub(D, D.nab_xi_h, _scale(D, D.h, self.dxi_lam / self.lam)), _scale(D, D.hphi, 2 * self.a))
 
 
-def _frame_seed(an: StructureAnalysis, tag: str, pt) -> Tuple[int, int, int]:
-    """(col, s, r): the type's adapted frame at pt grows from w, column col
-    of proj, with the sign s and the H3 rotation sign r (0: none), each
-    decided exactly at pt (scalars.PointValues).  H2: the first w with
-    u = g(w, hw) not zero at pt (nor, then, hw), s the sign of
-    g(phi(w + t hw), hw)/u with t = -g(w, w)/(2u).  H1: the first w and s
-    with g(v, v) = g(hw, hw) + lam^2 g(w, w) + 2 s g(w, hw) lam < 0 for
-    v = hw + s lam w, lam > 0.  H3 and Zero: the first w not null, s the
-    sign of g(w, w), and v = w, or phi w if s > 0; H3 rotates when g(hv, v)
-    is not identically zero, r the sign of g(hv, phi v)."""
-    values = an.chart.values_at(pt)
-    g, h, phi = an.structure.g, an.h, an.structure.phi
-
-    def sign(f):
-        return values.sign(values.value(f))
-
-    def g_of(v, w):
-        return contract("i,ij,j->", v, g, w)
-
-    def apply(op, v):
-        return contract("ij,j->i", op, v)
-
-    lam2 = contract("ii->", an.h2) / 2
-    for col in range(3):
-        w = Components.of([an.proj[i, col] for i in range(3)])
-        if w.is_zero():
-            continue
-        hw = apply(h, w)
-        if tag == "H2":
-            u = g_of(w, hw)
-            if values.value(u):
-                t = -g_of(w, w) / (2 * u)
-                return col, sign(g_of(apply(phi, w + hw * t), hw) / u) or -1, 0
-        elif tag == "H1":
-            p, q = (values.value(f) for f in (g_of(hw, hw) + lam2 * g_of(w, w), 2 * g_of(w, hw)))
-            for s in (1, -1):
-                if values.quadratic_sign(p, s * q, values.value(lam2)) < 0:
-                    return col, s, 0
-        else:
-            s = sign(g_of(w, w))
-            if not s:
-                continue
-            v = w if s < 0 else apply(phi, w)
-            hv = apply(h, v)
-            if tag == "Zero" or not g_of(hv, v):
-                return col, s, 0
-            return col, s, sign(g_of(hv, apply(phi, v))) or -1
-    raise StructureError(f"could not seed an adapted frame at {pt}; resample the point")
-
-
-def _frame_in(D: _Domain, tag: str, seed: Tuple[int, int, int]) -> _FrameValues:
-    """The type's adapted frame in D, built from its seed (_frame_seed)."""
-    col, s, r = seed
-    w = [D.proj[3 * i + col] for i in range(3)]
-    if tag == "H2":
-        # nilpotent h: the pseudo-orthonormal chain
-        hw = _apply_op(D, D.h, w)
-        u = _g_of(D, w, hw)
-        t = D.canon(-_g_of(D, w, w) / (2 * u))
-        cfac = 1 / D.sqrt(u)
-        e2 = [D.canon(cfac * c) for c in hw]
-        e1 = [D.canon(cfac * (a + t * b)) for a, b in zip(w, hw)]
-        return _FrameValues(D, e1, e2, None, s)
-
+def _frame_in(D: _Domain, tag: str, seed: Optional[Tuple[int, int, int]] = None) -> _FrameValues:
+    """The type's adapted frame in D.  Its choices, the seed (col, s, r),
+    are the column col of proj it grows from, w, the sign s and the H3
+    rotation sign r (0: none).  With no seed, D is a tower, which takes
+    each choice from the value it governs at the point, before any root
+    that depends on it is adjoined, and records them as the frame's seed;
+    otherwise D replays the seed.  H2: the first w with u = g(w, hw) not
+    zero at the point, s the sign of g(phi e1, e2), or -1 when it is zero.
+    H1: with lam = sqrt(tr h^2 / 2) > 0, the first w and s for which
+    -g(v, v) > 0, v = hw + s lam w.  H3 and Zero: the first w not null, s
+    the sign of g(w, w), and v = w, or phi w if s > 0; H3 rotates when
+    a0 = -g(he, e) is not identically zero, r the sign of b0 = g(he, phi e),
+    or -1 when it is zero."""
     tr_h2 = D.canon(sum(D.h2[4 * i] for i in range(3)))
     if tag == "H1":
-        # the timelike eigenvector field (h + s*lam)w
         lam_abs = D.sqrt(tr_h2 / 2)
-        v = [D.canon(c + s * lam_abs * wc) for c, wc in zip(_apply_op(D, D.h, w), w)]
-        norm = D.sqrt(-_g_of(D, v, v))
+    for col in range(3) if seed is None else seed[:1]:
+        w = [D.proj[3 * i + col] for i in range(3)]
+        if tag == "H2":
+            # nilpotent h: the pseudo-orthonormal chain
+            hw = _apply_op(D, D.h, w)
+            u = _g_of(D, w, hw)
+            if seed is None and not D.sign(u):
+                continue
+            t = D.canon(-_g_of(D, w, w) / (2 * u))
+            cfac = 1 / D.sqrt(u)
+            e2 = [D.canon(cfac * c) for c in hw]
+            e1 = [D.canon(cfac * (a + t * b)) for a, b in zip(w, hw)]
+            s = seed[1] if seed else D.sign(_g_of(D, _apply_op(D, D.phi, e1), e2)) or -1
+            return _FrameValues(D, e1, e2, None, s, (col, s, 0))
+        if tag == "H1":
+            # the timelike eigenvector field (h + s*lam)w, for the first s
+            # that makes it timelike
+            hw = _apply_op(D, D.h, w)
+            for s in (1, -1) if seed is None else seed[1:2]:
+                v = [D.canon(c + s * lam_abs * wc) for c, wc in zip(hw, w)]
+                radicand = -_g_of(D, v, v)
+                if seed or D.sign(radicand) > 0:
+                    break
+            else:
+                continue
+        else:
+            # a timelike field in ker(eta): w, or phi w for a spacelike w,
+            # since phi flips causality
+            q = _g_of(D, w, w)
+            s = seed[1] if seed else D.sign(q)
+            if not s:
+                continue
+            v, radicand = (w, -q) if s < 0 else (_apply_op(D, D.phi, w), q)
+        break
     else:
-        # a timelike field in ker(eta): w, or phi w for a spacelike w, since
-        # phi flips causality
-        q = _g_of(D, w, w)
-        v = w if s < 0 else _apply_op(D, D.phi, w)
-        norm = D.sqrt(-q if s < 0 else q)
+        raise StructureError(f"could not seed an adapted frame at {D.tower.values.point}; resample the point")
+    norm = D.sqrt(radicand)
     e_field = [D.canon(c / norm) for c in v]
 
-    if r:
-        # H3: the hyperbolic rotation killing g(h e, e)
+    r = 0
+    if tag == "H3" and (seed is None or seed[2]):
+        # the hyperbolic rotation killing g(h e, e)
         he = _apply_op(D, D.h, e_field)
         a0 = D.canon(-_g_of(D, he, e_field))
         pe = _apply_op(D, D.phi, e_field)
         b0 = _g_of(D, he, pe)
+        r = seed[2] if seed else 0 if a0.is_zero() else D.sign(b0) or -1
+    if r:
         lamf = D.sqrt(-tr_h2 / 2)
         c2 = r * b0 / lamf
         s2 = -a0 * r / lamf
@@ -405,16 +387,16 @@ def _frame_in(D: _Domain, tag: str, seed: Tuple[int, int, int]) -> _FrameValues:
         lam = _g_of(D, _apply_op(D, D.h, e_field), pe_field)
     else:
         lam = D.canon(0)
-    return _FrameValues(D, e_field, pe_field, lam)
+    return _FrameValues(D, e_field, pe_field, lam, seed=(col, s, r))
 
 
 def _frame_values(an: StructureAnalysis, htype: HType) -> Tuple[_FrameValues, _FrameValues]:
     """The type's adapted frame in a quadratic tower over the chart's field,
-    which decides, and as sympy expressions, which the report prints, both
-    built from the one seed _frame_seed decides.  A zero divisor met in the
-    tower raises ZeroDivisorError."""
-    seed = _frame_seed(an, htype.tag, htype.point)
-    return _frame_in(_Domain(an, htype.point), htype.tag, seed), _frame_in(_Domain(an), htype.tag, seed)
+    which decides its choices and every check, and as sympy expressions,
+    which replay the tower's choices and which the report prints.  A zero
+    divisor met in the tower raises ZeroDivisorError."""
+    tower = _frame_in(_Domain(an, htype.point), htype.tag)
+    return tower, _frame_in(_Domain(an), htype.tag, tower.seed)
 
 
 class AdaptedFrame(NamedTuple):

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL
+from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, DeformationParameterError
 from .geometry import Components, contract
 from .field import Frac, serialize, to_str
 from .parser import ManifoldDefinition
@@ -21,6 +21,7 @@ from .structures import (
     CheckItem,
     StructureAnalysis,
     _item,
+    _skip,
     identity_suite,
     leaf_second_fundamental_form,
     para_kenmotsu_biconditional,
@@ -328,12 +329,15 @@ def run_deform(
                 "fitted": got,
                 "items": [_item_dict(match_item)],
             }
-            if fit.mu is not None and not fit.mu.is_zero():
+            try:
                 i0 = invariant_I0(fit.kappa, fit.mu, fit.nu, an.alpha)
+            except DeformationParameterError as exc:  # mu = 0
+                i0_item = _skip("I0 invariant", str(exc))
+            else:
                 i0_t = invariant_I0(fit_t.kappa, fit_t.mu, fit_t.nu, an_t.alpha)
                 nul["I0"] = _scalar_str(i0)
                 nul["I0_deformed"] = _scalar_str(i0_t)
-                witness = None if i0 == i0_t else f"{nul['I0']} vs {nul['I0_deformed']}"
-                nul["items"].append(_item_dict(_item("I0 invariant", witness)))
+                i0_item = _item("I0 invariant", None if i0 == i0_t else f"{nul['I0']} vs {nul['I0_deformed']}")
+            nul["items"].append(_item_dict(i0_item))
             tree["nullity_transport"] = nul
     return _finish(tree, structural_failure=False)

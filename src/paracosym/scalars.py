@@ -35,10 +35,8 @@ generator exp(r*c) is a power E**k of E = e^(1/N) for one integer N, so a
 value is an element of QQ(E).  E is transcendental (Hermite-Lindemann), so
 a value is zero exactly when its numerator polynomial in E is, and the
 sign of a nonzero value comes from integer fixed-point enclosures of each
-term, refined until their sum excludes 0.  The sign of p + q*sqrt(a) over
-such values follows from the signs of p, q and p**2 - a*q**2
-(quadratic_sign).  A point where some |k| is above MAX_GENERATOR_POWER is
-refused.  No floats on any path.
+term, refined until their sum excludes 0.  A point where some |k| is
+above MAX_GENERATOR_POWER is refused.  No floats on any path.
 
 Field elements are the only scalar representation here: a value enters as
 an element of the context's field or a rational number, and this module
@@ -232,18 +230,6 @@ class PointValues:
     def sign(self, v: Frac) -> int:
         """The sign of a value (an element of self.field): -1, 0 or 1."""
         return _sign_at(v.numer, self.N) * _sign_at(v.denom, self.N)
-
-    def quadratic_sign(self, p: Frac, q: Frac, a: Frac) -> int:
-        """The sign of p + q*sqrt(a) for values p, q and a > 0: the sign of
-        p or q when the other is 0 or of the same sign, otherwise
-        sign(p) * sign(p**2 - a*q**2) (Basu, Pollack, Roy, Algorithms in
-        Real Algebraic Geometry)."""
-        sign_p, sign_q = self.sign(p), self.sign(q)
-        if sign_p == sign_q or not sign_q:
-            return sign_p
-        if not sign_p:
-            return sign_q
-        return sign_p * self.sign(p * p - a * q * q)
 
 
 @lru_cache(maxsize=256)

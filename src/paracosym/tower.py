@@ -9,9 +9,12 @@ tj**2 = a_j: it has zero divisors when some a_j is a square below, so an
 inverse, taken by the conjugate, raises ZeroDivisorError when the norm
 p**2 - a_j q**2 vanishes.  An element is zero exactly when every
 coefficient is, so a value computed with true inverses only and found zero
-is zero for either sign of every root.  sqrt adjoins no level for a
-square of K: it takes the root in K that is positive at the tower's point
-(scalars.PointValues), the value sympy's sqrt takes there.
+is zero for either sign of every root.  sign is an element's sign at the
+tower's point (scalars.PointValues), each t_k > 0: the sign of p or q when
+the other is zero or of the same sign, else sign(p) * sign(p**2 - a_k q**2)
+one level down (Basu, Pollack, Roy, Algorithms in Real Algebraic
+Geometry), valid while every a_k is positive there.  sqrt adjoins no level
+for a square of K: it takes its root in K positive at the point, as sympy.
 
 The chart derivation extends by d(tj) = (d a_j / (2 a_j)) tj, which keeps
 the tower closed under partial derivatives (generator rule included, from
@@ -29,7 +32,7 @@ from .scalars import PointValues, ScalarContext, reduce
 
 class QuadraticTower:
     """K(t1)...(tk) over one context's field, grown by adjoin(), with the
-    values at the point whose signs choose the roots sqrt takes in K."""
+    values at the point that give its elements' signs."""
 
     def __init__(self, context: ScalarContext, values: PointValues):
         self.context = context
@@ -52,10 +55,20 @@ class QuadraticTower:
         if a.level == 0:
             n, d = a.p.numer.sqrt(), a.p.denom.sqrt()
             if n is not None and d is not None:
-                root = Frac(self.field, n, d)  # reduced, as a is
-                values = self.values
-                return self.base(-root if values.sign(values.value(root)) < 0 else root)
+                root = self.base(Frac(self.field, n, d))  # reduced, as a is
+                return -root if self.sign(root) < 0 else root
         return self.adjoin(a)
+
+    def sign(self, x: "Quad") -> int:
+        """The sign of x at the point, -1, 0 or 1, with every t_k > 0."""
+        if x.level == 0:
+            return self.values.sign(self.values.value(x.p))
+        sign_p, sign_q = self.sign(x.p), self.sign(x.q)
+        if sign_p == sign_q or not sign_q:
+            return sign_p
+        if not sign_p:
+            return sign_q
+        return sign_p * self.sign(x.p * x.p - self.radicands[x.level - 1] * (x.q * x.q))
 
     def adjoin(self, a: "Quad") -> "Quad":
         """A new top level with t**2 = a; returns t."""

@@ -52,9 +52,10 @@ class SympyDomain(cls._Domain):
 
 
 def reference_frame(an, htype) -> "cls._FrameValues":
-    """The type's adapted frame on sympy expressions, from the seed the
-    engine's frames grow from."""
-    return cls._frame_in(SympyDomain(an), htype.tag, cls._frame_seed(an, htype.tag, htype.point))
+    """The type's adapted frame on sympy expressions, replaying the seed
+    the engine's tower frame chooses."""
+    seed = cls._frame_in(cls._Domain(an, htype.point), htype.tag).seed
+    return cls._frame_in(SympyDomain(an), htype.tag, seed)
 
 
 def zero_at(an, expr: sp.Expr, point) -> bool:

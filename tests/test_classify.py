@@ -642,6 +642,36 @@ def test_printed_coefficients_match_the_sympy_frame(analyses, source):
         assert sp.simplify(value - cls._subs_point(an, getattr(reference, attr), ht.point)) == 0, attr
 
 
+# the 3D catalog entries with an H1, H3 or Zero frame, and H1 and H3 pool draws
+_REAL_FRAME_SOURCES = ["example_e", "h1_rational", "h3_rotation", "flat_product", "warped_kenmotsu", "sigma_nonzero"] + [
+    ORACLE_DRAWS[i] for i in (0, 1, 3, 4)
+]
+
+
+@pytest.mark.parametrize("source", _REAL_FRAME_SOURCES, ids=str)
+def test_h1_h3_and_zero_frames_adjoin_positive_radicands(analyses, source):
+    # each root of the frame is real: a root taken in the chart's field is,
+    # and a level's radicand is positive at the point, given the levels
+    # below it (H2's are not: test_h2_frame_is_real)
+    an = _analysis_of(analyses, source)
+    ht = classify_h(an)
+    assert ht.tag != "H2"
+    tower = cls._frame_in(cls._Domain(an, ht.point), ht.tag).D.tower
+    assert all(tower.sign(a) > 0 for a in tower.radicands)
+
+
+@pytest.mark.parametrize("source", ["h2_nilpotent", "h3_rotation", "flat_product"] + ORACLE_DRAWS[:3], ids=str)
+def test_replayed_seed_gives_the_printed_frame(analyses, source):
+    # the sympy frame takes no decision of its own: replaying the tower
+    # frame's choices gives the e1, e2 and lambda the report prints
+    an = _analysis_of(analyses, source)
+    ht = classify_h(an)
+    frame = build_adapted_frame(an, ht)
+    replayed = cls._frame_in(cls._Domain(an), ht.tag, frame.tower.seed)
+    assert (replayed.e1, replayed.e2, replayed.lam) == (frame.sympy.e1, frame.sympy.e2, frame.sympy.lam)
+    assert replayed.seed == frame.tower.seed
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="an H2 frame with g(w, h w) < 0 is scaled by 1/sqrt(g(w, h w)) and comes out "

@@ -184,6 +184,17 @@ def test_I0_undefined_when_mu_zero(analyses):
         invariant_I0(zero, zero, zero, an.alpha)
 
 
+def test_deform_reports_I0_as_a_skip_when_mu_is_zero():
+    # kappa and nu fit exactly with mu = 0: the transport section names I0
+    # as a skipped item, with invariant_I0's reason
+    defn = load_definition(_lie_family("x/z", "y", "[1, 1, 2]"))
+    rep = run_deform(defn, gamma=2, beta=parse_scalar("1+z", defn.context()))
+    transport = rep.tree["nullity_transport"]
+    assert transport["fitted"]["mu"] == "0" and "I0" not in transport
+    assert transport["items"][-1] == {"name": "I0 invariant", "status": "skip", "reason": "I0 is undefined when mu = 0"}
+    assert (rep.exit_code, rep.tree["summary"]["skipped"]) == (0, 1)
+
+
 def test_conformal_flattens_alpha(analyses):
     an = analyses("example_e")
     u = an.chart.context.coordinate(2)  # du = dz = alpha*eta since alpha = 1

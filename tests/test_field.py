@@ -14,6 +14,7 @@ from sympy.polys.polyutils import _sort_gens
 from paracosym.errors import PoleError
 from paracosym.field import field_of_names, reduce, ring_of, sort_names, to_str
 from paracosym.scalars import GeneratorDecl, PointValues, ScalarContext
+from paracosym.tower import QuadraticTower
 
 # names whose sympy order is neither alphabetical nor the order given:
 # x1, x10 by their index, t before a, E last
@@ -209,17 +210,24 @@ def test_values_at_points_are_exact():
     assert AT.value(2 * FX + 1) == 2
 
 
-# the sign of p + q*sqrt(a) for values p, q and a > 0 at a point
+# the sign at a point of p + q*t, t = sqrt(a) > 0, in a quadratic tower
+
+
+def _sign_of(ctx, at, p, q, a) -> int:
+    """The tower's sign of p + q*sqrt(a) at the point of at, sqrt(a) a level
+    of its own."""
+    T = QuadraticTower(ctx, at)
+    return T.sign(T.base(p) + T.base(q) * T.adjoin(T.base(a)))
+
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @SETTINGS
 @given(_rationals, _rationals, st.fractions(min_value=0, max_value=9, max_denominator=4).filter(bool))
-def test_quadratic_sign_matches_sympy_on_rationals(p, q, a):
-    value = PointValues.field.coerce
+def test_tower_sign_matches_sympy_on_rationals(p, q, a):
     exact = sp.sign(sp.Rational(p) + sp.Rational(q) * sp.sqrt(sp.Rational(a)))
-    assert AT.quadratic_sign(value(p), value(q), value(a)) == exact
+    assert _sign_of(CTX, AT, p, q, a) == exact
 
 
 # E = exp(z) at x = y = z = 1: the values lie in QQ(E) with E = e
@@ -240,22 +248,51 @@ GE = GCTX.variable("E")
         (0, -GE, GE),
     ],
 )
-def test_quadratic_sign_at_a_generator_value(p, q, a):
-    values = [AT_E.value(GCTX.element(v)) for v in (p, q, a)]
+def test_tower_sign_at_a_generator_value(p, q, a):
+    sign = _sign_of(GCTX, AT_E, p, q, a)
     p, q, a = (GCTX.element(v).as_expr().subs(sp.Symbol("E"), sp.E) for v in (p, q, a))
     # factored, sympy proves sqrt((e - 1)**2) = e - 1
-    exact = sp.sign(p + q * sp.sqrt(sp.factor(a)))
-    assert AT_E.quadratic_sign(*values) == exact
+    assert sign == sp.sign(p + q * sp.sqrt(sp.factor(a)))
 
 
-def test_quadratic_sign_of_a_pell_pair():
+def test_tower_sign_of_a_pell_pair():
     # 768398401**2 - 2 * 543339720**2 = 1, so 768398401 - 543339720*sqrt(2)
     # is 1/(768398401 + 543339720*sqrt(2)), about 6.5e-10: its negative is
     # negative, which a test "below -1e-9" misses
-    value = PointValues.field.coerce
     assert 768398401**2 - 2 * 543339720**2 == 1
-    assert AT.quadratic_sign(value(-768398401), value(543339720), value(2)) == -1
-    assert AT.quadratic_sign(value(768398401), value(-543339720), value(2)) == 1
+    assert _sign_of(CTX, AT, -768398401, 543339720, 2) == -1
+    assert _sign_of(CTX, AT, 768398401, -543339720, 2) == 1
+
+
+def _level_two():
+    """The tower QQ(x, y, z, E)(t1)(t2) at E = e, t1 = sqrt(E) and
+    t2 = sqrt(E - t1), with sympy's t1 and t2 there."""
+    T = QuadraticTower(GCTX, AT_E)
+    t1 = T.adjoin(T.base(GE))
+    t2 = T.adjoin(T.base(GE) - t1)
+    return T, t1, t2, sp.sqrt(sp.E), sp.sqrt(sp.E - sp.sqrt(sp.E))
+
+
+@SETTINGS
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any))
+def test_tower_sign_at_level_two_matches_sympy_numerics(c):
+    T, t1, t2, s1, s2 = _level_two()
+    value = sp.N((c[0] + c[1] * s1) + (c[2] + c[3] * s1) * s2, 50)
+    assert abs(value) > 1e-30
+    assert T.sign((c[0] + c[1] * t1) + (c[2] + c[3] * t1) * t2) == (1 if value > 0 else -1)
+
+
+def test_tower_sign_at_level_two_near_and_at_zero():
+    T, t1, t2, s1, s2 = _level_two()
+    # r within 1e-40 of t2: the sign of t2 - r comes from the norm one level
+    # down, (r**2 - E)**2 - E, whose value at e is about 1e-40 too
+    r = Fraction(str(sp.N(s2, 45)))
+    assert T.sign(t2 - r) == (1 if sp.N(s2 - sp.Rational(r), 60) > 0 else -1)
+    assert T.sign(r - t2) == -T.sign(t2 - r)
+    # a level whose radicand is a square one level down: t = sqrt((t1 - 1)**2)
+    # is t1 - 1 at the point, so t - t1 + 1 is zero there but not in the tower
+    t = T.adjoin((t1 - 1) * (t1 - 1))
+    assert not (t - t1 + 1).is_zero() and T.sign(t - t1 + 1) == 0
 
 
 @pytest.mark.parametrize("c", [0, 1, -3, Fraction(1, 2)], ids=str)
