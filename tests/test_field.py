@@ -225,7 +225,7 @@ _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 @SETTINGS
 @given(_rationals, _rationals, st.fractions(min_value=0, max_value=9, max_denominator=4).filter(bool))
-def test_tower_sign_matches_sympy_on_rationals(p, q, a):
+def test_quadratic_sign_matches_sympy_on_rationals(p, q, a):
     exact = sp.sign(sp.Rational(p) + sp.Rational(q) * sp.sqrt(sp.Rational(a)))
     assert _sign_of(CTX, AT, p, q, a) == exact
 
@@ -248,14 +248,14 @@ GE = GCTX.variable("E")
         (0, -GE, GE),
     ],
 )
-def test_tower_sign_at_a_generator_value(p, q, a):
+def test_quadratic_sign_at_a_generator_value(p, q, a):
     sign = _sign_of(GCTX, AT_E, p, q, a)
     p, q, a = (GCTX.element(v).as_expr().subs(sp.Symbol("E"), sp.E) for v in (p, q, a))
     # factored, sympy proves sqrt((e - 1)**2) = e - 1
     assert sign == sp.sign(p + q * sp.sqrt(sp.factor(a)))
 
 
-def test_tower_sign_of_a_pell_pair():
+def test_quadratic_sign_of_a_pell_pair():
     # 768398401**2 - 2 * 543339720**2 = 1, so 768398401 - 543339720*sqrt(2)
     # is 1/(768398401 + 543339720*sqrt(2)), about 6.5e-10: its negative is
     # negative, which a test "below -1e-9" misses
