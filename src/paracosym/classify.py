@@ -29,7 +29,9 @@ it leaves nonzero fails it, its value at the point the witness (_witness,
 t_k = sqrt(a_k), as the printed a and b).  A zero divisor met while
 building the frame raises ZeroDivisorError, a frame error in the report.
 The other domain, sympy expressions, only prints e1, e2, lambda and exact
-and witnesses the pattern lines, which need no derivative.
+and witnesses the pattern lines, which need no derivative: of the helpers,
+built from one dot product (_dot) and one gradient (_grad), only _g_of and
+_apply_op, with canon and sqrt, run on it; the rest run in the tower only.
 
 This is the one module of the engine that uses sympy, and only to print:
 the frame, lambda^2 and the witnesses.  It reads the chart's field
@@ -170,6 +172,7 @@ class _Domain:
     sigma = cached_property(lambda self: self.flat(self.an.sigma))
     conn = cached_property(lambda self: self.flat(self.an.conn))
     alpha = cached_property(lambda self: self.scalar(self.an.alpha))
+    tr_h2 = cached_property(lambda self: self.canon(sum(self.h2[4 * i] for i in range(3))))
 
     @cached_property
     def res13(self) -> tuple:
@@ -181,57 +184,37 @@ class _Domain:
 # helpers over a domain D; vectors are lists of three components
 
 
+def _dot(D: _Domain, u, v):
+    """sum u_i v_i, canonical."""
+    return D.canon(sum(a * b for a, b in zip(u, v)))
+
+
+def _grad(D: _Domain, f) -> list:
+    """The partial derivatives of f by the three coordinates."""
+    return [D.diff(f, j) for j in range(3)]
+
+
 def _g_of(D: _Domain, v, w):
     g = D.g
     return D.canon(sum(g[3 * i + j] * v[i] * w[j] for i in range(3) for j in range(3)))
 
 
 def _apply_op(D: _Domain, op: Sequence, v) -> list:
-    return [D.canon(sum(op[3 * i + j] * v[j] for j in range(3))) for i in range(3)]
+    return [_dot(D, op[3 * i : 3 * i + 3], v) for i in range(3)]
 
 
 def _nabla(D: _Domain, w) -> List[list]:
     """(nabla w)[i][c] = d_c w^i + Gamma^i_{cm} w^m, each entry canonical."""
     G = D.conn
     return [
-        [
-            D.canon(D.diff(w[i], c) + sum(G[(3 * i + c) * 3 + m] * w[m] for m in range(3)))
-            for c in range(3)
-        ]
+        [D.canon(d + _dot(D, G[9 * i + 3 * c : 9 * i + 3 * c + 3], w)) for c, d in enumerate(_grad(D, w[i]))]
         for i in range(3)
     ]
-
-
-def _cov(D: _Domain, v, nabla_w) -> list:
-    """Components of nabla_v w, from nabla w (direction index last)."""
-    return [D.canon(sum(row[z] * v[z] for z in range(3))) for row in nabla_w]
 
 
 def _lie_bracket(D: _Domain, v, w) -> list:
-    return [
-        D.canon(sum(v[j] * D.diff(w[i], j) - w[j] * D.diff(v[i], j) for j in range(3)))
-        for i in range(3)
-    ]
-
-
-def _sigma_of(D: _Domain, v):
-    return D.canon(sum(D.sigma[j] * v[j] for j in range(3)))
-
-
-def _deriv_along(D: _Domain, v, f):
-    return D.canon(sum(v[j] * D.diff(f, j) for j in range(3)))
-
-
-def _scale(D: _Domain, m: Sequence, f) -> list:
-    return [D.canon(a * f) for a in m]
-
-
-def _add(D: _Domain, m1: Sequence, m2: Sequence) -> list:
-    return [D.canon(a + b) for a, b in zip(m1, m2)]
-
-
-def _sub(D: _Domain, m1: Sequence, m2: Sequence) -> list:
-    return [D.canon(a - b) for a, b in zip(m1, m2)]
+    """[v, w]^i = v(w^i) - w(v^i)."""
+    return [D.canon(_dot(D, v, _grad(D, b)) - _dot(D, w, _grad(D, a))) for a, b in zip(v, w)]
 
 
 def _subs_point(an: StructureAnalysis, expr: sp.Expr, pt) -> sp.Expr:
@@ -262,7 +245,7 @@ class _FrameValues:
         self.D, self.e1, self.e2, self.lam, self.sgn, self.seed = D, e1, e2, lam, sgn, seed
         self.xi, self.alpha = D.xi, D.alpha
         self._nabla: Dict[str, List[list]] = {}
-        self._cov: Dict[Tuple[str, str], list] = {}
+        self._covs: Dict[Tuple[str, str], list] = {}
 
     def nab(self, w: str) -> List[list]:
         if w not in self._nabla:
@@ -271,9 +254,9 @@ class _FrameValues:
 
     def cov(self, v: str, w: str) -> list:
         """nabla_v w for frame vectors named e1, e2 or xi."""
-        if (v, w) not in self._cov:
-            self._cov[v, w] = _cov(self.D, getattr(self, v), self.nab(w))
-        return self._cov[v, w]
+        if (v, w) not in self._covs:
+            self._covs[v, w] = [_dot(self.D, row, getattr(self, v)) for row in self.nab(w)]
+        return self._covs[v, w]
 
     def bracket(self, v: str, w: str) -> list:
         return _lie_bracket(self.D, getattr(self, v), getattr(self, w))
@@ -285,11 +268,12 @@ class _FrameValues:
             rhs = [o + coef * c for o, c in zip(rhs, vec)]
         return [a - b for a, b in zip(lhs, rhs)]
 
-    sig_e1 = cached_property(lambda F: _sigma_of(F.D, F.e1))
-    sig_e2 = cached_property(lambda F: _sigma_of(F.D, F.e2))
-    de_lam = cached_property(lambda F: _deriv_along(F.D, F.e1, F.lam))
-    dpe_lam = cached_property(lambda F: _deriv_along(F.D, F.e2, F.lam))
-    dxi_lam = cached_property(lambda F: _deriv_along(F.D, F.xi, F.lam))
+    sig_e1 = cached_property(lambda F: _dot(F.D, F.D.sigma, F.e1))
+    sig_e2 = cached_property(lambda F: _dot(F.D, F.D.sigma, F.e2))
+    grad_lam = cached_property(lambda F: _grad(F.D, F.lam))
+    de_lam = cached_property(lambda F: _dot(F.D, F.e1, F.grad_lam))
+    dpe_lam = cached_property(lambda F: _dot(F.D, F.e2, F.grad_lam))
+    dxi_lam = cached_property(lambda F: _dot(F.D, F.xi, F.grad_lam))
     # a1 = g(nabla_xi e, phi e) for H1/H3/Zero; a2 = g(nabla_xi e1, e2) for H2
     a = cached_property(lambda F: _g_of(F.D, F.cov("xi", "e1"), F.e2))
     c1 = cached_property(lambda F: F.D.canon((F.sig_e1 - F.dpe_lam) / (2 * F.lam)))
@@ -304,9 +288,10 @@ class _FrameValues:
         """The nabla_xi h relation's residual."""
         D = self.D
         if self.sgn is not None:  # H2: nabla_xi h = -2 sigma a2 h phi
-            return _add(D, D.nab_xi_h, _scale(D, D.hphi, 2 * self.a * self.sgn))
-        # nabla_xi h = xi(lam) h/lam - 2 a h phi
-        return _add(D, _sub(D, D.nab_xi_h, _scale(D, D.h, self.dxi_lam / self.lam)), _scale(D, D.hphi, 2 * self.a))
+            c_h, c_hphi = 0, 2 * self.a * self.sgn
+        else:  # nabla_xi h = xi(lam) h/lam - 2 a h phi
+            c_h, c_hphi = self.dxi_lam / self.lam, 2 * self.a
+        return [D.canon(n - c_h * h + c_hphi * hp) for n, h, hp in zip(D.nab_xi_h, D.h, D.hphi)]
 
 
 def _frame_in(D: _Domain, tag: str, seed: Optional[Tuple[int, int, int]] = None) -> _FrameValues:
@@ -322,9 +307,8 @@ def _frame_in(D: _Domain, tag: str, seed: Optional[Tuple[int, int, int]] = None)
     the sign of g(w, w), and v = w, or phi w if s > 0; H3 rotates when
     a0 = -g(he, e) is not identically zero, r the sign of b0 = g(he, phi e),
     or -1 when it is zero."""
-    tr_h2 = D.canon(sum(D.h2[4 * i] for i in range(3)))
     if tag == "H1":
-        lam_abs = D.sqrt(tr_h2 / 2)
+        lam_abs = D.sqrt(D.tr_h2 / 2)
     for col in range(3) if seed is None else seed[:1]:
         w = [D.proj[3 * i + col] for i in range(3)]
         if tag == "H2":
@@ -373,7 +357,7 @@ def _frame_in(D: _Domain, tag: str, seed: Optional[Tuple[int, int, int]] = None)
         b0 = _g_of(D, he, pe)
         r = seed[2] if seed else 0 if a0.is_zero() else D.sign(b0) or -1
     if r:
-        lamf = D.sqrt(-tr_h2 / 2)
+        lamf = D.sqrt(-D.tr_h2 / 2)
         c2 = r * b0 / lamf
         s2 = -a0 * r / lamf
         ch = D.sqrt((c2 + 1) / 2)
@@ -641,13 +625,9 @@ class HarmonicNullityReport(NamedTuple):
     case_items: List[CheckItem]
 
 
-def _half_tr_h2(F: _FrameValues):
-    return F.D.canon(sum(F.D.h2[4 * i] for i in range(3)) / 2)
-
-
 def _nu_case(F: _FrameValues, nu, lam2):
     # xi(lambda)/lambda = xi(lambda^2) / (2 lambda^2)
-    xil = _deriv_along(F.D, F.xi, lam2)
+    xil = _dot(F.D, F.xi, _grad(F.D, lam2))
     return nu + 2 * F.alpha + xil / (2 * lam2)
 
 
@@ -665,18 +645,18 @@ def _h2_case(F: _FrameValues, mu, nu):
 _CASE_LINES = {
     "Zero": (("kappa = -alpha^2 (h = 0)", lambda F, k, m, n: k + F.alpha**2),),
     "H1": (
-        ("kappa = lambda^2 - alpha^2", lambda F, k, m, n: k - (_half_tr_h2(F) - F.alpha**2)),
+        ("kappa = lambda^2 - alpha^2", lambda F, k, m, n: k - (F.D.tr_h2 / 2 - F.alpha**2)),
         ("mu = -2 a1", lambda F, k, m, n: m + 2 * F.a),
-        ("nu = -(2 alpha + xi(lambda)/lambda)", lambda F, k, m, n: _nu_case(F, n, _half_tr_h2(F))),
+        ("nu = -(2 alpha + xi(lambda)/lambda)", lambda F, k, m, n: _nu_case(F, n, F.D.tr_h2 / 2)),
     ),
     "H2": (
         ("kappa = -alpha^2", lambda F, k, m, n: k + F.alpha**2),
         ("mu - sigma*nu matches the -2 a2, -2 alpha representative", lambda F, k, m, n: _h2_case(F, m, n)),
     ),
     "H3": (
-        ("kappa = -(alpha^2 + lambda^2)", lambda F, k, m, n: k + F.alpha**2 + -_half_tr_h2(F)),
+        ("kappa = -(alpha^2 + lambda^2)", lambda F, k, m, n: k + F.alpha**2 - F.D.tr_h2 / 2),
         ("mu = -2 a3", lambda F, k, m, n: m + 2 * F.a),
-        ("nu = -(2 alpha + xi(lambda)/lambda)", lambda F, k, m, n: _nu_case(F, n, -_half_tr_h2(F))),
+        ("nu = -(2 alpha + xi(lambda)/lambda)", lambda F, k, m, n: _nu_case(F, n, -F.D.tr_h2 / 2)),
     ),
 }
 

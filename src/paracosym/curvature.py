@@ -81,12 +81,12 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
     items: List[CheckItem] = []
 
     nab_xi_h = an.nab_xi_h
-    h2, phi2 = an.h2, an.phi2
+    h2, P = an.h2, an.proj  # phi^2 = P once the axioms hold
 
     # R(xi,X)xi = alpha^2 phi^2 X + 2 alpha phi h X - h^2 X + phi (nabla_xi h) X
     res1 = (
         -l
-        - alpha**2 * phi2
+        - alpha**2 * P
         - 2 * alpha * an.phih
         + h2
         - contract("ik,kj->ij", phi, nab_xi_h)
@@ -104,7 +104,7 @@ def check_r2_suite(an: StructureAnalysis) -> List[CheckItem]:
 
     # (1/2)(R(xi,X)xi + phi R(xi, phi X)xi) = alpha^2 phi^2 X - h^2 X
     average = -(l + contract("im,mn,nj->ij", phi, l, phi)) / 2
-    items.append(_residual_item(names[2], average - alpha**2 * phi2 + h2))
+    items.append(_residual_item(names[2], average - alpha**2 * P + h2))
 
     # S(X,xi) = -2n alpha^2 eta(X) + g(div(phi.h), X)
     res4 = (

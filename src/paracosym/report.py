@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, DeformationParameterError
+from .errors import EXIT_IDENTITY, EXIT_OK, EXIT_STRUCTURAL, DeformationParameterError, PoleError
 from .geometry import Components, contract
 from .field import Frac, serialize, to_str
 from .parser import ManifoldDefinition
@@ -46,6 +46,21 @@ def _scalar_str(fld) -> str:
     if fld is None:
         return "none"
     return serialize(fld) if isinstance(fld, Frac) else str(Fraction(fld))
+
+
+def _pole_item(an: StructureAnalysis, named) -> Optional[CheckItem]:
+    """A failed "nullity triple defined at the point" item naming the first
+    of the (name, function) pairs with a pole at the base point, or None
+    when every function given is defined there."""
+    values = an.chart.values_at()
+    for name, f in named:
+        if f is None:
+            continue
+        try:
+            values.value(f)
+        except PoleError:
+            return _item("nullity triple defined at the point", f"{name} = {_scalar_str(f)}")
+    return None
 
 
 def _matrix_strs(t: Components) -> List[List[str]]:
@@ -260,6 +275,9 @@ def run_analyze(
         nulsec["consequences"] = _items(check_irem_suite(an, fit))
         nulsec["leaves_consequence"] = _item_dict(check_parakaehler_consequence(an, fit))
         nulsec["commutator"] = _item_dict(check_q_commutator_nullity(an, fit))
+        pole = _pole_item(an, zip(("kappa", "mu", "nu"), fit.triple))
+        if pole is not None:  # only then, so a report with no pole keeps its bytes
+            nulsec["consequences"].append(_item_dict(pole))
     tree["nullity"] = nulsec
 
     if an.structure.dim == 3:
@@ -329,6 +347,9 @@ def run_deform(
                 "fitted": got,
                 "items": [_item_dict(match_item)],
             }
+            # the functions that must be defined at the base point
+            named = list(zip(("kappa", "mu", "nu"), fit.triple))
+            named += zip(("transported kappa", "transported mu", "transported nu"), (kap_t, mu_t, nu_t))
             try:
                 i0 = invariant_I0(fit.kappa, fit.mu, fit.nu, an.alpha)
             except DeformationParameterError as exc:  # mu = 0
@@ -338,6 +359,10 @@ def run_deform(
                 nul["I0"] = _scalar_str(i0)
                 nul["I0_deformed"] = _scalar_str(i0_t)
                 i0_item = _item("I0 invariant", None if i0 == i0_t else f"{nul['I0']} vs {nul['I0_deformed']}")
+                named += [("I0", i0), ("I0_deformed", i0_t)]
             nul["items"].append(_item_dict(i0_item))
+            pole = _pole_item(an, named)
+            if pole is not None:  # only then, as in run_analyze
+                nul["items"].append(_item_dict(pole))
             tree["nullity_transport"] = nul
     return _finish(tree, structural_failure=False)

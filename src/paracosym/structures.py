@@ -151,8 +151,9 @@ class AlmostParacontactStructure:
 
 
 def verify_axioms(an: "StructureAnalysis") -> List[CheckItem]:
-    """The axioms of the analysed structure; phi^2 and the projection are
-    the analysis's cached phi2 and proj, which later checks read too."""
+    """The axioms of the analysed structure; the projection is the
+    analysis's cached proj, which later checks read as phi^2 once the
+    axiom phi^2 = Id - eta(x)xi holds."""
     s = an.structure
     n_tot = s.dim
     n = s.n
@@ -160,7 +161,7 @@ def verify_axioms(an: "StructureAnalysis") -> List[CheckItem]:
     items: List[CheckItem] = []
 
     items.append(_scalar_item("eta(xi) = 1", contract("k,k->", eta, xi) - 1))
-    items.append(_residual_item("phi^2 = Id - eta(x)xi", an.phi2 - an.proj))
+    items.append(_residual_item("phi^2 = Id - eta(x)xi", contract("ik,kj->ij", phi, phi) - an.proj))
 
     # g(phi X, phi Y) = -g(X,Y) + eta(X) eta(Y)
     gphiphi = contract("ki,kl,lj->ij", phi, g, phi) + g - contract("i,j->ij", eta, eta)
@@ -399,11 +400,6 @@ class StructureAnalysis:
         return contract("ik,kj->ij", self.h, self.structure.phi)
 
     @cached_property
-    def phi2(self) -> Components:
-        """phi.phi, equal to proj when the axioms hold."""
-        return contract("ik,kj->ij", self.structure.phi, self.structure.phi)
-
-    @cached_property
     def normality(self) -> Tuple[Components, bool]:
         """(N^1, whether it vanishes): nijenhuis_normality of the structure."""
         return nijenhuis_normality(self.structure)
@@ -548,7 +544,7 @@ def identity_suite(an: StructureAnalysis) -> List[CheckItem]:
     residual("h self-adjoint", gh - contract("ij->ji", gh))
     residual("h.phi + phi.h = 0", an.hphi + an.phih)
     residual("h(xi) = 0", contract("ik,k->i", h, xi))
-    residual("nabla(xi) = alpha*phi^2 + phi.h", alpha * an.phi2 + an.phih + A)
+    residual("nabla(xi) = alpha*phi^2 + phi.h", alpha * an.proj + an.phih + A)
 
     items.append(_scalar_item("tr(A.phi) = 0", contract("ik,ki->", A, phi)))
     items.append(_scalar_item("tr(h.phi) = 0", contract("ik,ki->", h, phi)))
@@ -670,7 +666,7 @@ def para_kenmotsu_biconditional(an: StructureAnalysis) -> CheckItem:
     unmet(an)
     _, normal = an.normality
     lhs = normal and an.alpha == 1 and parakaehler_leaves_check(an)
-    rhs = (an.A + an.phi2).is_zero()
+    rhs = (an.A + an.proj).is_zero()
     return _item(
         "para-Kenmotsu criterion: normal with alpha = 1 <=> A = -phi^2",
         None if lhs == rhs else f"normal/alpha=1/leaves side = {lhs}, A = -phi^2 side = {rhs}",

@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .errors import ZeroDivisorError
-from .field import Frac
-from .scalars import PointValues, ScalarContext, reduce
+from .field import Frac, reduce
+from .scalars import PointValues, ScalarContext
 
 
 class QuadraticTower:

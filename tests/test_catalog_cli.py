@@ -131,12 +131,22 @@ def _refuse_witness(*args):
 
 
 def test_pinned_3d_reports_are_decided_by_the_tower_alone(monkeypatch):
-    # with sympy's witness printer raising, every pinned 3D input without a
-    # failing frame line gives its pinned bytes: no verdict reads sympy.
-    # lie_E_h3 is left out, its frame_error carries a witness
+    # with sympy's witness printer raising, and any derivative taken on the
+    # sympy domain raising too, every pinned 3D input without a failing
+    # frame line gives its pinned bytes: no verdict reads sympy, and the
+    # printed frame is never differentiated. lie_E_h3 is left out, its
+    # frame_error carries a witness
     from paracosym import classify
 
+    tower_diff = classify._Domain.diff
+
+    def diff(D, e, coord_index):
+        if D.tower is None:
+            raise AssertionError("the printed sympy frame differentiated")
+        return tower_diff(D, e, coord_index)
+
     monkeypatch.setattr(classify, "_witness", _refuse_witness)
+    monkeypatch.setattr(classify._Domain, "diff", diff)
     texts = {name: catalog_entry(name).definition_text for name in NAMES if catalog_entry(name).definition().dim == 3}
     texts.update({name: _lie_draw_text(name) for name in LIE_DRAWS})
     texts["lie_E_h1"] = _lie_family(*GENERATOR_DRAWS["lie_E_h1"]) + EXP_Z
@@ -173,6 +183,32 @@ def test_lie3d_pool_digests(monkeypatch):
         if hashlib.sha256(rep.to_json().encode()).hexdigest() != pinned[lie_call(params).key]:
             drifted.append(params)
     assert drifted == []
+
+
+def test_no_catalog_entry_or_lie3d_draw_has_a_nullity_pole_at_its_base_point():
+    # the pole item is printed only when a fitted function is undefined at
+    # the base point, which no pinned input has
+    from paracosym.nullity import nullity_fit
+    from paracosym.report import _pole_item
+    from paracosym.structures import AlmostParacontactStructure, StructureAnalysis
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    from workloads import lie_definition, load_bundles
+
+    defns = [catalog_entry(name).definition() for name in NAMES]
+    defns += [load_definition(lie_definition(params)) for bundle in load_bundles() for params in bundle]
+    assert len(defns) == 48
+    fitted = 0
+    for defn in defns:
+        an = StructureAnalysis(AlmostParacontactStructure.from_definition(defn))
+        if not (an.axioms_ok and an.is_apc):
+            continue
+        fit = nullity_fit(an)
+        if fit.status in ("exact", "degenerate_h_zero"):
+            fitted += 1
+            assert _pole_item(an, zip(("kappa", "mu", "nu"), fit.triple)) is None
+    assert fitted
 
 
 def test_catalog_unknown_name():

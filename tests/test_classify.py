@@ -111,6 +111,9 @@ NOT_CONSTANT_AT_BASE = [
     ("x/2 - y/2 - 2*x*y", "-3*x/2 + y/2 - y^2/2"),
     ("-x - 3*y^2", "x + y - 3*x^3"),
 ]
+# the second also fits nu = (-2z - 1)/z, undefined at the base point z = 0
+POLE_AT_BASE = {("x + z*y", "y")}
+NULLITY_POLE = "nullity triple defined at the point"
 
 
 @pytest.mark.parametrize("p, q", NOT_CONSTANT_AT_BASE, ids=["h-quadratic", "h-zy", "det-quadratic", "det-quartic"])
@@ -120,7 +123,8 @@ def test_h_type_not_constant_near_the_point_fails(p, q):
         classify_h(StructureAnalysis(AlmostParacontactStructure.from_definition(defn)))
     report = run_analyze(defn)
     assert report.exit_code == 3
-    assert report.tree["summary"]["failed_checks"] == [cls.H_TYPE_CONSTANT]
+    pole = [NULLITY_POLE] if (p, q) in POLE_AT_BASE else []
+    assert report.tree["summary"]["failed_checks"] == pole + [cls.H_TYPE_CONSTANT]
     assert list(report.tree["classification"]) == ["items"]  # no frame after it
 
 
@@ -137,7 +141,7 @@ def test_type_not_constant_at_the_base_point_fails_the_equivalence(tmp_path, cap
     assert (section["h_type"], section["lambda2"]) == ("H1", "1/4")
     assert all(it["status"] == "pass" for it in section["frame_table"]["items"])
     assert section["harmonic_nullity"]["harmonic"] and section["harmonic_nullity"]["equivalent"]
-    assert tree["summary"]["failed_checks"] == [cls.H_TYPE_CONSTANT]
+    assert tree["summary"]["failed_checks"] == [NULLITY_POLE, cls.H_TYPE_CONSTANT]
 
 
 def test_grid_classification_stable(analyses):

@@ -18,7 +18,7 @@ from paracosym.deform import (
 from paracosym.errors import DeformationParameterError
 from paracosym.nullity import nullity_fit
 from paracosym.parser import load_definition, parse_scalar
-from paracosym.report import run_deform
+from paracosym.report import run_analyze, run_deform
 from paracosym.structures import AlmostParacontactStructure, StructureAnalysis
 
 
@@ -141,24 +141,37 @@ def test_I0_invariant_under_random_deformations(analyses):
         assert i0 == i0_t
 
 
-# name -> (definition, fitted (kappa, mu, nu), I0) of a structure whose
-# nullity parameters are functions: the abstract's deformation invariance
-# beyond constant triples; at the base [1, 1, 0] mu = z vanishes
+# name -> (definition, fitted (kappa, mu, nu), I0, (exit code, passed,
+# failed) of the deform report) of a structure whose nullity parameters are
+# functions: the abstract's deformation invariance beyond constant triples;
+# at the base [1, 1, 0] mu = z vanishes and nu has a pole, which the report
+# fails as "nullity triple defined at the point"
 FUNCTION_NULLITY = {
     "lie_E_h1": (
         _lie_family("x", "E*x + y", "[1, 1, 1]") + "\n[generators]\nE = { coord = z, rate = 1 }\n",
         ("E^2/4 - 1", "E", "-3"),
         "(E**2 + 8)/(4*E**2)",
+        (0, 15, 0),
     ),
-    "x+zy": (_lie_family("x + z*y", "y", "[1, 1, 1]"), ("z^2/4 - 1", "z", "(-2*z - 1)/z"), "(z**3 + 4*z + 4)/(4*z**3)"),
-    "x+zy-mu-zero-at-base": (_lie_family("x + z*y", "y"), ("z^2/4 - 1", "z", "(-2*z - 1)/z"), "(z**3 + 4*z + 4)/(4*z**3)"),
+    "x+zy": (
+        _lie_family("x + z*y", "y", "[1, 1, 1]"),
+        ("z^2/4 - 1", "z", "(-2*z - 1)/z"),
+        "(z**3 + 4*z + 4)/(4*z**3)",
+        (0, 15, 0),
+    ),
+    "x+zy-mu-zero-at-base": (
+        _lie_family("x + z*y", "y"),
+        ("z^2/4 - 1", "z", "(-2*z - 1)/z"),
+        "(z**3 + 4*z + 4)/(4*z**3)",
+        (3, 15, 1),
+    ),
 }
 
 
 @pytest.mark.parametrize("gamma, beta", [(2, "1+z"), (3, "2"), (Fraction(1, 2), "2+z^2")])
 @pytest.mark.parametrize("name", FUNCTION_NULLITY)
 def test_function_valued_nullity_transport(name, gamma, beta):
-    text, triple, i0 = FUNCTION_NULLITY[name]
+    text, triple, i0, summary_counts = FUNCTION_NULLITY[name]
     defn = load_definition(text)
     an = StructureAnalysis(AlmostParacontactStructure.from_definition(defn))
     ctx = an.chart.context
@@ -173,8 +186,36 @@ def test_function_valued_nullity_transport(name, gamma, beta):
     assert invariant_I0(*fit_t.triple, an_t.alpha) == invariant_I0(*fit.triple, an.alpha)
     rep = run_deform(defn, gamma=gamma, beta=b)
     summary, transport = rep.tree["summary"], rep.tree["nullity_transport"]
-    assert (rep.exit_code, summary["passed"], summary["failed"]) == (0, 15, 0)
+    assert (rep.exit_code, summary["passed"], summary["failed"]) == summary_counts
     assert transport["I0"] == transport["I0_deformed"] == i0
+
+
+# a fitted triple with a pole at the base point, and the witness that names
+# it: nu = (-2z - 1)/z at z = 0, and nu = -z/(z - 1) at z = 1 (where mu = 0);
+# the first triple at z = 1 is defined, and no item names it
+POLE_AT_BASE = {
+    "x+zy": (_lie_family("x + z*y", "y"), "nu = (-2*z - 1)/z"),
+    "x/z": (_lie_family("x/z", "y", "[1, 1, 1]"), "nu = -z/(z - 1)"),
+    "x+zy-at-z=1": (_lie_family("x + z*y", "y", "[1, 1, 1]"), None),
+}
+
+
+@pytest.mark.parametrize("name", POLE_AT_BASE)
+def test_a_nullity_triple_with_a_pole_at_the_base_point_fails(name):
+    text, witness = POLE_AT_BASE[name]
+    defn = load_definition(text)
+    deformed = run_deform(defn, gamma=2, beta=parse_scalar("1+z", defn.context()))
+    analyzed = run_analyze(defn)
+    if witness is None:
+        for rep in (deformed, analyzed):
+            assert rep.exit_code == 0
+            assert "nullity triple defined at the point" not in rep.to_json()
+        return
+    item = {"name": "nullity triple defined at the point", "status": "fail", "witness": witness}
+    assert deformed.exit_code == 3
+    assert deformed.tree["nullity_transport"]["items"][-1] == item
+    assert analyzed.exit_code == 3
+    assert analyzed.tree["nullity"]["consequences"][-1] == item
 
 
 def test_I0_undefined_when_mu_zero(analyses):

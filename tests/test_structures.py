@@ -210,7 +210,7 @@ def test_para_kenmotsu_biconditional(analyses, name, expect_sides):
 # every tensor a StructureAnalysis caches, by the name of its property
 ANALYSIS_TENSORS = [
     "Phi", "conn", "ginv", "A", "h", "phih", "R", "S", "Q", "R_xi", "l", "h2", "hphi",
-    "phi2", "proj", "sigma", "nabA", "nabphi", "nabPhi", "nabphih", "nabh", "nab_xi_h",
+    "proj", "sigma", "nabA", "nabphi", "nabPhi", "nabphih", "nabh", "nab_xi_h",
     "parakaehler_leaves_residual",
 ]
 
